@@ -39,6 +39,15 @@ class AttributeClass:
 
     name: str
     members: FrozenSet[Tuple[str, str]]
+    #: alias -> its (lexicographically smallest) column in this class.
+    _columns: Dict[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        columns: Dict[str, str] = {}
+        for alias, column in self.members:
+            if alias not in columns or column < columns[alias]:
+                columns[alias] = column
+        object.__setattr__(self, "_columns", columns)
 
     def column_of(self, alias: str) -> str:
         """Return the column of ``alias`` belonging to this class.
@@ -46,14 +55,20 @@ class AttributeClass:
         If a relation contributes several columns to the same class (rare,
         implies a self-equality), the lexicographically smallest is returned.
         """
-        candidates = sorted(column for a, column in self.members if a == alias)
-        if not candidates:
-            raise PlanError(f"relation {alias!r} has no column in attribute class {self.name!r}")
-        return candidates[0]
+        try:
+            return self._columns[alias]
+        except KeyError:
+            raise PlanError(
+                f"relation {alias!r} has no column in attribute class {self.name!r}"
+            ) from None
 
     def touches(self, alias: str) -> bool:
         """True when the class contains a column of ``alias``."""
-        return any(a == alias for a, _ in self.members)
+        return alias in self._columns
+
+    def relations(self) -> Tuple[str, ...]:
+        """The aliases with a column in this class."""
+        return tuple(self._columns)
 
 
 class _UnionFind:
@@ -135,6 +150,11 @@ class JoinGraph:
         Cardinality of each relation (row count of the underlying base table,
         or of the filtered base table when filtered sizes are supplied);
         drives the "largest relation" choices of LargestRoot / Small2Large.
+
+    ``query``, ``attribute_classes`` and ``edges`` are read once, at
+    construction, into lookup tables and an integer bit index
+    (``sorted_aliases``, ``adjacency_masks``, ``class_masks``); build a new
+    graph (as :meth:`subgraph` does) instead of reassigning them.
     """
 
     query: QuerySpec
@@ -142,6 +162,35 @@ class JoinGraph:
     relation_attributes: Dict[str, FrozenSet[str]]
     edges: Tuple[JoinGraphEdge, ...]
     relation_sizes: Dict[str, int] = field(default_factory=dict)
+    #: The bit index, built once from the fields above: bit ``i`` of a
+    #: relation mask stands for ``sorted_aliases[i]``, so the ascending bits
+    #: of a mask are its aliases in sorted order.
+    sorted_aliases: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: Per bit, the mask of the relations adjacent to it.
+    adjacency_masks: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: Per attribute class (in ``attribute_classes`` order), the mask of the
+    #: relations with a column in it.
+    class_masks: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.sorted_aliases = tuple(sorted(self.query.aliases))
+        self._bit_of = {alias: 1 << i for i, alias in enumerate(self.sorted_aliases)}
+        self._edge_between = {edge.aliases(): edge for edge in self.edges}
+        incident: Dict[str, list[JoinGraphEdge]] = {alias: [] for alias in self.sorted_aliases}
+        for edge in self.edges:
+            incident[edge.left].append(edge)
+            incident[edge.right].append(edge)
+        self._edges_of = {alias: tuple(found) for alias, found in incident.items()}
+        self._neighbors = {
+            alias: frozenset(e.other(alias) for e in found)
+            for alias, found in self._edges_of.items()
+        }
+        self.adjacency_masks = tuple(
+            self.mask_of(self._neighbors[alias]) for alias in self.sorted_aliases
+        )
+        self.class_masks = tuple(
+            self.mask_of(ac.relations()) for ac in self.attribute_classes.values()
+        )
 
     # ------------------------------------------------------------------
     # Construction
@@ -211,19 +260,43 @@ class JoinGraph:
 
     def edge_between(self, left: str, right: str) -> Optional[JoinGraphEdge]:
         """The edge connecting two relations, or None when they do not join."""
-        target = frozenset({left, right})
-        for edge in self.edges:
-            if edge.aliases() == target:
-                return edge
-        return None
+        return self._edge_between.get(frozenset({left, right}))
 
     def edges_of(self, alias: str) -> Tuple[JoinGraphEdge, ...]:
         """All edges incident to ``alias``."""
-        return tuple(e for e in self.edges if alias in e.aliases())
+        return self._edges_of.get(alias, ())
 
     def neighbors(self, alias: str) -> frozenset[str]:
         """Relations directly connected to ``alias``."""
-        return frozenset(e.other(alias) for e in self.edges_of(alias))
+        return self._neighbors.get(alias, frozenset())
+
+    # ------------------------------------------------------------------
+    # Bit index
+    # ------------------------------------------------------------------
+    def mask_of(self, aliases: Iterable[str]) -> int:
+        """The relation mask of a collection of aliases."""
+        mask = 0
+        try:
+            for alias in aliases:
+                mask |= self._bit_of[alias]
+        except KeyError as exc:
+            raise PlanError(f"unknown relation alias {exc.args[0]!r}") from None
+        return mask
+
+    def aliases_of(self, mask: int) -> Tuple[str, ...]:
+        """The aliases of a relation mask, in sorted order."""
+        return tuple(a for i, a in enumerate(self.sorted_aliases) if mask >> i & 1)
+
+    def component_of(self, mask: int) -> int:
+        """Flood-fill: the mask of every relation reachable from ``mask``."""
+        seen = frontier = mask
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = self.adjacency_masks[low.bit_length() - 1] & ~seen
+            seen |= new
+            frontier |= new
+        return seen
 
     def largest_relation(self) -> str:
         """The alias with the largest recorded cardinality.
@@ -237,34 +310,18 @@ class JoinGraph:
 
     def is_connected(self) -> bool:
         """True when the graph is a single connected component."""
-        if not self.aliases:
-            return True
-        seen = {self.aliases[0]}
-        frontier = [self.aliases[0]]
-        while frontier:
-            current = frontier.pop()
-            for neighbor in self.neighbors(current):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(self.aliases)
+        full = (1 << len(self.sorted_aliases)) - 1
+        # Flood from the first relation (from nothing when there is none).
+        return self.component_of(full & 1) == full
 
     def connected_components(self) -> Tuple[frozenset[str], ...]:
         """All connected components of the graph (a join forest has several)."""
-        remaining = set(self.aliases)
+        remaining = (1 << len(self.sorted_aliases)) - 1
         components: list[frozenset[str]] = []
         while remaining:
-            start = sorted(remaining)[0]
-            seen = {start}
-            frontier = [start]
-            while frontier:
-                current = frontier.pop()
-                for neighbor in self.neighbors(current):
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        frontier.append(neighbor)
-            components.append(frozenset(seen))
-            remaining -= seen
+            component = self.component_of(remaining & -remaining)
+            components.append(frozenset(self.aliases_of(component)))
+            remaining &= ~component
         return tuple(components)
 
     def hyperedges(self) -> Dict[str, FrozenSet[str]]:
@@ -330,8 +387,7 @@ class JoinGraph:
         """
         total = 0
         for ac in self.attribute_classes.values():
-            relations = {alias for alias, _ in ac.members}
-            total += max(len(relations) - 1, 0)
+            total += max(len(ac.relations()) - 1, 0)
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

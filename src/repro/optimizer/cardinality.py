@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -160,6 +160,27 @@ class EstimationErrorModel:
         return math.exp(rng.uniform(-log_max, log_max))
 
 
+class ClassProfile(NamedTuple):
+    """What a set of relations contributes to a join-cardinality estimate.
+
+    Attributes
+    ----------
+    touched:
+        Bit ``j`` is set when the set has a column in the ``j``-th attribute
+        class (``JoinGraph.attribute_classes`` order).
+    ndvs:
+        Per attribute class, the largest distinct count among the set's
+        columns in it (0 where the class is untouched).
+    """
+
+    touched: int
+    ndvs: Tuple[int, ...]
+
+    def merged(self, other: "ClassProfile") -> "ClassProfile":
+        """The profile of the union of two sets of relations."""
+        return ClassProfile(self.touched | other.touched, tuple(map(max, self.ndvs, other.ndvs)))
+
+
 class CardinalityEstimator:
     """Estimates base-relation and join cardinalities for the optimizer."""
 
@@ -182,6 +203,16 @@ class CardinalityEstimator:
         self._base_estimates: Dict[str, float] = {}
         self._distinct_cache: Dict[tuple[str, str], int] = {}
         self._populate_base_estimates()
+        #: Per attribute class, the distinct count of every relation's column
+        #: in it, by bit of the graph's index (0 for relations outside the
+        #: class).
+        self._class_ndvs: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(
+                self.distinct_count(alias, ac.column_of(alias)) if ac.touches(alias) else 0
+                for alias in graph.sorted_aliases
+            )
+            for ac in graph.attribute_classes.values()
+        )
 
     # ------------------------------------------------------------------
     # Base relations
@@ -221,6 +252,42 @@ class CardinalityEstimator:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
+    def class_profile(self, mask: int) -> ClassProfile:
+        """The :class:`ClassProfile` of a relation mask of the join graph."""
+        touched = 0
+        ndvs = []
+        for j, (members, per_bit) in enumerate(zip(self.graph.class_masks, self._class_ndvs)):
+            inside = members & mask
+            if inside:
+                touched |= 1 << j
+            ndvs.append(max((ndv for i, ndv in enumerate(per_bit) if inside >> i & 1), default=0))
+        return ClassProfile(touched, tuple(ndvs))
+
+    @staticmethod
+    def join_cardinality_of(
+        left: ClassProfile,
+        right: ClassProfile,
+        left_cardinality: float,
+        right_cardinality: float,
+    ) -> float:
+        """Estimate ``|left ⋈ right|`` under the independence assumption.
+
+        Every attribute class shared between the two sides contributes a
+        ``1 / max(ndv)`` reduction factor, applied in ``attribute_classes``
+        order; without a shared class the join is a Cartesian product.
+        """
+        result = left_cardinality * right_cardinality
+        shared = left.touched & right.touched
+        if not shared:
+            return result
+        left_ndvs, right_ndvs = left.ndvs, right.ndvs
+        while shared:
+            low = shared & -shared
+            shared ^= low
+            j = low.bit_length() - 1
+            result /= max(left_ndvs[j], right_ndvs[j], 1)
+        return max(result, 1.0)
+
     def join_cardinality(
         self,
         left_aliases: FrozenSet[str],
@@ -228,43 +295,26 @@ class CardinalityEstimator:
         left_cardinality: float,
         right_cardinality: float,
     ) -> float:
-        """Estimate ``|left ⋈ right|`` under the independence assumption.
-
-        Every attribute class shared between the two sides contributes a
-        ``1 / max(ndv)`` reduction factor.
-        """
-        shared = [
-            ac
-            for ac in self.graph.attribute_classes.values()
-            if any(ac.touches(a) for a in left_aliases) and any(ac.touches(a) for a in right_aliases)
-        ]
-        if not shared:
-            # Cartesian product.
-            return left_cardinality * right_cardinality
-        result = left_cardinality * right_cardinality
-        for attr_class in shared:
-            left_ndv = max(
-                (self.distinct_count(a, attr_class.column_of(a)) for a in left_aliases if attr_class.touches(a)),
-                default=1,
-            )
-            right_ndv = max(
-                (self.distinct_count(a, attr_class.column_of(a)) for a in right_aliases if attr_class.touches(a)),
-                default=1,
-            )
-            result /= max(left_ndv, right_ndv, 1)
-        return max(result, 1.0)
+        """:meth:`join_cardinality_of` for two sets of aliases."""
+        return self.join_cardinality_of(
+            self.class_profile(self.graph.mask_of(left_aliases)),
+            self.class_profile(self.graph.mask_of(right_aliases)),
+            left_cardinality,
+            right_cardinality,
+        )
 
     def estimate_plan_cardinalities(self, order: list[str]) -> list[float]:
         """Cardinality of every prefix of a left-deep join order."""
         if not order:
             return []
-        cardinalities = [self.base_cardinality(order[0])]
-        joined: set[str] = {order[0]}
-        current = cardinalities[0]
+        current = self.base_cardinality(order[0])
+        cardinalities = [current]
+        joined = self.class_profile(self.graph.mask_of(order[:1]))
         for alias in order[1:]:
-            current = self.join_cardinality(
-                frozenset(joined), frozenset({alias}), current, self.base_cardinality(alias)
+            added = self.class_profile(self.graph.mask_of((alias,)))
+            current = self.join_cardinality_of(
+                joined, added, current, self.base_cardinality(alias)
             )
-            joined.add(alias)
+            joined = joined.merged(added)
             cardinalities.append(current)
         return cardinalities
