@@ -1,13 +1,14 @@
-"""Transfer-phase caching microbenchmark: hash-once + artifact cache vs uncached.
+"""Transfer-phase artifact-cache microbenchmark: cache off vs cold vs warm.
 
-The tentpole claim of the hash-once execution layer: the transfer phase's
-redundant splitmix64 hashing and key materialization — one fresh pass per
-Bloom build/probe — collapses to one hashing pass per key column per query
-(hash cache + selection vectors), and repeated queries stop rebuilding
-identical Bloom filters and hash passes altogether (cross-query artifact
-cache).  This benchmark measures all regimes on a 1M-row star query and
-records the run as ``BENCH_transfer.json`` at the repo root so the transfer
-phase's performance trajectory is tracked from session to session.
+Every execution hashes each key column once and builds its own transfer
+Bloom filters; with the cross-query artifact cache on, repeated queries stop
+rebuilding identical filters and hash passes altogether.  This benchmark
+measures the three regimes on a 1M-row star query and records the run as
+``BENCH_transfer.json`` at the repo root so the transfer phase's performance
+trajectory is tracked from session to session.
+
+(The ``hash_once_speedup > 1.0`` gate compared against the per-pass
+re-hashing path, which no longer exists.)
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_transfer.json"
 
 
 @pytest.mark.benchmark(group="transfer")
-def test_hash_once_and_warm_artifacts_beat_uncached_at_1m_rows(benchmark, tmp_path):
+def test_warm_artifacts_beat_rebuilding_at_1m_rows(benchmark, tmp_path):
     def run():
         return run_transfer_microbench(fact_sizes=(1 << 18, 1 << 20), repeats=3)
 
@@ -61,16 +62,10 @@ def test_hash_once_and_warm_artifacts_beat_uncached_at_1m_rows(benchmark, tmp_pa
             # (warm runs actually hit the cache and the JSON shape above is
             # valid); wall-clock ratios are too noisy there by design.
             continue
-        # The acceptance points: hash reuse + selection vectors beat the
-        # uncached transfer phase on a single query, and a warm artifact
-        # cache beats it decisively on repeated queries.  The committed
-        # BENCH_transfer.json shows the real margins (~1.35x and ~3x); the
-        # thresholds here only guard flake.
-        assert m.hash_once_speedup > 1.0, (
-            f"hash-once transfer was not faster at {m.fact_rows} rows: "
-            f"{m.hash_once_seconds:.4f}s vs {m.uncached_seconds:.4f}s"
-        )
+        # The acceptance point: a warm artifact cache beats rebuilding the
+        # filters on repeated queries.  The committed BENCH_transfer.json
+        # shows the real margin (~2-3x); the threshold here only guards flake.
         assert m.warm_speedup > 1.2, (
             f"warm artifact cache did not pay off at {m.fact_rows} rows: "
-            f"{m.warm_artifact_seconds:.4f}s vs {m.uncached_seconds:.4f}s"
+            f"{m.warm_artifact_seconds:.4f}s vs {m.no_artifact_seconds:.4f}s"
         )

@@ -51,7 +51,7 @@ from repro.exec.kernels import (
     match_keys,
     semi_join_mask,
 )
-from repro.exec.pipeline import ParallelBackend
+from repro.exec.pipeline import MorselBackend
 
 #: Build-side sizes swept by default (the paper goes from 128 to 1G).
 DEFAULT_BUILD_SIZES = (128, 512, 2_048, 8_192, 32_768, 131_072, 524_288)
@@ -294,7 +294,7 @@ def run_partition_microbench(
     :class:`~repro.exec.kernels.PartitionedHashIndex` (O(n) radix
     partitioning, per-partition sorts, probes searching one cache-resident
     partition), the partitioned join with its partition tasks dispatched
-    through a :class:`~repro.exec.pipeline.ParallelBackend` pool, and the
+    through a :class:`~repro.exec.pipeline.MorselBackend` thread pool, and the
     monolithic probe fanned out through the
     :class:`~repro.exec.process.ProcessBackend` (morsels over shared-memory
     columns; partitioned builds/probes take closures and cannot cross the
@@ -338,7 +338,7 @@ def run_partition_microbench(
 
         parallel_build_s = parallel_probe_s = None
         if num_threads:
-            backend = ParallelBackend(num_threads=num_threads)
+            backend = MorselBackend(num_threads=num_threads)
             try:
                 def par_build():
                     index = PartitionedHashIndex(build_keys, bits=bits)
@@ -404,28 +404,25 @@ def format_partition_microbench(measurements: Sequence[PartitionJoinMeasurement]
 
 @dataclass(frozen=True)
 class TransferMicrobenchMeasurement:
-    """Transfer-phase timings of one star query under the caching configs.
+    """Transfer-phase timings of one star query with the artifact cache off/cold/warm.
 
-    Four configurations run the *same* query over the same data and plan:
+    Three configurations run the *same* query over the same data and plan:
 
-    * ``uncached`` — hash cache, selection vectors, and artifact cache off
-      (the historical per-pass hash + materialize behavior);
-    * ``hash_once`` — query-lifetime hash cache + selection vectors on,
-      artifact cache off (the cold single-query regime);
-    * ``cold_artifact`` — all three on, first execution (pays the artifact
-      builds and freezes);
-    * ``warm_artifact`` — all three on, repeated execution against the now
-      warm artifact cache (the repeated-traffic regime).
+    * ``no_artifact`` — artifact cache off (the default: every execution
+      hashes each key column once and builds its own filters);
+    * ``cold_artifact`` — artifact cache on, first execution (pays the
+      artifact builds and freezes);
+    * ``warm_artifact`` — artifact cache on, repeated execution against the
+      now warm cache (the repeated-traffic regime).
 
-    All four produce identical aggregates (asserted by the runner); only the
+    All three produce identical aggregates (asserted by the runner); only the
     transfer-phase seconds differ.
     """
 
     fact_rows: int
     dim_rows: int
     num_dims: int
-    uncached_seconds: float
-    hash_once_seconds: float
+    no_artifact_seconds: float
     cold_artifact_seconds: float
     warm_artifact_seconds: float
     warm_artifact_hits: int
@@ -433,18 +430,11 @@ class TransferMicrobenchMeasurement:
     selection_vector_rows: int
 
     @property
-    def hash_once_speedup(self) -> float:
-        """Single-query transfer speedup from hash reuse + selection vectors."""
-        if self.hash_once_seconds <= 0:
-            return float("inf")
-        return self.uncached_seconds / self.hash_once_seconds
-
-    @property
     def warm_speedup(self) -> float:
         """Repeated-query transfer speedup with a warm artifact cache."""
         if self.warm_artifact_seconds <= 0:
             return float("inf")
-        return self.uncached_seconds / self.warm_artifact_seconds
+        return self.no_artifact_seconds / self.warm_artifact_seconds
 
     def as_dict(self) -> dict:
         """JSON-ready representation (the ``BENCH_transfer.json`` record)."""
@@ -452,14 +442,12 @@ class TransferMicrobenchMeasurement:
             "fact_rows": self.fact_rows,
             "dim_rows": self.dim_rows,
             "num_dims": self.num_dims,
-            "uncached_seconds": self.uncached_seconds,
-            "hash_once_seconds": self.hash_once_seconds,
+            "no_artifact_seconds": self.no_artifact_seconds,
             "cold_artifact_seconds": self.cold_artifact_seconds,
             "warm_artifact_seconds": self.warm_artifact_seconds,
             "warm_artifact_hits": self.warm_artifact_hits,
             "hash_reuse_hits": self.hash_reuse_hits,
             "selection_vector_rows": self.selection_vector_rows,
-            "hash_once_speedup": self.hash_once_speedup,
             "warm_speedup": self.warm_speedup,
         }
 
@@ -514,9 +502,9 @@ def run_transfer_microbench(
     seed: int = 23,
     repeats: int = 3,
 ) -> List[TransferMicrobenchMeasurement]:
-    """Measure the transfer phase under the hash/selection/artifact configs.
+    """Measure the transfer phase with the artifact cache off, cold and warm.
 
-    For each fact size an RPT star query executes under the four caching
+    For each fact size an RPT star query executes under the three
     configurations of :class:`TransferMicrobenchMeasurement` (same data,
     same plan; aggregates are asserted identical).  ``dim_rows`` defaults to
     ``fact_rows // 2`` so the dimension-side Bloom builds the artifact cache
@@ -528,16 +516,14 @@ def run_transfer_microbench(
     from repro.engine.modes import ExecutionConfig, ExecutionMode
     from repro.errors import BenchmarkError
 
-    def options(hash_cache: bool, selection_vectors: bool, artifact_cache: bool):
-        # Adaptive transfer is pinned off: this sweep isolates the caching
-        # layers, and skipped or bitmap-downgraded passes would remove the
-        # hashing work being measured (the adaptive microbenchmark measures
+    def options(artifact_cache: bool):
+        # Adaptive transfer is pinned off: this sweep isolates the artifact
+        # cache, and skipped or bitmap-downgraded passes would remove the
+        # filter builds being measured (the adaptive microbenchmark measures
         # those features against their own static baseline).
         return ExecutionOptions(
             execution=ExecutionConfig(
                 backend="serial",
-                hash_cache=hash_cache,
-                selection_vectors=selection_vectors,
                 artifact_cache=artifact_cache,
                 adaptive_transfer=False,
             )
@@ -562,19 +548,18 @@ def run_transfer_microbench(
                     best = result
             return best, seconds
 
-        uncached, uncached_s = best_transfer(options(False, False, False), repeats)
-        hash_once, hash_once_s = best_transfer(options(True, True, False), repeats)
+        baseline, baseline_s = best_transfer(options(False), repeats)
         # First artifact run builds + freezes the artifacts (cold)...
-        cold = run(options(True, True, True))
+        cold = run(options(True))
         cold_s = cold.stats.timings.transfer
         # ...every later one replays them (warm).
-        warm, warm_s = best_transfer(options(True, True, True), repeats)
+        warm, warm_s = best_transfer(options(True), repeats)
 
-        for result in (hash_once, cold, warm):
-            if result.aggregates != uncached.aggregates:
+        for result in (cold, warm):
+            if result.aggregates != baseline.aggregates:
                 raise BenchmarkError(
-                    "cached transfer run diverged from the uncached baseline: "
-                    f"{result.aggregates} != {uncached.aggregates}"
+                    "artifact-cached transfer run diverged from the uncached one: "
+                    f"{result.aggregates} != {baseline.aggregates}"
                 )
 
         measurements.append(
@@ -582,8 +567,7 @@ def run_transfer_microbench(
                 fact_rows=fact_rows,
                 dim_rows=dims,
                 num_dims=num_dims,
-                uncached_seconds=uncached_s,
-                hash_once_seconds=hash_once_s,
+                no_artifact_seconds=baseline_s,
                 cold_artifact_seconds=cold_s,
                 warm_artifact_seconds=warm_s,
                 warm_artifact_hits=warm.stats.artifact_cache_hits,
@@ -598,19 +582,15 @@ def run_transfer_microbench(
 class AdaptiveMicrobenchMeasurement:
     """Transfer-phase timings of one star query with adaptive execution on/off.
 
-    Four configurations run the *same* query over the same data and plan:
+    Three configurations run the *same* query over the same data and plan:
 
     * ``static`` — adaptive transfer off (every compiled pass runs);
-    * ``skip`` — yield-driven pass skipping only (``adaptive_transfer``,
-      NDV sizing and the bitmap downgrade forced off);
-    * ``ndv`` — NDV-right-sized Bloom filters only (skipping and the
-      bitmap downgrade off), so the filter-byte comparison against
-      ``static`` isolates what NDV sizing alone removed — every pass
-      still runs and builds its filter;
-    * ``full`` — all three adaptive features (skipping + NDV sizing +
-      exact-bitmap downgrade), i.e. ``adaptive_transfer=True`` defaults.
+    * ``skip`` — yield-driven pass skipping only (``adaptive_transfer`` with
+      the bitmap downgrade forced off);
+    * ``full`` — skipping + exact-bitmap downgrade, i.e. the
+      ``adaptive_transfer=True`` defaults.
 
-    All four produce identical aggregates (asserted by the runner); only
+    All three produce identical aggregates (asserted by the runner); only
     transfer-phase seconds, filter bytes, and the decision counters differ.
     The interesting contrast is per workload: on the ``low_yield`` workload
     (uncorrelated dimension filters that prune almost nothing) the
@@ -626,11 +606,8 @@ class AdaptiveMicrobenchMeasurement:
     keep_fraction: float
     static_seconds: float
     skip_seconds: float
-    ndv_seconds: float
     full_seconds: float
     static_bloom_bytes: int
-    ndv_bloom_bytes: int
-    ndv_filter_bytes_saved: int
     steps_skipped: int
     exact_downgrades: int
 
@@ -643,19 +620,10 @@ class AdaptiveMicrobenchMeasurement:
 
     @property
     def full_speedup(self) -> float:
-        """Transfer speedup with every adaptive feature on."""
+        """Transfer speedup with skipping and the bitmap downgrade on."""
         if self.full_seconds <= 0:
             return float("inf")
         return self.static_seconds / self.full_seconds
-
-    @property
-    def ndv_bytes_reduction(self) -> int:
-        """Bloom filter bytes NDV sizing alone removed from the transfer phase.
-
-        The ``ndv`` configuration runs every pass (no skipping, no
-        downgrades), so this difference is attributable purely to sizing.
-        """
-        return max(self.static_bloom_bytes - self.ndv_bloom_bytes, 0)
 
     def as_dict(self) -> dict:
         """JSON-ready representation (the ``BENCH_adaptive.json`` record)."""
@@ -667,12 +635,8 @@ class AdaptiveMicrobenchMeasurement:
             "keep_fraction": self.keep_fraction,
             "static_seconds": self.static_seconds,
             "skip_seconds": self.skip_seconds,
-            "ndv_seconds": self.ndv_seconds,
             "full_seconds": self.full_seconds,
             "static_bloom_bytes": self.static_bloom_bytes,
-            "ndv_bloom_bytes": self.ndv_bloom_bytes,
-            "ndv_filter_bytes_saved": self.ndv_filter_bytes_saved,
-            "ndv_bytes_reduction": self.ndv_bytes_reduction,
             "steps_skipped": self.steps_skipped,
             "exact_downgrades": self.exact_downgrades,
             "skip_speedup": self.skip_speedup,
@@ -741,24 +705,21 @@ def run_adaptive_microbench(
     """Measure the transfer phase with adaptive execution on vs off.
 
     For each ``(workload, keep_fraction)`` an RPT star query executes under
-    the four configurations of :class:`AdaptiveMicrobenchMeasurement` (same
+    the three configurations of :class:`AdaptiveMicrobenchMeasurement` (same
     data, same plan; aggregates asserted identical).  ``dim_rows`` defaults
     to ``fact_rows // 16`` — dimensions large enough that their passes cost
-    real time, small enough that the (reduced) fact side still carries many
-    duplicate keys per dimension id, which is exactly where NDV sizing
-    shrinks the backward-pass filters.  Reported seconds are the best
-    transfer-phase wall time over ``repeats`` runs.
+    real time.  Reported seconds are the best transfer-phase wall time over
+    ``repeats`` runs.
     """
     from repro.engine.database import ExecutionOptions
     from repro.engine.modes import ExecutionConfig, ExecutionMode
     from repro.errors import BenchmarkError
 
-    def options(adaptive: bool, ndv: bool, bitmap: bool):
+    def options(adaptive: bool, bitmap: bool):
         return ExecutionOptions(
             execution=ExecutionConfig(
                 backend="serial",
                 adaptive_transfer=adaptive,
-                ndv_sizing=ndv,
                 bitmap_downgrade=bitmap,
             )
         )
@@ -779,12 +740,11 @@ def run_adaptive_microbench(
                     best = result
             return best, seconds
 
-        static, static_s = best_transfer(options(False, False, False))
-        skip, skip_s = best_transfer(options(True, False, False))
-        ndv, ndv_s = best_transfer(options(False, True, False))
-        full, full_s = best_transfer(options(True, True, True))
+        static, static_s = best_transfer(options(False, False))
+        skip, skip_s = best_transfer(options(True, False))
+        full, full_s = best_transfer(options(True, True))
 
-        for result in (skip, ndv, full):
+        for result in (skip, full):
             if result.aggregates != static.aggregates:
                 raise BenchmarkError(
                     "adaptive transfer run diverged from the static baseline: "
@@ -800,11 +760,8 @@ def run_adaptive_microbench(
                 keep_fraction=keep_fraction,
                 static_seconds=static_s,
                 skip_seconds=skip_s,
-                ndv_seconds=ndv_s,
                 full_seconds=full_s,
                 static_bloom_bytes=static.stats.bloom_bytes,
-                ndv_bloom_bytes=ndv.stats.bloom_bytes,
-                ndv_filter_bytes_saved=ndv.stats.adaptive_filter_bytes_saved,
                 steps_skipped=full.stats.adaptive_steps_skipped,
                 exact_downgrades=full.stats.adaptive_exact_downgrades,
             )
@@ -817,15 +774,15 @@ def format_adaptive_microbench(
 ) -> str:
     """Render the adaptive-transfer sweep as a table."""
     lines = [
-        "Adaptive transfer: yield-driven skipping + NDV sizing + bitmap downgrade vs static",
+        "Adaptive transfer: yield-driven skipping + bitmap downgrade vs static",
         f"{'workload':<12} {'fact rows':>10} {'static (s)':>11} {'skip (s)':>9} "
-        f"{'ndv (s)':>9} {'full (s)':>9} {'full spdup':>11} {'skipped':>8} {'ndv -B':>10}",
+        f"{'full (s)':>9} {'skip spdup':>11} {'full spdup':>11} {'skipped':>8} {'exact':>6}",
     ]
     for m in measurements:
         lines.append(
             f"{m.workload:<12} {m.fact_rows:>10} {m.static_seconds:>11.4f} "
-            f"{m.skip_seconds:>9.4f} {m.ndv_seconds:>9.4f} {m.full_seconds:>9.4f} "
-            f"{m.full_speedup:>10.2f}x {m.steps_skipped:>8} {m.ndv_bytes_reduction:>10}"
+            f"{m.skip_seconds:>9.4f} {m.full_seconds:>9.4f} {m.skip_speedup:>10.2f}x "
+            f"{m.full_speedup:>10.2f}x {m.steps_skipped:>8} {m.exact_downgrades:>6}"
         )
     return "\n".join(lines)
 
@@ -835,15 +792,15 @@ def format_transfer_microbench(
 ) -> str:
     """Render the transfer-phase caching sweep as a table."""
     lines = [
-        "Transfer phase: hash-once + selection vectors + artifact cache vs uncached",
-        f"{'fact rows':>12} {'dim rows':>10} {'uncached (s)':>13} {'hash-once (s)':>14} "
-        f"{'warm art. (s)':>14} {'1q spdup':>9} {'warm spdup':>11}",
+        "Transfer phase: artifact cache off vs cold vs warm",
+        f"{'fact rows':>12} {'dim rows':>10} {'no art. (s)':>12} {'cold art. (s)':>14} "
+        f"{'warm art. (s)':>14} {'warm spdup':>11}",
     ]
     for m in measurements:
         lines.append(
-            f"{m.fact_rows:>12} {m.dim_rows:>10} {m.uncached_seconds:>13.4f} "
-            f"{m.hash_once_seconds:>14.4f} {m.warm_artifact_seconds:>14.4f} "
-            f"{m.hash_once_speedup:>8.2f}x {m.warm_speedup:>10.2f}x"
+            f"{m.fact_rows:>12} {m.dim_rows:>10} {m.no_artifact_seconds:>12.4f} "
+            f"{m.cold_artifact_seconds:>14.4f} {m.warm_artifact_seconds:>14.4f} "
+            f"{m.warm_speedup:>10.2f}x"
         )
     return "\n".join(lines)
 
@@ -932,10 +889,7 @@ def run_scaling_microbench(
     Reuses the transfer microbenchmark's star generator (half-selective
     dimension filters, so the probe passes do real pruning work) and runs
     the same query + plan under ``serial``, ``parallel`` (threads), and
-    ``process`` at each worker count.  The hash cache is pinned off so the
-    process backend's shared-memory gather path carries the probe columns
-    (the regime the backend is built for) and threads/processes hash the
-    same per-pass work.  Reported seconds are the best end-to-end wall time
+    ``process`` at each worker count.  Reported seconds are the best end-to-end wall time
     over ``repeats`` runs; aggregates are asserted identical to serial.
     """
     from repro.engine.database import ExecutionOptions
@@ -954,7 +908,6 @@ def run_scaling_microbench(
                 backend=backend,
                 num_threads=workers,
                 num_workers=workers,
-                hash_cache=False,
                 artifact_cache=False,
             )
         )
@@ -1096,7 +1049,6 @@ def run_deadline_overhead_microbench(
             execution=ExecutionConfig(
                 backend="serial",
                 timeout_seconds=timeout,
-                hash_cache=False,
                 artifact_cache=False,
             )
         )
@@ -1226,7 +1178,6 @@ def run_observability_microbench(
             execution=ExecutionConfig(
                 backend="serial",
                 tracing=tracing,
-                hash_cache=False,
                 artifact_cache=False,
             )
         )
@@ -1398,9 +1349,10 @@ def run_encoding_microbench(
     kept per path.
 
     Shm half: the transfer star-probe query (1M-row fact side by default)
-    on the process backend with ``hash_cache=False`` — the configuration
-    under which probe columns travel through the shared-memory arena —
-    once with encodings off and once on.  Join-key columns bit-pack to
+    on the process backend in ``YANNAKAKIS`` mode — exact semi-join probes
+    ship the key column itself through the shared-memory arena (Bloom probes
+    replay the parent's cached hashing pass and ship no column) — once with
+    encodings off and once on.  Join-key columns bit-pack to
     32-bit codes, so the encoded run maps about half the bytes; aggregates
     are asserted identical to the raw run.
     """
@@ -1455,14 +1407,10 @@ def run_encoding_microbench(
     plan = star_db.optimizer_plan(star_query)
 
     def star_options(encodings: bool) -> ExecutionOptions:
-        # hash_cache off puts the probe passes on the shared-memory gather
-        # path (with it on, hash passes are served from the parent's cache
-        # and no columns are shipped), matching run_scaling_microbench.
         return ExecutionOptions(
             execution=ExecutionConfig(
                 backend="process",
                 num_workers=num_workers,
-                hash_cache=False,
                 artifact_cache=False,
                 encodings=encodings,
             )
@@ -1470,10 +1418,10 @@ def run_encoding_microbench(
 
     try:
         raw_star = star_db.execute(
-            star_query, mode=ExecutionMode.RPT, plan=plan, options=star_options(False)
+            star_query, mode=ExecutionMode.YANNAKAKIS, plan=plan, options=star_options(False)
         )
         encoded_star = star_db.execute(
-            star_query, mode=ExecutionMode.RPT, plan=plan, options=star_options(True)
+            star_query, mode=ExecutionMode.YANNAKAKIS, plan=plan, options=star_options(True)
         )
         if encoded_star.aggregates != raw_star.aggregates:
             raise BenchmarkError(

@@ -52,7 +52,6 @@ from repro.errors import (
 )
 from repro.exec import faults
 from repro.exec.faults import CancelToken
-from repro.exec.hashcache import HashCache
 from repro.exec.join_phase import JoinPhaseOptions
 from repro.exec.pipeline import PipelineExecutor, PipelineOptions, make_backend
 from repro.exec.relation import BoundRelation
@@ -213,7 +212,6 @@ class _PreparedExecution:
     schedule: Optional[TransferSchedule]
     masks: Dict[str, np.ndarray]
     physical: PhysicalPlan
-    config: ExecutionConfig
     #: alias -> rows the fused filter kernel short-circuited (aliases whose
     #: predicate was evaluated fused; empty when fusion is off/inapplicable).
     fused: Dict[str, int] = field(default_factory=dict)
@@ -235,13 +233,9 @@ class ExecutionOptions:
     skip_backward_if_aligned: bool = False
     #: Have the engine verify that the chosen join order is safe (SafeSubjoin).
     verify_safe_join_order: bool = False
-    #: Runtime configuration (backend, threads, memory budget, partitioning).
+    #: Runtime configuration (backend, threads, memory budget, partitioning);
+    #: unset knobs resolve from ``REPRO_*`` variables once per execution.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
-    #: Legacy shorthand for ``execution.backend`` (``"serial"``, ``"chunked"``,
-    #: or ``"parallel"``); ``None`` defers to ``execution`` / the environment.
-    backend: Optional[str] = None
-    #: Legacy shorthand for ``execution.chunk_size`` (morsel granularity).
-    chunk_size: Optional[int] = None
     #: Pre-created :class:`~repro.exec.faults.CancelToken` for cooperative
     #: cancellation from another thread (``token.cancel()``); when ``None``
     #: a token is created internally iff ``execution.timeout_seconds`` is set.
@@ -250,15 +244,6 @@ class ExecutionOptions:
     #: benchmark collect spans from several executions under one root.  When
     #: ``None`` a tracer is created internally iff ``execution.tracing``.
     tracer: Optional[Tracer] = None
-
-    def resolved_execution(self) -> ExecutionConfig:
-        """The effective :class:`ExecutionConfig` (legacy fields + env applied)."""
-        config = self.execution
-        if self.backend is not None:
-            config = replace(config, backend=self.backend)
-        if self.chunk_size is not None:
-            config = replace(config, chunk_size=self.chunk_size)
-        return config.resolved()
 
 
 class Database:
@@ -573,8 +558,21 @@ class Database:
         options = options or ExecutionOptions()
         catalog = catalog if catalog is not None else self.catalog
         graph = graph or self.join_graph(query, catalog=catalog)
+        return self._join_order(
+            query, options, graph, catalog, bool(options.execution.resolved().encodings)
+        )
+
+    def _join_order(
+        self,
+        query: QuerySpec,
+        options: ExecutionOptions,
+        graph: JoinGraph,
+        catalog: Any,
+        encodings: bool,
+    ) -> JoinPlan:
+        """:meth:`optimizer_plan` for a caller that already resolved the config."""
         bounds = None
-        if options.resolved_execution().encodings:
+        if encodings:
             bounds = self._zone_row_bounds(query, catalog=catalog)
         estimator = CardinalityEstimator(
             catalog,
@@ -664,12 +662,12 @@ class Database:
             # injector for the duration of this call (the env-driven plan, when
             # any, is restored afterwards by re-reading REPRO_FAULTS lazily).
             scoped_faults = False
-            config_probe = options.resolved_execution()
-            if config_probe.faults is not None:
-                faults.configure(config_probe.faults)
+            config = options.execution.resolved()
+            if config.faults is not None:
+                faults.configure(config.faults)
                 scoped_faults = True
             tracer = options.tracer
-            if tracer is None and config_probe.tracing:
+            if tracer is None and config.tracing:
                 tracer = Tracer()
             query_span = None
             if tracer is not None:
@@ -677,11 +675,11 @@ class Database:
                     query.name or "query",
                     "query",
                     mode=mode.value,
-                    backend=config_probe.backend,
+                    backend=config.backend,
                 )
             try:
                 return self._execute_configured(
-                    query, mode, plan, options, stats, snapshot, tracer=tracer
+                    query, mode, plan, options, config, stats, snapshot, tracer=tracer
                 )
             except (QueryTimeout, QueryCancelled) as error:
                 # The typed deadline/cancel errors carry the partial statistics
@@ -706,16 +704,17 @@ class Database:
         mode: ExecutionMode,
         plan: Optional[JoinPlan],
         options: ExecutionOptions,
+        config: ExecutionConfig,
         stats: ExecutionStats,
         snapshot: CatalogSnapshot,
         tracer: Optional[Tracer] = None,
     ) -> QueryResult:
         plan_span = tracer.start("plan", "phase") if tracer is not None else None
-        prep = self._prepare(query, mode, plan, options, stats, catalog=snapshot)
+        prep = self._prepare(query, mode, plan, options, config, stats, catalog=snapshot)
         if plan_span is not None:
             tracer.finish(plan_span, ops=len(prep.physical.ops))
         plan, graph, schedule = prep.plan, prep.graph, prep.schedule
-        join_tree, masks, physical, config = prep.join_tree, prep.masks, prep.physical, prep.config
+        join_tree, masks, physical = prep.join_tree, prep.masks, prep.physical
         spill = SpillManager()
         governor = MemoryGovernor(config.memory_budget_bytes, spill_handler=spill)
         backend = self._backend_ladder(config, stats)
@@ -756,15 +755,10 @@ class Database:
             backend=backend,
             registry=BloomFilterRegistry(),
             governor=governor,
-            hash_cache=HashCache() if config.hash_cache else None,
-            selection_vectors=bool(config.selection_vectors),
             artifact_cache=artifact_cache,
             table_versions=table_versions,
             fingerprints=fingerprints,
             adaptive_transfer=bool(config.adaptive_transfer),
-            # ``config`` is resolved, so the knob is always filled in.
-            adaptive_min_yield=float(config.adaptive_min_yield),
-            ndv_sizing=bool(config.ndv_sizing),
             bitmap_downgrade=bool(config.bitmap_downgrade),
             arena=arena,
             encodings=bool(config.encodings),
@@ -855,13 +849,12 @@ class Database:
         options = options or ExecutionOptions()
         self._begin_execution()
         try:
+            config = options.execution.resolved()
             stats = ExecutionStats(query_name=query.name, mode=mode.value)
             with self.catalog.snapshot(
                 ref.table for ref in query.relations
             ) as snapshot:
-                prep = self._prepare(
-                    query, mode, plan, options, stats, catalog=snapshot
-                )
+                prep = self._prepare(query, mode, plan, options, config, stats, catalog=snapshot)
         finally:
             self._end_execution()
         for index, op in enumerate(prep.physical.ops):
@@ -882,7 +875,7 @@ class Database:
             stats=stats,
             join_tree=prep.join_tree,
             schedule=prep.schedule,
-            execution_config=prep.config,
+            execution_config=config,
         )
 
     def sql(
@@ -945,13 +938,15 @@ class Database:
         mode: ExecutionMode,
         plan: Optional[JoinPlan],
         options: ExecutionOptions,
+        config: ExecutionConfig,
         stats: ExecutionStats,
         catalog: Optional[Any] = None,
     ) -> _PreparedExecution:
         """The shared planning front half of :meth:`execute` / :meth:`explain`.
 
-        ``catalog`` is the pinned snapshot the run plans against (defaults
-        to the live catalog for direct callers).
+        ``config`` is the resolved runtime configuration; ``catalog`` is the
+        pinned snapshot the run plans against (defaults to the live catalog
+        for direct callers).
         """
         catalog = catalog if catalog is not None else self.catalog
         if not query.is_connected() and len(query.relations) > 1:
@@ -960,9 +955,6 @@ class Database:
                 "connect it or execute each component separately"
             )
 
-        # Resolve the runtime config before evaluating filters: the fusion
-        # knob decides how the base predicates run.
-        config = options.resolved_execution()
         with stats.time_phase("scan_filter"):
             masks, fused, zone_stats = self._evaluate_filters(
                 query,
@@ -979,7 +971,7 @@ class Database:
             join_tree, schedule = self._build_schedule(mode, graph, options)
 
         if plan is None:
-            plan = self.optimizer_plan(query, options, graph, catalog=catalog)
+            plan = self._join_order(query, options, graph, catalog, bool(config.encodings))
         validate_plan_for_query(plan, query.aliases)
 
         if options.verify_safe_join_order and plan.is_left_deep() and is_alpha_acyclic(graph):
@@ -1009,7 +1001,6 @@ class Database:
             schedule=schedule,
             masks=masks,
             physical=physical,
-            config=config,
             fused=fused,
             zone_stats=zone_stats,
         )

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import enum
 import os
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional, Tuple
 
-from repro.exec.adaptive import DEFAULT_MIN_YIELD as DEFAULT_ADAPTIVE_MIN_YIELD
+from repro.errors import ExecutionError
 from repro.exec.kernels import DEFAULT_PARTITION_BITS
+from repro.exec.pipeline import BACKEND_NAMES
 
 
 class ExecutionMode(enum.Enum):
@@ -92,13 +93,9 @@ ENV_NUM_WORKERS = "REPRO_NUM_WORKERS"
 ENV_FUSE_FILTERS = "REPRO_FUSE_FILTERS"
 ENV_MEMORY_BUDGET = "REPRO_MEMORY_BUDGET"
 ENV_PARTITION_BITS = "REPRO_PARTITION_BITS"
-ENV_HASH_CACHE = "REPRO_HASH_CACHE"
-ENV_SELECTION_VECTORS = "REPRO_SELECTION_VECTORS"
 ENV_ARTIFACT_CACHE = "REPRO_ARTIFACT_CACHE"
 ENV_ARTIFACT_CACHE_BUDGET = "REPRO_ARTIFACT_CACHE_BUDGET"
 ENV_ADAPTIVE_TRANSFER = "REPRO_ADAPTIVE_TRANSFER"
-ENV_ADAPTIVE_MIN_YIELD = "REPRO_ADAPTIVE_MIN_YIELD"
-ENV_NDV_SIZING = "REPRO_NDV_SIZING"
 ENV_BITMAP_DOWNGRADE = "REPRO_BITMAP_DOWNGRADE"
 ENV_ENCODINGS = "REPRO_ENCODINGS"
 ENV_TIMEOUT_SECONDS = "REPRO_TIMEOUT_SECONDS"
@@ -110,13 +107,51 @@ ENV_TRACE = "REPRO_TRACE"
 #: executing the remaining morsels inline.
 DEFAULT_MAX_TASK_RETRIES = 2
 
+def _parse_backend(text: str) -> str:
+    if text not in BACKEND_NAMES:
+        raise ValueError(f"expected one of {', '.join(BACKEND_NAMES)}")
+    return text
 
-def _env_flag(name: str) -> Optional[bool]:
-    """Parse a boolean ``REPRO_*`` environment variable (None when unset)."""
-    value = os.environ.get(name)
-    if value is None or value == "":
-        return None
-    return value.strip().lower() not in ("0", "false", "no", "off")
+
+def _parse_flag(text: str) -> bool:
+    word = text.strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected a boolean (1/0, true/false, yes/no, on/off)")
+
+
+def _parse_positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError("expected a positive integer")
+    return value
+
+
+#: The environment-resolved knobs: ``(field, env var, parser, default)``.
+#: A field left ``None`` takes the parsed variable when it is set and
+#: non-empty, else the default.  ``bitmap_downgrade``'s ``None`` default
+#: means "follow the resolved ``adaptive_transfer``".  Fields not listed
+#: (``chunk_size``, ``partition_threshold``, ``faults``) pass through
+#: unchanged — the fault injector consults ``REPRO_FAULTS`` itself, and
+#: ``faults=None`` means "don't override it".
+KNOB_TABLE: Tuple[Tuple[str, str, Callable[[str], Any], Any], ...] = (
+    ("backend", ENV_BACKEND, _parse_backend, "serial"),
+    ("num_threads", ENV_NUM_THREADS, _parse_positive_int, None),
+    ("num_workers", ENV_NUM_WORKERS, _parse_positive_int, None),
+    ("memory_budget_bytes", ENV_MEMORY_BUDGET, int, None),
+    ("partition_bits", ENV_PARTITION_BITS, int, DEFAULT_PARTITION_BITS),
+    ("artifact_cache", ENV_ARTIFACT_CACHE, _parse_flag, False),
+    ("artifact_cache_budget_bytes", ENV_ARTIFACT_CACHE_BUDGET, int, None),
+    ("adaptive_transfer", ENV_ADAPTIVE_TRANSFER, _parse_flag, False),
+    ("bitmap_downgrade", ENV_BITMAP_DOWNGRADE, _parse_flag, None),
+    ("fuse_filters", ENV_FUSE_FILTERS, _parse_flag, False),
+    ("encodings", ENV_ENCODINGS, _parse_flag, False),
+    ("timeout_seconds", ENV_TIMEOUT_SECONDS, float, None),
+    ("max_task_retries", ENV_MAX_TASK_RETRIES, int, DEFAULT_MAX_TASK_RETRIES),
+    ("tracing", ENV_TRACE, _parse_flag, False),
+)
 
 
 @dataclass(frozen=True)
@@ -127,47 +162,35 @@ class ExecutionConfig:
     harness can compare backends uniformly:
 
     * ``backend`` — ``"serial"`` (whole-column kernels), ``"chunked"``
-      (morsel-granular with the Figure 14 simulated-parallelism model),
-      ``"parallel"`` (a real morsel-driven scheduler over a thread pool), or
-      ``"process"`` (a morsel scheduler over worker *processes* reading
-      base columns from ``multiprocessing.shared_memory`` — GIL-free,
-      bit-identical to serial).
+      (the same kernels over 2048-row morsels on the calling thread),
+      ``"parallel"`` (morsels dispatched to a thread pool), or ``"process"``
+      (a morsel scheduler over worker *processes* reading base columns from
+      ``multiprocessing.shared_memory`` — GIL-free).  The first three are
+      presets of one in-process morsel backend; all four are bit-identical.
     * ``num_threads`` — worker threads of the parallel backend (``None``:
       one per CPU, capped at 32 like the paper's testbed).
     * ``num_workers`` — worker processes of the process backend (``None``:
       one per CPU, capped at 32).
-    * ``chunk_size`` — morsel granularity of the chunked/parallel backends
-      (``None``: each backend's own default — 2048-row chunks for the
-      chunked simulation, larger morsels for the real parallel scheduler).
+    * ``chunk_size`` — morsel granularity of the chunked/parallel/process
+      backends (``None``: each preset's own default — 2048 rows chunked,
+      32768 parallel, 65536 process).
     * ``memory_budget_bytes`` — the :class:`~repro.storage.buffer.MemoryGovernor`
       budget; ``None`` means ungoverned (peak footprint still tracked).
     * ``partition_bits`` / ``partition_threshold`` — radix-partitioned hash
       join configuration; ``partition_threshold=None`` disables partitioning.
-    * ``hash_cache`` — the query-lifetime
-      :class:`~repro.exec.hashcache.HashCache`: hash each key column with
-      splitmix64 exactly once per query and replay the pass across every
-      Bloom insert/probe (default on; bit-identical either way).
-    * ``selection_vectors`` — late-materialized transfer: Bloom probes carry
-      row-id selection vectors over the immutable base columns and gather at
-      the probe itself rather than materializing filtered key arrays at every
-      step (default on; bit-identical either way).
     * ``artifact_cache`` / ``artifact_cache_budget_bytes`` — the cross-query
       :class:`~repro.storage.artifacts.ArtifactCache` memoizing built Bloom
       filters and frozen hash indexes across ``Database.execute`` calls
       (default off; keyed by table version + filter fingerprint, LRU within
       the byte budget).
-    * ``adaptive_transfer`` / ``adaptive_min_yield`` — the
+    * ``adaptive_transfer`` — the
       :class:`~repro.exec.adaptive.AdaptiveTransferController`: observe each
       transfer step's pruning yield at runtime and cancel a relation's
       remaining passes (plus the builds that only feed them, plus the whole
       backward pass when the forward pass reduced nothing) once the yield
-      falls below ``adaptive_min_yield`` (default off / 1%).  Purely
-      reductive passes mean skipping never changes final results — only
-      their speed.
-    * ``ndv_sizing`` — size each transfer Bloom filter from a KMV
-      distinct-count estimate of its build column instead of the build row
-      count, shrinking filter bytes on duplicate-heavy keys.  Defaults to
-      the resolved ``adaptive_transfer`` value.
+      falls below :data:`~repro.exec.adaptive.DEFAULT_MIN_YIELD` (default
+      off).  Purely reductive passes mean skipping never changes final
+      results — only their speed.
     * ``bitmap_downgrade`` — downgrade a Bloom step whose build-side key
       domain is small/dense to an exact bitmap semi-join (no false
       positives, cheaper probes).  Defaults to the resolved
@@ -200,8 +223,13 @@ class ExecutionConfig:
       are bit-identical either way, overhead is gated under 2% by the
       observability microbench).
 
-    Unset knobs (``backend=None`` etc.) resolve from ``REPRO_*`` environment
-    variables, then defaults — see :meth:`resolved`.
+    Every transfer Bloom insert/probe replays one query-lifetime hashing
+    pass per key column and gathers probe keys by row id at the probe itself
+    (:class:`~repro.exec.hashcache.HashCache`); neither is configurable.
+
+    Unset knobs (``backend=None`` etc.) resolve from the ``REPRO_*``
+    environment variables of :data:`KNOB_TABLE`, then defaults — see
+    :meth:`resolved`.
     """
 
     backend: Optional[str] = None
@@ -211,13 +239,9 @@ class ExecutionConfig:
     memory_budget_bytes: Optional[int] = None
     partition_bits: Optional[int] = None
     partition_threshold: Optional[int] = DEFAULT_PARTITION_THRESHOLD
-    hash_cache: Optional[bool] = None
-    selection_vectors: Optional[bool] = None
     artifact_cache: Optional[bool] = None
     artifact_cache_budget_bytes: Optional[int] = None
     adaptive_transfer: Optional[bool] = None
-    adaptive_min_yield: Optional[float] = None
-    ndv_sizing: Optional[bool] = None
     bitmap_downgrade: Optional[bool] = None
     fuse_filters: Optional[bool] = None
     encodings: Optional[bool] = None
@@ -227,107 +251,24 @@ class ExecutionConfig:
     tracing: Optional[bool] = None
 
     def resolved(self) -> "ExecutionConfig":
-        """This config with unset knobs filled from the environment / defaults."""
-        backend = self.backend or os.environ.get(ENV_BACKEND) or "serial"
-        num_threads = self.num_threads
-        if num_threads is None and os.environ.get(ENV_NUM_THREADS):
-            num_threads = int(os.environ[ENV_NUM_THREADS])
-        num_workers = self.num_workers
-        if num_workers is None and os.environ.get(ENV_NUM_WORKERS):
-            num_workers = int(os.environ[ENV_NUM_WORKERS])
-        memory_budget = self.memory_budget_bytes
-        if memory_budget is None and os.environ.get(ENV_MEMORY_BUDGET):
-            memory_budget = int(os.environ[ENV_MEMORY_BUDGET])
-        partition_bits = self.partition_bits
-        if partition_bits is None and os.environ.get(ENV_PARTITION_BITS):
-            partition_bits = int(os.environ[ENV_PARTITION_BITS])
-        if partition_bits is None:
-            partition_bits = DEFAULT_PARTITION_BITS
-        hash_cache = self.hash_cache
-        if hash_cache is None:
-            hash_cache = _env_flag(ENV_HASH_CACHE)
-        if hash_cache is None:
-            hash_cache = True
-        selection_vectors = self.selection_vectors
-        if selection_vectors is None:
-            selection_vectors = _env_flag(ENV_SELECTION_VECTORS)
-        if selection_vectors is None:
-            selection_vectors = True
-        artifact_cache = self.artifact_cache
-        if artifact_cache is None:
-            artifact_cache = _env_flag(ENV_ARTIFACT_CACHE)
-        if artifact_cache is None:
-            artifact_cache = False
-        artifact_budget = self.artifact_cache_budget_bytes
-        if artifact_budget is None and os.environ.get(ENV_ARTIFACT_CACHE_BUDGET):
-            artifact_budget = int(os.environ[ENV_ARTIFACT_CACHE_BUDGET])
-        adaptive_transfer = self.adaptive_transfer
-        if adaptive_transfer is None:
-            adaptive_transfer = _env_flag(ENV_ADAPTIVE_TRANSFER)
-        if adaptive_transfer is None:
-            adaptive_transfer = False
-        adaptive_min_yield = self.adaptive_min_yield
-        if adaptive_min_yield is None and os.environ.get(ENV_ADAPTIVE_MIN_YIELD):
-            adaptive_min_yield = float(os.environ[ENV_ADAPTIVE_MIN_YIELD])
-        if adaptive_min_yield is None:
-            adaptive_min_yield = DEFAULT_ADAPTIVE_MIN_YIELD
-        # NDV sizing and the exact-bitmap downgrade ride along with the
-        # adaptive master switch unless configured individually.
-        ndv_sizing = self.ndv_sizing
-        if ndv_sizing is None:
-            ndv_sizing = _env_flag(ENV_NDV_SIZING)
-        if ndv_sizing is None:
-            ndv_sizing = adaptive_transfer
-        bitmap_downgrade = self.bitmap_downgrade
-        if bitmap_downgrade is None:
-            bitmap_downgrade = _env_flag(ENV_BITMAP_DOWNGRADE)
-        if bitmap_downgrade is None:
-            bitmap_downgrade = adaptive_transfer
-        fuse_filters = self.fuse_filters
-        if fuse_filters is None:
-            fuse_filters = _env_flag(ENV_FUSE_FILTERS)
-        if fuse_filters is None:
-            fuse_filters = False
-        encodings = self.encodings
-        if encodings is None:
-            encodings = _env_flag(ENV_ENCODINGS)
-        if encodings is None:
-            encodings = False
-        timeout_seconds = self.timeout_seconds
-        if timeout_seconds is None and os.environ.get(ENV_TIMEOUT_SECONDS):
-            timeout_seconds = float(os.environ[ENV_TIMEOUT_SECONDS])
-        max_task_retries = self.max_task_retries
-        if max_task_retries is None and os.environ.get(ENV_MAX_TASK_RETRIES):
-            max_task_retries = int(os.environ[ENV_MAX_TASK_RETRIES])
-        if max_task_retries is None:
-            max_task_retries = DEFAULT_MAX_TASK_RETRIES
-        tracing = self.tracing
-        if tracing is None:
-            tracing = _env_flag(ENV_TRACE)
-        if tracing is None:
-            tracing = False
-        # ``faults`` stays None unless set explicitly: the injector consults
-        # REPRO_FAULTS itself, and None means "don't override it".
-        return ExecutionConfig(
-            backend=backend,
-            num_threads=num_threads,
-            num_workers=num_workers,
-            chunk_size=self.chunk_size,
-            memory_budget_bytes=memory_budget,
-            partition_bits=partition_bits,
-            partition_threshold=self.partition_threshold,
-            hash_cache=hash_cache,
-            selection_vectors=selection_vectors,
-            artifact_cache=artifact_cache,
-            artifact_cache_budget_bytes=artifact_budget,
-            adaptive_transfer=adaptive_transfer,
-            adaptive_min_yield=adaptive_min_yield,
-            ndv_sizing=ndv_sizing,
-            bitmap_downgrade=bitmap_downgrade,
-            fuse_filters=fuse_filters,
-            encodings=encodings,
-            timeout_seconds=timeout_seconds,
-            max_task_retries=max_task_retries,
-            faults=self.faults,
-            tracing=tracing,
-        )
+        """This config with unset knobs filled from the environment / defaults.
+
+        A set-but-unparsable variable raises
+        :class:`~repro.errors.ExecutionError` naming it and its value.
+        """
+        values = {}
+        for name, env, parse, default in KNOB_TABLE:
+            value = getattr(self, name)
+            if value is None:
+                text = os.environ.get(env)
+                if text:
+                    try:
+                        value = parse(text)
+                    except ValueError as error:
+                        raise ExecutionError(f"{env}={text!r} is invalid: {error}") from None
+                else:
+                    value = default
+            values[name] = value
+        if values["bitmap_downgrade"] is None:
+            values["bitmap_downgrade"] = values["adaptive_transfer"]
+        return replace(self, **values)

@@ -612,7 +612,6 @@ class Server:
             for key, value in (
                 ("steps_skipped", stats.adaptive_steps_skipped),
                 ("exact_downgrades", stats.adaptive_exact_downgrades),
-                ("filter_bytes_saved", stats.adaptive_filter_bytes_saved),
             ):
                 if value:
                     adaptive[key] = value
@@ -678,6 +677,7 @@ class Server:
         spec: QuerySpec,
         mode: ExecutionMode,
         options: ExecutionOptions,
+        encodings: bool,
         versions: Dict[str, int],
     ) -> Optional[PlanCacheKey]:
         try:
@@ -686,13 +686,7 @@ class Server:
             # The rare spec shapes SQL cannot round-trip are simply not
             # plan-cached.
             return None
-        token = repr(
-            (
-                options.optimizer,
-                options.estimation_error,
-                bool(options.resolved_execution().encodings),
-            )
-        )
+        token = repr((options.optimizer, options.estimation_error, encodings))
         return PlanCacheKey(
             text=text,
             mode=mode.value,
@@ -755,17 +749,20 @@ class Server:
             snapshot = self.database.catalog.snapshot(
                 ref.table for ref in spec.relations
             )
+            config = options.execution.resolved()
             cached_plan = None
             key = None
             if self._plan_cache is not None:
-                key = self._plan_key(spec, mode, options, snapshot.versions())
+                key = self._plan_key(
+                    spec, mode, options, bool(config.encodings), snapshot.versions()
+                )
                 if key is not None:
                     cached_plan = self._plan_cache.get(key)
 
             # Deadline: explicit per-query timeout wins; otherwise the
             # server default, tightened to the shed timeout for queries
             # that had to queue.
-            timeout = options.resolved_execution().timeout_seconds
+            timeout = config.timeout_seconds
             if timeout is None:
                 timeout = self.config.default_timeout_seconds
             shed = False

@@ -1,7 +1,7 @@
-"""Vectorized execution layer: kernels, chunks, operators, executors, statistics."""
+"""Vectorized execution layer: kernels, backends, executors, statistics."""
 
 from repro.exec.adaptive import DEFAULT_MIN_YIELD, AdaptiveTransferController
-from repro.exec.chunk import DEFAULT_CHUNK_SIZE, DataChunk, iter_chunks, num_chunks
+from repro.exec.chunk import DEFAULT_CHUNK_SIZE, num_chunks
 from repro.exec.hashcache import HashCache
 from repro.exec.join_phase import JoinPhaseExecutor, JoinPhaseOptions
 from repro.exec.kernels import (
@@ -24,13 +24,11 @@ from repro.exec.kernels import (
 from repro.exec.parallel import ParallelismModel, simulate_parallel_cost
 from repro.exec.pipeline import (
     DEFAULT_MORSEL_SIZE,
-    ChunkedBackend,
     ExecutionBackend,
-    ParallelBackend,
+    MorselBackend,
     PipelineExecutor,
     PipelineOptions,
     PipelineResult,
-    SerialBackend,
     compute_aggregates,
     make_backend,
 )
@@ -53,8 +51,6 @@ __all__ = [
     "DEFAULT_PARTITION_BITS",
     "AdaptiveTransferController",
     "BoundRelation",
-    "ChunkedBackend",
-    "DataChunk",
     "ExecutionBackend",
     "ExecutionStats",
     "HashCache",
@@ -65,15 +61,14 @@ __all__ = [
     "JoinPhaseOptions",
     "JoinStepStats",
     "KeyPartitions",
+    "MorselBackend",
     "OpStats",
-    "ParallelBackend",
     "PartitionedHashIndex",
     "ParallelismModel",
     "PhaseTimings",
     "PipelineExecutor",
     "PipelineOptions",
     "PipelineResult",
-    "SerialBackend",
     "SpillConfig",
     "SpillManager",
     "TransferExecutor",
@@ -86,7 +81,6 @@ __all__ = [
     "combine_key_columns_pair",
     "compute_aggregates",
     "hash_probe_cost",
-    "iter_chunks",
     "make_backend",
     "match_keys",
     "merge_reduced_rows",

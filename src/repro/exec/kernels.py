@@ -1,4 +1,4 @@
-"""Low-level vectorized kernels shared by the execution operators.
+"""Low-level vectorized kernels shared by the pipeline executor.
 
 Everything here operates on plain NumPy ``int64`` arrays; higher layers are
 responsible for translating logical columns (including dictionary-encoded

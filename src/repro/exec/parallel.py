@@ -13,7 +13,7 @@ execution time that exhibits exactly the under-utilization effect, free of
 measurement noise.
 
 The engine also has a *real* morsel-parallel runtime — the ``"parallel"``
-backend (:class:`~repro.exec.pipeline.ParallelBackend`), a morsel scheduler
+preset of :class:`~repro.exec.pipeline.MorselBackend`, a morsel scheduler
 over a thread pool whose NumPy kernels release the GIL.  Its per-op morsel
 counters (``OpStats.morsels``) expose the same quantity this model caps
 parallelism by (morsels available per pipeline), so the simulated Figure 14

@@ -10,25 +10,27 @@ Transfer-phase ops (``BloomBuild``/``BloomProbe``/``SemiJoinReduce``) reduce
 producing the uniform per-op trace (``ExecutionStats.op_stats``) shared by
 all five modes.
 
-Three backends implement the probe/match hot loops:
+Two backend classes implement the probe/match hot loops, selected by four
+names (:func:`make_backend`):
 
-* :class:`SerialBackend` — whole-column NumPy kernels (the default);
-* :class:`ChunkedBackend` — morsel-driven: probe inputs are processed in
-  :data:`~repro.exec.chunk.DEFAULT_CHUNK_SIZE`-row chunks and a
-  :class:`~repro.exec.parallel.ParallelismModel` accrues the simulated
-  multi-threaded cost of each probe pipeline
-  (``ExecutionStats.simulated_parallel_cost``).  Results are bit-identical
-  to the serial backend.
-* :class:`ParallelBackend` — a *real* morsel-driven scheduler over a
-  ``ThreadPoolExecutor``: probe inputs are cut into chunk-granularity
-  morsels dispatched to worker threads (the NumPy kernels release the GIL
-  on large inputs), per-partition hash builds run as concurrent partial
-  builds merged at the pipeline breaker, and results are gathered in
-  dispatch order so they stay bit-identical to the serial backend.
+* :class:`MorselBackend` — the in-process backend: probe inputs are cut
+  into morsels, each morsel runs the same vectorized NumPy kernel, and the
+  parts are concatenated in order, so every result is bit-identical to one
+  whole-column call.  ``"serial"`` (one thread, whole column — the default),
+  ``"chunked"`` (one thread, :data:`~repro.exec.chunk.DEFAULT_CHUNK_SIZE`-row
+  morsels) and ``"parallel"`` (a ``ThreadPoolExecutor`` over
+  :data:`DEFAULT_MORSEL_SIZE`-row morsels; the kernels release the GIL on
+  large inputs) are presets of it.
+* :class:`~repro.exec.process.ProcessBackend` (``"process"``) — the same
+  scheduling over worker processes reading shared-memory columns.
+
+The Figure 14 simulated multi-threaded cost is derived from the finished
+trace by :func:`~repro.exec.parallel.simulate_parallel_cost`, not accrued
+here.
 
 Radix-partitioned joins (``Partition`` / ``PartitionedHashBuild`` /
-``PartitionedHashProbe`` ops) execute on any backend; under the parallel
-backend each partition is an independent task.  A
+``PartitionedHashProbe`` ops) execute on any backend; with a thread pool
+each partition is an independent task.  A
 :class:`~repro.storage.buffer.MemoryGovernor`, when configured, is consulted
 *during* execution: build sides and partitions reserve budget before
 materializing, over-budget reservations spill through the
@@ -43,7 +45,6 @@ and the sorted index is reused until the relation is reduced again.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -52,19 +53,13 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.bloom.bloom_filter import (
-    DEFAULT_FPR,
-    BloomFilter,
-    filter_bytes_for,
-    hash_keys,
-    key_patterns,
-)
+from repro.bloom.bloom_filter import DEFAULT_FPR, BloomFilter, hash_keys, key_patterns
 from repro.bloom.registry import BloomFilterRegistry, FilterKey
 from repro.core.join_graph import JoinGraph
 from repro.errors import BackendUnavailable, CatalogError, ExecutionError, MemoryExhausted
 from repro.exec import faults
-from repro.exec.adaptive import DEFAULT_MIN_YIELD, AdaptiveTransferController
-from repro.exec.chunk import DEFAULT_CHUNK_SIZE
+from repro.exec.adaptive import AdaptiveTransferController
+from repro.exec.chunk import DEFAULT_CHUNK_SIZE, num_chunks
 from repro.exec.faults import CancelToken
 from repro.exec.kernels import (
     HashIndex,
@@ -75,7 +70,7 @@ from repro.exec.kernels import (
     hash_probe_cost,
 )
 from repro.exec.hashcache import HashCache
-from repro.exec.parallel import ParallelismModel, gather_in_order
+from repro.exec.parallel import gather_in_order
 from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.obs.trace import Span
 from repro.exec.statistics import ExecutionStats, JoinStepStats, OpStats, TransferStepStats
@@ -95,26 +90,27 @@ from repro.plan.physical import (
     Scan,
     SemiJoinReduce,
 )
-from repro.optimizer.cardinality import KMVSketch
 from repro.query import PostJoinPredicate, QuerySpec
 from repro.storage.artifacts import (
     FINGERPRINT_COLUMN,
     KIND_BLOOM,
     KIND_BLOOM_PASS,
     KIND_HASH_INDEX,
-    KIND_NDV_SKETCH,
     ArtifactCache,
     ArtifactKey,
 )
 from repro.storage.buffer import MemoryGovernor
 
+#: The names :func:`make_backend` accepts.
+BACKEND_NAMES = ("serial", "chunked", "parallel", "process")
+
 #: Threads the parallel backend uses when not configured explicitly: one per
 #: CPU, capped at the paper testbed's 32.
 MAX_DEFAULT_THREADS = 32
 
-#: Morsel granularity of the parallel backend.  Larger than the chunked
-#: backend's simulation granularity: each morsel must carry enough work to
-#: amortize task dispatch in pure Python.
+#: Morsel granularity of the parallel preset.  Larger than the chunked
+#: preset's: each morsel must carry enough work to amortize task dispatch in
+#: pure Python.
 DEFAULT_MORSEL_SIZE = 32_768
 
 
@@ -206,164 +202,44 @@ class ExecutionBackend:
         self.tasks_dispatched += len(tasks)
         return [task() for task in tasks]
 
-    def account_probe(self, probe_rows: int) -> None:
-        """Accrue simulated-parallelism cost for a probe pipeline that bypasses
-        :meth:`probe_mask`/:meth:`match` (the partitioned join path).  Only the
-        chunked backend's Figure 14 model does anything here."""
-
     def close(self) -> None:
         """Release backend resources (worker pools); idempotent."""
 
 
-#: Rows per cancellation check inside the serial backend's kernels when a
-#: cancel token is installed.  Large enough that the chunking cost is noise
-#: (the probe kernels are elementwise, so results stay bit-identical), small
-#: enough that a deadline is honored promptly on big columns.
+#: Rows per cancellation check of the whole-column preset when a cancel token
+#: is installed.  Large enough that the cutting cost is noise, small enough
+#: that a deadline is honored promptly on big columns.
 SERIAL_CANCEL_CHUNK = 1 << 18
 
 
-class SerialBackend(ExecutionBackend):
-    """Whole-column execution: one vectorized kernel call per probe.
+class MorselBackend(ExecutionBackend):
+    """The in-process backend: cut the probe input, run, concatenate.
 
-    With a cancel token installed, long kernels run at
-    :data:`SERIAL_CANCEL_CHUNK` granularity with the token checked between
-    chunks — the probe kernels are elementwise and the match chunking applies
-    the chunked backend's offset correction, so results are bit-identical to
-    the single-call path.
+    Probe inputs longer than ``morsel_size`` rows are cut into morsels; each
+    runs through the same vectorized kernel, and the parts are concatenated
+    in order (match results with their morsel's row offset added), so every
+    result is byte-equal to the whole-column call.  With ``num_threads > 1``
+    the morsels go to a ``ThreadPoolExecutor`` — the NumPy probe kernels
+    release the GIL on large arrays, so they genuinely overlap — after the
+    lazily-built probe structures are frozen (``prepare`` /
+    ``HashIndex.prepare_match``) so workers only read shared state.  The
+    pool is created by :meth:`ensure_ready` / on first use and released by
+    :meth:`close` (the engine does both per execution).
+
+    ``morsel_size=None`` is the whole-column preset: one kernel call per
+    probe and no morsel accounting (``tasks_dispatched`` counts only
+    :meth:`map_tasks` work).  It cuts — at :data:`SERIAL_CANCEL_CHUNK` rows —
+    only while a cancel token is installed, so a deadline is checked inside
+    long kernels.
     """
 
-    name = "serial"
-
-    def probe_mask(self, keys: ProbeInput, probe_fn, prepare=None) -> np.ndarray:
-        if self.cancel is None:
-            return probe_fn(keys)
-        keys = _as_probe_input(keys)
-        total = _probe_rows(keys)
-        self._check_cancel()
-        if total <= SERIAL_CANCEL_CHUNK:
-            return probe_fn(keys)
-        parts = []
-        for start in range(0, total, SERIAL_CANCEL_CHUNK):
-            self._check_cancel()
-            parts.append(probe_fn(_slice_probe_input(keys, start, start + SERIAL_CANCEL_CHUNK)))
-        return np.concatenate(parts)
-
-    def match(self, probe_keys: np.ndarray, index: HashIndex) -> JoinMatches:
-        if self.cancel is None:
-            return index.match(probe_keys)
-        probe_keys = np.asarray(probe_keys)
-        self._check_cancel()
-        if probe_keys.shape[0] <= SERIAL_CANCEL_CHUNK:
-            return index.match(probe_keys)
-        probe_parts: List[np.ndarray] = []
-        build_parts: List[np.ndarray] = []
-        for start in range(0, probe_keys.shape[0], SERIAL_CANCEL_CHUNK):
-            self._check_cancel()
-            matches = index.match(probe_keys[start : start + SERIAL_CANCEL_CHUNK])
-            probe_parts.append(matches.probe_indices + start)
-            build_parts.append(matches.build_indices)
-        return JoinMatches(
-            probe_indices=np.concatenate(probe_parts),
-            build_indices=np.concatenate(build_parts),
-        )
-
-
-class ChunkedBackend(ExecutionBackend):
-    """Morsel-driven execution: probe inputs are processed chunk at a time.
-
-    Produces results identical to :class:`SerialBackend` while exercising the
-    chunked granularity of the original push-based engine, and accrues the
-    simulated multi-threaded cost of every probe pipeline through a
-    :class:`~repro.exec.parallel.ParallelismModel` (the Figure 14 model: a
-    probe side with few chunks cannot keep all threads busy).
-    """
-
-    name = "chunked"
-
-    def __init__(
-        self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        parallelism: Optional[ParallelismModel] = None,
-    ) -> None:
+    def __init__(self, num_threads: int = 1, morsel_size: Optional[int] = None) -> None:
         super().__init__()
-        if chunk_size <= 0:
-            raise ExecutionError("chunk size must be positive")
-        self.chunk_size = chunk_size
-        self.parallelism = parallelism or ParallelismModel(chunk_size=chunk_size)
-        self.simulated_cost = 0.0
-
-    def _account(self, probe_rows: int) -> None:
-        effective = self.parallelism.effective_parallelism(probe_rows)
-        self.simulated_cost += float(probe_rows) / effective + self.parallelism.pipeline_overhead
-
-    def account_probe(self, probe_rows: int) -> None:
-        self._account(probe_rows)
-
-    def probe_mask(self, keys: ProbeInput, probe_fn, prepare=None) -> np.ndarray:
-        keys = _as_probe_input(keys)
-        total = _probe_rows(keys)
-        self._account(total)
-        self._check_cancel()
-        if total <= self.chunk_size:
-            self.tasks_dispatched += 1
-            return probe_fn(keys)
-        parts = []
-        for start in range(0, total, self.chunk_size):
-            self._check_cancel()
-            parts.append(probe_fn(_slice_probe_input(keys, start, start + self.chunk_size)))
-        self.tasks_dispatched += len(parts)
-        return np.concatenate(parts)
-
-    def match(self, probe_keys: np.ndarray, index: HashIndex) -> JoinMatches:
-        probe_keys = np.asarray(probe_keys)
-        self._account(int(probe_keys.shape[0]))
-        self._check_cancel()
-        if probe_keys.shape[0] <= self.chunk_size:
-            self.tasks_dispatched += 1
-            return index.match(probe_keys)
-        probe_parts: List[np.ndarray] = []
-        build_parts: List[np.ndarray] = []
-        for start in range(0, probe_keys.shape[0], self.chunk_size):
-            self._check_cancel()
-            matches = index.match(probe_keys[start : start + self.chunk_size])
-            probe_parts.append(matches.probe_indices + start)
-            build_parts.append(matches.build_indices)
-        self.tasks_dispatched += len(probe_parts)
-        return JoinMatches(
-            probe_indices=np.concatenate(probe_parts),
-            build_indices=np.concatenate(build_parts),
-        )
-
-
-class ParallelBackend(ExecutionBackend):
-    """Morsel-parallel execution over a real thread pool.
-
-    Probe inputs are cut into ``morsel_size``-row morsels dispatched to a
-    ``ThreadPoolExecutor``; the NumPy probe kernels (Bloom probes, bitmap /
-    binary-search membership, ``searchsorted`` matching) release the GIL on
-    large arrays, so morsels genuinely overlap.  Futures are gathered in
-    dispatch order and concatenated, which makes every result bit-identical
-    to the serial backend regardless of thread scheduling.  Lazily-built
-    probe structures are frozen (``HashIndex.prepare``/``prepare_match``)
-    before fan-out so worker threads only read shared state.
-
-    The pool is created on first use and must be released with
-    :meth:`close` (the engine does this per execution).
-    """
-
-    name = "parallel"
-
-    def __init__(
-        self,
-        num_threads: Optional[int] = None,
-        morsel_size: int = DEFAULT_MORSEL_SIZE,
-    ) -> None:
-        super().__init__()
-        if num_threads is not None and num_threads <= 0:
-            raise ExecutionError("parallel backend needs at least one thread")
-        if morsel_size <= 0:
+        if num_threads <= 0:
+            raise ExecutionError("morsel backend needs at least one thread")
+        if morsel_size is not None and morsel_size <= 0:
             raise ExecutionError("morsel size must be positive")
-        self.num_threads = num_threads or min(MAX_DEFAULT_THREADS, os.cpu_count() or 1)
+        self.num_threads = num_threads
         self.morsel_size = morsel_size
         self._pool: Optional[ThreadPoolExecutor] = None
 
@@ -376,14 +252,14 @@ class ParallelBackend(ExecutionBackend):
         return self._pool
 
     def ensure_ready(self) -> None:
+        if self.num_threads == 1:
+            return
         try:
             self._pool_instance()
         except Exception as error:
             raise BackendUnavailable(f"thread pool unavailable: {error}") from error
 
-    def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
-        tasks = list(tasks)
-        self.tasks_dispatched += len(tasks)
+    def _run(self, tasks: List[Callable[[], object]]) -> List[object]:
         if len(tasks) <= 1 or self.num_threads == 1:
             results = []
             for task in tasks:
@@ -391,44 +267,58 @@ class ParallelBackend(ExecutionBackend):
                 results.append(task())
             return results
         pool = self._pool_instance()
-        futures = [pool.submit(task) for task in tasks]
-        return gather_in_order(futures, self.cancel)
+        return gather_in_order([pool.submit(task) for task in tasks], self.cancel)
 
-    def _morsels(self, total_rows: int) -> List[Tuple[int, int]]:
-        return [
-            (start, min(start + self.morsel_size, total_rows))
-            for start in range(0, total_rows, self.morsel_size)
-        ]
+    def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
+        tasks = list(tasks)
+        self.tasks_dispatched += len(tasks)
+        return self._run(tasks)
+
+    def _morsels(self, total_rows: int) -> Optional[List[Tuple[int, int]]]:
+        """The ``[lo, hi)`` cuts of a probe input; ``None``: run it whole."""
+        size = self.morsel_size
+        if size is None:
+            size = SERIAL_CANCEL_CHUNK
+        else:
+            self.tasks_dispatched += num_chunks(total_rows, size)
+        self._check_cancel()
+        if total_rows <= size:
+            return None
+        return [(lo, min(lo + size, total_rows)) for lo in range(0, total_rows, size)]
 
     def probe_mask(self, keys: ProbeInput, probe_fn, prepare=None) -> np.ndarray:
+        if self.morsel_size is None and self.cancel is None:
+            return probe_fn(keys)
         keys = _as_probe_input(keys)
-        total = _probe_rows(keys)
-        if total <= self.morsel_size:
-            self.tasks_dispatched += 1
+        morsels = self._morsels(_probe_rows(keys))
+        if morsels is None:
             return probe_fn(keys)
         if prepare is not None:
             prepare()
-        parts = self.map_tasks(
-            [
-                (lambda lo=lo, hi=hi: probe_fn(_slice_probe_input(keys, lo, hi)))
-                for lo, hi in self._morsels(total)
-            ]
+        return np.concatenate(
+            self._run(
+                [
+                    (lambda lo=lo, hi=hi: probe_fn(_slice_probe_input(keys, lo, hi)))
+                    for lo, hi in morsels
+                ]
+            )
         )
-        return np.concatenate(parts)
 
     def match(self, probe_keys: np.ndarray, index: HashIndex) -> JoinMatches:
+        if self.morsel_size is None and self.cancel is None:
+            return index.match(probe_keys)
         probe_keys = np.asarray(probe_keys)
-        if probe_keys.shape[0] <= self.morsel_size:
-            self.tasks_dispatched += 1
+        morsels = self._morsels(int(probe_keys.shape[0]))
+        if morsels is None:
             return index.match(probe_keys)
         index.prepare_match()
-        morsels = self._morsels(int(probe_keys.shape[0]))
-        results = self.map_tasks(
+        results = self._run(
             [(lambda lo=lo, hi=hi: index.match(probe_keys[lo:hi])) for lo, hi in morsels]
         )
-        probe_parts = [m.probe_indices + lo for m, (lo, _) in zip(results, morsels)]
         return JoinMatches(
-            probe_indices=np.concatenate(probe_parts),
+            probe_indices=np.concatenate(
+                [m.probe_indices + lo for m, (lo, _) in zip(results, morsels)]
+            ),
             build_indices=np.concatenate([m.build_indices for m in results]),
         )
 
@@ -464,23 +354,29 @@ def make_backend(
     """Instantiate a backend by name (``"serial"``, ``"chunked"``, ``"parallel"``,
     or ``"process"``).
 
-    ``chunk_size=None`` takes each backend's own default granularity
-    (:data:`~repro.exec.chunk.DEFAULT_CHUNK_SIZE` for the chunked backend,
-    the larger :data:`DEFAULT_MORSEL_SIZE` for the parallel one, the larger
-    still :data:`~repro.exec.process.DEFAULT_PROCESS_MORSEL_SIZE` for the
-    process one).  ``num_threads`` configures the thread backend,
-    ``num_workers`` and ``max_task_retries`` (crash-recovery rounds before
-    the inline fallback) the process backend.
+    The first three are presets of :class:`MorselBackend`: one thread over
+    the whole column, one thread over :data:`~repro.exec.chunk.DEFAULT_CHUNK_SIZE`-row
+    morsels, and ``num_threads`` (``None``: one per CPU, capped at
+    :data:`MAX_DEFAULT_THREADS`) over :data:`DEFAULT_MORSEL_SIZE`-row
+    morsels.  ``chunk_size`` overrides the morsel size of every preset but
+    ``"serial"`` (the process one defaults to
+    :data:`~repro.exec.process.DEFAULT_PROCESS_MORSEL_SIZE`); ``num_workers``
+    and ``max_task_retries`` (crash-recovery rounds before the inline
+    fallback) configure the process backend.
     """
     if name == "serial":
-        return SerialBackend()
+        return MorselBackend()
     if name == "chunked":
-        return ChunkedBackend(
-            chunk_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
+        return MorselBackend(
+            morsel_size=DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
         )
     if name == "parallel":
-        return ParallelBackend(
-            num_threads=num_threads,
+        return MorselBackend(
+            num_threads=(
+                min(MAX_DEFAULT_THREADS, os.cpu_count() or 1)
+                if num_threads is None
+                else num_threads
+            ),
             morsel_size=DEFAULT_MORSEL_SIZE if chunk_size is None else chunk_size,
         )
     if name == "process":
@@ -500,8 +396,7 @@ def make_backend(
             ),
         )
     raise ExecutionError(
-        f"unknown pipeline backend {name!r}; "
-        "expected 'serial', 'chunked', 'parallel', or 'process'"
+        f"unknown pipeline backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )
 
 
@@ -552,19 +447,17 @@ class _TransferStage:
     :class:`~repro.exec.kernels.HashIndex` whose bitmap membership table
     replaces the filter entirely (``exact_index``; no false positives).
 
-    Exactly one probe-side representation is populated: ``target_keys``
-    (an eagerly materialized key array — the historical path),
-    ``target_pass`` (an eagerly gathered precomputed hash/pattern pair), or
-    ``target_column`` (the selection-vector path: the probe op gathers that
-    column of ``op.target`` over the immutable base table by the relation's
-    current row ids, materializing nothing in between).
+    The probe side is ``target_column`` — the probe op gathers that column
+    of ``op.target`` over the immutable base table by the relation's current
+    row ids, materializing nothing in between — except for composite keys,
+    which are densified jointly with the build side and so staged eagerly
+    as ``target_keys``.
     """
 
     build_rows: int
     bloom: Optional[BloomFilter] = None
     exact_index: Optional[HashIndex] = None
     target_keys: Optional[np.ndarray] = None
-    target_pass: Optional[Tuple[np.ndarray, np.ndarray]] = None
     target_column: Optional[str] = None
 
 
@@ -605,14 +498,10 @@ class PipelineExecutor:
         backend: Optional[ExecutionBackend] = None,
         registry: Optional[BloomFilterRegistry] = None,
         governor: Optional[MemoryGovernor] = None,
-        hash_cache: Optional[HashCache] = None,
-        selection_vectors: bool = True,
         artifact_cache: Optional[ArtifactCache] = None,
         table_versions: Optional[Mapping[str, int]] = None,
         fingerprints: Optional[Mapping[str, str]] = None,
         adaptive_transfer: bool = False,
-        adaptive_min_yield: float = DEFAULT_MIN_YIELD,
-        ndv_sizing: bool = False,
         bitmap_downgrade: bool = False,
         arena=None,
         encodings: bool = False,
@@ -622,14 +511,12 @@ class PipelineExecutor:
         self.graph = graph
         self.catalog = catalog
         self.options = options or PipelineOptions()
-        self.backend = backend or SerialBackend()
+        self.backend = backend or MorselBackend()
         self.registry = registry or BloomFilterRegistry()
         self.governor = governor
-        #: Query-lifetime hash cache (None disables hash reuse).
-        self.hash_cache = hash_cache
-        #: Late-materialized transfer probes (bit-identical re-ordering of
-        #: the same gathers; off restores eager key materialization).
-        self.selection_vectors = selection_vectors
+        #: Query-lifetime hash cache: each key column is hashed once and the
+        #: pass replayed across every Bloom insert/probe.
+        self.hash_cache = HashCache()
         #: Cross-query artifact cache + the identity context needed to key
         #: it (catalog table versions and base-filter fingerprints, both
         #: supplied by the engine; fragments run without them).
@@ -637,15 +524,10 @@ class PipelineExecutor:
         self._table_versions = dict(table_versions or {})
         self._fingerprints = dict(fingerprints or {})
         #: Adaptive transfer execution: yield-driven pass skipping
-        #: (controller built per run from the compiled plan), KMV/NDV-based
-        #: Bloom sizing, and the exact-bitmap downgrade.
+        #: (controller built per run from the compiled plan) and the
+        #: exact-bitmap downgrade.
         self.adaptive_transfer = adaptive_transfer
-        self.adaptive_min_yield = adaptive_min_yield
-        self.ndv_sizing = ndv_sizing
         self.bitmap_downgrade = bitmap_downgrade
-        #: id(column data) -> KMVSketch, memoized for the executor lifetime
-        #: (the cross-query ArtifactCache persists sketches beyond it).
-        self._ndv_memo: Dict[int, Tuple[np.ndarray, KMVSketch]] = {}
         #: Shared-memory column arena (engine-owned); set together with a
         #: probe-shipping backend so transfer probes can hand workers a
         #: (column ref, selection vector) pair instead of gathered keys.
@@ -732,14 +614,12 @@ class PipelineExecutor:
         # op list.  Per-op decision fields are reset before each dispatch and
         # folded into the op's stats entry after it.
         self._adaptive: Optional[AdaptiveTransferController] = (
-            AdaptiveTransferController(plan, self.adaptive_min_yield)
-            if self.adaptive_transfer
+            AdaptiveTransferController(plan) if self.adaptive_transfer
             else None
         )
         self._adaptive_skipped_steps: set[int] = set()
         self._op_index = -1
         self._op_adaptive_skip = False
-        self._op_bytes_saved = 0
         self._op_downgraded = False
         self._op_blocks_skipped = 0
         self._op_blocks_total = 0
@@ -747,10 +627,10 @@ class PipelineExecutor:
         self._op_degraded = ""
         self._stats = stats
 
-        base_simulated = getattr(self.backend, "simulated_cost", 0.0)
         base_shm = getattr(self.backend, "shm_bytes_mapped", 0)
-        base_hash_hits = self.hash_cache.hits if self.hash_cache is not None else 0
-        base_hash_misses = self.hash_cache.misses if self.hash_cache is not None else 0
+        hash_cache = self.hash_cache
+        base_hash_hits = hash_cache.hits
+        base_hash_misses = hash_cache.misses
         governor = self.governor
         if governor is not None:
             base_spill_events = governor.spill_events
@@ -775,8 +655,8 @@ class PipelineExecutor:
                     phase = "join"
                 tasks_before = self.backend.tasks_dispatched
                 spilled_before = governor.spilled_bytes if governor is not None else 0
-                hash_hits_before = self.hash_cache.hits if self.hash_cache is not None else 0
-                hash_misses_before = self.hash_cache.misses if self.hash_cache is not None else 0
+                hash_hits_before = hash_cache.hits
+                hash_misses_before = hash_cache.misses
                 selvec_before = self._selvec_rows
                 artifact_hits_before = self._artifact_hits
                 artifact_misses_before = self._artifact_misses
@@ -786,7 +666,6 @@ class PipelineExecutor:
                 inline_before = getattr(self.backend, "inline_morsels", 0)
                 self._op_index = index
                 self._op_adaptive_skip = False
-                self._op_bytes_saved = 0
                 self._op_downgraded = False
                 self._op_fused_rows = -1
                 self._op_blocks_skipped = 0
@@ -806,13 +685,13 @@ class PipelineExecutor:
                 rows_in, rows_out, skipped = self._dispatch(op, stats)
                 elapsed = time.perf_counter() - start
                 setattr(stats.timings, phase, getattr(stats.timings, phase) + elapsed)
-                if governor is not None and self.hash_cache is not None:
+                if governor is not None:
                     # The cached hash/pattern arrays are real memory; keep their
                     # reservation current — inside this op's spill-sampling
                     # window, so spills it forces are attributed to the op that
                     # grew the cache.  Non-evictable: the cache cannot be
                     # spilled, only released at the end of the run.
-                    self._governed_reserve("hash_cache", self.hash_cache.nbytes, evictable=False)
+                    self._governed_reserve("hash_cache", hash_cache.nbytes, evictable=False)
                 op_crashes = getattr(self.backend, "worker_crashes", 0) - crashes_before
                 op_retries = getattr(self.backend, "tasks_retried", 0) - retries_before
                 op_inline = getattr(self.backend, "inline_morsels", 0) - inline_before
@@ -833,21 +712,12 @@ class PipelineExecutor:
                         spilled_bytes=(
                             governor.spilled_bytes - spilled_before if governor is not None else 0
                         ),
-                        hash_hits=(
-                            self.hash_cache.hits - hash_hits_before
-                            if self.hash_cache is not None
-                            else 0
-                        ),
-                        hash_misses=(
-                            self.hash_cache.misses - hash_misses_before
-                            if self.hash_cache is not None
-                            else 0
-                        ),
+                        hash_hits=hash_cache.hits - hash_hits_before,
+                        hash_misses=hash_cache.misses - hash_misses_before,
                         selvec_rows=self._selvec_rows - selvec_before,
                         artifact_hits=self._artifact_hits - artifact_hits_before,
                         artifact_misses=self._artifact_misses - artifact_misses_before,
                         adaptive_skipped=self._op_adaptive_skip,
-                        filter_bytes_saved=self._op_bytes_saved,
                         downgraded_exact=self._op_downgraded,
                         fused_expr=self._op_fused_rows >= 0,
                         fused_rows_short_circuited=max(self._op_fused_rows, 0),
@@ -865,8 +735,6 @@ class PipelineExecutor:
                         inline_morsels=op_inline,
                     )
                 )
-                if self._op_bytes_saved:
-                    stats.adaptive_filter_bytes_saved += self._op_bytes_saved
                 if self._op_blocks_total:
                     stats.zone_blocks_skipped += self._op_blocks_skipped
                     stats.zone_blocks_total += self._op_blocks_total
@@ -957,18 +825,14 @@ class PipelineExecutor:
             self._shm_reserved.clear()
             raise
 
-        simulated = getattr(self.backend, "simulated_cost", 0.0) - base_simulated
-        if simulated:
-            stats.simulated_parallel_cost += simulated
         if governor is not None:
             stats.peak_memory_bytes = max(stats.peak_memory_bytes, governor.peak_reserved_bytes)
             stats.spill_events += governor.spill_events - base_spill_events
             stats.spilled_bytes += governor.spilled_bytes - base_spilled
             stats.reloaded_bytes += governor.reloaded_bytes - base_reloaded
             stats.spill_failures += governor.spill_failures - base_spill_failures
-        if self.hash_cache is not None:
-            stats.hash_reuse_hits += self.hash_cache.hits - base_hash_hits
-            stats.hash_reuse_misses += self.hash_cache.misses - base_hash_misses
+        stats.hash_reuse_hits += hash_cache.hits - base_hash_hits
+        stats.hash_reuse_misses += hash_cache.misses - base_hash_misses
         stats.selection_vector_rows += self._selvec_rows
         stats.artifact_cache_hits += self._artifact_hits
         stats.artifact_cache_misses += self._artifact_misses
@@ -1082,30 +946,15 @@ class PipelineExecutor:
                 bloom = self._transfer_bloom(op, source, source_column)
             else:
                 self._op_downgraded = True
-            if self.selection_vectors or (exact_index is not None and self.hash_cache is not None):
-                # Late materialization: the probe op gathers over the
-                # immutable base column by the target's row ids; nothing is
-                # staged for the probe side here.  (Exact probes consume raw
-                # keys, so a downgraded step never stages a hash pass.)
-                stage = _TransferStage(
-                    bloom=bloom,
-                    exact_index=exact_index,
-                    build_rows=source.num_rows,
-                    target_column=target_column,
-                )
-            elif bloom is not None and self.hash_cache is not None:
-                stage = _TransferStage(
-                    bloom=bloom,
-                    build_rows=source.num_rows,
-                    target_pass=self._bloom_pass_for_relation(target, target_column),
-                )
-            else:
-                stage = _TransferStage(
-                    bloom=bloom,
-                    exact_index=exact_index,
-                    build_rows=source.num_rows,
-                    target_keys=target.key_values(target_column),
-                )
+            # Late materialization: the probe op gathers over the immutable
+            # base column by the target's row ids; nothing is staged for the
+            # probe side here.
+            stage = _TransferStage(
+                bloom=bloom,
+                exact_index=exact_index,
+                build_rows=source.num_rows,
+                target_column=target_column,
+            )
         else:
             # Composite keys are densified jointly with the probe side, so
             # neither hashing pass nor gather can be cached or deferred.
@@ -1128,12 +977,9 @@ class PipelineExecutor:
 
     def _transfer_bloom(self, op: BloomBuild, source: BoundRelation, column: str) -> BloomFilter:
         """Build (or fetch from the artifact cache) one transfer-phase filter."""
-        param = f"fpr={self.options.transfer_fpr}"
-        if self.ndv_sizing:
-            # NDV-sized filters differ in geometry from row-count-sized
-            # ones, so they must never share an artifact slot.
-            param += ",ndv"
-        artifact_key = self._artifact_key(op.source.alias, column, kind=KIND_BLOOM, param=param)
+        artifact_key = self._artifact_key(
+            op.source.alias, column, kind=KIND_BLOOM, param=f"fpr={self.options.transfer_fpr}"
+        )
         if artifact_key is not None:
             cached = self.artifact_cache.get(artifact_key)
             if cached is not None:
@@ -1141,98 +987,13 @@ class PipelineExecutor:
                 self._charge_artifact(artifact_key, cached.size_bytes)
                 return cached
             self._artifact_misses += 1
-        expected = self._bloom_expected_keys(source, column)
-        bloom = BloomFilter(expected_keys=expected, fpr=self.options.transfer_fpr)
-        if expected < source.num_rows:
-            self._op_bytes_saved += max(
-                filter_bytes_for(source.num_rows, self.options.transfer_fpr)
-                - bloom.size_bytes,
-                0,
-            )
-        if self.hash_cache is not None:
-            hashes, patterns = self._bloom_pass_for_relation(source, column)
-            bloom.insert(hashes=hashes, patterns=patterns)
-        else:
-            bloom.insert(source.key_values(column))
+        bloom = BloomFilter(expected_keys=source.num_rows, fpr=self.options.transfer_fpr)
+        hashes, patterns = self._bloom_pass_for_relation(source, column)
+        bloom.insert(hashes=hashes, patterns=patterns)
         if artifact_key is not None:
             self.artifact_cache.put(artifact_key, bloom, bloom.size_bytes)
             self._charge_artifact(artifact_key, bloom.size_bytes)
         return bloom
-
-    def _bloom_expected_keys(self, source: BoundRelation, column: str) -> int:
-        """Keys to size a transfer filter for: rows, tightened by NDV sizing.
-
-        The build side's distinct-key count can never exceed either its
-        surviving row count or the full column's distinct count, so with
-        ``ndv_sizing`` the filter is sized by the smaller of the two — a
-        KMV-sketch estimate per ``(table version, column)``, memoized for
-        the query and persisted in the cross-query artifact cache.  An
-        undersized filter only raises the false-positive rate (never false
-        negatives), so results are unchanged — the join phase eliminates
-        whatever extra rows slip through.
-        """
-        expected = source.num_rows
-        if not self.ndv_sizing or expected == 0:
-            return expected
-        sketch = self._column_ndv_sketch(source, column)
-        if sketch is None:
-            return expected
-        # The estimator's ~1/sqrt(k) relative error cuts both ways; a small
-        # headroom factor keeps the realized FPR near the configured one.
-        estimate = int(math.ceil(sketch.estimate * 1.1))
-        return max(min(expected, estimate), 1)
-
-    def _column_ndv_sketch(self, relation: BoundRelation, column: str) -> Optional[KMVSketch]:
-        """The KMV distinct-count sketch of one full base column.
-
-        Lookup order: the executor-lifetime memo, then the cross-query
-        artifact cache (keyed by table version only — like full-column hash
-        passes, the sketch depends solely on the immutable column data), and
-        finally one vectorized build whose result feeds both caches.
-        """
-        table = relation.table
-        col = table.column(column)
-        if not col.dtype.is_integer_backed:
-            return None
-        data = col.data
-        memo = self._ndv_memo.get(id(data))
-        if memo is not None and memo[0] is data:
-            return memo[1]
-        artifact_key = None
-        if self.artifact_cache is not None:
-            table_version = self._snapshot_version(relation.alias, table.name)
-            if table_version is not None:
-                artifact_key = ArtifactKey(
-                    table=table.name,
-                    table_version=table_version,
-                    column=column,
-                    fingerprint=FINGERPRINT_COLUMN,
-                    kind=KIND_NDV_SKETCH,
-                    encoding=self._encoding_token(table, column),
-                )
-                artifact = self.artifact_cache.get(artifact_key)
-                if artifact is not None:
-                    self._artifact_hits += 1
-                    self._ndv_memo[id(data)] = (data, artifact)
-                    return artifact
-                self._artifact_misses += 1
-        # A cached full-column hashing pass (computed for the Bloom inserts
-        # anyway) lets the sketch skip its own hashing pass entirely.
-        cached_pass = (
-            self.hash_cache.peek_bloom_pass(
-                table, column, encoding=self._encoding_token(table, column)
-            )
-            if self.hash_cache is not None
-            else None
-        )
-        if cached_pass is not None:
-            sketch = KMVSketch.from_hashes(cached_pass[0])
-        else:
-            sketch = KMVSketch.from_values(data)
-        self._ndv_memo[id(data)] = (data, sketch)
-        if artifact_key is not None:
-            self.artifact_cache.put(artifact_key, sketch, sketch.nbytes)
-        return sketch
 
     def _bitmap_downgrade_index(
         self,
@@ -1286,12 +1047,8 @@ class PipelineExecutor:
             # gather per probe key, and no false positives downstream.
             index = stage.exact_index
             self._op_downgraded = True
-            if stage.target_keys is not None:
-                probe_keys = stage.target_keys
-            else:
-                if self.selection_vectors:
-                    self._selvec_rows += target.num_rows
-                probe_keys = self._transfer_probe_input(target, stage.target_column)
+            self._selvec_rows += target.num_rows
+            probe_keys = self._transfer_probe_input(target, stage.target_column)
             probe_rows = _probe_input_rows(probe_keys)
             mask = self.backend.probe_mask(
                 probe_keys,
@@ -1299,22 +1056,13 @@ class PipelineExecutor:
                 prepare=lambda: index.prepare(probe_rows),
             )
             filter_bytes = index.index_bytes()
-        elif stage.target_keys is not None:
-            mask = self.backend.probe_mask(stage.target_keys, bloom.probe)
-            filter_bytes = bloom.size_bytes
-        elif stage.target_pass is not None:
-            mask = self.backend.probe_mask(stage.target_pass, _BloomPassProbe(bloom))
-            filter_bytes = bloom.size_bytes
-        elif self.hash_cache is not None:
-            self._selvec_rows += target.num_rows
-            probe_pass = self._bloom_pass_for_relation(target, stage.target_column)
-            mask = self.backend.probe_mask(probe_pass, _BloomPassProbe(bloom))
-            filter_bytes = bloom.size_bytes
         else:
-            self._selvec_rows += target.num_rows
-            mask = self.backend.probe_mask(
-                self._transfer_probe_input(target, stage.target_column), bloom.probe
-            )
+            if stage.target_keys is not None:
+                mask = self.backend.probe_mask(stage.target_keys, bloom.probe)
+            else:
+                self._selvec_rows += target.num_rows
+                probe_pass = self._bloom_pass_for_relation(target, stage.target_column)
+                mask = self.backend.probe_mask(probe_pass, _BloomPassProbe(bloom))
             filter_bytes = bloom.size_bytes
         target.keep(mask)
         self._record_transfer_step(
@@ -1793,23 +1541,12 @@ class PipelineExecutor:
         if build.num_rows == 0:
             return build.num_rows, build.num_rows, True
         # The raw pair keys are needed either way — the upcoming hash join
-        # consumes them — but with a hash cache the SIP filter's insert and
-        # probe replay the cached column pass instead of re-hashing them.
+        # consumes them — but the SIP filter's insert and probe replay the
+        # cached column pass instead of re-hashing them.
         probe_keys, build_keys = self._pair_keys(op.attributes, probe, build)
-        expected = build.num_rows
-        if self.ndv_sizing and len(op.attributes) == 1:
-            attr_class = self.graph.attribute_classes[op.attributes[0]]
-            alias = _representative_alias(attr_class, build.aliases)
-            sketch = self._column_ndv_sketch(self._relations[alias], attr_class.column_of(alias))
-            if sketch is not None:
-                expected = max(min(expected, int(math.ceil(sketch.estimate * 1.1))), 1)
-        bloom = BloomFilter(expected_keys=expected, fpr=self.options.join_fpr)
-        if expected < build.num_rows:
-            self._op_bytes_saved += max(
-                filter_bytes_for(build.num_rows, self.options.join_fpr) - bloom.size_bytes, 0
-            )
+        bloom = BloomFilter(expected_keys=build.num_rows, fpr=self.options.join_fpr)
         probe_pass = None
-        if self.hash_cache is not None and len(op.attributes) == 1:
+        if len(op.attributes) == 1:
             build_hashes, build_patterns = self._result_bloom_pass(
                 op.attributes[0], build, build_keys
             )
@@ -1928,7 +1665,7 @@ class PipelineExecutor:
         the work a direct hash would do anyway, and later steps reuse it) —
         the pass is gathered by the result's composed row ids instead of
         re-hashing.  Otherwise the already-gathered ``keys`` are hashed
-        directly (no worse than the uncached path).
+        directly.
         """
         attr_class = self.graph.attribute_classes[attribute]
         alias = _representative_alias(attr_class, result.aliases)
@@ -2065,7 +1802,6 @@ class PipelineExecutor:
             probe_keys = staged_probe_keys
         else:
             probe_keys = self._single_attribute_keys(op.attributes[0], probe)
-        self.backend.account_probe(int(np.asarray(probe_keys).shape[0]))
         # Only the partitions the probe actually visits are touched, so a
         # spilled partition is charged a reload iff the join reads it.
         on_partition = None

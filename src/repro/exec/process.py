@@ -1,7 +1,7 @@
 """Process-parallel morsel execution over shared-memory columns.
 
 :class:`ProcessBackend` is the GIL-free sibling of
-:class:`~repro.exec.pipeline.ParallelBackend`: probe inputs are cut into
+:class:`~repro.exec.pipeline.MorselBackend`: probe inputs are cut into
 morsels and dispatched to a pool of worker *processes*.  Two things make
 this profitable in pure Python:
 
@@ -18,7 +18,7 @@ this profitable in pure Python:
   unpickle it on first touch and cache it by segment name.
 
 Results are gathered in submit order and concatenated, so every mask and
-match is bit-identical to :class:`~repro.exec.pipeline.SerialBackend`
+match is bit-identical to the whole-column call
 regardless of worker scheduling.  Probe structures are frozen (``prepare``
 runs before the spec is pickled) so the shipped copy is complete.
 

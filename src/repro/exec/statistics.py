@@ -87,8 +87,6 @@ class OpStats:
     #: True when the adaptive transfer controller cancelled this op (yield
     #: below threshold, dead build, or wholesale backward-pass skip).
     adaptive_skipped: bool = False
-    #: Filter bytes NDV-based sizing saved against row-count sizing.
-    filter_bytes_saved: int = 0
     #: True when this step ran as an exact bitmap semi-join instead of a
     #: Bloom build/probe (the adaptive exact-bitmap downgrade).
     downgraded_exact: bool = False
@@ -176,8 +174,6 @@ class ExecutionStats:
     output_rows: int = 0
     bloom_bytes: int = 0
     abstract_cost: float = 0.0
-    #: Simulated multi-threaded cost accumulated by the chunked backend.
-    simulated_parallel_cost: float = 0.0
     #: High-water mark of memory reserved with the MemoryGovernor (bytes).
     peak_memory_bytes: int = 0
     #: Governor-ordered spills during execution (count / bytes written).
@@ -195,8 +191,6 @@ class ExecutionStats:
     artifact_cache_misses: int = 0
     #: Transfer steps the adaptive controller cancelled this execution.
     adaptive_steps_skipped: int = 0
-    #: Filter bytes NDV-based sizing saved against row-count sizing.
-    adaptive_filter_bytes_saved: int = 0
     #: Transfer steps downgraded to exact bitmap semi-joins.
     adaptive_exact_downgrades: int = 0
     #: Base-filter predicates evaluated by a fused conjunction kernel, and
@@ -304,8 +298,6 @@ class ExecutionStats:
                 marker += " [artifact hit]"
             if op.downgraded_exact:
                 marker += " [exact bitmap]"
-            if op.filter_bytes_saved:
-                marker += f" [saved {op.filter_bytes_saved}B]"
             if op.fused_expr:
                 marker += f" [fused -{op.fused_rows_short_circuited}r]"
             if op.shm_bytes:
@@ -354,8 +346,6 @@ class ExecutionStats:
             parts.append(f"skipped {self.adaptive_steps_skipped} step(s)")
         if self.adaptive_exact_downgrades:
             parts.append(f"{self.adaptive_exact_downgrades} exact-bitmap downgrade(s)")
-        if self.adaptive_filter_bytes_saved:
-            parts.append(f"saved {self.adaptive_filter_bytes_saved} filter bytes")
         return "adaptive: " + ", ".join(parts) if parts else ""
 
     def runtime_summary(self) -> str:

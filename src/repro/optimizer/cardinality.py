@@ -58,10 +58,8 @@ class KMVSketch:
     the column.  Because the hashes are (near-)uniform over ``[0, 2^64)``,
     the k-th smallest value ``m`` estimates the distinct count as
     ``(k - 1) · 2^64 / m`` (the classic KMV/bottom-k estimator).  Building
-    the sketch is one vectorized hashing pass plus an ``O(n)`` partition —
-    cheap enough to maintain per ``(table version, column)`` and cache in
-    the cross-query :class:`~repro.storage.artifacts.ArtifactCache`, where
-    the adaptive transfer layer uses it to right-size Bloom filters.
+    the sketch is one vectorized hashing pass plus an ``O(n)`` partition;
+    the encoding chooser uses it to estimate a column's cardinality.
 
     ``exact`` marks sketches whose column had at most ``k`` distinct hash
     values; their ``estimate`` is the exact distinct count (modulo 64-bit

@@ -19,14 +19,11 @@ An artifact is addressed by an :class:`ArtifactKey`:
   whose pushed-down predicates selected the same rows.  Artifacts are
   **never** cached over relations already reduced by earlier transfer steps
   of the same query (the executor enforces this via relation versions).
-* ``kind`` / ``param`` — ``"bloom"`` (param encodes the FPR and whether the
-  filter was NDV-sized), ``"hash_index"``, ``"bloom_pass"`` (a full-column
-  hashing pass), or ``"ndv_sketch"`` (a
-  :class:`~repro.optimizer.cardinality.KMVSketch` distinct-count sketch the
-  adaptive transfer layer uses to right-size Bloom filters).  Column-pure
-  artifacts (``bloom_pass``, ``ndv_sketch``) use the fingerprint
-  ``"column"`` — they depend only on the immutable column data, never on a
-  query's pushed-down predicate.
+* ``kind`` / ``param`` — ``"bloom"`` (param encodes the FPR),
+  ``"hash_index"``, or ``"bloom_pass"`` (a full-column hashing pass).  The
+  column-pure ``bloom_pass`` uses the fingerprint ``"column"`` — it depends
+  only on the immutable column data, never on a query's pushed-down
+  predicate.
 * ``encoding`` — the encoding identity of the column the artifact was
   built over (``"raw"``, or an :class:`~repro.storage.encodings.EncodedColumn`
   token such as ``"pack:u16:b0"``).  Encoded execution decodes to the same
@@ -64,7 +61,6 @@ DEFAULT_ARTIFACT_BUDGET_BYTES = 64 << 20
 KIND_BLOOM = "bloom"
 KIND_HASH_INDEX = "hash_index"
 KIND_BLOOM_PASS = "bloom_pass"
-KIND_NDV_SKETCH = "ndv_sketch"
 
 #: Fingerprint of column-pure artifacts (independent of any base filter).
 FINGERPRINT_COLUMN = "column"

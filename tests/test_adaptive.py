@@ -3,12 +3,19 @@
 Covers the :class:`~repro.exec.adaptive.AdaptiveTransferController` (yield
 observation, pending-probe cancellation, dead-build elimination over the
 ``provides``/``requires`` op metadata, wholesale backward-pass skipping),
-the KMV distinct-count sketch and its accuracy bounds, NDV-based Bloom
-sizing, the exact-bitmap downgrade, bit-identity of adaptive on/off across
-all five modes / five workloads / three backends, artifact caching and
-invalidation of NDV sketches, the IN-list kernel routing, edge cases
+the KMV distinct-count sketch and its accuracy bounds, the exact-bitmap
+downgrade, bit-identity of adaptive on/off across all five modes / five
+workloads / three backends, the IN-list kernel routing, edge cases
 (single-relation queries, forward-only schedules, zero-yield first steps,
-PK-FK pruning interaction), observability markers, and config plumbing.
+PK-FK pruning interaction), and observability markers.
+
+Removed with NDV-based Bloom sizing (``ExecutionConfig.ndv_sizing``):
+``test_ndv_sizing_shrinks_filters``, ``test_bytes_saved_marker``, the
+``ndv_only`` bit-identity configuration, and ``TestNDVSketchArtifacts``
+(sketch artifacts cached / invalidated on replace — invalidation of the
+remaining artifact kinds is covered by ``test_hash_cache.py``).  The
+env-resolution class moved to the table-driven
+``test_config_resolution.py``.
 """
 
 from __future__ import annotations
@@ -44,10 +51,10 @@ from repro.storage.table import ForeignKey
 from repro.workloads import dsb, job, synthetic, tpcds, tpch
 
 
-def _options(adaptive=False, ndv=None, bitmap=None, **kwargs) -> ExecutionOptions:
+def _options(adaptive=False, bitmap=None, **kwargs) -> ExecutionOptions:
     return ExecutionOptions(
         execution=ExecutionConfig(
-            adaptive_transfer=adaptive, ndv_sizing=ndv, bitmap_downgrade=bitmap, **kwargs
+            adaptive_transfer=adaptive, bitmap_downgrade=bitmap, **kwargs
         )
     )
 
@@ -55,9 +62,8 @@ def _options(adaptive=False, ndv=None, bitmap=None, **kwargs) -> ExecutionOption
 STATIC = _options()
 #: Every adaptive configuration that must stay result-identical to STATIC.
 ADAPTIVE_CONFIGS = {
-    "skip_only": _options(adaptive=True, ndv=False, bitmap=False),
-    "ndv_only": _options(adaptive=False, ndv=True, bitmap=False),
-    "bitmap_only": _options(adaptive=False, ndv=False, bitmap=True),
+    "skip_only": _options(adaptive=True, bitmap=False),
+    "bitmap_only": _options(adaptive=False, bitmap=True),
     "all_on": _options(adaptive=True),
 }
 
@@ -379,7 +385,7 @@ class TestAdaptiveExecution:
         result = db.execute(
             query,
             mode=ExecutionMode.RPT,
-            options=_options(adaptive=True, ndv=False, bitmap=False),
+            options=_options(adaptive=True, bitmap=False),
         )
         stats = result.stats
         executed = [s for s in stats.transfer_steps if not s.skipped]
@@ -486,28 +492,13 @@ class TestAdaptiveExecution:
         ]
         assert pruned, "the unfiltered PK side should be statically pruned"
 
-    def test_ndv_sizing_shrinks_filters(self):
-        db = _star_db(n_dim=500, n_fact=50_000, attr_domain=10)
-        query = _star_query(bound=5, attr_domain=10)
-        plan = db.optimizer_plan(query)
-        static = db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=STATIC)
-        ndv = db.execute(
-            query,
-            mode=ExecutionMode.RPT,
-            plan=plan,
-            options=_options(adaptive=False, ndv=True, bitmap=False),
-        )
-        assert ndv.stats.bloom_bytes < static.stats.bloom_bytes
-        assert ndv.stats.adaptive_filter_bytes_saved > 0
-        assert _signature(ndv) == _signature(static)
-
     def test_bitmap_downgrade_fires_on_dense_domains(self):
         db = _star_db(attr_domain=10)
         query = _star_query(bound=5, attr_domain=10)
         result = db.execute(
             query,
             mode=ExecutionMode.RPT,
-            options=_options(adaptive=False, ndv=False, bitmap=True),
+            options=_options(adaptive=False, bitmap=True),
         )
         assert result.stats.adaptive_exact_downgrades > 0
         assert any(s.downgraded_exact for s in result.stats.transfer_steps)
@@ -540,72 +531,11 @@ class TestAdaptiveExecution:
         result = db.execute(
             query,
             mode=ExecutionMode.RPT,
-            options=_options(adaptive=False, ndv=False, bitmap=True),
+            options=_options(adaptive=False, bitmap=True),
         )
         assert result.stats.adaptive_exact_downgrades == 0
         static = db.execute(query, mode=ExecutionMode.RPT, options=STATIC)
         assert _signature(result) == _signature(static)
-
-
-# ---------------------------------------------------------------------------
-# NDV sketches in the artifact cache
-# ---------------------------------------------------------------------------
-class TestNDVSketchArtifacts:
-    def _run(self, db, query, **kwargs):
-        # Bitmap downgrade off: on these dense-id fixtures it would replace
-        # every Bloom build, and with them the NDV sizing under test.
-        return db.execute(
-            query,
-            mode=ExecutionMode.RPT,
-            options=_options(adaptive=True, bitmap=False, artifact_cache=True, **kwargs),
-        )
-
-    def test_sketches_cached_across_queries(self):
-        db = _star_db(n_dim=500, n_fact=20_000, attr_domain=10)
-        query = _star_query(bound=5, attr_domain=10)
-        self._run(db, query)
-        assert db.artifact_cache is not None
-        sketch_keys = [k for k in db.artifact_cache._entries if k.kind == "ndv_sketch"]
-        assert sketch_keys
-        warm = self._run(db, query)
-        assert warm.stats.artifact_cache_hits > 0
-
-    def test_sketches_invalidated_on_table_replace(self):
-        db = _star_db(n_dim=500, n_fact=20_000, attr_domain=10)
-        query = _star_query(bound=5, attr_domain=10)
-        self._run(db, query)
-        old_versions = {
-            k.table_version for k in db.artifact_cache._entries if k.table == "fact"
-        }
-        rng = np.random.default_rng(99)
-        new_fact = {"v": np.arange(10_000, dtype=np.int64)}
-        for d in range(3):
-            new_fact[f"d{d}_id"] = rng.integers(0, 500, 10_000)
-        db.register_dataframe("fact", new_fact, replace=True)
-        # Eager invalidation dropped every artifact over the old table...
-        assert all(k.table != "fact" for k in db.artifact_cache._entries)
-        changed = self._run(db, query)
-        # ...and the re-sketched artifacts are keyed by the new version.
-        new_versions = {
-            k.table_version for k in db.artifact_cache._entries if k.table == "fact"
-        }
-        assert new_versions and new_versions.isdisjoint(old_versions)
-        # Rebuild an identical database for the expected answer.
-        fresh_fact = Database()
-        for d in range(3):
-            fresh_fact.register_dataframe(
-                f"dim{d}",
-                {
-                    "id": db.table(f"dim{d}").column("id").data,
-                    "attr": db.table(f"dim{d}").column("attr").data,
-                },
-                primary_key=["id"],
-            )
-        fresh_fact.register_dataframe(
-            "fact", {name: db.table("fact").column(name).data for name in new_fact}
-        )
-        expected = fresh_fact.execute(query, mode=ExecutionMode.RPT, options=STATIC)
-        assert _signature(changed) == _signature(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -670,18 +600,6 @@ class TestObservability:
         assert any(op.adaptive_skipped for op in stats.op_stats)
         assert any(op.downgraded_exact for op in stats.op_stats)
 
-    def test_bytes_saved_marker(self):
-        db = _star_db(n_dim=500, n_fact=50_000, attr_domain=10)
-        query = _star_query(bound=5, attr_domain=10)
-        result = db.execute(
-            query,
-            mode=ExecutionMode.RPT,
-            options=_options(adaptive=False, ndv=True, bitmap=False),
-        )
-        assert result.stats.adaptive_filter_bytes_saved > 0
-        assert "[saved " in result.stats.op_trace()
-        assert "saved" in result.stats.adaptive_summary()
-
     def test_format_op_traces_appends_combined_summary(self):
         from repro.bench import format_op_traces, run_uniform_trace
 
@@ -701,53 +619,13 @@ class TestObservability:
         stats = result.stats
         assert stats.adaptive_steps_skipped == 0
         assert stats.adaptive_exact_downgrades == 0
-        assert stats.adaptive_filter_bytes_saved == 0
         assert stats.adaptive_summary() == ""
 
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Schedule helpers / microbench smoke
 # ---------------------------------------------------------------------------
-class TestConfigResolution:
-    ENV_VARS = (
-        "REPRO_ADAPTIVE_TRANSFER",
-        "REPRO_ADAPTIVE_MIN_YIELD",
-        "REPRO_NDV_SIZING",
-        "REPRO_BITMAP_DOWNGRADE",
-    )
-
-    def test_defaults(self, monkeypatch):
-        for var in self.ENV_VARS:
-            monkeypatch.delenv(var, raising=False)
-        resolved = ExecutionConfig().resolved()
-        assert resolved.adaptive_transfer is False
-        assert resolved.ndv_sizing is False
-        assert resolved.bitmap_downgrade is False
-        assert resolved.adaptive_min_yield == pytest.approx(0.01)
-
-    def test_master_switch_enables_companions(self, monkeypatch):
-        for var in self.ENV_VARS:
-            monkeypatch.delenv(var, raising=False)
-        resolved = ExecutionConfig(adaptive_transfer=True).resolved()
-        assert resolved.ndv_sizing is True
-        assert resolved.bitmap_downgrade is True
-
-    def test_env_fallbacks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADAPTIVE_TRANSFER", "1")
-        monkeypatch.setenv("REPRO_ADAPTIVE_MIN_YIELD", "0.05")
-        monkeypatch.setenv("REPRO_NDV_SIZING", "0")
-        monkeypatch.setenv("REPRO_BITMAP_DOWNGRADE", "0")
-        resolved = ExecutionConfig().resolved()
-        assert resolved.adaptive_transfer is True
-        assert resolved.adaptive_min_yield == pytest.approx(0.05)
-        assert resolved.ndv_sizing is False
-        assert resolved.bitmap_downgrade is False
-
-    def test_explicit_knobs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ADAPTIVE_TRANSFER", "0")
-        resolved = ExecutionConfig(adaptive_transfer=True).resolved()
-        assert resolved.adaptive_transfer is True
-
+class TestPlumbing:
     def test_schedule_helpers(self):
         forward = TransferStep("a", "b", ("x",), TransferPass.FORWARD)
         backward = TransferStep("b", "a", ("x",), TransferPass.BACKWARD)

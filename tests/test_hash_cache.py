@@ -4,10 +4,18 @@ Covers the query-lifetime :class:`~repro.exec.hashcache.HashCache`, the
 precomputed-hash kernel APIs (Bloom insert/probe, radix partitioning,
 ``HashIndex`` with a precomputed order), the cross-query
 :class:`~repro.storage.artifacts.ArtifactCache` (including table-change and
-filter-change invalidation), bit-identity of every caching configuration
-against the uncached path across all five modes / five workloads / three
-backends, thread-safety of the Bloom filter statistics under concurrent
-probes, and the cache observability counters.
+filter-change invalidation), the bit-identity matrix — PT/RPT
+``reduced_rows`` against the straight-line replay of
+``tests/reference_transfer.py`` and every mode's aggregates against plain
+hash joins, across five workloads × {artifact cache off, cold, warm} × the
+four backend names — thread-safety of the Bloom filter statistics under
+concurrent probes, and the cache observability counters.
+
+Removed with the ``hash_cache`` / ``selection_vectors`` off-paths: the
+``hash_only`` / ``selvec_only`` / ``hash+selvec`` configurations (the matrix
+used the uncached path as its reference; the replay replaces it),
+``test_uncached_runs_record_no_cache_activity``, and ``TestConfigResolution``
+(now the table-driven ``test_config_resolution.py``).
 """
 
 from __future__ import annotations
@@ -41,30 +49,32 @@ from repro.expr import eq, lt
 from repro.storage.artifacts import ArtifactCache, ArtifactKey, mask_fingerprint
 from repro.workloads import dsb, job, synthetic, tpcds, tpch
 
+from reference_transfer import replay_reduced_rows
 
-def _config(hash_cache: bool, selection_vectors: bool, artifact_cache: bool) -> ExecutionOptions:
+
+BACKENDS = ("serial", "chunked", "parallel", "process")
+
+
+def _config(artifact_cache: bool, backend=None) -> ExecutionOptions:
     # Adaptive transfer is pinned off: under the REPRO_ADAPTIVE_TRANSFER CI
     # leg, skipped passes and exact-bitmap downgrades would remove the very
     # Bloom hashing work whose caching this module tests (adaptive on/off
-    # identity has its own matrix in tests/test_adaptive.py).
+    # identity has its own matrix in tests/test_adaptive.py).  The small
+    # morsel size makes every non-serial backend actually cut its inputs.
     return ExecutionOptions(
         execution=ExecutionConfig(
-            hash_cache=hash_cache,
-            selection_vectors=selection_vectors,
+            backend=backend,
+            chunk_size=256,
+            num_threads=4,
+            num_workers=2,
             artifact_cache=artifact_cache,
             adaptive_transfer=False,
         )
     )
 
 
-UNCACHED = _config(False, False, False)
-#: Every caching configuration that must stay bit-identical to UNCACHED.
-CACHED_CONFIGS = {
-    "hash_only": _config(True, False, False),
-    "selvec_only": _config(False, True, False),
-    "hash+selvec": _config(True, True, False),
-    "all_on": _config(True, True, True),
-}
+NO_ARTIFACTS = _config(False)
+ARTIFACTS = _config(True)
 
 
 def _signature(result):
@@ -361,55 +371,56 @@ class TestArtifactCache:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: cached configurations match the uncached path everywhere
+# Bit-identity: every backend and artifact-cache state matches the references
 # ---------------------------------------------------------------------------
 class TestBitIdentityMatrix:
-    def _assert_matrix(self, db, query, plan=None):
-        if plan is None:
-            plan = db.optimizer_plan(query)
+    def _assert_matrix(self, db, query):
+        plan = db.optimizer_plan(query)
+        hash_joins = db.execute(
+            query, mode=ExecutionMode.BASELINE, plan=plan, options=_config(False, "serial")
+        ).aggregates
         for mode in ExecutionMode:
-            baseline = _signature(db.execute(query, mode=mode, plan=plan, options=UNCACHED))
-            for name, options in CACHED_CONFIGS.items():
-                result = db.execute(query, mode=mode, plan=plan, options=options)
-                assert _signature(result) == baseline, (mode, name)
-            # A repeated run against the now warm artifact cache must also match.
-            warm = db.execute(query, mode=mode, plan=plan, options=CACHED_CONFIGS["all_on"])
-            assert _signature(warm) == baseline, (mode, "warm")
+            first = None
+            replay = None
+            for backend in BACKENDS:
+                if db.artifact_cache is not None:
+                    db.artifact_cache.clear()
+                for state, artifacts in (("off", False), ("cold", True), ("warm", True)):
+                    result = db.execute(
+                        query, mode=mode, plan=plan, options=_config(artifacts, backend)
+                    )
+                    where = (mode, backend, state)
+                    if first is None:
+                        first = _signature(result)
+                        # SUM/AVG add in join-output order, which differs by mode.
+                        assert result.aggregates == pytest.approx(hash_joins, rel=1e-9), where
+                        if mode.uses_bloom_filters:
+                            replay = replay_reduced_rows(db, query, result.schedule)
+                    assert _signature(result) == first, where
+                    if replay is not None:
+                        assert result.stats.reduced_rows == replay, where
 
     def test_synthetic(self):
         instance = synthetic.figure2_instance(base_size=40)
-        self._assert_matrix(instance.database, instance.query)
+        try:
+            self._assert_matrix(instance.database, instance.query)
+        finally:
+            instance.database.close()
 
     def test_tpch(self, tpch_db):
         self._assert_matrix(tpch_db, tpch.query(3))
 
     def test_job(self, job_db):
-        self._assert_matrix(job_db, job.query(1))
+        self._assert_matrix(job_db, job.query(3))
 
     def test_tpcds(self, tpcds_db):
-        self._assert_matrix(tpcds_db, tpcds.query(3))
+        self._assert_matrix(tpcds_db, tpcds.query(34))
 
     def test_dsb(self, dsb_db):
-        self._assert_matrix(dsb_db, dsb.query(7))
+        self._assert_matrix(dsb_db, dsb.query(34))
 
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
-    def test_backends(self, imdb_db, chain_query, backend):
-        baseline = _signature(
-            imdb_db.execute(chain_query, mode=ExecutionMode.RPT, options=UNCACHED)
-        )
-        options = ExecutionOptions(
-            execution=ExecutionConfig(
-                backend=backend,
-                chunk_size=256,
-                hash_cache=True,
-                selection_vectors=True,
-                artifact_cache=True,
-                adaptive_transfer=False,  # see _config
-            )
-        )
-        for _ in range(2):  # cold, then warm artifact cache
-            result = imdb_db.execute(chain_query, mode=ExecutionMode.RPT, options=options)
-            assert _signature(result) == baseline, backend
+    def test_chain(self, imdb_db, chain_query):
+        self._assert_matrix(imdb_db, chain_query)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +452,10 @@ class TestArtifactReuseAndInvalidation:
         rng = np.random.default_rng(11)
         db = self._db(np.arange(50), rng.integers(0, 50, size=4_000))
         query = self._query()
-        first = db.execute(query, mode=ExecutionMode.RPT, options=CACHED_CONFIGS["all_on"])
+        first = db.execute(query, mode=ExecutionMode.RPT, options=ARTIFACTS)
         assert first.stats.artifact_cache_hits == 0
         assert first.stats.artifact_cache_misses > 0
-        second = db.execute(query, mode=ExecutionMode.RPT, options=CACHED_CONFIGS["all_on"])
+        second = db.execute(query, mode=ExecutionMode.RPT, options=ARTIFACTS)
         assert second.stats.artifact_cache_hits > 0
         assert _signature(first) == _signature(second)
         assert db.artifact_cache is not None and len(db.artifact_cache) > 0
@@ -454,8 +465,8 @@ class TestArtifactReuseAndInvalidation:
         fact_ids = rng.integers(0, 50, size=4_000)
         db = self._db(np.arange(50), fact_ids)
         query = self._query()
-        warmup = db.execute(query, mode=ExecutionMode.RPT, options=CACHED_CONFIGS["all_on"])
-        db.execute(query, mode=ExecutionMode.RPT, options=CACHED_CONFIGS["all_on"])
+        warmup = db.execute(query, mode=ExecutionMode.RPT, options=ARTIFACTS)
+        db.execute(query, mode=ExecutionMode.RPT, options=ARTIFACTS)
 
         # Replace the dimension so different ids survive the filter.  A
         # stale Bloom filter / hash index would silently keep the old rows.
@@ -468,10 +479,10 @@ class TestArtifactReuseAndInvalidation:
         )
         # Re-registering reclaims the replaced table's artifacts eagerly.
         assert all(key.table != "dim" for key in db.artifact_cache._entries)
-        changed = db.execute(query, mode=ExecutionMode.RPT, options=CACHED_CONFIGS["all_on"])
+        changed = db.execute(query, mode=ExecutionMode.RPT, options=ARTIFACTS)
 
         fresh = self._db(new_dim_ids, fact_ids)
-        expected = fresh.execute(query, mode=ExecutionMode.RPT, options=UNCACHED)
+        expected = fresh.execute(query, mode=ExecutionMode.RPT, options=NO_ARTIFACTS)
         assert _signature(changed) == _signature(expected)
         assert _signature(changed) != _signature(warmup)  # the change is visible
 
@@ -479,17 +490,17 @@ class TestArtifactReuseAndInvalidation:
         rng = np.random.default_rng(13)
         fact_ids = rng.integers(0, 50, size=4_000)
         db = self._db(np.arange(50), fact_ids)
-        db.execute(self._query(bound=5), mode=ExecutionMode.RPT, options=CACHED_CONFIGS["all_on"])
+        db.execute(self._query(bound=5), mode=ExecutionMode.RPT, options=ARTIFACTS)
         narrow = db.execute(
-            self._query(bound=2), mode=ExecutionMode.RPT, options=CACHED_CONFIGS["all_on"]
+            self._query(bound=2), mode=ExecutionMode.RPT, options=ARTIFACTS
         )
         fresh = self._db(np.arange(50), fact_ids)
-        expected = fresh.execute(self._query(bound=2), mode=ExecutionMode.RPT, options=UNCACHED)
+        expected = fresh.execute(self._query(bound=2), mode=ExecutionMode.RPT, options=NO_ARTIFACTS)
         assert _signature(narrow) == _signature(expected)
 
 
 # ---------------------------------------------------------------------------
-# Thread safety of Bloom filter statistics (ParallelBackend regression)
+# Thread safety of Bloom filter statistics (thread-pool regression)
 # ---------------------------------------------------------------------------
 class TestBloomStatisticsThreadSafety:
     def test_concurrent_probes_count_exactly(self):
@@ -560,7 +571,7 @@ class TestCacheObservability:
         query = tpch.query(3)
         plan = tpch_db.optimizer_plan(query)
         result = tpch_db.execute(
-            query, mode=ExecutionMode.RPT, plan=plan, options=CACHED_CONFIGS["hash+selvec"]
+            query, mode=ExecutionMode.RPT, plan=plan, options=NO_ARTIFACTS
         )
         stats = result.stats
         assert stats.hash_reuse_hits > 0
@@ -576,9 +587,9 @@ class TestCacheObservability:
     def test_artifact_hits_surface_in_trace(self, tpch_db):
         query = tpch.query(5)
         plan = tpch_db.optimizer_plan(query)
-        tpch_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=CACHED_CONFIGS["all_on"])
+        tpch_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=ARTIFACTS)
         warm = tpch_db.execute(
-            query, mode=ExecutionMode.RPT, plan=plan, options=CACHED_CONFIGS["all_on"]
+            query, mode=ExecutionMode.RPT, plan=plan, options=ARTIFACTS
         )
         assert warm.stats.artifact_cache_hits > 0
         assert any(op.artifact_hits for op in warm.stats.op_stats)
@@ -590,49 +601,15 @@ class TestCacheObservability:
 
         results = run_uniform_trace(
             tpch_db, tpch.query(3), modes=(ExecutionMode.RPT,),
-            options=CACHED_CONFIGS["hash+selvec"],
+            options=NO_ARTIFACTS,
         )
         assert "cache: " in format_op_traces(results)
 
-    def test_uncached_runs_record_no_cache_activity(self, tpch_db):
-        result = tpch_db.execute(tpch.query(3), mode=ExecutionMode.RPT, options=UNCACHED)
-        stats = result.stats
-        assert stats.hash_reuse_hits == 0 and stats.hash_reuse_misses == 0
-        assert stats.selection_vector_rows == 0
-        assert stats.artifact_cache_hits == 0 and stats.artifact_cache_misses == 0
-        assert stats.cache_summary() == ""
-
 
 # ---------------------------------------------------------------------------
-# Config plumbing
+# Microbench smoke
 # ---------------------------------------------------------------------------
-class TestConfigResolution:
-    def test_defaults(self, monkeypatch):
-        for var in ("REPRO_HASH_CACHE", "REPRO_SELECTION_VECTORS", "REPRO_ARTIFACT_CACHE"):
-            monkeypatch.delenv(var, raising=False)
-        resolved = ExecutionConfig().resolved()
-        assert resolved.hash_cache is True
-        assert resolved.selection_vectors is True
-        assert resolved.artifact_cache is False
-
-    def test_env_fallbacks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HASH_CACHE", "0")
-        monkeypatch.setenv("REPRO_SELECTION_VECTORS", "false")
-        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "1")
-        monkeypatch.setenv("REPRO_ARTIFACT_CACHE_BUDGET", "12345678")
-        resolved = ExecutionConfig().resolved()
-        assert resolved.hash_cache is False
-        assert resolved.selection_vectors is False
-        assert resolved.artifact_cache is True
-        assert resolved.artifact_cache_budget_bytes == 12345678
-
-    def test_explicit_knobs_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HASH_CACHE", "0")
-        monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")
-        resolved = ExecutionConfig(hash_cache=True, artifact_cache=True).resolved()
-        assert resolved.hash_cache is True
-        assert resolved.artifact_cache is True
-
+class TestTransferMicrobench:
     def test_transfer_microbench_runs_small(self):
         from repro.bench import format_transfer_microbench, run_transfer_microbench
 
@@ -641,5 +618,5 @@ class TestConfigResolution:
         m = measurements[0]
         assert m.warm_artifact_hits > 0
         table = format_transfer_microbench(measurements)
-        assert "uncached" in table
+        assert "warm art." in table
         assert m.as_dict()["fact_rows"] == 4_096

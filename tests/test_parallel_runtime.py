@@ -4,12 +4,16 @@ Covers the radix-partitioning kernels (partition ids, permutation/offsets,
 :class:`PartitionedHashIndex` match/contains equivalence with the monolithic
 kernels), the compilation of ``Partition`` / ``PartitionedHashBuild`` /
 ``PartitionedHashProbe`` ops under an :class:`ExecutionConfig` threshold, the
-:class:`ParallelBackend` morsel scheduler (bit-identical results, morsel
-counters, pool lifecycle), and the environment-variable config resolution
-behind the CI backend matrix.
+:class:`MorselBackend` morsel scheduler (bit-identical results on its edge
+inputs, morsel counters, pool lifecycle), and the ``REPRO_BACKEND`` reroute
+of whole queries behind the CI backend matrix (the per-variable resolution
+cases of the former ``TestExecutionConfigResolution`` are the table-driven
+``test_config_resolution.py``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +27,9 @@ from repro.exec.kernels import (
     radix_partition,
     radix_partition_ids,
 )
-from repro.exec.pipeline import ParallelBackend
+from repro.exec import pipeline
+from repro.exec.faults import CancelToken
+from repro.exec.pipeline import MorselBackend
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +109,7 @@ class TestRadixPartition:
         rng = np.random.default_rng(7)
         build = rng.integers(0, 500, size=8_000, dtype=np.int64)
         probe = rng.integers(0, 500, size=8_000, dtype=np.int64)
-        backend = ParallelBackend(num_threads=4)
+        backend = MorselBackend(num_threads=4)
         try:
             serial = PartitionedHashIndex(build, bits=4).match(probe)
             parallel_index = PartitionedHashIndex(build, bits=4)
@@ -116,13 +122,50 @@ class TestRadixPartition:
 
 
 # ---------------------------------------------------------------------------
-# ParallelBackend morsel scheduler
+# MorselBackend morsel scheduler
 # ---------------------------------------------------------------------------
 class TestParallelBackend:
+    ROWS = 10
+
+    @pytest.mark.parametrize("cancel", [False, True])
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("size", [1, 3, ROWS, ROWS + 1, None])
+    @pytest.mark.parametrize("rows", [0, ROWS])
+    def test_edge_inputs_are_byte_equal_to_the_whole_column_call(
+        self, rows, size, threads, cancel, monkeypatch
+    ):
+        # ``size=None`` is the serial preset; shrink its cancellation cut so
+        # the installed token makes it cut this input too.
+        monkeypatch.setattr(pipeline, "SERIAL_CANCEL_CHUNK", 4)
+        rng = np.random.default_rng(rows + 1)
+        keys = rng.integers(0, 8, size=rows, dtype=np.int64)
+        build = rng.integers(0, 8, size=6, dtype=np.int64)
+        single = lambda k: k % 2 == 0  # noqa: E731
+        paired = lambda kp: (kp[0] + kp[1]) % 3 == 0  # noqa: E731
+        whole = HashIndex(build).match(keys)
+        backend = MorselBackend(num_threads=threads, morsel_size=size)
+        if cancel:
+            backend.cancel = CancelToken()
+        try:
+            mask = backend.probe_mask(keys, single)
+            pair_mask = backend.probe_mask((keys, keys * 3), paired)
+            matches = backend.match(keys, HashIndex(build))
+        finally:
+            backend.close()
+        for got, want in (
+            (mask, single(keys)),
+            (pair_mask, paired((keys, keys * 3))),
+            (matches.probe_indices, whole.probe_indices),
+            (matches.build_indices, whole.build_indices),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        expected = 0 if size is None else 3 * math.ceil(rows / size)
+        assert backend.tasks_dispatched == expected
+
     def test_probe_mask_is_bit_identical_and_counts_morsels(self):
         rng = np.random.default_rng(8)
         keys = rng.integers(0, 100, size=10_000, dtype=np.int64)
-        backend = ParallelBackend(num_threads=4, morsel_size=1_024)
+        backend = MorselBackend(num_threads=4, morsel_size=1_024)
         try:
             mask = backend.probe_mask(keys, lambda k: k % 2 == 0)
         finally:
@@ -136,7 +179,7 @@ class TestParallelBackend:
         probe = rng.integers(0, 300, size=9_000, dtype=np.int64)
         index = HashIndex(build)
         serial = index.match(probe)
-        backend = ParallelBackend(num_threads=4, morsel_size=512)
+        backend = MorselBackend(num_threads=4, morsel_size=512)
         try:
             parallel = backend.match(probe, HashIndex(build))
         finally:
@@ -145,7 +188,7 @@ class TestParallelBackend:
         np.testing.assert_array_equal(serial.build_indices, parallel.build_indices)
 
     def test_small_inputs_skip_the_pool(self):
-        backend = ParallelBackend(num_threads=4, morsel_size=1_000)
+        backend = MorselBackend(num_threads=4, morsel_size=1_000)
         try:
             backend.probe_mask(np.arange(10, dtype=np.int64), lambda k: k > 5)
             assert backend._pool is None  # single morsel: no pool spun up
@@ -154,12 +197,12 @@ class TestParallelBackend:
 
     def test_invalid_construction(self):
         with pytest.raises(ExecutionError):
-            ParallelBackend(num_threads=0)
+            MorselBackend(num_threads=0)
         with pytest.raises(ExecutionError):
-            ParallelBackend(morsel_size=0)
+            MorselBackend(morsel_size=0)
 
     def test_close_is_idempotent(self):
-        backend = ParallelBackend(num_threads=2, morsel_size=4)
+        backend = MorselBackend(num_threads=2, morsel_size=4)
         backend.map_tasks([lambda: 1, lambda: 2, lambda: 3])
         backend.close()
         backend.close()
@@ -218,25 +261,9 @@ class TestPartitionedJoins:
 
 
 # ---------------------------------------------------------------------------
-# ExecutionConfig resolution (the CI backend matrix hook)
+# REPRO_BACKEND reroutes default executions (the CI backend matrix hook)
 # ---------------------------------------------------------------------------
-class TestExecutionConfigResolution:
-    def test_defaults_resolve_to_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert ExecutionConfig().resolved().backend == "serial"
-
-    def test_env_backend_applies_when_unset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "parallel")
-        monkeypatch.setenv("REPRO_NUM_THREADS", "3")
-        resolved = ExecutionConfig().resolved()
-        assert resolved.backend == "parallel"
-        assert resolved.num_threads == 3
-
-    def test_explicit_backend_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "parallel")
-        assert ExecutionConfig(backend="chunked").resolved().backend == "chunked"
-        assert ExecutionOptions(backend="serial").resolved_execution().backend == "serial"
-
+class TestBackendEnvironmentReroute:
     def test_env_matrix_runs_whole_queries(self, imdb_db, star_query, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "parallel")
         monkeypatch.delenv("REPRO_NUM_THREADS", raising=False)

@@ -59,7 +59,7 @@ class TestBitIdentity:
             plan = imdb_db.optimizer_plan(query)
             for mode in all_modes:
                 serial = imdb_db.execute(
-                    query, mode=mode, plan=plan, options=ExecutionOptions(backend="serial")
+                    query, mode=mode, plan=plan, options=process_options(backend="serial")
                 )
                 proc = imdb_db.execute(
                     query, mode=mode, plan=plan, options=process_options()
@@ -74,7 +74,7 @@ class TestBitIdentity:
         query = tpch.all_queries()["q5"]
         plan = tpch_db.optimizer_plan(query)
         baseline = tpch_db.execute(
-            query, mode=ExecutionMode.RPT, plan=plan, options=ExecutionOptions(backend="serial")
+            query, mode=ExecutionMode.RPT, plan=plan, options=process_options(backend="serial")
         )
         options = (
             process_options()
@@ -93,7 +93,7 @@ class TestBitIdentity:
         name, query = next(iter(job.all_queries().items()))
         plan = job_db.optimizer_plan(query)
         serial = job_db.execute(
-            query, mode=ExecutionMode.RPT, plan=plan, options=ExecutionOptions(backend="serial")
+            query, mode=ExecutionMode.RPT, plan=plan, options=process_options(backend="serial")
         )
         proc = job_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=process_options())
         assert proc.aggregates == serial.aggregates, name
@@ -119,7 +119,7 @@ class TestBitIdentity:
         serial = sqlfiles.run_all(
             scale=0.05,
             seed=3,
-            options=ExecutionOptions(backend="serial"),
+            options=process_options(backend="serial"),
             verify_against_handbuilt=False,
             database_cache=cache,
         )
@@ -232,11 +232,12 @@ class TestShmLifecycle:
     def test_arena_publishes_and_close_unlinks(self):
         live_before = shm.live_segment_count()
         db, query = _star_db()
-        baseline = db.execute(query, mode=ExecutionMode.RPT, options=ExecutionOptions(backend="serial"))
-        # hash_cache off routes transfer probes through the arena gather path.
-        result = db.execute(
-            query, mode=ExecutionMode.RPT, options=process_options(hash_cache=False)
+        baseline = db.execute(
+            query, mode=ExecutionMode.YANNAKAKIS, options=process_options(backend="serial")
         )
+        # Exact semi-join probes ship the key column through the arena gather
+        # path (Bloom probes replay the parent's cached hashing pass instead).
+        result = db.execute(query, mode=ExecutionMode.YANNAKAKIS, options=process_options())
         assert result.aggregates == baseline.aggregates
         assert result.stats.shm_bytes_mapped > 0
         assert "[shm" in result.stats.op_trace()
@@ -251,7 +252,7 @@ class TestShmLifecycle:
     def test_table_replace_invalidates_arena_segments(self):
         live_before = shm.live_segment_count()
         db, query = _star_db()
-        db.execute(query, mode=ExecutionMode.RPT, options=process_options(hash_cache=False))
+        db.execute(query, mode=ExecutionMode.YANNAKAKIS, options=process_options())
         arena = db.shm_arena
         published = {key[0] for key in arena.published_keys()}
         assert published, "gather path must have published at least one column"
@@ -308,15 +309,3 @@ class TestConfiguration:
     def test_make_backend_unknown_name_mentions_process(self):
         with pytest.raises(ExecutionError, match="process"):
             make_backend("quantum")
-
-    def test_env_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-        resolved = ExecutionConfig().resolved()
-        assert resolved.backend == "process"
-        assert resolved.num_workers == 3
-
-    def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "7")
-        resolved = ExecutionConfig(num_workers=2).resolved()
-        assert resolved.num_workers == 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Database, ExecutionMode, ExecutionOptions
+from repro import Database, ExecutionConfig, ExecutionMode, ExecutionOptions
 from repro.workloads import sqlfiles
 
 SCALE = 0.1
@@ -98,7 +98,7 @@ def test_backend_matrix_bit_identical(stem, backend, specs, databases):
     text = sqlfiles.sql_text(stem)
     spec = specs[stem]
     plan = db.optimizer_plan(spec)
-    options = ExecutionOptions(backend=backend)
+    options = ExecutionOptions(execution=ExecutionConfig(backend=backend))
     for mode in ExecutionMode:
         via_sql = db.sql(text, mode=mode, plan=plan, options=options)
         handbuilt = db.execute(spec, mode=mode, plan=plan, options=options)
