@@ -18,7 +18,7 @@ from benchmarks.conftest import BENCH_PLANS, MODES_ALL
 from repro import ExecutionOptions
 from repro.bench import print_report, robustness_table, run_random_plan_experiment
 from repro.engine.modes import ExecutionMode
-from repro.exec.transfer import TransferOptions
+from repro.exec import TransferOptions
 from repro.plan.join_plan import JoinPlan
 from repro.workloads import tpch
 

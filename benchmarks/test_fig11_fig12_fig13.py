@@ -21,12 +21,11 @@ from benchmarks.conftest import BENCH_PLANS
 from repro.bench import format_case_study, print_report
 from repro.core import largest_root_random, schedule_from_tree
 from repro.engine.modes import ExecutionMode
-from repro.exec.relation import bind_relations
+from repro.exec import PipelineExecutor
 from repro.exec.statistics import ExecutionStats
-from repro.exec.transfer import TransferExecutor, TransferOptions
-from repro.exec.join_phase import JoinPhaseExecutor
 from repro.optimizer import generate_left_deep_plans, iter_all_left_deep_orders
 from repro.plan.join_plan import JoinPlan
+from repro.plan.physical import compile_execution
 from repro.workloads import job, synthetic, tpch
 
 
@@ -107,18 +106,18 @@ def test_fig13_random_largest_root_trees(benchmark, context):
             query = tpch.query(number)
             graph = db.join_graph(query)
             plan = db.optimizer_plan(query)
+            tables = {ref.alias: db.table(ref.table) for ref in query.relations}
             costs = []
             for _ in range(12):
+                # The engine always schedules its own LargestRoot tree, so a
+                # random tree goes through the compile + run pair underneath.
                 tree = largest_root_random(graph, rng)
-                relations = bind_relations(query.relations, db.catalog)
-                stats = ExecutionStats(query_name=query.name, mode="rpt-random-tree")
-                for ref in query.relations:
-                    stats.filtered_rows[ref.alias] = relations[ref.alias].num_rows
-                TransferExecutor(graph, relations, TransferOptions()).run(
-                    schedule_from_tree(tree), stats
+                physical = compile_execution(
+                    query, ExecutionMode.RPT, plan, graph,
+                    tables=tables, schedule=schedule_from_tree(tree),
                 )
-                executor = JoinPhaseExecutor(query, graph, relations)
-                executor.run(plan, stats)
+                stats = ExecutionStats(query_name=query.name, mode="rpt-random-tree")
+                PipelineExecutor(query, graph, catalog=db.catalog).run(physical, stats)
                 costs.append(stats.cost("tuples"))
             costs_by_query[query.name] = costs
         return costs_by_query

@@ -1240,13 +1240,17 @@ def format_observability_microbench(measurement: ObservabilityMeasurement) -> st
     )
 
 
-def _best_time(fn, repeats: int) -> float:
-    best = float("inf")
+def _times(fn, repeats: int) -> List[float]:
+    times = []
     for _ in range(max(repeats, 1)):
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        times.append(time.perf_counter() - start)
+    return times
+
+
+def _best_time(fn, repeats: int) -> float:
+    return min(_times(fn, repeats))
 
 
 @dataclass(frozen=True)
@@ -1276,6 +1280,9 @@ class EncodingMeasurement:
     filter_encoded_bytes: int
     raw_shm_bytes_mapped: int
     encoded_shm_bytes_mapped: int
+    #: Noise estimate of the range-scan ratio: the wider of the two sides'
+    #: (max - min) / min over the repeats.
+    range_scan_spread: float = 0.0
 
     @property
     def string_scan_speedup(self) -> float:
@@ -1321,6 +1328,7 @@ class EncodingMeasurement:
             "encoded_shm_bytes_mapped": self.encoded_shm_bytes_mapped,
             "string_scan_speedup": self.string_scan_speedup,
             "range_scan_speedup": self.range_scan_speedup,
+            "range_scan_spread": self.range_scan_spread,
             "filter_compression_ratio": self.filter_compression_ratio,
             "shm_reduction": self.shm_reduction,
         }
@@ -1395,8 +1403,10 @@ def run_encoding_microbench(
                 range_result = encoded
         string_raw_s = _best_time(lambda: string_expr.evaluate(table), repeats)
         string_encoded_s = _best_time(lambda: codespace.evaluate(string_expr, table, store), repeats)
-        range_raw_s = _best_time(lambda: range_expr.evaluate(table), repeats)
-        range_encoded_s = _best_time(lambda: codespace.evaluate(range_expr, table, store), repeats)
+        range_raw = _times(lambda: range_expr.evaluate(table), repeats)
+        range_encoded = _times(lambda: codespace.evaluate(range_expr, table, store), repeats)
+        range_raw_s, range_encoded_s = min(range_raw), min(range_encoded)
+        range_spread = max((max(t) - min(t)) / min(t) for t in (range_raw, range_encoded))
         filter_raw_bytes = sum(int(table.column(c).data.nbytes) for c in ("ts", "status"))
         filter_encoded_bytes = sum(store.encoded_bytes(table, c) for c in ("ts", "status"))
     finally:
@@ -1444,6 +1454,7 @@ def run_encoding_microbench(
         filter_encoded_bytes=filter_encoded_bytes,
         raw_shm_bytes_mapped=int(raw_star.stats.shm_bytes_mapped),
         encoded_shm_bytes_mapped=int(encoded_star.stats.shm_bytes_mapped),
+        range_scan_spread=range_spread,
     )
 
 
@@ -1460,7 +1471,8 @@ def format_encoding_microbench(measurement: EncodingMeasurement) -> str:
             f"{m.string_scan_speedup:>7.1f}x {'-':>15}",
             f"{'range':>8} {m.range_raw_seconds:>10.4f} {m.range_encoded_seconds:>12.4f} "
             f"{m.range_scan_speedup:>7.1f}x "
-            f"{f'{m.range_blocks_skipped}/{m.range_blocks_total}':>15}",
+            f"{f'{m.range_blocks_skipped}/{m.range_blocks_total}':>15}"
+            f"  (repeat spread {m.range_scan_spread:.0%})",
             f"process-backend star probe: shm mapped {m.raw_shm_bytes_mapped}B raw -> "
             f"{m.encoded_shm_bytes_mapped}B encoded ({m.shm_reduction:.0%} reduction)",
         ]

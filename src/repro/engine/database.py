@@ -25,6 +25,7 @@ Typical usage::
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence
 
@@ -52,12 +53,16 @@ from repro.errors import (
 )
 from repro.exec import faults
 from repro.exec.faults import CancelToken
-from repro.exec.join_phase import JoinPhaseOptions
-from repro.exec.pipeline import PipelineExecutor, PipelineOptions, make_backend
+from repro.exec.pipeline import (
+    BaseFilter,
+    JoinPhaseOptions,
+    PipelineExecutor,
+    TransferOptions,
+    make_backend,
+)
 from repro.exec.relation import BoundRelation
 from repro.exec.spill import SpillManager
 from repro.exec.statistics import ExecutionStats, OpStats
-from repro.exec.transfer import TransferOptions
 from repro.obs.trace import Span, Tracer
 from repro.storage.artifacts import (
     DEFAULT_ARTIFACT_BUDGET_BYTES,
@@ -210,14 +215,14 @@ class _PreparedExecution:
     graph: JoinGraph
     join_tree: Optional[JoinTree]
     schedule: Optional[TransferSchedule]
-    masks: Dict[str, np.ndarray]
+    #: alias -> its evaluated base predicate (mask + what evaluating it
+    #: counted: fused-kernel short-circuits, zone-map block skipping).
+    filters: Dict[str, BaseFilter]
     physical: PhysicalPlan
-    #: alias -> rows the fused filter kernel short-circuited (aliases whose
-    #: predicate was evaluated fused; empty when fusion is off/inapplicable).
-    fused: Dict[str, int] = field(default_factory=dict)
-    #: alias -> (blocks_skipped, blocks_total, encoded_bytes) for predicates
-    #: evaluated with zone-map block skipping (block-encoded runs only).
-    zone_stats: Dict[str, tuple[int, int, int]] = field(default_factory=dict)
+
+
+def _masks(filters: Mapping[str, BaseFilter]) -> Dict[str, np.ndarray]:
+    return {alias: evaluated.mask for alias, evaluated in filters.items()}
 
 
 @dataclass(frozen=True)
@@ -427,7 +432,7 @@ class Database:
         cardinalities and the scan's ``FilterPush`` ops, so a predicate is
         never evaluated twice per execution.
         """
-        return self._evaluate_filters(query, fuse=False)[0]
+        return _masks(self._evaluate_filters(query, fuse=False))
 
     def _evaluate_filters(
         self,
@@ -436,23 +441,24 @@ class Database:
         stats: Optional[ExecutionStats] = None,
         encodings: bool = False,
         catalog: Optional[Any] = None,
-    ) -> tuple[Dict[str, np.ndarray], Dict[str, int], Dict[str, tuple[int, int, int]]]:
+    ) -> Dict[str, BaseFilter]:
         """:meth:`filter_masks`, optionally through fused conjunction kernels.
 
         With ``fuse`` on, each conjunctive predicate that
         :func:`repro.expr.fusion.fuse_conjunction` accepts runs as a single
-        short-circuiting kernel (bit-identical mask); the second mapping
-        records the rows each fused kernel short-circuited, per alias, and
-        ``stats`` (when given) accumulates the fusion counters.
+        short-circuiting kernel (bit-identical mask).
 
         With ``encodings`` on, supported predicates additionally run with
         zone-map block skipping — pruned blocks feed the fused kernel's
         initial selection, or an unfused predicate is evaluated entirely in
         code space (:mod:`repro.expr.codespace`; string comparisons become
         integer threshold tests on dictionary codes).  Every mask stays
-        bit-identical to plain evaluation; the third mapping records per
-        alias how many blocks were skipped and how many encoded bytes the
-        filter read.
+        bit-identical to plain evaluation.
+
+        What an evaluation counted — rows the fused kernel short-circuited,
+        blocks skipped, encoded bytes read — rides along as the
+        :class:`~repro.exec.pipeline.BaseFilter`'s counters, which the
+        alias's ``FilterPush`` op record takes over.
         """
         # Imported lazily: the expression package imports the kernel module,
         # which this engine module's package initializer already pulls in.
@@ -463,63 +469,59 @@ class Database:
         if store is not None:
             from repro.expr import codespace
 
-        def evaluate_alias(ref, table, active_store) -> None:
-            if fuse:
-                kernel = fuse_conjunction(ref.filter)
-                if kernel is not None:
-                    selection = None
-                    if active_store is not None:
-                        selection = codespace.block_selection(ref.filter, table, active_store)
-                    if selection is not None:
-                        mask, short_circuited = kernel.evaluate(
-                            table, block_selection=selection
-                        )
-                        zone_stats[ref.alias] = (
-                            selection.blocks_skipped,
-                            selection.num_blocks,
-                            codespace.encoded_bytes_touched(ref.filter, table, active_store),
-                        )
-                    else:
-                        mask, short_circuited = kernel.evaluate(table)
-                    masks[ref.alias] = np.asarray(mask, dtype=bool)
-                    fused[ref.alias] = short_circuited
-                    if stats is not None:
-                        stats.fused_exprs += 1
-                        stats.fused_rows_short_circuited += short_circuited
-                    return
+        def zone_counters(ref, table, active_store, skipped: int, total: int) -> Dict[str, int]:
+            return {
+                "blocks_skipped": skipped,
+                "blocks_total": total,
+                "encoded_bytes": codespace.encoded_bytes_touched(ref.filter, table, active_store),
+            }
+
+        def evaluate(ref, table, active_store) -> BaseFilter:
+            kernel = fuse_conjunction(ref.filter) if fuse else None
+            if kernel is not None:
+                counters: Dict[str, int] = {}
+                selection = None
+                if active_store is not None:
+                    selection = codespace.block_selection(ref.filter, table, active_store)
+                if selection is not None:
+                    mask, short_circuited = kernel.evaluate(table, block_selection=selection)
+                    counters = zone_counters(
+                        ref, table, active_store, selection.blocks_skipped, selection.num_blocks
+                    )
+                else:
+                    mask, short_circuited = kernel.evaluate(table)
+                counters["fused_expr"] = True
+                counters["fused_rows_short_circuited"] = int(short_circuited)
+                return BaseFilter(np.asarray(mask, dtype=bool), counters)
             if active_store is not None:
                 result = codespace.evaluate(ref.filter, table, active_store)
                 if result is not None:
-                    masks[ref.alias] = np.asarray(result.mask, dtype=bool)
-                    zone_stats[ref.alias] = (
-                        result.blocks_skipped,
-                        result.blocks_total,
-                        codespace.encoded_bytes_touched(ref.filter, table, active_store),
+                    return BaseFilter(
+                        np.asarray(result.mask, dtype=bool),
+                        zone_counters(
+                            ref, table, active_store, result.blocks_skipped, result.blocks_total
+                        ),
                     )
-                    return
-            masks[ref.alias] = np.asarray(ref.filter.evaluate(table), dtype=bool)
+            return BaseFilter(np.asarray(ref.filter.evaluate(table), dtype=bool))
 
-        masks: Dict[str, np.ndarray] = {}
-        fused: Dict[str, int] = {}
-        zone_stats: Dict[str, tuple[int, int, int]] = {}
+        filters: Dict[str, BaseFilter] = {}
         for ref in query.relations:
             if ref.filter is None:
                 continue
             table = catalog.table(ref.table)
-            if store is None:
-                evaluate_alias(ref, table, None)
-                continue
             try:
-                evaluate_alias(ref, table, store)
+                filters[ref.alias] = evaluate(ref, table, store)
             except FaultInjected:
+                if store is None:
+                    raise
                 # The encoded representation failed to read (injected
                 # column.decode fault): degrade this alias to plain raw
                 # evaluation — the mask is bit-identical, only the block
                 # skipping and code-space kernels are lost.
-                evaluate_alias(ref, table, None)
+                filters[ref.alias] = evaluate(ref, table, None)
                 if stats is not None:
                     stats.record_degradation(f"column.decode:{ref.alias}->raw")
-        return masks, fused, zone_stats
+        return filters
 
     def join_graph(
         self,
@@ -714,7 +716,7 @@ class Database:
         if plan_span is not None:
             tracer.finish(plan_span, ops=len(prep.physical.ops))
         plan, graph, schedule = prep.plan, prep.graph, prep.schedule
-        join_tree, masks, physical = prep.join_tree, prep.masks, prep.physical
+        join_tree, filters, physical = prep.join_tree, prep.filters, prep.physical
         spill = SpillManager()
         governor = MemoryGovernor(config.memory_budget_bytes, spill_handler=spill)
         backend = self._backend_ladder(config, stats)
@@ -736,6 +738,7 @@ class Database:
         table_versions = None
         if config.artifact_cache:
             artifact_cache = self._ensure_artifact_cache(config)
+            masks = _masks(filters)
             fingerprints = {
                 ref.alias: mask_fingerprint(masks.get(ref.alias)) for ref in query.relations
             }
@@ -746,12 +749,8 @@ class Database:
             query,
             graph,
             catalog=snapshot,
-            options=PipelineOptions(
-                transfer_fpr=options.transfer.fpr,
-                join_fpr=options.join.fpr,
-                prune_trivial_semijoins=options.transfer.prune_trivial_semijoins,
-                allow_cartesian_products=options.join.allow_cartesian_products,
-            ),
+            transfer=options.transfer,
+            join=options.join,
             backend=backend,
             registry=BloomFilterRegistry(),
             governor=governor,
@@ -765,13 +764,7 @@ class Database:
             tracer=tracer,
         )
         try:
-            run = executor.run(
-                physical,
-                stats,
-                masks=masks,
-                fused_filters=prep.fused,
-                zone_stats=prep.zone_stats,
-            )
+            run = executor.run(physical, stats, filters=filters)
         finally:
             backend.close()
         io_seconds = spill.simulated_seconds()
@@ -859,13 +852,11 @@ class Database:
             self._end_execution()
         for index, op in enumerate(prep.physical.ops):
             entry = OpStats(index=index, kind=op.kind, detail=op.describe())
-            # Block-encoded runs know their zone-map pruning at plan time
-            # (the base predicates were already evaluated), so EXPLAIN shows
-            # the same ``[zm skip k/n]`` markers an execution would.
-            if op.kind == "filter_push":
-                zone = prep.zone_stats.get(getattr(op, "alias", ""))
-                if zone is not None:
-                    entry.blocks_skipped, entry.blocks_total, entry.encoded_bytes = zone
+            # The base predicates were already evaluated, so what that
+            # counted is known at plan time: EXPLAIN shows the same
+            # ``[zm skip k/n]`` / ``[fused -Nr]`` markers an execution would.
+            if op.kind == "filter_push" and op.alias in prep.filters:
+                prep.filters[op.alias].write_counters(entry)
             stats.op_stats.append(entry)
         return ExplainResult(
             query=query,
@@ -955,15 +946,16 @@ class Database:
                 "connect it or execute each component separately"
             )
 
-        with stats.time_phase("scan_filter"):
-            masks, fused, zone_stats = self._evaluate_filters(
-                query,
-                fuse=bool(config.fuse_filters),
-                stats=stats,
-                encodings=bool(config.encodings),
-                catalog=catalog,
-            )
-        graph = self.join_graph(query, masks=masks, catalog=catalog)
+        start = time.perf_counter()
+        filters = self._evaluate_filters(
+            query,
+            fuse=bool(config.fuse_filters),
+            stats=stats,
+            encodings=bool(config.encodings),
+            catalog=catalog,
+        )
+        stats.timings.scan_filter += time.perf_counter() - start
+        graph = self.join_graph(query, masks=_masks(filters), catalog=catalog)
 
         join_tree: Optional[JoinTree] = None
         schedule: Optional[TransferSchedule] = None
@@ -999,10 +991,8 @@ class Database:
             graph=graph,
             join_tree=join_tree,
             schedule=schedule,
-            masks=masks,
+            filters=filters,
             physical=physical,
-            fused=fused,
-            zone_stats=zone_stats,
         )
 
     def _build_schedule(

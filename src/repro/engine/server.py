@@ -66,6 +66,7 @@ from repro.errors import (
 )
 from repro.exec import faults
 from repro.exec.faults import CancelToken
+from repro.exec.statistics import COUNTERS
 from repro.obs.export import render_exposition
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.querylog import (
@@ -78,6 +79,30 @@ from repro.query import QuerySpec
 from repro.sql import compile_statement
 from repro.sql.format import to_sql
 from repro.storage.buffer import MemoryGovernor
+
+#: ``OpStats`` fields whose per-query totals are exported as serving
+#: counters: field -> (metric name, help).
+_OP_COUNTER_METRICS = {
+    "spill_events": (
+        "repro_governor_spill_events_total",
+        "Memory-governor spills across served queries.",
+    ),
+    "spilled_bytes": (
+        "repro_governor_spilled_bytes_total",
+        "Bytes the memory governor spilled across served queries.",
+    ),
+    "hash_hits": ("repro_hash_cache_hits_total", "Hash-cache column passes reused."),
+    "hash_misses": ("repro_hash_cache_misses_total", "Hash-cache column passes computed."),
+    "artifact_hits": (
+        "repro_artifact_cache_hits_total",
+        "Artifact-cache hits across served queries.",
+    ),
+    "artifact_misses": (
+        "repro_artifact_cache_misses_total",
+        "Artifact-cache misses across served queries.",
+    ),
+    "worker_crashes": ("repro_worker_crashes_total", "Process-pool worker crashes recovered."),
+}
 
 
 @dataclass(frozen=True)
@@ -244,31 +269,11 @@ class Server:
         self._m_output_rows = m.counter(
             "repro_server_output_rows_total", "Joined result rows produced.",
         )
-        self._m_spill_events = m.counter(
-            "repro_governor_spill_events_total",
-            "Memory-governor spills across served queries.",
-        )
-        self._m_spilled_bytes = m.counter(
-            "repro_governor_spilled_bytes_total",
-            "Bytes the memory governor spilled across served queries.",
-        )
-        self._m_hash_hits = m.counter(
-            "repro_hash_cache_hits_total", "Hash-cache column passes reused.",
-        )
-        self._m_hash_misses = m.counter(
-            "repro_hash_cache_misses_total", "Hash-cache column passes computed.",
-        )
-        self._m_artifact_hits = m.counter(
-            "repro_artifact_cache_hits_total",
-            "Artifact-cache hits across served queries.",
-        )
-        self._m_artifact_misses = m.counter(
-            "repro_artifact_cache_misses_total",
-            "Artifact-cache misses across served queries.",
-        )
-        self._m_worker_crashes = m.counter(
-            "repro_worker_crashes_total", "Process-pool worker crashes recovered.",
-        )
+        #: Per-query totals of ``exec.statistics.COUNTERS`` fields, by field.
+        self._m_op_counters = {
+            field: m.counter(name, help_text)
+            for field, (name, help_text) in _OP_COUNTER_METRICS.items()
+        }
         self._m_plan_cache_hits = m.gauge(
             "repro_plan_cache_hits", "Plan-cache hits (sampled).",
         )
@@ -594,27 +599,21 @@ class Server:
 
         output_rows = 0
         op_seconds: Dict[str, float] = {}
-        cache: Dict[str, int] = {}
-        adaptive: Dict[str, int] = {}
+        sections: Dict[str, Dict[str, int]] = {"cache": {}, "adaptive": {}}
         degradations: Dict[str, int] = {}
         if stats is not None:
             output_rows = stats.output_rows
-            for op in stats.op_stats:
-                op_seconds[op.kind] = op_seconds.get(op.kind, 0.0) + op.seconds
-            for key, value in (
-                ("hash_hits", stats.hash_reuse_hits),
-                ("hash_misses", stats.hash_reuse_misses),
-                ("artifact_hits", stats.artifact_cache_hits),
-                ("artifact_misses", stats.artifact_cache_misses),
-            ):
-                if value:
-                    cache[key] = value
-            for key, value in (
-                ("steps_skipped", stats.adaptive_steps_skipped),
-                ("exact_downgrades", stats.adaptive_exact_downgrades),
-            ):
-                if value:
-                    adaptive[key] = value
+            op_seconds = stats.op_seconds_by_kind()
+            for counter in COUNTERS:
+                metric = self._m_op_counters.get(counter.field)
+                value = getattr(stats, counter.total) if counter.log or metric else 0
+                if not value:
+                    continue
+                if counter.log:
+                    section, _, key = counter.log.partition(".")
+                    sections[section][key] = value
+                if metric is not None:
+                    metric.inc(value)
             degradations = dict(stats.degradation_counts)
             for rung, count in degradations.items():
                 # Label by rung family (first two segments), keeping the
@@ -624,20 +623,6 @@ class Server:
                 self._m_degradations.inc(count, rung=family)
             if outcome == "ok":
                 self._m_output_rows.inc(output_rows)
-            if stats.spill_events:
-                self._m_spill_events.inc(stats.spill_events)
-            if stats.spilled_bytes:
-                self._m_spilled_bytes.inc(stats.spilled_bytes)
-            if stats.hash_reuse_hits:
-                self._m_hash_hits.inc(stats.hash_reuse_hits)
-            if stats.hash_reuse_misses:
-                self._m_hash_misses.inc(stats.hash_reuse_misses)
-            if stats.artifact_cache_hits:
-                self._m_artifact_hits.inc(stats.artifact_cache_hits)
-            if stats.artifact_cache_misses:
-                self._m_artifact_misses.inc(stats.artifact_cache_misses)
-            if stats.worker_crashes:
-                self._m_worker_crashes.inc(stats.worker_crashes)
 
         if self.query_log is None:
             return
@@ -661,8 +646,8 @@ class Server:
                 duration_seconds=duration_seconds,
                 output_rows=output_rows,
                 op_seconds=op_seconds,
-                cache=cache,
-                adaptive=adaptive,
+                cache=sections["cache"],
+                adaptive=sections["adaptive"],
                 degradations=degradations,
                 outcome=outcome,
                 error=str(error) if error is not None else "",

@@ -44,9 +44,10 @@ their ids stable.  The cache is populated and read only from the
 executor's coordinator thread (morsel worker threads receive
 already-gathered slices), so it needs no locking.
 
-``hits`` counts pass reuses (a whole hashing pass skipped), ``misses``
-fresh passes computed; they feed the per-op cache counters in
-``ExecutionStats.op_stats``.
+Pass reuses (a whole hashing pass skipped) and fresh passes computed are
+counted into ``record.hash_hits`` / ``record.hash_misses`` — the cache's own
+tally (read back as ``hits`` / ``misses``) until an executor points
+``record`` at the :class:`~repro.exec.statistics.OpStats` of the op it runs.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import numpy as np
 
 from repro.bloom.bloom_filter import hash_keys, key_patterns
 from repro.errors import ExecutionError
+from repro.exec.statistics import OpStats
 from repro.storage.table import Table
 
 #: A cached Bloom hashing pass: (splitmix64 hashes, block bit-patterns).
@@ -122,8 +124,15 @@ class HashCache:
         self._selection: Dict[
             Tuple[int, str], List[Tuple[int, np.ndarray, np.ndarray]]
         ] = {}
-        self.hits = 0
-        self.misses = 0
+        self.record = OpStats(index=-1, kind="hash_cache")
+
+    @property
+    def hits(self) -> int:
+        return self.record.hash_hits
+
+    @property
+    def misses(self) -> int:
+        return self.record.hash_misses
 
     # ------------------------------------------------------------------
     # Full-column passes
@@ -136,9 +145,9 @@ class HashCache:
         data = self._key_data(table, column)
         entry = self._full.get((self._tokens.token(data), encoding))
         if entry is not None:
-            self.hits += 1
+            self.record.hash_hits += 1
             return entry
-        self.misses += 1
+        self.record.hash_misses += 1
         hashes = hash_keys(data)
         patterns = key_patterns(hashes)
         self._full[(self._tokens.token(data), encoding)] = (hashes, patterns)
@@ -180,7 +189,7 @@ class HashCache:
         row_token = self._tokens.token(row_indices)
         for entry in self._selection.get((self._tokens.token(data), encoding), ()):
             if entry[0] == row_token:
-                self.hits += 1
+                self.record.hash_hits += 1
                 return entry[1], entry[2]
         return None
 

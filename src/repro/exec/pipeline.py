@@ -6,9 +6,18 @@ This is the single runtime behind every execution mode: the engine compiles
 Transfer-phase ops (``BloomBuild``/``BloomProbe``/``SemiJoinReduce``) reduce
 :class:`~repro.exec.relation.BoundRelation` objects in place; join-phase ops
 (``HashBuild``/``HashProbe``) flow through late-materialized intermediate
-*slots*; ``Aggregate`` finishes the query.  Each op is timed individually,
-producing the uniform per-op trace (``ExecutionStats.op_stats``) shared by
-all five modes.
+*slots*; ``Aggregate`` finishes the query.
+
+:meth:`PipelineExecutor.run` applies the cross-cutting concerns once around
+a type-keyed handler table (:data:`_OPS`): it opens one
+:class:`~repro.exec.statistics.OpStats` record per op, points the counter
+sources at it (``backend.record``, ``hash_cache.record``,
+``governor.record``), runs the handler — ``(op, record) -> None`` — inside
+the timed window, and closes and appends the record in a ``finally``.
+Handlers and sources write each counter once, into that record; totals,
+trace markers, span attributes and events are derived from it through
+:data:`~repro.exec.statistics.COUNTERS`.  ``ExecutionStats.op_stats`` is the
+uniform per-op trace shared by all five modes.
 
 Two backend classes implement the probe/match hot loops, selected by four
 names (:func:`make_backend`):
@@ -23,10 +32,6 @@ names (:func:`make_backend`):
   large inputs) are presets of it.
 * :class:`~repro.exec.process.ProcessBackend` (``"process"``) — the same
   scheduling over worker processes reading shared-memory columns.
-
-The Figure 14 simulated multi-threaded cost is derived from the finished
-trace by :func:`~repro.exec.parallel.simulate_parallel_cost`, not accrued
-here.
 
 Radix-partitioned joins (``Partition`` / ``PartitionedHashBuild`` /
 ``PartitionedHashProbe`` ops) execute on any backend; with a thread pool
@@ -48,7 +53,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -73,9 +78,16 @@ from repro.exec.hashcache import HashCache
 from repro.exec.parallel import gather_in_order
 from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.obs.trace import Span
-from repro.exec.statistics import ExecutionStats, JoinStepStats, OpStats, TransferStepStats
+from repro.exec.statistics import (
+    COUNTERS,
+    ExecutionStats,
+    JoinStepStats,
+    OpStats,
+    TransferStepStats,
+)
 from repro.plan.physical import (
     SCOPE_JOIN,
+    SCOPE_TRANSFER,
     Aggregate,
     BloomBuild,
     BloomProbe,
@@ -155,15 +167,16 @@ def _probe_input_rows(keys) -> int:
 class ExecutionBackend:
     """Strategy object for the probe/match hot loops of the pipeline executor.
 
-    ``tasks_dispatched`` counts the morsels / partition tasks the backend has
-    processed; the executor samples it around each op to surface per-op
-    parallelism counters in ``ExecutionStats.op_stats``.
+    A backend counts what it does — morsels / partition tasks dispatched,
+    and (process backend) shared-memory bytes and crash recovery — into
+    ``record``: its own tally when used stand-alone, the open op's
+    :class:`~repro.exec.statistics.OpStats` while an executor drives it.
     """
 
     name = "backend"
 
     def __init__(self) -> None:
-        self.tasks_dispatched = 0
+        self.record = OpStats(index=-1, kind=self.name)
         #: Cooperative cancellation token installed by the engine for the
         #: current query (None: no deadline, no cancel).  Checked at morsel
         #: gather barriers and at chunk granularity inside long kernels.
@@ -197,9 +210,14 @@ class ExecutionBackend:
         """Match probe keys against a build-side index."""
         raise NotImplementedError
 
+    @property
+    def tasks_dispatched(self) -> int:
+        """Morsels / partition tasks dispatched into the current ``record``."""
+        return self.record.morsels
+
     def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
         """Run independent thunks and return their results in order."""
-        self.tasks_dispatched += len(tasks)
+        self.record.morsels += len(tasks)
         return [task() for task in tasks]
 
     def close(self) -> None:
@@ -227,10 +245,11 @@ class MorselBackend(ExecutionBackend):
     :meth:`close` (the engine does both per execution).
 
     ``morsel_size=None`` is the whole-column preset: one kernel call per
-    probe and no morsel accounting (``tasks_dispatched`` counts only
+    probe and no morsel accounting (``record.morsels`` counts only
     :meth:`map_tasks` work).  It cuts — at :data:`SERIAL_CANCEL_CHUNK` rows —
     only while a cancel token is installed, so a deadline is checked inside
-    long kernels.
+    long kernels.  Morsels are counted as they are dispatched (one by one on
+    a single thread), so an op aborted mid-probe records how far it got.
     """
 
     def __init__(self, num_threads: int = 1, morsel_size: Optional[int] = None) -> None:
@@ -259,30 +278,28 @@ class MorselBackend(ExecutionBackend):
         except Exception as error:
             raise BackendUnavailable(f"thread pool unavailable: {error}") from error
 
-    def _run(self, tasks: List[Callable[[], object]]) -> List[object]:
+    def _run(self, tasks: List[Callable[[], object]], counted: bool = True) -> List[object]:
         if len(tasks) <= 1 or self.num_threads == 1:
             results = []
             for task in tasks:
                 self._check_cancel()
+                self.record.morsels += counted
                 results.append(task())
             return results
+        self.record.morsels += counted * len(tasks)
         pool = self._pool_instance()
         return gather_in_order([pool.submit(task) for task in tasks], self.cancel)
 
     def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
-        tasks = list(tasks)
-        self.tasks_dispatched += len(tasks)
-        return self._run(tasks)
+        return self._run(list(tasks))
 
     def _morsels(self, total_rows: int) -> Optional[List[Tuple[int, int]]]:
         """The ``[lo, hi)`` cuts of a probe input; ``None``: run it whole."""
-        size = self.morsel_size
-        if size is None:
-            size = SERIAL_CANCEL_CHUNK
-        else:
-            self.tasks_dispatched += num_chunks(total_rows, size)
+        size = self.morsel_size or SERIAL_CANCEL_CHUNK
         self._check_cancel()
         if total_rows <= size:
+            if self.morsel_size is not None:
+                self.record.morsels += num_chunks(total_rows, size)
             return None
         return [(lo, min(lo + size, total_rows)) for lo in range(0, total_rows, size)]
 
@@ -300,7 +317,8 @@ class MorselBackend(ExecutionBackend):
                 [
                     (lambda lo=lo, hi=hi: probe_fn(_slice_probe_input(keys, lo, hi)))
                     for lo, hi in morsels
-                ]
+                ],
+                counted=self.morsel_size is not None,
             )
         )
 
@@ -313,7 +331,8 @@ class MorselBackend(ExecutionBackend):
             return index.match(probe_keys)
         index.prepare_match()
         results = self._run(
-            [(lambda lo=lo, hi=hi: index.match(probe_keys[lo:hi])) for lo, hi in morsels]
+            [(lambda lo=lo, hi=hi: index.match(probe_keys[lo:hi])) for lo, hi in morsels],
+            counted=self.morsel_size is not None,
         )
         return JoinMatches(
             probe_indices=np.concatenate(
@@ -404,13 +423,49 @@ def make_backend(
 # Options / result
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class PipelineOptions:
-    """Runtime knobs of the pipeline executor (compiled plans carry no data params)."""
+class TransferOptions:
+    """Runtime knobs of the transfer phase (``ExecutionOptions.transfer``).
 
-    transfer_fpr: float = DEFAULT_FPR
-    join_fpr: float = DEFAULT_FPR
+    ``fpr`` is the target false-positive rate of each Bloom filter;
+    ``prune_trivial_semijoins`` skips steps whose source is an unfiltered PK
+    side of a PK-FK join (§4.3 of the paper — the semi-join cannot eliminate
+    anything).  Bloom vs exact semi-joins is the execution mode's choice,
+    compiled into the plan.
+    """
+
+    fpr: float = DEFAULT_FPR
     prune_trivial_semijoins: bool = True
+
+
+@dataclass(frozen=True)
+class JoinPhaseOptions:
+    """Runtime knobs of the join phase (``ExecutionOptions.join``).
+
+    ``fpr`` is the false-positive rate of the Bloom Join baseline's per-join
+    filters; ``allow_cartesian_products`` permits join nodes whose two sides
+    share no attribute class (the random plan generators never produce such
+    plans; it exists so tests can exercise the error path).
+    """
+
+    fpr: float = DEFAULT_FPR
     allow_cartesian_products: bool = False
+
+
+@dataclass
+class BaseFilter:
+    """One base-table predicate the engine evaluated while planning.
+
+    ``counters`` holds what the evaluation counted, by :class:`OpStats`
+    field (fused-kernel and zone-map activity); the alias's ``FilterPush``
+    record — executed or ``EXPLAIN``-ed — takes them over.
+    """
+
+    mask: np.ndarray
+    counters: Dict[str, int] = field(default_factory=dict)
+
+    def write_counters(self, record: OpStats) -> None:
+        for name, value in self.counters.items():
+            setattr(record, name, value)
 
 
 @dataclass
@@ -418,24 +473,7 @@ class PipelineResult:
     """Outcome of one :meth:`PipelineExecutor.run` call."""
 
     relations: Dict[str, BoundRelation]
-    final: Optional[IntermediateResult] = None
     aggregates: Optional[Dict[str, float]] = None
-
-
-#: Execution phase each op kind is accounted under (join-scoped Bloom ops override).
-_PHASE_BY_KIND = {
-    "scan": "scan_filter",
-    "filter_push": "scan_filter",
-    "bloom_build": "transfer",
-    "bloom_probe": "transfer",
-    "semi_join_reduce": "transfer",
-    "hash_build": "join",
-    "hash_probe": "join",
-    "partition": "join",
-    "partitioned_hash_build": "join",
-    "partitioned_hash_probe": "join",
-    "aggregate": "aggregate",
-}
 
 
 @dataclass
@@ -494,7 +532,8 @@ class PipelineExecutor:
         query: QuerySpec,
         graph: JoinGraph,
         catalog=None,
-        options: Optional[PipelineOptions] = None,
+        transfer: Optional[TransferOptions] = None,
+        join: Optional[JoinPhaseOptions] = None,
         backend: Optional[ExecutionBackend] = None,
         registry: Optional[BloomFilterRegistry] = None,
         governor: Optional[MemoryGovernor] = None,
@@ -510,7 +549,8 @@ class PipelineExecutor:
         self.query = query
         self.graph = graph
         self.catalog = catalog
-        self.options = options or PipelineOptions()
+        self.transfer = transfer or TransferOptions()
+        self.join = join or JoinPhaseOptions()
         self.backend = backend or MorselBackend()
         self.registry = registry or BloomFilterRegistry()
         self.governor = governor
@@ -519,7 +559,7 @@ class PipelineExecutor:
         self.hash_cache = HashCache()
         #: Cross-query artifact cache + the identity context needed to key
         #: it (catalog table versions and base-filter fingerprints, both
-        #: supplied by the engine; fragments run without them).
+        #: supplied by the engine; direct callers run without them).
         self.artifact_cache = artifact_cache
         self._table_versions = dict(table_versions or {})
         self._fingerprints = dict(fingerprints or {})
@@ -555,384 +595,184 @@ class PipelineExecutor:
         self,
         plan: PhysicalPlan,
         stats: ExecutionStats,
-        relations: Optional[Dict[str, BoundRelation]] = None,
-        masks: Optional[Mapping[str, Optional[np.ndarray]]] = None,
-        finalize_root: Optional[Operand] = None,
-        fused_filters: Optional[Mapping[str, int]] = None,
-        zone_stats: Optional[Mapping[str, Tuple[int, int, int]]] = None,
+        filters: Optional[Mapping[str, BaseFilter]] = None,
     ) -> PipelineResult:
-        """Execute every op of ``plan`` in order.
+        """Execute every op of ``plan`` in order, one :class:`OpStats` record each.
 
-        ``relations`` supplies pre-bound relations for plan *fragments* that
-        carry no ``Scan`` ops (the transfer / join compilers); ``masks``
-        supplies precomputed base-filter masks so predicates evaluated during
-        planning are not evaluated again by ``FilterPush``.  With
-        ``finalize_root`` (fragments without an ``Aggregate`` op) the root
-        operand is materialized, remaining post-join predicates are applied,
-        and ``stats.output_rows`` is set.  ``fused_filters`` maps aliases
-        whose pushed-down predicate was evaluated by a fused kernel to the
-        rows the kernel short-circuited, for the op trace; ``zone_stats``
-        maps aliases whose predicate ran with zone-map block skipping to a
-        ``(blocks_skipped, blocks_total, encoded_bytes)`` triple, folded
-        into the alias's ``FilterPush`` entry the same way.
+        ``filters`` supplies the base predicates the engine already evaluated
+        while planning (mask plus what the evaluation counted), so
+        ``FilterPush`` neither evaluates them again nor loses their counters;
+        an alias without an entry is evaluated here.  The record of the op
+        in flight when a query aborts is kept, marked ``aborted``.
         """
-        self._relations: Dict[str, BoundRelation] = relations if relations is not None else {}
-        self._masks = masks
-        self._fused_filters = dict(fused_filters or {})
-        self._zone_stats = dict(zone_stats or {})
+        self._relations: Dict[str, BoundRelation] = {}
+        self._filters = filters or {}
         self._slots: Dict[int, IntermediateResult] = {}
         self._materialized: Dict[Operand, IntermediateResult] = {}
         self._transfer_stages: Dict[int, _TransferStage] = {}
         self._join_bloom_stages: Dict[int, _JoinBloomStage] = {}
         self._build_stages: Dict[int, _BuildStage] = {}
         self._skipped_steps: set[int] = set()
+        self._adaptive_skipped_steps: set[int] = set()
         self._join_bloom_eliminated: Dict[int, int] = {}
         self._join_probe_keys: Dict[int, np.ndarray] = {}
         self._index_cache: Dict[Tuple[str, Tuple[str, ...]], Tuple[int, HashIndex]] = {}
         self._filtered: Optional[set[str]] = None
         self._pending_predicates: List[PostJoinPredicate] = list(self.query.post_join_predicates)
         self._aggregates: Optional[Dict[str, float]] = None
-        self._final: Optional[IntermediateResult] = None
         # Artifact eligibility: a relation's artifacts are keyed by its
         # *base* state (scan + pushed-down filter, before any transfer
-        # reduction), identified by the version snapshot taken here and
-        # refreshed by Scan / FilterPush ops.
-        self._base_versions: Dict[str, int] = {
-            alias: relation.version for alias, relation in self._relations.items()
-        }
-        self._artifact_reserved: List[str] = []
-        self._artifact_hits = 0
-        self._artifact_misses = 0
-        self._selvec_rows = 0
-        # Shared-memory accounting: arena columns charged this run (for the
-        # governor + stats) plus whatever the backend itself placed in
-        # transient segments.
-        self._shm_reserved: List[str] = []
+        # reduction), identified by the version Scan / FilterPush record.
+        self._base_versions: Dict[str, int] = {}
+        # Governor reservations charged once per run: touched artifacts and
+        # published arena columns.
+        self._artifact_reserved: set[str] = set()
         self._shm_charged: set[str] = set()
-        self._shm_bytes = 0
-        # Adaptive transfer: one controller per run, built over this plan's
-        # op list.  Per-op decision fields are reset before each dispatch and
-        # folded into the op's stats entry after it.
         self._adaptive: Optional[AdaptiveTransferController] = (
-            AdaptiveTransferController(plan) if self.adaptive_transfer
-            else None
+            AdaptiveTransferController(plan) if self.adaptive_transfer else None
         )
-        self._adaptive_skipped_steps: set[int] = set()
-        self._op_index = -1
-        self._op_adaptive_skip = False
-        self._op_downgraded = False
-        self._op_blocks_skipped = 0
-        self._op_blocks_total = 0
-        self._op_encoded_bytes = 0
-        self._op_degraded = ""
         self._stats = stats
 
-        base_shm = getattr(self.backend, "shm_bytes_mapped", 0)
-        hash_cache = self.hash_cache
-        base_hash_hits = hash_cache.hits
-        base_hash_misses = hash_cache.misses
         governor = self.governor
-        if governor is not None:
-            base_spill_events = governor.spill_events
-            base_spilled = governor.spilled_bytes
-            base_reloaded = governor.reloaded_bytes
-            base_spill_failures = governor.spill_failures
-        cancel = getattr(self.backend, "cancel", None)
+        cancel = self.backend.cancel
         tracer = self.tracer
-        trace_phase_span = None
-        trace_phase_name = None
+        phase_span = None
         try:
             for index, op in enumerate(plan):
                 if cancel is not None:
                     cancel.check()
-                delay = faults.injected_latency()
-                if delay:
-                    # Injected operator latency: deterministic wall-time
-                    # inflation, the lever the timeout tests pull.
-                    time.sleep(delay)
-                phase = _PHASE_BY_KIND.get(op.kind, "join")
-                if getattr(op, "scope", None) == SCOPE_JOIN:
-                    phase = "join"
-                tasks_before = self.backend.tasks_dispatched
-                spilled_before = governor.spilled_bytes if governor is not None else 0
-                hash_hits_before = hash_cache.hits
-                hash_misses_before = hash_cache.misses
-                selvec_before = self._selvec_rows
-                artifact_hits_before = self._artifact_hits
-                artifact_misses_before = self._artifact_misses
-                shm_before = self._shm_bytes + getattr(self.backend, "shm_bytes_mapped", 0)
-                crashes_before = getattr(self.backend, "worker_crashes", 0)
-                retries_before = getattr(self.backend, "tasks_retried", 0)
-                inline_before = getattr(self.backend, "inline_morsels", 0)
-                self._op_index = index
-                self._op_adaptive_skip = False
-                self._op_downgraded = False
-                self._op_fused_rows = -1
-                self._op_blocks_skipped = 0
-                self._op_blocks_total = 0
-                self._op_encoded_bytes = 0
-                self._op_degraded = ""
-                if tracer is not None:
-                    if phase != trace_phase_name:
-                        if trace_phase_span is not None:
-                            tracer.finish(trace_phase_span)
-                        trace_phase_span = tracer.start(phase, "phase")
-                        trace_phase_name = phase
-                    op_span = tracer.start(op.kind, "op", index=index)
-                    batch_sec_before = getattr(self.backend, "traced_worker_seconds", 0.0)
-                    batches_before = getattr(self.backend, "traced_batches", 0)
-                start = time.perf_counter()
-                rows_in, rows_out, skipped = self._dispatch(op, stats)
-                elapsed = time.perf_counter() - start
-                setattr(stats.timings, phase, getattr(stats.timings, phase) + elapsed)
+                try:
+                    phase, handler = _OPS[type(op), getattr(op, "scope", None)]
+                except KeyError:
+                    raise ExecutionError(f"pipeline executor cannot run op {op!r}") from None
+                record = OpStats(index=index, kind=op.kind, detail=op.describe())
+                self._record = self.backend.record = self.hash_cache.record = record
                 if governor is not None:
-                    # The cached hash/pattern arrays are real memory; keep their
-                    # reservation current — inside this op's spill-sampling
-                    # window, so spills it forces are attributed to the op that
-                    # grew the cache.  Non-evictable: the cache cannot be
-                    # spilled, only released at the end of the run.
-                    self._governed_reserve("hash_cache", hash_cache.nbytes, evictable=False)
-                op_crashes = getattr(self.backend, "worker_crashes", 0) - crashes_before
-                op_retries = getattr(self.backend, "tasks_retried", 0) - retries_before
-                op_inline = getattr(self.backend, "inline_morsels", 0) - inline_before
-                if op_inline and not self._op_degraded:
-                    self._op_degraded = "process:inline-fallback"
-                if op_inline:
-                    stats.record_degradation("process:inline-fallback")
-                stats.op_stats.append(
-                    OpStats(
-                        index=index,
-                        kind=op.kind,
-                        detail=op.describe(),
-                        rows_in=rows_in,
-                        rows_out=rows_out,
-                        seconds=elapsed,
-                        skipped=skipped,
-                        morsels=self.backend.tasks_dispatched - tasks_before,
-                        spilled_bytes=(
-                            governor.spilled_bytes - spilled_before if governor is not None else 0
-                        ),
-                        hash_hits=hash_cache.hits - hash_hits_before,
-                        hash_misses=hash_cache.misses - hash_misses_before,
-                        selvec_rows=self._selvec_rows - selvec_before,
-                        artifact_hits=self._artifact_hits - artifact_hits_before,
-                        artifact_misses=self._artifact_misses - artifact_misses_before,
-                        adaptive_skipped=self._op_adaptive_skip,
-                        downgraded_exact=self._op_downgraded,
-                        fused_expr=self._op_fused_rows >= 0,
-                        fused_rows_short_circuited=max(self._op_fused_rows, 0),
-                        blocks_skipped=self._op_blocks_skipped,
-                        blocks_total=self._op_blocks_total,
-                        encoded_bytes=self._op_encoded_bytes,
-                        shm_bytes=(
-                            self._shm_bytes
-                            + getattr(self.backend, "shm_bytes_mapped", 0)
-                            - shm_before
-                        ),
-                        degraded=self._op_degraded,
-                        worker_crashes=op_crashes,
-                        tasks_retried=op_retries,
-                        inline_morsels=op_inline,
-                    )
-                )
-                if self._op_blocks_total:
-                    stats.zone_blocks_skipped += self._op_blocks_skipped
-                    stats.zone_blocks_total += self._op_blocks_total
-                if self._op_encoded_bytes:
-                    stats.encoded_bytes_touched += self._op_encoded_bytes
-                if op_crashes:
-                    stats.worker_crashes += op_crashes
-                if op_retries:
-                    stats.tasks_retried += op_retries
-                if op_inline:
-                    stats.inline_fallback_morsels += op_inline
+                    governor.record = record
+                span = None
                 if tracer is not None:
-                    entry = stats.op_stats[-1]
-                    if entry.morsels:
-                        # One summary child per fanned-out op: morsel count
-                        # plus (process backend only) the worker-side
-                        # seconds shipped back with the morsel payloads.
-                        batch_seconds = (
-                            getattr(self.backend, "traced_worker_seconds", 0.0)
-                            - batch_sec_before
+                    if phase_span is None or phase_span.name != phase:
+                        if phase_span is not None:
+                            tracer.finish(phase_span)
+                        phase_span = tracer.start(phase, "phase")
+                    span = tracer.start(op.kind, "op", index=index)
+                start = time.perf_counter()
+                try:
+                    delay = faults.injected_latency()
+                    if delay:
+                        # Injected operator latency sleeps inside the timed
+                        # window, so the slowed op owns the time in its
+                        # record and its span; a deadline it blows aborts
+                        # this op, not the next one.
+                        time.sleep(delay)
+                        if tracer is not None:
+                            tracer.event("fault:op.latency", seconds=delay)
+                        if cancel is not None:
+                            cancel.check()
+                    handler(self, op, record)
+                    if governor is not None:
+                        # The cached hash/pattern arrays are real memory;
+                        # keep their reservation current inside the op that
+                        # grew the cache, so spills it forces land on this
+                        # record.  Non-evictable: the cache dies with the run.
+                        self._governed_reserve(
+                            "hash_cache", self.hash_cache.nbytes, evictable=False
                         )
-                        batch_count = (
-                            getattr(self.backend, "traced_batches", 0) - batches_before
-                        )
-                        batch = Span(
-                            name="morsels",
-                            kind="batch",
-                            start=op_span.start,
-                            end=op_span.start
-                            + (batch_seconds if batch_count else elapsed),
-                            attrs={
-                                "count": entry.morsels,
-                                "worker_batches": batch_count,
-                            },
-                        )
-                        op_span.children.append(batch)
-                    if entry.adaptive_skipped:
-                        tracer.event("adaptive:skip")
-                    if entry.downgraded_exact:
-                        tracer.event("adaptive:exact-bitmap")
-                    if entry.spilled_bytes:
-                        tracer.event("governor:spill", bytes=entry.spilled_bytes)
-                    if op_crashes:
-                        tracer.event(
-                            "process:crash-recovery",
-                            crashes=op_crashes,
-                            retries=op_retries,
-                        )
-                    if op_inline:
-                        tracer.event("process:inline-fallback", morsels=op_inline)
-                    if entry.degraded:
-                        tracer.event("degraded", rung=entry.degraded)
-                    tracer.finish(
-                        op_span,
-                        rows_in=rows_in,
-                        rows_out=rows_out,
-                        skipped=skipped,
-                        detail=entry.detail,
-                    )
-
-            if tracer is not None and trace_phase_span is not None:
-                tracer.finish(trace_phase_span)
-                trace_phase_span = None
-            if finalize_root is not None and self._final is None:
-                if cancel is not None:
-                    cancel.check()
-                finalize_span = (
-                    tracer.start("finalize", "phase") if tracer is not None else None
-                )
-                with stats.time_phase("join"):
-                    final = self._materialize(finalize_root)
-                    final = self._apply_ready_predicates(final, force_all=True)
-                if finalize_span is not None:
-                    tracer.finish(finalize_span, rows=final.num_rows)
-                stats.output_rows = final.num_rows
-                self._final = final
-        except BaseException:
-            # Any exit path — injected fault, timeout, cancellation, genuine
-            # error — must leave zero outstanding reservations: the governor
-            # outlives this run only inside Database.execute's accounting,
-            # and the leak guard asserts it is empty afterwards.
+                except BaseException:
+                    record.aborted = True
+                    raise
+                finally:
+                    record.seconds = time.perf_counter() - start
+                    setattr(stats.timings, phase, getattr(stats.timings, phase) + record.seconds)
+                    if record.inline_morsels:
+                        record.degraded = record.degraded or "process:inline-fallback"
+                        stats.record_degradation("process:inline-fallback")
+                    stats.op_stats.append(record)
+                    if span is not None:
+                        self._finish_op_span(span, record)
+            if phase_span is not None:
+                tracer.finish(phase_span)
+        finally:
+            # Any exit path — completion, injected fault, timeout,
+            # cancellation — leaves zero outstanding reservations (the leak
+            # guard asserts it): artifact and arena residency was charged
+            # for this run's accounting only, and the hash cache dies with
+            # the executor.
             if governor is not None:
-                stats.peak_memory_bytes = max(
-                    stats.peak_memory_bytes, governor.peak_reserved_bytes
-                )
+                stats.peak_memory_bytes = max(stats.peak_memory_bytes, governor.peak_reserved_bytes)
                 governor.release_all()
-            self._artifact_reserved.clear()
-            self._shm_reserved.clear()
-            raise
+        return PipelineResult(relations=self._relations, aggregates=self._aggregates)
 
-        if governor is not None:
-            stats.peak_memory_bytes = max(stats.peak_memory_bytes, governor.peak_reserved_bytes)
-            stats.spill_events += governor.spill_events - base_spill_events
-            stats.spilled_bytes += governor.spilled_bytes - base_spilled
-            stats.reloaded_bytes += governor.reloaded_bytes - base_reloaded
-            stats.spill_failures += governor.spill_failures - base_spill_failures
-        stats.hash_reuse_hits += hash_cache.hits - base_hash_hits
-        stats.hash_reuse_misses += hash_cache.misses - base_hash_misses
-        stats.selection_vector_rows += self._selvec_rows
-        stats.artifact_cache_hits += self._artifact_hits
-        stats.artifact_cache_misses += self._artifact_misses
-        stats.shm_bytes_mapped += self._shm_bytes + (
-            getattr(self.backend, "shm_bytes_mapped", 0) - base_shm
+    def _finish_op_span(self, span: Span, record: OpStats) -> None:
+        """Close an op span from its record: ``batch`` child, events, attributes."""
+        if record.morsels:
+            # One summary child per fanned-out op: morsel count plus
+            # (process backend only) the worker-side seconds shipped back
+            # with the morsel payloads.
+            seconds = record.worker_seconds if record.worker_batches else record.seconds
+            span.children.append(
+                Span(
+                    name="morsels",
+                    kind="batch",
+                    start=span.start,
+                    end=span.start + seconds,
+                    attrs={"count": record.morsels, "worker_batches": record.worker_batches},
+                )
+            )
+        fields = vars(record)
+        attrs = {}
+        for counter in COUNTERS:
+            value = fields[counter.field]
+            if value:
+                attrs[counter.field] = value
+                if counter.event:
+                    self.tracer.event(
+                        counter.event, **{attr: fields[name] for attr, name in counter.event_attrs}
+                    )
+        self.tracer.finish(
+            span,
+            rows_in=record.rows_in,
+            rows_out=record.rows_out,
+            skipped=record.skipped,
+            detail=record.detail,
+            **attrs,
         )
-        # Artifact residency was charged for this run's accounting only; the
-        # artifacts themselves stay alive in the cross-query cache.  The
-        # query-lifetime hash cache dies with the executor, so its
-        # reservation is released the same way — and so are arena-column
-        # reservations (the segments stay published by the engine's arena).
-        if governor is not None:
-            for reservation in self._artifact_reserved:
-                governor.release(reservation)
-            for reservation in self._shm_reserved:
-                governor.release(reservation)
-            governor.release("hash_cache")
-        self._artifact_reserved.clear()
-        self._shm_reserved.clear()
-
-        return PipelineResult(
-            relations=self._relations,
-            final=self._final,
-            aggregates=self._aggregates,
-        )
-
-    # ------------------------------------------------------------------
-    # Op dispatch
-    # ------------------------------------------------------------------
-    def _dispatch(self, op, stats: ExecutionStats) -> Tuple[int, int, bool]:
-        if isinstance(op, Scan):
-            return self._exec_scan(op, stats)
-        if isinstance(op, FilterPush):
-            return self._exec_filter_push(op, stats)
-        if isinstance(op, BloomBuild):
-            if op.scope == SCOPE_JOIN:
-                return self._exec_join_bloom_build(op, stats)
-            return self._exec_transfer_bloom_build(op, stats)
-        if isinstance(op, BloomProbe):
-            if op.scope == SCOPE_JOIN:
-                return self._exec_join_bloom_probe(op, stats)
-            return self._exec_transfer_bloom_probe(op, stats)
-        if isinstance(op, SemiJoinReduce):
-            return self._exec_semi_join_reduce(op, stats)
-        if isinstance(op, HashBuild):
-            return self._exec_hash_build(op, stats)
-        if isinstance(op, HashProbe):
-            return self._exec_hash_probe(op, stats)
-        if isinstance(op, Partition):
-            return self._exec_partition(op, stats)
-        if isinstance(op, PartitionedHashBuild):
-            return self._exec_partitioned_hash_build(op, stats)
-        if isinstance(op, PartitionedHashProbe):
-            return self._exec_partitioned_hash_probe(op, stats)
-        if isinstance(op, Aggregate):
-            return self._exec_aggregate(op, stats)
-        raise ExecutionError(f"pipeline executor cannot run op {op!r}")
 
     # -- scan / filter --------------------------------------------------
-    def _exec_scan(self, op: Scan, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_scan(self, op: Scan, record: OpStats) -> None:
         if self.catalog is None:
             raise ExecutionError("pipeline plans with Scan ops require a catalog")
         table = self.catalog.table(op.table)
         self._relations[op.alias] = BoundRelation.from_table(op.alias, table)
         self._base_versions[op.alias] = self._relations[op.alias].version
-        stats.base_rows[op.alias] = table.num_rows
-        stats.filtered_rows[op.alias] = table.num_rows
-        return table.num_rows, table.num_rows, False
+        self._stats.base_rows[op.alias] = table.num_rows
+        self._stats.filtered_rows[op.alias] = table.num_rows
+        record.rows_in = record.rows_out = table.num_rows
 
-    def _exec_filter_push(self, op: FilterPush, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_filter_push(self, op: FilterPush, record: OpStats) -> None:
         relation = self._relations[op.alias]
-        rows_in = relation.num_rows
-        if self._masks is not None and op.alias in self._masks and self._masks[op.alias] is not None:
-            mask = np.asarray(self._masks[op.alias], dtype=bool)
-            if op.alias in self._fused_filters:
-                self._op_fused_rows = int(self._fused_filters[op.alias])
-            zone = self._zone_stats.get(op.alias)
-            if zone is not None:
-                self._op_blocks_skipped, self._op_blocks_total, self._op_encoded_bytes = zone
+        record.rows_in = record.rows_out = relation.num_rows
+        evaluated = self._filters.get(op.alias)
+        if evaluated is not None:
+            mask = evaluated.mask
+            evaluated.write_counters(record)
         else:
             ref = self._refs.get(op.alias)
             if ref is None or ref.filter is None:
-                return rows_in, rows_in, True
+                record.skipped = True
+                return
             mask = np.asarray(ref.filter.evaluate(relation.table), dtype=bool)
         relation.keep(mask)
         self._base_versions[op.alias] = relation.version
-        stats.filtered_rows[op.alias] = relation.num_rows
-        return rows_in, relation.num_rows, False
+        self._stats.filtered_rows[op.alias] = record.rows_out = relation.num_rows
 
     # -- transfer phase -------------------------------------------------
-    def _exec_transfer_bloom_build(self, op: BloomBuild, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_transfer_bloom_build(self, op: BloomBuild, record: OpStats) -> None:
         source = self._relations[op.source.alias]
         target = self._relations[op.target.alias]
-        if self._should_prune(op.prunable, op.source.alias):
-            self._skip_transfer_step(op, target, stats)
-            return source.num_rows, source.num_rows, True
-        if self._adaptive is not None and self._adaptive.should_skip(self._op_index, op):
-            self._skip_transfer_step(op, target, stats, adaptive=True)
-            self._op_adaptive_skip = True
-            return source.num_rows, source.num_rows, True
+        record.rows_in = record.rows_out = source.num_rows
+        if self._skip_step(op, record, target):
+            return
 
         bloom: Optional[BloomFilter] = None
         if len(op.attributes) == 1:
@@ -945,7 +785,7 @@ class PipelineExecutor:
             if exact_index is None:
                 bloom = self._transfer_bloom(op, source, source_column)
             else:
-                self._op_downgraded = True
+                record.downgraded_exact = True
             # Late materialization: the probe op gathers over the immutable
             # base column by the target's row ids; nothing is staged for the
             # probe side here.
@@ -959,7 +799,7 @@ class PipelineExecutor:
             # Composite keys are densified jointly with the probe side, so
             # neither hashing pass nor gather can be cached or deferred.
             source_keys, target_keys = self._step_keys(op, source, target)
-            bloom = BloomFilter(expected_keys=source.num_rows, fpr=self.options.transfer_fpr)
+            bloom = BloomFilter(expected_keys=source.num_rows, fpr=self.transfer.fpr)
             bloom.insert(source_keys)
             stage = _TransferStage(
                 bloom=bloom, build_rows=source.num_rows, target_keys=target_keys
@@ -973,21 +813,20 @@ class PipelineExecutor:
             )
             self.registry.publish(key, bloom, replace=True)
         self._transfer_stages[op.step_id] = stage
-        return source.num_rows, source.num_rows, False
 
     def _transfer_bloom(self, op: BloomBuild, source: BoundRelation, column: str) -> BloomFilter:
         """Build (or fetch from the artifact cache) one transfer-phase filter."""
         artifact_key = self._artifact_key(
-            op.source.alias, column, kind=KIND_BLOOM, param=f"fpr={self.options.transfer_fpr}"
+            op.source.alias, column, kind=KIND_BLOOM, param=f"fpr={self.transfer.fpr}"
         )
         if artifact_key is not None:
             cached = self.artifact_cache.get(artifact_key)
             if cached is not None:
-                self._artifact_hits += 1
+                self._record.artifact_hits += 1
                 self._charge_artifact(artifact_key, cached.size_bytes)
                 return cached
-            self._artifact_misses += 1
-        bloom = BloomFilter(expected_keys=source.num_rows, fpr=self.options.transfer_fpr)
+            self._record.artifact_misses += 1
+        bloom = BloomFilter(expected_keys=source.num_rows, fpr=self.transfer.fpr)
         hashes, patterns = self._bloom_pass_for_relation(source, column)
         bloom.insert(hashes=hashes, patterns=patterns)
         if artifact_key is not None:
@@ -1026,28 +865,26 @@ class PipelineExecutor:
         index.prepare(probe_rows)
         return index if index.has_bitmap else None
 
-    def _exec_transfer_bloom_probe(self, op: BloomProbe, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_transfer_bloom_probe(self, op: BloomProbe, record: OpStats) -> None:
         target = self._relations[op.target.alias]
-        if self._adaptive is not None and self._adaptive.should_skip(self._op_index, op):
+        rows_before = record.rows_in = record.rows_out = target.num_rows
+        if self._adaptive is not None and self._adaptive.should_skip(record.index, op):
             # Cancelled after its build already ran (or alongside it);
             # discard any staged state and record the skip once per step.
             self._transfer_stages.pop(op.step_id, None)
-            self._skip_transfer_step(op, target, stats, adaptive=True)
-            self._op_adaptive_skip = True
-            return target.num_rows, target.num_rows, True
+            self._skip_transfer_step(op, target, adaptive=True)
         if op.step_id in self._skipped_steps:
-            if op.step_id in self._adaptive_skipped_steps:
-                self._op_adaptive_skip = True
-            return target.num_rows, target.num_rows, True
+            record.skipped = True
+            record.adaptive_skipped = op.step_id in self._adaptive_skipped_steps
+            return
         stage = self._transfer_stages.pop(op.step_id)
-        rows_before = target.num_rows
         bloom = stage.bloom
         if stage.exact_index is not None:
             # Adaptive exact-bitmap downgrade: one in-range test + table
             # gather per probe key, and no false positives downstream.
             index = stage.exact_index
-            self._op_downgraded = True
-            self._selvec_rows += target.num_rows
+            record.downgraded_exact = True
+            record.selvec_rows += target.num_rows
             probe_keys = self._transfer_probe_input(target, stage.target_column)
             probe_rows = _probe_input_rows(probe_keys)
             mask = self.backend.probe_mask(
@@ -1060,7 +897,7 @@ class PipelineExecutor:
             if stage.target_keys is not None:
                 mask = self.backend.probe_mask(stage.target_keys, bloom.probe)
             else:
-                self._selvec_rows += target.num_rows
+                record.selvec_rows += target.num_rows
                 probe_pass = self._bloom_pass_for_relation(target, stage.target_column)
                 mask = self.backend.probe_mask(probe_pass, _BloomPassProbe(bloom))
             filter_bytes = bloom.size_bytes
@@ -1071,23 +908,18 @@ class PipelineExecutor:
             rows_after=target.num_rows,
             filter_bytes=filter_bytes,
             build_rows=stage.build_rows,
-            stats=stats,
             downgraded_exact=stage.exact_index is not None,
         )
+        record.rows_out = target.num_rows
         if self._adaptive is not None:
-            self._adaptive.observe(self._op_index, op, rows_before, target.num_rows)
-        return rows_before, target.num_rows, False
+            self._adaptive.observe(record.index, op, rows_before, target.num_rows)
 
-    def _exec_semi_join_reduce(self, op: SemiJoinReduce, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_semi_join_reduce(self, op: SemiJoinReduce, record: OpStats) -> None:
         source = self._relations[op.source.alias]
         target = self._relations[op.target.alias]
-        if self._should_prune(op.prunable, op.source.alias):
-            self._skip_transfer_step(op, target, stats)
-            return target.num_rows, target.num_rows, True
-        if self._adaptive is not None and self._adaptive.should_skip(self._op_index, op):
-            self._skip_transfer_step(op, target, stats, adaptive=True)
-            self._op_adaptive_skip = True
-            return target.num_rows, target.num_rows, True
+        rows_before = record.rows_in = record.rows_out = target.num_rows
+        if self._skip_step(op, record, target):
+            return
         if len(op.attributes) == 1:
             # Single-attribute keys are side-independent: resolve the target
             # side and check the index caches before gathering source keys —
@@ -1109,7 +941,6 @@ class PipelineExecutor:
         else:
             source_keys, target_keys = self._step_keys(op, source, target)
             index = HashIndex(source_keys)
-        rows_before = target.num_rows
         probe_rows = _probe_input_rows(target_keys)
         mask = self.backend.probe_mask(
             target_keys,
@@ -1123,14 +954,25 @@ class PipelineExecutor:
             rows_after=target.num_rows,
             filter_bytes=int(index.keys.nbytes),
             build_rows=source.num_rows,
-            stats=stats,
         )
+        record.rows_out = target.num_rows
         if self._adaptive is not None:
-            self._adaptive.observe(self._op_index, op, rows_before, target.num_rows)
-        return rows_before, target.num_rows, False
+            self._adaptive.observe(record.index, op, rows_before, target.num_rows)
+
+    def _skip_step(self, op, record: OpStats, target: BoundRelation) -> bool:
+        """Skip a step at its first op: §4.3 pruning, or the adaptive controller."""
+        if self._should_prune(op.prunable, op.source.alias):
+            self._skip_transfer_step(op, target)
+        elif self._adaptive is not None and self._adaptive.should_skip(record.index, op):
+            self._skip_transfer_step(op, target, adaptive=True)
+            record.adaptive_skipped = True
+        else:
+            return False
+        record.skipped = True
+        return True
 
     def _should_prune(self, prunable: bool, source_alias: str) -> bool:
-        if not (self.options.prune_trivial_semijoins and prunable):
+        if not (self.transfer.prune_trivial_semijoins and prunable):
             return False
         if self._filtered is None:
             self._filtered = self._initially_filtered()
@@ -1147,16 +989,13 @@ class PipelineExecutor:
                 filtered.add(ref.alias)
         return filtered
 
-    def _skip_transfer_step(
-        self, op, target: BoundRelation, stats: ExecutionStats, adaptive: bool = False
-    ) -> None:
+    def _skip_transfer_step(self, op, target: BoundRelation, adaptive: bool = False) -> None:
         if op.step_id in self._skipped_steps:
             return
         self._skipped_steps.add(op.step_id)
         if adaptive:
             self._adaptive_skipped_steps.add(op.step_id)
-            stats.adaptive_steps_skipped += 1
-        stats.transfer_steps.append(
+        self._stats.transfer_steps.append(
             TransferStepStats(
                 source=op.source.alias,
                 target=op.target.alias,
@@ -1175,11 +1014,9 @@ class PipelineExecutor:
         rows_after: int,
         filter_bytes: int,
         build_rows: int,
-        stats: ExecutionStats,
         downgraded_exact: bool = False,
     ) -> None:
-        if downgraded_exact:
-            stats.adaptive_exact_downgrades += 1
+        stats = self._stats
         stats.transfer_steps.append(
             TransferStepStats(
                 source=op.source.alias,
@@ -1248,7 +1085,7 @@ class PipelineExecutor:
             result = (full[0][selection], full[1][selection])
             cache.store_selection_pass(table, column, selection, result, encoding=token)
             return result
-        cache.misses += 1
+        self._record.hash_misses += 1
         hashes = hash_keys(relation.key_values(column))
         result = (hashes, key_patterns(hashes))
         cache.store_selection_pass(table, column, relation.row_indices, result, encoding=token)
@@ -1270,7 +1107,7 @@ class PipelineExecutor:
         token = self._encoding_token(table, column)
         existing = cache.peek_bloom_pass(table, column, encoding=token)
         if existing is not None:
-            cache.hits += 1
+            self._record.hash_hits += 1
             return existing
         artifact_key = None
         table_version = (
@@ -1289,7 +1126,7 @@ class PipelineExecutor:
             )
             artifact = self.artifact_cache.get(artifact_key)
             if artifact is not None:
-                self._artifact_hits += 1
+                self._record.artifact_hits += 1
                 self._charge_artifact(
                     artifact_key, int(artifact[0].nbytes + artifact[1].nbytes)
                 )
@@ -1299,7 +1136,7 @@ class PipelineExecutor:
             return None
         full = cache.bloom_pass(table, column, encoding=token)
         if artifact_key is not None:
-            self._artifact_misses += 1
+            self._record.artifact_misses += 1
             nbytes = int(full[0].nbytes + full[1].nbytes)
             self.artifact_cache.put(artifact_key, full, nbytes)
             self._charge_artifact(artifact_key, nbytes)
@@ -1389,11 +1226,8 @@ class PipelineExecutor:
         except MemoryExhausted:
             self.governor.spill_evictables()
             self.governor.reserve(key, size_bytes, evictable=evictable, inject=False)
-            if not self._op_degraded:
-                self._op_degraded = "governor:spill-retry"
-            stats = getattr(self, "_stats", None)
-            if stats is not None:
-                stats.record_degradation("governor:spill-retry")
+            self._record.degraded = self._record.degraded or "governor:spill-retry"
+            self._stats.record_degradation("governor:spill-retry")
             if self.tracer is not None:
                 self.tracer.event("governor:spill-retry", key=key)
 
@@ -1404,7 +1238,7 @@ class PipelineExecutor:
         reservation = f"artifact:{key.kind}:{key.table}:{key.column}:{key.fingerprint[:12]}"
         if reservation not in self._artifact_reserved:
             self._governed_reserve(reservation, size_bytes, evictable=False)
-            self._artifact_reserved.append(reservation)
+            self._artifact_reserved.add(reservation)
 
     # -- shared-memory probe inputs -------------------------------------
     def _transfer_probe_input(self, relation: BoundRelation, column: str):
@@ -1433,22 +1267,19 @@ class PipelineExecutor:
                 if hasattr(ref, "codes"):
                     # An encoded segment pair: record the (smaller) mapped
                     # footprint in the op trace's ``[enc ..B]`` marker.
-                    self._op_encoded_bytes += int(ref.nbytes)
+                    self._record.encoded_bytes += int(ref.nbytes)
                 from repro.exec.process import ShmGather
 
                 return ShmGather(ref, relation.row_indices, relation.table.column(column).data)
         return relation.key_values(column)
 
     def _charge_shm(self, ref) -> None:
-        """Account a published arena column against the run's governor/stats."""
+        """Account a published arena column, once per run, to the op that first used it."""
         if ref.name in self._shm_charged:
             return
         self._shm_charged.add(ref.name)
-        self._shm_bytes += ref.nbytes
-        if self.governor is not None:
-            reservation = f"shm:{ref.name}"
-            self._governed_reserve(reservation, ref.nbytes, evictable=False)
-            self._shm_reserved.append(reservation)
+        self._record.shm_bytes += ref.nbytes
+        self._governed_reserve(f"shm:{ref.name}", ref.nbytes, evictable=False)
 
     def _indexed_keys(
         self,
@@ -1499,11 +1330,11 @@ class PipelineExecutor:
         if artifact_key is not None:
             artifact = self.artifact_cache.get(artifact_key)
             if artifact is not None:
-                self._artifact_hits += 1
+                self._record.artifact_hits += 1
                 self._charge_artifact(artifact_key, artifact.index_bytes())
                 index = artifact
             else:
-                self._artifact_misses += 1
+                self._record.artifact_misses += 1
         if index is None:
             index = HashIndex(gather_keys())
             if artifact_key is not None:
@@ -1535,16 +1366,18 @@ class PipelineExecutor:
         else:
             self._slots[operand.slot] = result
 
-    def _exec_join_bloom_build(self, op: BloomBuild, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_join_bloom_build(self, op: BloomBuild, record: OpStats) -> None:
         build = self._materialize(op.source)
         probe = self._materialize(op.target)
+        record.rows_in = record.rows_out = build.num_rows
         if build.num_rows == 0:
-            return build.num_rows, build.num_rows, True
+            record.skipped = True
+            return
         # The raw pair keys are needed either way — the upcoming hash join
         # consumes them — but the SIP filter's insert and probe replay the
         # cached column pass instead of re-hashing them.
         probe_keys, build_keys = self._pair_keys(op.attributes, probe, build)
-        bloom = BloomFilter(expected_keys=build.num_rows, fpr=self.options.join_fpr)
+        bloom = BloomFilter(expected_keys=build.num_rows, fpr=self.join.fpr)
         probe_pass = None
         if len(op.attributes) == 1:
             build_hashes, build_patterns = self._result_bloom_pass(
@@ -1557,14 +1390,14 @@ class PipelineExecutor:
         self._join_bloom_stages[op.step_id] = _JoinBloomStage(
             bloom=bloom, probe_keys=probe_keys, build_keys=build_keys, probe_pass=probe_pass
         )
-        return build.num_rows, build.num_rows, False
 
-    def _exec_join_bloom_probe(self, op: BloomProbe, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_join_bloom_probe(self, op: BloomProbe, record: OpStats) -> None:
         probe = self._materialize(op.target)
+        rows_before = record.rows_in = record.rows_out = probe.num_rows
         stage = self._join_bloom_stages.pop(op.step_id, None)
         if stage is None:
-            return probe.num_rows, probe.num_rows, True
-        rows_before = probe.num_rows
+            record.skipped = True
+            return
         if stage.probe_pass is not None:
             hits = self.backend.probe_mask(stage.probe_pass, _BloomPassProbe(stage.bloom))
         else:
@@ -1579,11 +1412,12 @@ class PipelineExecutor:
             keys=stage.build_keys,
         )
         self._join_probe_keys[op.step_id] = stage.probe_keys[keep]
-        stats.abstract_cost += bloom_probe_cost(int(hits.shape[0]), stage.bloom.size_bytes)
-        return rows_before, reduced.num_rows, False
+        self._stats.abstract_cost += bloom_probe_cost(int(hits.shape[0]), stage.bloom.size_bytes)
+        record.rows_out = reduced.num_rows
 
-    def _exec_hash_build(self, op: HashBuild, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_hash_build(self, op: HashBuild, record: OpStats) -> None:
         build = self._materialize(op.input)
+        record.rows_in = record.rows_out = build.num_rows
         stage = self._build_stages.get(op.build_id)
         if stage is None:
             stage = _BuildStage(result=build)
@@ -1610,7 +1444,6 @@ class PipelineExecutor:
         elif stage.keys is not None:
             stage.index = self._build_index(op, stage.keys)
         self._reserve_build(op.build_id, stage)
-        return build.num_rows, build.num_rows, False
 
     # -- memory governance ----------------------------------------------
     def _stage_bytes(self, stage: _BuildStage) -> int:
@@ -1679,7 +1512,7 @@ class PipelineExecutor:
             positions = result.positions[alias]
             row_ids = positions if unreduced else relation.row_indices[positions]
             return full[0][row_ids], full[1][row_ids]
-        cache.misses += 1
+        self._record.hash_misses += 1
         hashes = hash_keys(keys)
         return hashes, key_patterns(hashes)
 
@@ -1703,17 +1536,20 @@ class PipelineExecutor:
             )
         return combine_key_columns_pair(probe_columns, build_columns)
 
-    def _exec_hash_probe(self, op: HashProbe, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_hash_probe(self, op: HashProbe, record: OpStats) -> None:
+        stats = self._stats
         stage = self._build_stages.pop(op.build_id)
         build = stage.result
         probe = self._materialize(op.probe)
+        record.rows_in = probe.num_rows
         self._touch_build(op.build_id)
 
         if not op.attributes:
-            joined = self._cartesian_product(probe, build, stats)
+            joined = self._cartesian_product(probe, build)
             self._slots[op.output_slot] = self._apply_ready_predicates(joined)
             self._release_build(op.build_id, stage)
-            return probe.num_rows, joined.num_rows, False
+            record.rows_out = joined.num_rows
+            return
 
         staged_probe_keys = self._join_probe_keys.pop(op.build_id, None)
         if staged_probe_keys is not None:
@@ -1750,11 +1586,12 @@ class PipelineExecutor:
         )
         self._slots[op.output_slot] = self._apply_ready_predicates(joined)
         self._release_build(op.build_id, stage)
-        return probe.num_rows, joined.num_rows, False
+        record.rows_out = joined.num_rows
 
     # -- radix-partitioned join phase -----------------------------------
-    def _exec_partition(self, op: Partition, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_partition(self, op: Partition, record: OpStats) -> None:
         build = self._materialize(op.input)
+        record.rows_in = record.rows_out = build.num_rows
         stage = self._build_stages.get(op.build_id)
         if stage is None:
             stage = _BuildStage(result=build)
@@ -1775,26 +1612,22 @@ class PipelineExecutor:
                 nbytes = partitioned.partition_bytes(p)
                 if nbytes:
                     self._governed_reserve(f"partition:{op.build_id}:{p}", nbytes)
-        return build.num_rows, build.num_rows, False
 
-    def _exec_partitioned_hash_build(
-        self, op: PartitionedHashBuild, stats: ExecutionStats
-    ) -> Tuple[int, int, bool]:
+    def _exec_partitioned_hash_build(self, op: PartitionedHashBuild, record: OpStats) -> None:
         stage = self._build_stages[op.build_id]
         assert stage.partitioned is not None, "Partition op must precede PartitionedHashBuild"
         # Per-partition index builds are independent partial builds; map_tasks
         # is the pipeline breaker that merges them (parallel backends fan out).
         stage.partitioned.build(run_tasks=self.backend.map_tasks)
-        rows = stage.partitioned.num_keys
-        return rows, rows, False
+        record.rows_in = record.rows_out = stage.partitioned.num_keys
 
-    def _exec_partitioned_hash_probe(
-        self, op: PartitionedHashProbe, stats: ExecutionStats
-    ) -> Tuple[int, int, bool]:
+    def _exec_partitioned_hash_probe(self, op: PartitionedHashProbe, record: OpStats) -> None:
+        stats = self._stats
         stage = self._build_stages.pop(op.build_id)
         assert stage.partitioned is not None, "Partition op must precede PartitionedHashProbe"
         build = stage.result
         probe = self._materialize(op.probe)
+        record.rows_in = probe.num_rows
         self._touch_build(op.build_id)
 
         staged_probe_keys = self._join_probe_keys.pop(op.build_id, None)
@@ -1833,15 +1666,13 @@ class PipelineExecutor:
         )
         self._slots[op.output_slot] = self._apply_ready_predicates(joined)
         self._release_build(op.build_id, stage)
-        return probe.num_rows, joined.num_rows, False
+        record.rows_out = joined.num_rows
 
     def _cartesian_product(
-        self,
-        left: IntermediateResult,
-        right: IntermediateResult,
-        stats: ExecutionStats,
+        self, left: IntermediateResult, right: IntermediateResult
     ) -> IntermediateResult:
-        if not self.options.allow_cartesian_products:
+        stats = self._stats
+        if not self.join.allow_cartesian_products:
             raise ExecutionError(
                 "join plan contains a Cartesian product between "
                 f"{sorted(left.aliases)} and {sorted(right.aliases)}"
@@ -1862,14 +1693,12 @@ class PipelineExecutor:
         return joined
 
     # -- aggregation ----------------------------------------------------
-    def _exec_aggregate(self, op: Aggregate, stats: ExecutionStats) -> Tuple[int, int, bool]:
+    def _exec_aggregate(self, op: Aggregate, record: OpStats) -> None:
         final = self._materialize(op.input)
-        rows_in = final.num_rows
+        record.rows_in = final.num_rows
         final = self._apply_ready_predicates(final, force_all=True)
-        stats.output_rows = final.num_rows
-        self._final = final
+        self._stats.output_rows = record.rows_out = final.num_rows
         self._aggregates = compute_aggregates(self.query, self._relations, final)
-        return rows_in, final.num_rows, False
 
     # -- post-join predicates -------------------------------------------
     def _apply_ready_predicates(
@@ -1906,8 +1735,28 @@ class PipelineExecutor:
         return result.take(np.nonzero(overall)[0])
 
 
+#: The dispatch table: ``(op type, scope) -> (phase its time is accounted
+#: under, handler)``.  Only Bloom ops carry a scope; a join-scoped pair is
+#: the Bloom Join baseline's per-join prefilter.
+_OPS = {
+    (Scan, None): ("scan_filter", PipelineExecutor._exec_scan),
+    (FilterPush, None): ("scan_filter", PipelineExecutor._exec_filter_push),
+    (BloomBuild, SCOPE_TRANSFER): ("transfer", PipelineExecutor._exec_transfer_bloom_build),
+    (BloomProbe, SCOPE_TRANSFER): ("transfer", PipelineExecutor._exec_transfer_bloom_probe),
+    (SemiJoinReduce, None): ("transfer", PipelineExecutor._exec_semi_join_reduce),
+    (BloomBuild, SCOPE_JOIN): ("join", PipelineExecutor._exec_join_bloom_build),
+    (BloomProbe, SCOPE_JOIN): ("join", PipelineExecutor._exec_join_bloom_probe),
+    (HashBuild, None): ("join", PipelineExecutor._exec_hash_build),
+    (HashProbe, None): ("join", PipelineExecutor._exec_hash_probe),
+    (Partition, None): ("join", PipelineExecutor._exec_partition),
+    (PartitionedHashBuild, None): ("join", PipelineExecutor._exec_partitioned_hash_build),
+    (PartitionedHashProbe, None): ("join", PipelineExecutor._exec_partitioned_hash_probe),
+    (Aggregate, None): ("aggregate", PipelineExecutor._exec_aggregate),
+}
+
+
 # ---------------------------------------------------------------------------
-# Aggregation (shared by the pipeline executor and the join-phase façade)
+# Aggregation
 # ---------------------------------------------------------------------------
 def compute_aggregates(
     query: QuerySpec,

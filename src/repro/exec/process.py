@@ -341,10 +341,11 @@ class ProcessBackend(ExecutionBackend):
     back to serial execution — closures do not pickle, and partitioned
     builds mutate shared state.
 
-    ``shm_bytes_mapped`` accumulates the bytes this backend placed in (or
-    resolved from) shared segments; ``worker_crashes`` / ``tasks_retried``
-    / ``inline_morsels`` count the crash-recovery activity.  The executor
-    samples all of them per op.
+    Everything it counts goes into ``record`` (see
+    :class:`~repro.exec.pipeline.ExecutionBackend`): ``shm_bytes`` placed in
+    (or resolved from) shared segments, the crash-recovery activity
+    (``worker_crashes`` / ``tasks_retried`` / ``inline_morsels``) and, while
+    tracing, the ``worker_batches`` / ``worker_seconds`` workers report back.
     """
 
     name = "process"
@@ -367,17 +368,9 @@ class ProcessBackend(ExecutionBackend):
         self.num_workers = num_workers or min(MAX_DEFAULT_THREADS, os.cpu_count() or 1)
         self.morsel_size = morsel_size
         self.max_task_retries = max_task_retries
-        self.shm_bytes_mapped = 0
-        #: Crash-recovery counters (sampled per op by the executor).
-        self.worker_crashes = 0
-        self.tasks_retried = 0
-        self.inline_morsels = 0
         #: Tracing: when the executor flips ``trace_morsels`` on, workers
-        #: time each morsel locally and the parent accumulates the counts
-        #: and seconds here (sampled per op for the ``batch`` span).
+        #: time each morsel locally and ship the seconds back.
         self.trace_morsels = False
-        self.traced_batches = 0
-        self.traced_worker_seconds = 0.0
         #: The engine's SharedColumnArena, when one is active: after a pool
         #: respawn, segments the dead workers held attachments to are
         #: re-verified (and dropped for re-publication if the OS object is
@@ -410,7 +403,7 @@ class ProcessBackend(ExecutionBackend):
             # Publishing failed (e.g. an injected shm.share fault): the
             # caller probes inline instead.
             return None
-        self.shm_bytes_mapped += ref.nbytes
+        self.record.shm_bytes += ref.nbytes
         return segment, ref
 
     def _ship_input(self, keys):
@@ -424,7 +417,7 @@ class ProcessBackend(ExecutionBackend):
         if isinstance(keys, ShmGather):
             selection_segment, selection_ref = shm.share_array(keys.selection)
             segments.append(selection_segment)
-            self.shm_bytes_mapped += selection_ref.nbytes + keys.column_ref.nbytes
+            self.record.shm_bytes += selection_ref.nbytes + keys.column_ref.nbytes
             return segments, _GatherInput(column=keys.column_ref, selection=selection_ref)
         parts = keys if isinstance(keys, tuple) else (keys,)
         refs = []
@@ -432,7 +425,7 @@ class ProcessBackend(ExecutionBackend):
             segment, ref = shm.share_array(part)
             segments.append(segment)
             refs.append(ref)
-            self.shm_bytes_mapped += ref.nbytes
+            self.record.shm_bytes += ref.nbytes
         return segments, _ArraysInput(refs=tuple(refs), is_tuple=isinstance(keys, tuple))
 
     def _inline_task(self, task_fn, spec, keys, lo: int, hi: int):
@@ -490,7 +483,7 @@ class ProcessBackend(ExecutionBackend):
                 # (RuntimeError: "cannot schedule new futures after
                 # shutdown"); gather what did get in, then retry the rest.
                 retryable = True
-                self.worker_crashes += 1
+                self.record.worker_crashes += 1
             try:
                 for i, future in submitted:
                     self._check_cancel()
@@ -498,8 +491,8 @@ class ProcessBackend(ExecutionBackend):
                         payload = future.result()
                         if timed:
                             payload, seconds = payload
-                            self.traced_batches += 1
-                            self.traced_worker_seconds += seconds
+                            self.record.worker_batches += 1
+                            self.record.worker_seconds += seconds
                         results[i] = payload
                         done[i] = True
                     except CancelledError:
@@ -513,7 +506,7 @@ class ProcessBackend(ExecutionBackend):
                         # transient worker-side error: stop gathering this
                         # round and retry what is left.
                         retryable = True
-                        self.worker_crashes += isinstance(error, (BrokenExecutor, OSError))
+                        self.record.worker_crashes += isinstance(error, (BrokenExecutor, OSError))
                         break
             except BaseException:
                 # Timeout / cancellation / unexpected error: drain in-flight
@@ -528,7 +521,7 @@ class ProcessBackend(ExecutionBackend):
             rounds += 1
             if rounds > self.max_task_retries:
                 break
-            self.tasks_retried += len(remaining)
+            self.record.tasks_retried += len(remaining)
             time.sleep(min(0.05 * (2 ** (rounds - 1)), _RESPAWN_BACKOFF_CAP))
             _respawn_pool()
             if self.arena is not None:
@@ -548,11 +541,11 @@ class ProcessBackend(ExecutionBackend):
                 if self.trace_morsels:
                     start = time.perf_counter()
                     results[i] = self._inline_task(task_fn, spec, keys, lo, hi)
-                    self.traced_batches += 1
-                    self.traced_worker_seconds += time.perf_counter() - start
+                    self.record.worker_batches += 1
+                    self.record.worker_seconds += time.perf_counter() - start
                 else:
                     results[i] = self._inline_task(task_fn, spec, keys, lo, hi)
-                self.inline_morsels += 1
+                self.record.inline_morsels += 1
         return results  # type: ignore[return-value]
 
     def _fan_out(self, task_fn, spec, keys, total: int):
@@ -576,7 +569,7 @@ class ProcessBackend(ExecutionBackend):
                 # fault): recover by probing inline.
                 return None
             morsels = self._morsels(total)
-            self.tasks_dispatched += len(morsels)
+            self.record.morsels += len(morsels)
             return morsels, self._run_morsels(task_fn, spec_ref, task_input, morsels, spec, keys)
         finally:
             for segment in segments:
@@ -592,7 +585,7 @@ class ProcessBackend(ExecutionBackend):
     def probe_mask(self, keys, probe_fn, prepare=None) -> np.ndarray:
         total = probe_input_rows(keys)
         if total <= self.morsel_size or self.num_workers == 1:
-            self.tasks_dispatched += 1
+            self.record.morsels += 1
             self._check_cancel()
             return probe_fn(self._inline_keys(keys))
         # Freeze lazy probe structures BEFORE pickling so the shipped copy
@@ -601,7 +594,7 @@ class ProcessBackend(ExecutionBackend):
             prepare()
         fanned = self._fan_out(_probe_task, probe_fn, keys, total)
         if fanned is None:
-            self.tasks_dispatched += 1
+            self.record.morsels += 1
             return probe_fn(self._inline_keys(keys))
         _, parts = fanned
         return np.concatenate(parts)
@@ -610,13 +603,13 @@ class ProcessBackend(ExecutionBackend):
         probe_keys = np.asarray(probe_keys)
         total = int(probe_keys.shape[0])
         if total <= self.morsel_size or self.num_workers == 1:
-            self.tasks_dispatched += 1
+            self.record.morsels += 1
             self._check_cancel()
             return index.match(probe_keys)
         index.prepare_match()
         fanned = self._fan_out(_match_task, index, probe_keys, total)
         if fanned is None:
-            self.tasks_dispatched += 1
+            self.record.morsels += 1
             return index.match(probe_keys)
         morsels, results = fanned
         probe_parts = [probe + lo for (probe, _), (lo, _) in zip(results, morsels)]

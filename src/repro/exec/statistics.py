@@ -1,23 +1,28 @@
 """Execution statistics: the measurement substrate of every experiment.
 
-The paper's evaluation reports two kinds of quantities:
+The paper's evidence is per-operator accounting: wall-clock time per phase
+(Figures 6-10, 13-15, Tables 1-3) and exact tuple counts per semi-join step
+and per binary join (Figure 11, the theory in §3), so the robustness metrics
+(:mod:`repro.core.robustness`) can be computed over wall time, a
+deterministic cost model, or raw intermediate tuple counts.
 
-* wall-clock execution time (Figures 6-10, 13-15, Tables 1-3), and
-* intermediate-result sizes (Figure 11's case study, the theory in §3).
-
-At reproduction scale, wall-clock alone is noisy, so every executor in this
-library records both: timers per phase *and* exact tuple counts for every
-semi-join step and every binary join.  The robustness metrics
-(:mod:`repro.core.robustness`) can therefore be computed over wall time, over
-a deterministic cost model, or over raw intermediate tuple counts.
+Everything an op *counts* has one owner: its :class:`OpStats` record.  The
+executor opens the record, handlers and counter sources (hash cache,
+backend, memory governor, plan-time filter evaluation) write into it, and
+it is closed and appended in one place.  :data:`COUNTERS` — one row per
+field — derives the rest: the per-query totals on :class:`ExecutionStats`
+(read-only sums over ``op_stats``), the ``op_trace()`` markers, the
+``*_summary()`` lines, the op span's attributes and events, and the query
+log's sections.  Adding a counter is one field plus one row.  What happens
+outside an op keeps its own home: backend-ladder rungs
+(``ExecutionStats.degradations``), :class:`TransferStepStats` /
+:class:`JoinStepStats` (the paper's cost quantities), :class:`PhaseTimings`.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, NamedTuple, Tuple
 
 
 @dataclass
@@ -32,11 +37,9 @@ class TransferStepStats:
     filter_bytes: int = 0
     build_rows: int = 0
     skipped: bool = False
-    #: True when the skip was an adaptive-controller decision (as opposed to
-    #: the static §4.3 PK-FK triviality pruning).
+    #: The skip was the adaptive controller's decision (not the static §4.3
+    #: PK-FK pruning) / the step ran as an exact bitmap semi-join, not Bloom.
     adaptive_skipped: bool = False
-    #: True when the step ran as an exact bitmap semi-join instead of a
-    #: Bloom filter (the adaptive exact-bitmap downgrade).
     downgraded_exact: bool = False
 
     @property
@@ -44,22 +47,14 @@ class TransferStepStats:
         """Tuples removed from the target by this step."""
         return self.rows_before - self.rows_after
 
-    @property
-    def selectivity(self) -> float:
-        """Fraction of target tuples surviving the step."""
-        if self.rows_before == 0:
-            return 1.0
-        return self.rows_after / self.rows_before
-
 
 @dataclass
 class OpStats:
-    """Statistics for one op of a compiled :class:`~repro.plan.physical.PhysicalPlan`.
+    """The record of one op of a compiled plan — the owner of its counters.
 
-    Every execution mode compiles to the same typed op set, so this is the
-    *uniform trace*: the bench harness can compare a baseline hash-join run
-    against an RPT run op by op (kind, cardinalities, wall time) without
-    mode-specific bookkeeping.
+    Every execution mode compiles to the same typed op set, so the records
+    are also the *uniform trace*: a baseline run and an RPT run compare op
+    by op (kind, cardinalities, wall time) without mode-specific bookkeeping.
     """
 
     index: int
@@ -70,57 +65,122 @@ class OpStats:
     seconds: float = 0.0
     skipped: bool = False
     #: Morsels / partition tasks the backend dispatched for this op (0 when
-    #: the op ran as one whole-column kernel call).
+    #: it ran as one whole-column kernel call); while tracing, the batches
+    #: and seconds process workers reported back (the ``batch`` child span).
     morsels: int = 0
-    #: Bytes the memory governor spilled while this op was reserving budget.
+    worker_batches: int = 0
+    worker_seconds: float = 0.0
+    #: The adaptive controller cancelled this op's transfer step / ran it as
+    #: an exact bitmap semi-join instead of a Bloom build + probe.
+    adaptive_skipped: bool = False
+    downgraded_exact: bool = False
+    #: Memory governor, while this op reserved or touched budget: spills
+    #: ordered, bytes re-read after a spill, spill writes that failed.
+    spill_events: int = 0
     spilled_bytes: int = 0
-    #: Hash-cache column passes this op reused / had to compute.
+    reloaded_bytes: int = 0
+    spill_failures: int = 0
+    #: Hash-cache column passes reused / computed; rows carried through
+    #: selection vectors instead of materialized key arrays.
     hash_hits: int = 0
     hash_misses: int = 0
-    #: Rows this op carried through row-id selection vectors instead of a
-    #: materialized filtered key array.
     selvec_rows: int = 0
-    #: Cross-query artifact-cache hits (prebuilt Bloom filter / hash index
-    #: reused) and misses this op observed.
+    #: Cross-query artifact cache (prebuilt Bloom filter / hash index).
     artifact_hits: int = 0
     artifact_misses: int = 0
-    #: True when the adaptive transfer controller cancelled this op (yield
-    #: below threshold, dead build, or wholesale backward-pass skip).
-    adaptive_skipped: bool = False
-    #: True when this step ran as an exact bitmap semi-join instead of a
-    #: Bloom build/probe (the adaptive exact-bitmap downgrade).
-    downgraded_exact: bool = False
-    #: True when this op's predicate ran as a single fused kernel instead of
-    #: one materialized mask per expression node.
+    #: The predicate ran as one fused kernel; rows it never evaluated later
+    #: conjuncts on.
     fused_expr: bool = False
-    #: Rows the fused kernel never evaluated later conjuncts on (the
-    #: progressive selection vectors' saving over naive per-node masks).
     fused_rows_short_circuited: int = 0
-    #: Bytes this op placed in (or resolved from) shared-memory segments for
-    #: process-parallel probing.
+    #: Bytes placed in (or resolved from) shared-memory segments.
     shm_bytes: int = 0
-    #: Zone-map block skipping for this op's predicate: blocks proven empty
-    #: of matches (skipped wholesale) out of the blocks covering the column.
+    #: Zone-map blocks skipped / covering the predicate's column, and the
+    #: encoded bytes behind this op's column accesses.
     blocks_skipped: int = 0
     blocks_total: int = 0
-    #: Encoded bytes behind this op's column accesses (dictionary / RLE /
-    #: bit-packed buffers instead of flat ``int64`` arrays).
     encoded_bytes: int = 0
-    #: Non-empty when this op took a degradation rung (e.g.
-    #: ``"governor:spill-retry"`` after a failed reservation, or
-    #: ``"process:inline-fallback"`` after exhausting task retries).
-    degraded: str = ""
-    #: Worker-process deaths observed while this op's morsels ran, and the
-    #: pool respawn + retry rounds they triggered.
+    #: Worker deaths while this op's morsels ran, the retry rounds they
+    #: triggered, and morsels finished inline after ``max_task_retries``.
     worker_crashes: int = 0
     tasks_retried: int = 0
-    #: Morsels executed inline in the parent after ``max_task_retries``.
     inline_morsels: int = 0
+    #: The degradation rung this op took (``"governor:spill-retry"``,
+    #: ``"process:inline-fallback"``), if any.
+    degraded: str = ""
+    #: The query aborted (timeout, cancel, error) inside this op; the other
+    #: fields hold what it had done by then.
+    aborted: bool = False
 
-    @property
-    def rows_eliminated(self) -> int:
-        """Rows removed by this op (0 for build/scan ops)."""
-        return max(self.rows_in - self.rows_out, 0)
+
+class Counter(NamedTuple):
+    """One :data:`COUNTERS` row: everywhere one :class:`OpStats` field shows up."""
+
+    field: str
+    #: ``ExecutionStats`` attribute its sum over ``op_stats`` reads under.
+    total: str = ""
+    #: ``op_trace()`` marker, formatted over the op's fields.
+    marker: str = ""
+    #: Summary line (``cache`` / ``adaptive`` / ``runtime`` / ``degraded``)
+    #: and its part of that line, formatted over :meth:`ExecutionStats.sums`.
+    group: str = ""
+    summary: str = ""
+    #: Sibling field that also triggers the marker / summary part.
+    pair: str = ""
+    #: Span event for a non-zero value, with its ``(attr, field)`` pairs.
+    event: str = ""
+    event_attrs: Tuple[Tuple[str, str], ...] = ()
+    #: ``QueryLogRecord`` slot, as ``"section.key"``.
+    log: str = ""
+    #: Both ops of a build/probe pair carry the flag; the total counts steps.
+    per_step: bool = False
+
+
+#: Row order is the order of markers, summary parts and span events.
+COUNTERS: Tuple[Counter, ...] = (
+    Counter("morsels"),
+    Counter("adaptive_skipped", "adaptive_steps_skipped", " [adaptive skip]", "adaptive",
+            "skipped {adaptive_skipped} step(s)", event="adaptive:skip",
+            log="adaptive.steps_skipped", per_step=True),
+    Counter("spilled_bytes", "spilled_bytes", " [spilled {spilled_bytes}B]",
+            event="governor:spill", event_attrs=(("bytes", "spilled_bytes"),)),
+    Counter("hash_hits", "hash_reuse_hits", " [hash {hash_hits}h/{hash_misses}m]", "cache",
+            "hash passes {hash_hits}h/{hash_misses}m", pair="hash_misses", log="cache.hash_hits"),
+    Counter("hash_misses", "hash_reuse_misses", log="cache.hash_misses"),
+    Counter("selvec_rows", "selection_vector_rows", " [selvec {selvec_rows}r]", "cache",
+            "selection-vector rows {selvec_rows}"),
+    Counter("artifact_hits", "artifact_cache_hits", " [artifact hit]", log="cache.artifact_hits"),
+    Counter("artifact_misses", "artifact_cache_misses", group="cache",
+            summary="artifact cache {artifact_hits}h/{artifact_misses}m", pair="artifact_hits",
+            log="cache.artifact_misses"),
+    Counter("downgraded_exact", "adaptive_exact_downgrades", " [exact bitmap]", "adaptive",
+            "{downgraded_exact} exact-bitmap downgrade(s)", event="adaptive:exact-bitmap",
+            log="adaptive.exact_downgrades", per_step=True),
+    Counter("fused_expr", "fused_exprs", " [fused -{fused_rows_short_circuited}r]", "runtime",
+            "fused {fused_expr} filter(s) (-{fused_rows_short_circuited} rows short-circuited)"),
+    Counter("fused_rows_short_circuited", "fused_rows_short_circuited"),
+    Counter("shm_bytes", "shm_bytes_mapped", " [shm {shm_bytes}B]", "runtime",
+            "shm mapped {shm_bytes}B"),
+    Counter("blocks_total", "zone_blocks_total", " [zm skip {blocks_skipped}/{blocks_total}]",
+            "runtime", "zone maps skipped {blocks_skipped}/{blocks_total} blocks"),
+    Counter("blocks_skipped", "zone_blocks_skipped"),
+    Counter("encoded_bytes", "encoded_bytes_touched", " [enc {encoded_bytes}B]", "runtime",
+            "encoded bytes {encoded_bytes}B"),
+    Counter("worker_crashes", "worker_crashes", " [crashed {worker_crashes}w/{tasks_retried}r]",
+            "degraded", "{worker_crashes} worker crash(es), {tasks_retried} retry round(s)",
+            event="process:crash-recovery",
+            event_attrs=(("crashes", "worker_crashes"), ("retries", "tasks_retried"))),
+    Counter("tasks_retried", "tasks_retried"),
+    Counter("inline_morsels", "inline_fallback_morsels", " [inline {inline_morsels}m]",
+            "degraded", "{inline_morsels} morsel(s) finished inline",
+            event="process:inline-fallback", event_attrs=(("morsels", "inline_morsels"),)),
+    Counter("spill_failures", "spill_failures", group="degraded",
+            summary="{spill_failures} failed spill write(s)"),
+    Counter("degraded", marker=" [degraded {degraded}]", event="degraded",
+            event_attrs=(("rung", "degraded"),)),
+    Counter("aborted", marker=" [aborted]"),
+    Counter("spill_events", "spill_events"),
+    Counter("reloaded_bytes", "reloaded_bytes"),
+)
 
 
 @dataclass
@@ -133,13 +193,6 @@ class JoinStepStats:
     build_rows: int
     output_rows: int
     bloom_prefiltered_rows: int = 0
-
-    @property
-    def amplification(self) -> float:
-        """Output rows per probe row (> 1 indicates a fan-out join)."""
-        if self.probe_rows == 0:
-            return 0.0
-        return self.output_rows / self.probe_rows
 
 
 @dataclass
@@ -176,60 +229,13 @@ class ExecutionStats:
     abstract_cost: float = 0.0
     #: High-water mark of memory reserved with the MemoryGovernor (bytes).
     peak_memory_bytes: int = 0
-    #: Governor-ordered spills during execution (count / bytes written).
-    spill_events: int = 0
-    spilled_bytes: int = 0
-    #: Bytes re-read because a probed reservation had been spilled.
-    reloaded_bytes: int = 0
-    #: Query-lifetime hash-cache column passes reused / computed.
-    hash_reuse_hits: int = 0
-    hash_reuse_misses: int = 0
-    #: Rows carried through selection vectors instead of materialized keys.
-    selection_vector_rows: int = 0
-    #: Cross-query artifact-cache hits / misses during this execution.
-    artifact_cache_hits: int = 0
-    artifact_cache_misses: int = 0
-    #: Transfer steps the adaptive controller cancelled this execution.
-    adaptive_steps_skipped: int = 0
-    #: Transfer steps downgraded to exact bitmap semi-joins.
-    adaptive_exact_downgrades: int = 0
-    #: Base-filter predicates evaluated by a fused conjunction kernel, and
-    #: the rows those kernels short-circuited past later conjuncts.
-    fused_exprs: int = 0
-    fused_rows_short_circuited: int = 0
-    #: Bytes placed in (or resolved from) shared-memory segments by the
-    #: process backend during this execution.
-    shm_bytes_mapped: int = 0
-    #: Zone-map blocks skipped / covered across every base filter this
-    #: execution evaluated with encodings enabled.
-    zone_blocks_skipped: int = 0
-    zone_blocks_total: int = 0
-    #: Encoded bytes behind the columns execution touched through the
-    #: encoding layer (what the MemoryGovernor and shm arena were charged
-    #: instead of the flat ``int64`` bytes).
-    encoded_bytes_touched: int = 0
-    #: Degradation-ladder rungs this execution took, in first-occurrence
-    #: order — e.g. ``"backend:process->parallel"`` (pool unavailable),
-    #: ``"column.decode:title.production_year->raw"`` (decode fault),
-    #: ``"governor:spill-retry"`` (reservation retried after spilling),
-    #: ``"process:inline-fallback"`` (morsels finished in the parent).
-    #: Each distinct rung appears once; per-op repeats bump
-    #: ``degradation_counts`` instead (see :meth:`record_degradation`).
+    #: Degradation-ladder rungs taken, each once, in first-occurrence order —
+    #: ``"backend:process->parallel"`` (pool unavailable),
+    #: ``"column.decode:<alias>->raw"`` (decode fault), ``"governor:spill-retry"``,
+    #: ``"process:inline-fallback"`` — and how often each fired.
     degradations: List[str] = field(default_factory=list)
-    #: Occurrences per degradation rung (a rung that fired on five ops
-    #: counts 5 here but appears once in ``degradations``).
     degradation_counts: Dict[str, int] = field(default_factory=dict)
-    #: Fault-recovery counters of the process backend: worker deaths seen,
-    #: morsel retry rounds after a respawn, morsels completed inline, and
-    #: spill writes that failed and left their victim resident.
-    worker_crashes: int = 0
-    tasks_retried: int = 0
-    inline_fallback_morsels: int = 0
-    spill_failures: int = 0
 
-    # ------------------------------------------------------------------
-    # Derived quantities
-    # ------------------------------------------------------------------
     @property
     def total_intermediate_rows(self) -> int:
         """Sum of output sizes of every binary join except the final one.
@@ -241,11 +247,6 @@ class ExecutionStats:
         if not self.join_steps:
             return 0
         return sum(step.output_rows for step in self.join_steps[:-1])
-
-    @property
-    def total_join_output_rows(self) -> int:
-        """Sum of output sizes of every binary join (including the final one)."""
-        return sum(step.output_rows for step in self.join_steps)
 
     @property
     def total_tuples_processed(self) -> int:
@@ -273,6 +274,14 @@ class ExecutionStats:
             totals[op.kind] = totals.get(op.kind, 0.0) + op.seconds
         return totals
 
+    def sums(self) -> Dict[str, int]:
+        """Every :data:`COUNTERS` total, by field name.
+
+        Each also reads as an attribute under its row's ``total`` name
+        (``stats.hash_reuse_hits``, ...): a sum over ``op_stats``, never set.
+        """
+        return {c.field: getattr(self, c.total) for c in COUNTERS if c.total}
+
     def op_trace(self) -> str:
         """Uniform per-op execution trace shared by every execution mode."""
         if not self.op_stats:
@@ -282,149 +291,57 @@ class ExecutionStats:
             f"{'morsels':>8}  detail"
         ]
         for op in self.op_stats:
-            if op.adaptive_skipped:
-                marker = " [adaptive skip]"
-            elif op.skipped:
-                marker = " [skipped]"
-            else:
-                marker = ""
-            if op.spilled_bytes:
-                marker += f" [spilled {op.spilled_bytes}B]"
-            if op.hash_hits or op.hash_misses:
-                marker += f" [hash {op.hash_hits}h/{op.hash_misses}m]"
-            if op.selvec_rows:
-                marker += f" [selvec {op.selvec_rows}r]"
-            if op.artifact_hits:
-                marker += " [artifact hit]"
-            if op.downgraded_exact:
-                marker += " [exact bitmap]"
-            if op.fused_expr:
-                marker += f" [fused -{op.fused_rows_short_circuited}r]"
-            if op.shm_bytes:
-                marker += f" [shm {op.shm_bytes}B]"
-            if op.blocks_total:
-                marker += f" [zm skip {op.blocks_skipped}/{op.blocks_total}]"
-            if op.encoded_bytes:
-                marker += f" [enc {op.encoded_bytes}B]"
-            if op.worker_crashes:
-                marker += f" [crashed {op.worker_crashes}w/{op.tasks_retried}r]"
-            if op.inline_morsels:
-                marker += f" [inline {op.inline_morsels}m]"
-            if op.degraded:
-                marker += f" [degraded {op.degraded}]"
+            fields = vars(op)
+            marker = " [skipped]" if op.skipped and not op.adaptive_skipped else ""
+            for c in COUNTERS:
+                if c.marker and (fields[c.field] or (c.pair and fields[c.pair])):
+                    marker += c.marker.format_map(fields)
             lines.append(
                 f"{op.index:>3} {op.kind:<22} {op.rows_in:>10} {op.rows_out:>10} "
                 f"{op.seconds:>10.6f} {op.morsels:>8}  {op.detail}{marker}"
             )
         return "\n".join(lines)
 
-    def cache_summary(self) -> str:
-        """One-line summary of the hash / selection-vector / artifact caching.
+    def _summary(self, group: str, lead: str = "") -> str:
+        """One summary line: every non-zero :data:`COUNTERS` part of ``group``."""
+        sums = self.sums()
+        parts = [lead] if lead else []
+        for c in COUNTERS:
+            if c.group == group and (sums[c.field] or (c.pair and sums[c.pair])):
+                parts.append(c.summary.format_map(sums))
+        return f"{group}: " + ", ".join(parts) if parts else ""
 
-        Empty when the execution recorded no cache activity (caches off or
-        nothing cacheable), so callers can append it conditionally.
-        """
-        parts = []
-        if self.hash_reuse_hits or self.hash_reuse_misses:
-            parts.append(f"hash passes {self.hash_reuse_hits}h/{self.hash_reuse_misses}m")
-        if self.selection_vector_rows:
-            parts.append(f"selection-vector rows {self.selection_vector_rows}")
-        if self.artifact_cache_hits or self.artifact_cache_misses:
-            parts.append(
-                f"artifact cache {self.artifact_cache_hits}h/{self.artifact_cache_misses}m"
-            )
-        return "cache: " + ", ".join(parts) if parts else ""
+    def cache_summary(self) -> str:
+        """One-line hash / selection-vector / artifact caching summary ('' if none)."""
+        return self._summary("cache")
 
     def adaptive_summary(self) -> str:
-        """One-line summary of the adaptive transfer controller's decisions.
-
-        Empty when adaptive execution was off or made no decision, so
-        callers can append it conditionally.
-        """
-        parts = []
-        if self.adaptive_steps_skipped:
-            parts.append(f"skipped {self.adaptive_steps_skipped} step(s)")
-        if self.adaptive_exact_downgrades:
-            parts.append(f"{self.adaptive_exact_downgrades} exact-bitmap downgrade(s)")
-        return "adaptive: " + ", ".join(parts) if parts else ""
+        """One-line summary of the adaptive controller's decisions ('' if none)."""
+        return self._summary("adaptive")
 
     def runtime_summary(self) -> str:
-        """One-line summary of fused-kernel and shared-memory activity.
-
-        Empty when the execution used neither fused filters nor the process
-        backend, so callers can append it conditionally.
-        """
-        parts = []
-        if self.fused_exprs:
-            parts.append(
-                f"fused {self.fused_exprs} filter(s) "
-                f"(-{self.fused_rows_short_circuited} rows short-circuited)"
-            )
-        if self.shm_bytes_mapped:
-            parts.append(f"shm mapped {self.shm_bytes_mapped}B")
-        if self.zone_blocks_total:
-            parts.append(
-                f"zone maps skipped {self.zone_blocks_skipped}/{self.zone_blocks_total} blocks"
-            )
-        if self.encoded_bytes_touched:
-            parts.append(f"encoded bytes {self.encoded_bytes_touched}B")
-        return "runtime: " + ", ".join(parts) if parts else ""
+        """One-line fused-kernel / shared-memory / encoding summary ('' if none)."""
+        return self._summary("runtime")
 
     def record_degradation(self, rung: str) -> None:
-        """Record a degradation rung exactly once in the merged list.
-
-        Degradation events fire per op (inline-fallback morsels) or per
-        reservation (``governor:spill-retry``): naive appending repeated
-        the same rung once per event, double-counting it in merged
-        summaries.  Every event bumps ``degradation_counts``; the
-        ``degradations`` list keeps one entry per distinct rung in
-        first-occurrence order.
-        """
+        """Count one degradation event (they fire per op or per reservation)
+        and list its rung once, in first-occurrence order."""
         self.degradation_counts[rung] = self.degradation_counts.get(rung, 0) + 1
         if rung not in self.degradations:
             self.degradations.append(rung)
 
     def degradation_summary(self) -> str:
-        """One-line summary of fault recovery and degradation-ladder rungs.
-
-        Empty on a fault-free, undegraded run, so callers can append it
-        conditionally.
-        """
-        parts = []
-        if self.degradations:
-            rendered = []
-            for rung in self.degradations:
-                count = self.degradation_counts.get(rung, 1)
-                rendered.append(f"{rung} x{count}" if count > 1 else rung)
-            parts.append("; ".join(rendered))
-        if self.worker_crashes:
-            parts.append(
-                f"{self.worker_crashes} worker crash(es), "
-                f"{self.tasks_retried} retry round(s)"
-            )
-        if self.inline_fallback_morsels:
-            parts.append(f"{self.inline_fallback_morsels} morsel(s) finished inline")
-        if self.spill_failures:
-            parts.append(f"{self.spill_failures} failed spill write(s)")
-        return "degraded: " + ", ".join(parts) if parts else ""
+        """One-line fault-recovery / degradation-ladder summary ('' if none)."""
+        rungs = []
+        for rung in self.degradations:
+            count = self.degradation_counts.get(rung, 1)
+            rungs.append(f"{rung} x{count}" if count > 1 else rung)
+        return self._summary("degraded", lead="; ".join(rungs))
 
     def execution_summary(self) -> str:
-        """Combined one-line cache + adaptive + runtime + degradation summary.
-
-        This is what :func:`repro.bench.reporting.format_op_traces` appends
-        under each mode's per-op trace; empty when nothing was recorded.
-        """
-        parts = [
-            part
-            for part in (
-                self.cache_summary(),
-                self.adaptive_summary(),
-                self.runtime_summary(),
-                self.degradation_summary(),
-            )
-            if part
-        ]
-        return " | ".join(parts)
+        """The four summary lines joined (what ``format_op_traces`` appends)."""
+        lines = [self._summary(group) for group in ("cache", "adaptive", "runtime")]
+        return " | ".join(line for line in lines + [self.degradation_summary()] if line)
 
     def cost(self, metric: str = "tuples") -> float:
         """Return the execution cost under the requested metric.
@@ -445,19 +362,6 @@ class ExecutionStats:
             return self.abstract_cost
         raise ValueError(f"unknown cost metric {metric!r}")
 
-    # ------------------------------------------------------------------
-    # Timing helpers
-    # ------------------------------------------------------------------
-    @contextmanager
-    def time_phase(self, phase: str) -> Iterator[None]:
-        """Context manager adding elapsed wall time to a phase counter."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            setattr(self.timings, phase, getattr(self.timings, phase) + elapsed)
-
     def summary(self) -> str:
         """Multi-line human readable summary used by examples and reports."""
         lines = [
@@ -473,14 +377,16 @@ class ExecutionStats:
         return "\n".join(lines)
 
 
-def merge_reduced_rows(stats: ExecutionStats) -> Dict[str, int]:
-    """Final per-relation cardinalities after the transfer phase.
+def _total(counter: Counter) -> property:
+    def total(self: ExecutionStats) -> int:
+        ops = self.op_stats
+        if counter.per_step:
+            ops = [op for op in ops if op.kind != "bloom_build"]
+        return sum(getattr(op, counter.field) for op in ops)
 
-    Derived from the last transfer step touching each relation, falling back
-    to the filtered base cardinality when a relation was never reduced.
-    """
-    result = dict(stats.filtered_rows)
-    for step in stats.transfer_steps:
-        if not step.skipped:
-            result[step.target] = step.rows_after
-    return result
+    return property(total, doc=f"Sum of ``OpStats.{counter.field}`` over ``op_stats``.")
+
+
+for _counter in COUNTERS:
+    if _counter.total:
+        setattr(ExecutionStats, _counter.total, _total(_counter))

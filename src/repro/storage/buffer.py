@@ -223,6 +223,10 @@ class MemoryGovernor:
         self.reload_events = 0
         self.reloaded_bytes = 0
         self.spill_failures = 0
+        #: Where spills, reloads and failed spill writes are counted: the
+        #: governor's own four attributes above, or — while an executor has
+        #: pointed it at one — the open op's record (same field names).
+        self.record: Optional[object] = None
         self._reservations: Dict[str, _Reservation] = {}
         self._clock = 0
         _GOVERNORS.add(self)
@@ -299,7 +303,7 @@ class MemoryGovernor:
             return False
         reservation.spilled = False
         self.reload_events += 1
-        self.reloaded_bytes += reservation.size_bytes
+        (self.record or self).reloaded_bytes += reservation.size_bytes
         if self.spill_handler is not None:
             self.spill_handler.reload(reservation.key, reservation.size_bytes)
         self._reclaim(pinned=key)
@@ -350,10 +354,11 @@ class MemoryGovernor:
                 self.spill_handler.spill(victim.key, victim.size_bytes)
             except Exception:
                 victim.spilled = False
-                self.spill_failures += 1
+                (self.record or self).spill_failures += 1
                 return False
-        self.spill_events += 1
-        self.spilled_bytes += victim.size_bytes
+        sink = self.record or self
+        sink.spill_events += 1
+        sink.spilled_bytes += victim.size_bytes
         return True
 
     def _reclaim(self, pinned: str) -> None:

@@ -14,7 +14,7 @@ import pytest
 from repro import Database, ExecutionConfig, ExecutionMode, ExecutionOptions
 from repro.engine.database import QueryResult
 from repro.errors import PlanError
-from repro.exec.transfer import TransferOptions
+from repro.exec import TransferOptions
 from repro.optimizer import generate_bushy_plans, generate_left_deep_plans
 from repro.plan.join_plan import JoinPlan
 from repro.query import JoinCondition, QuerySpec, RelationRef

@@ -1,17 +1,16 @@
-"""Unit tests for bound relations, the transfer executor, and the join-phase executor."""
+"""Unit tests for bound relations and for the transfer and join phases as executed
+through ``Database.execute(mode=..., plan=...)``."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import largest_root, schedule_from_tree, small2large, schedule_from_transfer_graph
-from repro.engine.database import Database
+from repro.engine.database import Database, ExecutionOptions
+from repro.engine.modes import ExecutionMode
 from repro.errors import ExecutionError
-from repro.exec.join_phase import JoinPhaseExecutor, JoinPhaseOptions
+from repro.exec import JoinPhaseOptions, TransferOptions
 from repro.exec.relation import BoundRelation, IntermediateResult, bind_relations
-from repro.exec.statistics import ExecutionStats, merge_reduced_rows
-from repro.exec.transfer import TransferExecutor, TransferOptions
 from repro.plan.join_plan import JoinNode, JoinPlan, LeafNode
 from repro.query import JoinCondition, QuerySpec, RelationRef
 from repro.expr import eq, lt
@@ -88,22 +87,18 @@ class TestBoundRelation:
         assert snap.num_rows == 8
 
 
-class TestTransferExecutor:
+class TestTransferPhase:
+    """The transfer phase through ``Database.execute``: the mode picks Bloom
+    filters (RPT / PT) or exact semi-joins (Yannakakis)."""
+
     def _run(self, db, query, use_bloom=True, prune=True, schedule_kind="rpt"):
-        graph = db.join_graph(query)
-        relations = bind_relations(query.relations, db.catalog)
-        if schedule_kind == "rpt":
-            schedule = schedule_from_tree(largest_root(graph))
+        if schedule_kind == "pt":
+            mode = ExecutionMode.PT
         else:
-            schedule = schedule_from_transfer_graph(small2large(graph))
-        stats = ExecutionStats(query_name=query.name, mode="test")
-        for ref in query.relations:
-            stats.filtered_rows[ref.alias] = relations[ref.alias].num_rows
-        executor = TransferExecutor(
-            graph, relations, TransferOptions(use_bloom=use_bloom, prune_trivial_semijoins=prune)
-        )
-        executor.run(schedule, stats)
-        return relations, stats
+            mode = ExecutionMode.RPT if use_bloom else ExecutionMode.YANNAKAKIS
+        options = ExecutionOptions(transfer=TransferOptions(prune_trivial_semijoins=prune))
+        result = db.execute(query, mode=mode, options=options)
+        return result.relations, result.stats
 
     def test_exact_semijoin_full_reduction(self, small_db, small_query):
         """After the exact transfer phase every surviving tuple joins in the output."""
@@ -152,104 +147,83 @@ class TestTransferExecutor:
         assert relations["f"].num_rows <= 8
 
 
-class TestJoinPhaseExecutor:
-    def _reduced(self, db, query):
-        graph = db.join_graph(query)
-        relations = bind_relations(query.relations, db.catalog)
-        schedule = schedule_from_tree(largest_root(graph))
-        stats = ExecutionStats()
-        TransferExecutor(graph, relations, TransferOptions(use_bloom=False)).run(schedule, stats)
-        return graph, relations
+class TestJoinPhase:
+    """The join phase over exactly reduced relations (Yannakakis mode), with
+    the join plan supplied explicitly."""
+
+    def _join(self, db, query, plan, mode=ExecutionMode.YANNAKAKIS, **join_options):
+        options = ExecutionOptions(join=JoinPhaseOptions(**join_options))
+        return db.execute(query, mode=mode, plan=plan, options=options)
 
     def test_all_left_deep_orders_same_output(self, small_db, small_query):
-        graph, relations = self._reduced(small_db, small_query)
         outputs = set()
         for order in (("d", "f", "o"), ("f", "d", "o"), ("o", "f", "d")):
-            executor = JoinPhaseExecutor(small_query, graph, relations)
-            stats = ExecutionStats()
-            result = executor.run(JoinPlan.from_left_deep(order), stats)
-            outputs.add(result.num_rows)
-            assert stats.output_rows == result.num_rows
+            result = self._join(small_db, small_query, JoinPlan.from_left_deep(order))
+            outputs.add(result.output_rows)
+            assert result.stats.output_rows == result.output_rows
         assert len(outputs) == 1
 
     def test_cartesian_product_rejected_by_default(self, small_db, small_query):
-        graph, relations = self._reduced(small_db, small_query)
-        executor = JoinPhaseExecutor(small_query, graph, relations)
         with pytest.raises(ExecutionError):
-            executor.run(JoinPlan.from_left_deep(("d", "o", "f")), ExecutionStats())
+            self._join(small_db, small_query, JoinPlan.from_left_deep(("d", "o", "f")))
 
     def test_cartesian_product_allowed_when_enabled(self, small_db, small_query):
-        graph, relations = self._reduced(small_db, small_query)
-        executor = JoinPhaseExecutor(
-            small_query, graph, relations, JoinPhaseOptions(allow_cartesian_products=True)
+        result = self._join(
+            small_db,
+            small_query,
+            JoinPlan.from_left_deep(("d", "o", "f")),
+            allow_cartesian_products=True,
         )
-        stats = ExecutionStats()
-        result = executor.run(JoinPlan.from_left_deep(("d", "o", "f")), stats)
-        reference = JoinPhaseExecutor(small_query, graph, relations).run(
-            JoinPlan.from_left_deep(("d", "f", "o")), ExecutionStats()
-        )
-        assert result.num_rows == reference.num_rows
+        reference = self._join(small_db, small_query, JoinPlan.from_left_deep(("d", "f", "o")))
+        assert result.output_rows == reference.output_rows
 
     def test_bushy_plan_matches_left_deep(self, small_db, small_query):
-        graph, relations = self._reduced(small_db, small_query)
         bushy = JoinPlan(root=JoinNode(
             left=JoinNode(left=LeafNode("f"), right=LeafNode("d")),
             right=LeafNode("o"),
         ))
         left_deep = JoinPlan.from_left_deep(("f", "d", "o"))
-        a = JoinPhaseExecutor(small_query, graph, relations).run(bushy, ExecutionStats())
-        b = JoinPhaseExecutor(small_query, graph, relations).run(left_deep, ExecutionStats())
-        assert a.num_rows == b.num_rows
+        a = self._join(small_db, small_query, bushy)
+        b = self._join(small_db, small_query, left_deep)
+        assert a.output_rows == b.output_rows
 
     def test_build_side_flip_preserves_result(self, small_db, small_query):
-        graph, relations = self._reduced(small_db, small_query)
         flipped = JoinPlan(root=JoinNode(
             left=JoinNode(left=LeafNode("f"), right=LeafNode("d"), flip_build_side=True),
             right=LeafNode("o"),
         ))
         normal = JoinPlan.from_left_deep(("f", "d", "o"))
-        a = JoinPhaseExecutor(small_query, graph, relations).run(flipped, ExecutionStats())
-        b = JoinPhaseExecutor(small_query, graph, relations).run(normal, ExecutionStats())
-        assert a.num_rows == b.num_rows
+        a = self._join(small_db, small_query, flipped)
+        b = self._join(small_db, small_query, normal)
+        assert a.output_rows == b.output_rows
 
     def test_bloom_prefilter_does_not_change_result(self, small_db, small_query):
-        graph, relations = self._reduced(small_db, small_query)
-        plain = JoinPhaseExecutor(small_query, graph, relations).run(
-            JoinPlan.from_left_deep(("f", "d", "o")), ExecutionStats()
-        )
-        stats = ExecutionStats()
-        with_bloom = JoinPhaseExecutor(
-            small_query, graph, relations, JoinPhaseOptions(bloom_prefilter=True)
-        ).run(JoinPlan.from_left_deep(("f", "d", "o")), stats)
-        assert plain.num_rows == with_bloom.num_rows
+        plan = JoinPlan.from_left_deep(("f", "d", "o"))
+        plain = self._join(small_db, small_query, plan, mode=ExecutionMode.BASELINE)
+        with_bloom = self._join(small_db, small_query, plan, mode=ExecutionMode.BLOOM_JOIN)
+        assert "bloom_probe" in with_bloom.physical_plan.op_kinds()
+        assert plain.output_rows == with_bloom.output_rows
 
     def test_aggregates(self, small_db, small_query):
         from repro.query import AggregateSpec
 
-        graph, relations = self._reduced(small_db, small_query)
         query = small_query.with_aggregates(
             [AggregateSpec("count", output_name="n"), AggregateSpec("sum", "f", "value", "total"),
              AggregateSpec("min", "f", "value", "lo"), AggregateSpec("max", "f", "value", "hi"),
              AggregateSpec("avg", "f", "value", "mean")]
         )
-        executor = JoinPhaseExecutor(query, graph, relations)
-        stats = ExecutionStats()
-        result = executor.run(JoinPlan.from_left_deep(("f", "d", "o")), stats)
-        aggs = executor.aggregate(result, stats)
-        assert aggs["n"] == result.num_rows
+        result = self._join(small_db, query, JoinPlan.from_left_deep(("f", "d", "o")))
+        aggs = result.aggregates
+        assert aggs["n"] == result.output_rows
         assert aggs["lo"] <= aggs["mean"] <= aggs["hi"]
         assert aggs["total"] == pytest.approx(aggs["mean"] * aggs["n"])
 
     def test_join_step_stats_recorded(self, small_db, small_query):
-        graph, relations = self._reduced(small_db, small_query)
-        stats = ExecutionStats()
-        JoinPhaseExecutor(small_query, graph, relations).run(
-            JoinPlan.from_left_deep(("f", "d", "o")), stats
-        )
+        stats = self._join(small_db, small_query, JoinPlan.from_left_deep(("f", "d", "o"))).stats
         assert len(stats.join_steps) == 2
         assert stats.total_intermediate_rows == stats.join_steps[0].output_rows
         assert stats.total_tuples_processed > 0
-        assert merge_reduced_rows(stats) is not None
+        assert stats.reduced_rows
 
 
 class TestIntermediateResult:

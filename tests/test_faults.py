@@ -27,6 +27,7 @@ from repro.errors import (
 from repro.exec import faults
 from repro.exec.faults import CancelToken, FaultInjector, FaultPlan
 from repro.storage import buffer, shm
+from stats_checks import assert_totals_are_sums
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +50,16 @@ def _options(**execution) -> ExecutionOptions:
 def _assert_identical(result, baseline):
     assert result.aggregates == baseline.aggregates
     assert result.output_rows == baseline.output_rows
+
+
+def _assert_partial_stats_consistent(stats):
+    """The stats of an aborted run: one record per op that started, only the
+    last one aborted, and every total the sum over those records."""
+    assert stats.op_stats
+    assert [op.index for op in stats.op_stats] == list(range(len(stats.op_stats)))
+    assert [op.aborted for op in stats.op_stats] == [False] * (len(stats.op_stats) - 1) + [True]
+    assert stats.op_trace().endswith("[aborted]")
+    assert_totals_are_sums(stats)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +231,8 @@ class TestDeadlines:
     @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
     def test_timeout_during_transfer(self, tpch_db, backend):
         """Injected op latency blows a tiny deadline; the typed error carries
-        the partial stats, and nothing leaks."""
+        the partial stats — including the slowed op that was in flight, which
+        owns the injected latency — and nothing leaks."""
         from repro.workloads import tpch
 
         query = tpch.query(5)
@@ -237,6 +249,50 @@ class TestDeadlines:
         stats = excinfo.value.stats
         assert stats is not None
         assert stats.query_name == query.name
+        _assert_partial_stats_consistent(stats)
+        assert stats.op_stats[-1].seconds >= 0.05
+        assert stats.op_seconds_by_kind()[stats.op_stats[-1].kind] >= 0.05
+
+    def test_cancel_mid_op_keeps_the_probe_in_flight(self, tpch_db):
+        """A token cancelled at the second morsel barrier of a chunked transfer
+        probe: the partial stats end with that probe, marked aborted, holding
+        the one morsel it had dispatched."""
+        from repro.exec import MorselBackend, PipelineExecutor
+        from repro.exec.statistics import ExecutionStats
+        from repro.plan.physical import compile_execution
+        from repro.workloads import tpch
+
+        class CancelInsideProbe(CancelToken):
+            def check(self):
+                record = backend.record
+                in_flight = not stats.op_stats or stats.op_stats[-1] is not record
+                if in_flight and record.kind == "bloom_probe" and record.morsels == 1:
+                    self.cancel()
+                super().check()
+
+        query = tpch.query(5)
+        result = tpch_db.execute(query, mode=ExecutionMode.RPT)
+        physical = compile_execution(
+            query,
+            ExecutionMode.RPT,
+            result.plan,
+            tpch_db.join_graph(query),
+            tables={ref.alias: tpch_db.table(ref.table) for ref in query.relations},
+            schedule=result.schedule,
+        )
+        backend = MorselBackend(morsel_size=256)
+        backend.cancel = CancelInsideProbe()
+        stats = ExecutionStats(query_name=query.name, mode="rpt")
+        executor = PipelineExecutor(
+            query, tpch_db.join_graph(query), catalog=tpch_db.catalog, backend=backend
+        )
+        with pytest.raises(QueryCancelled):
+            executor.run(physical, stats)
+        _assert_partial_stats_consistent(stats)
+        probe = stats.op_stats[-1]
+        assert probe.kind == "bloom_probe"
+        assert probe.rows_in > 256 and probe.morsels == 1
+        assert len(stats.op_stats) < len(physical.ops)
 
     def test_manual_cancellation(self, tpch_db):
         from repro.workloads import tpch

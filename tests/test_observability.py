@@ -33,7 +33,8 @@ from repro.bench.reporting import format_op_traces
 from repro.engine.database import ExecutionOptions, ExplainResult
 from repro.engine.modes import ExecutionConfig
 from repro.errors import AdmissionRejected, ReproError
-from repro.exec.statistics import ExecutionStats, OpStats
+from repro.exec.faults import FaultInjector, FaultPlan
+from repro.exec.statistics import COUNTERS, ExecutionStats, OpStats
 from repro.obs import (
     MetricsRegistry,
     QueryLog,
@@ -46,6 +47,7 @@ from repro.obs import (
     sql_hash,
 )
 from repro.workloads import sqlfiles
+from stats_checks import assert_totals_are_sums
 
 
 def _options(**execution) -> ExecutionOptions:
@@ -82,6 +84,8 @@ STAR_SQL = (
     "SELECT COUNT(*) AS n, SUM(f.v) AS s FROM f, d "
     "WHERE f.d_id = d.id AND d.grp < 5 AND f.v > 50"
 )
+#: The same star with conjunctive base filters, so fused kernels engage.
+CONJUNCTIVE_STAR_SQL = STAR_SQL + " AND f.v < 900 AND d.grp >= 0"
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +337,8 @@ class TestGoldenReports:
 
     def test_execution_summary_golden(self):
         stats = self._stats()
-        stats.hash_reuse_hits = 2
-        stats.hash_reuse_misses = 1
-        stats.adaptive_steps_skipped = 1
+        probe = stats.op_stats[1]
+        probe.hash_hits, probe.hash_misses, probe.adaptive_skipped = 2, 1, True
         stats.record_degradation("governor:spill-retry")
         stats.record_degradation("governor:spill-retry")
         assert stats.cache_summary() == "cache: hash passes 2h/1m"
@@ -388,6 +391,109 @@ class TestGoldenReports:
         assert render_timeline(tracer.root) == expected
 
 
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            {"backend": "serial"},
+            {"backend": "parallel", "num_threads": 2, "chunk_size": 512},
+            {"backend": "process", "num_workers": 2, "chunk_size": 512},
+        ],
+        ids=lambda config: config["backend"],
+    )
+    def test_every_view_is_derived_from_the_op_records(self, all_modes, backend):
+        """One row of ``COUNTERS`` per field, checked against real executions:
+        each total is the sum of its op field, each non-zero field renders
+        its marker, and each op span carries the record's non-zero fields."""
+        options = _options(
+            artifact_cache=True,
+            adaptive_transfer=True,
+            fuse_filters=True,
+            encodings=True,
+            tracing=True,
+            **backend,
+        )
+        db = _star_db()
+        seen = set()
+        try:
+            for mode in all_modes:
+                for _ in range(2):  # the second run hits the artifact cache
+                    result = db.sql(CONJUNCTIVE_STAR_SQL, mode=mode, options=options)
+                stats = result.stats
+                trace_lines = stats.op_trace().splitlines()[1:]
+                spans = result.trace.find("op")
+                assert len(trace_lines) == len(spans) == len(stats.op_stats)
+                assert_totals_are_sums(stats)
+                for op, line, span in zip(stats.op_stats, trace_lines, spans):
+                    assert (span.attrs["rows_in"], span.attrs["rows_out"]) == (
+                        op.rows_in,
+                        op.rows_out,
+                    )
+                    for counter in COUNTERS:
+                        value = getattr(op, counter.field)
+                        assert span.attrs.get(counter.field) == (value or None)
+                        if value:
+                            seen.add(counter.field)
+                            if counter.marker:
+                                assert counter.marker.format_map(vars(op)) in line
+        finally:
+            db.close()
+        # The knobs that are on all left their mark somewhere in the matrix.
+        assert {
+            "selvec_rows", "artifact_hits", "downgraded_exact", "fused_expr",
+            "blocks_total", "encoded_bytes",
+        } <= seen
+        assert ("shm_bytes" in seen) == (backend["backend"] == "process")
+
+    def test_latency_drill_names_the_slowed_ops(self, tpch_db):
+        """The diagnosability drill: slow some ops with the ``op.latency``
+        fault site, then name them from the trace alone — and check every
+        other view of the same records agrees with the injector's replay."""
+        from repro.workloads import tpch
+
+        latency = 0.05
+        spec = f"seed:11,rate:0.15,sites:op.latency,latency:{latency}"
+        query = tpch.query(5)
+        plan = tpch_db.optimizer_plan(query)
+        clean = tpch_db.execute(
+            query, mode=ExecutionMode.RPT, plan=plan, options=_options(tracing=True)
+        )
+        slowed = tpch_db.execute(
+            query, mode=ExecutionMode.RPT, plan=plan, options=_options(tracing=True, faults=spec)
+        )
+        assert slowed.aggregates == clean.aggregates
+
+        # Ground truth: the executor consults the site once per op, in order.
+        injector = FaultInjector(FaultPlan.parse(spec))
+        truth = {i for i in range(len(slowed.physical_plan.ops)) if injector.latency()}
+        assert 0 < len(truth) < len(slowed.physical_plan.ops)
+
+        twin = {span.attrs["index"]: span.seconds for span in clean.trace.find("op")}
+        from_trace = {
+            span.attrs["index"]
+            for span in slowed.trace.find("op")
+            if span.seconds >= latency and twin[span.attrs["index"]] < latency / 2
+        }
+        from_events = {
+            span.attrs["index"]
+            for span in slowed.trace.find("op")
+            if any(child.name == "fault:op.latency" for child in span.children)
+        }
+        from_stats = {op.index for op in slowed.stats.op_stats if op.seconds >= latency}
+        assert from_trace == from_events == from_stats == truth
+
+        # A server's query log alone names the same op kinds.
+        server = Server(tpch_db, ServerConfig(max_concurrent=1))
+        try:
+            session = server.session(name="drill")
+            session.execute(query, mode=ExecutionMode.RPT)
+            served = session.execute(query, mode=ExecutionMode.RPT, options=_options(faults=spec))
+            record = max(server.stats().query_log, key=lambda r: r.duration_seconds)
+            slow_kinds = {kind for kind, seconds in record.op_seconds.items() if seconds >= latency}
+            assert slow_kinds == {served.physical_plan.ops[i].kind for i in truth}
+        finally:
+            server.close()
+
+
 # ---------------------------------------------------------------------------
 # Traced execution: bit-identity, determinism, env gating
 # ---------------------------------------------------------------------------
@@ -395,7 +501,9 @@ class TestTracedExecution:
     @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
     def test_traced_runs_bit_identical_all_modes(self, imdb_db, star_query, all_modes, backend):
         for mode in all_modes:
-            base = imdb_db.execute(star_query, mode=mode, options=_options(backend=backend))
+            base = imdb_db.execute(
+                star_query, mode=mode, options=_options(backend=backend, tracing=False)
+            )
             traced = imdb_db.execute(
                 star_query, mode=mode, options=_options(backend=backend, tracing=True)
             )
@@ -455,7 +563,8 @@ class TestExplainAnalyze:
         assert any(op.rows_in > 0 for op in analyzed.op_stats)
         assert sum(op.seconds for op in analyzed.op_stats) > 0.0
 
-    def test_plain_explain_and_select_are_unchanged(self):
+    def test_plain_explain_and_select_are_unchanged(self, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
         db = _star_db()
         explained = db.sql("EXPLAIN " + STAR_SQL)
         assert isinstance(explained, ExplainResult)

@@ -149,7 +149,7 @@ class TestBackendUnits:
         mask = backend.probe_mask(keys, _EvenMask())
         np.testing.assert_array_equal(mask, keys % 2 == 0)
         assert backend.tasks_dispatched == 10
-        assert backend.shm_bytes_mapped > 0
+        assert backend.record.shm_bytes > 0
 
     def test_match_fans_out_bit_identical(self):
         rng = np.random.default_rng(9)

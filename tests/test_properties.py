@@ -148,7 +148,7 @@ def test_yannakakis_intermediates_bounded_by_output(instance):
 @settings(max_examples=15, deadline=None)
 def test_pruning_does_not_change_results(instance):
     from repro import ExecutionOptions
-    from repro.exec.transfer import TransferOptions
+    from repro.exec import TransferOptions
 
     db, query = instance
     pruned = db.execute(
