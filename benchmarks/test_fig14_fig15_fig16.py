@@ -16,12 +16,7 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import BENCH_PLANS, MODES_MAIN
-from repro.bench import (
-    format_probe_microbenchmark,
-    print_report,
-    run_probe_microbenchmark,
-    run_random_plan_experiment,
-)
+from repro.bench import CASES, print_report, run_case, run_random_plan_experiment
 from repro.core import geometric_mean, robustness_factor, speedup
 from repro.engine.modes import ExecutionMode
 from repro.exec.parallel import ParallelismModel, simulate_parallel_cost
@@ -101,15 +96,28 @@ def test_fig15_on_disk_and_spill(benchmark, context):
 
 @pytest.mark.benchmark(group="figure16")
 def test_fig16_bloom_vs_hash_probe(benchmark):
-    measurements = benchmark.pedantic(
-        lambda: run_probe_microbenchmark(
-            build_sizes=(128, 1_024, 8_192, 65_536, 262_144), probe_rows=400_000, repeats=1
-        ),
+    # The paper fixes the probe side at 10^9 rows and sweeps the build side
+    # from 128 to 10^9; the `bloom_probe` case is one point of that sweep.
+    records = benchmark.pedantic(
+        lambda: [
+            run_case(CASES["bloom_probe"], repeats=1, build_rows=build_rows)
+            for build_rows in (128, 1_024, 8_192, 65_536, 262_144)
+        ],
         rounds=1,
         iterations=1,
     )
-    print_report(format_probe_microbenchmark(measurements))
+    lines = [
+        "Figure 16: Bloom probe vs hash probe (probe side fixed, build side varies)",
+        f"{'build rows':>12} {'hash (s)':>10} {'bloom (s)':>10} {'exact SJ (s)':>13} {'bloom speedup':>14}",
+    ]
+    for record in records:
+        hash_, bloom, exact = (record["variants"][v]["median"] for v in ("hash", "bloom", "exact"))
+        lines.append(
+            f"{record['sizes']['build_rows']:>12} {hash_:>10.4f} {bloom:>10.4f} {exact:>13.4f} "
+            f"{record['ratios']['bloom_advantage']:>13.1f}x"
+        )
+    print_report("\n".join(lines))
     # Shape: Bloom probes beat hash probes, and the advantage does not shrink
     # as the build side outgrows the caches (paper: 2-7x, growing with size).
-    large = [m for m in measurements if m.build_rows >= 8_192]
-    assert all(m.bloom_advantage > 1.0 for m in large)
+    large = [r for r in records if r["sizes"]["build_rows"] >= 8_192]
+    assert all(r["ratios"]["bloom_advantage"] > 1.0 for r in large)

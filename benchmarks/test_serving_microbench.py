@@ -39,7 +39,7 @@ BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 #: the closed-loop run measures serving overheads, not scan time).
 SERVING_SCALE = 0.05
 
-REQUIRED_FIELDS = ("p50_ms", "p95_ms", "p99_ms", "qps", "completed", "verified")
+REQUIRED_FIELDS = ("p50_ms", "p95_ms", "p99_ms", "qps", "completed", "rejected", "verified")
 
 
 @pytest.mark.benchmark(group="serving")
@@ -109,8 +109,10 @@ def test_closed_loop_serving_over_sql_workloads(benchmark, tmp_path):
     clean_serial, clean_process, chaos, overload = reports
     # Clean runs complete everything, bit-identically.
     assert clean_serial.completed == clean_serial.statements * 2
+    assert clean_process.completed == clean_process.statements
     assert clean_serial.verified and clean_process.verified
     assert clean_serial.shed == 0 and clean_process.shed == 0
+    assert not clean_serial.typed_errors and not clean_process.typed_errors
     # Chaos: every statement either completed bit-identically or raised a
     # typed error (the driver enforces bit-identity and leak-freedom).
     assert chaos.completed + sum(chaos.typed_errors.values()) + chaos.shed == (

@@ -1,4 +1,4 @@
-"""Benchmark harness: experiment runners, microbenchmarks, and report printers."""
+"""Benchmark harness: experiment runners, microbenchmark cases, serving driver, report printers."""
 
 from repro.bench.harness import (
     DEFAULT_METRIC,
@@ -14,40 +14,7 @@ from repro.bench.harness import (
     run_uniform_trace,
     write_bench_json,
 )
-from repro.bench.microbench import (
-    DEFAULT_ADAPTIVE_WORKLOADS,
-    DEFAULT_BUILD_SIZES,
-    DEFAULT_FILTER_SIZES,
-    DEFAULT_PARTITION_BUILD_SIZES,
-    DEFAULT_TRANSFER_FACT_SIZES,
-    AdaptiveMicrobenchMeasurement,
-    DeadlineOverheadMeasurement,
-    EncodingMeasurement,
-    ObservabilityMeasurement,
-    PartitionJoinMeasurement,
-    ProbeMeasurement,
-    ScalingMeasurement,
-    SemiJoinKernelMeasurement,
-    TransferMicrobenchMeasurement,
-    format_adaptive_microbench,
-    format_deadline_overhead_microbench,
-    format_encoding_microbench,
-    format_observability_microbench,
-    format_partition_microbench,
-    format_probe_microbenchmark,
-    format_scaling_microbench,
-    format_semijoin_kernel_microbench,
-    format_transfer_microbench,
-    run_adaptive_microbench,
-    run_deadline_overhead_microbench,
-    run_encoding_microbench,
-    run_observability_microbench,
-    run_partition_microbench,
-    run_probe_microbenchmark,
-    run_scaling_microbench,
-    run_semijoin_kernel_microbench,
-    run_transfer_microbench,
-)
+from repro.bench.microbench import CASES, format_case, run_case
 from repro.bench.serving import (
     ServingFleet,
     ServingReport,
@@ -66,60 +33,31 @@ from repro.bench.reporting import (
 )
 
 __all__ = [
-    "AdaptiveMicrobenchMeasurement",
-    "DEFAULT_ADAPTIVE_WORKLOADS",
-    "DEFAULT_BUILD_SIZES",
-    "DEFAULT_FILTER_SIZES",
+    "CASES",
     "DEFAULT_METRIC",
-    "DEFAULT_PARTITION_BUILD_SIZES",
     "DEFAULT_SCALE",
-    "DEFAULT_TRANSFER_FACT_SIZES",
-    "DeadlineOverheadMeasurement",
-    "EncodingMeasurement",
-    "ObservabilityMeasurement",
-    "PartitionJoinMeasurement",
     "PlanCost",
-    "ProbeMeasurement",
     "RandomPlanExperiment",
-    "ScalingMeasurement",
-    "SemiJoinKernelMeasurement",
     "ServingFleet",
     "ServingReport",
-    "TransferMicrobenchMeasurement",
     "WorkloadContext",
     "average_speedups",
     "build_serving_fleet",
-    "format_adaptive_microbench",
+    "format_case",
     "format_case_study",
-    "format_deadline_overhead_microbench",
-    "format_encoding_microbench",
-    "format_observability_microbench",
     "format_distribution_series",
     "format_op_traces",
-    "format_partition_microbench",
-    "format_probe_microbenchmark",
     "format_robustness_factors",
-    "format_scaling_microbench",
     "format_robustness_table",
-    "format_semijoin_kernel_microbench",
     "format_serving_report",
     "format_speedup_table",
-    "format_transfer_microbench",
     "print_report",
     "robustness_table",
-    "run_adaptive_microbench",
-    "run_deadline_overhead_microbench",
-    "run_encoding_microbench",
-    "run_observability_microbench",
-    "run_partition_microbench",
-    "run_probe_microbenchmark",
+    "run_case",
     "run_random_plan_experiment",
-    "run_scaling_microbench",
-    "run_semijoin_kernel_microbench",
     "run_serving_benchmark",
     "run_speedup_experiment",
     "run_sql_trace",
-    "run_transfer_microbench",
     "run_uniform_trace",
     "write_bench_json",
 ]

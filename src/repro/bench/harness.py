@@ -18,10 +18,14 @@ scripts, and the benchmark suite.  Its central pieces are:
 from __future__ import annotations
 
 import json
+import os
 import platform
+import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.core.robustness import (
     BenchmarkRobustnessSummary,
@@ -284,10 +288,10 @@ def write_bench_json(
 ) -> Path:
     """Persist one benchmark run as a ``BENCH_*.json`` record.
 
-    The record is the unit of the repo's performance trajectory: each run
-    writes ``{name, environment, metadata, measurements}`` so successive
-    sessions (and CI) can diff the same benchmark over time.  Returns the
-    written path.
+    One schema for every record (``BENCH_micro.json``, ``BENCH_serving.json``):
+    ``{name, environment, metadata, measurements}``, where the environment
+    says what the numbers were measured on — Python, machine, cores, NumPy
+    version and the checkout's git sha.  Returns the written path.
     """
     path = Path(path)
     payload = {
@@ -295,12 +299,31 @@ def write_bench_json(
         "environment": {
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "cores": os.cpu_count() or 1,
+            "numpy": np.__version__,
+            "git_sha": _git_sha(),
         },
         "metadata": dict(metadata or {}),
         "measurements": [dict(m) for m in measurements],
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
+
+
+def _git_sha() -> Optional[str]:
+    """Short sha of the checkout this package runs from, ``-dirty`` when it
+    has uncommitted changes (None outside git)."""
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
 
 
 def _plan_cost(query: QuerySpec, mode: ExecutionMode, plan: JoinPlan, result: QueryResult) -> PlanCost:

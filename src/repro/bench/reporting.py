@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Sequence
 
 from repro.core.robustness import BenchmarkRobustnessSummary, RobustnessFactor
+from repro.engine.database import render_op_trace
 from repro.engine.modes import ExecutionMode
 
 
@@ -117,15 +118,7 @@ def format_op_traces(results: Mapping[ExecutionMode, "object"]) -> str:
     (as produced by :func:`repro.bench.harness.run_uniform_trace`).  All
     modes share the same op vocabulary, so the traces line up row for row.
     """
-    lines = []
-    for mode, result in results.items():
-        lines.append(f"== {mode.label} ==")
-        lines.append(result.stats.op_trace())
-        summary_line = result.stats.execution_summary()
-        if summary_line:
-            lines.append(summary_line)
-        lines.append("")
-    return "\n".join(lines).rstrip()
+    return "\n\n".join(render_op_trace(mode, result.stats) for mode, result in results.items())
 
 
 def print_report(report: str) -> str:

@@ -1,4 +1,4 @@
-"""Blocked Bloom filters and the registry used to pass them between operators."""
+"""Blocked Bloom filters: the filters the transfer phase builds and probes."""
 
 from repro.bloom.bloom_filter import (
     BITS_PER_KEY,
@@ -9,15 +9,12 @@ from repro.bloom.bloom_filter import (
     key_patterns,
     optimal_num_blocks,
 )
-from repro.bloom.registry import BloomFilterRegistry, FilterKey
 
 __all__ = [
     "BITS_PER_KEY",
     "DEFAULT_FPR",
     "BloomFilter",
-    "BloomFilterRegistry",
     "BloomFilterStatistics",
-    "FilterKey",
     "hash_keys",
     "key_patterns",
     "optimal_num_blocks",

@@ -31,7 +31,6 @@ from typing import Any, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.bloom.registry import BloomFilterRegistry
 from repro.core.join_graph import JoinGraph
 from repro.core.join_tree import JoinTree, is_alpha_acyclic, is_gamma_acyclic
 from repro.core.largest_root import LargestRootOptions, largest_root
@@ -113,6 +112,15 @@ class QueryResult:
         return self.stats.op_stats
 
 
+def render_op_trace(mode: ExecutionMode, stats: ExecutionStats) -> str:
+    """Mode header, per-op trace, and the execution summary line (if any)."""
+    lines = [f"== {mode.label} ==", stats.op_trace()]
+    summary = stats.execution_summary()
+    if summary:
+        lines.append(summary)
+    return "\n".join(lines)
+
+
 @dataclass
 class ExplainResult:
     """The outcome of planning a query *without* executing it.
@@ -120,8 +128,8 @@ class ExplainResult:
     Produced by :meth:`Database.explain` / :meth:`Database.explain_sql` and
     by ``EXPLAIN SELECT`` statements through :meth:`Database.sql`.  The
     ``stats`` carry one zero-cost :class:`~repro.exec.statistics.OpStats`
-    entry per compiled op, so :func:`repro.bench.reporting.format_op_traces`
-    renders an EXPLAIN the same way it renders an executed trace.
+    entry per compiled op, so an EXPLAIN renders the same way an executed
+    trace does.
     """
 
     query: QuerySpec
@@ -144,11 +152,7 @@ class ExplainResult:
 
     def render(self) -> str:
         """The formatted op trace (what ``EXPLAIN`` prints)."""
-        # Imported lazily: reporting is a leaf module, but the bench package
-        # initializer pulls in the harness (which imports this module).
-        from repro.bench.reporting import format_op_traces
-
-        return format_op_traces({self.mode: self})
+        return render_op_trace(self.mode, self.stats)
 
 
 @dataclass
@@ -196,10 +200,9 @@ class ExplainAnalyzeResult:
 
     def render(self) -> str:
         """The annotated plan (what ``EXPLAIN ANALYZE`` prints)."""
-        from repro.bench.reporting import format_op_traces
         from repro.obs.export import render_timeline
 
-        parts = [format_op_traces({self.result.mode: self.result})]
+        parts = [render_op_trace(self.result.mode, self.result.stats)]
         if self.result.trace is not None:
             parts.append("")
             parts.append(render_timeline(self.result.trace))
@@ -752,7 +755,6 @@ class Database:
             transfer=options.transfer,
             join=options.join,
             backend=backend,
-            registry=BloomFilterRegistry(),
             governor=governor,
             artifact_cache=artifact_cache,
             table_versions=table_versions,

@@ -221,7 +221,7 @@ class ExecutionConfig:
       tree (query → phase → physical op → morsel batch) on the
       :class:`~repro.engine.database.QueryResult` (default off; results
       are bit-identical either way, overhead is gated under 2% by the
-      observability microbench).
+      ``tracing_overhead`` microbenchmark case).
 
     Every transfer Bloom insert/probe replays one query-lifetime hashing
     pass per key column and gathers probe keys by row id at the probe itself

@@ -635,9 +635,8 @@ def semi_join_mask(keys: np.ndarray, filter_keys: BuildSide) -> np.ndarray:
     Bloom filters).  Membership is tested through :class:`HashIndex`: a
     bitmap table lookup for bounded integer key domains (the common case for
     ids and dictionary codes), falling back to a sort + ``searchsorted``
-    binary search — both outperform ``np.isin`` on large inputs (see the
-    semi-join kernel microbenchmark), and callers can reuse the index across
-    probes.
+    binary search — and callers can reuse the index across probes (the
+    ``semijoin_kernel`` microbenchmark case measures what reuse saves).
     """
     keys = np.asarray(keys)
     if keys.size == 0:

@@ -59,7 +59,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.bloom.bloom_filter import DEFAULT_FPR, BloomFilter, hash_keys, key_patterns
-from repro.bloom.registry import BloomFilterRegistry, FilterKey
 from repro.core.join_graph import JoinGraph
 from repro.errors import BackendUnavailable, CatalogError, ExecutionError, MemoryExhausted
 from repro.exec import faults
@@ -523,7 +522,7 @@ class PipelineExecutor:
     """Runs a compiled :class:`~repro.plan.physical.PhysicalPlan` op list.
 
     One executor instance serves one query execution (it owns the run's
-    Bloom-filter registry, hash-index cache, and pending post-join
+    transfer stages, hash-index cache, and pending post-join
     predicates); the backend decides how the probe hot loops run.
     """
 
@@ -535,7 +534,6 @@ class PipelineExecutor:
         transfer: Optional[TransferOptions] = None,
         join: Optional[JoinPhaseOptions] = None,
         backend: Optional[ExecutionBackend] = None,
-        registry: Optional[BloomFilterRegistry] = None,
         governor: Optional[MemoryGovernor] = None,
         artifact_cache: Optional[ArtifactCache] = None,
         table_versions: Optional[Mapping[str, int]] = None,
@@ -552,7 +550,6 @@ class PipelineExecutor:
         self.transfer = transfer or TransferOptions()
         self.join = join or JoinPhaseOptions()
         self.backend = backend or MorselBackend()
-        self.registry = registry or BloomFilterRegistry()
         self.governor = governor
         #: Query-lifetime hash cache: each key column is hashed once and the
         #: pass replayed across every Bloom insert/probe.
@@ -804,14 +801,6 @@ class PipelineExecutor:
             stage = _TransferStage(
                 bloom=bloom, build_rows=source.num_rows, target_keys=target_keys
             )
-
-        if bloom is not None:
-            key = FilterKey(
-                relation=op.source.alias,
-                attribute="+".join(op.attributes),
-                pass_id=op.pass_,
-            )
-            self.registry.publish(key, bloom, replace=True)
         self._transfer_stages[op.step_id] = stage
 
     def _transfer_bloom(self, op: BloomBuild, source: BoundRelation, column: str) -> BloomFilter:

@@ -14,8 +14,8 @@ binding happens against whatever database the caller supplies — the same
 contract a real benchmark harness has when it feeds ``.sql`` files to an
 engine under test.
 
-:func:`run_all` executes every checked-in file end to end (used by the CI
-SQL-workload leg): it loads/constructs the owning workload's database,
+:func:`run_all` executes every checked-in file end to end (swept per backend
+and feature by ``tests/test_sql_execution.py``): it loads/constructs the owning workload's database,
 compiles each file through the SQL front end, executes it, and cross-checks
 the aggregates against the hand-built spec executed under the same plan.
 """
@@ -179,7 +179,7 @@ def run_all(
     ``verify_against_handbuilt`` (the default), each SQL execution is
     compared against the hand-built spec executed with the same plan and
     options; a mismatch raises :class:`WorkloadError` — this is the
-    bit-identity contract CI enforces.
+    bit-identity contract the tests enforce.
     """
     specs = handbuilt_specs()
     databases: Dict[str, Database] = database_cache if database_cache is not None else {}
@@ -230,8 +230,8 @@ def run_fault_sweep(
 ) -> List[Dict[str, object]]:
     """Run every checked-in ``.sql`` workload under deterministic fault injection.
 
-    This is the fault-tolerance acceptance contract (used by the CI
-    fault-injection leg and ``tests/test_faults.py``): under any
+    This is the fault-tolerance acceptance contract (swept over every file
+    by ``tests/test_faults.py``): under any
     :class:`~repro.exec.faults.FaultPlan`, every query must either complete
     with aggregates **bit-identical** to a fault-free serial execution or
     raise a typed :class:`~repro.errors.ReproError` subclass — and either

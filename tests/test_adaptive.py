@@ -623,7 +623,7 @@ class TestObservability:
 
 
 # ---------------------------------------------------------------------------
-# Schedule helpers / microbench smoke
+# Schedule helpers
 # ---------------------------------------------------------------------------
 class TestPlumbing:
     def test_schedule_helpers(self):
@@ -633,16 +633,3 @@ class TestPlumbing:
         assert schedule.has_backward_pass
         assert schedule.sources_of_pass(TransferPass.BACKWARD) == frozenset({"b"})
         assert not schedule.without_backward_pass().has_backward_pass
-
-    def test_adaptive_microbench_runs_small(self):
-        from repro.bench import format_adaptive_microbench, run_adaptive_microbench
-
-        measurements = run_adaptive_microbench(
-            fact_rows=4_096, dim_rows=512, num_dims=2, repeats=1
-        )
-        assert {m.workload for m in measurements} == {"low_yield", "high_yield"}
-        low = next(m for m in measurements if m.workload == "low_yield")
-        assert low.steps_skipped > 0
-        table = format_adaptive_microbench(measurements)
-        assert "low_yield" in table and "high_yield" in table
-        assert low.as_dict()["fact_rows"] == 4_096

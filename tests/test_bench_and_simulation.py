@@ -3,23 +3,30 @@ simulated parallel / spill models."""
 
 from __future__ import annotations
 
+import json
+from contextlib import nullcontext
+from types import SimpleNamespace
+
 import pytest
 
 from repro import Database, ExecutionMode
 from repro.bench import (
+    CASES,
     WorkloadContext,
     average_speedups,
+    format_case,
     format_case_study,
     format_distribution_series,
-    format_probe_microbenchmark,
     format_robustness_factors,
     format_robustness_table,
     format_speedup_table,
     robustness_table,
-    run_probe_microbenchmark,
+    run_case,
     run_random_plan_experiment,
     run_speedup_experiment,
+    write_bench_json,
 )
+from repro.bench.microbench import Case, Gate, _judge
 from repro.core import robustness_factor
 from repro.errors import BenchmarkError
 from repro.exec.parallel import ParallelismModel, simulate_parallel_cost
@@ -130,23 +137,82 @@ class TestReporting:
 
 
 class TestMicrobenchmark:
-    def test_probe_microbenchmark_runs(self):
-        measurements = run_probe_microbenchmark(
-            build_sizes=(128, 1024, 8192), probe_rows=50_000, repeats=1
-        )
-        assert len(measurements) == 3
-        for m in measurements:
-            assert m.hash_probe_seconds > 0
-            assert m.bloom_probe_seconds > 0
-            assert m.bloom_filter_bytes > 0
-        text = format_probe_microbenchmark(measurements)
-        assert "Figure 16" in text
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_every_case_runs_small(self, case, tmp_path):
+        """Each row of the case table runs at its smoke size, holds its exact
+        counter checks, prints, and round-trips the one BENCH record schema."""
+        record = run_case(case, repeats=2, **case.small)
+        assert record["case"] == case.name and record["repeats"] == 2
+        assert all(record["checks"].values()), record["checks"]
+        assert len(record["gates"]) == len(case.gates)
+        assert set(record["ratios"]) == set(case.ratios)
+        table = format_case(record)
+        for label, summary in record["variants"].items():
+            assert label in table
+            assert len(summary["samples"]) == 2
+            assert 0 < summary["min"] <= summary["median"] and summary["spread"] >= 0
 
-    def test_bloom_probe_faster_for_large_build_sides(self):
-        measurements = run_probe_microbenchmark(
-            build_sizes=(65_536,), probe_rows=200_000, repeats=2
+        path = write_bench_json(tmp_path / "BENCH_micro.json", name="micro", measurements=[record])
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"name", "environment", "metadata", "measurements"}
+        assert set(payload["environment"]) == {"python", "machine", "cores", "numpy", "git_sha"}
+        assert payload["environment"]["cores"] >= 1
+        (stored,) = payload["measurements"]
+        assert stored["variants"] == record["variants"] and stored["counters"] == record["counters"]
+        assert set(stored) == {
+            "case", "title", "sizes", "timed", "repeats",
+            "variants", "counters", "ratios", "gates", "checks",
+        }
+
+    def test_variants_interleave_and_reverse_each_repeat(self):
+        calls = []
+        case = Case(
+            name="order", title="", sizes={}, small={},
+            setup=lambda: nullcontext({l: lambda l=l: calls.append(l) for l in "ab"}),
         )
-        assert measurements[0].bloom_advantage > 1.0
+        run_case(case, repeats=3)
+        assert "".join(calls) == "ab" + "ab" + "ba" + "ab"  # warm-up pass, then 3 repeats
+
+    def test_diverging_aggregates_raise(self):
+        answers = iter([{"n": 1}, {"n": 2}] * 2)
+        thunk = lambda: SimpleNamespace(aggregates=next(answers))  # noqa: E731
+        case = Case(
+            name="diverge", title="", sizes={}, small={},
+            setup=lambda: nullcontext({"a": thunk, "b": thunk}),
+        )
+        with pytest.raises(BenchmarkError, match="diverged"):
+            run_case(case, repeats=1)
+
+    @pytest.mark.parametrize(
+        "variant, base, gate, status",
+        [
+            ((1.00, 0.01), (1.00, 0.01), Gate("v", "b", 1.02, slack=0.010, overhead=True), "pass"),
+            # 5% over a 2% gate, but the two spreads cover the 30 ms violation.
+            ((1.05, 0.02), (1.00, 0.02), Gate("v", "b", 1.02, overhead=True), "unresolved"),
+            ((1.05, 0.01), (1.00, 0.01), Gate("v", "b", 1.02, overhead=True), "fail"),
+            # "Overhead" of -10% against a 2% gate: noise, not a pass.
+            ((0.90, 0.0), (1.00, 0.0), Gate("v", "b", 1.02, slack=0.010, overhead=True), "unresolved"),
+            # A speedup gate may be beaten by any margin.
+            ((0.10, 0.0), (1.00, 0.0), Gate("v", "b", 1 / 1.5), "pass"),
+            ((0.90, 0.0), (1.00, 0.0), Gate("v", "b", 1 / 1.5), "fail"),
+            ((0.90, 0.0), (1.00, 0.0), Gate("v", "b", 1 / 1.5, min_cores=1 << 20), "not judged"),
+        ],
+    )
+    def test_gates_are_judged_against_the_recorded_noise(self, variant, base, gate, status):
+        summaries = {
+            "v": {"median": variant[0], "spread": variant[1]},
+            "b": {"median": base[0], "spread": base[1]},
+        }
+        assert _judge(gate, summaries)["status"] == status
+
+    def test_starred_label_is_the_fastest_of_its_group(self):
+        summaries = {
+            "threads_1": {"median": 3.0, "spread": 0.0},
+            "threads_2": {"median": 2.0, "spread": 0.0},
+            "process_2": {"median": 1.0, "spread": 0.0},
+        }
+        verdict = _judge(Gate("process_*", "threads_*", 1.0), summaries)
+        assert (verdict["measured"], verdict["allowed"]) == (1.0, 2.0)
 
 
 class TestParallelSimulation:

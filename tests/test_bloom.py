@@ -1,4 +1,4 @@
-"""Unit and property tests for the blocked Bloom filter and the filter registry."""
+"""Unit and property tests for the blocked Bloom filter."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom import BloomFilter, BloomFilterRegistry, FilterKey, optimal_num_blocks
+from repro.bloom import BloomFilter, optimal_num_blocks
 from repro.errors import ExecutionError
 
 
@@ -113,43 +113,3 @@ class TestBloomFilter:
         probe_keys = np.asarray(inserted + probed, dtype=np.int64)
         hits = bloom.probe(probe_keys)
         assert hits[: len(inserted)].all()
-
-
-class TestRegistry:
-    def test_publish_and_lookup(self):
-        registry = BloomFilterRegistry()
-        bloom = BloomFilter(expected_keys=10)
-        key = FilterKey("orders", "o_custkey", "forward")
-        registry.publish(key, bloom)
-        assert registry.lookup(key) is bloom
-        assert key in registry
-        assert len(registry) == 1
-        assert registry.total_bytes() == bloom.size_bytes
-
-    def test_double_publish_raises_unless_replace(self):
-        registry = BloomFilterRegistry()
-        key = FilterKey("r", "a")
-        registry.publish(key, BloomFilter(expected_keys=1))
-        with pytest.raises(ExecutionError):
-            registry.publish(key, BloomFilter(expected_keys=1))
-        registry.publish(key, BloomFilter(expected_keys=2), replace=True)
-
-    def test_missing_lookup_raises(self):
-        registry = BloomFilterRegistry()
-        with pytest.raises(ExecutionError):
-            registry.lookup(FilterKey("r", "a"))
-        assert registry.get(FilterKey("r", "a")) is None
-
-    def test_pass_id_distinguishes_filters(self):
-        registry = BloomFilterRegistry()
-        forward = FilterKey("r", "a", "forward")
-        backward = FilterKey("r", "a", "backward")
-        registry.publish(forward, BloomFilter(expected_keys=1))
-        registry.publish(backward, BloomFilter(expected_keys=1))
-        assert len(registry) == 2
-
-    def test_clear(self):
-        registry = BloomFilterRegistry()
-        registry.publish(FilterKey("r", "a"), BloomFilter(expected_keys=1))
-        registry.clear()
-        assert len(registry) == 0

@@ -604,19 +604,3 @@ class TestCacheObservability:
             options=NO_ARTIFACTS,
         )
         assert "cache: " in format_op_traces(results)
-
-
-# ---------------------------------------------------------------------------
-# Microbench smoke
-# ---------------------------------------------------------------------------
-class TestTransferMicrobench:
-    def test_transfer_microbench_runs_small(self):
-        from repro.bench import format_transfer_microbench, run_transfer_microbench
-
-        measurements = run_transfer_microbench(fact_sizes=(4_096,), dim_rows=2_048, repeats=1)
-        assert len(measurements) == 1
-        m = measurements[0]
-        assert m.warm_artifact_hits > 0
-        table = format_transfer_microbench(measurements)
-        assert "warm art." in table
-        assert m.as_dict()["fact_rows"] == 4_096

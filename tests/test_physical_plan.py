@@ -324,19 +324,6 @@ class TestSemiJoinKernel:
         matches = match_keys(probe, build)
         assert matches.num_matches == 4  # each probe 5 pairs with both build 5s
 
-    def test_microbench_runs_small(self):
-        from repro.bench.microbench import (
-            format_semijoin_kernel_microbench,
-            run_semijoin_kernel_microbench,
-        )
-
-        measurements = run_semijoin_kernel_microbench(
-            probe_rows=10_000, filter_sizes=(100, 1_000), repeats=1
-        )
-        assert len(measurements) == 2
-        table = format_semijoin_kernel_microbench(measurements)
-        assert "np.isin" in table
-
 
 # ---------------------------------------------------------------------------
 # Base filters are evaluated exactly once per execution

@@ -8,6 +8,9 @@ never a bare exception.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -474,6 +477,22 @@ class TestDatabaseSql:
         trace = explained.render()
         assert "== RPT ==" in trace and "scan" in trace
         assert "PhysicalPlan" in explained.describe()
+
+    def test_explain_rendering_does_not_import_the_benchmark_package(self):
+        """The engine has no back-edge into ``repro.bench`` (fresh interpreter:
+        this process has the package loaded already)."""
+        script = (
+            "import sys, numpy as np\n"
+            "from repro import Database\n"
+            "db = Database()\n"
+            "db.register_dataframe('t', {'a': np.arange(4)})\n"
+            "db.register_dataframe('s', {'a': np.arange(4)})\n"
+            "text = 'SELECT COUNT(*) FROM t, s WHERE t.a = s.a'\n"
+            "assert '== RPT ==' in db.sql('EXPLAIN ' + text).render()\n"
+            "assert '== RPT ==' in db.sql('EXPLAIN ANALYZE ' + text).render()\n"
+            "assert not [m for m in sys.modules if m.startswith('repro.bench')]\n"
+        )
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=120)
 
     def test_explain_sql_matches_execute_compilation(self, small_db):
         text = "SELECT COUNT(*) FROM t, s WHERE t.a = s.a"

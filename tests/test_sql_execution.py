@@ -105,11 +105,52 @@ def test_backend_matrix_bit_identical(stem, backend, specs, databases):
         assert via_sql.aggregates == handbuilt.aggregates, (stem, mode, backend)
 
 
-def test_run_all_harness_smoke():
-    """The CI entry point: executes every file and self-verifies."""
-    records = sqlfiles.run_all(scale=0.05, seed=3)
-    assert len(records) == len(ALL_STEMS)
-    assert all(r["matches_handbuilt"] for r in records)
+#: Every feature the harness sweeps pinned off; a sweep turns one knob on.
+PLAIN = {"backend": "serial", "fuse_filters": False, "encodings": False, "tracing": False}
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """``sweep(**execution)`` over every file, and the plain serial answers.
+
+    One set of generated tables serves every sweep, so their aggregates are
+    comparable (the generators are not stable across processes).
+    """
+    databases = {}
+
+    def sweep(**execution):
+        records = sqlfiles.run_all(
+            options=ExecutionOptions(execution=ExecutionConfig(**execution)),
+            scale=0.05,
+            seed=3,
+            database_cache=databases,
+        )
+        assert len(records) == len(ALL_STEMS)
+        assert all(r["matches_handbuilt"] for r in records)
+        return {r["stem"]: r["aggregates"] for r in records}
+
+    yield sweep, sweep(**PLAIN)
+    for db in databases.values():
+        db.close()
+
+
+@pytest.mark.parametrize(
+    "execution",
+    [
+        {},  # whatever the environment (a CI leg's REPRO_* variables) selects
+        {**PLAIN, "fuse_filters": True},
+        {**PLAIN, "encodings": True},
+        {**PLAIN, "tracing": True},
+        {**PLAIN, "backend": "parallel"},
+        {**PLAIN, "backend": "process"},
+    ],
+    ids=["environment", "fused", "encoded", "traced", "parallel", "process"],
+)
+def test_run_all_harness_smoke(execution, harness):
+    """Every file executes, self-verifies against its hand-built spec, and
+    answers exactly what the plain serial sweep answers."""
+    sweep, plain = harness
+    assert sweep(**execution) == plain
 
 
 def test_explain_sql_files_compile_without_executing(specs, databases):
