@@ -17,10 +17,14 @@ import pytest
 
 from benchmarks.conftest import BENCH_PLANS, MODES_MAIN
 from repro.bench import CASES, print_report, run_case, run_random_plan_experiment
+from repro.bench.simulation import (
+    ParallelismModel,
+    SpillConfig,
+    simulate_parallel_cost,
+    simulate_spill,
+)
 from repro.core import geometric_mean, robustness_factor, speedup
 from repro.engine.modes import ExecutionMode
-from repro.exec.parallel import ParallelismModel, simulate_parallel_cost
-from repro.exec.spill import SpillConfig, simulate_spill
 from repro.optimizer import generate_left_deep_plans
 from repro.workloads import tpch
 

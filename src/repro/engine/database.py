@@ -63,11 +63,7 @@ from repro.exec.relation import BoundRelation
 from repro.exec.spill import SpillManager
 from repro.exec.statistics import ExecutionStats, OpStats
 from repro.obs.trace import Span, Tracer
-from repro.storage.artifacts import (
-    DEFAULT_ARTIFACT_BUDGET_BYTES,
-    ArtifactCache,
-    mask_fingerprint,
-)
+from repro.storage.artifacts import ArtifactCache, mask_fingerprint
 from repro.storage.buffer import MemoryGovernor
 from repro.optimizer.cardinality import CardinalityEstimator, EstimationErrorModel
 from repro.optimizer.join_order import JoinOrderOptimizer, JoinOrderOptions
@@ -219,7 +215,7 @@ class _PreparedExecution:
     join_tree: Optional[JoinTree]
     schedule: Optional[TransferSchedule]
     #: alias -> its evaluated base predicate (mask + what evaluating it
-    #: counted: fused-kernel short-circuits, zone-map block skipping).
+    #: counted: zone-map block skipping, encoded bytes read).
     filters: Dict[str, BaseFilter]
     physical: PhysicalPlan
 
@@ -241,7 +237,7 @@ class ExecutionOptions:
     skip_backward_if_aligned: bool = False
     #: Have the engine verify that the chosen join order is safe (SafeSubjoin).
     verify_safe_join_order: bool = False
-    #: Runtime configuration (backend, threads, memory budget, partitioning);
+    #: Runtime configuration (backend, workers, memory budget, policies);
     #: unset knobs resolve from ``REPRO_*`` variables once per execution.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: Pre-created :class:`~repro.exec.faults.CancelToken` for cooperative
@@ -312,18 +308,10 @@ class Database:
         """The database's cross-query artifact cache (None until first used)."""
         return self._artifact_cache
 
-    def _ensure_artifact_cache(self, config: ExecutionConfig) -> ArtifactCache:
+    def _ensure_artifact_cache(self) -> ArtifactCache:
         with self._artifact_cache_init_lock:
             if self._artifact_cache is None:
-                budget = config.artifact_cache_budget_bytes or DEFAULT_ARTIFACT_BUDGET_BYTES
-                self._artifact_cache = ArtifactCache(budget_bytes=budget)
-            elif (
-                config.artifact_cache_budget_bytes is not None
-                and config.artifact_cache_budget_bytes != self._artifact_cache.budget_bytes
-            ):
-                # An explicitly configured budget applies to the shared
-                # cache rather than being silently ignored.
-                self._artifact_cache.resize(config.artifact_cache_budget_bytes)
+                self._artifact_cache = ArtifactCache()
             return self._artifact_cache
 
     @property
@@ -435,75 +423,48 @@ class Database:
         cardinalities and the scan's ``FilterPush`` ops, so a predicate is
         never evaluated twice per execution.
         """
-        return _masks(self._evaluate_filters(query, fuse=False))
+        return _masks(self._evaluate_filters(query))
 
     def _evaluate_filters(
         self,
         query: QuerySpec,
-        fuse: bool,
         stats: Optional[ExecutionStats] = None,
         encodings: bool = False,
         catalog: Optional[Any] = None,
     ) -> Dict[str, BaseFilter]:
-        """:meth:`filter_masks`, optionally through fused conjunction kernels.
+        """:meth:`filter_masks`, optionally in code space.
 
-        With ``fuse`` on, each conjunctive predicate that
-        :func:`repro.expr.fusion.fuse_conjunction` accepts runs as a single
-        short-circuiting kernel (bit-identical mask).
+        With ``encodings`` on, supported predicates are evaluated entirely
+        in code space with zone-map block skipping
+        (:mod:`repro.expr.codespace`; string comparisons become integer
+        threshold tests on dictionary codes).  Every mask stays
+        bit-identical to plain tree evaluation.
 
-        With ``encodings`` on, supported predicates additionally run with
-        zone-map block skipping — pruned blocks feed the fused kernel's
-        initial selection, or an unfused predicate is evaluated entirely in
-        code space (:mod:`repro.expr.codespace`; string comparisons become
-        integer threshold tests on dictionary codes).  Every mask stays
-        bit-identical to plain evaluation.
-
-        What an evaluation counted — rows the fused kernel short-circuited,
-        blocks skipped, encoded bytes read — rides along as the
-        :class:`~repro.exec.pipeline.BaseFilter`'s counters, which the
-        alias's ``FilterPush`` op record takes over.
+        What an evaluation counted — blocks skipped, encoded bytes read —
+        rides along as the :class:`~repro.exec.pipeline.BaseFilter`'s
+        counters, which the alias's ``FilterPush`` op record takes over.
         """
-        # Imported lazily: the expression package imports the kernel module,
-        # which this engine module's package initializer already pulls in.
-        from repro.expr.fusion import fuse_conjunction
-
         catalog = catalog if catalog is not None else self.catalog
         store = catalog.encodings if encodings else None
         if store is not None:
+            # Imported lazily: the expression package imports the kernel
+            # module, which this engine module's package initializer already
+            # pulls in.
             from repro.expr import codespace
 
-        def zone_counters(ref, table, active_store, skipped: int, total: int) -> Dict[str, int]:
-            return {
-                "blocks_skipped": skipped,
-                "blocks_total": total,
-                "encoded_bytes": codespace.encoded_bytes_touched(ref.filter, table, active_store),
-            }
-
         def evaluate(ref, table, active_store) -> BaseFilter:
-            kernel = fuse_conjunction(ref.filter) if fuse else None
-            if kernel is not None:
-                counters: Dict[str, int] = {}
-                selection = None
-                if active_store is not None:
-                    selection = codespace.block_selection(ref.filter, table, active_store)
-                if selection is not None:
-                    mask, short_circuited = kernel.evaluate(table, block_selection=selection)
-                    counters = zone_counters(
-                        ref, table, active_store, selection.blocks_skipped, selection.num_blocks
-                    )
-                else:
-                    mask, short_circuited = kernel.evaluate(table)
-                counters["fused_expr"] = True
-                counters["fused_rows_short_circuited"] = int(short_circuited)
-                return BaseFilter(np.asarray(mask, dtype=bool), counters)
             if active_store is not None:
                 result = codespace.evaluate(ref.filter, table, active_store)
                 if result is not None:
                     return BaseFilter(
                         np.asarray(result.mask, dtype=bool),
-                        zone_counters(
-                            ref, table, active_store, result.blocks_skipped, result.blocks_total
-                        ),
+                        {
+                            "blocks_skipped": result.blocks_skipped,
+                            "blocks_total": result.blocks_total,
+                            "encoded_bytes": codespace.encoded_bytes_touched(
+                                ref.filter, table, active_store
+                            ),
+                        },
                     )
             return BaseFilter(np.asarray(ref.filter.evaluate(table), dtype=bool))
 
@@ -740,7 +701,7 @@ class Database:
         fingerprints = None
         table_versions = None
         if config.artifact_cache:
-            artifact_cache = self._ensure_artifact_cache(config)
+            artifact_cache = self._ensure_artifact_cache()
             masks = _masks(filters)
             fingerprints = {
                 ref.alias: mask_fingerprint(masks.get(ref.alias)) for ref in query.relations
@@ -760,7 +721,6 @@ class Database:
             table_versions=table_versions,
             fingerprints=fingerprints,
             adaptive_transfer=bool(config.adaptive_transfer),
-            bitmap_downgrade=bool(config.bitmap_downgrade),
             arena=arena,
             encodings=bool(config.encodings),
             tracer=tracer,
@@ -807,11 +767,7 @@ class Database:
         name = config.backend
         while True:
             backend = make_backend(
-                name,
-                config.chunk_size,
-                config.num_threads,
-                config.num_workers,
-                config.max_task_retries,
+                name, config.chunk_size, config.num_threads, config.num_workers
             )
             try:
                 backend.ensure_ready()
@@ -856,7 +812,7 @@ class Database:
             entry = OpStats(index=index, kind=op.kind, detail=op.describe())
             # The base predicates were already evaluated, so what that
             # counted is known at plan time: EXPLAIN shows the same
-            # ``[zm skip k/n]`` / ``[fused -Nr]`` markers an execution would.
+            # ``[zm skip k/n]`` / ``[enc NB]`` markers an execution would.
             if op.kind == "filter_push" and op.alias in prep.filters:
                 prep.filters[op.alias].write_counters(entry)
             stats.op_stats.append(entry)
@@ -951,7 +907,6 @@ class Database:
         start = time.perf_counter()
         filters = self._evaluate_filters(
             query,
-            fuse=bool(config.fuse_filters),
             stats=stats,
             encodings=bool(config.encodings),
             catalog=catalog,
@@ -985,8 +940,6 @@ class Database:
             graph,
             tables={ref.alias: catalog.table(ref.table) for ref in query.relations},
             schedule=schedule,
-            partition_threshold=config.partition_threshold,
-            partition_bits=config.partition_bits or 0,
         )
         return _PreparedExecution(
             plan=plan,

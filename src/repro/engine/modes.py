@@ -29,12 +29,13 @@ mode            transfer phase  Bloom xfer    exact semi-join  per-join SIP
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import ExecutionError
-from repro.exec.kernels import DEFAULT_PARTITION_BITS
 from repro.exec.pipeline import BACKEND_NAMES
 
 
@@ -79,38 +80,19 @@ class ExecutionMode(enum.Enum):
         }[self]
 
 
-#: Estimated build rows at which the compiler switches a hash join to the
-#: radix-partitioned form.  Below this a monolithic sort fits the caches and
-#: the partitioning pass is pure overhead.
-DEFAULT_PARTITION_THRESHOLD = 1 << 17
-
 #: Environment variables consulted when an :class:`ExecutionConfig` knob is
 #: left unset — the CI backend matrix runs the whole suite under
 #: ``REPRO_BACKEND=parallel`` without touching any call site.
 ENV_BACKEND = "REPRO_BACKEND"
 ENV_NUM_THREADS = "REPRO_NUM_THREADS"
 ENV_NUM_WORKERS = "REPRO_NUM_WORKERS"
-ENV_FUSE_FILTERS = "REPRO_FUSE_FILTERS"
 ENV_MEMORY_BUDGET = "REPRO_MEMORY_BUDGET"
-ENV_PARTITION_BITS = "REPRO_PARTITION_BITS"
 ENV_ARTIFACT_CACHE = "REPRO_ARTIFACT_CACHE"
-ENV_ARTIFACT_CACHE_BUDGET = "REPRO_ARTIFACT_CACHE_BUDGET"
 ENV_ADAPTIVE_TRANSFER = "REPRO_ADAPTIVE_TRANSFER"
-ENV_BITMAP_DOWNGRADE = "REPRO_BITMAP_DOWNGRADE"
 ENV_ENCODINGS = "REPRO_ENCODINGS"
 ENV_TIMEOUT_SECONDS = "REPRO_TIMEOUT_SECONDS"
-ENV_MAX_TASK_RETRIES = "REPRO_MAX_TASK_RETRIES"
 ENV_FAULTS = "REPRO_FAULTS"
 ENV_TRACE = "REPRO_TRACE"
-
-#: Pool-respawn attempts per morsel before the process backend falls back to
-#: executing the remaining morsels inline.
-DEFAULT_MAX_TASK_RETRIES = 2
-
-def _parse_backend(text: str) -> str:
-    if text not in BACKEND_NAMES:
-        raise ValueError(f"expected one of {', '.join(BACKEND_NAMES)}")
-    return text
 
 
 def _parse_flag(text: str) -> bool:
@@ -122,35 +104,52 @@ def _parse_flag(text: str) -> bool:
     raise ValueError("expected a boolean (1/0, true/false, yes/no, on/off)")
 
 
-def _parse_positive_int(text: str) -> int:
-    value = int(text)
-    if value <= 0:
-        raise ValueError("expected a positive integer")
-    return value
+def _check_backend(value: Any) -> None:
+    if value not in BACKEND_NAMES:
+        raise ValueError(f"expected one of {', '.join(BACKEND_NAMES)}")
 
 
-#: The environment-resolved knobs: ``(field, env var, parser, default)``.
+def _check_flag(value: Any) -> None:
+    if not isinstance(value, bool):
+        raise ValueError("expected True or False")
+
+
+def _require_integer(value: Any, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"expected an integer >= {minimum}")
+
+
+def _check_worker_count(value: Any) -> None:
+    _require_integer(value, 1)
+
+
+def _check_budget(value: Any) -> None:
+    _require_integer(value, 0)
+
+
+def _check_timeout(value: Any) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError("expected a number of seconds")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError("expected a finite number of seconds > 0")
+
+
+#: The environment-resolved knobs: ``(field, env var, parser, check, default)``.
 #: A field left ``None`` takes the parsed variable when it is set and
-#: non-empty, else the default.  ``bitmap_downgrade``'s ``None`` default
-#: means "follow the resolved ``adaptive_transfer``".  Fields not listed
-#: (``chunk_size``, ``partition_threshold``, ``faults``) pass through
-#: unchanged — the fault injector consults ``REPRO_FAULTS`` itself, and
-#: ``faults=None`` means "don't override it".
-KNOB_TABLE: Tuple[Tuple[str, str, Callable[[str], Any], Any], ...] = (
-    ("backend", ENV_BACKEND, _parse_backend, "serial"),
-    ("num_threads", ENV_NUM_THREADS, _parse_positive_int, None),
-    ("num_workers", ENV_NUM_WORKERS, _parse_positive_int, None),
-    ("memory_budget_bytes", ENV_MEMORY_BUDGET, int, None),
-    ("partition_bits", ENV_PARTITION_BITS, int, DEFAULT_PARTITION_BITS),
-    ("artifact_cache", ENV_ARTIFACT_CACHE, _parse_flag, False),
-    ("artifact_cache_budget_bytes", ENV_ARTIFACT_CACHE_BUDGET, int, None),
-    ("adaptive_transfer", ENV_ADAPTIVE_TRANSFER, _parse_flag, False),
-    ("bitmap_downgrade", ENV_BITMAP_DOWNGRADE, _parse_flag, None),
-    ("fuse_filters", ENV_FUSE_FILTERS, _parse_flag, False),
-    ("encodings", ENV_ENCODINGS, _parse_flag, False),
-    ("timeout_seconds", ENV_TIMEOUT_SECONDS, float, None),
-    ("max_task_retries", ENV_MAX_TASK_RETRIES, int, DEFAULT_MAX_TASK_RETRIES),
-    ("tracing", ENV_TRACE, _parse_flag, False),
+#: non-empty, else the default; ``check`` then range-checks the value
+#: whichever of the two it came from.  Fields not listed (``chunk_size``,
+#: ``faults``) pass through unchanged — the fault injector consults
+#: ``REPRO_FAULTS`` itself, and ``faults=None`` means "don't override it".
+KNOB_TABLE: Tuple[Tuple[str, str, Callable[[str], Any], Callable[[Any], None], Any], ...] = (
+    ("backend", ENV_BACKEND, str, _check_backend, "serial"),
+    ("num_threads", ENV_NUM_THREADS, int, _check_worker_count, None),
+    ("num_workers", ENV_NUM_WORKERS, int, _check_worker_count, None),
+    ("memory_budget_bytes", ENV_MEMORY_BUDGET, int, _check_budget, None),
+    ("artifact_cache", ENV_ARTIFACT_CACHE, _parse_flag, _check_flag, False),
+    ("adaptive_transfer", ENV_ADAPTIVE_TRANSFER, _parse_flag, _check_flag, False),
+    ("encodings", ENV_ENCODINGS, _parse_flag, _check_flag, False),
+    ("timeout_seconds", ENV_TIMEOUT_SECONDS, float, _check_timeout, None),
+    ("tracing", ENV_TRACE, _parse_flag, _check_flag, False),
 )
 
 
@@ -176,13 +175,13 @@ class ExecutionConfig:
       32768 parallel, 65536 process).
     * ``memory_budget_bytes`` — the :class:`~repro.storage.buffer.MemoryGovernor`
       budget; ``None`` means ungoverned (peak footprint still tracked).
-    * ``partition_bits`` / ``partition_threshold`` — radix-partitioned hash
-      join configuration; ``partition_threshold=None`` disables partitioning.
-    * ``artifact_cache`` / ``artifact_cache_budget_bytes`` — the cross-query
+    * ``artifact_cache`` — the cross-query
       :class:`~repro.storage.artifacts.ArtifactCache` memoizing built Bloom
       filters and frozen hash indexes across ``Database.execute`` calls
-      (default off; keyed by table version + filter fingerprint, LRU within
-      the byte budget).
+      (keyed by table version + filter fingerprint, LRU within a fixed
+      64 MiB budget).  Default off: it buys time with resident memory
+      (+12–21 % process RSS on the benchmark's workloads), which is the
+      caller's trade.
     * ``adaptive_transfer`` — the
       :class:`~repro.exec.adaptive.AdaptiveTransferController`: observe each
       transfer step's pruning yield at runtime and cancel a relation's
@@ -190,15 +189,9 @@ class ExecutionConfig:
       backward pass when the forward pass reduced nothing) once the yield
       falls below :data:`~repro.exec.adaptive.DEFAULT_MIN_YIELD` (default
       off).  Purely reductive passes mean skipping never changes final
-      results — only their speed.
-    * ``bitmap_downgrade`` — downgrade a Bloom step whose build-side key
-      domain is small/dense to an exact bitmap semi-join (no false
-      positives, cheaper probes).  Defaults to the resolved
-      ``adaptive_transfer`` value.
-    * ``fuse_filters`` — compile conjunctive base-table predicates into one
-      fused kernel that short-circuits later conjuncts through progressive
-      selection vectors instead of materializing a boolean mask per node
-      (default off; bit-identical either way).
+      results, but it forfeits the paper's full-reduction guarantee (a
+      skipped pass leaves dangling tuples for the join phase), so it is
+      policy and stays opt-in.
     * ``encodings`` — block-encoded columnar execution: columns carry
       dictionary / run-length / bit-packed encodings chosen at registration
       time, base filters consult per-block min/max zone maps to skip whole
@@ -210,9 +203,6 @@ class ExecutionConfig:
       barriers and at chunk granularity inside long kernels; expiry raises
       :class:`~repro.errors.QueryTimeout` carrying the partial stats
       (``None``: no deadline).
-    * ``max_task_retries`` — pool-respawn attempts per morsel after a worker
-      crash before the process backend executes the remaining morsels inline
-      (bit-identical either way).
     * ``faults`` — deterministic fault-injection spec
       (``"seed:1234,rate:0.05[,sites:a|b][,latency:s]"``), see
       ``exec/faults.py``; ``None`` leaves the ``REPRO_FAULTS`` environment
@@ -223,9 +213,13 @@ class ExecutionConfig:
       are bit-identical either way, overhead is gated under 2% by the
       ``tracing_overhead`` microbenchmark case).
 
-    Every transfer Bloom insert/probe replays one query-lifetime hashing
-    pass per key column and gathers probe keys by row id at the probe itself
-    (:class:`~repro.exec.hashcache.HashCache`); neither is configurable.
+    What the executor decides from its input is not configurable: every
+    transfer Bloom insert/probe replays one query-lifetime hashing pass per
+    key column and gathers probe keys by row id at the probe itself
+    (:class:`~repro.exec.hashcache.HashCache`); a Bloom step whose build
+    side has a dense integer key domain runs as an exact bitmap semi-join
+    (strictly tighter than the filter it replaces); hash joins with a large
+    estimated build side are radix-partitioned.
 
     Unset knobs (``backend=None`` etc.) resolve from the ``REPRO_*``
     environment variables of :data:`KNOB_TABLE`, then defaults — see
@@ -237,38 +231,36 @@ class ExecutionConfig:
     num_workers: Optional[int] = None
     chunk_size: Optional[int] = None
     memory_budget_bytes: Optional[int] = None
-    partition_bits: Optional[int] = None
-    partition_threshold: Optional[int] = DEFAULT_PARTITION_THRESHOLD
     artifact_cache: Optional[bool] = None
-    artifact_cache_budget_bytes: Optional[int] = None
     adaptive_transfer: Optional[bool] = None
-    bitmap_downgrade: Optional[bool] = None
-    fuse_filters: Optional[bool] = None
     encodings: Optional[bool] = None
     timeout_seconds: Optional[float] = None
-    max_task_retries: Optional[int] = None
     faults: Optional[str] = None
     tracing: Optional[bool] = None
 
     def resolved(self) -> "ExecutionConfig":
         """This config with unset knobs filled from the environment / defaults.
 
-        A set-but-unparsable variable raises
-        :class:`~repro.errors.ExecutionError` naming it and its value.
+        An unparsable variable, or a value out of its knob's range — set on
+        the field or through the variable — raises
+        :class:`~repro.errors.ExecutionError` naming the field, and the
+        variable and its text when it came from one.
         """
         values = {}
-        for name, env, parse, default in KNOB_TABLE:
+        for name, env, parse, check, default in KNOB_TABLE:
             value = getattr(self, name)
+            origin = f"{name}={value!r}"
             if value is None:
                 text = os.environ.get(env)
-                if text:
-                    try:
-                        value = parse(text)
-                    except ValueError as error:
-                        raise ExecutionError(f"{env}={text!r} is invalid: {error}") from None
-                else:
-                    value = default
+                if not text:
+                    values[name] = default
+                    continue
+                origin = f"{name} (from {env}={text!r})"
+            try:
+                if value is None:
+                    value = parse(text)
+                check(value)
+            except ValueError as error:
+                raise ExecutionError(f"{origin} is invalid: {error}") from None
             values[name] = value
-        if values["bitmap_downgrade"] is None:
-            values["bitmap_downgrade"] = values["adaptive_transfer"]
         return replace(self, **values)

@@ -38,8 +38,10 @@ bit-identical across all of them.
 The controller is deliberately execution-agnostic: it never touches
 relations or filters, it only answers :meth:`should_skip` and consumes
 :meth:`observe` calls.  The :class:`~repro.exec.pipeline.PipelineExecutor`
-owns the actual skipping (and the NDV-based filter sizing and exact-bitmap
-downgrades that ride along under the same config gate).
+owns the actual skipping.  (The exact-bitmap downgrade is not this
+controller's and not gated on it: the executor takes it on every dense key
+domain, because an exact filter is strictly tighter than the Bloom filter it
+replaces and so keeps the transfer phase's guarantee — skipping does not.)
 """
 
 from __future__ import annotations

@@ -177,7 +177,7 @@ class HashIndex:
         entry) is proportional to the work it saves — the indexed keys plus
         every probe row this index has served or is about to serve.  This is
         the single authority on the decision: :meth:`_ensure_table` consults
-        it for lazily built tables, and the adaptive transfer layer consults
+        it for lazily built tables, and the transfer executor consults
         it (with the step's expected probe volume) before downgrading a
         Bloom step to an exact bitmap semi-join.
         """
@@ -247,7 +247,7 @@ class HashIndex:
     def has_bitmap(self) -> bool:
         """True when the O(1)-per-probe bitmap membership table is built.
 
-        The adaptive transfer layer checks this after :meth:`prepare` to
+        The transfer executor checks this after :meth:`prepare` to
         decide whether a Bloom step can be downgraded to an exact bitmap
         semi-join (dense key domain) or must keep its Bloom filter.
         """

@@ -26,7 +26,7 @@ names (:func:`make_backend`):
   into morsels, each morsel runs the same vectorized NumPy kernel, and the
   parts are concatenated in order, so every result is bit-identical to one
   whole-column call.  ``"serial"`` (one thread, whole column — the default),
-  ``"chunked"`` (one thread, :data:`~repro.exec.chunk.DEFAULT_CHUNK_SIZE`-row
+  ``"chunked"`` (one thread, :data:`DEFAULT_CHUNK_SIZE`-row
   morsels) and ``"parallel"`` (a ``ThreadPoolExecutor`` over
   :data:`DEFAULT_MORSEL_SIZE`-row morsels; the kernels release the GIL on
   large inputs) are presets of it.
@@ -63,7 +63,6 @@ from repro.core.join_graph import JoinGraph
 from repro.errors import BackendUnavailable, CatalogError, ExecutionError, MemoryExhausted
 from repro.exec import faults
 from repro.exec.adaptive import AdaptiveTransferController
-from repro.exec.chunk import DEFAULT_CHUNK_SIZE, num_chunks
 from repro.exec.faults import CancelToken
 from repro.exec.kernels import (
     HashIndex,
@@ -119,10 +118,23 @@ BACKEND_NAMES = ("serial", "chunked", "parallel", "process")
 #: CPU, capped at the paper testbed's 32.
 MAX_DEFAULT_THREADS = 32
 
+#: Morsel granularity of the chunked preset: DuckDB's push-based engine
+#: processes data in fixed-size *data chunks* of 2048 tuples (its vector
+#: size), and the Figure 14 model caps a pipeline's parallelism by the number
+#: of such chunks its probe side provides.
+DEFAULT_CHUNK_SIZE = 2048
+
 #: Morsel granularity of the parallel preset.  Larger than the chunked
 #: preset's: each morsel must carry enough work to amortize task dispatch in
 #: pure Python.
 DEFAULT_MORSEL_SIZE = 32_768
+
+
+def num_chunks(total_rows: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
+    """Number of chunks needed for ``total_rows`` rows."""
+    if total_rows <= 0:
+        return 0
+    return (total_rows + chunk_size - 1) // chunk_size
 
 
 #: A probe input: one key array, or a tuple of equal-length per-row arrays
@@ -367,20 +379,18 @@ def make_backend(
     chunk_size: Optional[int] = None,
     num_threads: Optional[int] = None,
     num_workers: Optional[int] = None,
-    max_task_retries: Optional[int] = None,
 ) -> ExecutionBackend:
     """Instantiate a backend by name (``"serial"``, ``"chunked"``, ``"parallel"``,
     or ``"process"``).
 
     The first three are presets of :class:`MorselBackend`: one thread over
-    the whole column, one thread over :data:`~repro.exec.chunk.DEFAULT_CHUNK_SIZE`-row
+    the whole column, one thread over :data:`DEFAULT_CHUNK_SIZE`-row
     morsels, and ``num_threads`` (``None``: one per CPU, capped at
     :data:`MAX_DEFAULT_THREADS`) over :data:`DEFAULT_MORSEL_SIZE`-row
     morsels.  ``chunk_size`` overrides the morsel size of every preset but
     ``"serial"`` (the process one defaults to
     :data:`~repro.exec.process.DEFAULT_PROCESS_MORSEL_SIZE`); ``num_workers``
-    and ``max_task_retries`` (crash-recovery rounds before the inline
-    fallback) configure the process backend.
+    sizes the process backend's pool.
     """
     if name == "serial":
         return MorselBackend()
@@ -400,18 +410,11 @@ def make_backend(
     if name == "process":
         # Imported lazily: repro.exec.process subclasses ExecutionBackend,
         # so a top-level import here would be circular.
-        from repro.exec.process import (
-            DEFAULT_MAX_TASK_RETRIES,
-            DEFAULT_PROCESS_MORSEL_SIZE,
-            ProcessBackend,
-        )
+        from repro.exec.process import DEFAULT_PROCESS_MORSEL_SIZE, ProcessBackend
 
         return ProcessBackend(
             num_workers=num_workers,
             morsel_size=DEFAULT_PROCESS_MORSEL_SIZE if chunk_size is None else chunk_size,
-            max_task_retries=(
-                DEFAULT_MAX_TASK_RETRIES if max_task_retries is None else max_task_retries
-            ),
         )
     raise ExecutionError(
         f"unknown pipeline backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
@@ -455,7 +458,7 @@ class BaseFilter:
     """One base-table predicate the engine evaluated while planning.
 
     ``counters`` holds what the evaluation counted, by :class:`OpStats`
-    field (fused-kernel and zone-map activity); the alias's ``FilterPush``
+    field (zone-map activity); the alias's ``FilterPush``
     record — executed or ``EXPLAIN``-ed — takes them over.
     """
 
@@ -480,7 +483,7 @@ class _TransferStage:
     """Build-side state handed from a transfer ``BloomBuild`` to its ``BloomProbe``.
 
     The build side is either a Bloom filter (``bloom``) or — when the
-    adaptive exact-bitmap downgrade fired — a prepared
+    exact-bitmap downgrade fired — a prepared
     :class:`~repro.exec.kernels.HashIndex` whose bitmap membership table
     replaces the filter entirely (``exact_index``; no false positives).
 
@@ -539,7 +542,6 @@ class PipelineExecutor:
         table_versions: Optional[Mapping[str, int]] = None,
         fingerprints: Optional[Mapping[str, str]] = None,
         adaptive_transfer: bool = False,
-        bitmap_downgrade: bool = False,
         arena=None,
         encodings: bool = False,
         tracer=None,
@@ -561,10 +563,8 @@ class PipelineExecutor:
         self._table_versions = dict(table_versions or {})
         self._fingerprints = dict(fingerprints or {})
         #: Adaptive transfer execution: yield-driven pass skipping
-        #: (controller built per run from the compiled plan) and the
-        #: exact-bitmap downgrade.
+        #: (controller built per run from the compiled plan).
         self.adaptive_transfer = adaptive_transfer
-        self.bitmap_downgrade = bitmap_downgrade
         #: Shared-memory column arena (engine-owned); set together with a
         #: probe-shipping backend so transfer probes can hand workers a
         #: (column ref, selection vector) pair instead of gathered keys.
@@ -776,9 +776,7 @@ class PipelineExecutor:
             attr_class = self.graph.attribute_classes[op.attributes[0]]
             source_column = attr_class.column_of(op.source.alias)
             target_column = attr_class.column_of(op.target.alias)
-            exact_index = None
-            if self.bitmap_downgrade:
-                exact_index = self._bitmap_downgrade_index(op, source, source_column, target)
+            exact_index = self._exact_bitmap_index(op, source, source_column, target)
             if exact_index is None:
                 bloom = self._transfer_bloom(op, source, source_column)
             else:
@@ -823,7 +821,7 @@ class PipelineExecutor:
             self._charge_artifact(artifact_key, bloom.size_bytes)
         return bloom
 
-    def _bitmap_downgrade_index(
+    def _exact_bitmap_index(
         self,
         op: BloomBuild,
         source: BoundRelation,
@@ -869,8 +867,8 @@ class PipelineExecutor:
         stage = self._transfer_stages.pop(op.step_id)
         bloom = stage.bloom
         if stage.exact_index is not None:
-            # Adaptive exact-bitmap downgrade: one in-range test + table
-            # gather per probe key, and no false positives downstream.
+            # Exact-bitmap downgrade: one in-range test + table gather per
+            # probe key, and no false positives downstream.
             index = stage.exact_index
             record.downgraded_exact = True
             record.selvec_rows += target.num_rows

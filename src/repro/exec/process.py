@@ -30,7 +30,7 @@ loop: on a crash (or a transient worker-side error such as an injected
 ``shm.attach`` fault) the pool is respawned with exponential backoff, any
 arena segment the dead workers held attachments to is re-verified /
 re-published, and the unfinished morsels are resubmitted.  After
-``max_task_retries`` rounds the remaining morsels execute *inline* in the
+:data:`MAX_TASK_RETRIES` rounds the remaining morsels execute *inline* in the
 parent over the same spec and the same slices — bit-identical, just slower.
 The cooperative :class:`~repro.exec.faults.CancelToken` is checked before
 each morsel result; on expiry the in-flight tasks are drained and the
@@ -93,7 +93,7 @@ from repro.storage.shm import EncodedColumnRef, ShmArrayRef
 DEFAULT_PROCESS_MORSEL_SIZE = 65_536
 
 #: Pool-respawn rounds per fan-out before the remaining morsels run inline.
-DEFAULT_MAX_TASK_RETRIES = 2
+MAX_TASK_RETRIES = 2
 
 #: Exponential-backoff schedule for pool respawns: ``0.05 * 2**round``
 #: seconds, capped here.
@@ -356,18 +356,14 @@ class ProcessBackend(ExecutionBackend):
         self,
         num_workers: Optional[int] = None,
         morsel_size: int = DEFAULT_PROCESS_MORSEL_SIZE,
-        max_task_retries: int = DEFAULT_MAX_TASK_RETRIES,
     ) -> None:
         super().__init__()
         if num_workers is not None and num_workers <= 0:
             raise ExecutionError("process backend needs at least one worker")
         if morsel_size <= 0:
             raise ExecutionError("morsel size must be positive")
-        if max_task_retries < 0:
-            raise ExecutionError("max_task_retries must be non-negative")
         self.num_workers = num_workers or min(MAX_DEFAULT_THREADS, os.cpu_count() or 1)
         self.morsel_size = morsel_size
-        self.max_task_retries = max_task_retries
         #: Tracing: when the executor flips ``trace_morsels`` on, workers
         #: time each morsel locally and ship the seconds back.
         self.trace_morsels = False
@@ -456,7 +452,7 @@ class ProcessBackend(ExecutionBackend):
         and transient worker-side failures (``ExecutionError`` subclasses,
         e.g. an injected ``shm.attach`` fault) trigger a pool respawn with
         backoff and a retry of the unfinished morsels; after
-        ``max_task_retries`` rounds the remainder runs inline in the parent.
+        :data:`MAX_TASK_RETRIES` rounds the remainder runs inline in the parent.
         """
         results: List[Optional[object]] = [None] * len(morsels)
         done = [False] * len(morsels)
@@ -519,7 +515,7 @@ class ProcessBackend(ExecutionBackend):
             if not retryable:  # pragma: no cover - defensive; result() raised
                 break
             rounds += 1
-            if rounds > self.max_task_retries:
+            if rounds > MAX_TASK_RETRIES:
                 break
             self.record.tasks_retried += len(remaining)
             time.sleep(min(0.05 * (2 ** (rounds - 1)), _RESPAWN_BACKOFF_CAP))

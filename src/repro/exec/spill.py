@@ -1,34 +1,23 @@
-"""Spilling: the executor's live spill callback and the Figure 15 model.
+"""Spilling: the executor's live spill callback.
 
-Two layers:
-
-* :class:`SpillManager` — the **executor callback** invoked by the
-  :class:`~repro.storage.buffer.MemoryGovernor` *while the query runs*.
-  When a reservation is evicted, the manager charges the write against its
-  :class:`~repro.storage.buffer.IoStatistics`; when a spilled reservation is
-  touched again, it charges the read.  The charges happen at the moment the
-  executor crosses the budget — not as an after-the-run accounting pass —
-  and the executor folds the resulting simulated I/O seconds into the run's
-  timings and surfaces per-op spill counters in ``ExecutionStats.op_stats``.
-
-* :func:`simulate_spill` — the original deterministic figure-reproduction
-  model for the paper's "on-disk"/"+spill" configurations (Figure 15),
-  which charges I/O volumes against a
-  :class:`~repro.storage.buffer.BufferManager` given an already-measured
-  execution trace.  It stays the reproducible path for regenerating the
-  figure, now expressed over the same trace quantities the live path
-  records.
+:class:`SpillManager` is the **executor callback** invoked by the
+:class:`~repro.storage.buffer.MemoryGovernor` *while the query runs*.
+When a reservation is evicted, the manager charges the write against its
+:class:`~repro.storage.buffer.IoStatistics`; when a spilled reservation is
+touched again, it charges the read.  The charges happen at the moment the
+executor crosses the budget — not as an after-the-run accounting pass —
+and the executor folds the resulting simulated I/O seconds into the run's
+timings and surfaces per-op spill counters in ``ExecutionStats.op_stats``.
+(The Figure 15 model over a finished trace is
+:func:`repro.bench.simulation.simulate_spill`.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 from repro.exec import faults
-from repro.exec.relation import BoundRelation
-from repro.exec.statistics import ExecutionStats
-from repro.storage.buffer import BufferManager, IoStatistics
+from repro.storage.buffer import IoStatistics
 
 
 @dataclass
@@ -73,70 +62,3 @@ class SpillManager:
     def simulated_seconds(self) -> float:
         """Simulated elapsed I/O seconds of all spill traffic so far."""
         return self.stats.simulated_seconds()
-
-
-@dataclass(frozen=True)
-class SpillConfig:
-    """Configuration of the simulated disk experiment.
-
-    Attributes
-    ----------
-    base_tables_on_disk:
-        Charge an initial read of every base table (the "on-disk" setting).
-    memory_budget_fraction:
-        Memory budget as a fraction of the execution's peak materialized
-        footprint; ``None`` disables spilling (pure "on-disk" run).
-    """
-
-    base_tables_on_disk: bool = True
-    memory_budget_fraction: float | None = 0.5
-
-
-def peak_materialized_bytes(
-    stats: ExecutionStats, relations: Dict[str, BoundRelation]
-) -> int:
-    """Approximate peak footprint: reduced relations + largest join output."""
-    reduced = sum(relation.estimated_bytes() for relation in relations.values())
-    widest_join = 0
-    for step in stats.join_steps:
-        # Assume ~16 bytes per tuple per participating relation (row indices).
-        width = 16 * (len(step.left_aliases) + len(step.right_aliases))
-        widest_join = max(widest_join, step.output_rows * width)
-    return reduced + widest_join
-
-
-def simulate_spill(
-    stats: ExecutionStats,
-    relations: Dict[str, BoundRelation],
-    config: SpillConfig,
-) -> float:
-    """Charge simulated I/O for an execution and return the added seconds.
-
-    The returned value is also accumulated into ``stats.timings.simulated_io``.
-    """
-    peak = max(peak_materialized_bytes(stats, relations), 1)
-    budget = None
-    if config.memory_budget_fraction is not None:
-        budget = int(peak * config.memory_budget_fraction)
-    buffer = BufferManager(memory_budget_bytes=budget)
-
-    if config.base_tables_on_disk:
-        seen_tables: set[str] = set()
-        for relation in relations.values():
-            if relation.table.name in seen_tables:
-                continue
-            seen_tables.add(relation.table.name)
-            buffer.register_on_disk(relation.table.name, relation.table.memory_bytes())
-            buffer.read(relation.table.name, relation.table.memory_bytes())
-
-    # Forward pass materializes the surviving chunks of each reduced relation.
-    for alias, relation in relations.items():
-        buffer.write(f"reduced:{alias}", relation.estimated_bytes())
-
-    # The backward pass and the join phase re-read every reduced relation.
-    for alias, relation in relations.items():
-        buffer.read(f"reduced:{alias}", relation.estimated_bytes())
-
-    seconds = buffer.stats.simulated_seconds()
-    stats.timings.simulated_io += seconds
-    return seconds

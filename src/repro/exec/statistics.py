@@ -70,8 +70,9 @@ class OpStats:
     morsels: int = 0
     worker_batches: int = 0
     worker_seconds: float = 0.0
-    #: The adaptive controller cancelled this op's transfer step / ran it as
-    #: an exact bitmap semi-join instead of a Bloom build + probe.
+    #: The adaptive controller cancelled this op's transfer step / the
+    #: executor ran it as an exact bitmap semi-join instead of a Bloom build
+    #: + probe (dense build-side key domain).
     adaptive_skipped: bool = False
     downgraded_exact: bool = False
     #: Memory governor, while this op reserved or touched budget: spills
@@ -88,10 +89,6 @@ class OpStats:
     #: Cross-query artifact cache (prebuilt Bloom filter / hash index).
     artifact_hits: int = 0
     artifact_misses: int = 0
-    #: The predicate ran as one fused kernel; rows it never evaluated later
-    #: conjuncts on.
-    fused_expr: bool = False
-    fused_rows_short_circuited: int = 0
     #: Bytes placed in (or resolved from) shared-memory segments.
     shm_bytes: int = 0
     #: Zone-map blocks skipped / covering the predicate's column, and the
@@ -100,7 +97,7 @@ class OpStats:
     blocks_total: int = 0
     encoded_bytes: int = 0
     #: Worker deaths while this op's morsels ran, the retry rounds they
-    #: triggered, and morsels finished inline after ``max_task_retries``.
+    #: triggered, and morsels finished inline once the retries ran out.
     worker_crashes: int = 0
     tasks_retried: int = 0
     inline_morsels: int = 0
@@ -155,9 +152,6 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("downgraded_exact", "adaptive_exact_downgrades", " [exact bitmap]", "adaptive",
             "{downgraded_exact} exact-bitmap downgrade(s)", event="adaptive:exact-bitmap",
             log="adaptive.exact_downgrades", per_step=True),
-    Counter("fused_expr", "fused_exprs", " [fused -{fused_rows_short_circuited}r]", "runtime",
-            "fused {fused_expr} filter(s) (-{fused_rows_short_circuited} rows short-circuited)"),
-    Counter("fused_rows_short_circuited", "fused_rows_short_circuited"),
     Counter("shm_bytes", "shm_bytes_mapped", " [shm {shm_bytes}B]", "runtime",
             "shm mapped {shm_bytes}B"),
     Counter("blocks_total", "zone_blocks_total", " [zm skip {blocks_skipped}/{blocks_total}]",
@@ -320,7 +314,7 @@ class ExecutionStats:
         return self._summary("adaptive")
 
     def runtime_summary(self) -> str:
-        """One-line fused-kernel / shared-memory / encoding summary ('' if none)."""
+        """One-line shared-memory / encoding summary ('' if none)."""
         return self._summary("runtime")
 
     def record_degradation(self, rung: str) -> None:

@@ -16,13 +16,11 @@ filters are compiled once per query into *code-space* kernels:
   skipped when *no* row in it can match — so the produced mask is
   bit-identical to ``Expression.evaluate``.
 
-The module handles conjunctions of the same leaf predicates the fused
-filter kernel supports (:data:`repro.expr.fusion._SUPPORTED_LEAVES`);
-anything else returns ``None`` and callers fall back to plain
-evaluation.  :func:`block_selection` exposes the pruning alone so the
-fused kernel can compose with it (its progressive selection vector then
-starts from the surviving blocks), and :func:`rows_upper_bound` feeds the
-optimizer's cardinality estimator a hard bound on matching rows.
+The module handles conjunctions of simple leaf predicates
+(:data:`_SUPPORTED_LEAVES`); anything else returns ``None`` and callers
+fall back to plain evaluation.  :func:`rows_upper_bound` runs the pruning
+alone to feed the optimizer's cardinality estimator a hard bound on
+matching rows.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import numpy as np
 
 from repro.expr.expressions import (
     _COMPARATORS,
+    And,
     Between,
     Comparison,
     Expression,
@@ -42,12 +41,15 @@ from repro.expr.expressions import (
     IsNull,
     StringPredicate,
 )
-from repro.expr.fusion import _flatten_conjuncts
 from repro.storage.datatypes import DataType
 from repro.storage.zonemap import BlockSelection, ZoneMap
 
 _I64_MIN = np.iinfo(np.int64).min
 _I64_MAX = np.iinfo(np.int64).max
+
+#: Leaf node types a code-space kernel supports.  Anything else (Or, Not,
+#: nested arithmetic, ...) makes the conjunction unsupported.
+_SUPPORTED_LEAVES = (Comparison, Between, InList, StringPredicate, IsNull)
 
 #: A pruning rule: zone map in, per-block survivor mask out.
 _PruneFn = Callable[[ZoneMap], np.ndarray]
@@ -305,6 +307,21 @@ def compile_leaf(expr: Expression, table) -> Optional[CompiledLeaf]:
     return None
 
 
+def _flatten_conjuncts(expr: Expression) -> Optional[List[Expression]]:
+    """Flatten an ``And`` tree into leaf conjuncts; None when unsupported."""
+    if isinstance(expr, And):
+        leaves: List[Expression] = []
+        for operand in expr.operands:
+            sub = _flatten_conjuncts(operand)
+            if sub is None:
+                return None
+            leaves.extend(sub)
+        return leaves
+    if isinstance(expr, _SUPPORTED_LEAVES):
+        return [expr]
+    return None
+
+
 def _compile_conjunction(expr: Expression, table) -> Optional[List[CompiledLeaf]]:
     conjuncts = _flatten_conjuncts(expr)
     if conjuncts is None or not conjuncts:
@@ -334,20 +351,6 @@ def _combine_selection(leaves: List[CompiledLeaf], table, store) -> Optional[Blo
     if survivors is None or reference is None:
         return None
     return BlockSelection(zone_map=reference, survivors=survivors)
-
-
-def block_selection(expr: Expression, table, store) -> Optional[BlockSelection]:
-    """Zone-map pruning for a conjunction of supported leaves, or ``None``.
-
-    The returned selection is safe to feed to
-    :meth:`repro.expr.fusion.FusedConjunction.evaluate` compiled from the
-    *same* expression: rows outside surviving blocks fail at least one
-    conjunct.
-    """
-    leaves = _compile_conjunction(expr, table)
-    if leaves is None:
-        return None
-    return _combine_selection(leaves, table, store)
 
 
 def evaluate(expr: Expression, table, store) -> Optional[CodeSpaceResult]:
@@ -425,7 +428,8 @@ def rows_upper_bound(expr: Expression, table, store) -> Optional[int]:
     ``[min, max]`` interval misses it.  ``None`` means no bound is
     available (unsupported expression shape or no zone-mappable column).
     """
-    selection = block_selection(expr, table, store)
-    if selection is None:
+    leaves = _compile_conjunction(expr, table)
+    if leaves is None:
         return None
-    return selection.rows_selected
+    selection = _combine_selection(leaves, table, store)
+    return None if selection is None else selection.rows_selected

@@ -59,6 +59,13 @@ SCOPE_TRANSFER = "transfer"
 #: Scope tag for ops belonging to the join phase (per-join SIP filters).
 SCOPE_JOIN = "join"
 
+#: Estimated build rows at which a hash join compiles to the
+#: radix-partitioned form.  Below this a monolithic sort fits the caches and
+#: the partitioning pass is pure overhead.
+PARTITION_THRESHOLD = 1 << 17
+#: Radix bits of a partitioned join (2^6 = 64 partitions).
+PARTITION_BITS = 6
+
 
 @dataclass(frozen=True)
 class Operand:
@@ -498,8 +505,6 @@ def compile_join_ops(
     graph: JoinGraph,
     bloom_prefilter: bool = False,
     first_build_id: int = 0,
-    partition_threshold: Optional[int] = None,
-    partition_bits: int = 0,
 ) -> Tuple[List[PhysicalOp], Operand, int]:
     """Compile a join-plan tree into ``HashBuild``/``HashProbe`` ops.
 
@@ -510,12 +515,12 @@ def compile_join_ops(
     baseline) a join-scoped ``BloomBuild``/``BloomProbe`` pair precedes each
     hash join, pre-filtering the probe side.
 
-    With ``partition_threshold``/``partition_bits`` set, single-attribute
-    joins whose *estimated* build side reaches the threshold compile to the
-    radix-partitioned form instead: ``Partition`` + ``PartitionedHashBuild``
-    + ``PartitionedHashProbe``.  The estimate is static (the graph's filtered
-    base cardinalities; for intermediate build sides the largest member
-    relation), keeping compilation pure.  Composite-key and Cartesian joins
+    Single-attribute joins whose *estimated* build side reaches
+    :data:`PARTITION_THRESHOLD` compile to the radix-partitioned form
+    instead: ``Partition`` (:data:`PARTITION_BITS` radix bits) +
+    ``PartitionedHashBuild`` + ``PartitionedHashProbe``.  The estimate is
+    static (the graph's filtered base cardinalities; for intermediate build
+    sides the largest member relation), keeping compilation pure.  Composite-key and Cartesian joins
     always take the monolithic form.
 
     Returns ``(ops, root_operand, num_slots)``.
@@ -561,16 +566,10 @@ def compile_join_ops(
             )
         slot = counter["slot"]
         counter["slot"] += 1
-        partitioned = (
-            partition_threshold is not None
-            and partition_bits > 0
-            and len(attributes) == 1
-            and estimated_rows(build_aliases) >= partition_threshold
-        )
-        if partitioned:
+        if len(attributes) == 1 and estimated_rows(build_aliases) >= PARTITION_THRESHOLD:
             ops.append(
                 Partition(
-                    build_id=build_id, input=build, attributes=attributes, bits=partition_bits
+                    build_id=build_id, input=build, attributes=attributes, bits=PARTITION_BITS
                 )
             )
             ops.append(
@@ -599,16 +598,14 @@ def compile_execution(
     graph: JoinGraph,
     tables: Mapping[str, Table],
     schedule: Optional[TransferSchedule] = None,
-    partition_threshold: Optional[int] = None,
-    partition_bits: int = 0,
 ) -> PhysicalPlan:
     """Compile one full query execution (every phase) into a PhysicalPlan.
 
     This is what ``Database.execute`` calls: scan + filter pushdown, the
     mode's transfer phase (if any), the join phase (with per-join SIP
     filters for the Bloom Join baseline, and radix-partitioned hash joins
-    for estimated build sides at or above ``partition_threshold``), and the
-    final aggregation.
+    for estimated build sides at or above :data:`PARTITION_THRESHOLD`), and
+    the final aggregation.
     """
     ops: List[PhysicalOp] = compile_scan_filter(query)
     if mode.uses_transfer_phase:
@@ -620,11 +617,7 @@ def compile_execution(
             )
         )
     join_ops, root, num_slots = compile_join_ops(
-        plan,
-        graph,
-        bloom_prefilter=mode.uses_per_join_bloom,
-        partition_threshold=partition_threshold,
-        partition_bits=partition_bits,
+        plan, graph, bloom_prefilter=mode.uses_per_join_bloom
     )
     ops.extend(join_ops)
     ops.append(Aggregate(input=root))

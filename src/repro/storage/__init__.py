@@ -1,7 +1,7 @@
-"""Columnar storage substrate: datatypes, columns, tables, catalog, buffer manager."""
+"""Columnar storage substrate: datatypes, columns, tables, catalog, memory governor."""
 
 from repro.storage.artifacts import ArtifactCache, ArtifactKey, mask_fingerprint
-from repro.storage.buffer import BufferManager, IoStatistics, MemoryGovernor
+from repro.storage.buffer import IoStatistics, MemoryGovernor
 from repro.storage.catalog import Catalog, TableStatistics
 from repro.storage.column import Column, concat_columns
 from repro.storage.datatypes import DataType, infer_datatype
@@ -10,7 +10,6 @@ from repro.storage.table import ForeignKey, Table
 __all__ = [
     "ArtifactCache",
     "ArtifactKey",
-    "BufferManager",
     "Catalog",
     "Column",
     "DataType",

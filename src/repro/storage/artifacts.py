@@ -129,21 +129,8 @@ class ArtifactCache:
             self.hits += 1
             return entry.artifact
 
-    def resize(self, budget_bytes: int) -> None:
-        """Change the byte budget, evicting LRU entries that no longer fit."""
-        if budget_bytes <= 0:
-            raise ValueError("artifact cache budget must be positive")
-        with self._lock:
-            self.budget_bytes = budget_bytes
-            self._evict_over_budget()
-
     def _evict_over_budget(self) -> None:
-        """Evict LRU entries until the total fits the budget (lock held).
-
-        May empty the cache entirely: ``put`` never admits an artifact
-        larger than the budget, but ``resize`` can shrink the budget below
-        a lone resident artifact, which must then go too.
-        """
+        """Evict LRU entries until the total fits the budget (lock held)."""
         while self._bytes > self.budget_bytes and self._entries:
             _, victim = self._entries.popitem(last=False)
             self._bytes -= victim.size_bytes

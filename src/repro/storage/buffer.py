@@ -1,32 +1,20 @@
-"""Memory governance: the live :class:`MemoryGovernor` and the Figure 15 model.
+"""Memory governance: the live :class:`MemoryGovernor`.
 
-Two layers live here:
-
-* :class:`MemoryGovernor` — the *live* memory-budget authority of the
-  pipeline executor.  Operators reserve budget **before** materializing
-  build sides or partitions; when a reservation pushes the total over
-  budget, the governor evicts least-recently-used evictable reservations
-  through a spill handler (:class:`~repro.exec.spill.SpillManager`), and a
-  later touch of a spilled reservation charges the reload.  Execution
-  results are bit-identical with or without a budget — only the accounted
-  I/O and the spill/reload counters change.
-
-* :class:`BufferManager` — the original *deterministic accounting model*
-  for the on-disk / spill experiments (Figure 15): every chunk pinned into
-  the simulated buffer pool is charged an I/O cost when it has to be
-  (re)read from "disk".  It remains the figure-reproduction path
-  (:func:`~repro.exec.spill.simulate_spill`) operating on an
-  already-measured execution trace.
-
-Both expose the quantities the paper's discussion hinges on: the volume of
-data materialized after the forward pass, and the bytes re-read because they
-were spilled.
+:class:`MemoryGovernor` is the memory-budget authority of the pipeline
+executor.  Operators reserve budget **before** materializing build sides or
+partitions; when a reservation pushes the total over budget, the governor
+evicts least-recently-used evictable reservations through a spill handler
+(:class:`~repro.exec.spill.SpillManager`), and a later touch of a spilled
+reservation charges the reload.  Execution results are bit-identical with
+or without a budget — only the accounted I/O (:class:`IoStatistics`) and
+the spill/reload counters change.  (The Figure 15 accounting model over a
+finished trace lives in :mod:`repro.bench.simulation`.)
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.errors import MemoryExhausted
@@ -56,91 +44,6 @@ class IoStatistics:
         read_s = self.bytes_read_from_disk / mb / read_mb_per_s
         write_s = self.bytes_written_to_disk / mb / write_mb_per_s
         return read_s + write_s
-
-
-@dataclass
-class _Frame:
-    """One resident buffer-pool frame."""
-
-    key: str
-    size_bytes: int
-    dirty: bool
-    last_use: int = 0
-
-
-class BufferManager:
-    """A simulated buffer pool with LRU eviction and I/O accounting.
-
-    Parameters
-    ----------
-    memory_budget_bytes:
-        Maximum number of bytes that may be resident at once.  ``None``
-        means unlimited (pure in-memory execution, no spilling).
-    """
-
-    def __init__(self, memory_budget_bytes: Optional[int] = None) -> None:
-        self.memory_budget_bytes = memory_budget_bytes
-        self.stats = IoStatistics()
-        self._frames: Dict[str, _Frame] = {}
-        self._clock = 0
-        self._on_disk: Dict[str, int] = {}  # key -> size for spilled/disk-resident data
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes currently held in the (simulated) buffer pool."""
-        return sum(f.size_bytes for f in self._frames.values())
-
-    def register_on_disk(self, key: str, size_bytes: int) -> None:
-        """Declare that ``key`` initially resides on disk (e.g. a base table)."""
-        self._on_disk[key] = size_bytes
-
-    def read(self, key: str, size_bytes: int) -> None:
-        """Access ``key``; charge a disk read if it is not resident."""
-        self._clock += 1
-        frame = self._frames.get(key)
-        if frame is not None:
-            frame.last_use = self._clock
-            self.stats.bytes_served_from_memory += size_bytes
-            return
-        # Not resident: it must come from disk (either registered or spilled).
-        self.stats.bytes_read_from_disk += size_bytes
-        self._admit(key, size_bytes, dirty=False)
-
-    def write(self, key: str, size_bytes: int) -> None:
-        """Materialize ``key`` (e.g. buffered chunks of a CreateBF sink)."""
-        self._clock += 1
-        self._admit(key, size_bytes, dirty=True)
-
-    def release(self, key: str) -> None:
-        """Drop ``key`` from the pool without charging a write (data is dead)."""
-        self._frames.pop(key, None)
-        self._on_disk.pop(key, None)
-
-    def reset_statistics(self) -> None:
-        """Zero the I/O counters while keeping pool contents."""
-        self.stats = IoStatistics()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _admit(self, key: str, size_bytes: int, dirty: bool) -> None:
-        self._frames[key] = _Frame(key=key, size_bytes=size_bytes, dirty=dirty, last_use=self._clock)
-        self._maybe_evict()
-
-    def _maybe_evict(self) -> None:
-        if self.memory_budget_bytes is None:
-            return
-        while self.resident_bytes > self.memory_budget_bytes and len(self._frames) > 1:
-            victim = min(self._frames.values(), key=lambda f: f.last_use)
-            del self._frames[victim.key]
-            self.stats.evictions += 1
-            if victim.dirty:
-                # Spill to disk so a later read can find it.
-                self.stats.bytes_written_to_disk += victim.size_bytes
-                self._on_disk[victim.key] = victim.size_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +96,7 @@ class _Reservation:
 class MemoryGovernor:
     """Grants, tracks, and reclaims the executor's memory budget *during* a run.
 
-    Unlike :class:`BufferManager` (which charges I/O against a finished
-    trace), the governor sits in the execution hot path: an operator calls
+    The governor sits in the execution hot path: an operator calls
     :meth:`reserve` before materializing a build side or a partition,
     :meth:`touch` before probing it, and :meth:`release` once the data is
     dead.  When a reservation exceeds the budget, the least-recently-used

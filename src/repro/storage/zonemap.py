@@ -134,7 +134,7 @@ class BlockSelection:
 
     ``survivors[b]`` is True when block ``b`` may contain matching rows.
     Rows outside surviving blocks are *proven* non-matching, so consumers
-    (the fused filter kernel, the code-space evaluator) may skip them
+    (the code-space evaluator) may skip them
     without changing the resulting mask.
     """
 

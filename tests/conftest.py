@@ -197,6 +197,37 @@ def dsb_db() -> Database:
 
 
 @pytest.fixture(scope="session")
+def sparse_db() -> Database:
+    """``fact`` ⋈ ``dim`` over ids drawn from a 2**60 domain.
+
+    Too sparse for a bitmap membership table, so the PT/RPT transfer steps
+    of :func:`sparse_query` stay Bloom filters (on dense keys the executor
+    runs them as exact bitmap semi-joins instead).
+    """
+    rng = np.random.default_rng(13)
+    ids = rng.choice(np.int64(2) ** 60, size=2_000, replace=False)
+    db = Database()
+    db.register_dataframe(
+        "dim", {"id": ids, "attr": rng.integers(0, 10, 2_000)}, primary_key=["id"]
+    )
+    db.register_dataframe(
+        "fact", {"dim_id": rng.choice(ids, size=30_000), "v": rng.integers(0, 100, 30_000)}
+    )
+    yield db
+    db.close()
+
+
+@pytest.fixture(scope="session")
+def sparse_query() -> QuerySpec:
+    """Both sides filtered, so the forward and the backward step both run."""
+    return QuerySpec(
+        name="sparse",
+        relations=(RelationRef("f", "fact", lt("v", 90)), RelationRef("d", "dim", lt("attr", 5))),
+        joins=(JoinCondition("f", "dim_id", "d", "id"),),
+    )
+
+
+@pytest.fixture(scope="session")
 def all_modes() -> tuple[ExecutionMode, ...]:
     """Every execution mode, in a fixed order."""
     return tuple(ExecutionMode)

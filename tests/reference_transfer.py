@@ -1,13 +1,21 @@
 """Straight-line replay of a Bloom transfer schedule (test-only reference).
 
 The engine runs PT/RPT transfer through cached hashing passes, row-id
-selection vectors, artifact caches and morsel backends.  This replay does
-none of that: per step it gathers the keys, builds a fresh
+selection vectors, artifact caches, bitmap indexes and morsel backends.
+This replay does none of that: per step it gathers the keys and filters the
+target, applying the paper's §4.3 rule (skip a step whose source is the
+still-unreduced primary-key side of a declared single-attribute PK-FK join).
+The engine's ``reduced_rows`` must equal its result exactly — Bloom false
+positives included.
+
+A step is *exact* (``np.isin``, no false positives) when the executor's
+downgrade rule says a membership table over the source keys is cheap: a
+single-attribute step over integer keys whose source key range is at most
+``max(2**16, 8 * (build rows + probe rows))``, capped at ``2**26`` — or
+whose source already served an exact step and has not been reduced since
+(the table is there, so it is used).  Every other step builds a fresh
 ``BloomFilter(expected_keys=source rows, fpr)`` with ``insert(keys)`` and
-filters the target with ``probe(keys)``, applying the paper's §4.3 rule
-(skip a step whose source is the still-unreduced primary-key side of a
-declared single-attribute PK-FK join).  The engine's ``reduced_rows`` must
-equal its result exactly — Bloom false positives included.
+filters the target with ``probe(keys)``.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ def replay_reduced_rows(db, query, schedule, fpr: float = DEFAULT_FPR) -> Dict[s
         for alias, table in tables.items()
     }
     reduced = {alias for alias in rows if rows[alias].size < tables[alias].num_rows}
+    has_table = set()  # sources with a membership table over their current rows
     for step in schedule.steps:
         classes = [graph.attribute_classes[name] for name in step.attributes]
         source, target = tables[step.source], tables[step.target]
@@ -47,10 +56,22 @@ def replay_reduced_rows(db, query, schedule, fpr: float = DEFAULT_FPR) -> Dict[s
             build, probe = source_keys[0], target_keys[0]
         else:
             build, probe = combine_key_columns_pair(source_keys, target_keys)
-        bloom = BloomFilter(expected_keys=rows[step.source].size, fpr=fpr)
-        bloom.insert(build)
-        keep = bloom.probe(probe)
+        if len(classes) == 1 and (step.source in has_table or _dense(build, probe.size)):
+            has_table.add(step.source)
+            keep = np.isin(probe, build)
+        else:
+            bloom = BloomFilter(expected_keys=rows[step.source].size, fpr=fpr)
+            bloom.insert(build)
+            keep = bloom.probe(probe)
         if not keep.all():
             reduced.add(step.target)
         rows[step.target] = rows[step.target][keep]
+        has_table.discard(step.target)
     return {alias: int(selected.size) for alias, selected in rows.items()}
+
+
+def _dense(build: np.ndarray, probe_rows: int) -> bool:
+    if build.size == 0 or not np.issubdtype(build.dtype, np.integer):
+        return False
+    key_range = int(build.max()) - int(build.min()) + 1
+    return key_range <= min(max(1 << 16, 8 * (build.size + probe_rows)), 1 << 26)

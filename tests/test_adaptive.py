@@ -4,7 +4,8 @@ Covers the :class:`~repro.exec.adaptive.AdaptiveTransferController` (yield
 observation, pending-probe cancellation, dead-build elimination over the
 ``provides``/``requires`` op metadata, wholesale backward-pass skipping),
 the KMV distinct-count sketch and its accuracy bounds, the exact-bitmap
-downgrade, bit-identity of adaptive on/off across all five modes / five
+downgrade (the executor's own decision, on whether or not skipping is),
+bit-identity of adaptive on/off across all five modes / five
 workloads / three backends, the IN-list kernel routing, edge cases
 (single-relation queries, forward-only schedules, zero-yield first steps,
 PK-FK pruning interaction), and observability markers.
@@ -51,21 +52,13 @@ from repro.storage.table import ForeignKey
 from repro.workloads import dsb, job, synthetic, tpcds, tpch
 
 
-def _options(adaptive=False, bitmap=None, **kwargs) -> ExecutionOptions:
-    return ExecutionOptions(
-        execution=ExecutionConfig(
-            adaptive_transfer=adaptive, bitmap_downgrade=bitmap, **kwargs
-        )
-    )
+def _options(adaptive=False, **kwargs) -> ExecutionOptions:
+    return ExecutionOptions(execution=ExecutionConfig(adaptive_transfer=adaptive, **kwargs))
 
 
 STATIC = _options()
-#: Every adaptive configuration that must stay result-identical to STATIC.
-ADAPTIVE_CONFIGS = {
-    "skip_only": _options(adaptive=True, bitmap=False),
-    "bitmap_only": _options(adaptive=False, bitmap=True),
-    "all_on": _options(adaptive=True),
-}
+#: Yield-driven skipping on: must stay result-identical to STATIC.
+ADAPTIVE = _options(adaptive=True)
 
 
 def _signature(result):
@@ -314,9 +307,8 @@ class TestBitIdentityMatrix:
             plan = db.optimizer_plan(query)
         for mode in ExecutionMode:
             baseline = _signature(db.execute(query, mode=mode, plan=plan, options=STATIC))
-            for name, options in ADAPTIVE_CONFIGS.items():
-                result = db.execute(query, mode=mode, plan=plan, options=options)
-                assert _signature(result) == baseline, (mode, name)
+            result = db.execute(query, mode=mode, plan=plan, options=ADAPTIVE)
+            assert _signature(result) == baseline, mode
 
     def test_synthetic(self):
         instance = synthetic.figure2_instance(base_size=40)
@@ -385,7 +377,7 @@ class TestAdaptiveExecution:
         result = db.execute(
             query,
             mode=ExecutionMode.RPT,
-            options=_options(adaptive=True, bitmap=False),
+            options=ADAPTIVE,
         )
         stats = result.stats
         executed = [s for s in stats.transfer_steps if not s.skipped]
@@ -495,47 +487,24 @@ class TestAdaptiveExecution:
     def test_bitmap_downgrade_fires_on_dense_domains(self):
         db = _star_db(attr_domain=10)
         query = _star_query(bound=5, attr_domain=10)
-        result = db.execute(
-            query,
-            mode=ExecutionMode.RPT,
-            options=_options(adaptive=False, bitmap=True),
-        )
+        result = db.execute(query, mode=ExecutionMode.RPT, options=STATIC)
         assert result.stats.adaptive_exact_downgrades > 0
-        assert any(s.downgraded_exact for s in result.stats.transfer_steps)
-        static = db.execute(query, mode=ExecutionMode.RPT, options=STATIC)
-        assert _signature(result) == _signature(static)
-        # Exact semi-joins admit no false positives, so every downgraded
-        # reduction is at least as tight as its Bloom counterpart.
-        by_step = {
-            (s.source, s.target, s.pass_): s
-            for s in result.stats.transfer_steps
-        }
-        for s in static.stats.transfer_steps:
-            mirror = by_step[(s.source, s.target, s.pass_)]
-            assert mirror.rows_after <= s.rows_after
+        downgraded = [s for s in result.stats.transfer_steps if s.downgraded_exact]
+        assert downgraded
+        # Exact semi-joins admit no false positives: every downgraded step
+        # leaves exactly what the Yannakakis semi-join of the same step does.
+        exact = db.execute(query, mode=ExecutionMode.YANNAKAKIS, options=STATIC)
+        assert _signature(result) == _signature(exact)
+        by_step = {(s.source, s.target, s.pass_): s for s in exact.stats.transfer_steps}
+        for s in downgraded:
+            assert s.rows_after == by_step[(s.source, s.target, s.pass_)].rows_after
 
-    def test_bitmap_downgrade_skips_sparse_domains(self):
-        rng = np.random.default_rng(13)
-        db = Database()
-        n_dim, n_fact = 2_000, 30_000
-        ids = rng.choice(np.int64(2) ** 60, size=n_dim, replace=False)
-        db.register_dataframe(
-            "dim", {"id": ids, "attr": rng.integers(0, 10, n_dim)}, primary_key=["id"]
-        )
-        db.register_dataframe("fact", {"dim_id": rng.choice(ids, size=n_fact)})
-        query = QuerySpec(
-            name="sparse",
-            relations=(RelationRef("f", "fact"), RelationRef("d", "dim", lt("attr", 5))),
-            joins=(JoinCondition("f", "dim_id", "d", "id"),),
-        )
-        result = db.execute(
-            query,
-            mode=ExecutionMode.RPT,
-            options=_options(adaptive=False, bitmap=True),
-        )
+    def test_bitmap_downgrade_skips_sparse_domains(self, sparse_db, sparse_query):
+        result = sparse_db.execute(sparse_query, mode=ExecutionMode.RPT, options=STATIC)
         assert result.stats.adaptive_exact_downgrades == 0
-        static = db.execute(query, mode=ExecutionMode.RPT, options=STATIC)
-        assert _signature(result) == _signature(static)
+        assert all(s.filter_bytes > 0 for s in result.stats.transfer_steps if not s.skipped)
+        baseline = sparse_db.execute(sparse_query, mode=ExecutionMode.BASELINE, options=STATIC)
+        assert _signature(result) == _signature(baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +581,14 @@ class TestObservability:
         assert "adaptive: " in rendered
         assert "cache: " in rendered  # hash cache is on by default
 
-    def test_static_runs_record_no_adaptive_activity(self):
+    def test_static_runs_skip_nothing(self):
         db = _star_db()
         query = _star_query(bound=999)
         result = db.execute(query, mode=ExecutionMode.RPT, options=STATIC)
         stats = result.stats
         assert stats.adaptive_steps_skipped == 0
-        assert stats.adaptive_exact_downgrades == 0
-        assert stats.adaptive_summary() == ""
+        assert "[adaptive skip]" not in stats.op_trace()
+        assert "skipped" not in stats.adaptive_summary()
 
 
 # ---------------------------------------------------------------------------

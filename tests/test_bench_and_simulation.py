@@ -27,10 +27,15 @@ from repro.bench import (
     write_bench_json,
 )
 from repro.bench.microbench import Case, Gate, _judge
+from repro.bench.simulation import (
+    ParallelismModel,
+    SpillConfig,
+    peak_materialized_bytes,
+    simulate_parallel_cost,
+    simulate_spill,
+)
 from repro.core import robustness_factor
 from repro.errors import BenchmarkError
-from repro.exec.parallel import ParallelismModel, simulate_parallel_cost
-from repro.exec.spill import SpillConfig, peak_materialized_bytes, simulate_spill
 from repro.workloads import synthetic, tpch
 
 

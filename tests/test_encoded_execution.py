@@ -9,7 +9,7 @@ execution modes and three backends and compares aggregates against the
 raw serial baseline.  The satellites are covered alongside: plans are
 unchanged when encodings are off, zone bounds drop impossible predicates
 to a zero estimate (past the 1-row floor), EXPLAIN carries the
-``[zm skip]`` marker, fused kernels count skipped blocks exactly, and the
+``[zm skip]`` marker, conjunctions count skipped blocks exactly, and the
 artifact cache never aliases raw and encoded passes.
 """
 
@@ -186,9 +186,9 @@ class TestTraceMarkers:
 
 
 # ---------------------------------------------------------------------------
-# Fused kernels under block selections
+# Conjunctions under block selections
 # ---------------------------------------------------------------------------
-class TestFusedWithEncodings:
+class TestConjunctionBlockSkipping:
     def test_skipped_blocks_counted_exactly(self):
         n = 8 * 4_096
         db = Database()
@@ -198,28 +198,17 @@ class TestFusedWithEncodings:
                 {"ts": np.arange(n, dtype=np.int64), "flag": np.ones(n, dtype=np.int64)},
             )
             query = QuerySpec(
-                name="fused",
+                name="conjunction",
                 relations=(RelationRef("t", "t", between("ts", 0, 4_095) & eq("flag", 1)),),
                 joins=(),
             )
-            fused_raw = db.execute(
-                query, options=_options("serial", encodings=False, fuse_filters=True)
-            )
-            fused_enc = db.execute(
-                query, options=_options("serial", encodings=True, fuse_filters=True)
-            )
-            assert fused_enc.aggregates == fused_raw.aggregates
-            # Only the first block survives pruning, so the encoded fused run
-            # short-circuits exactly the 7 skipped blocks' rows on top of the
-            # raw fused run's progressive-selection savings.
-            skipped_rows = n - 4_096
-            assert (
-                fused_enc.stats.fused_rows_short_circuited
-                - fused_raw.stats.fused_rows_short_circuited
-                == skipped_rows
-            )
-            assert fused_enc.stats.zone_blocks_skipped == 7
-            assert fused_enc.stats.zone_blocks_total == 8
+            raw = db.execute(query, options=_options("serial", encodings=False))
+            encoded = db.execute(query, options=_options("serial", encodings=True))
+            assert encoded.aggregates == raw.aggregates
+            assert raw.stats.zone_blocks_total == 0
+            # Only the first block survives the AND of both leaves' pruning.
+            assert encoded.stats.zone_blocks_skipped == 7
+            assert encoded.stats.zone_blocks_total == 8
         finally:
             db.close()
 

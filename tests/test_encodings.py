@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Database
-from repro.expr import between, codespace, contains, eq, isin, lt
+from repro.expr import and_, between, codespace, contains, eq, isin, lt, not_
 from repro.storage.column import Column
 from repro.storage.encodings import (
     MAX_DICT_NDV,
@@ -252,9 +252,10 @@ class TestCodeSpace:
             lambda: lt("name", "name_03"),
             lambda: contains("name", "_1"),
             lambda: between("sorted", 10, 40) & eq("rand", 2),
+            lambda: (between("sorted", 10, 400) & eq("rand", 2)) & lt("name", "name_05"),
             lambda: between("sorted", -100, -1),  # provably empty
         ],
-        ids=["between", "lt", "eq", "in", "str-lt", "like", "conj", "empty"],
+        ids=["between", "lt", "eq", "in", "str-lt", "like", "conj", "nested-conj", "empty"],
     )
     def test_mask_bit_identical(self, db, expr_maker):
         expr = expr_maker()
@@ -276,9 +277,12 @@ class TestCodeSpace:
     def test_unsupported_shape_returns_none(self, db):
         table = db.catalog.table("t")
         store = db.catalog.encodings
-        expr = lt("sorted", 5) | eq("rand", 1)  # disjunction: unsupported
-        assert codespace.evaluate(expr, table, store) is None
-        assert codespace.rows_upper_bound(expr, table, store) is None
+        disjunction = lt("sorted", 5) | eq("rand", 1)
+        # One unsupported operand anywhere disables the whole conjunction.
+        negated_leaf = and_(lt("sorted", 5), not_(eq("rand", 1)))
+        for expr in (disjunction, negated_leaf):
+            assert codespace.evaluate(expr, table, store) is None
+            assert codespace.rows_upper_bound(expr, table, store) is None
 
 
 # ---------------------------------------------------------------------------

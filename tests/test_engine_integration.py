@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Database, ExecutionConfig, ExecutionMode, ExecutionOptions
+from repro import Database, ExecutionMode, ExecutionOptions
 from repro.engine.database import QueryResult
 from repro.errors import PlanError
 from repro.exec import TransferOptions
@@ -112,16 +112,15 @@ class TestExecutionOptions:
         # Correctness is unaffected.
         assert aligned.aggregates == result.aggregates
 
-    def test_custom_fpr(self, imdb_db, star_query):
-        # Exact-bitmap downgrades (the REPRO_ADAPTIVE_TRANSFER CI leg) would
-        # replace the Bloom filters whose FPR-driven sizing this test
-        # measures, so they are pinned off here.
-        no_bitmap = ExecutionConfig(bitmap_downgrade=False)
-        tight = ExecutionOptions(transfer=TransferOptions(fpr=0.001), execution=no_bitmap)
-        loose = ExecutionOptions(transfer=TransferOptions(fpr=0.2), execution=no_bitmap)
-        r_tight = imdb_db.execute(star_query, mode=ExecutionMode.RPT, options=tight)
-        r_loose = imdb_db.execute(star_query, mode=ExecutionMode.RPT, options=loose)
+    def test_custom_fpr(self, sparse_db, sparse_query):
+        # Sparse keys: on a dense key domain the executor replaces the Bloom
+        # filter, whose FPR-driven sizing this test measures, by an exact bitmap.
+        tight = ExecutionOptions(transfer=TransferOptions(fpr=0.001))
+        loose = ExecutionOptions(transfer=TransferOptions(fpr=0.2))
+        r_tight = sparse_db.execute(sparse_query, mode=ExecutionMode.RPT, options=tight)
+        r_loose = sparse_db.execute(sparse_query, mode=ExecutionMode.RPT, options=loose)
         assert r_tight.aggregates == r_loose.aggregates
+        assert not any(s.downgraded_exact for s in r_tight.stats.transfer_steps)
         assert r_tight.stats.bloom_bytes > r_loose.stats.bloom_bytes
 
     def test_verify_safe_join_order_flags_unsafe(self):

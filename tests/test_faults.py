@@ -138,7 +138,7 @@ class TestCancelToken:
 # Worker-crash recovery (the process backend), across all five modes
 # ---------------------------------------------------------------------------
 class TestCrashRecovery:
-    def test_worker_crash_mid_query_all_modes(self, tpch_db, all_modes):
+    def test_worker_crash_mid_query_all_modes(self, tpch_db, all_modes, monkeypatch):
         """Every worker task dies; the query still completes bit-identically.
 
         ``rate:1.0`` on ``process.task`` kills each worker at its first
@@ -147,6 +147,7 @@ class TestCrashRecovery:
         """
         from repro.workloads import tpch
 
+        monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
         query = tpch.query(5)
         for mode in all_modes:
             baseline = tpch_db.execute(query, mode=mode, options=_options(backend="serial"))
@@ -157,7 +158,6 @@ class TestCrashRecovery:
                     backend="process",
                     num_workers=2,
                     chunk_size=512,
-                    max_task_retries=1,
                     faults="seed:3,rate:1.0,sites:process.task",
                 ),
             )
@@ -188,10 +188,11 @@ class TestCrashRecovery:
         )
         _assert_identical(crashed, baseline)
 
-    def test_worker_shm_attach_fault_recovers(self, tpch_db):
+    def test_worker_shm_attach_fault_recovers(self, tpch_db, monkeypatch):
         """Worker-side attach failures are transient: retried, then inline."""
         from repro.workloads import tpch
 
+        monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
         query = tpch.query(3)
         baseline = tpch_db.execute(query, options=_options(backend="serial"))
         faulted = tpch_db.execute(
@@ -200,7 +201,6 @@ class TestCrashRecovery:
                 backend="process",
                 num_workers=2,
                 chunk_size=512,
-                max_task_retries=1,
                 faults="seed:2,rate:1.0,sites:shm.attach",
             ),
         )
@@ -377,7 +377,6 @@ class TestDegradationLadder:
             options=_options(
                 backend="serial",
                 encodings=True,
-                fuse_filters=False,
                 faults="seed:1,rate:1.0,sites:column.decode",
             ),
         )

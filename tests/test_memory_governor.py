@@ -13,6 +13,7 @@ import pytest
 
 from repro import Database, ExecutionConfig, ExecutionMode, ExecutionOptions
 from repro.exec.spill import SpillManager
+from repro.plan import physical
 from repro.storage.buffer import MemoryGovernor
 
 
@@ -121,15 +122,15 @@ class TestEviction:
 # Governed execution bit-matches the unbudgeted run
 # ---------------------------------------------------------------------------
 class TestGovernedExecution:
+    @pytest.fixture(autouse=True)
+    def _partition_aggressively(self, monkeypatch):
+        # So the governor has partition-granular reservations to spill even
+        # on the small test fixture.
+        monkeypatch.setattr(physical, "PARTITION_THRESHOLD", 1)
+        monkeypatch.setattr(physical, "PARTITION_BITS", 3)
+
     def _config(self, budget=None) -> ExecutionConfig:
-        # Partition aggressively so the governor has partition-granular
-        # reservations to spill even on the small test fixture.
-        return ExecutionConfig(
-            backend="serial",
-            memory_budget_bytes=budget,
-            partition_threshold=1,
-            partition_bits=3,
-        )
+        return ExecutionConfig(backend="serial", memory_budget_bytes=budget)
 
     def test_unbudgeted_run_records_peak(self, imdb_db, chain_query):
         result = imdb_db.execute(

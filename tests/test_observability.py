@@ -84,7 +84,7 @@ STAR_SQL = (
     "SELECT COUNT(*) AS n, SUM(f.v) AS s FROM f, d "
     "WHERE f.d_id = d.id AND d.grp < 5 AND f.v > 50"
 )
-#: The same star with conjunctive base filters, so fused kernels engage.
+#: The same star with conjunctive base filters (several code-space leaves per alias).
 CONJUNCTIVE_STAR_SQL = STAR_SQL + " AND f.v < 900 AND d.grp >= 0"
 
 
@@ -407,7 +407,6 @@ class TestGoldenReports:
         options = _options(
             artifact_cache=True,
             adaptive_transfer=True,
-            fuse_filters=True,
             encodings=True,
             tracing=True,
             **backend,
@@ -439,8 +438,7 @@ class TestGoldenReports:
             db.close()
         # The knobs that are on all left their mark somewhere in the matrix.
         assert {
-            "selvec_rows", "artifact_hits", "downgraded_exact", "fused_expr",
-            "blocks_total", "encoded_bytes",
+            "selvec_rows", "artifact_hits", "downgraded_exact", "blocks_total", "encoded_bytes",
         } <= seen
         assert ("shm_bytes" in seen) == (backend["backend"] == "process")
 
@@ -646,7 +644,8 @@ class TestServerObservability:
         finally:
             server.close()
 
-    def test_degradation_metrics_use_bounded_families(self):
+    def test_degradation_metrics_use_bounded_families(self, monkeypatch):
+        monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
         db = _star_db()
         server = Server(db, ServerConfig(max_concurrent=2))
         try:
@@ -657,7 +656,6 @@ class TestServerObservability:
                     backend="process",
                     num_workers=2,
                     chunk_size=512,
-                    max_task_retries=1,
                     faults="seed:3,rate:1.0,sites:process.task",
                 ),
             )

@@ -30,6 +30,7 @@ from repro.exec.kernels import (
 from repro.exec import pipeline
 from repro.exec.faults import CancelToken
 from repro.exec.pipeline import MorselBackend
+from repro.plan import physical
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +212,18 @@ class TestParallelBackend:
 # ---------------------------------------------------------------------------
 # Partitioned join compilation + execution through the engine
 # ---------------------------------------------------------------------------
+def _partition_everything(monkeypatch) -> None:
+    """Lower the compiler's constants so the small fixture's joins partition."""
+    monkeypatch.setattr(physical, "PARTITION_THRESHOLD", 1)
+    monkeypatch.setattr(physical, "PARTITION_BITS", 3)
+
+
 class TestPartitionedJoins:
     def _options(self, backend: str) -> ExecutionOptions:
-        return ExecutionOptions(
-            execution=ExecutionConfig(
-                backend=backend,
-                num_threads=4,
-                partition_threshold=1,  # partition every single-attribute join
-                partition_bits=3,
-            )
-        )
+        return ExecutionOptions(execution=ExecutionConfig(backend=backend, num_threads=4))
 
-    def test_partition_ops_compiled_above_threshold(self, imdb_db, chain_query):
+    def test_partition_ops_compiled_above_threshold(self, imdb_db, chain_query, monkeypatch):
+        _partition_everything(monkeypatch)
         result = imdb_db.execute(chain_query, options=self._options("serial"))
         kinds = result.physical_plan.op_kinds()
         assert "partition" in kinds
@@ -234,26 +235,27 @@ class TestPartitionedJoins:
                 assert kinds[i + 1] == "partitioned_hash_build"
                 assert kinds[i + 2] == "partitioned_hash_probe"
 
-    def test_threshold_disables_partitioning(self, imdb_db, chain_query):
-        options = ExecutionOptions(
-            execution=ExecutionConfig(partition_threshold=None, partition_bits=3)
-        )
-        result = imdb_db.execute(chain_query, options=options)
+    def test_small_build_sides_stay_monolithic(self, imdb_db, chain_query):
+        assert max(imdb_db.join_graph(chain_query).relation_sizes.values()) < physical.PARTITION_THRESHOLD
+        result = imdb_db.execute(chain_query)
         assert result.physical_plan.count("partition") == 0
 
     @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
     def test_partitioned_execution_matches_monolithic(
-        self, imdb_db, chain_query, all_modes, backend
+        self, imdb_db, chain_query, all_modes, backend, monkeypatch
     ):
-        for mode in all_modes:
-            monolithic = imdb_db.execute(chain_query, mode=mode)
+        monolithic_results = {mode: imdb_db.execute(chain_query, mode=mode) for mode in all_modes}
+        _partition_everything(monkeypatch)
+        for mode, monolithic in monolithic_results.items():
+            assert monolithic.physical_plan.count("partition") == 0
             partitioned = imdb_db.execute(
                 chain_query, mode=mode, options=self._options(backend)
             )
             assert monolithic.aggregates == partitioned.aggregates, (mode, backend)
             assert monolithic.output_rows == partitioned.output_rows, (mode, backend)
 
-    def test_partitioned_ops_record_morsel_counts(self, imdb_db, chain_query):
+    def test_partitioned_ops_record_morsel_counts(self, imdb_db, chain_query, monkeypatch):
+        _partition_everything(monkeypatch)
         result = imdb_db.execute(chain_query, options=self._options("parallel"))
         partition_ops = [o for o in result.op_stats if o.kind == "partitioned_hash_build"]
         assert partition_ops

@@ -21,10 +21,9 @@ from repro import (
     QuerySpec,
     RelationRef,
 )
-from repro.exec.chunk import DEFAULT_CHUNK_SIZE
+from repro.bench.simulation import ParallelismModel, simulate_parallel_cost
 from repro.exec.kernels import HashIndex, match_keys, semi_join_mask
-from repro.exec.parallel import ParallelismModel, simulate_parallel_cost
-from repro.exec.pipeline import DEFAULT_MORSEL_SIZE, MorselBackend, make_backend
+from repro.exec.pipeline import DEFAULT_CHUNK_SIZE, DEFAULT_MORSEL_SIZE, MorselBackend, make_backend
 from repro.exec.process import ProcessBackend
 from repro.expr.expressions import Expression, eq
 from repro.errors import ExecutionError

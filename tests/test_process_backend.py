@@ -98,21 +98,6 @@ class TestBitIdentity:
         proc = job_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=process_options())
         assert proc.aggregates == serial.aggregates, name
 
-    def test_fusion_on_and_off_identical(self, tpch_db):
-        from repro.workloads import tpch
-
-        query = tpch.all_queries()["q19"]  # conjunctive lineitem filter: fusible
-        plan = tpch_db.optimizer_plan(query)
-        off = tpch_db.execute(
-            query, mode=ExecutionMode.RPT, plan=plan, options=process_options(fuse_filters=False)
-        )
-        on = tpch_db.execute(
-            query, mode=ExecutionMode.RPT, plan=plan, options=process_options(fuse_filters=True)
-        )
-        assert on.aggregates == off.aggregates
-        assert on.stats.fused_exprs > 0
-        assert off.stats.fused_exprs == 0
-
     def test_sql_workloads_process_vs_serial(self):
         """All 56 checked-in .sql files: process aggregates == serial aggregates."""
         cache = {}

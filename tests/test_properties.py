@@ -129,6 +129,33 @@ def test_exact_reduction_is_full_and_bloom_is_superset(instance):
 
 @given(tree_query_instances())
 @settings(max_examples=20, deadline=None)
+def test_every_pass_fully_reduces_exact_and_rpt_keeps_a_superset(instance):
+    """With skipping off, the guarantee itself — checked on the surviving
+    rows, not on counts.  Exact transfer leaves every relation *fully
+    reduced*: its semi-join with each join-tree neighbour is the identity
+    (pairwise consistency, which on an α-acyclic query is global
+    consistency).  RPT keeps a superset of those rows, and where the
+    executor ran every step as an exact bitmap semi-join — the downgrade is
+    not optional — RPT's reduction is the full one too."""
+    db, query = instance
+    exact = db.execute(query, mode=ExecutionMode.YANNAKAKIS, options=EVERY_PASS)
+    rpt = db.execute(query, mode=ExecutionMode.RPT, options=EVERY_PASS)
+    for join in query.joins:
+        left = exact.relations[join.left_alias].key_values(join.left_column)
+        right = exact.relations[join.right_alias].key_values(join.right_column)
+        assert np.isin(left, right).all() and np.isin(right, left).all(), join
+    steps = [step for step in rpt.stats.transfer_steps if not step.skipped]
+    all_exact = all(step.downgraded_exact for step in steps)
+    for alias in query.aliases:
+        exact_rows = set(exact.relations[alias].row_indices.tolist())
+        rpt_rows = set(rpt.relations[alias].row_indices.tolist())
+        assert exact_rows <= rpt_rows, alias
+        if all_exact:
+            assert exact_rows == rpt_rows, alias
+
+
+@given(tree_query_instances())
+@settings(max_examples=20, deadline=None)
 def test_yannakakis_intermediates_bounded_by_output(instance):
     """On the exactly-reduced instance, every intermediate of a connected
     (Cartesian-free) left-deep order over a weight-1 tree query is at most |OUT|."""

@@ -106,7 +106,7 @@ def test_backend_matrix_bit_identical(stem, backend, specs, databases):
 
 
 #: Every feature the harness sweeps pinned off; a sweep turns one knob on.
-PLAIN = {"backend": "serial", "fuse_filters": False, "encodings": False, "tracing": False}
+PLAIN = {"backend": "serial", "encodings": False, "tracing": False}
 
 
 @pytest.fixture(scope="module")
@@ -138,13 +138,12 @@ def harness():
     "execution",
     [
         {},  # whatever the environment (a CI leg's REPRO_* variables) selects
-        {**PLAIN, "fuse_filters": True},
         {**PLAIN, "encodings": True},
         {**PLAIN, "tracing": True},
         {**PLAIN, "backend": "parallel"},
         {**PLAIN, "backend": "process"},
     ],
-    ids=["environment", "fused", "encoded", "traced", "parallel", "process"],
+    ids=["environment", "encoded", "traced", "parallel", "process"],
 )
 def test_run_all_harness_smoke(execution, harness):
     """Every file executes, self-verifies against its hand-built spec, and

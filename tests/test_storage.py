@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError, SchemaError
-from repro.storage import BufferManager, Catalog, Column, DataType, Table
+from repro.bench.simulation import BufferManager
+from repro.storage import Catalog, Column, DataType, Table
 from repro.storage.column import concat_columns
 from repro.storage.datatypes import coerce_to_numpy, infer_datatype
 from repro.storage.table import ForeignKey
