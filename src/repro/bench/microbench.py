@@ -49,7 +49,7 @@ from repro.engine.database import Database, ExecutionOptions
 from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import BenchmarkError
 from repro.exec.kernels import HashIndex, PartitionedHashIndex, match_keys, semi_join_mask
-from repro.exec.pipeline import MorselBackend
+from repro.exec.backends import MorselBackend
 from repro.exec.process import ProcessBackend, shutdown_workers
 from repro.expr import between, codespace, lt
 from repro.query import JoinCondition, QuerySpec, RelationRef

@@ -60,9 +60,6 @@ class ServingFleet:
     mode: ExecutionMode
     scale: float = 0.0
 
-    def server_for(self, stem: str) -> Server:
-        return self.servers[self.routes[stem]]
-
     def close(self) -> None:
         """Close every server, then every database; idempotent."""
         for server in self.servers.values():

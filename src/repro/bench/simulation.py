@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.exec.pipeline import DEFAULT_CHUNK_SIZE, num_chunks
+from repro.exec.backends import DEFAULT_CHUNK_SIZE, num_chunks
 from repro.exec.relation import BoundRelation
 from repro.exec.statistics import ExecutionStats
 from repro.storage.buffer import IoStatistics
@@ -141,10 +141,6 @@ class BufferManager:
         """Drop ``key`` from the pool without charging a write (data is dead)."""
         self._frames.pop(key, None)
         self._on_disk.pop(key, None)
-
-    def reset_statistics(self) -> None:
-        """Zero the I/O counters while keeping pool contents."""
-        self.stats = IoStatistics()
 
     # ------------------------------------------------------------------
     # Internals

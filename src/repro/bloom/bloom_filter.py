@@ -93,16 +93,6 @@ def optimal_num_blocks(num_keys: int, fpr: float) -> int:
     return 1 << max(0, (blocks - 1).bit_length())
 
 
-def filter_bytes_for(num_keys: int, fpr: float = DEFAULT_FPR) -> int:
-    """Bytes a filter sized for ``num_keys`` at ``fpr`` would occupy.
-
-    Pure sizing arithmetic (no filter is built).  The adaptive transfer
-    layer uses it to report how many filter bytes NDV-based sizing saved
-    against the row-count sizing a static build would have used.
-    """
-    return optimal_num_blocks(num_keys, fpr) * 8
-
-
 @dataclass
 class BloomFilterStatistics:
     """Counters recorded by a Bloom filter over its lifetime."""

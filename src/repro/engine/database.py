@@ -51,13 +51,13 @@ from repro.errors import (
     ReproError,
 )
 from repro.exec import faults
+from repro.exec.backends import make_backend
 from repro.exec.faults import CancelToken
 from repro.exec.pipeline import (
     BaseFilter,
     JoinPhaseOptions,
     PipelineExecutor,
     TransferOptions,
-    make_backend,
 )
 from repro.exec.relation import BoundRelation
 from repro.exec.spill import SpillManager
@@ -766,9 +766,7 @@ class Database:
         """
         name = config.backend
         while True:
-            backend = make_backend(
-                name, config.chunk_size, config.num_threads, config.num_workers
-            )
+            backend = make_backend(name, config.num_threads, config.num_workers)
             try:
                 backend.ensure_ready()
                 return backend

@@ -36,7 +36,7 @@ from numbers import Integral, Real
 from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import ExecutionError
-from repro.exec.pipeline import BACKEND_NAMES
+from repro.exec.backends import BACKEND_NAMES
 
 
 class ExecutionMode(enum.Enum):
@@ -137,9 +137,9 @@ def _check_timeout(value: Any) -> None:
 #: The environment-resolved knobs: ``(field, env var, parser, check, default)``.
 #: A field left ``None`` takes the parsed variable when it is set and
 #: non-empty, else the default; ``check`` then range-checks the value
-#: whichever of the two it came from.  Fields not listed (``chunk_size``,
-#: ``faults``) pass through unchanged — the fault injector consults
-#: ``REPRO_FAULTS`` itself, and ``faults=None`` means "don't override it".
+#: whichever of the two it came from.  The one field not listed, ``faults``,
+#: passes through unchanged — the fault injector consults ``REPRO_FAULTS``
+#: itself, and ``faults=None`` means "don't override it".
 KNOB_TABLE: Tuple[Tuple[str, str, Callable[[str], Any], Callable[[Any], None], Any], ...] = (
     ("backend", ENV_BACKEND, str, _check_backend, "serial"),
     ("num_threads", ENV_NUM_THREADS, int, _check_worker_count, None),
@@ -170,9 +170,6 @@ class ExecutionConfig:
       one per CPU, capped at 32 like the paper's testbed).
     * ``num_workers`` — worker processes of the process backend (``None``:
       one per CPU, capped at 32).
-    * ``chunk_size`` — morsel granularity of the chunked/parallel/process
-      backends (``None``: each preset's own default — 2048 rows chunked,
-      32768 parallel, 65536 process).
     * ``memory_budget_bytes`` — the :class:`~repro.storage.buffer.MemoryGovernor`
       budget; ``None`` means ungoverned (peak footprint still tracked).
     * ``artifact_cache`` — the cross-query
@@ -218,8 +215,10 @@ class ExecutionConfig:
     key column and gathers probe keys by row id at the probe itself
     (:class:`~repro.exec.hashcache.HashCache`); a Bloom step whose build
     side has a dense integer key domain runs as an exact bitmap semi-join
-    (strictly tighter than the filter it replaces); hash joins with a large
-    estimated build side are radix-partitioned.
+    (strictly tighter than the filter it replaces); a hash join whose
+    materialized build side is large is radix-partitioned; morsel sizes are
+    each backend preset's constant (2048 rows chunked, 32768 parallel, 65536
+    process).
 
     Unset knobs (``backend=None`` etc.) resolve from the ``REPRO_*``
     environment variables of :data:`KNOB_TABLE`, then defaults — see
@@ -229,7 +228,6 @@ class ExecutionConfig:
     backend: Optional[str] = None
     num_threads: Optional[int] = None
     num_workers: Optional[int] = None
-    chunk_size: Optional[int] = None
     memory_budget_bytes: Optional[int] = None
     artifact_cache: Optional[bool] = None
     adaptive_transfer: Optional[bool] = None

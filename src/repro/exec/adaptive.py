@@ -18,11 +18,11 @@ compiled :class:`~repro.plan.physical.PhysicalPlan`:
   controller cancels the target relation's remaining transfer probes: the
   observed evidence says filters are no longer reducing it, so the remaining
   passes are (probabilistically) pure overhead.
-* **Dead-build elimination** — cancelling probes orphans the builds that
-  exist only to feed them.  The controller walks the plan's static
-  ``provides``/``requires`` dependency metadata: a transfer build whose
-  provided ``stage:<id>`` token has no pending non-cancelled consumer is
-  cancelled too, so neither the filter construction nor its memory is paid.
+* **Whole-step cancellation** — a transfer step is a ``BloomBuild``
+  immediately followed by the ``BloomProbe`` with its ``step_id`` (or one
+  ``SemiJoinReduce``), and the build's only consumer is that probe.  So the
+  controller cancels *step ids*: a cancelled probe takes its build with it,
+  and neither the filter construction nor its memory is paid.
 * **Wholesale backward-pass skip** — the backward pass reduces each relation
   with its (by then forward-reduced) parent.  If the forward pass left every
   backward-pass build side effectively unreduced (cumulative reduction below
@@ -46,6 +46,7 @@ replaces and so keeps the transfer phase's guarantee — skipping does not.)
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Set
 
 from repro.core.transfer_schedule import TransferPass
@@ -67,21 +68,17 @@ DEFAULT_MIN_YIELD = 0.01
 _BACKWARD = TransferPass.BACKWARD.value
 
 
-def _is_transfer_probe(op) -> bool:
+def _is_transfer_op(op) -> bool:
     if isinstance(op, SemiJoinReduce):
         return True
-    return isinstance(op, BloomProbe) and op.scope == SCOPE_TRANSFER
-
-
-def _is_transfer_build(op) -> bool:
-    return isinstance(op, BloomBuild) and op.scope == SCOPE_TRANSFER
+    return isinstance(op, (BloomBuild, BloomProbe)) and op.scope == SCOPE_TRANSFER
 
 
 class AdaptiveTransferController:
-    """Runtime skip decisions over the transfer ops of one compiled plan.
+    """Runtime skip decisions over the transfer steps of one compiled plan.
 
     One controller serves one plan execution.  The executor asks
-    :meth:`should_skip` before running each transfer op and reports each
+    :meth:`should_skip` at each transfer step's first op and reports each
     executed probe's reduction through :meth:`observe`; both calls happen on
     the coordinator thread at op granularity (the morsel-gather barrier), so
     decisions are deterministic for a given plan and data regardless of
@@ -92,10 +89,13 @@ class AdaptiveTransferController:
         if not 0.0 <= min_yield <= 1.0:
             raise ValueError(f"adaptive min yield must be in [0, 1], got {min_yield}")
         self.min_yield = float(min_yield)
-        self._ops = tuple(plan)
-        #: Op indices cancelled by an adaptive decision.
-        self._cancelled: Set[int] = set()
-        #: Step ids whose probe (and possibly build) was cancelled.
+        transfer_ops = [op for op in plan if _is_transfer_op(op)]
+        #: The transfer steps in plan order, each by its reducing op (the
+        #: probe or semi-join), and how many ops each step compiled to.
+        self._steps = [op for op in transfer_ops if not isinstance(op, BloomBuild)]
+        self._position = {op.step_id: i for i, op in enumerate(self._steps)}
+        self._step_ops = Counter(op.step_id for op in transfer_ops)
+        #: Step ids cancelled by an adaptive decision.
         self.cancelled_steps: Set[int] = set()
         #: Human-readable decision log (surfaced in tests / debugging).
         self.decisions: List[str] = []
@@ -104,37 +104,25 @@ class AdaptiveTransferController:
         #: alias -> rows eliminated from it by executed forward-pass steps.
         self._forward_eliminated: Dict[str, int] = {}
         self._backward_decided = False
-        # Static consumer map over the dependency metadata: token -> indices
-        # of ops that require it (what dead-build elimination walks).
-        self._consumers: Dict[str, List[int]] = {}
-        for index, op in enumerate(self._ops):
-            for token in op.requires():
-                self._consumers.setdefault(token, []).append(index)
         self._backward_sources = frozenset(
-            op.source.alias
-            for op in self._ops
-            if _is_transfer_probe(op) and op.pass_ == _BACKWARD
+            op.source.alias for op in self._steps if op.pass_ == _BACKWARD
         )
 
     # ------------------------------------------------------------------
     # Executor-facing API
     # ------------------------------------------------------------------
-    def should_skip(self, index: int, op) -> bool:
-        """True when the adaptive controller has cancelled op ``index``.
+    def should_skip(self, op) -> bool:
+        """True when the adaptive controller has cancelled ``op``'s step.
 
         The first backward-pass transfer op triggers the wholesale
         backward-pass decision (every earlier forward observation is in by
         then, since ops execute in plan order).
         """
-        if (
-            not self._backward_decided
-            and (_is_transfer_build(op) or _is_transfer_probe(op))
-            and op.pass_ == _BACKWARD
-        ):
-            self._decide_backward(index)
-        return index in self._cancelled
+        if not self._backward_decided and op.pass_ == _BACKWARD:
+            self._decide_backward(op.step_id)
+        return op.step_id in self.cancelled_steps
 
-    def observe(self, index: int, op, rows_before: int, rows_after: int) -> None:
+    def observe(self, op, rows_before: int, rows_after: int) -> None:
         """Record one executed transfer probe's reduction and react to it."""
         alias = op.target.alias
         self._initial_rows.setdefault(alias, rows_before)
@@ -145,45 +133,31 @@ class AdaptiveTransferController:
             )
         yield_ = (eliminated / rows_before) if rows_before else 0.0
         if yield_ < self.min_yield:
-            self._cancel_target(alias, after_index=index)
+            self._cancel_target(alias, after_step=op.step_id)
 
     # ------------------------------------------------------------------
     # Decisions
     # ------------------------------------------------------------------
-    def _cancel_target(self, alias: str, after_index: int) -> None:
-        """Cancel ``alias``'s pending transfer probes and the builds feeding only them."""
-        newly: List[int] = []
-        for index in range(after_index + 1, len(self._ops)):
-            op = self._ops[index]
-            if index in self._cancelled or not _is_transfer_probe(op):
-                continue
-            if op.target.alias == alias:
-                self._cancelled.add(index)
-                self.cancelled_steps.add(op.step_id)
-                newly.append(index)
+    def _pending(self, from_position: int) -> List:
+        """The not-yet-cancelled steps at or after ``from_position``."""
+        return [
+            op for op in self._steps[from_position:] if op.step_id not in self.cancelled_steps
+        ]
+
+    def _cancel_target(self, alias: str, after_step: int) -> None:
+        """Cancel the pending transfer steps that would reduce ``alias``."""
+        newly = [
+            op.step_id
+            for op in self._pending(self._position[after_step] + 1)
+            if op.target.alias == alias
+        ]
         if newly:
+            self.cancelled_steps.update(newly)
             self.decisions.append(
                 f"cancel {len(newly)} pending probe(s) of {alias!r} (yield < {self.min_yield:g})"
             )
-            self._cancel_dead_builds(after_index)
 
-    def _cancel_dead_builds(self, after_index: int) -> None:
-        """Cancel pending transfer builds whose outputs have no live consumer."""
-        for index in range(after_index + 1, len(self._ops)):
-            op = self._ops[index]
-            if index in self._cancelled or not _is_transfer_build(op):
-                continue
-            live = [
-                consumer
-                for token in op.provides()
-                for consumer in self._consumers.get(token, ())
-                if consumer > after_index and consumer not in self._cancelled
-            ]
-            if not live:
-                self._cancelled.add(index)
-                self.cancelled_steps.add(op.step_id)
-
-    def _decide_backward(self, at_index: int) -> None:
+    def _decide_backward(self, at_step: int) -> None:
         """Skip the backward pass wholesale when its build sides are unreduced.
 
         "Unreduced" is yield-relative: a build side whose cumulative
@@ -197,16 +171,12 @@ class AdaptiveTransferController:
             eliminated = self._forward_eliminated.get(alias, 0)
             if initial and eliminated / initial >= self.min_yield:
                 return  # at least one build side was genuinely reduced
-        cancelled = 0
-        for index in range(at_index, len(self._ops)):
-            op = self._ops[index]
-            if index in self._cancelled:
-                continue
-            if (_is_transfer_build(op) or _is_transfer_probe(op)) and op.pass_ == _BACKWARD:
-                self._cancelled.add(index)
-                self.cancelled_steps.add(op.step_id)
-                cancelled += 1
-        if cancelled:
+        newly = [
+            op.step_id for op in self._pending(self._position[at_step]) if op.pass_ == _BACKWARD
+        ]
+        if newly:
+            self.cancelled_steps.update(newly)
+            cancelled = sum(self._step_ops[step_id] for step_id in newly)
             self.decisions.append(
                 f"skip backward pass wholesale ({cancelled} op(s); "
                 "forward pass left every build side unreduced)"
@@ -218,8 +188,4 @@ class AdaptiveTransferController:
     @property
     def cancelled_op_count(self) -> int:
         """Number of plan ops cancelled so far."""
-        return len(self._cancelled)
-
-    def is_cancelled_step(self, step_id: int) -> bool:
-        """True when ``step_id``'s probe or build was adaptively cancelled."""
-        return step_id in self.cancelled_steps
+        return sum(self._step_ops[step_id] for step_id in self.cancelled_steps)

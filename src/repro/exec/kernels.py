@@ -580,31 +580,6 @@ class PartitionedHashIndex:
             build_indices=np.concatenate([r[1] for r in results]),
         )
 
-    def contains(
-        self, probe_keys: np.ndarray, run_tasks: Optional[TaskRunner] = None
-    ) -> np.ndarray:
-        """Boolean membership mask of ``probe_keys``, via per-partition probes."""
-        probe_keys = np.asarray(probe_keys)
-        if probe_keys.size == 0:
-            return np.zeros(0, dtype=bool)
-        if self.num_keys == 0:
-            return np.zeros(probe_keys.shape[0], dtype=bool)
-        probe_parts = radix_partition(probe_keys, self.bits)
-        mask = np.zeros(probe_keys.shape[0], dtype=bool)
-        active = [p for p in range(self.num_partitions) if probe_parts.partition_rows(p) > 0]
-
-        def probe_partition(p: int) -> Tuple[np.ndarray, np.ndarray]:
-            if self.partitions.partition_rows(p) == 0:
-                hits = np.zeros(probe_parts.partition_rows(p), dtype=bool)
-            else:
-                hits = self._index(p).contains(probe_parts.segment_keys(p))
-            return probe_parts.segment_order(p), hits
-
-        run = run_tasks or _run_serial
-        for positions, hits in run([(lambda p=p: probe_partition(p)) for p in active]):
-            mask[positions] = hits
-        return mask
-
 
 BuildSide = Union[np.ndarray, HashIndex]
 

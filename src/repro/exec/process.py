@@ -1,7 +1,7 @@
 """Process-parallel morsel execution over shared-memory columns.
 
 :class:`ProcessBackend` is the GIL-free sibling of
-:class:`~repro.exec.pipeline.MorselBackend`: probe inputs are cut into
+:class:`~repro.exec.backends.MorselBackend`: probe inputs are cut into
 morsels and dispatched to a pool of worker *processes*.  Two things make
 this profitable in pure Python:
 
@@ -75,15 +75,15 @@ import numpy as np
 
 from repro.errors import BackendUnavailable, ExecutionError
 from repro.exec import faults
-from repro.exec.kernels import HashIndex, JoinMatches
-from repro.exec.pipeline import (
+from repro.exec.backends import (
     MAX_DEFAULT_THREADS,
     ExecutionBackend,
     ProbeInput,
-    _as_probe_input,
-    _probe_rows,
-    _slice_probe_input,
+    as_probe_input,
+    probe_input_rows,
+    slice_probe_input,
 )
+from repro.exec.kernels import HashIndex, JoinMatches
 from repro.storage import shm
 from repro.storage.shm import EncodedColumnRef, ShmArrayRef
 
@@ -163,13 +163,6 @@ class ShmGather:
     def materialize_slice(self, lo: int, hi: int) -> np.ndarray:
         """One morsel of the eager gather (the inline crash-recovery path)."""
         return self.column_data[self.selection[lo:hi]]
-
-
-def probe_input_rows(keys: object) -> int:
-    """Row count of any probe input, including :class:`ShmGather`."""
-    if isinstance(keys, ShmGather):
-        return keys.rows
-    return _probe_rows(_as_probe_input(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +335,7 @@ class ProcessBackend(ExecutionBackend):
     builds mutate shared state.
 
     Everything it counts goes into ``record`` (see
-    :class:`~repro.exec.pipeline.ExecutionBackend`): ``shm_bytes`` placed in
+    :class:`~repro.exec.backends.ExecutionBackend`): ``shm_bytes`` placed in
     (or resolved from) shared segments, the crash-recovery activity
     (``worker_crashes`` / ``tasks_retried`` / ``inline_morsels``) and, while
     tracing, the ``worker_batches`` / ``worker_seconds`` workers report back.
@@ -429,7 +422,7 @@ class ProcessBackend(ExecutionBackend):
         if isinstance(keys, ShmGather):
             morsel_input: ProbeInput = keys.materialize_slice(lo, hi)
         else:
-            morsel_input = _slice_probe_input(_as_probe_input(keys), lo, hi)
+            morsel_input = slice_probe_input(as_probe_input(keys), lo, hi)
         if task_fn is _match_task:
             matches = spec.match(morsel_input)
             return matches.probe_indices, matches.build_indices
@@ -575,7 +568,7 @@ class ProcessBackend(ExecutionBackend):
     def _inline_keys(keys) -> ProbeInput:
         if isinstance(keys, ShmGather):
             return keys.materialize()
-        return _as_probe_input(keys)
+        return as_probe_input(keys)
 
     # -- ExecutionBackend API ----------------------------------------------
     def probe_mask(self, keys, probe_fn, prepare=None) -> np.ndarray:

@@ -79,10 +79,6 @@ class BoundRelation:
         """Physical values of any column for the surviving rows."""
         return self.table.column(column).data[self.row_indices]
 
-    def decoded_column_values(self, column: str) -> np.ndarray:
-        """Decoded (original-domain) values of ``column`` for the surviving rows."""
-        return self.table.column(column).decode()[self.row_indices]
-
     def keep(self, mask: np.ndarray) -> None:
         """Reduce the relation in place: keep rows where ``mask`` is True."""
         mask = np.asarray(mask, dtype=bool)

@@ -75,6 +75,9 @@ class OpStats:
     #: + probe (dense build-side key domain).
     adaptive_skipped: bool = False
     downgraded_exact: bool = False
+    #: Radix bits of the partitioned index this hash build chose to build /
+    #: this hash probe matched against (0: one monolithic index).
+    radix_bits: int = 0
     #: Memory governor, while this op reserved or touched budget: spills
     #: ordered, bytes re-read after a spill, spill writes that failed.
     spill_events: int = 0
@@ -152,6 +155,7 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("downgraded_exact", "adaptive_exact_downgrades", " [exact bitmap]", "adaptive",
             "{downgraded_exact} exact-bitmap downgrade(s)", event="adaptive:exact-bitmap",
             log="adaptive.exact_downgrades", per_step=True),
+    Counter("radix_bits", marker=" [radix 2^{radix_bits}]"),
     Counter("shm_bytes", "shm_bytes_mapped", " [shm {shm_bytes}B]", "runtime",
             "shm mapped {shm_bytes}B"),
     Counter("blocks_total", "zone_blocks_total", " [zm skip {blocks_skipped}/{blocks_total}]",

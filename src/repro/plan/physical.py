@@ -1,13 +1,9 @@
 """The PhysicalPlan IR: one op vocabulary for the transfer *and* join phases.
 
-Historically the engine hard-wired two unrelated executors — a transfer-phase
-executor walking a :class:`~repro.core.transfer_schedule.TransferSchedule`
-and a join-phase executor walking a :class:`~repro.plan.join_plan.JoinPlan`
-tree — glued together imperatively inside ``Database.execute``.  This module
-replaces that with the architectural move pipeline engines (DuckDB and its
-descendants) make: every :class:`~repro.engine.modes.ExecutionMode` *compiles*
+Every :class:`~repro.engine.modes.ExecutionMode` *compiles*
 ``(QuerySpec, JoinPlan, TransferSchedule)`` into a single ordered list of
-typed physical ops, and one backend-pluggable executor
+typed physical ops — the move pipeline engines (DuckDB and its descendants)
+make — and one backend-pluggable executor
 (:class:`~repro.exec.pipeline.PipelineExecutor`) runs that list.
 
 The op vocabulary:
@@ -20,14 +16,19 @@ op                meaning
 ``BloomBuild``    build + publish a Bloom filter over a side's join keys
 ``BloomProbe``    probe a published filter and reduce the target side
 ``SemiJoinReduce``exact (hash) semi-join reduction (Yannakakis transfer)
-``HashBuild``     materialize the build side of one hash join
+``HashBuild``     materialize and index the build side of one hash join
 ``HashProbe``     probe it, producing a new intermediate slot
-``Partition``     radix-partition a large build side (cache locality + the
-                  granularity of parallel builds and governed spilling)
-``PartitionedHashBuild``  per-partition index builds (parallel partial builds)
-``PartitionedHashProbe``  per-partition probe, producing an intermediate slot
 ``Aggregate``     compute the query's aggregates over the final slot
 ================  ==========================================================
+
+The unit of the plan is the *step*: one transfer step is a
+``BloomBuild`` immediately followed by the ``BloomProbe`` with its
+``step_id`` (or a single ``SemiJoinReduce``), one join is an optional
+join-scoped Bloom pair and a ``HashBuild`` / ``HashProbe`` pair sharing a
+``build_id``.  The executor keeps one record per step id and per build id,
+and the adaptive controller cancels whole steps.  How an op runs is not in
+the plan: whether a ``HashBuild`` radix-partitions its build side is decided
+by the executor from the rows it has just materialized.
 
 Ops reference their inputs through :class:`Operand` — either a bound base
 relation (by alias) or a numbered intermediate *slot* produced by an earlier
@@ -45,6 +46,7 @@ join plan — no data is touched until the executor runs the plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import List, Mapping, Optional, Tuple
 
 from repro.core.join_graph import JoinGraph
@@ -58,13 +60,6 @@ from repro.storage.table import Table
 SCOPE_TRANSFER = "transfer"
 #: Scope tag for ops belonging to the join phase (per-join SIP filters).
 SCOPE_JOIN = "join"
-
-#: Estimated build rows at which a hash join compiles to the
-#: radix-partitioned form.  Below this a monolithic sort fits the caches and
-#: the partitioning pass is pure overhead.
-PARTITION_THRESHOLD = 1 << 17
-#: Radix bits of a partitioned join (2^6 = 64 partitions).
-PARTITION_BITS = 6
 
 
 @dataclass(frozen=True)
@@ -94,10 +89,6 @@ class Operand:
         """Short printable form (``alias`` or ``$slot``)."""
         return self.alias if self.is_relation else f"${self.slot}"
 
-    def token(self) -> str:
-        """Dependency token of this operand (see ``PhysicalOp.provides``)."""
-        return f"rel:{self.alias}" if self.is_relation else f"slot:{self.slot}"
-
 
 @dataclass(frozen=True)
 class PhysicalOp:
@@ -108,25 +99,6 @@ class PhysicalOp:
     def describe(self) -> str:
         """One-line human-readable rendering of the op."""
         return self.kind
-
-    # ------------------------------------------------------------------
-    # Dependency metadata
-    # ------------------------------------------------------------------
-    # Each op declares the dependency tokens it consumes (``requires``) and
-    # the tokens it makes available to later ops (``provides``).  Tokens are
-    # plain strings: ``rel:<alias>`` (a bound relation's current state),
-    # ``slot:<n>`` (an intermediate result), ``stage:<step_id>`` (the filter
-    # handed from a transfer build to its probe), and ``build:<id>`` (a
-    # staged hash-join build side).  The metadata is *static* — derived from
-    # the op fields alone — and is what the adaptive transfer controller
-    # walks to cancel builds whose only consumers have been cancelled.
-    def provides(self) -> Tuple[str, ...]:
-        """Dependency tokens this op produces for downstream ops."""
-        return ()
-
-    def requires(self) -> Tuple[str, ...]:
-        """Dependency tokens this op consumes from upstream ops."""
-        return ()
 
 
 @dataclass(frozen=True)
@@ -140,9 +112,6 @@ class Scan(PhysicalOp):
     def describe(self) -> str:
         return f"scan {self.alias} ({self.table})"
 
-    def provides(self) -> Tuple[str, ...]:
-        return (f"rel:{self.alias}",)
-
 
 @dataclass(frozen=True)
 class FilterPush(PhysicalOp):
@@ -153,12 +122,6 @@ class FilterPush(PhysicalOp):
 
     def describe(self) -> str:
         return f"filter {self.alias}"
-
-    def provides(self) -> Tuple[str, ...]:
-        return (f"rel:{self.alias}",)
-
-    def requires(self) -> Tuple[str, ...]:
-        return (f"rel:{self.alias}",)
 
 
 @dataclass(frozen=True)
@@ -185,16 +148,6 @@ class BloomBuild(PhysicalOp):
     def describe(self) -> str:
         return f"bloom_build {self.source.describe()} [{','.join(self.attributes)}] ({self.pass_})"
 
-    def provides(self) -> Tuple[str, ...]:
-        return (f"stage:{self.step_id}",)
-
-    def requires(self) -> Tuple[str, ...]:
-        # Composite keys are densified jointly with the probe side, so the
-        # build of a multi-attribute step reads the target too.
-        if len(self.attributes) > 1:
-            return (self.source.token(), self.target.token())
-        return (self.source.token(),)
-
 
 @dataclass(frozen=True)
 class BloomProbe(PhysicalOp):
@@ -213,12 +166,6 @@ class BloomProbe(PhysicalOp):
             f"bloom_probe {self.target.describe()} ⋉ {self.source.describe()} "
             f"[{','.join(self.attributes)}] ({self.pass_})"
         )
-
-    def provides(self) -> Tuple[str, ...]:
-        return (self.target.token(),)
-
-    def requires(self) -> Tuple[str, ...]:
-        return (f"stage:{self.step_id}", self.target.token())
 
 
 @dataclass(frozen=True)
@@ -239,110 +186,17 @@ class SemiJoinReduce(PhysicalOp):
             f"[{','.join(self.attributes)}] ({self.pass_})"
         )
 
-    def provides(self) -> Tuple[str, ...]:
-        return (self.target.token(),)
-
-    def requires(self) -> Tuple[str, ...]:
-        return (self.source.token(), self.target.token())
-
-
-@dataclass(frozen=True)
-class Partition(PhysicalOp):
-    """Radix-partition the build side of one hash join into ``2**bits`` partitions.
-
-    The partitioning itself is O(n) (a multiplicative hash plus a radix sort
-    of the small partition ids); the per-partition index builds are the
-    paired ``PartitionedHashBuild``'s job.  Partitioning is compiled in when
-    the *estimated* build side is large enough that a monolithic sort and
-    cache-missing probes would dominate (see ``compile_join_ops``), and it is
-    the granularity at which the memory governor reserves, spills, and
-    reloads build-side memory.
-    """
-
-    build_id: int
-    input: Operand
-    attributes: Tuple[str, ...]
-    bits: int
-    kind = "partition"
-
-    def describe(self) -> str:
-        return (
-            f"partition #{self.build_id} {self.input.describe()} "
-            f"[{','.join(self.attributes)}] into 2^{self.bits}"
-        )
-
-    def provides(self) -> Tuple[str, ...]:
-        return (f"build:{self.build_id}",)
-
-    def requires(self) -> Tuple[str, ...]:
-        return (self.input.token(),)
-
-
-@dataclass(frozen=True)
-class PartitionedHashBuild(PhysicalOp):
-    """Build the per-partition hash indexes of a radix-partitioned build side.
-
-    Every non-empty partition is an independent sort — the per-worker partial
-    builds a morsel-parallel backend runs concurrently; the op completes only
-    when all partitions are built (the pipeline-breaker merge).
-    """
-
-    build_id: int
-    input: Operand
-    attributes: Tuple[str, ...]
-    kind = "partitioned_hash_build"
-
-    def describe(self) -> str:
-        return (
-            f"partitioned_hash_build #{self.build_id} {self.input.describe()} "
-            f"[{','.join(self.attributes)}]"
-        )
-
-    def provides(self) -> Tuple[str, ...]:
-        return (f"build:{self.build_id}",)
-
-    def requires(self) -> Tuple[str, ...]:
-        return (f"build:{self.build_id}", self.input.token())
-
-
-@dataclass(frozen=True)
-class PartitionedHashProbe(PhysicalOp):
-    """Probe a radix-partitioned build with ``probe``, emitting slot ``output_slot``.
-
-    The probe side is partitioned with the same key hash and each partition
-    is matched only against its build counterpart — shorter binary searches
-    over cache-resident segments, and one independent task per partition for
-    the parallel backend.
-    """
-
-    build_id: int
-    probe: Operand
-    output_slot: int
-    attributes: Tuple[str, ...]
-    kind = "partitioned_hash_probe"
-
-    def describe(self) -> str:
-        return (
-            f"partitioned_hash_probe #{self.build_id} {self.probe.describe()} "
-            f"[{','.join(self.attributes)}] -> ${self.output_slot}"
-        )
-
-    def provides(self) -> Tuple[str, ...]:
-        return (f"slot:{self.output_slot}",)
-
-    def requires(self) -> Tuple[str, ...]:
-        return (f"build:{self.build_id}", self.probe.token())
-
 
 @dataclass(frozen=True)
 class HashBuild(PhysicalOp):
     """Materialize the build side of one hash join (build id ``build_id``).
 
     For single-attribute joins the op also gathers the build keys and sorts
-    the hash index, so its trace entry carries the build cost.  Composite
-    keys must be densified jointly with the probe side, so for
-    multi-attribute joins that work happens in the paired ``HashProbe`` and
-    this op's trace time covers materialization only.
+    the hash index — radix-partitioned when the materialized build side is
+    large (the executor's run-time choice) — so its trace entry carries the
+    build cost.  Composite keys must be densified jointly with the probe
+    side, so for multi-attribute joins that work happens in the paired
+    ``HashProbe`` and this op's trace time covers materialization only.
     """
 
     build_id: int
@@ -352,12 +206,6 @@ class HashBuild(PhysicalOp):
 
     def describe(self) -> str:
         return f"hash_build #{self.build_id} {self.input.describe()} [{','.join(self.attributes)}]"
-
-    def provides(self) -> Tuple[str, ...]:
-        return (f"build:{self.build_id}",)
-
-    def requires(self) -> Tuple[str, ...]:
-        return (self.input.token(),)
 
 
 @dataclass(frozen=True)
@@ -379,12 +227,6 @@ class HashProbe(PhysicalOp):
         keys = ",".join(self.attributes) if self.attributes else "⨯"
         return f"hash_probe #{self.build_id} {self.probe.describe()} [{keys}] -> ${self.output_slot}"
 
-    def provides(self) -> Tuple[str, ...]:
-        return (f"slot:{self.output_slot}",)
-
-    def requires(self) -> Tuple[str, ...]:
-        return (f"build:{self.build_id}", self.probe.token())
-
 
 @dataclass(frozen=True)
 class Aggregate(PhysicalOp):
@@ -396,9 +238,6 @@ class Aggregate(PhysicalOp):
     def describe(self) -> str:
         return f"aggregate {self.input.describe()}"
 
-    def requires(self) -> Tuple[str, ...]:
-        return (self.input.token(),)
-
 
 @dataclass(frozen=True)
 class PhysicalPlan:
@@ -407,8 +246,6 @@ class PhysicalPlan:
     query_name: str
     mode: str
     ops: Tuple[PhysicalOp, ...]
-    num_slots: int = 0
-    root: Optional[Operand] = None
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -449,7 +286,6 @@ def compile_transfer_ops(
     graph: JoinGraph,
     tables: Mapping[str, Table],
     use_bloom: bool = True,
-    first_step_id: int = 0,
 ) -> List[PhysicalOp]:
     """Compile a transfer schedule onto the shared op set.
 
@@ -460,43 +296,20 @@ def compile_transfer_ops(
     (source still unfiltered) stays with the executor.
     """
     ops: List[PhysicalOp] = []
-    step_id = first_step_id
-    for step in schedule:
+    for step_id, step in enumerate(schedule):
         prunable = _statically_prunable(step, graph, tables)
-        source = Operand.relation(step.source)
-        target = Operand.relation(step.target)
+        fields = dict(
+            step_id=step_id,
+            source=Operand.relation(step.source),
+            target=Operand.relation(step.target),
+            attributes=step.attributes,
+            pass_=step.pass_.value,
+        )
         if use_bloom:
-            ops.append(
-                BloomBuild(
-                    step_id=step_id,
-                    source=source,
-                    target=target,
-                    attributes=step.attributes,
-                    pass_=step.pass_.value,
-                    prunable=prunable,
-                )
-            )
-            ops.append(
-                BloomProbe(
-                    step_id=step_id,
-                    source=source,
-                    target=target,
-                    attributes=step.attributes,
-                    pass_=step.pass_.value,
-                )
-            )
+            ops.append(BloomBuild(**fields, prunable=prunable))
+            ops.append(BloomProbe(**fields))
         else:
-            ops.append(
-                SemiJoinReduce(
-                    step_id=step_id,
-                    source=source,
-                    target=target,
-                    attributes=step.attributes,
-                    pass_=step.pass_.value,
-                    prunable=prunable,
-                )
-            )
-        step_id += 1
+            ops.append(SemiJoinReduce(**fields, prunable=prunable))
     return ops
 
 
@@ -504,8 +317,7 @@ def compile_join_ops(
     plan: JoinPlan,
     graph: JoinGraph,
     bloom_prefilter: bool = False,
-    first_build_id: int = 0,
-) -> Tuple[List[PhysicalOp], Operand, int]:
+) -> Tuple[List[PhysicalOp], Operand]:
     """Compile a join-plan tree into ``HashBuild``/``HashProbe`` ops.
 
     The tree is walked in post-order; every join node becomes a build/probe
@@ -515,21 +327,10 @@ def compile_join_ops(
     baseline) a join-scoped ``BloomBuild``/``BloomProbe`` pair precedes each
     hash join, pre-filtering the probe side.
 
-    Single-attribute joins whose *estimated* build side reaches
-    :data:`PARTITION_THRESHOLD` compile to the radix-partitioned form
-    instead: ``Partition`` (:data:`PARTITION_BITS` radix bits) +
-    ``PartitionedHashBuild`` + ``PartitionedHashProbe``.  The estimate is
-    static (the graph's filtered base cardinalities; for intermediate build
-    sides the largest member relation), keeping compilation pure.  Composite-key and Cartesian joins
-    always take the monolithic form.
-
-    Returns ``(ops, root_operand, num_slots)``.
+    Returns ``(ops, root_operand)``.
     """
     ops: List[PhysicalOp] = []
-    counter = {"build": first_build_id, "slot": 0}
-
-    def estimated_rows(aliases) -> int:
-        return max((graph.size(alias) for alias in aliases), default=0)
+    join_ids = count()
 
     def walk(node: PlanNode) -> Operand:
         if isinstance(node, LeafNode):
@@ -541,54 +342,26 @@ def compile_join_ops(
         probe_aliases = node.right.aliases if node.flip_build_side else node.left.aliases
         build_aliases = node.left.aliases if node.flip_build_side else node.right.aliases
         attributes = shared_attribute_classes(graph, probe_aliases, build_aliases)
-        build_id = counter["build"]
-        counter["build"] += 1
+        # One id per join: its build id, its Bloom pair's step id, its slot.
+        join_id = next(join_ids)
         if bloom_prefilter and attributes:
-            ops.append(
-                BloomBuild(
-                    step_id=build_id,
-                    source=build,
-                    target=probe,
-                    attributes=attributes,
-                    pass_=SCOPE_JOIN,
-                    scope=SCOPE_JOIN,
-                )
+            fields = dict(
+                step_id=join_id,
+                source=build,
+                target=probe,
+                attributes=attributes,
+                pass_=SCOPE_JOIN,
+                scope=SCOPE_JOIN,
             )
-            ops.append(
-                BloomProbe(
-                    step_id=build_id,
-                    source=build,
-                    target=probe,
-                    attributes=attributes,
-                    pass_=SCOPE_JOIN,
-                    scope=SCOPE_JOIN,
-                )
-            )
-        slot = counter["slot"]
-        counter["slot"] += 1
-        if len(attributes) == 1 and estimated_rows(build_aliases) >= PARTITION_THRESHOLD:
-            ops.append(
-                Partition(
-                    build_id=build_id, input=build, attributes=attributes, bits=PARTITION_BITS
-                )
-            )
-            ops.append(
-                PartitionedHashBuild(build_id=build_id, input=build, attributes=attributes)
-            )
-            ops.append(
-                PartitionedHashProbe(
-                    build_id=build_id, probe=probe, output_slot=slot, attributes=attributes
-                )
-            )
-        else:
-            ops.append(HashBuild(build_id=build_id, input=build, attributes=attributes))
-            ops.append(
-                HashProbe(build_id=build_id, probe=probe, output_slot=slot, attributes=attributes)
-            )
-        return Operand.intermediate(slot)
+            ops.append(BloomBuild(**fields))
+            ops.append(BloomProbe(**fields))
+        ops.append(HashBuild(build_id=join_id, input=build, attributes=attributes))
+        ops.append(
+            HashProbe(build_id=join_id, probe=probe, output_slot=join_id, attributes=attributes)
+        )
+        return Operand.intermediate(join_id)
 
-    root = walk(plan.root)
-    return ops, root, counter["slot"]
+    return ops, walk(plan.root)
 
 
 def compile_execution(
@@ -603,9 +376,7 @@ def compile_execution(
 
     This is what ``Database.execute`` calls: scan + filter pushdown, the
     mode's transfer phase (if any), the join phase (with per-join SIP
-    filters for the Bloom Join baseline, and radix-partitioned hash joins
-    for estimated build sides at or above :data:`PARTITION_THRESHOLD`), and
-    the final aggregation.
+    filters for the Bloom Join baseline), and the final aggregation.
     """
     ops: List[PhysicalOp] = compile_scan_filter(query)
     if mode.uses_transfer_phase:
@@ -616,17 +387,11 @@ def compile_execution(
                 schedule, graph, tables, use_bloom=mode.uses_bloom_filters
             )
         )
-    join_ops, root, num_slots = compile_join_ops(
-        plan, graph, bloom_prefilter=mode.uses_per_join_bloom
-    )
+    join_ops, root = compile_join_ops(plan, graph, bloom_prefilter=mode.uses_per_join_bloom)
     ops.extend(join_ops)
     ops.append(Aggregate(input=root))
     return PhysicalPlan(
-        query_name=query.name,
-        mode=getattr(mode, "value", str(mode)),
-        ops=tuple(ops),
-        num_slots=num_slots,
-        root=root,
+        query_name=query.name, mode=getattr(mode, "value", str(mode)), ops=tuple(ops)
     )
 
 

@@ -29,11 +29,6 @@ class IoStatistics:
     bytes_served_from_memory: int = 0
     evictions: int = 0
 
-    @property
-    def total_io_bytes(self) -> int:
-        """Total simulated disk traffic (reads + writes)."""
-        return self.bytes_read_from_disk + self.bytes_written_to_disk
-
     def simulated_seconds(self, read_mb_per_s: float = 550.0, write_mb_per_s: float = 520.0) -> float:
         """Translate counters into a simulated elapsed I/O time.
 
@@ -130,6 +125,9 @@ class MemoryGovernor:
         #: pointed it at one — the open op's record (same field names).
         self.record: Optional[object] = None
         self._reservations: Dict[str, _Reservation] = {}
+        #: Running total of the resident (non-spilled) reservations' sizes,
+        #: maintained wherever one is added, dropped, spilled or reloaded.
+        self._resident_bytes = 0
         self._clock = 0
         _GOVERNORS.add(self)
 
@@ -139,7 +137,7 @@ class MemoryGovernor:
     @property
     def reserved_bytes(self) -> int:
         """Bytes currently resident (spilled reservations excluded)."""
-        return sum(r.size_bytes for r in self._reservations.values() if not r.spilled)
+        return self._resident_bytes
 
     @property
     def over_budget(self) -> bool:
@@ -182,9 +180,11 @@ class MemoryGovernor:
                     f"injected allocation failure reserving {size_bytes} bytes for {key!r}"
                 )
         self._clock += 1
+        self._drop(key)
         self._reservations[key] = _Reservation(
             key=key, size_bytes=size_bytes, evictable=evictable, last_use=self._clock
         )
+        self._resident_bytes += size_bytes
         self._reclaim(pinned=key)
         self.peak_reserved_bytes = max(self.peak_reserved_bytes, self.reserved_bytes)
 
@@ -204,6 +204,7 @@ class MemoryGovernor:
         if not reservation.spilled:
             return False
         reservation.spilled = False
+        self._resident_bytes += reservation.size_bytes
         self.reload_events += 1
         (self.record or self).reloaded_bytes += reservation.size_bytes
         if self.spill_handler is not None:
@@ -214,11 +215,12 @@ class MemoryGovernor:
 
     def release(self, key: str) -> None:
         """Drop a reservation entirely (its data is dead; no I/O charged)."""
-        self._reservations.pop(key, None)
+        self._drop(key)
 
     def release_all(self) -> None:
         """Drop every reservation (query teardown on any exit path)."""
         self._reservations.clear()
+        self._resident_bytes = 0
 
     @property
     def outstanding(self) -> int:
@@ -243,6 +245,11 @@ class MemoryGovernor:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _drop(self, key: str) -> None:
+        reservation = self._reservations.pop(key, None)
+        if reservation is not None and not reservation.spilled:
+            self._resident_bytes -= reservation.size_bytes
+
     def _spill_victim(self, victim: _Reservation) -> bool:
         """Spill one reservation through the handler; False if the write failed.
 
@@ -250,14 +257,14 @@ class MemoryGovernor:
         victim resident and counted in ``spill_failures`` — the governor
         moves on to the next victim rather than failing the query.
         """
-        victim.spilled = True
         if self.spill_handler is not None:
             try:
                 self.spill_handler.spill(victim.key, victim.size_bytes)
             except Exception:
-                victim.spilled = False
                 (self.record or self).spill_failures += 1
                 return False
+        victim.spilled = True
+        self._resident_bytes -= victim.size_bytes
         sink = self.record or self
         sink.spill_events += 1
         sink.spilled_bytes += victim.size_bytes

@@ -416,10 +416,6 @@ class SharedColumnArena:
             unlink_segment(segment)
         return existing[1]
 
-    def segment_bytes(self, ref) -> int:
-        """Published bytes behind a ref (for MemoryGovernor accounting)."""
-        return ref.nbytes
-
     @property
     def total_bytes(self) -> int:
         """Total bytes currently published by this arena."""

@@ -13,7 +13,7 @@ semi-joins (§4.3 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -92,22 +92,6 @@ class Table:
         return cls(
             name=name,
             columns=columns,
-            primary_key=tuple(primary_key),
-            foreign_keys=tuple(foreign_keys),
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        columns: Iterable[Column],
-        primary_key: Sequence[str] = (),
-        foreign_keys: Sequence[ForeignKey] = (),
-    ) -> "Table":
-        """Build a table from already-constructed columns."""
-        return cls(
-            name=name,
-            columns=tuple(columns),
             primary_key=tuple(primary_key),
             foreign_keys=tuple(foreign_keys),
         )

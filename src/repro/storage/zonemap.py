@@ -123,10 +123,6 @@ class ZoneMap:
             steps[boundaries] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
         return np.cumsum(steps)
 
-    def expand_block_mask(self, survivors: np.ndarray) -> np.ndarray:
-        """A per-row boolean mask that is True inside surviving blocks."""
-        return np.repeat(survivors, self.block_lengths())
-
 
 @dataclass(frozen=True)
 class BlockSelection:

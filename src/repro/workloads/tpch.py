@@ -578,11 +578,6 @@ def all_queries() -> Dict[str, QuerySpec]:
     return {f"q{n}": builder() for n, builder in sorted(_QUERY_BUILDERS.items())}
 
 
-def figure6_queries() -> Dict[str, QuerySpec]:
-    """The subset shown in the paper's Figure 6a robustness plot."""
-    return {f"q{n}": _QUERY_BUILDERS[n]() for n in FIGURE6_QUERIES}
-
-
 def query_numbers() -> tuple[int, ...]:
     """All available query numbers."""
     return tuple(sorted(_QUERY_BUILDERS))

@@ -44,6 +44,24 @@ def shm_leak_guard():
     buffer.assert_no_outstanding_reservations()
 
 
+@pytest.fixture
+def morsel_rows(monkeypatch):
+    """``morsel_rows(n)``: every backend preset cuts ``n``-row morsels for this test.
+
+    The chunked / parallel / process presets read their morsel size from a
+    module constant when a backend is made, so this is how a small fixture
+    gets multi-morsel fan-out (there is no configuration field for it).
+    """
+    from repro.exec import backends, process
+
+    def set_rows(rows: int) -> None:
+        monkeypatch.setattr(backends, "DEFAULT_CHUNK_SIZE", rows)
+        monkeypatch.setattr(backends, "DEFAULT_MORSEL_SIZE", rows)
+        monkeypatch.setattr(process, "DEFAULT_PROCESS_MORSEL_SIZE", rows)
+
+    return set_rows
+
+
 @pytest.fixture(scope="session")
 def imdb_db() -> Database:
     """A small IMDB-like database (keyword / title / movie_keyword / movie_info / cast_info)."""

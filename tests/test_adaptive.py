@@ -1,8 +1,8 @@
 """Tests for adaptive transfer execution.
 
 Covers the :class:`~repro.exec.adaptive.AdaptiveTransferController` (yield
-observation, pending-probe cancellation, dead-build elimination over the
-``provides``/``requires`` op metadata, wholesale backward-pass skipping),
+observation, pending-step cancellation by step id, wholesale backward-pass
+skipping),
 the KMV distinct-count sketch and its accuracy bounds, the exact-bitmap
 downgrade (the executor's own decision, on whether or not skipping is),
 bit-identity of adaptive on/off across all five modes / five
@@ -38,16 +38,7 @@ from repro.exec.adaptive import AdaptiveTransferController
 from repro.expr import eq, isin, lt
 from repro.optimizer.cardinality import KMV_DEFAULT_K, KMVSketch, kmv_distinct_estimate
 from repro.plan.join_plan import JoinPlan
-from repro.plan.physical import (
-    Aggregate,
-    BloomBuild,
-    BloomProbe,
-    HashBuild,
-    HashProbe,
-    Operand,
-    PhysicalPlan,
-    Scan,
-)
+from repro.plan.physical import BloomBuild, BloomProbe, Operand, PhysicalPlan
 from repro.storage.table import ForeignKey
 from repro.workloads import dsb, job, synthetic, tpcds, tpch
 
@@ -100,58 +91,6 @@ def _star_query(num_dims=3, bound=999, attr_domain=1000):
 
 
 # ---------------------------------------------------------------------------
-# Op dependency metadata
-# ---------------------------------------------------------------------------
-class TestProvidesRequires:
-    def test_operand_tokens(self):
-        assert Operand.relation("r").token() == "rel:r"
-        assert Operand.intermediate(3).token() == "slot:3"
-
-    def test_transfer_ops(self):
-        build = BloomBuild(
-            step_id=4,
-            source=Operand.relation("s"),
-            target=Operand.relation("t"),
-            attributes=("a",),
-            pass_="forward",
-        )
-        probe = BloomProbe(
-            step_id=4,
-            source=Operand.relation("s"),
-            target=Operand.relation("t"),
-            attributes=("a",),
-            pass_="forward",
-        )
-        assert build.provides() == ("stage:4",)
-        assert build.requires() == ("rel:s",)
-        assert probe.requires() == ("stage:4", "rel:t")
-        assert probe.provides() == ("rel:t",)
-
-    def test_composite_build_reads_both_sides(self):
-        build = BloomBuild(
-            step_id=0,
-            source=Operand.relation("s"),
-            target=Operand.relation("t"),
-            attributes=("a", "b"),
-            pass_="forward",
-        )
-        assert set(build.requires()) == {"rel:s", "rel:t"}
-
-    def test_join_ops(self):
-        scan = Scan(alias="r", table="r")
-        hb = HashBuild(build_id=1, input=Operand.relation("r"), attributes=("a",))
-        hp = HashProbe(
-            build_id=1, probe=Operand.intermediate(0), output_slot=2, attributes=("a",)
-        )
-        agg = Aggregate(input=Operand.intermediate(2))
-        assert scan.provides() == ("rel:r",)
-        assert hb.provides() == ("build:1",)
-        assert hp.requires() == ("build:1", "slot:0")
-        assert hp.provides() == ("slot:2",)
-        assert agg.requires() == ("slot:2",)
-
-
-# ---------------------------------------------------------------------------
 # Controller unit behavior
 # ---------------------------------------------------------------------------
 def _transfer_plan(steps):
@@ -185,10 +124,10 @@ class TestAdaptiveTransferController:
             [(0, "a", "f", "forward"), (1, "b", "f", "forward"), (2, "f", "a", "backward")]
         )
         ctl = AdaptiveTransferController(plan, min_yield=0.01)
-        for index, op in enumerate(plan):
-            assert not ctl.should_skip(index, op)
+        for op in plan:
+            assert not ctl.should_skip(op)
             if isinstance(op, BloomProbe):
-                ctl.observe(index, op, 1000, 500)  # 50% yield everywhere
+                ctl.observe(op, 1000, 500)  # 50% yield everywhere
         assert ctl.cancelled_op_count == 0
 
     def test_low_yield_cancels_remaining_probes_and_their_builds(self):
@@ -196,23 +135,23 @@ class TestAdaptiveTransferController:
             [(0, "a", "f", "forward"), (1, "b", "f", "forward"), (2, "c", "f", "forward")]
         )
         ctl = AdaptiveTransferController(plan, min_yield=0.01)
-        assert not ctl.should_skip(0, plan.ops[0])
-        assert not ctl.should_skip(1, plan.ops[1])
-        ctl.observe(1, plan.ops[1], 1000, 999)  # 0.1% < 1%
+        assert not ctl.should_skip(plan.ops[0])
+        assert not ctl.should_skip(plan.ops[1])
+        ctl.observe(plan.ops[1], 1000, 999)  # 0.1% < 1%
         # Both remaining build/probe pairs targeting f are dead now.
-        assert ctl.should_skip(2, plan.ops[2])  # build b
-        assert ctl.should_skip(3, plan.ops[3])  # probe b->f
-        assert ctl.should_skip(4, plan.ops[4])  # build c
-        assert ctl.should_skip(5, plan.ops[5])  # probe c->f
+        assert ctl.should_skip(plan.ops[2])  # build b
+        assert ctl.should_skip(plan.ops[3])  # probe b->f
+        assert ctl.should_skip(plan.ops[4])  # build c
+        assert ctl.should_skip(plan.ops[5])  # probe c->f
         assert ctl.cancelled_steps == {1, 2}
         assert any("cancel" in d for d in ctl.decisions)
 
     def test_low_yield_on_one_target_spares_other_targets(self):
         plan = _transfer_plan([(0, "a", "f", "forward"), (1, "a", "g", "forward")])
         ctl = AdaptiveTransferController(plan, min_yield=0.01)
-        ctl.observe(1, plan.ops[1], 1000, 1000)  # zero yield on f
-        assert ctl.should_skip(2, plan.ops[2]) is False  # build a for g stays
-        assert ctl.should_skip(3, plan.ops[3]) is False  # probe a->g stays
+        ctl.observe(plan.ops[1], 1000, 1000)  # zero yield on f
+        assert ctl.should_skip(plan.ops[2]) is False  # build a for g stays
+        assert ctl.should_skip(plan.ops[3]) is False  # probe a->g stays
 
     def test_backward_pass_skipped_when_build_sides_unreduced(self):
         plan = _transfer_plan(
@@ -223,12 +162,12 @@ class TestAdaptiveTransferController:
             ]
         )
         ctl = AdaptiveTransferController(plan, min_yield=0.01)
-        ctl.observe(1, plan.ops[1], 1000, 998)  # f reduced only 0.2%
+        ctl.observe(plan.ops[1], 1000, 998)  # f reduced only 0.2%
         # First backward op triggers the wholesale decision.
-        assert ctl.should_skip(2, plan.ops[2])
-        assert ctl.should_skip(3, plan.ops[3])
-        assert ctl.should_skip(4, plan.ops[4])
-        assert ctl.should_skip(5, plan.ops[5])
+        assert ctl.should_skip(plan.ops[2])
+        assert ctl.should_skip(plan.ops[3])
+        assert ctl.should_skip(plan.ops[4])
+        assert ctl.should_skip(plan.ops[5])
         assert any("backward" in d for d in ctl.decisions)
 
     def test_backward_pass_kept_when_a_build_side_was_reduced(self):
@@ -236,15 +175,15 @@ class TestAdaptiveTransferController:
             [(0, "a", "f", "forward"), (1, "f", "a", "backward")]
         )
         ctl = AdaptiveTransferController(plan, min_yield=0.01)
-        ctl.observe(1, plan.ops[1], 1000, 400)  # f genuinely reduced
-        assert not ctl.should_skip(2, plan.ops[2])
-        assert not ctl.should_skip(3, plan.ops[3])
+        ctl.observe(plan.ops[1], 1000, 400)  # f genuinely reduced
+        assert not ctl.should_skip(plan.ops[2])
+        assert not ctl.should_skip(plan.ops[3])
 
     def test_zero_rows_before_counts_as_zero_yield(self):
         plan = _transfer_plan([(0, "a", "f", "forward"), (1, "b", "f", "forward")])
         ctl = AdaptiveTransferController(plan, min_yield=0.01)
-        ctl.observe(1, plan.ops[1], 0, 0)
-        assert ctl.should_skip(3, plan.ops[3])
+        ctl.observe(plan.ops[1], 0, 0)
+        assert ctl.should_skip(plan.ops[3])
 
     def test_min_yield_validation(self):
         plan = _transfer_plan([(0, "a", "f", "forward")])
@@ -327,22 +266,22 @@ class TestBitIdentityMatrix:
         self._assert_matrix(dsb_db, dsb.query(7))
 
     @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
-    def test_backends(self, imdb_db, chain_query, backend):
+    def test_backends(self, imdb_db, chain_query, backend, morsel_rows):
+        morsel_rows(256)
         baseline = _signature(
             imdb_db.execute(chain_query, mode=ExecutionMode.RPT, options=STATIC)
         )
         options = ExecutionOptions(
-            execution=ExecutionConfig(
-                backend=backend, chunk_size=256, adaptive_transfer=True
-            )
+            execution=ExecutionConfig(backend=backend, adaptive_transfer=True)
         )
         result = imdb_db.execute(chain_query, mode=ExecutionMode.RPT, options=options)
         assert _signature(result) == baseline, backend
 
     @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
-    def test_backend_decisions_are_identical(self, backend):
+    def test_backend_decisions_are_identical(self, backend, morsel_rows):
         """Skip decisions are made at morsel-gather barriers, so the set of
         adaptively skipped steps must not depend on the backend."""
+        morsel_rows(512)
         db = _star_db()
         query = _star_query(bound=999)
         plan = db.optimizer_plan(query)
@@ -356,7 +295,7 @@ class TestBitIdentityMatrix:
             query,
             mode=ExecutionMode.RPT,
             plan=plan,
-            options=_options(adaptive=True, backend=backend, chunk_size=512),
+            options=_options(adaptive=True, backend=backend),
         )
         def skipset(result):
             return [

@@ -11,7 +11,7 @@ together.
 
 from __future__ import annotations
 
-from repro.exec.pipeline import DEFAULT_CHUNK_SIZE, num_chunks
+from repro.exec.backends import DEFAULT_CHUNK_SIZE, num_chunks
 
 
 def test_num_chunks():

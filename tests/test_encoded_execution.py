@@ -28,10 +28,15 @@ from repro.workloads import job, tpch
 BACKENDS = ("serial", "chunked", "process")
 
 
+@pytest.fixture(autouse=True)
+def _small_morsels(morsel_rows):
+    """A tiny morsel, so every non-serial backend actually cuts its inputs."""
+    morsel_rows(512)
+
+
 def _options(backend: str, *, encodings: bool, **kwargs) -> ExecutionOptions:
     if backend == "process":
         kwargs.setdefault("num_workers", 2)
-        kwargs.setdefault("chunk_size", 512)  # tiny morsel so fan-out happens
     return ExecutionOptions(
         execution=ExecutionConfig(backend=backend, encodings=encodings, **kwargs)
     )

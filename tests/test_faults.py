@@ -138,13 +138,14 @@ class TestCancelToken:
 # Worker-crash recovery (the process backend), across all five modes
 # ---------------------------------------------------------------------------
 class TestCrashRecovery:
-    def test_worker_crash_mid_query_all_modes(self, tpch_db, all_modes, monkeypatch):
+    def test_worker_crash_mid_query_all_modes(self, tpch_db, all_modes, monkeypatch, morsel_rows):
         """Every worker task dies; the query still completes bit-identically.
 
         ``rate:1.0`` on ``process.task`` kills each worker at its first
         morsel, every retry round too — so the bounded-retry ladder runs to
         its end and the remaining morsels execute inline in the parent.
         """
+        morsel_rows(512)
         from repro.workloads import tpch
 
         monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
@@ -157,7 +158,6 @@ class TestCrashRecovery:
                 options=_options(
                     backend="process",
                     num_workers=2,
-                    chunk_size=512,
                     faults="seed:3,rate:1.0,sites:process.task",
                 ),
             )
@@ -171,8 +171,9 @@ class TestCrashRecovery:
             assert any(op.degraded for op in crashed.stats.op_stats)
             assert "[degraded" in crashed.stats.op_trace()
 
-    def test_intermittent_crashes_recover_bit_identically(self, tpch_db):
+    def test_intermittent_crashes_recover_bit_identically(self, tpch_db, morsel_rows):
         """A sub-1.0 crash rate exercises the respawn-and-retry path."""
+        morsel_rows(512)
         from repro.workloads import tpch
 
         query = tpch.query(3)
@@ -182,14 +183,14 @@ class TestCrashRecovery:
             options=_options(
                 backend="process",
                 num_workers=2,
-                chunk_size=512,
                 faults="seed:11,rate:0.2,sites:process.task",
             ),
         )
         _assert_identical(crashed, baseline)
 
-    def test_worker_shm_attach_fault_recovers(self, tpch_db, monkeypatch):
+    def test_worker_shm_attach_fault_recovers(self, tpch_db, monkeypatch, morsel_rows):
         """Worker-side attach failures are transient: retried, then inline."""
+        morsel_rows(512)
         from repro.workloads import tpch
 
         monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
@@ -200,14 +201,14 @@ class TestCrashRecovery:
             options=_options(
                 backend="process",
                 num_workers=2,
-                chunk_size=512,
                 faults="seed:2,rate:1.0,sites:shm.attach",
             ),
         )
         _assert_identical(faulted, baseline)
 
-    def test_shm_share_fault_falls_back_to_eager_probe(self, tpch_db):
+    def test_shm_share_fault_falls_back_to_eager_probe(self, tpch_db, morsel_rows):
         """Publishing probe inputs fails; probes run eagerly, bit-identically."""
+        morsel_rows(512)
         from repro.workloads import tpch
 
         query = tpch.query(3)
@@ -217,7 +218,6 @@ class TestCrashRecovery:
             options=_options(
                 backend="process",
                 num_workers=2,
-                chunk_size=512,
                 faults="seed:4,rate:1.0,sites:shm.share",
             ),
         )
@@ -463,14 +463,15 @@ class TestDatabaseClose:
         with pytest.raises(ReproError, match="closed"):
             db.sql("SELECT COUNT(*) FROM lineitem")
 
-    def test_close_unlinks_arena_segments(self):
+    def test_close_unlinks_arena_segments(self, morsel_rows):
+        morsel_rows(512)
         from repro.workloads import tpch
 
         db = Database()
         tpch.load(db, scale=0.01, seed=1)
         before = shm.live_segment_count()
         db.execute(
-            tpch.query(3), options=_options(backend="process", chunk_size=512, num_workers=2)
+            tpch.query(3), options=_options(backend="process", num_workers=2)
         )
         db.close()
         assert shm.live_segment_count() == before

@@ -55,16 +55,20 @@ from reference_transfer import replay_reduced_rows
 BACKENDS = ("serial", "chunked", "parallel", "process")
 
 
+@pytest.fixture(autouse=True)
+def _small_morsels(morsel_rows):
+    """A tiny morsel, so every non-serial backend actually cuts its inputs."""
+    morsel_rows(256)
+
+
 def _config(artifact_cache: bool, backend=None) -> ExecutionOptions:
     # Adaptive transfer is pinned off: under the REPRO_ADAPTIVE_TRANSFER CI
     # leg, skipped passes and exact-bitmap downgrades would remove the very
     # Bloom hashing work whose caching this module tests (adaptive on/off
-    # identity has its own matrix in tests/test_adaptive.py).  The small
-    # morsel size makes every non-serial backend actually cut its inputs.
+    # identity has its own matrix in tests/test_adaptive.py).
     return ExecutionOptions(
         execution=ExecutionConfig(
             backend=backend,
-            chunk_size=256,
             num_threads=4,
             num_workers=2,
             artifact_cache=artifact_cache,
@@ -532,7 +536,10 @@ class TestBloomStatisticsThreadSafety:
             list(pool.map(hammer, range(8)))
         assert bloom.statistics.keys_probed == rounds * probe.size
 
-    def test_parallel_backend_execution_stats_match_serial(self, imdb_db, chain_query):
+    def test_parallel_backend_execution_stats_match_serial(
+        self, imdb_db, chain_query, morsel_rows
+    ):
+        morsel_rows(128)
         serial = imdb_db.execute(
             chain_query,
             mode=ExecutionMode.RPT,
@@ -542,7 +549,7 @@ class TestBloomStatisticsThreadSafety:
             chain_query,
             mode=ExecutionMode.RPT,
             options=ExecutionOptions(
-                execution=ExecutionConfig(backend="parallel", chunk_size=128, num_threads=8)
+                execution=ExecutionConfig(backend="parallel", num_threads=8)
             ),
         )
         assert serial.aggregates == parallel.aggregates

@@ -9,11 +9,13 @@ unbudgeted result under every execution mode.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import Database, ExecutionConfig, ExecutionMode, ExecutionOptions
+from repro.exec import join_ops
 from repro.exec.spill import SpillManager
-from repro.plan import physical
 from repro.storage.buffer import MemoryGovernor
 
 
@@ -117,6 +119,49 @@ class TestEviction:
         assert governor.is_spilled("a")
         assert governor.reserved_bytes == 80
 
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("budget", [None, 400])
+    def test_running_total_equals_the_sum_over_any_sequence(self, seed, budget):
+        """``reserved_bytes`` is a running total; it — and the peak taken from
+        it after each reserve / reload — must equal what re-summing the
+        resident reservations gives, whatever the sequence (resizes of
+        resident and spilled keys, failed spill writes, forced spills)."""
+        rng = random.Random(seed)
+
+        class FlakySpill(SpillManager):
+            def spill(self, key, size_bytes):
+                if rng.random() < 0.2:
+                    raise OSError("spill write failed")
+                super().spill(key, size_bytes)
+
+        governor = MemoryGovernor(budget_bytes=budget, spill_handler=FlakySpill())
+        keys = [f"k{i}" for i in range(6)]
+        peak = 0
+
+        def summed() -> int:
+            return sum(r.size_bytes for r in governor._reservations.values() if not r.spilled)
+
+        for _ in range(400):
+            action = rng.choice(
+                ["reserve"] * 4 + ["touch"] * 3 + ["release"] * 2 + ["spill_all", "release_all"]
+            )
+            key = rng.choice(keys)
+            if action == "reserve":
+                governor.reserve(key, rng.randrange(0, 300), evictable=rng.random() < 0.8)
+                peak = max(peak, summed())
+            elif action == "touch":
+                if governor.touch(key):
+                    peak = max(peak, summed())
+            elif action == "release":
+                governor.release(key)
+            elif action == "spill_all":
+                governor.spill_evictables()
+            else:
+                governor.release_all()
+            assert governor.reserved_bytes == summed()
+            assert governor.peak_reserved_bytes == peak
+        assert governor.spill_failures > 0 or budget is None
+
 
 # ---------------------------------------------------------------------------
 # Governed execution bit-matches the unbudgeted run
@@ -126,8 +171,8 @@ class TestGovernedExecution:
     def _partition_aggressively(self, monkeypatch):
         # So the governor has partition-granular reservations to spill even
         # on the small test fixture.
-        monkeypatch.setattr(physical, "PARTITION_THRESHOLD", 1)
-        monkeypatch.setattr(physical, "PARTITION_BITS", 3)
+        monkeypatch.setattr(join_ops, "PARTITION_THRESHOLD", 1)
+        monkeypatch.setattr(join_ops, "PARTITION_BITS", 3)
 
     def _config(self, budget=None) -> ExecutionConfig:
         return ExecutionConfig(backend="serial", memory_budget_bytes=budget)

@@ -395,15 +395,16 @@ class TestGoldenReports:
         "backend",
         [
             {"backend": "serial"},
-            {"backend": "parallel", "num_threads": 2, "chunk_size": 512},
-            {"backend": "process", "num_workers": 2, "chunk_size": 512},
+            {"backend": "parallel", "num_threads": 2},
+            {"backend": "process", "num_workers": 2},
         ],
         ids=lambda config: config["backend"],
     )
-    def test_every_view_is_derived_from_the_op_records(self, all_modes, backend):
+    def test_every_view_is_derived_from_the_op_records(self, all_modes, backend, morsel_rows):
         """One row of ``COUNTERS`` per field, checked against real executions:
         each total is the sum of its op field, each non-zero field renders
         its marker, and each op span carries the record's non-zero fields."""
+        morsel_rows(512)
         options = _options(
             artifact_cache=True,
             adaptive_transfer=True,
@@ -644,8 +645,9 @@ class TestServerObservability:
         finally:
             server.close()
 
-    def test_degradation_metrics_use_bounded_families(self, monkeypatch):
+    def test_degradation_metrics_use_bounded_families(self, monkeypatch, morsel_rows):
         monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
+        morsel_rows(512)
         db = _star_db()
         server = Server(db, ServerConfig(max_concurrent=2))
         try:
@@ -655,7 +657,6 @@ class TestServerObservability:
                 options=_options(
                     backend="process",
                     num_workers=2,
-                    chunk_size=512,
                     faults="seed:3,rate:1.0,sites:process.task",
                 ),
             )

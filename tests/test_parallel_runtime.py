@@ -1,9 +1,9 @@
 """Tests for the morsel-parallel runtime and the radix-partitioned hash joins.
 
 Covers the radix-partitioning kernels (partition ids, permutation/offsets,
-:class:`PartitionedHashIndex` match/contains equivalence with the monolithic
-kernels), the compilation of ``Partition`` / ``PartitionedHashBuild`` /
-``PartitionedHashProbe`` ops under an :class:`ExecutionConfig` threshold, the
+:class:`PartitionedHashIndex` match equivalence with the monolithic
+kernels), ``HashBuild``'s run-time choice between a monolithic and a
+radix-partitioned index (decided from the materialized build rows), the
 :class:`MorselBackend` morsel scheduler (bit-identical results on its edge
 inputs, morsel counters, pool lifecycle), and the ``REPRO_BACKEND`` reroute
 of whole queries behind the CI backend matrix (the per-variable resolution
@@ -27,10 +27,9 @@ from repro.exec.kernels import (
     radix_partition,
     radix_partition_ids,
 )
-from repro.exec import pipeline
+from repro.exec import backends, join_ops
+from repro.exec.backends import MorselBackend
 from repro.exec.faults import CancelToken
-from repro.exec.pipeline import MorselBackend
-from repro.plan import physical
 
 
 # ---------------------------------------------------------------------------
@@ -81,23 +80,13 @@ class TestRadixPartition:
         part_pairs = np.sort(part.probe_indices * 1_000_000 + part.build_indices)
         np.testing.assert_array_equal(mono_pairs, part_pairs)
 
-    def test_partitioned_contains_agrees_with_monolithic(self):
-        rng = np.random.default_rng(6)
-        build = rng.integers(0, 2**50, size=3_000, dtype=np.int64)
-        probe = rng.integers(0, 2**50, size=5_000, dtype=np.int64)
-        expected = HashIndex(build).contains(probe)
-        got = PartitionedHashIndex(build, bits=3).contains(probe)
-        np.testing.assert_array_equal(got, expected)
-
     def test_empty_sides(self):
         empty = np.zeros(0, dtype=np.int64)
         some = np.array([1, 2, 3], dtype=np.int64)
         index = PartitionedHashIndex(empty, bits=2)
         assert index.match(some).num_matches == 0
-        assert not index.contains(some).any()
         full = PartitionedHashIndex(some, bits=2)
         assert full.match(empty).num_matches == 0
-        assert full.contains(empty).shape == (0,)
 
     def test_build_counts_pending_partitions_once(self):
         keys = np.arange(1_000, dtype=np.int64)
@@ -137,7 +126,7 @@ class TestParallelBackend:
     ):
         # ``size=None`` is the serial preset; shrink its cancellation cut so
         # the installed token makes it cut this input too.
-        monkeypatch.setattr(pipeline, "SERIAL_CANCEL_CHUNK", 4)
+        monkeypatch.setattr(backends, "SERIAL_CANCEL_CHUNK", 4)
         rng = np.random.default_rng(rows + 1)
         keys = rng.integers(0, 8, size=rows, dtype=np.int64)
         build = rng.integers(0, 8, size=6, dtype=np.int64)
@@ -210,56 +199,80 @@ class TestParallelBackend:
 
 
 # ---------------------------------------------------------------------------
-# Partitioned join compilation + execution through the engine
+# Radix partitioning: HashBuild's run-time choice
 # ---------------------------------------------------------------------------
-def _partition_everything(monkeypatch) -> None:
-    """Lower the compiler's constants so the small fixture's joins partition."""
-    monkeypatch.setattr(physical, "PARTITION_THRESHOLD", 1)
-    monkeypatch.setattr(physical, "PARTITION_BITS", 3)
+def _partition_from(monkeypatch, rows: int) -> None:
+    """Lower the executor's constants so the small fixture's joins can partition."""
+    monkeypatch.setattr(join_ops, "PARTITION_THRESHOLD", rows)
+    monkeypatch.setattr(join_ops, "PARTITION_BITS", 3)
 
 
 class TestPartitionedJoins:
     def _options(self, backend: str) -> ExecutionOptions:
-        return ExecutionOptions(execution=ExecutionConfig(backend=backend, num_threads=4))
+        return ExecutionOptions(
+            execution=ExecutionConfig(backend=backend, num_threads=4, num_workers=2)
+        )
 
-    def test_partition_ops_compiled_above_threshold(self, imdb_db, chain_query, monkeypatch):
-        _partition_everything(monkeypatch)
-        result = imdb_db.execute(chain_query, options=self._options("serial"))
-        kinds = result.physical_plan.op_kinds()
-        assert "partition" in kinds
-        assert kinds.count("partitioned_hash_build") == kinds.count("partition")
-        assert kinds.count("partitioned_hash_probe") == kinds.count("partition")
-        # The Partition op immediately precedes its build, which precedes its probe.
-        for i, kind in enumerate(kinds):
-            if kind == "partition":
-                assert kinds[i + 1] == "partitioned_hash_build"
-                assert kinds[i + 2] == "partitioned_hash_probe"
+    def test_decision_follows_the_materialized_build_rows(
+        self, imdb_db, chain_query, monkeypatch
+    ):
+        """The transfer phase shrinks build sides the static estimate (largest
+        member's filtered base rows) says are large: those run monolithic, and
+        only a build side that *is* large once materialized partitions."""
+        threshold = 100
+        _partition_from(monkeypatch, threshold)
+        graph = imdb_db.join_graph(chain_query)
+        result = imdb_db.execute(
+            chain_query, mode=ExecutionMode.RPT, options=self._options("serial")
+        )
+        assert set(result.physical_plan.op_kinds()) <= {
+            "scan", "filter_push", "bloom_build", "bloom_probe", "hash_build", "hash_probe",
+            "aggregate",
+        }
+        trace = result.stats.op_trace().splitlines()[1:]
+        records = {kind: [op for op in result.op_stats if op.kind == kind]
+                   for kind in ("hash_build", "hash_probe")}
+        decisions = []
+        for step, build, probe in zip(
+            result.stats.join_steps, records["hash_build"], records["hash_probe"]
+        ):
+            assert max(graph.size(alias) for alias in step.right_aliases) >= threshold
+            partitioned = step.build_rows >= threshold
+            decisions.append(partitioned)
+            for record in (build, probe):
+                assert record.radix_bits == (3 if partitioned else 0)
+                assert ("[radix 2^3]" in trace[record.index]) == partitioned
+        assert True in decisions and False in decisions
 
     def test_small_build_sides_stay_monolithic(self, imdb_db, chain_query):
-        assert max(imdb_db.join_graph(chain_query).relation_sizes.values()) < physical.PARTITION_THRESHOLD
+        assert max(imdb_db.join_graph(chain_query).relation_sizes.values()) < (
+            join_ops.PARTITION_THRESHOLD
+        )
         result = imdb_db.execute(chain_query)
-        assert result.physical_plan.count("partition") == 0
+        assert not any(op.radix_bits for op in result.op_stats)
+        assert "[radix" not in result.stats.op_trace()
 
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel", "process"])
     def test_partitioned_execution_matches_monolithic(
         self, imdb_db, chain_query, all_modes, backend, monkeypatch
     ):
         monolithic_results = {mode: imdb_db.execute(chain_query, mode=mode) for mode in all_modes}
-        _partition_everything(monkeypatch)
+        _partition_from(monkeypatch, 1)
         for mode, monolithic in monolithic_results.items():
-            assert monolithic.physical_plan.count("partition") == 0
+            assert not any(op.radix_bits for op in monolithic.op_stats)
             partitioned = imdb_db.execute(
                 chain_query, mode=mode, options=self._options(backend)
             )
+            assert any(op.radix_bits for op in partitioned.op_stats), (mode, backend)
             assert monolithic.aggregates == partitioned.aggregates, (mode, backend)
             assert monolithic.output_rows == partitioned.output_rows, (mode, backend)
 
-    def test_partitioned_ops_record_morsel_counts(self, imdb_db, chain_query, monkeypatch):
-        _partition_everything(monkeypatch)
+    def test_partitioned_builds_record_morsel_counts(self, imdb_db, chain_query, monkeypatch):
+        _partition_from(monkeypatch, 1)
         result = imdb_db.execute(chain_query, options=self._options("parallel"))
-        partition_ops = [o for o in result.op_stats if o.kind == "partitioned_hash_build"]
-        assert partition_ops
-        assert all(o.morsels > 0 for o in partition_ops)
+        builds = [o for o in result.op_stats if o.kind == "hash_build" and o.radix_bits]
+        assert builds
+        assert all(o.morsels > 0 for o in builds)
 
 
 # ---------------------------------------------------------------------------

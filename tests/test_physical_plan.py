@@ -23,8 +23,8 @@ from repro import (
 )
 from repro.bench.simulation import ParallelismModel, simulate_parallel_cost
 from repro.exec.kernels import HashIndex, match_keys, semi_join_mask
-from repro.exec.pipeline import DEFAULT_CHUNK_SIZE, DEFAULT_MORSEL_SIZE, MorselBackend, make_backend
-from repro.exec.process import ProcessBackend
+from repro.exec.backends import DEFAULT_CHUNK_SIZE, DEFAULT_MORSEL_SIZE, MorselBackend, make_backend
+from repro.exec.process import DEFAULT_PROCESS_MORSEL_SIZE, ProcessBackend
 from repro.expr.expressions import Expression, eq
 from repro.errors import ExecutionError
 from repro.plan.join_plan import JoinPlan
@@ -214,49 +214,59 @@ class TestModeAgreement:
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
-def _backend_options(backend: str, chunk_size: int) -> ExecutionOptions:
-    return ExecutionOptions(execution=ExecutionConfig(backend=backend, chunk_size=chunk_size))
+def _backend_options(backend: str) -> ExecutionOptions:
+    return ExecutionOptions(execution=ExecutionConfig(backend=backend))
 
 
 class TestBackends:
-    def test_make_backend_presets(self):
+    def test_make_backend_presets(self, morsel_rows):
         def preset(backend):
             assert type(backend) is MorselBackend
             return backend.num_threads, backend.morsel_size
 
         assert preset(make_backend("serial")) == (1, None)
         assert preset(make_backend("chunked")) == (1, DEFAULT_CHUNK_SIZE)
-        assert preset(make_backend("chunked", chunk_size=64)) == (1, 64)
         assert preset(make_backend("parallel", num_threads=3)) == (3, DEFAULT_MORSEL_SIZE)
-        assert preset(make_backend("parallel", 512, 2)) == (2, 512)
-        assert isinstance(make_backend("process", num_workers=1), ProcessBackend)
-        for bad in (("gpu",), ("chunked", 0), ("parallel", None, 0)):
+        process = make_backend("process", num_workers=1)
+        assert isinstance(process, ProcessBackend)
+        assert process.morsel_size == DEFAULT_PROCESS_MORSEL_SIZE
+        for bad in (("gpu",), ("parallel", 0), ("process", None, 0)):
             with pytest.raises(ExecutionError):
                 make_backend(*bad)
+        # The presets read their morsel size when the backend is made.
+        morsel_rows(64)
+        assert preset(make_backend("chunked")) == (1, 64)
+        assert preset(make_backend("parallel", 2)) == (2, 64)
+        assert make_backend("process", num_workers=1).morsel_size == 64
 
-    def test_chunked_backend_matches_serial(self, imdb_db, chain_query, all_modes):
+    def test_chunked_backend_matches_serial(self, imdb_db, chain_query, all_modes, morsel_rows):
+        morsel_rows(256)
         for mode in all_modes:
             serial = imdb_db.execute(chain_query, mode=mode)
             chunked = imdb_db.execute(
                 chain_query,
                 mode=mode,
-                options=_backend_options("chunked", 256),
+                options=_backend_options("chunked"),
             )
             assert serial.aggregates == chunked.aggregates, mode
             assert serial.output_rows == chunked.output_rows, mode
 
-    def test_parallel_backend_matches_serial(self, imdb_db, chain_query, all_modes):
+    def test_parallel_backend_matches_serial(self, imdb_db, chain_query, all_modes, morsel_rows):
+        morsel_rows(256)
         for mode in all_modes:
             serial = imdb_db.execute(chain_query, mode=mode)
             parallel = imdb_db.execute(
                 chain_query,
                 mode=mode,
-                options=_backend_options("parallel", 256),
+                options=_backend_options("parallel"),
             )
             assert serial.aggregates == parallel.aggregates, mode
             assert serial.output_rows == parallel.output_rows, mode
 
-    def test_simulated_parallel_cost_derives_from_any_backends_trace(self, imdb_db, star_query):
+    def test_simulated_parallel_cost_derives_from_any_backends_trace(
+        self, imdb_db, star_query, morsel_rows
+    ):
+        morsel_rows(128)
         # Replaces test_chunked_backend_accrues_simulated_cost: the chunked
         # backend's inline accrual (stats.simulated_parallel_cost) is gone;
         # the Figure 14 cost is a function of the recorded steps alone.
@@ -264,7 +274,7 @@ class TestBackends:
         costs = {
             backend: simulate_parallel_cost(
                 imdb_db.execute(
-                    star_query, mode=ExecutionMode.RPT, options=_backend_options(backend, 128)
+                    star_query, mode=ExecutionMode.RPT, options=_backend_options(backend)
                 ).stats,
                 model,
             )

@@ -16,10 +16,9 @@ import pytest
 from repro import Database, ExecutionMode, ExecutionOptions
 from repro.engine.modes import ExecutionConfig
 from repro.errors import ExecutionError
+from repro.exec.backends import make_backend
 from repro.exec.kernels import HashIndex
-from repro.exec.pipeline import make_backend
 from repro.exec.process import (
-    DEFAULT_PROCESS_MORSEL_SIZE,
     ProcessBackend,
     ShmGather,
     probe_input_rows,
@@ -28,11 +27,16 @@ from repro.storage import shm
 from repro.workloads import sqlfiles
 
 
+@pytest.fixture(autouse=True)
+def _small_morsels(morsel_rows):
+    """A tiny morsel, so every non-serial backend actually cuts its inputs."""
+    morsel_rows(512)
+
+
 def process_options(**execution_kwargs) -> ExecutionOptions:
-    """Process-backend options with a tiny morsel so fan-out always happens."""
+    """Process-backend options (fan-out always happens: see ``_small_morsels``)."""
     execution_kwargs.setdefault("backend", "process")
     execution_kwargs.setdefault("num_workers", 2)
-    execution_kwargs.setdefault("chunk_size", 512)
     return ExecutionOptions(execution=ExecutionConfig(**execution_kwargs))
 
 
@@ -80,7 +84,7 @@ class TestBitIdentity:
             process_options()
             if backend == "process"
             else ExecutionOptions(
-                execution=ExecutionConfig(backend=backend, chunk_size=512, num_threads=2)
+                execution=ExecutionConfig(backend=backend, num_threads=2)
             )
         )
         result = tpch_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=options)
@@ -283,13 +287,12 @@ class TestShmLifecycle:
 # Configuration and construction
 # ---------------------------------------------------------------------------
 class TestConfiguration:
-    def test_make_backend_process(self):
-        backend = make_backend("process", chunk_size=2_048, num_workers=3)
+    def test_make_backend_process(self, morsel_rows):
+        morsel_rows(2_048)
+        backend = make_backend("process", num_workers=3)
         assert isinstance(backend, ProcessBackend)
         assert backend.num_workers == 3
         assert backend.morsel_size == 2_048
-        default = make_backend("process")
-        assert default.morsel_size == DEFAULT_PROCESS_MORSEL_SIZE
 
     def test_make_backend_unknown_name_mentions_process(self):
         with pytest.raises(ExecutionError, match="process"):

@@ -365,14 +365,15 @@ class TestPlanCache:
 # ---------------------------------------------------------------------------
 class TestSnapshotIsolation:
     @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
-    def test_pinned_snapshot_survives_replace(self, backend):
+    def test_pinned_snapshot_survives_replace(self, backend, morsel_rows):
+        morsel_rows(4096)
         db = _make_db(value_scale=1)
         from repro.sql import compile_statement
 
         spec = compile_statement(QUERY, db.catalog).query
         options = ExecutionOptions(
             execution=ExecutionConfig(
-                backend=backend, chunk_size=4096, num_workers=2, artifact_cache=True
+                backend=backend, num_workers=2, artifact_cache=True
             )
         )
         old_result = db.execute(spec, options=options)

@@ -160,3 +160,26 @@ def test_explain_sql_files_compile_without_executing(specs, databases):
         explained = db.explain_sql(sqlfiles.sql_text(stem), mode=mode)
         assert len(explained.op_stats) == len(explained.physical_plan.ops)
         assert explained.query == specs[stem]
+
+
+@pytest.mark.parametrize("stem", ALL_STEMS)
+def test_every_bloom_build_is_followed_by_its_probe(stem, databases):
+    """A Bloom step is one adjacent build/probe pair with one ``step_id``.
+
+    The executor's per-step record (written by the build, popped by the
+    probe) and the adaptive controller's cancellation by step id both rest
+    on this; it is checked on the compiled plans, not at run time.
+    """
+    from repro.plan.physical import BloomBuild, BloomProbe
+
+    db = databases(stem)
+    for mode in ExecutionMode:
+        ops = db.sql("EXPLAIN " + sqlfiles.sql_text(stem), mode=mode).physical_plan.ops
+        builds = [index for index, op in enumerate(ops) if isinstance(op, BloomBuild)]
+        for index in builds:
+            build, probe = ops[index], ops[index + 1]
+            assert isinstance(probe, BloomProbe), (mode, index)
+            assert (probe.step_id, probe.scope) == (build.step_id, build.scope), (mode, index)
+        assert len(builds) == sum(isinstance(op, BloomProbe) for op in ops), mode
+        step_ids = [(ops[index].scope, ops[index].step_id) for index in builds]
+        assert len(set(step_ids)) == len(step_ids), mode
