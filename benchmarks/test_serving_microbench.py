@@ -35,7 +35,7 @@ from repro.workloads import sqlfiles
 #: Where the perf-trajectory record lands (repo root, next to ROADMAP.md).
 BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
-#: Workload scale for the serving sweep (full 56-file set; kept small so
+#: Workload scale for the serving sweep (every checked-in file; kept small so
 #: the closed-loop run measures serving overheads, not scan time).
 SERVING_SCALE = 0.05
 

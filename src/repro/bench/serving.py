@@ -1,9 +1,9 @@
 """Closed-loop concurrent serving benchmark over the checked-in SQL files.
 
 The driver stands up one :class:`~repro.engine.server.Server` per workload
-database (the three synthetic instances, TPC-H, and JOB — the same
+database (the three synthetic instances, TPC-H, JOB, and TPC-DS — the same
 databases :func:`repro.workloads.sqlfiles.run_all` binds against), routes
-each of the 56 checked-in ``.sql`` files to its server, and runs ``N``
+each of the checked-in ``.sql`` files to its server, and runs ``N``
 closed-loop client threads: every client holds one session per server,
 pulls the next statement from a shared work queue, and issues the next
 query only after the previous one finishes — the classic closed-loop
@@ -98,18 +98,8 @@ def build_serving_fleet(
     routes: Dict[str, str] = {}
     texts: Dict[str, str] = {}
     for stem, path in selected.items():
-        workload = sqlfiles.workload_of(stem)
-        if workload == "synthetic":
-            key = f"synthetic:{stem[len('synthetic_'):]}"
-            if key not in databases:
-                databases[key] = sqlfiles.database_for(
-                    "synthetic", synthetic_query=key.split(":", 1)[1]
-                )
-        else:
-            key = workload
-            if key not in databases:
-                databases[key] = sqlfiles.database_for(key, scale=scale, seed=seed)
-        routes[stem] = key
+        sqlfiles.database_of(stem, databases, scale=scale, seed=seed)
+        routes[stem] = sqlfiles.database_key(stem)
         texts[stem] = path.read_text()
 
     baselines: Dict[str, Dict[str, float]] = {}

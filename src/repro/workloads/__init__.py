@@ -1,22 +1,11 @@
 """Benchmark workloads: TPC-H, JOB (IMDB), TPC-DS, DSB, and synthetic instances.
 
-``repro.workloads.sqlfiles`` (imported lazily to keep the engine import
-acyclic) exposes the checked-in ``.sql`` renditions of the synthetic, TPC-H,
-and JOB query sets plus their loader/execution harness.
+Each benchmark module is a data generator (``load``) plus ``query(n)``
+lookups into :mod:`repro.workloads.sqlfiles`, whose checked-in ``.sql`` files
+are the only definition of the TPC-H, JOB and TPC-DS / DSB queries.
 """
 
-from repro.workloads import dsb, job, synthetic, tpcds, tpch
+from repro.workloads import dsb, job, sqlfiles, synthetic, tpcds, tpch
 from repro.workloads.generator import WorkloadScale
 
 __all__ = ["WorkloadScale", "dsb", "job", "sqlfiles", "synthetic", "tpcds", "tpch"]
-
-
-def __getattr__(name):
-    # ``sqlfiles`` imports the Database façade, which imports the workload
-    # modules above through the bench harness chain in some paths; resolving
-    # it on first attribute access keeps package import order simple.
-    if name == "sqlfiles":
-        import importlib
-
-        return importlib.import_module("repro.workloads.sqlfiles")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

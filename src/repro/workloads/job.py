@@ -8,6 +8,8 @@ movie has many keywords / info rows / cast entries, with Zipf-like skew —
 exactly the shape that makes naive join orders explode on the real data).
 
 One query per template (the ``a`` variant's join structure) is provided,
+each defined by its checked-in ``sql/job_<N>a.sql`` file (:func:`query`
+compiles it, see :mod:`repro.workloads.sqlfiles`),
 matching how the paper reports JOB results: "for JOB queries, we present one
 result for each of the 33 query templates".  All templates are acyclic,
 which is why the paper's Figure 6b shows no red (cyclic) query numbers for
@@ -20,9 +22,9 @@ from typing import Dict
 
 from repro.engine.database import Database
 from repro.errors import WorkloadError
-from repro.expr import between, contains, eq, ge, gt, isin, le, lt, starts_with
-from repro.query import JoinCondition, QuerySpec, RelationRef
+from repro.query import QuerySpec
 from repro.storage.table import ForeignKey
+from repro.workloads import sqlfiles
 from repro.workloads.generator import (
     WorkloadScale,
     categorical_column,
@@ -305,143 +307,24 @@ def load(db: Database, scale: float = 1.0, seed: int = 7, replace: bool = False)
 
 
 # ---------------------------------------------------------------------------
-# Query templates
+# Query templates (defined by the checked-in ``sql/job_<N>a.sql`` files)
 # ---------------------------------------------------------------------------
-def _rel(alias: str, table: str, filt=None) -> RelationRef:
-    return RelationRef(alias, table, filt)
-
-
-def _join(a: str, ac: str, b: str, bc: str) -> JoinCondition:
-    return JoinCondition(a, ac, b, bc)
-
-
-def _template(number: int) -> QuerySpec:
-    """Build the (simplified) join structure of JOB template ``number``."""
-    t = _rel("t", "title", gt("production_year", 1990))
-    mk = _rel("mk", "movie_keyword")
-    k = _rel("k", "keyword", eq("keyword", "character-name-in-title"))
-    mi = _rel("mi", "movie_info")
-    mi_idx = _rel("mi_idx", "movie_info_idx", gt("info_rating", 6.0))
-    it = _rel("it", "info_type", eq("info", "rating"))
-    it2 = _rel("it2", "info_type", eq("info", "votes"))
-    mc = _rel("mc", "movie_companies")
-    cn = _rel("cn", "company_name", eq("country_code", "[us]"))
-    ct = _rel("ct", "company_type", eq("kind", "production companies"))
-    ci = _rel("ci", "cast_info")
-    n = _rel("n", "name", eq("gender", "f"))
-    an = _rel("an", "aka_name")
-    rt = _rel("rt", "role_type", eq("role", "actress"))
-    chn = _rel("chn", "char_name")
-    kt = _rel("kt", "kind_type", eq("kind", "movie"))
-    ml = _rel("ml", "movie_link")
-    lt_ = _rel("lt", "link_type", eq("link", "follows"))
-    cc = _rel("cc", "complete_cast")
-    cct = _rel("cct", "comp_cast_type", eq("kind", "cast"))
-    pi = _rel("pi", "person_info")
-    at = _rel("at", "aka_title")
-
-    j_mk_t = _join("mk", "movie_id", "t", "id")
-    j_mk_k = _join("mk", "keyword_id", "k", "id")
-    j_mi_t = _join("mi", "movie_id", "t", "id")
-    j_mi_it = _join("mi", "info_type_id", "it", "id")
-    j_mix_t = _join("mi_idx", "movie_id", "t", "id")
-    j_mix_it = _join("mi_idx", "info_type_id", "it", "id")
-    j_mix_it2 = _join("mi_idx", "info_type_id", "it2", "id")
-    j_mc_t = _join("mc", "movie_id", "t", "id")
-    j_mc_cn = _join("mc", "company_id", "cn", "id")
-    j_mc_ct = _join("mc", "company_type_id", "ct", "id")
-    j_ci_t = _join("ci", "movie_id", "t", "id")
-    j_ci_n = _join("ci", "person_id", "n", "id")
-    j_ci_rt = _join("ci", "role_id", "rt", "id")
-    j_ci_chn = _join("ci", "person_role_id", "chn", "id")
-    j_an_n = _join("an", "person_id", "n", "id")
-    j_t_kt = _join("t", "kind_id", "kt", "id")
-    j_ml_t = _join("ml", "movie_id", "t", "id")
-    j_ml_lt = _join("ml", "link_type_id", "lt", "id")
-    j_cc_t = _join("cc", "movie_id", "t", "id")
-    j_cc_cct = _join("cc", "subject_id", "cct", "id")
-    j_pi_n = _join("pi", "person_id", "n", "id")
-    j_at_t = _join("at", "movie_id", "t", "id")
-
-    templates: Dict[int, tuple] = {
-        1: ((ct, it, mc, mi_idx, t), (j_mc_ct, j_mc_t, j_mix_t, j_mix_it)),
-        2: ((cn, k, mc, mk, t), (j_mc_cn, j_mc_t, j_mk_t, j_mk_k)),
-        3: ((k, mi, mk, t), (j_mk_k, j_mk_t, j_mi_t)),
-        4: ((it, k, mi_idx, mk, t), (j_mix_it, j_mix_t, j_mk_t, j_mk_k)),
-        5: ((ct, it, mc, mi, t), (j_mc_ct, j_mc_t, j_mi_t, j_mi_it)),
-        6: ((ci, k, mk, n, t), (j_ci_t, j_ci_n, j_mk_t, j_mk_k)),
-        7: ((an, ci, it, lt_, ml, n, pi, t),
-            (j_an_n, j_ci_n, j_ci_t, j_ml_t, j_ml_lt, j_pi_n, _join("pi", "info_type_id", "it", "id"))),
-        8: ((an, ci, cn, mc, n, rt, t), (j_an_n, j_ci_n, j_ci_t, j_ci_rt, j_mc_t, j_mc_cn)),
-        9: ((an, chn, ci, cn, mc, n, rt, t),
-            (j_an_n, j_ci_chn, j_ci_n, j_ci_t, j_ci_rt, j_mc_t, j_mc_cn)),
-        10: ((chn, ci, cn, ct, mc, rt, t), (j_ci_chn, j_ci_t, j_ci_rt, j_mc_t, j_mc_cn, j_mc_ct)),
-        11: ((cn, ct, k, lt_, mc, mk, ml, t),
-             (j_mc_cn, j_mc_ct, j_mc_t, j_mk_t, j_mk_k, j_ml_t, j_ml_lt)),
-        12: ((cn, ct, it, it2, mc, mi, mi_idx, t),
-             (j_mc_cn, j_mc_ct, j_mc_t, j_mi_t, j_mi_it, j_mix_t, j_mix_it2)),
-        13: ((cn, ct, it, it2, kt, mc, mi, mi_idx, t),
-             (j_mc_cn, j_mc_ct, j_mc_t, j_mi_t, j_mi_it, j_mix_t, j_mix_it2, j_t_kt)),
-        14: ((it, it2, k, kt, mi, mi_idx, mk, t),
-             (j_mi_it, j_mi_t, j_mix_it2, j_mix_t, j_mk_t, j_mk_k, j_t_kt)),
-        15: ((at, cn, it, k, mc, mi, mk, t),
-             (j_at_t, j_mc_cn, j_mc_t, j_mi_t, j_mi_it, j_mk_t, j_mk_k)),
-        16: ((an, ci, cn, k, mc, mk, n, t),
-             (j_an_n, j_ci_n, j_ci_t, j_mc_cn, j_mc_t, j_mk_t, j_mk_k)),
-        17: ((ci, cn, k, mc, mk, n, t), (j_ci_n, j_ci_t, j_mc_cn, j_mc_t, j_mk_t, j_mk_k)),
-        18: ((ci, it, it2, mi, mi_idx, n, t),
-             (j_ci_n, j_ci_t, j_mi_t, j_mi_it, j_mix_t, j_mix_it2)),
-        19: ((an, chn, ci, cn, it, mc, mi, n, rt, t),
-             (j_an_n, j_ci_chn, j_ci_n, j_ci_t, j_ci_rt, j_mc_cn, j_mc_t, j_mi_t, j_mi_it)),
-        20: ((cc, cct, chn, ci, k, kt, mk, n, t),
-             (j_cc_t, j_cc_cct, j_ci_chn, j_ci_n, j_ci_t, j_mk_t, j_mk_k, j_t_kt)),
-        21: ((cn, ct, k, lt_, mc, mi, mk, ml, t),
-             (j_mc_cn, j_mc_ct, j_mc_t, j_mi_t, j_mk_t, j_mk_k, j_ml_t, j_ml_lt)),
-        22: ((cn, ct, it, it2, k, kt, mc, mi, mi_idx, mk, t),
-             (j_mc_cn, j_mc_ct, j_mc_t, j_mi_t, j_mi_it, j_mix_t, j_mix_it2, j_mk_t, j_mk_k, j_t_kt)),
-        23: ((cc, cct, cn, ct, it, kt, mc, mi, t),
-             (j_cc_t, j_cc_cct, j_mc_cn, j_mc_ct, j_mc_t, j_mi_t, j_mi_it, j_t_kt)),
-        24: ((an, chn, ci, it, k, mi, mk, n, rt, t),
-             (j_an_n, j_ci_chn, j_ci_n, j_ci_t, j_ci_rt, j_mi_t, j_mi_it, j_mk_t, j_mk_k)),
-        25: ((ci, it, it2, k, mi, mi_idx, mk, n, t),
-             (j_ci_n, j_ci_t, j_mi_t, j_mi_it, j_mix_t, j_mix_it2, j_mk_t, j_mk_k)),
-        26: ((cc, cct, chn, ci, it, k, kt, mi_idx, mk, n, t),
-             (j_cc_t, j_cc_cct, j_ci_chn, j_ci_n, j_ci_t, j_mix_t, j_mix_it, j_mk_t, j_mk_k, j_t_kt)),
-        27: ((cc, cct, cn, ct, k, lt_, mc, mk, ml, t),
-             (j_cc_t, j_cc_cct, j_mc_cn, j_mc_ct, j_mc_t, j_mk_t, j_mk_k, j_ml_t, j_ml_lt)),
-        28: ((cc, cct, cn, ct, it, it2, k, kt, mc, mi, mi_idx, mk, t),
-             (j_cc_t, j_cc_cct, j_mc_cn, j_mc_ct, j_mc_t, j_mi_t, j_mi_it, j_mix_t, j_mix_it2,
-              j_mk_t, j_mk_k, j_t_kt)),
-        29: ((an, cc, cct, chn, ci, cn, it, it2, k, kt, mc, mi, mk, n, rt, pi, t),
-             (j_an_n, j_cc_t, j_cc_cct, j_ci_chn, j_ci_n, j_ci_t, j_ci_rt, j_mc_cn, j_mc_t,
-              j_mi_t, j_mi_it, j_mk_t, j_mk_k, j_t_kt, j_pi_n, _join("pi", "info_type_id", "it2", "id"))),
-        30: ((cc, cct, ci, it, it2, k, mi, mi_idx, mk, n, t),
-             (j_cc_t, j_cc_cct, j_ci_n, j_ci_t, j_mi_t, j_mi_it, j_mix_t, j_mix_it2, j_mk_t, j_mk_k)),
-        31: ((ci, cn, it, it2, k, mc, mi, mi_idx, mk, n, t),
-             (j_ci_n, j_ci_t, j_mc_cn, j_mc_t, j_mi_t, j_mi_it, j_mix_t, j_mix_it2, j_mk_t, j_mk_k)),
-        32: ((k, lt_, mk, ml, t), (j_mk_k, j_mk_t, j_ml_t, j_ml_lt)),
-        33: ((cn, it, kt, lt_, mc, mi_idx, ml, t),
-             (j_mc_cn, j_mc_t, j_mix_t, j_mix_it, j_ml_t, j_ml_lt, j_t_kt)),
-    }
-    if number not in templates:
-        raise WorkloadError(f"JOB template {number} does not exist (valid: 1..33)")
-    relations, joins = templates[number]
-    return QuerySpec(name=f"job_{number}a", relations=tuple(relations), joins=tuple(joins))
-
-
 def query(number: int) -> QuerySpec:
     """Return the QuerySpec for JOB template ``number`` (1..33)."""
-    return _template(number)
+    try:
+        return sqlfiles.query_spec(f"job_{number}a")
+    except WorkloadError:
+        raise WorkloadError(f"JOB template {number} does not exist (valid: 1..33)") from None
 
 
 def all_queries() -> Dict[str, QuerySpec]:
     """All 33 JOB template queries, keyed by name."""
-    return {f"t{n}": _template(n) for n in range(1, 34)}
+    return {f"t{n}": query(n) for n in template_numbers()}
 
 
 def template_numbers() -> tuple[int, ...]:
     """All template numbers."""
-    return tuple(range(1, 34))
+    return tuple(sqlfiles.numbered_stems("job"))
 
 
 #: Templates highlighted in Figure 8 (original PT's Small2Large under-reduces).

@@ -1,0 +1,9 @@
+-- name: tpcds_q42
+SELECT COUNT(*) AS count_star
+FROM store_sales AS f,
+     date_dim AS d,
+     item AS i
+WHERE f.ss_sold_date_sk = d.d_date_sk
+  AND f.ss_item_sk = i.i_item_sk
+  AND (d.d_moy = 12 AND d.d_year = 2000)
+  AND i.i_category = 'Books';

@@ -1,27 +1,32 @@
-"""Checked-in SQL workload files and their loader.
+"""The checked-in ``.sql`` files: the one definition of every benchmark query.
 
-``src/repro/workloads/sql/`` holds one ``.sql`` file per workload query —
-the synthetic adversarial instances, all TPC-H join queries, and all 33 JOB
-templates — generated from the hand-built :class:`~repro.query.QuerySpec`
-definitions by :func:`regenerate` via the ``QuerySpec → SQL`` formatter.
-Each file starts with a ``-- name:`` directive, so running it through
-:meth:`Database.sql <repro.engine.database.Database.sql>` produces the same
-query name (and, as the test suite proves, bit-identical results) as the
-hand-built spec.
+``src/repro/workloads/sql/`` holds one file per query — 20 TPC-H, 33 JOB
+and 42 TPC-DS (DSB runs the TPC-DS text on skewed data), in the canonical
+form of the ``QuerySpec → SQL`` formatter, each starting with a ``-- name:``
+directive equal to its stem.  ``tpch.query(n)`` / ``job.query(n)`` /
+``tpcds.query(n)`` / ``dsb.query(n)`` are :func:`query_spec` of the file;
+nothing hand-built stands beside the text.  The three ``synthetic_*`` files
+are the exception: renditions of the default-size instances, whose specs
+stay with their size-parameterised generators.
 
-The loader is deliberately text-first: :func:`sql_text` returns raw SQL, and
-binding happens against whatever database the caller supplies — the same
-contract a real benchmark harness has when it feeds ``.sql`` files to an
-engine under test.
+The loader is text-first: :func:`sql_text` returns raw SQL, and binding
+happens against whatever database the caller supplies — the same contract a
+real benchmark harness has when it feeds ``.sql`` files to an engine under
+test.  :func:`database_of` is the one stem → database rule every
+corpus-wide harness shares.
 
-:func:`run_all` executes every checked-in file end to end (swept per backend
-and feature by ``tests/test_sql_execution.py``): it loads/constructs the owning workload's database,
-compiles each file through the SQL front end, executes it, and cross-checks
-the aggregates against the hand-built spec executed under the same plan.
+:func:`run_all` executes every file end to end (swept per backend and
+feature by ``tests/test_sql_execution.py``) and :func:`run_fault_sweep` does
+so under fault injection; what the answers must equal is the caller's
+business — another sweep, a fault-free baseline, or sqlite
+(``tests/test_sqlite_oracle.py``).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
+import re
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
@@ -29,14 +34,15 @@ from repro.engine.database import Database, ExecutionOptions
 from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import ReproError, WorkloadError
 from repro.query import QuerySpec
-from repro.sql import to_sql
-from repro.workloads import job, synthetic, tpch
+from repro.sql import compile_statement
+from repro.storage.catalog import Catalog
+from repro.workloads import synthetic
 
 #: Directory of the checked-in ``.sql`` files.
 SQL_DIR = Path(__file__).resolve().parent / "sql"
 
 #: Workload key → filename prefix of its ``.sql`` files.
-_PREFIXES = {"synthetic": "synthetic_", "tpch": "tpch_", "job": "job_"}
+_PREFIXES = {"synthetic": "synthetic_", "tpch": "tpch_", "job": "job_", "tpcds": "tpcds_"}
 
 
 def available() -> Dict[str, Path]:
@@ -79,22 +85,51 @@ def stems_for(workload: str) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Hand-built counterparts (for generation and bit-identity checks)
+# The files as query definitions
 # ---------------------------------------------------------------------------
-def handbuilt_specs() -> Dict[str, QuerySpec]:
-    """File stem → the hand-built ``QuerySpec`` the checked-in file mirrors."""
-    specs: Dict[str, QuerySpec] = {}
-    for instance in _synthetic_instances().values():
-        specs[f"synthetic_{instance.query.name}"] = instance.query
-    for number in tpch.query_numbers():
-        spec = tpch.query(number)
-        specs[spec.name] = spec  # names are already "tpch_qN"
-    for number in job.template_numbers():
-        spec = job.query(number)
-        specs[spec.name] = spec  # names are already "job_Na"
-    return specs
+#: Workloads whose tables come from ``repro.workloads.<name>.load``.
+_GENERATED = ("tpch", "job", "tpcds", "dsb")
 
 
+def _load(workload: str) -> Callable[..., Dict[str, int]]:
+    # Resolved by name at call time: the generator modules import this one
+    # for their ``query(n)``, so it cannot import them while it loads.
+    return importlib.import_module(f"repro.workloads.{workload}").load
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(workload: str) -> Catalog:
+    """Catalog of a minimal-scale ``load()``: the generator stays the only
+    schema declaration.  Only the catalog is kept, never an open database."""
+    db = Database()
+    _load(workload)(db, scale=0.001)
+    return db.catalog
+
+
+@functools.lru_cache(maxsize=None)
+def query_spec(stem: str) -> QuerySpec:
+    """The :class:`~repro.query.QuerySpec` a checked-in benchmark file defines.
+
+    Compiled once per process, on first use.  Synthetic files are
+    default-parameter renditions of ``synthetic.*_instance().query`` — their
+    constants follow the instance's size arguments — and have no entry here.
+    """
+    workload = workload_of(stem)
+    if workload == "synthetic":
+        raise WorkloadError(f"{stem!r} is defined by its repro.workloads.synthetic instance, not by its file")
+    return compile_statement(sql_text(stem), _schema(workload)).query
+
+
+def numbered_stems(workload: str) -> Dict[int, str]:
+    """Query number → file stem of one workload (``5 → "tpch_q5"``,
+    ``2 → "job_2a"``), ascending, from the files present."""
+    numbers = {int(re.search(r"\d+", stem).group()): stem for stem in stems_for(workload)}
+    return dict(sorted(numbers.items()))
+
+
+# ---------------------------------------------------------------------------
+# The databases the files bind against
+# ---------------------------------------------------------------------------
 def _synthetic_instances() -> Dict[str, synthetic.SyntheticInstance]:
     """Query name → freshly built synthetic instance (each owns its database)."""
     instances = (
@@ -113,16 +148,13 @@ def database_for(
 ) -> Database:
     """Build the database a workload's SQL files bind against.
 
-    For ``"synthetic"``, each query owns its own instance, so
+    ``"dsb"`` is the skewed load the ``tpcds_*`` files also run on.  For
+    ``"synthetic"``, each query owns its own instance, so
     ``synthetic_query`` (the query name, e.g. ``"figure2"``) is required.
     """
-    if workload == "tpch":
+    if workload in _GENERATED:
         db = Database()
-        tpch.load(db, scale=scale, seed=seed)
-        return db
-    if workload == "job":
-        db = Database()
-        job.load(db, scale=scale, seed=seed)
+        _load(workload)(db, scale=scale, seed=seed)
         return db
     if workload == "synthetic":
         instances = _synthetic_instances()
@@ -132,33 +164,31 @@ def database_for(
                 f"(expected one of {sorted(instances)})"
             )
         return instances[synthetic_query].database
-    raise WorkloadError(f"unknown workload {workload!r}; expected one of {sorted(_PREFIXES)}")
+    raise WorkloadError(
+        f"unknown workload {workload!r}; expected one of {sorted(('synthetic',) + _GENERATED)}"
+    )
 
 
-# ---------------------------------------------------------------------------
-# Generation (kept runnable so the files can never drift from the specs)
-# ---------------------------------------------------------------------------
-def rendered_files() -> Dict[str, str]:
-    """File stem → the SQL text :func:`regenerate` would write."""
-    return {stem: to_sql(spec) for stem, spec in handbuilt_specs().items()}
+def database_key(stem: str) -> str:
+    """Which database a file shares: a synthetic file owns its instance,
+    every other workload has one database for all its files."""
+    workload = workload_of(stem)
+    return stem if workload == "synthetic" else workload
 
 
-def regenerate(directory: Optional[Path] = None) -> List[Path]:
-    """(Re)write every workload ``.sql`` file from the hand-built specs.
+def database_of(stem: str, cache: Dict[str, Database], scale: float = 0.1, seed: int = 1) -> Database:
+    """The database ``stem`` binds against, built into ``cache`` on first use.
 
-    The test suite asserts the checked-in files equal :func:`rendered_files`,
-    so after changing a workload query definition, run::
-
-        PYTHONPATH=src python -c "from repro.workloads import sqlfiles; sqlfiles.regenerate()"
+    ``cache`` is keyed by :func:`database_key` and owned by the caller (who
+    closes its databases).  Seeding it binds a workload's files to other
+    data: ``{"tpcds": database_for("dsb", ...)}`` runs the TPC-DS text on DSB.
     """
-    directory = directory or SQL_DIR
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for stem, text in sorted(rendered_files().items()):
-        path = directory / f"{stem}.sql"
-        path.write_text(text)
-        written.append(path)
-    return written
+    key = database_key(stem)
+    if key not in cache:
+        cache[key] = database_for(
+            workload_of(stem), scale=scale, seed=seed, synthetic_query=stem[len("synthetic_") :]
+        )
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -169,52 +199,26 @@ def run_all(
     options: Optional[ExecutionOptions] = None,
     scale: float = 0.1,
     seed: int = 1,
-    verify_against_handbuilt: bool = True,
     database_cache: Optional[Dict[str, Database]] = None,
 ) -> List[Dict[str, object]]:
     """Execute every checked-in ``.sql`` file through ``Database.sql``.
 
     Returns one record per file: ``{"stem", "name", "workload",
-    "aggregates", "matches_handbuilt"}``.  With
-    ``verify_against_handbuilt`` (the default), each SQL execution is
-    compared against the hand-built spec executed with the same plan and
-    options; a mismatch raises :class:`WorkloadError` — this is the
-    bit-identity contract the tests enforce.
+    "aggregates"}``.
     """
-    specs = handbuilt_specs()
     databases: Dict[str, Database] = database_cache if database_cache is not None else {}
     records: List[Dict[str, object]] = []
     for stem, path in available().items():
-        workload = workload_of(stem)
-        if workload == "synthetic":
-            query_name = stem[len("synthetic_") :]
-            cache_key = f"synthetic:{query_name}"
-            if cache_key not in databases:
-                databases[cache_key] = database_for("synthetic", synthetic_query=query_name)
-            db = databases[cache_key]
-        else:
-            if workload not in databases:
-                databases[workload] = database_for(workload, scale=scale, seed=seed)
-            db = databases[workload]
+        db = database_of(stem, databases, scale=scale, seed=seed)
         result = db.sql(path.read_text(), mode=mode, options=options)
-        record: Dict[str, object] = {
-            "stem": stem,
-            "name": result.query.name,
-            "workload": workload,
-            "aggregates": dict(result.aggregates),
-        }
-        if verify_against_handbuilt:
-            if stem not in specs:
-                raise WorkloadError(f"SQL file {stem!r} has no hand-built counterpart")
-            expected = db.execute(specs[stem], mode=mode, plan=result.plan, options=options)
-            matches = expected.aggregates == result.aggregates
-            record["matches_handbuilt"] = matches
-            if not matches:
-                raise WorkloadError(
-                    f"SQL file {stem!r} diverged from its hand-built spec under "
-                    f"{mode.value}: {result.aggregates} != {expected.aggregates}"
-                )
-        records.append(record)
+        records.append(
+            {
+                "stem": stem,
+                "name": result.query.name,
+                "workload": workload_of(stem),
+                "aggregates": dict(result.aggregates),
+            }
+        )
     return records
 
 
@@ -255,23 +259,12 @@ def run_fault_sweep(
     }
     databases: Dict[str, Database] = database_cache if database_cache is not None else {}
 
-    def database_of(stem: str, workload: str) -> Database:
-        if workload == "synthetic":
-            query_name = stem[len("synthetic_") :]
-            cache_key = f"synthetic:{query_name}"
-            if cache_key not in databases:
-                databases[cache_key] = database_for("synthetic", synthetic_query=query_name)
-            return databases[cache_key]
-        if workload not in databases:
-            databases[workload] = database_for(workload, scale=scale, seed=seed)
-        return databases[workload]
-
     # Fault-free serial baselines, computed with injection disabled.
     faults.clear()
     serial_options = ExecutionOptions(execution=ExecutionConfig(backend="serial"))
     baselines: Dict[str, Dict[str, float]] = {}
     for stem, path in selected.items():
-        db = database_of(stem, workload_of(stem))
+        db = database_of(stem, databases, scale=scale, seed=seed)
         baselines[stem] = dict(db.sql(path.read_text(), mode=mode, options=serial_options).aggregates)
 
     options = ExecutionOptions(
@@ -281,8 +274,7 @@ def run_fault_sweep(
     )
     records: List[Dict[str, object]] = []
     for stem, path in selected.items():
-        workload = workload_of(stem)
-        db = database_of(stem, workload)
+        db = database_of(stem, databases, scale=scale, seed=seed)
         try:
             result = db.sql(path.read_text(), mode=mode, options=options)
         except ReproError as error:
@@ -311,6 +303,6 @@ def run_fault_sweep(
                 f"SQL file {stem!r} leaked governor reservations under faults "
                 f"{fault_spec!r}: {outstanding}"
             )
-        records.append({"stem": stem, "workload": workload, "outcome": outcome})
+        records.append({"stem": stem, "workload": workload_of(stem), "outcome": outcome})
     faults.clear()
     return records

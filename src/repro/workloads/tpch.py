@@ -1,4 +1,4 @@
-"""TPC-H workload: synthetic schema/data generator and the query join structures.
+"""TPC-H workload: synthetic schema/data generator and the query lookup.
 
 The generator reproduces the full eight-table TPC-H schema (region, nation,
 supplier, customer, part, partsupp, orders, lineitem) with the standard
@@ -8,11 +8,13 @@ pure-Python engine can execute thousands of times for the robustness sweeps.
 
 The query set covers every TPC-H query with at least two joins — the same
 set the paper evaluates (its Figure 6a shows Q2, 3, 5, 7, 8, 9, 10, 11, 18,
-21; the appendix covers Q2–Q22 except the single-table Q1/Q6).  Each
-:class:`~repro.query.QuerySpec` mirrors the original query's join graph and
-the selective filters that matter for join ordering; aggregates are reduced
-to a ``COUNT(*)``-style measurement (standard practice in join-ordering
-studies, where the aggregate does not affect join work).
+21; the appendix covers Q2–Q22 except the single-table Q1/Q6).  Each query
+is defined by its checked-in ``sql/tpch_q<N>.sql`` file (:func:`query`
+compiles it, see :mod:`repro.workloads.sqlfiles`), which mirrors the
+original query's join graph and the selective filters that matter for join
+ordering; aggregates are reduced to a ``COUNT(*)``-style measurement
+(standard practice in join-ordering studies, where the aggregate does not
+affect join work).
 
 Notably, Q5 and Q21 contain the ``customer.nationkey = supplier.nationkey``
 style edges that make them **cyclic** — the paper flags Q5 in red in its
@@ -21,13 +23,13 @@ robustness plots; the reproduction preserves that character.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.engine.database import Database
 from repro.errors import WorkloadError
-from repro.expr import between, eq, ge, gt, isin, le, lt, starts_with
-from repro.query import JoinCondition, QuerySpec, RelationRef
+from repro.query import QuerySpec
 from repro.storage.table import ForeignKey
+from repro.workloads import sqlfiles
 from repro.workloads.generator import (
     WorkloadScale,
     categorical_column,
@@ -207,350 +209,8 @@ def load(db: Database, scale: float = 1.0, seed: int = 42, replace: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Query set
+# Query set (defined by the checked-in ``sql/tpch_q<N>.sql`` files)
 # ---------------------------------------------------------------------------
-def _q2() -> QuerySpec:
-    """Q2: part / partsupp / supplier / nation / region (minimum-cost supplier)."""
-    return QuerySpec(
-        name="tpch_q2",
-        relations=(
-            RelationRef("p", "part", eq("p_size", 15) | eq("p_size", 23)),
-            RelationRef("ps", "partsupp"),
-            RelationRef("s", "supplier"),
-            RelationRef("n", "nation"),
-            RelationRef("r", "region", eq("r_name", "EUROPE")),
-        ),
-        joins=(
-            JoinCondition("ps", "ps_partkey", "p", "p_partkey"),
-            JoinCondition("ps", "ps_suppkey", "s", "s_suppkey"),
-            JoinCondition("s", "s_nationkey", "n", "n_nationkey"),
-            JoinCondition("n", "n_regionkey", "r", "r_regionkey"),
-        ),
-    )
-
-
-def _q3() -> QuerySpec:
-    """Q3: customer / orders / lineitem (shipping priority)."""
-    return QuerySpec(
-        name="tpch_q3",
-        relations=(
-            RelationRef("c", "customer", eq("c_mktsegment", "BUILDING")),
-            RelationRef("o", "orders", lt("o_orderdate", 1200)),
-            RelationRef("l", "lineitem", gt("l_shipdate", 1200)),
-        ),
-        joins=(
-            JoinCondition("o", "o_custkey", "c", "c_custkey"),
-            JoinCondition("l", "l_orderkey", "o", "o_orderkey"),
-        ),
-    )
-
-
-def _q4() -> QuerySpec:
-    """Q4: orders / lineitem (order priority checking)."""
-    return QuerySpec(
-        name="tpch_q4",
-        relations=(
-            RelationRef("o", "orders", between("o_orderdate", 1000, 1090)),
-            RelationRef("l", "lineitem"),
-        ),
-        joins=(JoinCondition("l", "l_orderkey", "o", "o_orderkey"),),
-    )
-
-
-def _q5() -> QuerySpec:
-    """Q5: customer / orders / lineitem / supplier / nation / region — **cyclic**.
-
-    The ``c_nationkey = s_nationkey`` predicate closes a cycle between the
-    customer and supplier sides of the join graph.
-    """
-    return QuerySpec(
-        name="tpch_q5",
-        relations=(
-            RelationRef("c", "customer"),
-            RelationRef("o", "orders", between("o_orderdate", 400, 765)),
-            RelationRef("l", "lineitem"),
-            RelationRef("s", "supplier"),
-            RelationRef("n", "nation"),
-            RelationRef("r", "region", eq("r_name", "ASIA")),
-        ),
-        joins=(
-            JoinCondition("o", "o_custkey", "c", "c_custkey"),
-            JoinCondition("l", "l_orderkey", "o", "o_orderkey"),
-            JoinCondition("l", "l_suppkey", "s", "s_suppkey"),
-            JoinCondition("c", "c_nationkey", "s", "s_nationkey"),
-            JoinCondition("s", "s_nationkey", "n", "n_nationkey"),
-            JoinCondition("n", "n_regionkey", "r", "r_regionkey"),
-        ),
-    )
-
-
-def _q7() -> QuerySpec:
-    """Q7: supplier / lineitem / orders / customer / nation x2 (volume shipping)."""
-    return QuerySpec(
-        name="tpch_q7",
-        relations=(
-            RelationRef("s", "supplier"),
-            RelationRef("l", "lineitem", between("l_shipdate", 700, 1430)),
-            RelationRef("o", "orders"),
-            RelationRef("c", "customer"),
-            RelationRef("n1", "nation", isin("n_name", ["NATION#000001", "NATION#000002"])),
-            RelationRef("n2", "nation", isin("n_name", ["NATION#000003", "NATION#000004"])),
-        ),
-        joins=(
-            JoinCondition("l", "l_suppkey", "s", "s_suppkey"),
-            JoinCondition("l", "l_orderkey", "o", "o_orderkey"),
-            JoinCondition("o", "o_custkey", "c", "c_custkey"),
-            JoinCondition("s", "s_nationkey", "n1", "n_nationkey"),
-            JoinCondition("c", "c_nationkey", "n2", "n_nationkey"),
-        ),
-    )
-
-
-def _q8() -> QuerySpec:
-    """Q8: part / lineitem / supplier / orders / customer / nation x2 / region."""
-    return QuerySpec(
-        name="tpch_q8",
-        relations=(
-            RelationRef("p", "part", eq("p_type", "ECONOMY")),
-            RelationRef("l", "lineitem"),
-            RelationRef("s", "supplier"),
-            RelationRef("o", "orders", between("o_orderdate", 365, 1095)),
-            RelationRef("c", "customer"),
-            RelationRef("n1", "nation"),
-            RelationRef("n2", "nation"),
-            RelationRef("r", "region", eq("r_name", "AMERICA")),
-        ),
-        joins=(
-            JoinCondition("l", "l_partkey", "p", "p_partkey"),
-            JoinCondition("l", "l_suppkey", "s", "s_suppkey"),
-            JoinCondition("l", "l_orderkey", "o", "o_orderkey"),
-            JoinCondition("o", "o_custkey", "c", "c_custkey"),
-            JoinCondition("c", "c_nationkey", "n1", "n_nationkey"),
-            JoinCondition("n1", "n_regionkey", "r", "r_regionkey"),
-            JoinCondition("s", "s_nationkey", "n2", "n_nationkey"),
-        ),
-    )
-
-
-def _q9() -> QuerySpec:
-    """Q9: part / supplier / lineitem / partsupp / orders / nation (product profit).
-
-    The partsupp edges on *both* partkey and suppkey make this query join two
-    relations on a composite key — an acyclic but not γ-acyclic structure.
-    """
-    return QuerySpec(
-        name="tpch_q9",
-        relations=(
-            RelationRef("p", "part", starts_with("p_name", "part#0000")),
-            RelationRef("s", "supplier"),
-            RelationRef("l", "lineitem"),
-            RelationRef("ps", "partsupp"),
-            RelationRef("o", "orders"),
-            RelationRef("n", "nation"),
-        ),
-        joins=(
-            JoinCondition("l", "l_partkey", "p", "p_partkey"),
-            JoinCondition("l", "l_suppkey", "s", "s_suppkey"),
-            JoinCondition("ps", "ps_partkey", "l", "l_partkey"),
-            JoinCondition("ps", "ps_suppkey", "l", "l_suppkey"),
-            JoinCondition("l", "l_orderkey", "o", "o_orderkey"),
-            JoinCondition("s", "s_nationkey", "n", "n_nationkey"),
-        ),
-    )
-
-
-def _q10() -> QuerySpec:
-    """Q10: customer / orders / lineitem / nation (returned item reporting)."""
-    return QuerySpec(
-        name="tpch_q10",
-        relations=(
-            RelationRef("c", "customer"),
-            RelationRef("o", "orders", between("o_orderdate", 800, 890)),
-            RelationRef("l", "lineitem", eq("l_returnflag", "R")),
-            RelationRef("n", "nation"),
-        ),
-        joins=(
-            JoinCondition("o", "o_custkey", "c", "c_custkey"),
-            JoinCondition("l", "l_orderkey", "o", "o_orderkey"),
-            JoinCondition("c", "c_nationkey", "n", "n_nationkey"),
-        ),
-    )
-
-
-def _q11() -> QuerySpec:
-    """Q11: partsupp / supplier / nation (important stock identification)."""
-    return QuerySpec(
-        name="tpch_q11",
-        relations=(
-            RelationRef("ps", "partsupp"),
-            RelationRef("s", "supplier"),
-            RelationRef("n", "nation", eq("n_name", "NATION#000007")),
-        ),
-        joins=(
-            JoinCondition("ps", "ps_suppkey", "s", "s_suppkey"),
-            JoinCondition("s", "s_nationkey", "n", "n_nationkey"),
-        ),
-    )
-
-
-def _q12() -> QuerySpec:
-    """Q12: orders / lineitem (shipping modes and order priority)."""
-    return QuerySpec(
-        name="tpch_q12",
-        relations=(
-            RelationRef("o", "orders"),
-            RelationRef("l", "lineitem", isin("l_shipmode", ["MAIL", "SHIP"]) & lt("l_receiptdate", 1000)),
-        ),
-        joins=(JoinCondition("l", "l_orderkey", "o", "o_orderkey"),),
-    )
-
-
-def _q13() -> QuerySpec:
-    """Q13: customer / orders (customer distribution)."""
-    return QuerySpec(
-        name="tpch_q13",
-        relations=(
-            RelationRef("c", "customer"),
-            RelationRef("o", "orders", eq("o_orderpriority", "1-URGENT")),
-        ),
-        joins=(JoinCondition("o", "o_custkey", "c", "c_custkey"),),
-    )
-
-
-def _q14() -> QuerySpec:
-    """Q14: lineitem / part (promotion effect)."""
-    return QuerySpec(
-        name="tpch_q14",
-        relations=(
-            RelationRef("l", "lineitem", between("l_shipdate", 1000, 1030)),
-            RelationRef("p", "part"),
-        ),
-        joins=(JoinCondition("l", "l_partkey", "p", "p_partkey"),),
-    )
-
-
-def _q15() -> QuerySpec:
-    """Q15: supplier / lineitem (top supplier)."""
-    return QuerySpec(
-        name="tpch_q15",
-        relations=(
-            RelationRef("s", "supplier"),
-            RelationRef("l", "lineitem", between("l_shipdate", 1200, 1290)),
-        ),
-        joins=(JoinCondition("l", "l_suppkey", "s", "s_suppkey"),),
-    )
-
-
-def _q16() -> QuerySpec:
-    """Q16: partsupp / part / supplier (parts/supplier relationship)."""
-    return QuerySpec(
-        name="tpch_q16",
-        relations=(
-            RelationRef("ps", "partsupp"),
-            RelationRef("p", "part", isin("p_size", [9, 14, 19, 23, 36, 45, 49, 3])),
-            RelationRef("s", "supplier", eq("s_comment_has_complaint", 0)),
-        ),
-        joins=(
-            JoinCondition("ps", "ps_partkey", "p", "p_partkey"),
-            JoinCondition("ps", "ps_suppkey", "s", "s_suppkey"),
-        ),
-    )
-
-
-def _q17() -> QuerySpec:
-    """Q17: lineitem / part (small-quantity-order revenue)."""
-    return QuerySpec(
-        name="tpch_q17",
-        relations=(
-            RelationRef("l", "lineitem", lt("l_quantity", 3)),
-            RelationRef("p", "part", eq("p_brand", "Brand#23") & eq("p_container", "MED BAG")),
-        ),
-        joins=(JoinCondition("l", "l_partkey", "p", "p_partkey"),),
-    )
-
-
-def _q18() -> QuerySpec:
-    """Q18: customer / orders / lineitem (large volume customer)."""
-    return QuerySpec(
-        name="tpch_q18",
-        relations=(
-            RelationRef("c", "customer"),
-            RelationRef("o", "orders", gt("o_totalprice", 400000.0)),
-            RelationRef("l", "lineitem"),
-        ),
-        joins=(
-            JoinCondition("o", "o_custkey", "c", "c_custkey"),
-            JoinCondition("l", "l_orderkey", "o", "o_orderkey"),
-        ),
-    )
-
-
-def _q19() -> QuerySpec:
-    """Q19: lineitem / part (discounted revenue, disjunctive predicate)."""
-    return QuerySpec(
-        name="tpch_q19",
-        relations=(
-            RelationRef("l", "lineitem", isin("l_shipmode", ["AIR", "REG AIR"]) & lt("l_quantity", 20)),
-            RelationRef("p", "part", isin("p_container", ["SM CASE", "SM BOX", "MED BAG"])),
-        ),
-        joins=(JoinCondition("l", "l_partkey", "p", "p_partkey"),),
-    )
-
-
-def _q20() -> QuerySpec:
-    """Q20: supplier / nation / partsupp / part (potential part promotion)."""
-    return QuerySpec(
-        name="tpch_q20",
-        relations=(
-            RelationRef("s", "supplier"),
-            RelationRef("n", "nation", eq("n_name", "NATION#000012")),
-            RelationRef("ps", "partsupp"),
-            RelationRef("p", "part", starts_with("p_name", "part#00001")),
-        ),
-        joins=(
-            JoinCondition("s", "s_nationkey", "n", "n_nationkey"),
-            JoinCondition("ps", "ps_suppkey", "s", "s_suppkey"),
-            JoinCondition("ps", "ps_partkey", "p", "p_partkey"),
-        ),
-    )
-
-
-def _q21() -> QuerySpec:
-    """Q21: supplier / lineitem / orders / nation (suppliers who kept orders waiting)."""
-    return QuerySpec(
-        name="tpch_q21",
-        relations=(
-            RelationRef("s", "supplier"),
-            RelationRef("l", "lineitem", gt("l_receiptdate", 1400)),
-            RelationRef("o", "orders", eq("o_orderstatus", "F")),
-            RelationRef("n", "nation", eq("n_name", "NATION#000020")),
-        ),
-        joins=(
-            JoinCondition("l", "l_suppkey", "s", "s_suppkey"),
-            JoinCondition("l", "l_orderkey", "o", "o_orderkey"),
-            JoinCondition("s", "s_nationkey", "n", "n_nationkey"),
-        ),
-    )
-
-
-def _q22() -> QuerySpec:
-    """Q22: customer / orders (global sales opportunity)."""
-    return QuerySpec(
-        name="tpch_q22",
-        relations=(
-            RelationRef("c", "customer", gt("c_acctbal", 5000.0)),
-            RelationRef("o", "orders"),
-        ),
-        joins=(JoinCondition("o", "o_custkey", "c", "c_custkey"),),
-    )
-
-
-_QUERY_BUILDERS = {
-    2: _q2, 3: _q3, 4: _q4, 5: _q5, 7: _q7, 8: _q8, 9: _q9, 10: _q10,
-    11: _q11, 12: _q12, 13: _q13, 14: _q14, 15: _q15, 16: _q16, 17: _q17,
-    18: _q18, 19: _q19, 20: _q20, 21: _q21, 22: _q22,
-}
-
 #: The queries shown in Figure 6a (at least two joins, non-trivial ordering).
 FIGURE6_QUERIES = (2, 3, 5, 7, 8, 9, 10, 11, 18, 21)
 
@@ -565,19 +225,19 @@ def query(number: int) -> QuerySpec:
     matching the paper's evaluation.
     """
     try:
-        return _QUERY_BUILDERS[number]()
-    except KeyError:
+        return sqlfiles.query_spec(f"tpch_q{number}")
+    except WorkloadError:
         raise WorkloadError(
             f"TPC-H Q{number} is not part of the workload (Q1/Q6 are single-table; "
-            f"valid numbers: {sorted(_QUERY_BUILDERS)})"
+            f"valid numbers: {list(query_numbers())})"
         ) from None
 
 
 def all_queries() -> Dict[str, QuerySpec]:
     """All TPC-H queries of the workload, keyed by name."""
-    return {f"q{n}": builder() for n, builder in sorted(_QUERY_BUILDERS.items())}
+    return {f"q{n}": query(n) for n in query_numbers()}
 
 
 def query_numbers() -> tuple[int, ...]:
     """All available query numbers."""
-    return tuple(sorted(_QUERY_BUILDERS))
+    return tuple(sqlfiles.numbered_stems("tpch"))

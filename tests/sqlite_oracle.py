@@ -1,7 +1,7 @@
 """An independent oracle: the same tables and the same SQL text in stdlib ``sqlite3``.
 
 Every other reference in this suite is the engine compared with itself
-(mode vs mode, backend vs backend, SQL vs hand-built spec) or a replay
+(mode vs mode, backend vs backend) or a replay
 written from the same reading of the algorithm.  :func:`load_sqlite` copies
 a :class:`~repro.Database`'s catalog into a ``sqlite3`` connection, so a
 statement can be run verbatim on both and a bug shared by every mode — in a

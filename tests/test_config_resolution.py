@@ -111,7 +111,7 @@ def test_ci_and_docs_name_only_variables_that_exist(path):
 
 #: Source files still over the limit (ROADMAP item 4).  The list can only
 #: shrink: an entry whose file is no longer over must be removed.
-OVERSIZED_SOURCE_FILES = {"engine/database.py", "engine/server.py", "workloads/tpcds.py"}
+OVERSIZED_SOURCE_FILES = {"engine/database.py", "engine/server.py"}
 MAX_SOURCE_LINES = 800
 
 

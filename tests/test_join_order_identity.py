@@ -105,18 +105,11 @@ def _assert_same_plan(graph, estimator, options) -> JoinOrderOptimizer:
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def sql_instances():
-    """(stem, graph, estimator) for all 56 files, over small generated data."""
+    """(stem, graph, estimator) for every file, over small generated data."""
     databases = {}
     instances = []
     for stem in sorted(sqlfiles.available()):
-        workload = sqlfiles.workload_of(stem)
-        synthetic_query = stem[len("synthetic_"):] if workload == "synthetic" else None
-        key = (workload, synthetic_query)
-        if key not in databases:
-            databases[key] = sqlfiles.database_for(
-                workload, scale=0.05, seed=1, synthetic_query=synthetic_query
-            )
-        db = databases[key]
+        db = sqlfiles.database_of(stem, databases, scale=0.05, seed=1)
         query = compile_statement(sqlfiles.sql_text(stem), db.catalog).query
         graph = db.join_graph(query)
         instances.append((stem, graph, CardinalityEstimator(db.catalog, query, graph)))
@@ -127,7 +120,7 @@ def sql_instances():
 
 @pytest.mark.parametrize("left_deep_only", [False, True])
 def test_sql_corpus_plans_identical(sql_instances, left_deep_only):
-    assert len(sql_instances) == 56
+    assert len(sql_instances) == len(sqlfiles.available())
     options = JoinOrderOptions(left_deep_only=left_deep_only)
     for stem, graph, estimator in sql_instances:
         expected = ReferenceJoinOrderOptimizer(graph, estimator, options).optimize()

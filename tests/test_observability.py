@@ -618,13 +618,13 @@ class TestServerObservability:
             series = parse_exposition(rendered)
             assert series == server.metrics_snapshot()
         finally:
-            server.close()
+            server.close(close_database=True)
 
     def test_rejections_are_counted_and_logged(self):
         db = _star_db()
         server = Server(db, ServerConfig(max_concurrent=1))
         session = server.session(name="late")
-        server.close()
+        server.close(close_database=True)
         with pytest.raises(AdmissionRejected):
             session.sql(STAR_SQL)
         stats = server.stats()
@@ -643,7 +643,7 @@ class TestServerObservability:
             assert stats.query_log == []
             assert stats.metrics['repro_server_queries_total{outcome="ok"}'] == 1.0
         finally:
-            server.close()
+            server.close(close_database=True)
 
     def test_degradation_metrics_use_bounded_families(self, monkeypatch, morsel_rows):
         monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
@@ -673,4 +673,4 @@ class TestServerObservability:
                 label = key.split('rung="')[1].rstrip('"}')
                 assert label.count(":") <= 1
         finally:
-            server.close()
+            server.close(close_database=True)

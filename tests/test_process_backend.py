@@ -103,20 +103,18 @@ class TestBitIdentity:
         assert proc.aggregates == serial.aggregates, name
 
     def test_sql_workloads_process_vs_serial(self):
-        """All 56 checked-in .sql files: process aggregates == serial aggregates."""
+        """Every checked-in .sql file: process aggregates == serial aggregates."""
         cache = {}
         serial = sqlfiles.run_all(
             scale=0.05,
             seed=3,
             options=process_options(backend="serial"),
-            verify_against_handbuilt=False,
             database_cache=cache,
         )
         proc = sqlfiles.run_all(
             scale=0.05,
             seed=3,
             options=process_options(),
-            verify_against_handbuilt=False,
             database_cache=cache,
         )
         assert len(serial) == len(proc) == len(sqlfiles.available())

@@ -482,7 +482,7 @@ class TestConcurrentClients:
     def test_eight_clients_bit_identical(self, backend):
         """8 closed-loop clients over the synthetic workloads: bit-identity.
 
-        The full 56-file sweep runs in ``benchmarks/test_serving_microbench``;
+        The full-corpus sweep runs in ``benchmarks/test_serving_microbench``;
         this keeps the per-backend serving contract in the unit suite.
         """
         stems = [s for s in sqlfiles.available() if s.startswith("synthetic_")]

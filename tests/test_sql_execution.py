@@ -1,108 +1,84 @@
-"""Checked-in ``.sql`` workloads execute bit-identical to the hand-built specs.
+"""The checked-in ``.sql`` corpus: canonical text, and one answer on every path.
 
 Three layers of coverage:
 
-* **sync** — the checked-in files are exactly what the formatter renders
-  from the hand-built QuerySpecs (no drift);
+* **text** — every file is in the formatter's canonical form
+  (``to_sql(compile(text)) == text``) under a ``-- name:`` equal to its
+  stem, and the three synthetic files render their default instances;
 * **full sweep** — every file parses, binds, and executes under all five
-  execution modes with aggregates bit-identical to the hand-built spec run
-  under the same plan;
-* **backend matrix** — a representative subset (one query per workload
-  shape) additionally sweeps serial / chunked / parallel backends.
+  execution modes with the answer ``BASELINE`` gives, and compiles to what
+  its workload module's ``query(n)`` returns;
+* **harness** — ``sqlfiles.run_all`` over every file on the parallel /
+  process backends, encoded and traced, against the plain serial sweep.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Database, ExecutionConfig, ExecutionMode, ExecutionOptions
-from repro.workloads import sqlfiles
-
-SCALE = 0.1
-SEED = 1
+from repro import ExecutionConfig, ExecutionMode, ExecutionOptions
+from repro.sql import compile_statement, to_sql
+from repro.workloads import job, sqlfiles, synthetic, tpcds, tpch
 
 ALL_STEMS = sorted(sqlfiles.available())
 
-#: One query per structural family for the backend matrix.
-MATRIX_STEMS = ("synthetic_figure2", "tpch_q3", "tpch_q5", "tpch_q9", "job_2a", "job_6a")
-
-BACKENDS = ("serial", "chunked", "parallel")
-
 
 @pytest.fixture(scope="module")
-def specs():
-    return sqlfiles.handbuilt_specs()
+def databases(tpch_db, job_db, tpcds_db):
+    """``databases(stem)``: the shared session databases (scale 0.1, seed 1),
+    plus each synthetic file's own instance."""
+    cache = {"tpch": tpch_db, "job": job_db, "tpcds": tpcds_db}
+    shared = set(cache)
+    yield lambda stem: sqlfiles.database_of(stem, cache)
+    for key in set(cache) - shared:
+        cache[key].close()
 
 
-@pytest.fixture(scope="module")
-def databases(tpch_db, job_db):
-    """File-stem-keyed access to the shared workload databases.
-
-    TPC-H and JOB reuse the session fixtures (same scale/seed); each
-    synthetic query owns its instance database.
-    """
-    cache = {"tpch": tpch_db, "job": job_db}
-
-    def lookup(stem: str) -> Database:
-        workload = sqlfiles.workload_of(stem)
-        if workload == "synthetic":
-            key = f"synthetic:{stem}"
-            if key not in cache:
-                cache[key] = sqlfiles.database_for(
-                    "synthetic", synthetic_query=stem[len("synthetic_") :]
-                )
-            return cache[key]
-        return cache[workload]
-
-    return lookup
+def test_corpus_is_packaged_in_full():
+    """3 synthetic + 20 TPC-H + 33 JOB + 42 TPC-DS, found through the same
+    ``sql/*.sql`` glob ``pyproject.toml`` packages."""
+    assert len(ALL_STEMS) == 98
+    assert [len(sqlfiles.stems_for(w)) for w in ("synthetic", "tpch", "job", "tpcds")] == [3, 20, 33, 42]
 
 
-def test_checked_in_files_cover_every_workload_query(specs):
-    assert set(ALL_STEMS) == set(specs), (
-        "checked-in .sql files and hand-built specs diverge; "
-        "run repro.workloads.sqlfiles.regenerate()"
-    )
-    # 3 synthetic + 20 TPC-H + 33 JOB.
-    assert len(ALL_STEMS) == 56
-
-
-def test_checked_in_files_match_formatter_output(specs):
-    rendered = sqlfiles.rendered_files()
+def test_files_are_canonical_and_named_after_their_stems(databases):
+    """The corpus stays in formatter form without a generator to rewrite it."""
     for stem in ALL_STEMS:
-        assert sqlfiles.sql_text(stem) == rendered[stem], (
-            f"{stem}.sql drifted from its hand-built spec; "
-            "run repro.workloads.sqlfiles.regenerate()"
-        )
+        text = sqlfiles.sql_text(stem)
+        query = compile_statement(text, databases(stem).catalog).query
+        assert to_sql(query) == text, stem
+        assert query.name == stem.replace("synthetic_", ""), stem
+
+
+@pytest.mark.parametrize(
+    "maker", [synthetic.figure2_instance, synthetic.figure12_instance, synthetic.unsafe_subjoin_instance]
+)
+def test_synthetic_files_render_the_default_instances(maker):
+    query = maker().query
+    assert to_sql(query) == sqlfiles.sql_text(f"synthetic_{query.name}")
+
+
+@pytest.fixture(scope="module")
+def module_queries():
+    """Query name (= file stem) → what ``<module>.query(n)`` returns."""
+    return {
+        spec.name: spec for module in (tpch, job, tpcds) for spec in module.all_queries().values()
+    }
 
 
 @pytest.mark.parametrize("stem", ALL_STEMS)
-def test_sql_file_bit_identical_all_modes(stem, specs, databases):
-    """The acceptance sweep: every file × every mode, same plan, same answer."""
+def test_sql_file_bit_identical_all_modes(stem, databases, module_queries):
+    """The acceptance sweep: every file × every mode, same plan, the answer
+    BASELINE gives — and the text compiles to what ``<module>.query(n)`` returns."""
     db = databases(stem)
     text = sqlfiles.sql_text(stem)
-    spec = specs[stem]
-    plan = db.optimizer_plan(spec)
+    baseline = db.sql(text, mode=ExecutionMode.BASELINE)
+    if not stem.startswith("synthetic_"):
+        assert baseline.query == module_queries[stem]
     for mode in ExecutionMode:
-        via_sql = db.sql(text, mode=mode, plan=plan)
-        assert via_sql.query == spec
-        handbuilt = db.execute(spec, mode=mode, plan=plan)
-        assert via_sql.aggregates == handbuilt.aggregates, (stem, mode)
-        assert via_sql.output_rows == handbuilt.output_rows, (stem, mode)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("stem", MATRIX_STEMS)
-def test_backend_matrix_bit_identical(stem, backend, specs, databases):
-    """Subset × 5 modes × serial/chunked/parallel: SQL and hand-built agree."""
-    db = databases(stem)
-    text = sqlfiles.sql_text(stem)
-    spec = specs[stem]
-    plan = db.optimizer_plan(spec)
-    options = ExecutionOptions(execution=ExecutionConfig(backend=backend))
-    for mode in ExecutionMode:
-        via_sql = db.sql(text, mode=mode, plan=plan, options=options)
-        handbuilt = db.execute(spec, mode=mode, plan=plan, options=options)
-        assert via_sql.aggregates == handbuilt.aggregates, (stem, mode, backend)
+        result = db.sql(text, mode=mode, plan=baseline.plan)
+        assert result.aggregates == baseline.aggregates, (stem, mode)
+        assert result.output_rows == baseline.output_rows, (stem, mode)
 
 
 #: Every feature the harness sweeps pinned off; a sweep turns one knob on.
@@ -126,7 +102,6 @@ def harness():
             database_cache=databases,
         )
         assert len(records) == len(ALL_STEMS)
-        assert all(r["matches_handbuilt"] for r in records)
         return {r["stem"]: r["aggregates"] for r in records}
 
     yield sweep, sweep(**PLAIN)
@@ -146,20 +121,20 @@ def harness():
     ids=["environment", "encoded", "traced", "parallel", "process"],
 )
 def test_run_all_harness_smoke(execution, harness):
-    """Every file executes, self-verifies against its hand-built spec, and
-    answers exactly what the plain serial sweep answers."""
+    """Every file executes and answers exactly what the plain serial sweep
+    answers."""
     sweep, plain = harness
     assert sweep(**execution) == plain
 
 
-def test_explain_sql_files_compile_without_executing(specs, databases):
+def test_explain_sql_files_compile_without_executing(databases):
     """EXPLAIN over checked-in files produces a plan trace for every mode."""
     stem = "tpch_q5"
     db = databases(stem)
     for mode in ExecutionMode:
         explained = db.explain_sql(sqlfiles.sql_text(stem), mode=mode)
         assert len(explained.op_stats) == len(explained.physical_plan.ops)
-        assert explained.query == specs[stem]
+        assert explained.query == tpch.query(5)
 
 
 @pytest.mark.parametrize("stem", ALL_STEMS)

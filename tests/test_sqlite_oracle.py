@@ -1,13 +1,14 @@
-"""All 56 checked-in ``.sql`` files, verbatim, on the engine and on sqlite.
+"""Every checked-in ``.sql`` file, verbatim, on the engine and on sqlite.
 
-The first test in the suite whose expected values do not come from the
-engine: the generated tables are copied into stdlib ``sqlite3``
-(:mod:`sqlite_oracle`) and the *same text* runs on both, at two data seeds,
-in ``BASELINE`` (plain hash joins) and ``RPT`` (transfer phase first — on
-these dense-key workloads that means the exact-bitmap path on nearly every
-step).  A mutation such as dropping the last match in ``HashIndex.match`` or
-an off-by-one in the bitmap table's ``lo`` is invisible to the
-self-agreement matrices (every mode shares the kernel) and fails here.
+The one suite whose expected values do not come from the engine: the
+generated tables are copied into stdlib ``sqlite3`` (:mod:`sqlite_oracle`)
+and the *same text* runs on both, at two data seeds, in all five execution
+modes (on these dense-key workloads the transfer modes take the
+exact-bitmap path on nearly every step).  The TPC-DS files run twice, on
+``tpcds.load`` and on ``dsb.load`` (skewed) data.  A mutation such as
+dropping the last match in ``HashIndex.match`` or an off-by-one in the
+bitmap table's ``lo`` is invisible to the self-agreement matrices (every
+mode shares the kernel) and fails here.
 """
 
 from __future__ import annotations
@@ -21,56 +22,67 @@ from repro import Database, ExecutionMode
 from repro.workloads import sqlfiles
 from sqlite_oracle import disagreements, load_sqlite, sqlite_aggregates
 
-#: Large enough that most statements have a non-empty answer (32 of 53 on
-#: TPC-H + JOB), small enough that sqlite's nested loops stay under a second.
+#: Large enough that most statements have a non-empty answer (TPC-DS needs
+#: 1.0: at 0.2 only 10 of its 42 do), small enough that sqlite's nested loops
+#: stay around a second per workload.
 SCALE = 0.2
+TPCDS_SCALE = 1.0
 DATA_SEEDS = (3, 11)
-MODES = (ExecutionMode.BASELINE, ExecutionMode.RPT)
+
+#: (file stem, data it runs on): each workload's own load, and DSB's for TPC-DS.
+CASES = [(stem, sqlfiles.workload_of(stem)) for stem in sorted(sqlfiles.available())]
+CASES += [(stem, "dsb") for stem in sqlfiles.stems_for("tpcds")]
+
+#: Fewest non-empty answers per data set for the comparison to mean anything
+#: (an all-zero corpus would agree trivially).  Measured: 2 of 3, 17-19 of 20,
+#: 11-18 of 33, 34-36 of 42 twice; the generated data varies with the
+#: process's hash seed, so the floors sit well under that.
+MIN_NONEMPTY = {"synthetic": 2, "tpch": 12, "job": 6, "tpcds": 25, "dsb": 25}
 
 
 @pytest.fixture(scope="module")
 def replicas():
-    """``replica(stem, seed)`` -> (engine database, sqlite copy of its tables)."""
-    pairs = {}
+    """``replica(stem, data, seed)`` -> (engine database, sqlite copy of its tables)."""
+    caches = {}
+    connections = {}
 
-    def replica(stem: str, seed: int):
-        workload = sqlfiles.workload_of(stem)
-        # A synthetic instance is one fixed database per query.
-        key = (stem, 0) if workload == "synthetic" else (workload, seed)
-        if key not in pairs:
-            db = sqlfiles.database_for(
-                workload, scale=SCALE, seed=seed, synthetic_query=stem[len("synthetic_"):]
-            )
-            connection = sqlite3.connect(":memory:")
-            load_sqlite(db, connection)
-            pairs[key] = (db, connection)
-        return pairs[key]
+    def replica(stem: str, data: str, seed: int):
+        scale = TPCDS_SCALE if data in ("tpcds", "dsb") else SCALE
+        cache = caches.setdefault((data == "dsb", seed), {})
+        if data == "dsb" and not cache:
+            cache["tpcds"] = sqlfiles.database_for("dsb", scale=scale, seed=seed)
+        db = sqlfiles.database_of(stem, cache, scale=scale, seed=seed)
+        if id(db) not in connections:
+            connections[id(db)] = sqlite3.connect(":memory:")
+            load_sqlite(db, connections[id(db)])
+        return db, connections[id(db)]
 
     yield replica
-    for db, connection in pairs.values():
-        db.close()
+    for connection in connections.values():
         connection.close()
+    for cache in caches.values():
+        for db in cache.values():
+            db.close()
 
 
 @pytest.mark.parametrize("seed", DATA_SEEDS)
-@pytest.mark.parametrize("stem", sorted(sqlfiles.available()))
-def test_sql_file_agrees_with_sqlite(stem, seed, replicas):
-    db, connection = replicas(stem, seed)
+@pytest.mark.parametrize("stem,data", CASES)
+def test_sql_file_agrees_with_sqlite(stem, data, seed, replicas):
+    db, connection = replicas(stem, data, seed)
     text = sqlfiles.sql_text(stem)
     expected = sqlite_aggregates(connection, text)
-    for mode in MODES:
+    for mode in ExecutionMode:
         result = db.sql(text, mode=mode)
-        assert not disagreements(result.aggregates, expected), (stem, seed, mode)
+        assert not disagreements(result.aggregates, expected), (stem, data, seed, mode)
 
 
 def test_the_comparison_is_not_vacuous(replicas):
-    """Most statements count something at this scale (an all-zero corpus
-    would agree trivially)."""
-    nonzero = sum(
-        sqlite_aggregates(replicas(stem, DATA_SEEDS[0])[1], sqlfiles.sql_text(stem))["count_star"] > 0
-        for stem in sqlfiles.available()
-    )
-    assert nonzero >= 20
+    """On every data set, most statements count something at these scales."""
+    nonempty = dict.fromkeys(MIN_NONEMPTY, 0)
+    for stem, data in CASES:
+        connection = replicas(stem, data, DATA_SEEDS[0])[1]
+        nonempty[data] += sqlite_aggregates(connection, sqlfiles.sql_text(stem))["count_star"] > 0
+    assert all(nonempty[data] >= MIN_NONEMPTY[data] for data in MIN_NONEMPTY), nonempty
 
 
 def test_oracle_covers_sum_avg_min_max_and_empty_inputs():
