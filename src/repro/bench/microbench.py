@@ -25,7 +25,7 @@ The cases, by what the paper or the engine claims:
 * ``bloom_probe`` — Figure 16: blocked Bloom probe vs the hash-join match
   kernel vs the exact semi-join, probe side fixed (sweep ``build_rows``);
 * ``semijoin_kernel`` — one-shot ``semi_join_mask`` vs a reused ``HashIndex``;
-* ``partition_join`` — monolithic vs radix-partitioned hash join;
+* ``join_match`` — hash-join build + probe: sorted vs the rule's index, per key regime;
 * ``artifact_cache`` — transfer phase with the artifact cache off/cold/warm;
 * ``adaptive_low_yield`` / ``adaptive_high_yield`` — adaptive transfer vs static;
 * ``scaling`` — serial vs thread vs process backends over a worker sweep;
@@ -48,9 +48,8 @@ from repro.bloom.bloom_filter import BloomFilter
 from repro.engine.database import Database, ExecutionOptions
 from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import BenchmarkError
-from repro.exec.kernels import HashIndex, PartitionedHashIndex, match_keys, semi_join_mask
-from repro.exec.backends import MorselBackend
-from repro.exec.process import ProcessBackend, shutdown_workers
+from repro.exec.kernels import HashIndex, match_keys, semi_join_mask
+from repro.exec.process import shutdown_workers
 from repro.expr import between, codespace, lt
 from repro.query import JoinCondition, QuerySpec, RelationRef
 
@@ -242,44 +241,51 @@ def _semijoin_kernel(filter_rows, probe_rows, key_domain, seed) -> Iterator[Vari
     }
 
 
-@contextmanager
-def _partition_join(build_rows, probe_rows, bits, key_domain, pool, seed) -> Iterator[Variants]:
-    """Build + probe of one hash join, four ways.
+#: The four ``join_match`` regimes, by which index the one domain rule picks.
+_JOIN_REGIMES = ("dense_unique", "dense_dup", "sparse", "tiny_wide")
 
-    The monolithic :class:`HashIndex` (one O(n log n) sort, probes
-    binary-searching the full build array), the radix-partitioned index
-    (O(n) partitioning, cache-resident per-partition sorts and probes), the
-    partitioned join with its tasks on a thread pool, and the monolithic
-    probe fanned out over worker processes (partition tasks are closures
-    and cannot cross the process boundary).  The huge ``key_domain`` keeps
-    the bitmap fast path out of the way.
+
+@contextmanager
+def _join_match(build_rows, probe_rows, tiny_rows, seed) -> Iterator[Variants]:
+    """Build + probe of one hash join: the sorted index vs the index
+    :meth:`HashIndex.table_worthwhile` picks, in four key regimes.
+
+    ``dense_unique`` — a permuted id column probed by its foreign keys (the
+    PK side of an FK-PK join: the slot table); ``dense_dup`` — the same
+    domain with ~4 build rows a key (CSR runs over radix passes);
+    ``sparse`` — keys drawn from ``[0, 2^62)``, half the probes present (the
+    rule picks the sorted index, so the arms tie); ``tiny_wide`` —
+    ``tiny_rows`` build keys scattered over a 60,000-wide range and as few
+    probes, eligible only through the rule's 64 k-entry floor (the table
+    costs its range, the sort only its rows).  Each thunk returns the index
+    it matched through.
     """
     rng = np.random.default_rng(seed)
-    probe, build = _keys(rng, probe_rows, key_domain), _keys(rng, build_rows, key_domain)
-    pool = pool or min(4, os.cpu_count() or 1)
-    threads = MorselBackend(num_threads=pool)
-    processes = ProcessBackend(num_workers=pool)
+    dup_domain = build_rows // 4
+    sparse_build = _keys(rng, build_rows, 2**62)
+    sparse_probe = np.concatenate(
+        [rng.choice(sparse_build, probe_rows // 2), _keys(rng, probe_rows // 2, 2**62)]
+    )
+    sides = {
+        "dense_unique": (rng.permutation(build_rows), _keys(rng, probe_rows, build_rows)),
+        # A quarter of the probes: each one matches ~4 build rows.
+        "dense_dup": (_keys(rng, build_rows, dup_domain), _keys(rng, probe_rows // 4, dup_domain)),
+        "sparse": (sparse_build, sparse_probe),
+        "tiny_wide": (_keys(rng, tiny_rows, 60_000), _keys(rng, tiny_rows, 60_000)),
+    }
 
-    def monolithic(match=None):
+    def join(build, probe, force_sorted):
         index = HashIndex(build)
-        index.prepare_match()
-        return match(probe, index) if match else index.match(probe)
+        if force_sorted:
+            index._build_sorted()
+        index.match(probe)
+        return index
 
-    def partitioned(run_tasks=None):
-        index = PartitionedHashIndex(build, bits=bits)
-        index.build(run_tasks=run_tasks)
-        return index.match(probe, run_tasks=run_tasks)
-
-    try:
-        yield {
-            "monolithic": monolithic,
-            "partitioned": partitioned,
-            "partitioned_threads": lambda: partitioned(threads.map_tasks),
-            "monolithic_process": lambda: monolithic(processes.match),
-        }
-    finally:
-        threads.close()
-        shutdown_workers()  # the process pool is module-shared
+    variants: Variants = {}
+    for regime, (build, probe) in sides.items():
+        variants[f"{regime}_sorted"] = lambda b=build, p=probe: join(b, p, True)
+        variants[f"{regime}_rule"] = lambda b=build, p=probe: join(b, p, False)
+    yield variants
 
 
 #: Distinct status strings of the encoded-scan table (64 values keep
@@ -374,17 +380,32 @@ CASES: Dict[str, Case] = {
             ratios={"reuse_speedup": ("oneshot", "reused")},
         ),
         Case(
-            name="partition_join",
-            title="Hash join, build + probe: monolithic vs radix-partitioned",
-            setup=_partition_join,
-            sizes={
-                "build_rows": 1 << 20, "probe_rows": 1 << 20, "bits": 8,
-                "key_domain": 2**62, "pool": None, "seed": 13,
+            name="join_match",
+            title="Hash join, build + probe: sorted index vs the index the domain rule picks",
+            setup=_join_match,
+            sizes={"build_rows": 1 << 19, "probe_rows": 1 << 20, "tiny_rows": 256, "seed": 13},
+            small={"build_rows": 1 << 12, "probe_rows": 1 << 13},
+            repeats=3,
+            counters={
+                f"{regime}_direct": (lambda out, r=regime: out[f"{r}_rule"].match_kind != "sorted")
+                for regime in _JOIN_REGIMES
             },
-            small={"build_rows": 1 << 12, "probe_rows": 1 << 12, "bits": 4, "pool": 2},
-            repeats=2,
-            ratios={"partition_speedup": ("monolithic", "partitioned")},
-            gates=(Gate("partitioned", "monolithic", factor=1.0),),
+            ratios={
+                f"{regime}_speedup": (f"{regime}_sorted", f"{regime}_rule")
+                for regime in _JOIN_REGIMES
+            },
+            # Gated where the table must win; the sparse arms run the same
+            # code and tiny_wide is where the table can lose (recorded only).
+            gates=(
+                Gate("dense_unique_rule", "dense_unique_sorted", factor=1.0),
+                Gate("dense_dup_rule", "dense_dup_sorted", factor=1.0),
+            ),
+            checks={
+                "a direct index on dense and tiny-wide keys, the sorted one on sparse keys": (
+                    lambda c: c["dense_unique_direct"] and c["dense_dup_direct"]
+                    and c["tiny_wide_direct"] and not c["sparse_direct"]
+                ),
+            },
         ),
         Case(
             name="artifact_cache",

@@ -215,8 +215,9 @@ class ExecutionConfig:
     key column and gathers probe keys by row id at the probe itself
     (:class:`~repro.exec.hashcache.HashCache`); a Bloom step whose build
     side has a dense integer key domain runs as an exact bitmap semi-join
-    (strictly tighter than the filter it replaces); a hash join whose
-    materialized build side is large is radix-partitioned; morsel sizes are
+    (strictly tighter than the filter it replaces); a hash join over a
+    bounded integer key domain matches through a direct-address table, any
+    other through a sorted index; morsel sizes are
     each backend preset's constant (2048 rows chunked, 32768 parallel, 65536
     process).
 

@@ -11,20 +11,14 @@ from repro.exec.backends import (
 )
 from repro.exec.hashcache import HashCache
 from repro.exec.kernels import (
-    DEFAULT_PARTITION_BITS,
     HashIndex,
     JoinMatches,
-    KeyPartitions,
-    PartitionedHashIndex,
     as_hash_index,
     bloom_probe_cost,
-    combine_key_columns,
     combine_key_columns_pair,
+    densify_key_columns_pair,
     hash_probe_cost,
     match_keys,
-    radix_hash,
-    radix_partition,
-    radix_partition_ids,
     semi_join_mask,
 )
 from repro.exec.pipeline import (
@@ -51,7 +45,6 @@ __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_MIN_YIELD",
     "DEFAULT_MORSEL_SIZE",
-    "DEFAULT_PARTITION_BITS",
     "AdaptiveTransferController",
     "BaseFilter",
     "BoundRelation",
@@ -65,10 +58,8 @@ __all__ = [
     "JoinMatches",
     "JoinPhaseOptions",
     "JoinStepStats",
-    "KeyPartitions",
     "MorselBackend",
     "OpStats",
-    "PartitionedHashIndex",
     "PhaseTimings",
     "PipelineExecutor",
     "PipelineResult",
@@ -78,15 +69,12 @@ __all__ = [
     "as_hash_index",
     "bind_relations",
     "bloom_probe_cost",
-    "combine_key_columns",
     "combine_key_columns_pair",
+    "densify_key_columns_pair",
     "compute_aggregates",
     "hash_probe_cost",
     "make_backend",
     "match_keys",
     "num_chunks",
-    "radix_hash",
-    "radix_partition",
-    "radix_partition_ids",
     "semi_join_mask",
 ]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -106,9 +106,9 @@ def probe_input_rows(keys) -> int:
 class ExecutionBackend:
     """Strategy object for the probe/match hot loops of the pipeline executor.
 
-    A backend counts what it does — morsels / partition tasks dispatched,
-    and (process backend) shared-memory bytes and crash recovery — into
-    ``record``: its own tally when used stand-alone, the open op's
+    A backend counts what it does — morsels dispatched, and (process
+    backend) shared-memory bytes and crash recovery — into ``record``: its
+    own tally when used stand-alone, the open op's
     :class:`~repro.exec.statistics.OpStats` while an executor drives it.
     """
 
@@ -151,13 +151,8 @@ class ExecutionBackend:
 
     @property
     def tasks_dispatched(self) -> int:
-        """Morsels / partition tasks dispatched into the current ``record``."""
+        """Morsels dispatched into the current ``record``."""
         return self.record.morsels
-
-    def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
-        """Run independent thunks and return their results in order."""
-        self.record.morsels += len(tasks)
-        return [task() for task in tasks]
 
     def close(self) -> None:
         """Release backend resources (worker pools); idempotent."""
@@ -184,11 +179,11 @@ class MorselBackend(ExecutionBackend):
     :meth:`close` (the engine does both per execution).
 
     ``morsel_size=None`` is the whole-column preset: one kernel call per
-    probe and no morsel accounting (``record.morsels`` counts only
-    :meth:`map_tasks` work).  It cuts — at :data:`SERIAL_CANCEL_CHUNK` rows —
-    only while a cancel token is installed, so a deadline is checked inside
-    long kernels.  Morsels are counted as they are dispatched (one by one on
-    a single thread), so an op aborted mid-probe records how far it got.
+    probe and no morsel accounting.  It cuts — at
+    :data:`SERIAL_CANCEL_CHUNK` rows — only while a cancel token is
+    installed, so a deadline is checked inside long kernels.  Morsels are
+    counted as they are dispatched (one by one on a single thread), so an op
+    aborted mid-probe records how far it got.
     """
 
     def __init__(self, num_threads: int = 1, morsel_size: Optional[int] = None) -> None:
@@ -229,9 +224,6 @@ class MorselBackend(ExecutionBackend):
         pool = self._pool_instance()
         return gather_in_order([pool.submit(task) for task in tasks], self.cancel)
 
-    def map_tasks(self, tasks: Sequence[Callable[[], object]]) -> List[object]:
-        return self._run(list(tasks))
-
     def _morsels(self, total_rows: int) -> Optional[List[Tuple[int, int]]]:
         """The ``[lo, hi)`` cuts of a probe input; ``None``: run it whole."""
         size = self.morsel_size or SERIAL_CANCEL_CHUNK
@@ -268,7 +260,7 @@ class MorselBackend(ExecutionBackend):
         morsels = self._morsels(int(probe_keys.shape[0]))
         if morsels is None:
             return index.match(probe_keys)
-        index.prepare_match()
+        index.prepare_match(int(probe_keys.shape[0]))
         results = self._run(
             [(lambda lo=lo, hi=hi: index.match(probe_keys[lo:hi])) for lo, hi in morsels],
             counted=self.morsel_size is not None,

@@ -22,11 +22,9 @@ bit-identical to hashing directly):
   relation state, or two steps between which the relation was not reduced,
   share one pass with zero re-gathering.
 
-The radix-partitioned join path is deliberately *not* cached here: its
-multiplicative hash is a single 64-bit multiply, cheaper than the gather a
-replay would need.  Kernel-level callers that do hold a precomputed pass
-can still feed it straight to :func:`~repro.exec.kernels.radix_partition`
-(``hashes=``) and :class:`~repro.exec.kernels.PartitionedHashIndex`.
+The hash join itself hashes nothing — :class:`~repro.exec.kernels.HashIndex`
+addresses a table by ``key - min`` or binary-searches sorted keys — so only
+the Bloom passes are cached here.
 
 Entries are keyed by a *weakref-tracked token* of the underlying NumPy
 buffers plus the column's *encoding token* (``"raw"`` unless block

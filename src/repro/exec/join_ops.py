@@ -5,16 +5,13 @@ The join phase flows through late-materialized
 join hand their state to each other through the join's
 :class:`~repro.exec.run_state.JoinBuild` record.
 
-Radix partitioning is ``HashBuild``'s run-time choice, not a plan shape: a
-single-attribute build side that has :data:`PARTITION_THRESHOLD` rows or more
-*once materialized* is indexed as a
-:class:`~repro.exec.kernels.PartitionedHashIndex` (``[radix 2^6]`` in the op
-trace), anything smaller as one sorted :class:`~repro.exec.kernels.HashIndex`,
-and ``HashProbe`` matches against whichever it finds.  The transfer phase
-makes most build sides small whatever the join order, so the decision waits
-for the rows rather than trusting a pre-transfer estimate.  Partitions are
-the granularity at which the memory governor reserves, spills and reloads a
-partitioned build, and one independent task each for a thread pool.
+``HashBuild`` gathers a single-attribute build side's keys and builds their
+:class:`~repro.exec.kernels.HashIndex` for the paired probe's row count, so
+the index kind — a direct-address table on bounded integer keys, a sorted
+index otherwise; ``[direct-unique]`` / ``[direct]`` / ``[sorted]`` in the op
+trace — is a property of the rows the join actually sees, whatever the join
+order, and never a plan shape.  ``HashProbe`` matches against whatever it
+finds.  The build (rows, keys and index) is one governor reservation.
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ from repro.exec.backends import BloomPassProbe
 from repro.exec.kernels import (
     HashIndex,
     JoinMatches,
-    PartitionedHashIndex,
     bloom_probe_cost,
     combine_key_columns_pair,
+    densify_key_columns_pair,
     hash_probe_cost,
 )
 from repro.exec.relation import IntermediateResult
@@ -40,13 +37,6 @@ from repro.exec.statistics import JoinStepStats, OpStats
 from repro.exec.transfer_ops import full_bloom_pass
 from repro.plan.physical import BloomBuild, BloomProbe, HashBuild, HashProbe, Operand
 from repro.query import PostJoinPredicate
-
-#: Materialized build rows at which a single-attribute hash join is
-#: radix-partitioned.  Below this a monolithic sort fits the caches and the
-#: partitioning pass is pure overhead.
-PARTITION_THRESHOLD = 1 << 17
-#: Radix bits of a partitioned join (2^6 = 64 partitions).
-PARTITION_BITS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +52,9 @@ def bloom_build(run: RunState, op: BloomBuild, record: OpStats) -> None:
     # The raw pair keys are needed either way — the upcoming hash join
     # consumes them — but the SIP filter's insert and probe replay the
     # cached column pass instead of re-hashing them.
-    probe_keys, build_keys = _pair_keys(run, op.attributes, probe, build_side)
+    probe_keys, build_keys = _pair_keys(
+        run, op.attributes, probe, build_side, densify_key_columns_pair
+    )
     build = JoinBuild(
         keys=build_keys,
         probe_keys=probe_keys,
@@ -110,54 +102,37 @@ def hash_build(run: RunState, op: HashBuild, record: OpStats) -> None:
     # A join-scoped Bloom pair has already staged the pair keys, if it ran.
     build = run.builds.setdefault(op.build_id, JoinBuild())
     build.result = build_side
-    single = len(op.attributes) == 1
-    partitioned = single and build_side.num_rows >= PARTITION_THRESHOLD
-    if partitioned:
-        if build.keys is None:
-            build.keys = _single_attribute_keys(run, op.attributes[0], build_side)
-        build.index = PartitionedHashIndex(build.keys, bits=PARTITION_BITS)
-        record.radix_bits = build.index.bits
-    elif single or build.keys is not None:
-        build.index = _monolithic_index(run, op, build, build_side)
+    if len(op.attributes) == 1 or build.keys is not None:
+        # The probe side is final by now (the paired HashProbe is the next
+        # op), so the index is built for the volume that will probe it.
+        if build.probe_keys is not None:
+            probe_rows = int(build.probe_keys.shape[0])
+        else:
+            probe_rows = run.materialize(run.probe_of[op.build_id]).num_rows
+        build.index = _build_index(run, op, build, build_side, probe_rows)
+        build.index.prepare_match(probe_rows)
+        record.join_index = build.index.match_kind
     if run.ex.governor is not None:
-        _reserve_build(run, op.build_id, build)
-    if partitioned:
-        # Per-partition index builds are independent partial builds;
-        # map_tasks is the pipeline breaker that merges them (thread pools
-        # fan out).
-        build.index.build(run_tasks=run.ex.backend.map_tasks)
+        size = sum(int(arr.nbytes) for arr in build.result.positions.values())
+        if build.index is not None:
+            size += build.index.index_bytes()
+        run.governed_reserve(f"build:{op.build_id}", size)
 
 
-def _reserve_build(run: RunState, build_id: int, build: JoinBuild) -> None:
-    """Reserve a staged build side: its rows and keys, then each partition.
-
-    The materialized rows of a partitioned build are reserved like a
-    monolithic one's; the partitioned key/order copies are reserved per
-    partition (the granularity the governor spills at).
-    """
-    size = sum(int(arr.nbytes) for arr in build.result.positions.values())
-    if build.keys is not None:
-        size += int(build.keys.nbytes)
-    elif build.index is not None:
-        size += int(build.index.keys.nbytes)
-    run.governed_reserve(f"build:{build_id}", size)
-    if isinstance(build.index, PartitionedHashIndex):
-        for p in range(build.index.num_partitions):
-            nbytes = build.index.partition_bytes(p)
-            if nbytes:
-                run.governed_reserve(f"partition:{build_id}:{p}", nbytes)
-
-
-def _monolithic_index(
-    run: RunState, op: HashBuild, build: JoinBuild, build_side: IntermediateResult
+def _build_index(
+    run: RunState,
+    op: HashBuild,
+    build: JoinBuild,
+    build_side: IntermediateResult,
+    probe_rows: int,
 ) -> HashIndex:
-    """One sorted index over the build keys (staged, or gathered here).
+    """The index over the build keys (staged, or gathered here).
 
-    Single-attribute keys are side-independent: gather and sort now so the
+    Single-attribute keys are side-independent: gather and index now so the
     probe op only probes.  When the build side is the whole
     (un-reduced-since) relation, the lookup goes through both index caches —
     an index built by the transfer phase, or a prior query's frozen
-    artifact, skips the gather and sort entirely (the gather thunk only runs
+    artifact, skips the gather and build entirely (the gather thunk only runs
     on a full miss) — and a fresh index is published for reuse.
     """
     if len(op.attributes) == 1 and op.input.is_relation:
@@ -172,6 +147,7 @@ def _monolithic_index(
                     if build.keys is not None
                     else _single_attribute_keys(run, op.attributes[0], build_side)
                 ),
+                expected_probe_rows=probe_rows,
             )
     if build.keys is None:
         build.keys = _single_attribute_keys(run, op.attributes[0], build_side)
@@ -201,30 +177,20 @@ def hash_probe(run: RunState, op: HashProbe, record: OpStats) -> None:
         match_cost = 0.0
     else:
         if index is None:
-            # Composite keys are densified jointly with the probe side.
-            probe_keys, build_keys = _pair_keys(run, op.attributes, probe, build_side)
+            # Composite keys are packed jointly with the probe side.
+            probe_keys, build_keys = _pair_keys(
+                run, op.attributes, probe, build_side, combine_key_columns_pair
+            )
             index = HashIndex(build_keys)
         elif build.probe_keys is not None:
             probe_keys = build.probe_keys
         else:
             probe_keys = _single_attribute_keys(run, op.attributes[0], probe)
-        if isinstance(index, PartitionedHashIndex):
-            record.radix_bits = index.bits
-            # Only the partitions the probe actually visits are touched, so
-            # a spilled partition is charged a reload iff the join reads it.
-            on_partition = None
-            if governor is not None:
-                on_partition = lambda p: governor.touch(f"partition:{op.build_id}:{p}")  # noqa: E731
-            matches = index.match(
-                probe_keys, run_tasks=run.ex.backend.map_tasks, on_partition=on_partition
-            )
-            # Partitioned probes search cache-resident segments: charge the
-            # hash probe cost at partition granularity.
-            searched_rows = max(build_side.num_rows >> index.bits, 1)
-        else:
-            matches = run.ex.backend.match(probe_keys, index)
-            searched_rows = build_side.num_rows
-        match_cost = hash_probe_cost(probe.num_rows, searched_rows) + float(build_side.num_rows)
+        matches = run.ex.backend.match(probe_keys, index)
+        record.join_index = index.match_kind
+        match_cost = hash_probe_cost(probe.num_rows, build_side.num_rows) + float(
+            build_side.num_rows
+        )
     joined = probe.merge(build_side, matches.probe_indices, matches.build_indices)
     run.stats.join_steps.append(
         JoinStepStats(
@@ -240,9 +206,6 @@ def hash_probe(run: RunState, op: HashProbe, record: OpStats) -> None:
     run.results[Operand.intermediate(op.output_slot)] = apply_ready_predicates(run, joined)
     if governor is not None:
         governor.release(f"build:{op.build_id}")
-        if isinstance(index, PartitionedHashIndex):
-            for p in range(index.num_partitions):
-                governor.release(f"partition:{op.build_id}:{p}")
     record.rows_out = joined.num_rows
 
 
@@ -272,7 +235,10 @@ def _pair_keys(
     attributes: Tuple[str, ...],
     probe: IntermediateResult,
     build_side: IntermediateResult,
+    combine,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Both sides' join keys; ``combine`` joins composite ones — densified
+    when a Bloom filter will hash them, packed for the exact index alone."""
     probe_columns = []
     build_columns = []
     for attribute in attributes:
@@ -287,7 +253,7 @@ def _pair_keys(
                 run.relations, build_alias, attr_class.column_of(build_alias)
             )
         )
-    return combine_key_columns_pair(probe_columns, build_columns)
+    return combine(probe_columns, build_columns)
 
 
 def _result_bloom_pass(

@@ -4,24 +4,30 @@ Everything here operates on plain NumPy ``int64`` arrays; higher layers are
 responsible for translating logical columns (including dictionary-encoded
 strings and composite keys) into these arrays.
 
-The central kernel is :func:`match_keys`, the equi-join matcher used by the
-hash-join operator.  It uses a sort + binary-search strategy, which is the
-NumPy-friendly equivalent of building and probing a hash table: ``O(n log n)``
-to "build" (sort) and ``O(log n)`` per probe, with every step fully
-vectorized.
+The central kernel is :meth:`HashIndex.match` (:func:`match_keys`), the
+equi-join matcher of the hash-join operator.  It has two strategies, chosen
+per build side from the build rows, the probe rows and the key range (the
+one domain rule, :meth:`HashIndex.table_worthwhile`, that also decides the
+bitmap behind :meth:`HashIndex.contains`):
 
-For build sides that outgrow the caches, :func:`radix_partition` and
-:class:`PartitionedHashIndex` provide the radix-partitioned variant: both
-join sides are split by a multiplicative key hash in O(n) (NumPy radix-sorts
-the small ``uint16`` partition ids), each partition is sorted independently
-(the unit of parallel work for the morsel backend), and probes binary-search
-only their own cache-resident partition.
+* **direct-address** — integer keys over a bounded domain (ids, dictionary
+  codes): a table indexed by ``key - min`` built in O(n) with no comparison
+  sort, probed with one subtract-and-gather.  Unique build keys (the PK side
+  of an FK-PK join) store the build row in the slot itself; duplicate keys
+  get CSR run offsets over a grouping permutation made by ``uint16`` radix
+  passes.
+* **sorted** — everything else: a stable ``argsort`` plus one binary search
+  per probe key (run ends are precomputed, so the run of equal keys a probe
+  hits needs no second search).
+
+Both emit the same pairs in the same order: probe index ascending, then
+build rows in their original (stable) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -45,29 +51,17 @@ class JoinMatches:
         return int(self.probe_indices.shape[0])
 
 
-def combine_key_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Combine several integer key columns into one collision-free ``int64`` key.
+def _no_matches() -> JoinMatches:
+    empty = np.zeros(0, dtype=np.int64)
+    return JoinMatches(probe_indices=empty, build_indices=empty)
 
-    The columns are densified with :func:`numpy.unique` and combined with a
-    mixed-radix encoding, so equal composite keys map to equal combined keys
-    and unequal ones stay distinct (no hashing, no collisions).  All columns
-    must have identical length.
-    """
-    columns = [np.asarray(c) for c in columns]
-    if not columns:
-        raise ExecutionError("combine_key_columns requires at least one column")
-    length = columns[0].shape[0]
-    for column in columns:
-        if column.shape[0] != length:
-            raise ExecutionError("key columns must all have the same length")
-    if len(columns) == 1:
-        return columns[0].astype(np.int64, copy=False)
-    combined = np.zeros(length, dtype=np.int64)
-    for column in columns:
-        _, codes = np.unique(column, return_inverse=True)
-        radix = int(codes.max()) + 1 if length else 1
-        combined = combined * np.int64(radix) + codes.astype(np.int64)
-    return combined
+
+def _key_columns(left_columns, right_columns):
+    left_columns = [np.asarray(c) for c in left_columns]
+    right_columns = [np.asarray(c) for c in right_columns]
+    if len(left_columns) != len(right_columns):
+        raise ExecutionError("both sides of a join must have the same number of key columns")
+    return left_columns, right_columns
 
 
 def combine_key_columns_pair(
@@ -76,23 +70,44 @@ def combine_key_columns_pair(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Combine composite keys *consistently* across two sides of a join.
 
-    The densification must use a shared dictionary for both sides, otherwise
-    equal composite values could map to different codes.  Returns the
-    combined key arrays for the left and right side.
+    Equal composite values map to equal ``int64`` keys on both sides and
+    unequal ones stay distinct (no hashing, no collisions).  Integer columns
+    are packed arithmetically — a mixed-radix number whose digits are each
+    column's offset from the minimum over both sides — whenever the product
+    of the column ranges fits in ``int64``; otherwise (or for non-integer
+    columns) :func:`densify_key_columns_pair` takes over, which always fits.
+    For exact consumers (:class:`HashIndex`), which only compare keys.
     """
-    left_columns = [np.asarray(c) for c in left_columns]
-    right_columns = [np.asarray(c) for c in right_columns]
-    if len(left_columns) != len(right_columns):
-        raise ExecutionError("both sides of a join must have the same number of key columns")
+    left_columns, right_columns = _key_columns(left_columns, right_columns)
+    if len(left_columns) == 1:
+        return densify_key_columns_pair(left_columns, right_columns)
+    return _pack_arithmetically(left_columns, right_columns) or densify_key_columns_pair(
+        left_columns, right_columns
+    )
+
+
+def densify_key_columns_pair(
+    left_columns: Sequence[np.ndarray],
+    right_columns: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Combine composite keys through a dictionary shared by both sides.
+
+    Every column is densified with :func:`numpy.unique` over both sides (a
+    sort per column) and the codes are combined mixed-radix, so the combined
+    values depend only on the ranks of the column values.  A Bloom filter's
+    false positives depend on the values it hashes, so the Bloom steps keep
+    these keys — and with them every tuple count downstream — whatever
+    :func:`combine_key_columns_pair` packs for the exact ones.
+    """
+    left_columns, right_columns = _key_columns(left_columns, right_columns)
     if len(left_columns) == 1:
         return (
             left_columns[0].astype(np.int64, copy=False),
             right_columns[0].astype(np.int64, copy=False),
         )
     n_left = left_columns[0].shape[0]
-    n_right = right_columns[0].shape[0]
     left_combined = np.zeros(n_left, dtype=np.int64)
-    right_combined = np.zeros(n_right, dtype=np.int64)
+    right_combined = np.zeros(right_columns[0].shape[0], dtype=np.int64)
     for left_col, right_col in zip(left_columns, right_columns):
         both = np.concatenate([left_col, right_col])
         _, codes = np.unique(both, return_inverse=True)
@@ -102,87 +117,164 @@ def combine_key_columns_pair(
     return left_combined, right_combined
 
 
+def _pack_arithmetically(left_columns, right_columns):
+    """Mixed-radix packing from per-column min/max; ``None`` when it cannot fit."""
+    bounds = []
+    capacity = 1
+    for left_col, right_col in zip(left_columns, right_columns):
+        sides = [c for c in (left_col, right_col) if c.size]
+        if not all(np.issubdtype(c.dtype, np.integer) for c in sides):
+            return None
+        lo = min((int(c.min()) for c in sides), default=0)
+        hi = max((int(c.max()) for c in sides), default=0)
+        capacity *= hi - lo + 1
+        if capacity > np.iinfo(np.int64).max:
+            return None
+        bounds.append((lo, hi - lo + 1))
+    combined = []
+    for columns in (left_columns, right_columns):
+        packed = np.zeros(columns[0].shape[0], dtype=np.int64)
+        for column, (lo, radix) in zip(columns, bounds):
+            packed = packed * np.int64(radix) + (column.astype(np.int64, copy=False) - lo)
+        combined.append(packed)
+    return tuple(combined)
+
+
+def _radix_argsort(offsets: np.ndarray, key_range: int) -> np.ndarray:
+    """Stable argsort of integers in ``[0, key_range)`` without a comparison sort.
+
+    Least-significant-digit passes over 16-bit digits: NumPy's stable sort of
+    a ``uint16`` array is an O(n) radix sort, so the whole permutation costs
+    one pass per 16 bits of ``key_range``.
+    """
+    order = np.argsort(offsets.astype(np.uint16), kind="stable")  # astype keeps the low 16 bits
+    shift = 16
+    while key_range >> shift:
+        digits = (offsets >> shift).astype(np.uint16)
+        order = order[np.argsort(digits[order], kind="stable")]
+        shift += 16
+    return order
+
+
+def _expand_runs(order: np.ndarray, first: np.ndarray, counts: np.ndarray) -> JoinMatches:
+    """Pairs for probes that each hit ``order[first : first + counts]`` (no Python loop)."""
+    matched_probe = np.flatnonzero(counts)
+    if matched_probe.size == 0:
+        return _no_matches()
+    matched_first = first[matched_probe]
+    matched_counts = counts[matched_probe]
+    total = int(matched_counts.sum())
+    if total == matched_probe.size:  # every hit is a run of one
+        return JoinMatches(matched_probe, order[matched_first].astype(np.int64, copy=False))
+    run_offsets = np.cumsum(matched_counts) - matched_counts
+    positions = np.arange(total) + np.repeat(matched_first - run_offsets, matched_counts)
+    return JoinMatches(
+        probe_indices=np.repeat(matched_probe, matched_counts),
+        build_indices=order[positions].astype(np.int64, copy=False),
+    )
+
+
 class HashIndex:
     """A reusable membership/matching index over one side of a join.
 
-    Building the index — the stable sort behind :func:`match_keys`, or the
-    bitmap table behind fast membership — is the expensive part of both
-    matching and semi-joins.  When the same build side is probed by several
-    pipelines — e.g. a join-tree node that reduces multiple children during
-    the backward transfer pass, or a base relation probed by the transfer
-    phase and again by the join phase — wrapping it in a ``HashIndex``
-    builds once and amortizes the cost across every probe.
+    Building the index — the table or sort behind :meth:`match`, the bitmap
+    behind fast membership — is the expensive part of both matching and
+    semi-joins.  When the same build side is probed by several pipelines —
+    e.g. a join-tree node that reduces multiple children during the backward
+    transfer pass, or a base relation probed by the transfer phase and again
+    by the join phase — wrapping it in a ``HashIndex`` builds once and
+    amortizes the cost across every probe.
 
-    Both structures are built lazily: :meth:`match` needs the sort,
-    :meth:`contains` prefers an O(1)-per-probe bitmap when the integer key
-    domain is bounded (ids, dictionary codes) and otherwise falls back to
-    ``np.isin`` / binary search, whichever is cheaper given what is already
-    cached.
+    Every structure is built lazily and kept: :meth:`match` builds its
+    direct-address table or sorted index on first use
+    (:meth:`prepare_match`), :meth:`contains` prefers an O(1)-per-probe
+    bitmap and otherwise falls back to ``np.isin`` / binary search,
+    whichever is cheaper given what is already cached.  Whether the integer
+    key domain is bounded enough for a table is one rule,
+    :meth:`table_worthwhile`, for both.
     """
 
     __slots__ = (
         "keys",
+        "_num_keys",
         "_order",
         "_sorted_keys",
+        "_run_ends",
         "_table",
-        "_table_lo",
-        "_table_hi",
+        "_slots",
+        "_starts",
         "_fallback_probes",
         "_probe_rows_seen",
         "_key_bounds",
         "_frozen",
     )
 
-    #: Hard cap on the bitmap fast-path size (entries; 1 byte each).
-    TABLE_MAX_ENTRIES = 1 << 26
+    #: Hard cap on one direct-address table, in bytes: 2^26 one-byte bitmap
+    #: entries for :meth:`contains`, 2^24 ``int32`` slots for :meth:`match`.
+    TABLE_MAX_BYTES = 1 << 26
 
-    def __init__(self, keys: np.ndarray, order: Optional[np.ndarray] = None) -> None:
-        """Index ``keys``; ``order`` is an optional precomputed stable
-        argsort of them (e.g. replayed from a cached artifact over the same
-        base column), which skips the build-side sort entirely."""
+    def __init__(self, keys: np.ndarray) -> None:
         self.keys = np.asarray(keys)
-        self._order: "np.ndarray | None" = None if order is None else np.asarray(order)
+        self._num_keys = int(self.keys.shape[0])
+        # Sorted strategy: stable argsort, keys in that order, and for every
+        # sorted position the end of its run of equal keys.
+        self._order: "np.ndarray | None" = None
         self._sorted_keys: "np.ndarray | None" = None
+        self._run_ends: "np.ndarray | None" = None
+        # Direct-address structures, all indexed by ``key - min``: the
+        # membership bitmap, the build row of a unique key (-1: absent), or
+        # CSR run offsets into ``_order`` for duplicate keys.
         self._table: "np.ndarray | None" = None
-        self._table_lo = 0
-        self._table_hi = 0
+        self._slots: "np.ndarray | None" = None
+        self._starts: "np.ndarray | None" = None
         self._fallback_probes = 0
         self._probe_rows_seen = 0
         self._key_bounds: "tuple[int, int] | None" = None
         self._frozen = False
 
+    def __getstate__(self) -> dict:
+        """Pickle what probes read: the built structures, not the raw keys.
+
+        A worker process only calls :meth:`contains` / :meth:`match` on an
+        index its parent prepared, and neither reads ``keys`` once its
+        structure exists — shipping them would double the shared-memory
+        payload of a large build.  An index with nothing built ships whole.
+        """
+        state = {name: getattr(self, name) for name in self.__slots__}
+        if self._frozen or self.match_kind:
+            state["keys"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+
     @property
     def num_keys(self) -> int:
         """Number of indexed build-side keys."""
-        return int(self.keys.shape[0])
-
-    @property
-    def order(self) -> np.ndarray:
-        """Stable sort permutation of the keys (computed lazily, then cached)."""
-        if self._order is None:
-            self._order = np.argsort(self.keys, kind="stable")
-        return self._order
+        return self._num_keys
 
     @property
     def sorted_keys(self) -> np.ndarray:
-        """The keys in sorted order (computed lazily, then cached)."""
+        """The keys in stable sorted order (computed lazily, then cached)."""
         if self._sorted_keys is None:
-            self._sorted_keys = self.keys[self.order]
+            self._order = np.argsort(self.keys, kind="stable")
+            self._sorted_keys = self.keys[self._order]
         return self._sorted_keys
 
-    def bitmap_worthwhile(self, extra_probe_rows: int = 0) -> bool:
-        """True when the bitmap economics accept this index's key domain.
+    def table_worthwhile(self, extra_probe_rows: int = 0, entry_bytes: int = 1) -> bool:
+        """True when a direct-address table over this key domain pays off.
 
-        The table is only worth building when its size (one byte per domain
-        entry) is proportional to the work it saves — the indexed keys plus
-        every probe row this index has served or is about to serve.  This is
-        the single authority on the decision: :meth:`_ensure_table` consults
-        it for lazily built tables, and the transfer executor consults
-        it (with the step's expected probe volume) before downgrading a
-        Bloom step to an exact bitmap semi-join.
+        A table indexed by ``key - min`` is only worth building when its
+        size is proportional to the work it saves — the indexed keys plus
+        every probe row this index has served or is about to serve — and
+        stays under :data:`TABLE_MAX_BYTES` at ``entry_bytes`` per entry.
+        This is the single authority on the decision: :meth:`_ensure_table`
+        consults it for the membership bitmap, :meth:`prepare_match` for the
+        join table, and the transfer executor (with the step's expected
+        probe volume) before downgrading a Bloom step to an exact bitmap
+        semi-join.
         """
-        if self._table is not None:
-            return True
         if self.num_keys == 0 or not np.issubdtype(self.keys.dtype, np.integer):
             return False
         lo, hi = self.key_bounds()
@@ -190,7 +282,7 @@ class HashIndex:
         budget = max(
             1 << 16, 8 * (self.num_keys + self._probe_rows_seen + extra_probe_rows)
         )
-        return key_range <= min(budget, self.TABLE_MAX_ENTRIES)
+        return key_range <= min(budget, self.TABLE_MAX_BYTES // entry_bytes)
 
     def _ensure_table(self, probe_rows: int) -> bool:
         """Build (or reuse) the bitmap membership table when it pays off.
@@ -198,7 +290,7 @@ class HashIndex:
         Integer keys over a bounded domain — the common case for ids and
         dictionary codes — admit an O(1)-per-probe bitmap lookup that needs
         no sort at all and beats a binary search per probe.  The table is
-        only built when :meth:`bitmap_worthwhile` accepts it — measured over
+        only built when :meth:`table_worthwhile` accepts it — measured over
         *all* probes this index has served, so chunk-at-a-time probing (the
         morsel backend) amortizes toward the same decision a single
         whole-column probe makes — and is cached for later probes.
@@ -208,10 +300,9 @@ class HashIndex:
         if not np.issubdtype(self.keys.dtype, np.integer):
             return False
         self._probe_rows_seen += probe_rows
-        if not self.bitmap_worthwhile():
+        if not self.table_worthwhile():
             return False
         lo, hi = self.key_bounds()
-        self._table_lo, self._table_hi = lo, hi
         table = np.zeros(hi - lo + 1, dtype=bool)
         table[self.keys - lo] = True
         self._table = table
@@ -238,10 +329,55 @@ class HashIndex:
                 _ = self.sorted_keys  # force the sort so probes never mutate
         self._frozen = True
 
-    def prepare_match(self) -> None:
-        """Freeze the index for concurrent read-only :meth:`match` probes."""
-        _ = self.sorted_keys
-        _ = self.order
+    def prepare_match(self, expected_probe_rows: int = 0) -> None:
+        """Build the structure :meth:`match` probes, once; later calls are no-ops.
+
+        The direct-address table when :meth:`table_worthwhile` accepts the
+        key domain for ``expected_probe_rows`` — the *total* probe volume, so
+        a backend that cuts the probe side into morsels chooses what one
+        whole-column :meth:`match` call would — else the sorted index.
+        Afterwards ``match`` only reads, from any number of threads.
+        """
+        if self.match_kind or not self.num_keys:
+            return
+        # int32 slots / offsets index build rows: 2^31 rows is the format's limit.
+        if self.num_keys < 1 << 31 and self.table_worthwhile(
+            int(expected_probe_rows), entry_bytes=4
+        ):
+            self._build_direct()
+        else:
+            self._build_sorted()
+
+    def _build_direct(self) -> None:
+        lo, hi = self.key_bounds()
+        key_range = hi - lo + 1
+        offsets = self.keys - lo
+        rows = np.arange(self.num_keys, dtype=np.int32)
+        slots = np.full(key_range, -1, dtype=np.int32)
+        slots[offsets] = rows
+        if (slots[offsets] == rows).all():  # no row was overwritten: keys are unique
+            self._slots = slots
+            return
+        starts = np.zeros(key_range + 1, dtype=np.int32)
+        np.cumsum(np.bincount(offsets, minlength=key_range), out=starts[1:], dtype=np.int32)
+        self._order = _radix_argsort(offsets, key_range)
+        self._starts = starts
+
+    def _build_sorted(self) -> None:
+        sorted_keys = self.sorted_keys
+        run_starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        bounds = np.concatenate(([0], run_starts, [self.num_keys]))
+        self._run_ends = np.repeat(bounds[1:], np.diff(bounds))
+
+    @property
+    def match_kind(self) -> str:
+        """Which structure :meth:`match` probes: ``"direct-unique"``,
+        ``"direct"`` (duplicate keys), ``"sorted"``, or ``""`` before it is built."""
+        if self._slots is not None:
+            return "direct-unique"
+        if self._starts is not None:
+            return "direct"
+        return "sorted" if self._run_ends is not None else ""
 
     @property
     def has_bitmap(self) -> bool:
@@ -265,14 +401,26 @@ class HashIndex:
     def index_bytes(self) -> int:
         """Approximate bytes held by the index (keys + built structures).
 
-        Used by the cross-query artifact cache to charge a frozen index
-        against its byte budget.
+        What the cross-query artifact cache charges a frozen index against
+        its byte budget, and what a hash build reserves with the governor.
         """
-        total = int(self.keys.nbytes)
-        for attr in (self._order, self._sorted_keys, self._table):
-            if attr is not None:
-                total += int(attr.nbytes)
-        return total
+        arrays = (
+            self.keys, self._order, self._sorted_keys, self._run_ends,
+            self._table, self._slots, self._starts,
+        )
+        return sum(int(array.nbytes) for array in arrays if array is not None)
+
+    def _table_offsets(self, probe_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``probe_keys - min`` and which of them fall inside the table.
+
+        int64 offsets can wrap for extreme probe values, but a wrapped
+        difference is always negative (the true difference lies in
+        [2^63, 2^64)), so the in-range test still rejects it; callers gather
+        with ``mode="clip"`` and mask.
+        """
+        lo, hi = self.key_bounds()
+        offsets = probe_keys - lo
+        return offsets, (offsets >= 0) & (offsets <= hi - lo)
 
     def contains(self, probe_keys: np.ndarray) -> np.ndarray:
         """Boolean membership mask of ``probe_keys`` against the indexed keys."""
@@ -285,13 +433,7 @@ class HashIndex:
             self._table is not None
             or (not self._frozen and self._ensure_table(int(probe_keys.shape[0])))
         ):
-            # One subtraction + range test + clipped gather.  int64 offsets
-            # can wrap for extreme probe values, but a wrapped difference is
-            # always negative (the true difference lies in [2^63, 2^64)), so
-            # the in-range test still rejects it.
-            offsets = probe_keys - self._table_lo
-            in_range = (offsets >= 0) & (offsets <= self._table_hi - self._table_lo)
-            assert self._table is not None
+            offsets, in_range = self._table_offsets(probe_keys)
             return in_range & self._table.take(offsets, mode="clip")
         probe_rows = int(probe_keys.shape[0])
         if self._sorted_keys is None:
@@ -311,274 +453,31 @@ class HashIndex:
         return sorted_keys[positions] == probe_keys
 
     def match(self, probe_keys: np.ndarray) -> JoinMatches:
-        """All (probe, build) index pairs with equal keys (inner-join matching)."""
-        probe_keys = np.asarray(probe_keys)
-        if probe_keys.size == 0 or self.num_keys == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return JoinMatches(probe_indices=empty, build_indices=empty)
+        """All (probe, build) index pairs with equal keys (inner-join matching).
 
-        lo = np.searchsorted(self.sorted_keys, probe_keys, side="left")
-        hi = np.searchsorted(self.sorted_keys, probe_keys, side="right")
-        counts = hi - lo
-
-        matched = counts > 0
-        if not matched.any():
-            empty = np.zeros(0, dtype=np.int64)
-            return JoinMatches(probe_indices=empty, build_indices=empty)
-
-        matched_probe = np.nonzero(matched)[0]
-        matched_counts = counts[matched]
-        matched_lo = lo[matched]
-
-        total = int(matched_counts.sum())
-        # Expand ranges [lo, lo+count) for every matched probe row without Python loops.
-        group_starts = np.repeat(matched_lo, matched_counts)
-        within_group = np.arange(total) - np.repeat(
-            np.cumsum(matched_counts) - matched_counts, matched_counts
-        )
-        build_positions = group_starts + within_group
-
-        probe_indices = np.repeat(matched_probe, matched_counts).astype(np.int64)
-        build_indices = self.order[build_positions].astype(np.int64)
-        return JoinMatches(probe_indices=probe_indices, build_indices=build_indices)
-
-
-# ---------------------------------------------------------------------------
-# Radix partitioning
-# ---------------------------------------------------------------------------
-#: Fibonacci-hashing multiplier used to spread join keys across partitions.
-RADIX_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-#: Default number of radix bits (2^6 = 64 partitions).
-DEFAULT_PARTITION_BITS = 6
-
-#: Upper bound on radix bits (partition ids are materialized as ``uint16``).
-MAX_PARTITION_BITS = 16
-
-
-def radix_hash(keys: np.ndarray) -> np.ndarray:
-    """Full 64-bit multiplicative (Fibonacci) hash of a key vector.
-
-    The partition id of any radix width derives from these hashes by taking
-    the top ``bits`` bits, so one hashing pass per key column serves every
-    ``radix_partition`` call over it regardless of the partition count
-    (the cacheable pass of the radix-partitioned join path).
-    """
-    with np.errstate(over="ignore"):
-        return np.asarray(keys).astype(np.uint64, copy=False) * RADIX_HASH_MULTIPLIER
-
-
-def radix_partition_ids(
-    keys: np.ndarray, bits: int, hashes: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Partition id of every key: the top ``bits`` of a multiplicative hash.
-
-    The multiplicative (Fibonacci) hash spreads clustered key domains —
-    dense surrogate ids, dictionary codes — evenly across the ``2**bits``
-    partitions; taking the *top* bits keeps the full 64-bit mix.  Both sides
-    of a join use the same function, so equal keys always land in the same
-    partition.  Returned as ``uint16`` so the partitioning sort below hits
-    NumPy's O(n) radix sort for small integer dtypes.  ``hashes`` replays a
-    precomputed :func:`radix_hash` pass (bit-identical to hashing ``keys``).
-    """
-    if not 1 <= bits <= MAX_PARTITION_BITS:
-        raise ExecutionError(f"partition bits must be in [1, {MAX_PARTITION_BITS}], got {bits}")
-    if hashes is None:
-        hashes = radix_hash(keys)
-    return (hashes >> np.uint64(64 - bits)).astype(np.uint16)
-
-
-@dataclass(frozen=True)
-class KeyPartitions:
-    """One side's keys radix-partitioned: a permutation plus partition offsets.
-
-    ``order`` is a stable permutation grouping rows by partition id (NumPy
-    radix-sorts the ``uint16`` ids in O(n), so partitioning never pays a
-    comparison sort), ``offsets[p] : offsets[p + 1]`` delimits partition
-    ``p`` within ``keys[order]``, and ``partitioned_keys`` is that gathered
-    key array.  ``order`` maps positions *within a partition segment* back
-    to original row positions.
-    """
-
-    bits: int
-    order: np.ndarray
-    offsets: np.ndarray
-    partitioned_keys: np.ndarray
-
-    @property
-    def num_partitions(self) -> int:
-        """Number of radix partitions (``2**bits``)."""
-        return 1 << self.bits
-
-    @property
-    def num_rows(self) -> int:
-        """Total number of partitioned rows."""
-        return int(self.partitioned_keys.shape[0])
-
-    def partition_rows(self, partition: int) -> int:
-        """Number of rows in one partition."""
-        return int(self.offsets[partition + 1] - self.offsets[partition])
-
-    def segment_keys(self, partition: int) -> np.ndarray:
-        """The keys of one partition (a view into the gathered key array)."""
-        return self.partitioned_keys[self.offsets[partition] : self.offsets[partition + 1]]
-
-    def segment_order(self, partition: int) -> np.ndarray:
-        """Original row positions of one partition's rows."""
-        return self.order[self.offsets[partition] : self.offsets[partition + 1]]
-
-
-def radix_partition(
-    keys: np.ndarray,
-    bits: int = DEFAULT_PARTITION_BITS,
-    hashes: Optional[np.ndarray] = None,
-) -> KeyPartitions:
-    """Radix-partition a key array into ``2**bits`` hash partitions.
-
-    Runs in O(n): partition ids are one vectorized hash, the grouping
-    permutation is NumPy's radix sort over the ``uint16`` ids, and the
-    offsets come from ``bincount``.  ``hashes`` is an optional precomputed
-    :func:`radix_hash` pass over ``keys`` (the partitioning is then
-    bit-identical but skips the hash).
-    """
-    keys = np.asarray(keys)
-    pids = radix_partition_ids(keys, bits, hashes=hashes)
-    order = np.argsort(pids, kind="stable").astype(np.int64, copy=False)
-    counts = np.bincount(pids, minlength=1 << bits)
-    offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
-    return KeyPartitions(bits=bits, order=order, offsets=offsets, partitioned_keys=keys[order])
-
-
-#: Runs a list of thunks and returns their results in order (a backend hook:
-#: the parallel backend dispatches them to its worker pool).
-TaskRunner = Callable[[Sequence[Callable[[], object]]], List[object]]
-
-
-def _run_serial(tasks: Sequence[Callable[[], object]]) -> List[object]:
-    return [task() for task in tasks]
-
-
-class PartitionedHashIndex:
-    """A radix-partitioned build side: per-partition :class:`HashIndex` objects.
-
-    Large monolithic build sides are slow to sort (O(n log n) over the whole
-    array) and slow to probe (every binary-search step is a cache miss in a
-    build array that outgrows the caches).  Radix-partitioning both sides by
-    the same key hash fixes both: each partition is sorted independently
-    (shorter sorts, and independent units of parallel work — the per-worker
-    *partial* builds that a morsel-parallel pipeline breaker merges), and
-    probes only search their own cache-resident partition.
-
-    Construction only computes the O(n) partitioning; the per-partition
-    indexes are built by :meth:`build` (optionally through a ``run_tasks``
-    hook so a parallel backend can build partitions concurrently) or lazily
-    on first probe.
-    """
-
-    __slots__ = ("partitions", "_indexes")
-
-    def __init__(
-        self,
-        keys: np.ndarray,
-        bits: int = DEFAULT_PARTITION_BITS,
-        hashes: Optional[np.ndarray] = None,
-    ) -> None:
-        self.partitions = radix_partition(keys, bits, hashes=hashes)
-        self._indexes: List[Optional[HashIndex]] = [None] * self.partitions.num_partitions
-
-    @property
-    def bits(self) -> int:
-        """Number of radix bits."""
-        return self.partitions.bits
-
-    @property
-    def num_partitions(self) -> int:
-        """Number of radix partitions."""
-        return self.partitions.num_partitions
-
-    @property
-    def num_keys(self) -> int:
-        """Total number of indexed build-side keys."""
-        return self.partitions.num_rows
-
-    def partition_bytes(self, partition: int) -> int:
-        """Approximate bytes materialized for one partition (keys + order)."""
-        rows = self.partitions.partition_rows(partition)
-        return rows * (self.partitions.partitioned_keys.itemsize + 8)
-
-    def _index(self, partition: int) -> HashIndex:
-        index = self._indexes[partition]
-        if index is None:
-            index = HashIndex(self.partitions.segment_keys(partition))
-            index.prepare_match()
-            self._indexes[partition] = index
-        return index
-
-    def build(self, run_tasks: Optional[TaskRunner] = None) -> int:
-        """Build the index of every non-empty partition; returns the task count.
-
-        Each partition build is an independent task (sort of that partition's
-        keys); ``run_tasks`` lets the caller fan the builds out to worker
-        threads and acts as the pipeline breaker that merges the partial
-        builds: it returns only when every partition index exists.
-        """
-        run = run_tasks or _run_serial
-        pending = [
-            p for p in range(self.num_partitions)
-            if self._indexes[p] is None and self.partitions.partition_rows(p) > 0
-        ]
-        run([(lambda p=p: self._index(p)) for p in pending])
-        return len(pending)
-
-    def match(
-        self,
-        probe_keys: np.ndarray,
-        run_tasks: Optional[TaskRunner] = None,
-        on_partition: Optional[Callable[[int], None]] = None,
-        probe_hashes: Optional[np.ndarray] = None,
-    ) -> JoinMatches:
-        """All (probe, build) index pairs with equal keys, via per-partition matching.
-
-        The probe side is radix-partitioned with the same hash, each partition
-        is matched against its build counterpart (independent tasks), and the
-        per-partition matches — expressed in original row positions through
-        the two permutations — are concatenated in partition order, so the
-        result is deterministic regardless of how ``run_tasks`` schedules the
-        work.  ``on_partition`` is called (serially, before the fan-out) for
-        every partition the probe will actually visit — the memory governor's
-        hook for charging reloads of exactly the spilled partitions the join
-        reads.  ``probe_hashes`` replays a precomputed :func:`radix_hash`
-        pass over the probe keys.
+        Pairs come out probe index ascending, then build rows in their
+        original order, whichever structure answers.
         """
         probe_keys = np.asarray(probe_keys)
         if probe_keys.size == 0 or self.num_keys == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return JoinMatches(probe_indices=empty, build_indices=empty)
-        probe_parts = radix_partition(probe_keys, self.bits, hashes=probe_hashes)
-        active = [
-            p for p in range(self.num_partitions)
-            if probe_parts.partition_rows(p) > 0 and self.partitions.partition_rows(p) > 0
-        ]
-        if on_partition is not None:
-            for p in active:
-                on_partition(p)
-
-        def match_partition(p: int) -> Tuple[np.ndarray, np.ndarray]:
-            local = self._index(p).match(probe_parts.segment_keys(p))
-            return (
-                probe_parts.segment_order(p)[local.probe_indices],
-                self.partitions.segment_order(p)[local.build_indices],
+            return _no_matches()
+        self.prepare_match(int(probe_keys.shape[0]))
+        if self._run_ends is not None:
+            first = np.minimum(
+                np.searchsorted(self._sorted_keys, probe_keys, side="left"), self.num_keys - 1
             )
-
-        run = run_tasks or _run_serial
-        results = run([(lambda p=p: match_partition(p)) for p in active])
-        if not results:
-            empty = np.zeros(0, dtype=np.int64)
-            return JoinMatches(probe_indices=empty, build_indices=empty)
-        return JoinMatches(
-            probe_indices=np.concatenate([r[0] for r in results]),
-            build_indices=np.concatenate([r[1] for r in results]),
-        )
+            counts = np.where(
+                self._sorted_keys[first] == probe_keys, self._run_ends[first] - first, 0
+            )
+            return _expand_runs(self._order, first, counts)
+        offsets, in_range = self._table_offsets(probe_keys)
+        if self._slots is not None:
+            rows = self._slots.take(offsets, mode="clip")
+            matched_probe = np.flatnonzero(in_range & (rows >= 0))
+            return JoinMatches(matched_probe, rows[matched_probe].astype(np.int64))
+        first = self._starts.take(offsets, mode="clip")
+        counts = np.where(in_range, self._starts.take(offsets + 1, mode="clip") - first, 0)
+        return _expand_runs(self._order, first, counts)
 
 
 BuildSide = Union[np.ndarray, HashIndex]

@@ -26,8 +26,8 @@ uniform per-op trace shared by all five modes.
 How the probe/match hot loops run is the backend's business
 (:mod:`repro.exec.backends`).  A
 :class:`~repro.storage.buffer.MemoryGovernor`, when configured, is consulted
-*during* execution: build sides and partitions reserve budget before
-materializing, over-budget reservations spill through the
+*during* execution: build sides reserve their rows, keys and index,
+over-budget reservations spill through the
 :class:`~repro.exec.spill.SpillManager` callback, and probing spilled state
 charges the reload — surfaced per op in ``ExecutionStats.op_stats``.
 """

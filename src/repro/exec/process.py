@@ -330,9 +330,6 @@ class ProcessBackend(ExecutionBackend):
     Inputs travel through shared memory (see module docstring); small
     inputs (one morsel or less) run inline in the parent, exactly like the
     thread backend, so short probes never pay process-dispatch overhead.
-    ``map_tasks`` (opaque closures from the partitioned-join path) falls
-    back to serial execution — closures do not pickle, and partitioned
-    builds mutate shared state.
 
     Everything it counts goes into ``record`` (see
     :class:`~repro.exec.backends.ExecutionBackend`): ``shm_bytes`` placed in
@@ -595,7 +592,7 @@ class ProcessBackend(ExecutionBackend):
             self.record.morsels += 1
             self._check_cancel()
             return index.match(probe_keys)
-        index.prepare_match()
+        index.prepare_match(total)
         fanned = self._fan_out(_match_task, index, probe_keys, total)
         if fanned is None:
             self.record.morsels += 1

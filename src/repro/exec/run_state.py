@@ -12,17 +12,17 @@ governor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.errors import CatalogError, ExecutionError, MemoryExhausted
 from repro.exec.adaptive import AdaptiveTransferController
-from repro.exec.kernels import HashIndex, PartitionedHashIndex
+from repro.exec.kernels import HashIndex
 from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.exec.statistics import ExecutionStats, OpStats
-from repro.plan.physical import Operand, PhysicalPlan
+from repro.plan.physical import HashProbe, Operand, PhysicalPlan
 from repro.query import PostJoinPredicate
 from repro.storage.artifacts import KIND_HASH_INDEX, ArtifactKey
 
@@ -43,7 +43,7 @@ class TransferStepState:
     The probe side is ``target_column`` — the probe op gathers that column
     of ``op.target`` over the immutable base table by the relation's current
     row ids, materializing nothing in between — except for composite keys,
-    which are densified jointly with the build side and so staged eagerly
+    which are packed jointly with the build side and so staged eagerly
     as ``target_keys``.
     """
 
@@ -63,15 +63,14 @@ class JoinBuild:
     SIP filter (``bloom``, with ``probe_pass`` the probe side's cached
     hashing pass); its ``BloomProbe`` reduces ``probe_keys`` and counts
     ``bloom_eliminated``.  ``HashBuild`` sets ``result`` (the materialized
-    build side) and ``index`` — a :class:`~repro.exec.kernels.HashIndex`, or
-    a :class:`~repro.exec.kernels.PartitionedHashIndex` when it chose to
-    radix-partition; ``index`` stays ``None`` for composite keys without a
-    prefilter (densified jointly with the probe side, in ``HashProbe``) and
-    for Cartesian products.
+    build side) and ``index``, built for the probe side's row count;
+    ``index`` stays ``None`` for composite keys without a prefilter (packed
+    jointly with the probe side, in ``HashProbe``) and for Cartesian
+    products.
     """
 
     result: Optional[IntermediateResult] = None
-    index: Union[HashIndex, PartitionedHashIndex, None] = None
+    index: Optional[HashIndex] = None
     keys: Optional[np.ndarray] = None
     probe_keys: Optional[np.ndarray] = None
     bloom: Optional[BloomFilter] = None
@@ -105,6 +104,11 @@ class RunState:
         self.results: Dict[Operand, IntermediateResult] = {}
         self.steps: Dict[int, TransferStepState] = {}
         self.builds: Dict[int, JoinBuild] = {}
+        #: The probe operand of each build id (its ``HashBuild`` sizes the
+        #: index for the rows that will probe it).
+        self.probe_of: Dict[int, Operand] = {
+            op.build_id: op.probe for op in plan if isinstance(op, HashProbe)
+        }
         self.index_cache: Dict[Tuple[str, Tuple[str, ...]], Tuple[int, HashIndex]] = {}
         #: Relations some predicate or transfer step has reduced (§4.3
         #: pruning asks); computed on first use.
@@ -216,7 +220,7 @@ class RunState:
     ) -> HashIndex:
         """The index over a relation's single-attribute keys, through both caches.
 
-        Single-attribute keys are side-independent, so their sorted index is
+        Single-attribute keys are side-independent, so their index is
         cached per ``(alias, attributes)`` and reused until the relation is
         reduced again.  Lookup order: the query-lifetime index cache (keyed
         by relation version — the forward/backward pass and join-phase
@@ -246,8 +250,9 @@ class RunState:
         if index is None:
             index = HashIndex(gather_keys())
             if artifact_key is not None:
-                index.prepare(expected_probe_rows or index.num_keys)
-                index.prepare_match()
+                probe_rows = expected_probe_rows or index.num_keys
+                index.prepare(probe_rows)
+                index.prepare_match(probe_rows)
                 self.ex.artifact_cache.put(artifact_key, index, index.index_bytes())
                 self.charge_artifact(artifact_key, index.index_bytes())
         self.index_cache[cache_key] = (relation.version, index)

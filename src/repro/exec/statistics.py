@@ -64,7 +64,7 @@ class OpStats:
     rows_out: int = 0
     seconds: float = 0.0
     skipped: bool = False
-    #: Morsels / partition tasks the backend dispatched for this op (0 when
+    #: Morsels the backend dispatched for this op (0 when
     #: it ran as one whole-column kernel call); while tracing, the batches
     #: and seconds process workers reported back (the ``batch`` child span).
     morsels: int = 0
@@ -75,9 +75,10 @@ class OpStats:
     #: + probe (dense build-side key domain).
     adaptive_skipped: bool = False
     downgraded_exact: bool = False
-    #: Radix bits of the partitioned index this hash build chose to build /
-    #: this hash probe matched against (0: one monolithic index).
-    radix_bits: int = 0
+    #: The index this hash build built / this hash probe matched against:
+    #: ``"direct-unique"``, ``"direct"`` (duplicate build keys) or ``"sorted"``
+    #: (:attr:`HashIndex.match_kind <repro.exec.kernels.HashIndex.match_kind>`).
+    join_index: str = ""
     #: Memory governor, while this op reserved or touched budget: spills
     #: ordered, bytes re-read after a spill, spill writes that failed.
     spill_events: int = 0
@@ -133,6 +134,8 @@ class Counter(NamedTuple):
     log: str = ""
     #: Both ops of a build/probe pair carry the flag; the total counts steps.
     per_step: bool = False
+    #: For a label-valued field: the label whose occurrences the total counts.
+    counts: str = ""
 
 
 #: Row order is the order of markers, summary parts and span events.
@@ -155,7 +158,8 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("downgraded_exact", "adaptive_exact_downgrades", " [exact bitmap]", "adaptive",
             "{downgraded_exact} exact-bitmap downgrade(s)", event="adaptive:exact-bitmap",
             log="adaptive.exact_downgrades", per_step=True),
-    Counter("radix_bits", marker=" [radix 2^{radix_bits}]"),
+    Counter("join_index", "sorted_index_joins", " [{join_index}]",
+            log="adaptive.sorted_index_joins", per_step=True, counts="sorted"),
     Counter("shm_bytes", "shm_bytes_mapped", " [shm {shm_bytes}B]", "runtime",
             "shm mapped {shm_bytes}B"),
     Counter("blocks_total", "zone_blocks_total", " [zm skip {blocks_skipped}/{blocks_total}]",
@@ -379,8 +383,9 @@ def _total(counter: Counter) -> property:
     def total(self: ExecutionStats) -> int:
         ops = self.op_stats
         if counter.per_step:
-            ops = [op for op in ops if op.kind != "bloom_build"]
-        return sum(getattr(op, counter.field) for op in ops)
+            ops = [op for op in ops if op.kind not in ("bloom_build", "hash_build")]
+        values = (getattr(op, counter.field) for op in ops)
+        return sum(value == counter.counts for value in values) if counter.counts else sum(values)
 
     return property(total, doc=f"Sum of ``OpStats.{counter.field}`` over ``op_stats``.")
 

@@ -23,7 +23,12 @@ import numpy as np
 from repro.bloom.bloom_filter import BloomFilter, hash_keys, key_patterns
 from repro.errors import ExecutionError
 from repro.exec.backends import BloomPassProbe, probe_input_rows
-from repro.exec.kernels import HashIndex, bloom_probe_cost, combine_key_columns_pair
+from repro.exec.kernels import (
+    HashIndex,
+    bloom_probe_cost,
+    combine_key_columns_pair,
+    densify_key_columns_pair,
+)
 from repro.exec.relation import BoundRelation
 from repro.exec.run_state import RunState, TransferStepState
 from repro.exec.statistics import OpStats, TransferStepStats
@@ -64,7 +69,9 @@ def bloom_build(run: RunState, op: BloomBuild, record: OpStats) -> None:
     else:
         # Composite keys are densified jointly with the probe side, so
         # neither hashing pass nor gather can be cached or deferred.
-        source_keys, step.target_keys = _step_keys(run, op, source, target)
+        source_keys, step.target_keys = _step_keys(
+            run, op, source, target, densify_key_columns_pair
+        )
         step.bloom = BloomFilter(expected_keys=source.num_rows, fpr=run.ex.transfer.fpr)
         step.bloom.insert(source_keys)
     run.steps[op.step_id] = step
@@ -116,7 +123,7 @@ def semi_join_reduce(run: RunState, op: SemiJoinReduce, record: OpStats) -> None
         source_column = attr_class.column_of(op.source.alias)
         index = _source_index(run, op, source, source_column, probe_input_rows(target_keys))
     else:
-        source_keys, target_keys = _step_keys(run, op, source, target)
+        source_keys, target_keys = _step_keys(run, op, source, target, combine_key_columns_pair)
         index = HashIndex(source_keys)
     _exact_semi_join(run, op, record, target, index, target_keys, int(index.keys.nbytes))
 
@@ -253,7 +260,7 @@ def _exact_bitmap_index(
 
     When the build side's observed key domain is dense enough that a
     boolean membership table costs no more than the probe work it saves
-    (the same economics as :meth:`HashIndex._ensure_table`), the step is
+    (the same economics as :meth:`HashIndex.table_worthwhile`), the step is
     executed as an exact bitmap semi-join: probes become one in-range
     test plus one table gather, and — unlike a Bloom filter — zero false
     positives survive into the downstream passes and the join phase.
@@ -262,7 +269,7 @@ def _exact_bitmap_index(
         return None
     probe_rows = target.num_rows
     index = _source_index(run, op, source, column, probe_rows)
-    if not index.bitmap_worthwhile(probe_rows):
+    if not index.table_worthwhile(probe_rows):
         return None
     index.prepare(probe_rows)
     return index if index.has_bitmap else None
@@ -281,8 +288,12 @@ def _source_index(
     )
 
 
-def _step_keys(run: RunState, op, source: BoundRelation, target: BoundRelation):
-    """Resolve a transfer step's attribute classes to concrete key arrays."""
+def _step_keys(run: RunState, op, source: BoundRelation, target: BoundRelation, combine):
+    """Resolve a transfer step's attribute classes to concrete key arrays.
+
+    ``combine`` joins composite keys: densified for a Bloom filter (what it
+    hashes decides its false positives), packed for an exact index.
+    """
     source_columns = []
     target_columns = []
     for attribute in op.attributes:
@@ -291,7 +302,7 @@ def _step_keys(run: RunState, op, source: BoundRelation, target: BoundRelation):
         target_columns.append(target.key_values(attr_class.column_of(op.target.alias)))
     if not source_columns:
         raise ExecutionError(f"transfer op {op.describe()} has no join attributes")
-    return combine_key_columns_pair(source_columns, target_columns)
+    return combine(source_columns, target_columns)
 
 
 def transfer_probe_input(run: RunState, relation: BoundRelation, column: str):

@@ -27,7 +27,7 @@ The unit of the plan is the *step*: one transfer step is a
 join-scoped Bloom pair and a ``HashBuild`` / ``HashProbe`` pair sharing a
 ``build_id``.  The executor keeps one record per step id and per build id,
 and the adaptive controller cancels whole steps.  How an op runs is not in
-the plan: whether a ``HashBuild`` radix-partitions its build side is decided
+the plan: which index a ``HashBuild`` builds over its build side is decided
 by the executor from the rows it has just materialized.
 
 Ops reference their inputs through :class:`Operand` — either a bound base
@@ -129,8 +129,8 @@ class BloomBuild(PhysicalOp):
     """Build and publish a Bloom filter over ``source``'s current join-key values.
 
     ``target`` is carried for key resolution only: composite join keys are
-    densified with a dictionary shared by both sides, so the build op must
-    know which probe side it pairs with.  ``prunable`` marks steps that are
+    packed with radices shared by both sides, so the build op must know
+    which probe side it pairs with.  ``prunable`` marks steps that are
     *statically* trivial (single-attribute PK side of a declared PK-FK join,
     §4.3); the executor skips the build/probe pair at runtime when the source
     is additionally still unfiltered.
@@ -191,11 +191,11 @@ class SemiJoinReduce(PhysicalOp):
 class HashBuild(PhysicalOp):
     """Materialize the build side of one hash join (build id ``build_id``).
 
-    For single-attribute joins the op also gathers the build keys and sorts
-    the hash index — radix-partitioned when the materialized build side is
-    large (the executor's run-time choice) — so its trace entry carries the
-    build cost.  Composite keys must be densified jointly with the probe
-    side, so for multi-attribute joins that work happens in the paired
+    For single-attribute joins the op also gathers the build keys and builds
+    the hash index — a direct-address table or a sorted index, the
+    executor's run-time choice from the rows it sees — so its trace entry
+    carries the build cost.  Composite keys must be packed jointly with the
+    probe side, so for multi-attribute joins that work happens in the paired
     ``HashProbe`` and this op's trace time covers materialization only.
     """
 

@@ -1,8 +1,8 @@
 """Memory governance: the live :class:`MemoryGovernor`.
 
 :class:`MemoryGovernor` is the memory-budget authority of the pipeline
-executor.  Operators reserve budget **before** materializing build sides or
-partitions; when a reservation pushes the total over budget, the governor
+executor.  Operators reserve budget for the build sides they materialize; when a
+reservation pushes the total over budget, the governor
 evicts least-recently-used evictable reservations through a spill handler
 (:class:`~repro.exec.spill.SpillManager`), and a later touch of a spilled
 reservation charges the reload.  Execution results are bit-identical with
@@ -92,7 +92,7 @@ class MemoryGovernor:
     """Grants, tracks, and reclaims the executor's memory budget *during* a run.
 
     The governor sits in the execution hot path: an operator calls
-    :meth:`reserve` before materializing a build side or a partition,
+    :meth:`reserve` for a build side it materializes,
     :meth:`touch` before probing it, and :meth:`release` once the data is
     dead.  When a reservation exceeds the budget, the least-recently-used
     *evictable* reservations are spilled through the handler until the total

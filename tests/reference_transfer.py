@@ -25,7 +25,7 @@ from typing import Dict
 import numpy as np
 
 from repro.bloom.bloom_filter import DEFAULT_FPR, BloomFilter
-from repro.exec.kernels import combine_key_columns_pair
+from repro.exec.kernels import densify_key_columns_pair
 
 
 def replay_reduced_rows(db, query, schedule, fpr: float = DEFAULT_FPR) -> Dict[str, int]:
@@ -55,7 +55,7 @@ def replay_reduced_rows(db, query, schedule, fpr: float = DEFAULT_FPR) -> Dict[s
         if len(classes) == 1:
             build, probe = source_keys[0], target_keys[0]
         else:
-            build, probe = combine_key_columns_pair(source_keys, target_keys)
+            build, probe = densify_key_columns_pair(source_keys, target_keys)
         if len(classes) == 1 and (step.source in has_table or _dense(build, probe.size)):
             has_table.add(step.source)
             keep = np.isin(probe, build)

@@ -1,8 +1,7 @@
 """Tests for the hash-once execution layer.
 
 Covers the query-lifetime :class:`~repro.exec.hashcache.HashCache`, the
-precomputed-hash kernel APIs (Bloom insert/probe, radix partitioning,
-``HashIndex`` with a precomputed order), the cross-query
+precomputed-hash kernel APIs (Bloom insert/probe), the cross-query
 :class:`~repro.storage.artifacts.ArtifactCache` (including table-change and
 filter-change invalidation), the bit-identity matrix — PT/RPT
 ``reduced_rows`` against the straight-line replay of
@@ -38,13 +37,6 @@ from repro import (
 from repro.bloom.bloom_filter import BloomFilter, hash_keys, key_patterns
 from repro.errors import CatalogError
 from repro.exec.hashcache import HashCache
-from repro.exec.kernels import (
-    HashIndex,
-    PartitionedHashIndex,
-    radix_hash,
-    radix_partition,
-    radix_partition_ids,
-)
 from repro.expr import eq, lt
 from repro.storage.artifacts import ArtifactCache, ArtifactKey, mask_fingerprint
 from repro.workloads import dsb, job, synthetic, tpcds, tpch
@@ -275,42 +267,6 @@ class TestPrecomputedHashKernels:
             bloom.insert()
         with pytest.raises(ExecutionError):
             bloom.probe()
-
-    def test_radix_partition_with_hashes_bit_matches(self):
-        rng = np.random.default_rng(4)
-        keys = rng.integers(0, 2**62, size=10_000)
-        hashes = radix_hash(keys)
-        np.testing.assert_array_equal(
-            radix_partition_ids(keys, 6), radix_partition_ids(keys, 6, hashes=hashes)
-        )
-        direct = radix_partition(keys, 5)
-        replayed = radix_partition(keys, 5, hashes=hashes)
-        np.testing.assert_array_equal(direct.order, replayed.order)
-        np.testing.assert_array_equal(direct.partitioned_keys, replayed.partitioned_keys)
-
-    def test_partitioned_match_with_probe_hashes(self):
-        rng = np.random.default_rng(5)
-        build = rng.integers(0, 5_000, size=20_000, dtype=np.int64)
-        probe = rng.integers(0, 5_000, size=30_000, dtype=np.int64)
-        index = PartitionedHashIndex(build, bits=4, hashes=radix_hash(build))
-        direct = index.match(probe)
-        replayed = index.match(probe, probe_hashes=radix_hash(probe))
-        np.testing.assert_array_equal(direct.probe_indices, replayed.probe_indices)
-        np.testing.assert_array_equal(direct.build_indices, replayed.build_indices)
-
-    def test_hash_index_with_precomputed_order(self):
-        rng = np.random.default_rng(6)
-        keys = rng.integers(0, 1_000, size=5_000, dtype=np.int64)
-        probe = rng.integers(0, 1_000, size=5_000, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        fresh = HashIndex(keys)
-        replayed = HashIndex(keys, order=order)
-        assert replayed._order is not None  # the sort was skipped
-        np.testing.assert_array_equal(
-            fresh.match(probe).build_indices, replayed.match(probe).build_indices
-        )
-        np.testing.assert_array_equal(fresh.contains(probe), replayed.contains(probe))
-        assert replayed.index_bytes() >= keys.nbytes
 
 
 # ---------------------------------------------------------------------------

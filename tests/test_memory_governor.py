@@ -14,7 +14,6 @@ import random
 import pytest
 
 from repro import Database, ExecutionConfig, ExecutionMode, ExecutionOptions
-from repro.exec import join_ops
 from repro.exec.spill import SpillManager
 from repro.storage.buffer import MemoryGovernor
 
@@ -167,13 +166,6 @@ class TestEviction:
 # Governed execution bit-matches the unbudgeted run
 # ---------------------------------------------------------------------------
 class TestGovernedExecution:
-    @pytest.fixture(autouse=True)
-    def _partition_aggressively(self, monkeypatch):
-        # So the governor has partition-granular reservations to spill even
-        # on the small test fixture.
-        monkeypatch.setattr(join_ops, "PARTITION_THRESHOLD", 1)
-        monkeypatch.setattr(join_ops, "PARTITION_BITS", 3)
-
     def _config(self, budget=None) -> ExecutionConfig:
         return ExecutionConfig(backend="serial", memory_budget_bytes=budget)
 

@@ -1,13 +1,11 @@
-"""Tests for the morsel-parallel runtime and the radix-partitioned hash joins.
+"""Tests for the morsel-parallel runtime.
 
-Covers the radix-partitioning kernels (partition ids, permutation/offsets,
-:class:`PartitionedHashIndex` match equivalence with the monolithic
-kernels), ``HashBuild``'s run-time choice between a monolithic and a
-radix-partitioned index (decided from the materialized build rows), the
-:class:`MorselBackend` morsel scheduler (bit-identical results on its edge
-inputs, morsel counters, pool lifecycle), and the ``REPRO_BACKEND`` reroute
-of whole queries behind the CI backend matrix (the per-variable resolution
-cases of the former ``TestExecutionConfigResolution`` are the table-driven
+Covers the :class:`MorselBackend` morsel scheduler (bit-identical results on
+its edge inputs, morsel counters, pool lifecycle), the hash join's run-time
+index choice as the op records show it (made from the rows the join sees,
+the same on every backend), and the ``REPRO_BACKEND`` reroute of whole
+queries behind the CI backend matrix (the per-variable resolution cases of
+the former ``TestExecutionConfigResolution`` are the table-driven
 ``test_config_resolution.py``).
 """
 
@@ -20,95 +18,10 @@ import pytest
 
 from repro import Database, ExecutionConfig, ExecutionMode, ExecutionOptions
 from repro.errors import ExecutionError
-from repro.exec.kernels import (
-    HashIndex,
-    PartitionedHashIndex,
-    match_keys,
-    radix_partition,
-    radix_partition_ids,
-)
-from repro.exec import backends, join_ops
+from repro.exec.kernels import HashIndex
+from repro.exec import backends
 from repro.exec.backends import MorselBackend
 from repro.exec.faults import CancelToken
-
-
-# ---------------------------------------------------------------------------
-# Radix partitioning kernels
-# ---------------------------------------------------------------------------
-class TestRadixPartition:
-    def test_partition_ids_cover_range_and_agree_across_sides(self):
-        rng = np.random.default_rng(3)
-        keys = rng.integers(0, 2**60, size=10_000, dtype=np.int64)
-        pids = radix_partition_ids(keys, bits=5)
-        assert pids.dtype == np.uint16
-        assert pids.min() >= 0 and pids.max() < 32
-        # Equal keys hash to equal partitions regardless of the array they sit in.
-        np.testing.assert_array_equal(pids, radix_partition_ids(keys.copy(), bits=5))
-
-    def test_partition_ids_rejects_bad_bits(self):
-        keys = np.arange(10, dtype=np.int64)
-        with pytest.raises(ExecutionError):
-            radix_partition_ids(keys, bits=0)
-        with pytest.raises(ExecutionError):
-            radix_partition_ids(keys, bits=17)
-
-    def test_partitioning_is_a_permutation_with_consistent_offsets(self):
-        rng = np.random.default_rng(4)
-        keys = rng.integers(0, 1_000, size=5_000, dtype=np.int64)
-        parts = radix_partition(keys, bits=4)
-        assert parts.num_rows == keys.shape[0]
-        np.testing.assert_array_equal(np.sort(parts.order), np.arange(keys.shape[0]))
-        assert int(parts.offsets[-1]) == keys.shape[0]
-        pids = radix_partition_ids(keys, bits=4)
-        for p in range(parts.num_partitions):
-            segment = parts.segment_keys(p)
-            assert segment.shape[0] == parts.partition_rows(p)
-            # Every row in partition p hashes to p, and maps back to its key.
-            assert (radix_partition_ids(segment, bits=4) == p).all()
-            np.testing.assert_array_equal(keys[parts.segment_order(p)], segment)
-        assert int(np.bincount(pids, minlength=16).sum()) == keys.shape[0]
-
-    def test_partitioned_match_agrees_with_monolithic(self):
-        rng = np.random.default_rng(5)
-        build = rng.integers(0, 700, size=4_000, dtype=np.int64)
-        probe = rng.integers(0, 700, size=6_000, dtype=np.int64)
-        mono = match_keys(probe, build)
-        part = PartitionedHashIndex(build, bits=4).match(probe)
-        # Same multiset of (probe, build) pairs, partition order notwithstanding.
-        assert part.num_matches == mono.num_matches
-        mono_pairs = np.sort(mono.probe_indices * 1_000_000 + mono.build_indices)
-        part_pairs = np.sort(part.probe_indices * 1_000_000 + part.build_indices)
-        np.testing.assert_array_equal(mono_pairs, part_pairs)
-
-    def test_empty_sides(self):
-        empty = np.zeros(0, dtype=np.int64)
-        some = np.array([1, 2, 3], dtype=np.int64)
-        index = PartitionedHashIndex(empty, bits=2)
-        assert index.match(some).num_matches == 0
-        full = PartitionedHashIndex(some, bits=2)
-        assert full.match(empty).num_matches == 0
-
-    def test_build_counts_pending_partitions_once(self):
-        keys = np.arange(1_000, dtype=np.int64)
-        index = PartitionedHashIndex(keys, bits=3)
-        first = index.build()
-        assert first > 0
-        assert index.build() == 0  # already built: nothing pending
-
-    def test_parallel_task_runner_matches_serial(self):
-        rng = np.random.default_rng(7)
-        build = rng.integers(0, 500, size=8_000, dtype=np.int64)
-        probe = rng.integers(0, 500, size=8_000, dtype=np.int64)
-        backend = MorselBackend(num_threads=4)
-        try:
-            serial = PartitionedHashIndex(build, bits=4).match(probe)
-            parallel_index = PartitionedHashIndex(build, bits=4)
-            parallel_index.build(run_tasks=backend.map_tasks)
-            parallel = parallel_index.match(probe, run_tasks=backend.map_tasks)
-        finally:
-            backend.close()
-        np.testing.assert_array_equal(serial.probe_indices, parallel.probe_indices)
-        np.testing.assert_array_equal(serial.build_indices, parallel.build_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -193,86 +106,50 @@ class TestParallelBackend:
 
     def test_close_is_idempotent(self):
         backend = MorselBackend(num_threads=2, morsel_size=4)
-        backend.map_tasks([lambda: 1, lambda: 2, lambda: 3])
+        backend.probe_mask(np.arange(10, dtype=np.int64), lambda k: k > 5)  # starts the pool
         backend.close()
         backend.close()
 
 
 # ---------------------------------------------------------------------------
-# Radix partitioning: HashBuild's run-time choice
+# The join index: HashBuild's run-time choice
 # ---------------------------------------------------------------------------
-def _partition_from(monkeypatch, rows: int) -> None:
-    """Lower the executor's constants so the small fixture's joins can partition."""
-    monkeypatch.setattr(join_ops, "PARTITION_THRESHOLD", rows)
-    monkeypatch.setattr(join_ops, "PARTITION_BITS", 3)
-
-
-class TestPartitionedJoins:
+class TestJoinIndexChoice:
     def _options(self, backend: str) -> ExecutionOptions:
         return ExecutionOptions(
             execution=ExecutionConfig(backend=backend, num_threads=4, num_workers=2)
         )
 
-    def test_decision_follows_the_materialized_build_rows(
-        self, imdb_db, chain_query, monkeypatch
+    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
+    def test_records_name_the_index_and_every_backend_chooses_alike(
+        self, imdb_db, chain_query, sparse_db, sparse_query, all_modes, backend, morsel_rows
     ):
-        """The transfer phase shrinks build sides the static estimate (largest
-        member's filtered base rows) says are large: those run monolithic, and
-        only a build side that *is* large once materialized partitions."""
-        threshold = 100
-        _partition_from(monkeypatch, threshold)
-        graph = imdb_db.join_graph(chain_query)
-        result = imdb_db.execute(
-            chain_query, mode=ExecutionMode.RPT, options=self._options("serial")
-        )
-        assert set(result.physical_plan.op_kinds()) <= {
-            "scan", "filter_push", "bloom_build", "bloom_probe", "hash_build", "hash_probe",
-            "aggregate",
-        }
-        trace = result.stats.op_trace().splitlines()[1:]
-        records = {kind: [op for op in result.op_stats if op.kind == kind]
-                   for kind in ("hash_build", "hash_probe")}
-        decisions = []
-        for step, build, probe in zip(
-            result.stats.join_steps, records["hash_build"], records["hash_probe"]
-        ):
-            assert max(graph.size(alias) for alias in step.right_aliases) >= threshold
-            partitioned = step.build_rows >= threshold
-            decisions.append(partitioned)
-            for record in (build, probe):
-                assert record.radix_bits == (3 if partitioned else 0)
-                assert ("[radix 2^3]" in trace[record.index]) == partitioned
-        assert True in decisions and False in decisions
+        """Dense ids take a direct-address table, keys from a 2^60 domain the sorted
+        index; both ops of a join carry the choice, the trace and the total
+        show it, and cutting the probe side into morsels changes nothing."""
+        morsel_rows(64)
+        for db, query, direct in ((imdb_db, chain_query, True), (sparse_db, sparse_query, False)):
+            for mode in all_modes:
+                serial = db.execute(query, mode=mode, options=self._options("serial"))
+                result = db.execute(query, mode=mode, options=self._options(backend))
+                assert result.aggregates == serial.aggregates
+                kinds = [op.join_index for op in result.op_stats if op.kind == "hash_probe"]
+                assert kinds and kinds == [
+                    op.join_index for op in serial.op_stats if op.kind == "hash_probe"
+                ]
+                assert all(kind.startswith("direct") == direct for kind in kinds), (mode, kinds)
+                assert result.stats.sorted_index_joins == (0 if direct else len(kinds))
+                trace = result.stats.op_trace().splitlines()[1:]
+                for op in result.op_stats:
+                    if op.kind in ("hash_build", "hash_probe"):
+                        assert op.join_index and f" [{op.join_index}]" in trace[op.index]
+                    else:
+                        assert not op.join_index
 
-    def test_small_build_sides_stay_monolithic(self, imdb_db, chain_query):
-        assert max(imdb_db.join_graph(chain_query).relation_sizes.values()) < (
-            join_ops.PARTITION_THRESHOLD
-        )
-        result = imdb_db.execute(chain_query)
-        assert not any(op.radix_bits for op in result.op_stats)
-        assert "[radix" not in result.stats.op_trace()
-
-    @pytest.mark.parametrize("backend", ["serial", "parallel", "process"])
-    def test_partitioned_execution_matches_monolithic(
-        self, imdb_db, chain_query, all_modes, backend, monkeypatch
-    ):
-        monolithic_results = {mode: imdb_db.execute(chain_query, mode=mode) for mode in all_modes}
-        _partition_from(monkeypatch, 1)
-        for mode, monolithic in monolithic_results.items():
-            assert not any(op.radix_bits for op in monolithic.op_stats)
-            partitioned = imdb_db.execute(
-                chain_query, mode=mode, options=self._options(backend)
-            )
-            assert any(op.radix_bits for op in partitioned.op_stats), (mode, backend)
-            assert monolithic.aggregates == partitioned.aggregates, (mode, backend)
-            assert monolithic.output_rows == partitioned.output_rows, (mode, backend)
-
-    def test_partitioned_builds_record_morsel_counts(self, imdb_db, chain_query, monkeypatch):
-        _partition_from(monkeypatch, 1)
-        result = imdb_db.execute(chain_query, options=self._options("parallel"))
-        builds = [o for o in result.op_stats if o.kind == "hash_build" and o.radix_bits]
-        assert builds
-        assert all(o.morsels > 0 for o in builds)
+    def test_build_side_with_duplicate_keys_is_not_the_unique_table(self, imdb_db, chain_query):
+        result = imdb_db.execute(chain_query, mode=ExecutionMode.BASELINE)
+        kinds = {op.join_index for op in result.op_stats if op.kind == "hash_build"}
+        assert kinds == {"direct", "direct-unique"}
 
 
 # ---------------------------------------------------------------------------
