@@ -9,7 +9,10 @@ Transfer.  This module provides the same structure in NumPy:
   positions inside that block;
 * insert sets those bits, probe tests them — both as single vectorized
   passes over the whole key array, which is the NumPy analogue of the SIMD
-  batch probe in Arrow.
+  batch probe in Arrow;
+* the hashing pass behind both (:func:`hash_keys`, :func:`key_patterns`) is
+  *blocked*: it walks the keys in cache-sized blocks, every ufunc writing in
+  place, so no pass allocates a table-sized temporary.
 
 Because every block is a single machine word, a probe touches exactly one
 cache line, which is what makes Bloom probes several times cheaper than hash
@@ -33,18 +36,29 @@ DEFAULT_FPR = 0.02
 #: Number of bits set per key inside its block.
 BITS_PER_KEY = 4
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+#: Keys per step of the hashing pass: a step's working set (result slice +
+#: two scratch buffers, 384 KiB) stays in L2.  A constant, not a knob.
+_HASH_BLOCK = 1 << 14
+
+_U64 = np.uint64
 
 
 def _splitmix64(keys: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer: a cheap, well-mixing 64-bit hash."""
-    z = keys.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z = (z + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-        z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-        z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-        z = z ^ (z >> np.uint64(31))
-    return z
+    """Vectorized splitmix64 finalizer: a cheap, well-mixing 64-bit hash
+    (wrapping ``uint64`` arithmetic; ``keys`` may be strided)."""
+    out = np.empty(keys.shape[0], dtype=np.uint64)
+    scratch = np.empty(min(_HASH_BLOCK, keys.shape[0]), dtype=np.uint64)
+    for lo in range(0, keys.shape[0], _HASH_BLOCK):
+        z = out[lo : lo + _HASH_BLOCK]
+        t = scratch[: z.shape[0]]
+        np.add(keys[lo : lo + _HASH_BLOCK], _U64(0x9E3779B97F4A7C15), out=z)
+        for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+            np.right_shift(z, _U64(shift), out=t)
+            np.bitwise_xor(z, t, out=z)
+            np.multiply(z, _U64(multiplier), out=z)
+        np.right_shift(z, _U64(31), out=t)
+        np.bitwise_xor(z, t, out=z)
+    return out
 
 
 def hash_keys(keys: np.ndarray) -> np.ndarray:
@@ -65,13 +79,21 @@ def key_patterns(hashes: np.ndarray) -> np.ndarray:
     sets within its block depend only on the key's hash — not on the filter —
     so they too can be computed once per column and replayed across every
     insert and probe (this derivation is the bulk of the per-pass hash work).
+    Bit ``i`` is ``((h >> 6·(i+1)) ^ (h >> 32 + 3·i)) & 63``.
     """
-    pattern = np.zeros(hashes.shape, dtype=np.uint64)
-    rotated = hashes
-    for i in range(BITS_PER_KEY):
-        rotated = rotated >> np.uint64(6)
-        bit_pos = (rotated ^ (hashes >> np.uint64(32 + 3 * i))) & np.uint64(63)
-        pattern |= np.uint64(1) << bit_pos
+    pattern = np.zeros(hashes.shape[0], dtype=np.uint64)
+    scratch = np.empty((2, min(_HASH_BLOCK, hashes.shape[0])), dtype=np.uint64)
+    for lo in range(0, hashes.shape[0], _HASH_BLOCK):
+        h = hashes[lo : lo + _HASH_BLOCK]
+        p = pattern[lo : lo + _HASH_BLOCK]
+        rotated, bit = scratch[0, : h.shape[0]], scratch[1, : h.shape[0]]
+        for i in range(BITS_PER_KEY):
+            np.right_shift(rotated if i else h, _U64(6), out=rotated)
+            np.right_shift(h, _U64(32 + 3 * i), out=bit)
+            np.bitwise_xor(rotated, bit, out=bit)
+            np.bitwise_and(bit, _U64(63), out=bit)
+            np.left_shift(_U64(1), bit, out=bit)
+            np.bitwise_or(p, bit, out=p)
     return pattern
 
 

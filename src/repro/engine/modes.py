@@ -217,7 +217,10 @@ class ExecutionConfig:
     side has a dense integer key domain runs as an exact bitmap semi-join
     (strictly tighter than the filter it replaces); a hash join over a
     bounded integer key domain matches through a direct-address table, any
-    other through a sorted index; morsel sizes are
+    other through a sorted index; a relation that is still its whole table
+    holds no row-id vector and hands out read-only views of the base
+    columns, and every reduction compresses through ``flatnonzero`` +
+    ``take`` (:mod:`repro.exec.relation`); morsel sizes are
     each backend preset's constant (2048 rows chunked, 32768 parallel, 65536
     process).
 

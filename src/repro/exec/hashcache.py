@@ -15,12 +15,15 @@ bit-identical to hashing directly):
   immutable base column.  Computed only when some consumer touches the
   column while its relation is unreduced — then the pass costs no gather at
   all — and afterwards served to reduced consumers through one
-  ``hashes[row_indices]`` gather (:meth:`peek_bloom_pass`).
+  ``hashes.take(row_indices)`` gather (:meth:`peek_bloom_pass`).
 * **Per-selection passes** (:meth:`selection_pass` /
   :meth:`store_selection_pass`) keyed by the identity of a relation's
   ``row_indices`` array: a transfer step's build and probe over the same
   relation state, or two steps between which the relation was not reduced,
-  share one pass with zero re-gathering.
+  share one pass with zero re-gathering.  An unreduced relation holds no
+  ``row_indices`` vector and so has no selection token; it is the case the
+  full-column pass serves, keyed by the column buffer's own token (an
+  ``arange`` materialized per call would get a fresh token and always miss).
 
 The hash join itself hashes nothing — :class:`~repro.exec.kernels.HashIndex`
 addresses a table by ``key - min`` or binary-searches sorted keys — so only

@@ -276,9 +276,10 @@ def _result_bloom_pass(
     compute = unreduced and result.num_rows * 4 >= relation.table.num_rows
     full = full_bloom_pass(run, relation, attr_class.column_of(alias), compute=compute)
     if full is not None:
-        positions = result.positions[alias]
-        row_ids = positions if unreduced else relation.row_indices[positions]
-        return full[0][row_ids], full[1][row_ids]
+        row_ids = result.positions[alias]
+        if relation.row_indices is not None:  # identity: positions are row ids
+            row_ids = relation.row_indices.take(row_ids)
+        return full[0].take(row_ids), full[1].take(row_ids)
     run.record.hash_misses += 1
     hashes = hash_keys(keys)
     return hashes, key_patterns(hashes)

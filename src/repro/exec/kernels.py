@@ -92,12 +92,13 @@ def densify_key_columns_pair(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Combine composite keys through a dictionary shared by both sides.
 
-    Every column is densified with :func:`numpy.unique` over both sides (a
-    sort per column) and the codes are combined mixed-radix, so the combined
-    values depend only on the ranks of the column values.  A Bloom filter's
-    false positives depend on the values it hashes, so the Bloom steps keep
-    these keys — and with them every tuple count downstream — whatever
-    :func:`combine_key_columns_pair` packs for the exact ones.
+    Every column is replaced by the dense ranks of its values over both
+    sides (:func:`_dense_ranks`) and the ranks are combined mixed-radix, so
+    the combined values depend only on the ranks of the column values.  A
+    Bloom filter's false positives depend on the values it hashes, so the
+    Bloom steps keep these keys — and with them every tuple count
+    downstream — whatever :func:`combine_key_columns_pair` packs for the
+    exact ones.
     """
     left_columns, right_columns = _key_columns(left_columns, right_columns)
     if len(left_columns) == 1:
@@ -110,11 +111,32 @@ def densify_key_columns_pair(
     right_combined = np.zeros(right_columns[0].shape[0], dtype=np.int64)
     for left_col, right_col in zip(left_columns, right_columns):
         both = np.concatenate([left_col, right_col])
-        _, codes = np.unique(both, return_inverse=True)
+        codes = _dense_ranks(both)
         radix = int(codes.max()) + 1 if both.size else 1
-        left_combined = left_combined * np.int64(radix) + codes[:n_left].astype(np.int64)
-        right_combined = right_combined * np.int64(radix) + codes[n_left:].astype(np.int64)
+        left_combined = left_combined * np.int64(radix) + codes[:n_left]
+        right_combined = right_combined * np.int64(radix) + codes[n_left:]
     return left_combined, right_combined
+
+
+def _dense_ranks(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values, return_inverse=True)[1]`` as ``int64``, without the
+    sort when it can be avoided.
+
+    Integers over a domain :meth:`HashIndex.table_worthwhile` accepts rank
+    through a presence table: a value's rank is the number of present values
+    up to it, ``cumsum(present) - 1`` gathered at ``value - min``.
+    """
+    if np.issubdtype(values.dtype, np.integer) and values.dtype != np.uint64:
+        index = HashIndex(values.astype(np.int64, copy=False))
+        if index.table_worthwhile(entry_bytes=8):
+            lo, hi = index.key_bounds()
+            offsets = index.keys - lo
+            present = np.zeros(hi - lo + 1, dtype=bool)
+            present[offsets] = True
+            ranks = np.cumsum(present)
+            ranks -= 1
+            return ranks.take(offsets)
+    return np.unique(values, return_inverse=True)[1].astype(np.int64, copy=False)
 
 
 def _pack_arithmetically(left_columns, right_columns):

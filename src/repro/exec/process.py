@@ -124,10 +124,11 @@ class _GatherInput:
     ``column`` is either a raw :class:`ShmArrayRef` or an
     :class:`~repro.storage.shm.EncodedColumnRef`; encoded refs are decoded
     after the gather, so workers see the exact physical values either way.
+    ``selection`` is ``None`` for an identity relation: morsels are slices.
     """
 
     column: Union[ShmArrayRef, EncodedColumnRef]
-    selection: ShmArrayRef
+    selection: Optional[ShmArrayRef]
 
 
 _TaskInput = Union[_ArraysInput, _GatherInput]
@@ -141,27 +142,31 @@ class ShmGather:
     worker processes — workers gather their own morsel from the shared
     base column, so the parent never materializes the probe keys at all.
     Backends that do not understand it receive the materialized array.
+    ``selection`` is ``None`` for an identity relation (every row, in order).
     """
 
     __slots__ = ("column_ref", "selection", "column_data")
 
     def __init__(
-        self, column_ref: ShmArrayRef, selection: np.ndarray, column_data: np.ndarray
+        self, column_ref: ShmArrayRef, selection: Optional[np.ndarray], column_data: np.ndarray
     ) -> None:
         self.column_ref = column_ref
-        self.selection = np.asarray(selection)
+        self.selection = selection
         self.column_data = column_data
 
     @property
     def rows(self) -> int:
-        return int(self.selection.shape[0])
+        rows = self.column_data if self.selection is None else self.selection
+        return int(rows.shape[0])
 
     def materialize(self) -> np.ndarray:
         """The equivalent eager probe-key array (used for inline fallbacks)."""
-        return self.column_data[self.selection]
+        return self.materialize_slice(0, self.rows)
 
     def materialize_slice(self, lo: int, hi: int) -> np.ndarray:
         """One morsel of the eager gather (the inline crash-recovery path)."""
+        if self.selection is None:
+            return self.column_data[lo:hi]
         return self.column_data[self.selection[lo:hi]]
 
 
@@ -207,11 +212,13 @@ def _resolve_spec(spec_ref: ShmArrayRef) -> object:
 
 def _materialize_input(task_input: _TaskInput, lo: int, hi: int) -> ProbeInput:
     if isinstance(task_input, _GatherInput):
-        selection = shm.attach_array(task_input.selection)
+        if task_input.selection is None:
+            rows = slice(lo, hi)
+        else:
+            rows = shm.attach_array(task_input.selection)[lo:hi]
         if isinstance(task_input.column, EncodedColumnRef):
-            return shm.gather_encoded(task_input.column, selection[lo:hi])
-        column = shm.attach_array(task_input.column)
-        return column[selection[lo:hi]]
+            return shm.gather_encoded(task_input.column, rows)
+        return shm.attach_array(task_input.column)[rows]
     arrays = tuple(shm.attach_array(ref)[lo:hi] for ref in task_input.refs)
     if task_input.is_tuple:
         return arrays
@@ -401,9 +408,12 @@ class ProcessBackend(ExecutionBackend):
         """
         segments = []
         if isinstance(keys, ShmGather):
-            selection_segment, selection_ref = shm.share_array(keys.selection)
-            segments.append(selection_segment)
-            self.record.shm_bytes += selection_ref.nbytes + keys.column_ref.nbytes
+            selection_ref = None
+            self.record.shm_bytes += keys.column_ref.nbytes
+            if keys.selection is not None:
+                selection_segment, selection_ref = shm.share_array(keys.selection)
+                segments.append(selection_segment)
+                self.record.shm_bytes += selection_ref.nbytes
             return segments, _GatherInput(column=keys.column_ref, selection=selection_ref)
         parts = keys if isinstance(keys, tuple) else (keys,)
         refs = []

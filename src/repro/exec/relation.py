@@ -4,14 +4,21 @@ Two representations are used:
 
 * :class:`BoundRelation` — a base-table occurrence after base-filter
   application and (possibly) semi-join reduction.  It keeps the underlying
-  :class:`~repro.storage.table.Table` plus a row-index array, so reductions
-  are cheap (index filtering) and columns are gathered lazily.
+  :class:`~repro.storage.table.Table` plus the positions of the surviving
+  rows, so reductions are cheap (index filtering) and columns are gathered
+  lazily.  A relation that is still the whole table — no filter, or one that
+  kept every row — is the *identity* selection and holds no row-id vector
+  (``row_indices is None``): its values are **read-only views** of the base
+  columns, not ``data[arange(n)]`` copies.  Arrays a relation returns are
+  read-only by contract; the identity case enforces it.
 
 * :class:`IntermediateResult` — the output of the join phase so far,
   represented *late-materialized*: for every participating relation alias it
   stores an array of row positions into that relation's BoundRelation.  A
   binary join therefore only produces index vectors; real column values are
-  only gathered when a join key or the final aggregate needs them.
+  only gathered when a join key or the final aggregate needs them — in one
+  hop from an identity relation, otherwise through the shorter of the two
+  index vectors first.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ class BoundRelation:
         The underlying catalog table.
     row_indices:
         Positions of the surviving rows within ``table`` (after base filters
-        and any semi-join reductions applied so far).
+        and any semi-join reductions applied so far); ``None`` while the
+        relation is still the whole table.  Never mutated, only replaced.
     version:
         Monotonic counter bumped by every in-place reduction.  Executors use
         it to invalidate cached :class:`~repro.exec.kernels.HashIndex`
@@ -48,36 +56,47 @@ class BoundRelation:
 
     alias: str
     table: Table
-    row_indices: np.ndarray
+    row_indices: Optional[np.ndarray] = None
     version: int = 0
 
     @classmethod
     def from_table(cls, alias: str, table: Table, mask: Optional[np.ndarray] = None) -> "BoundRelation":
         """Bind a table, optionally pre-filtered by a boolean mask."""
-        if mask is None:
-            indices = np.arange(table.num_rows, dtype=np.int64)
-        else:
-            indices = np.nonzero(np.asarray(mask, dtype=bool))[0].astype(np.int64)
-        return cls(alias=alias, table=table, row_indices=indices)
+        relation = cls(alias=alias, table=table)
+        if mask is not None:
+            relation._select(np.flatnonzero(np.asarray(mask, dtype=bool)))
+        return relation
 
     @property
     def num_rows(self) -> int:
         """Number of surviving rows."""
+        if self.row_indices is None:
+            return self.table.num_rows
         return int(self.row_indices.shape[0])
+
+    def row_ids(self) -> np.ndarray:
+        """``row_indices``, materialized for an identity relation too (not hot-path)."""
+        if self.row_indices is None:
+            return np.arange(self.table.num_rows, dtype=np.int64)
+        return self.row_indices
 
     def key_values(self, column: str) -> np.ndarray:
         """Physical (integer-encoded) values of ``column`` for the surviving rows."""
-        col = self.table.column(column)
-        if not col.dtype.is_integer_backed:
+        if not self.table.column(column).dtype.is_integer_backed:
             raise ExecutionError(
                 f"column {column!r} of {self.table.name!r} is not integer-backed; "
                 "only integer-backed columns can be join keys"
             )
-        return col.data[self.row_indices]
+        return self.column_values(column)
 
     def column_values(self, column: str) -> np.ndarray:
-        """Physical values of any column for the surviving rows."""
-        return self.table.column(column).data[self.row_indices]
+        """Physical values of any column for the surviving rows (read-only)."""
+        data = self.table.column(column).data
+        if self.row_indices is None:
+            values = data.view()
+            values.flags.writeable = False
+            return values
+        return data.take(self.row_indices)
 
     def keep(self, mask: np.ndarray) -> None:
         """Reduce the relation in place: keep rows where ``mask`` is True."""
@@ -86,17 +105,20 @@ class BoundRelation:
             raise ExecutionError(
                 f"semi-join mask length {mask.shape[0]} does not match relation size {self.num_rows}"
             )
-        self.row_indices = self.row_indices[mask]
+        self._select(np.flatnonzero(mask))
         self.version += 1
+
+    def _select(self, kept: np.ndarray) -> None:
+        """Narrow to the ``kept`` positions of the current selection: a ``take``
+        costs the rows kept, where a boolean fancy-index costs the rows scanned."""
+        if self.row_indices is not None:
+            self.row_indices = self.row_indices.take(kept)
+        elif kept.shape[0] != self.table.num_rows:
+            self.row_indices = kept
 
     def snapshot(self) -> "BoundRelation":
         """An independent copy (used to rerun the join phase with multiple orders)."""
-        return BoundRelation(
-            alias=self.alias,
-            table=self.table,
-            row_indices=self.row_indices.copy(),
-            version=self.version,
-        )
+        return BoundRelation(self.alias, self.table, self.row_indices, self.version)
 
     def estimated_bytes(self) -> int:
         """Approximate size of the surviving rows in bytes (for spill accounting)."""
@@ -136,8 +158,15 @@ class IntermediateResult:
         """Gather the physical values of ``alias.column`` for every joined tuple."""
         if alias not in self.positions:
             raise ExecutionError(f"intermediate result does not contain relation {alias!r}")
+        positions = self.positions[alias]
         relation = relations[alias]
-        return relation.column_values(column)[self.positions[alias]]
+        data = relation.table.column(column).data
+        rows = relation.row_indices
+        if rows is None:
+            return data.take(positions)
+        if positions.shape[0] < rows.shape[0]:
+            return data.take(rows.take(positions))
+        return data.take(rows).take(positions)
 
     def take(self, row_selector: np.ndarray) -> "IntermediateResult":
         """Gather a subset / reordering of the joined tuples."""
@@ -168,14 +197,13 @@ class IntermediateResult:
         term: QualifiedComparison,
     ) -> np.ndarray:
         """Evaluate one qualified comparison over the joined tuples."""
-        relation = relations[term.alias]
-        column = relation.table.column(term.column)
+        column = relations[term.alias].table.column(term.column)
         values = self.column_values(relations, term.alias, term.column)
-        rhs = column.encode_literal(term.value)
         if column.dtype is DataType.STRING and term.op not in ("==", "!="):
-            decoded = column.decode()[relation.row_indices][self.positions[term.alias]].astype(str)
+            # Decode the gathered rows' codes, never the whole column.
+            decoded = np.asarray(column.dictionary, dtype=object)[values].astype(str)
             return _compare(decoded, term.op, str(term.value))
-        return _compare(values, term.op, rhs)
+        return _compare(values, term.op, column.encode_literal(term.value))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntermediateResult(aliases={sorted(self.positions)}, rows={self.num_rows})"

@@ -312,8 +312,8 @@ def transfer_probe_input(run: RunState, relation: BoundRelation, column: str):
     backend ships probes to worker processes and the arena can publish
     the base column, returns a lazy (column ref, selection vector) pair
     instead — workers gather their own morsel from shared memory, so the
-    parent never materializes the keys.  Either way the resulting mask
-    is bit-identical.
+    parent never materializes the keys (an identity relation ships no
+    selection vector).  Either way the resulting mask is bit-identical.
     """
     ex = run.ex
     if (
@@ -359,9 +359,11 @@ def bloom_pass_for_relation(
     cache = run.ex.hash_cache
     table = relation.table
     token = run.encoding_token(table, column)
-    if relation.num_rows == table.num_rows:
+    selection = relation.row_indices
+    if selection is None or selection.shape[0] == table.num_rows:
+        # Identity: no selection vector to key a pass by — the full-column pass.
         return full_bloom_pass(run, relation, column, compute=True)
-    cached = cache.selection_pass(table, column, relation.row_indices, encoding=token)
+    cached = cache.selection_pass(table, column, selection, encoding=token)
     if cached is not None:
         return cached
     # With the cross-query artifact cache on, a selection covering a
@@ -374,14 +376,12 @@ def bloom_pass_for_relation(
     )
     full = full_bloom_pass(run, relation, column, compute=promote)
     if full is not None:
-        selection = relation.row_indices
-        result = (full[0][selection], full[1][selection])
-        cache.store_selection_pass(table, column, selection, result, encoding=token)
-        return result
-    run.record.hash_misses += 1
-    hashes = hash_keys(relation.key_values(column))
-    result = (hashes, key_patterns(hashes))
-    cache.store_selection_pass(table, column, relation.row_indices, result, encoding=token)
+        result = (full[0].take(selection), full[1].take(selection))
+    else:
+        run.record.hash_misses += 1
+        hashes = hash_keys(relation.key_values(column))
+        result = (hashes, key_patterns(hashes))
+    cache.store_selection_pass(table, column, selection, result, encoding=token)
     return result
 
 

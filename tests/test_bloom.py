@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom import BloomFilter, optimal_num_blocks
+from repro.bloom import BloomFilter, hash_keys, key_patterns, optimal_num_blocks
+from repro.bloom.bloom_filter import _HASH_BLOCK, BITS_PER_KEY
 from repro.errors import ExecutionError
 
 
@@ -113,3 +114,70 @@ class TestBloomFilter:
         probe_keys = np.asarray(inserted + probed, dtype=np.int64)
         hits = bloom.probe(probe_keys)
         assert hits[: len(inserted)].all()
+
+
+# ---------------------------------------------------------------------------
+# The hashing pass against its one-expression formulas
+# ---------------------------------------------------------------------------
+U64 = np.uint64
+
+
+def _formula_hashes(keys: np.ndarray) -> np.ndarray:
+    """splitmix64, whole-array: the expression the blocked pass must equal."""
+    z = np.asarray(keys, dtype=np.int64).view(U64) + U64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> U64(30))) * U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> U64(27))) * U64(0x94D049BB133111EB)
+    return z ^ (z >> U64(31))
+
+
+def _formula_patterns(hashes: np.ndarray) -> np.ndarray:
+    pattern = np.zeros(hashes.shape, dtype=U64)
+    for i in range(BITS_PER_KEY):
+        pattern |= U64(1) << (((hashes >> U64(6 * (i + 1))) ^ (hashes >> U64(32 + 3 * i))) & U64(63))
+    return pattern
+
+
+class TestBlockedHashingPass:
+    """Same formula, same bits, whatever the block edges cut through."""
+
+    SIZES = (0, 1, _HASH_BLOCK - 1, _HASH_BLOCK, _HASH_BLOCK + 1, 3 * _HASH_BLOCK + 7)
+
+    @staticmethod
+    def _same(actual: np.ndarray, expected: np.ndarray) -> None:
+        assert actual.dtype == expected.dtype == U64 and actual.flags.c_contiguous
+        np.testing.assert_array_equal(actual, expected)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_hashes_and_patterns_equal_the_formulas(self, size):
+        keys = np.random.default_rng(size).integers(
+            np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=size, dtype=np.int64, endpoint=True
+        )
+        # int64 extremes (the uint64 arithmetic must wrap) at both ends, so
+        # a block edge that drops or repeats a key cannot hide.
+        keys[:3] = (np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1)[: keys[:3].size]
+        keys[-2:] = (np.iinfo(np.int64).max, 0)[: keys[-2:].size]
+        hashes = hash_keys(keys)
+        self._same(hashes, _formula_hashes(keys))
+        self._same(key_patterns(hashes), _formula_patterns(hashes))
+        # Strided inputs: every other key, every other hash, and reversed.
+        self._same(hash_keys(keys[::2]), _formula_hashes(keys[::2]))
+        self._same(hash_keys(keys[::-1]), _formula_hashes(keys)[::-1].copy())
+        self._same(key_patterns(hashes[::2]), _formula_patterns(hashes[::2]))
+
+    def test_hashing_reads_but_never_writes_its_input(self):
+        keys = np.arange(5, dtype=np.int64)
+        keys.flags.writeable = False
+        hashes = hash_keys(keys)
+        hashes.flags.writeable = False
+        self._same(key_patterns(hashes), _formula_patterns(hashes))
+        assert keys.tolist() == [0, 1, 2, 3, 4]
+
+    def test_probe_with_replayed_pass_equals_probe_with_keys(self):
+        keys = np.arange(3 * _HASH_BLOCK + 7, dtype=np.int64) * 7
+        bloom = BloomFilter(expected_keys=keys.size // 2)
+        bloom.insert(keys[::2])
+        hashes = hash_keys(keys)
+        np.testing.assert_array_equal(
+            bloom.probe(keys), bloom.probe(hashes=hashes, patterns=key_patterns(hashes))
+        )
+        assert bloom.probe(keys[::2]).all()

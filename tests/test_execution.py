@@ -12,8 +12,9 @@ from repro.errors import ExecutionError
 from repro.exec import JoinPhaseOptions, TransferOptions
 from repro.exec.relation import BoundRelation, IntermediateResult, bind_relations
 from repro.plan.join_plan import JoinNode, JoinPlan, LeafNode
-from repro.query import JoinCondition, QuerySpec, RelationRef
+from repro.query import JoinCondition, QualifiedComparison, QuerySpec, RelationRef
 from repro.expr import eq, lt
+from repro.storage.column import Column
 from repro.storage.table import ForeignKey, Table
 
 
@@ -117,8 +118,8 @@ class TestTransferPhase:
         exact_relations, _ = self._run(small_db, small_query, use_bloom=False)
         bloom_relations, _ = self._run(small_db, small_query, use_bloom=True)
         for alias in ("d", "f", "o"):
-            exact_rows = set(exact_relations[alias].row_indices.tolist())
-            bloom_rows = set(bloom_relations[alias].row_indices.tolist())
+            exact_rows = set(exact_relations[alias].row_ids().tolist())
+            bloom_rows = set(bloom_relations[alias].row_ids().tolist())
             assert exact_rows <= bloom_rows
 
     def test_step_statistics_recorded(self, small_db, small_query):
@@ -240,3 +241,25 @@ class TestIntermediateResult:
         assert result.num_rows == 3
         taken = result.take(np.array([2, 0]))
         assert taken.column_values({"r": relation}, "r", "a").tolist() == [30, 10]
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">=", "==", "!="])
+    def test_string_comparison_decodes_only_the_joined_rows(self, op):
+        """Order comparisons on a string column compare the *strings* of the
+        joined tuples' rows, not their dictionary codes (the dictionary below
+        is deliberately unsorted, which tells the two apart) — from an
+        identity relation and from a reduced one."""
+        words = ["pear", "apple", "fig", "apple", "kiwi", "zucchini"]
+        dictionary = ("kiwi", "zucchini", "apple", "pear", "fig")  # deliberately unsorted
+        codes = np.array([dictionary.index(word) for word in words], dtype=np.int64)
+        table = Table("t", (Column.from_codes("w", codes, dictionary),))
+        term = QualifiedComparison("r", "w", op, "kiwi")
+        compare = {"<": str.__lt__, "<=": str.__le__, ">": str.__gt__, ">=": str.__ge__,
+                   "==": str.__eq__, "!=": str.__ne__}[op]
+        for keep, positions in ((None, [5, 0, 0, 2]), ([True, False, True, True, False, True], [3, 0, 1, 1])):
+            relation = BoundRelation.from_table("r", table)
+            if keep is not None:
+                relation.keep(np.array(keep))
+            result = IntermediateResult(positions={"r": np.array(positions)})
+            rows = relation.row_ids()[positions]
+            mask = result.evaluate_qualified_comparison({"r": relation}, term)
+            assert mask.tolist() == [compare(words[row], "kiwi") for row in rows]

@@ -153,25 +153,32 @@ class TestHashCache:
             HashCache().bloom_pass(table, "x")
 
     def test_selection_cache_does_not_pin_superseded_selections(self):
-        """Superseded ``row_indices`` arrays must be collectable.
+        """A relation's superseded row-id vector must be collectable.
 
         The old ``id()``-keyed cache held strong references to every stored
         selection array (the only way to keep raw ids from aliasing), which
         both pinned dead arrays in memory and was the precondition for the
-        id-reuse hazard this regression guards.
+        id-reuse hazard this regression guards.  (An unreduced relation has
+        no vector and never reaches the selection cache at all.)
         """
         import gc
         import weakref
 
+        from repro.exec.relation import BoundRelation
+
         table = self._table()
         cache = HashCache()
-        selection = np.array([1, 5, 9], dtype=np.int64)
+        relation = BoundRelation.from_table("r", table)
+        assert relation.row_indices is None
+        relation.keep(np.isin(np.arange(100), (1, 5, 9)))
+        selection = relation.row_indices
         watcher = weakref.ref(selection)
-        keys = table.column("id").data[selection]
-        hashes = hash_keys(keys)
+        hashes = hash_keys(relation.key_values("id"))
         cache.store_selection_pass(table, "id", selection, (hashes, key_patterns(hashes)))
         assert cache.selection_pass(table, "id", selection) is not None
-        del selection, keys
+        relation.keep(np.array([True, False, True]))  # a new vector replaces it
+        assert cache.selection_pass(table, "id", relation.row_indices) is None
+        del selection
         gc.collect()
         assert watcher() is None
 

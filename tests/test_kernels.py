@@ -267,6 +267,105 @@ class TestCompositeKeys:
             assert match_keys(lk, rk).num_matches == 0
 
 
+def _densify_by_sorting(left_columns, right_columns):
+    """``densify_key_columns_pair`` as it was: one ``np.unique`` per column."""
+    n_left = left_columns[0].shape[0]
+    left = np.zeros(n_left, dtype=np.int64)
+    right = np.zeros(right_columns[0].shape[0], dtype=np.int64)
+    for left_col, right_col in zip(left_columns, right_columns):
+        both = np.concatenate([left_col, right_col])
+        codes = np.unique(both, return_inverse=True)[1]
+        radix = int(codes.max()) + 1 if both.size else 1
+        left = left * np.int64(radix) + codes[:n_left].astype(np.int64)
+        right = right * np.int64(radix) + codes[n_left:].astype(np.int64)
+    return left, right
+
+
+class TestDensifyRanksThroughATable:
+    """Bounded integer columns rank through a presence table, everything else
+    through ``np.unique`` — and the codes are the same either way."""
+
+    @pytest.fixture
+    def sorted_dtypes(self, monkeypatch):
+        """``sorted_dtypes(left, right)``: checks the kernel against the
+        reference and returns the dtype of every column it ranked with
+        ``np.unique`` (the fallback) rather than through a table."""
+        calls = []
+        unique = np.unique
+
+        def spy(values, *args, **kwargs):
+            calls.append(values.dtype)
+            return unique(values, *args, **kwargs)
+
+        def run(left, right):
+            expected = _densify_by_sorting(left, right)
+            monkeypatch.setattr("repro.exec.kernels.np.unique", spy)
+            del calls[:]
+            actual = densify_key_columns_pair(left, right)
+            monkeypatch.undo()
+            for got, want in zip(actual, expected):
+                assert got.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+            return list(calls)
+
+        return run
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.int8, np.uint16])
+    def test_bounded_integers_take_the_table(self, sorted_dtypes, dtype):
+        rng = np.random.default_rng(5)
+        lo, hi = max(np.iinfo(dtype).min, -120), min(np.iinfo(dtype).max, 120)
+        left = [rng.integers(lo, hi, size=40, endpoint=True).astype(dtype) for _ in range(3)]
+        right = [rng.integers(lo, hi, size=25, endpoint=True).astype(dtype) for _ in range(3)]
+        assert sorted_dtypes(left, right) == []
+
+    def test_both_sides_of_the_domain_rule(self, sorted_dtypes):
+        """range <= max(2^16, 8 n): one value past it falls back to the sort."""
+        other = np.array([0, 5, 5, 2, 0], dtype=np.int64)
+        for value_range, sorts in ((1 << 16, []), ((1 << 16) + 1, [np.int64])):
+            column = np.array([-3, value_range - 4, 7, 7, -3], dtype=np.int64)
+            assert sorted_dtypes([column, other], [column[:2], other[:2]]) == sorts
+        # Rows move the bound: 8 n > 2^16 admits a range of 7 n.
+        wide = np.arange((1 << 14) + 1, dtype=np.int64) * 7
+        assert sorted_dtypes([wide, wide[::-1].copy()], [wide[:9], wide[:9]]) == []
+        assert sorted_dtypes([wide * 2, wide], [wide[:9], wide[:9]]) == [np.int64]
+
+    def test_unbounded_and_non_integer_columns_keep_the_sort(self, sorted_dtypes):
+        ints = np.array([4, -4, 4], dtype=np.int64)
+        for column in (
+            np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0], dtype=np.int64),
+            np.array([0.5, -1.25, 0.5]),
+            np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
+        ):
+            assert sorted_dtypes([ints, column], [ints[:1], column[:1]]) == [column.dtype]
+
+    def test_negative_values_and_empty_sides(self, sorted_dtypes):
+        negative = np.array([-60_000, -59_990, -60_000, -5], dtype=np.int64)
+        empty = np.zeros(0, dtype=np.int64)
+        assert sorted_dtypes([negative, negative[::-1].copy()], [negative[:2], negative[2:]]) == []
+        assert sorted_dtypes([negative, negative], [empty, empty]) == []
+        assert sorted_dtypes([empty, empty], [negative, negative]) == []
+        # Nothing to rank on either side: there is no domain to bound.
+        assert sorted_dtypes([empty, empty], [empty, empty]) == [np.int64, np.int64]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_codes_equal_np_unique(self, data):
+        spans = data.draw(st.lists(st.sampled_from((4, 300, 70_000, 2**40)), min_size=2, max_size=3))
+        sides = []
+        for _ in range(2):
+            rows = data.draw(st.integers(0, 30))
+            sides.append([
+                np.asarray(
+                    data.draw(st.lists(st.integers(-span, span), min_size=rows, max_size=rows)),
+                    dtype=np.int64,
+                )
+                for span in spans
+            ])
+        for got, want in zip(densify_key_columns_pair(*sides), _densify_by_sorting(*sides)):
+            assert got.dtype == want.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
+
 class TestCostHelpers:
     def test_join_cardinality_estimate(self):
         assert estimate_join_cardinality(0, 10, 1, 1) == 0.0

@@ -147,8 +147,8 @@ def test_every_pass_fully_reduces_exact_and_rpt_keeps_a_superset(instance):
     steps = [step for step in rpt.stats.transfer_steps if not step.skipped]
     all_exact = all(step.downgraded_exact for step in steps)
     for alias in query.aliases:
-        exact_rows = set(exact.relations[alias].row_indices.tolist())
-        rpt_rows = set(rpt.relations[alias].row_indices.tolist())
+        exact_rows = set(exact.relations[alias].row_ids().tolist())
+        rpt_rows = set(rpt.relations[alias].row_ids().tolist())
         assert exact_rows <= rpt_rows, alias
         if all_exact:
             assert exact_rows == rpt_rows, alias

@@ -14,6 +14,8 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro import ExecutionConfig, ExecutionMode, ExecutionOptions
@@ -87,15 +89,17 @@ PLAIN = {"backend": "serial", "encodings": False, "tracing": False}
 
 @pytest.fixture(scope="module")
 def harness():
-    """``sweep(**execution)`` over every file, and the plain serial answers.
+    """``sweep(**execution)`` over every file, the plain serial answers, and
+    the databases the sweeps run on.
 
     One set of generated tables serves every sweep, so their aggregates are
     comparable (the generators are not stable across processes).
     """
     databases = {}
 
-    def sweep(**execution):
+    def sweep(mode=ExecutionMode.RPT, **execution):
         records = sqlfiles.run_all(
+            mode=mode,
             options=ExecutionOptions(execution=ExecutionConfig(**execution)),
             scale=0.05,
             seed=3,
@@ -104,7 +108,7 @@ def harness():
         assert len(records) == len(ALL_STEMS)
         return {r["stem"]: r["aggregates"] for r in records}
 
-    yield sweep, sweep(**PLAIN)
+    yield sweep, sweep(**PLAIN), databases
     for db in databases.values():
         db.close()
 
@@ -123,8 +127,32 @@ def harness():
 def test_run_all_harness_smoke(execution, harness):
     """Every file executes and answers exactly what the plain serial sweep
     answers."""
-    sweep, plain = harness
+    sweep, plain, _ = harness
     assert sweep(**execution) == plain
+
+
+@pytest.mark.parametrize("backend", ["serial", "parallel", "process"])
+def test_base_columns_are_never_written(backend, harness, morsel_rows):
+    """An unreduced relation hands the executor the base column itself (a
+    read-only view), so nothing downstream may write through it: every
+    column of every database is byte-identical after every file has run in
+    every mode, with morsels small enough that the backends really fan out."""
+    sweep, plain, databases = harness
+    morsel_rows(512)
+
+    def digests():
+        return {
+            (key, table.name, column.name): hashlib.sha256(column.data.tobytes()).hexdigest()
+            for key, db in databases.items()
+            for table in db.catalog
+            for column in table.columns
+        }
+
+    before = digests()
+    assert {"tpch", "job"} <= {key for key, _, _ in before}
+    for mode in ExecutionMode:
+        assert sweep(mode=mode, **{**PLAIN, "backend": backend}) == plain, mode
+    assert digests() == before
 
 
 def test_explain_sql_files_compile_without_executing(databases):
