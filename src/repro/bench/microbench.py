@@ -29,8 +29,7 @@ The cases, by what the paper or the engine claims:
 * ``artifact_cache`` — transfer phase with the artifact cache off/cold/warm;
 * ``adaptive_low_yield`` / ``adaptive_high_yield`` — adaptive transfer vs static;
 * ``scaling`` — serial vs thread vs process backends over a worker sweep;
-* ``deadline_overhead`` / ``tracing_overhead`` — the <2% pay-as-you-go gates;
-* ``encoding_scan`` / ``encoding_shm`` — code-space scans and encoded shm.
+* ``deadline_overhead`` / ``tracing_overhead`` — the <2% pay-as-you-go gates.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import BenchmarkError
 from repro.exec.kernels import HashIndex, match_keys, semi_join_mask
 from repro.exec.process import shutdown_workers
-from repro.expr import between, codespace, lt
+from repro.expr import lt
 from repro.query import JoinCondition, QuerySpec, RelationRef
 
 Thunk = Callable[[], Any]
@@ -288,50 +287,6 @@ def _join_match(build_rows, probe_rows, tiny_rows, seed) -> Iterator[Variants]:
     yield variants
 
 
-#: Distinct status strings of the encoded-scan table (64 values keep
-#: dictionary codes one byte wide).
-_STATUS_NDV = 64
-
-
-@contextmanager
-def _encoding_scan(rows, seed) -> Iterator[Variants]:
-    """The same selective filters through ``Expression.evaluate`` (raw) and
-    the code-space kernels with zone-map block skipping (encoded).
-
-    A low-NDV random string column — no block skips; the win is one integer
-    threshold test instead of materializing every string (~6% selective) —
-    and a sorted ``int64`` timestamp column, where zone maps skip every
-    block outside a 1% range.  Masks are asserted bit-identical up front.
-    """
-    rng = np.random.default_rng(seed)
-    statuses = [f"status_{i:03d}" for i in range(_STATUS_NDV)]
-    db = Database()
-    db.register_dataframe(
-        "events",
-        {
-            "ts": np.arange(rows, dtype=np.int64),
-            "status": [statuses[i] for i in rng.integers(0, _STATUS_NDV, size=rows)],
-        },
-    )
-    table, store = db.catalog.table("events"), db.catalog.encodings
-    exprs = {
-        "string": lt("status", statuses[4]),
-        "range": between("ts", rows // 2, rows // 2 + rows // 100 - 1),
-    }
-    variants: Variants = {}
-    try:
-        for name, expr in exprs.items():
-            encoded = codespace.evaluate(expr, table, store)
-            raw_mask = np.asarray(expr.evaluate(table), dtype=bool)
-            if encoded is None or not np.array_equal(raw_mask, encoded.mask):
-                raise BenchmarkError(f"encoded scan diverged from raw evaluation for {expr!r}")
-            variants[f"{name}_raw"] = lambda expr=expr: expr.evaluate(table)
-            variants[f"{name}_encoded"] = lambda expr=expr: codespace.evaluate(expr, table, store)
-        yield variants
-    finally:
-        db.close()
-
-
 # ---------------------------------------------------------------------------
 # The table
 # ---------------------------------------------------------------------------
@@ -349,11 +304,6 @@ _ADAPTIVE = {
     "ratios": {"skip_speedup": ("static", "adaptive")},
 }
 _ADAPTIVE_SIZES = {"fact_rows": 1 << 20, "dim_rows": 1 << 16, "num_dims": 3, "seed": 29}
-
-
-def _shm_reduction(out: Mapping[str, Any]) -> float:
-    raw = out["raw"].stats.shm_bytes_mapped
-    return 1.0 - out["encoded"].stats.shm_bytes_mapped / raw if raw else 0.0
 
 
 CASES: Dict[str, Case] = {
@@ -510,50 +460,6 @@ CASES: Dict[str, Case] = {
                 "untraced run builds no span tree": lambda c: c["untraced_span_trees"] == 0,
                 "traced run records op spans": lambda c: 0 < c["op_spans"] < c["span_count"],
             },
-        ),
-        Case(
-            name="encoding_scan",
-            title="Selective scans: raw evaluation vs code-space kernels + zone-map skipping",
-            setup=_encoding_scan,
-            sizes={"rows": 1 << 20, "seed": 37},
-            small={"rows": 1 << 17},
-            counters={
-                "range_blocks_skipped": lambda out: int(out["range_encoded"].blocks_skipped),
-                "range_blocks_total": lambda out: int(out["range_encoded"].blocks_total),
-            },
-            ratios={
-                "string_scan_speedup": ("string_raw", "string_encoded"),
-                "range_scan_speedup": ("range_raw", "range_encoded"),
-            },
-            gates=(
-                Gate("string_encoded", "string_raw", factor=1 / 3.0),
-                Gate("range_encoded", "range_raw", factor=1 / 2.0),
-            ),
-            checks={
-                "zone maps skip >= 90% of blocks": lambda c: (
-                    c["range_blocks_skipped"] >= 0.9 * c["range_blocks_total"] > 0
-                ),
-            },
-        ),
-        Case(
-            name="encoding_shm",
-            title="Process-backend exact probes (YANNAKAKIS): raw vs bit-packed key columns in shm",
-            # Exact semi-join probes ship the key column itself through the
-            # arena (Bloom probes ship no column); int64 keys pack to 32 bits.
-            setup=_star(
-                mode=ExecutionMode.YANNAKAKIS,
-                raw={"backend": "process", "num_workers": 2, "encodings": False},
-                encoded={"backend": "process", "num_workers": 2, "encodings": True},
-            ),
-            sizes={**_STAR_1M, "seed": 37},
-            small={"fact_rows": 1 << 17, "dim_rows": 1 << 16},
-            repeats=1,
-            counters={
-                "raw_shm_bytes": lambda out: out["raw"].stats.shm_bytes_mapped,
-                "encoded_shm_bytes": lambda out: out["encoded"].stats.shm_bytes_mapped,
-                "shm_reduction": _shm_reduction,
-            },
-            checks={"shm footprint shrinks >= 30%": lambda c: c["shm_reduction"] >= 0.30},
         ),
     )
 }

@@ -44,7 +44,6 @@ from repro.core.transfer_schedule import (
 from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import (
     BackendUnavailable,
-    FaultInjected,
     PlanError,
     QueryCancelled,
     QueryTimeout,
@@ -53,12 +52,7 @@ from repro.errors import (
 from repro.exec import faults
 from repro.exec.backends import make_backend
 from repro.exec.faults import CancelToken
-from repro.exec.pipeline import (
-    BaseFilter,
-    JoinPhaseOptions,
-    PipelineExecutor,
-    TransferOptions,
-)
+from repro.exec.pipeline import JoinPhaseOptions, PipelineExecutor, TransferOptions
 from repro.exec.relation import BoundRelation
 from repro.exec.spill import SpillManager
 from repro.exec.statistics import ExecutionStats, OpStats
@@ -214,14 +208,9 @@ class _PreparedExecution:
     graph: JoinGraph
     join_tree: Optional[JoinTree]
     schedule: Optional[TransferSchedule]
-    #: alias -> its evaluated base predicate (mask + what evaluating it
-    #: counted: zone-map block skipping, encoded bytes read).
-    filters: Dict[str, BaseFilter]
+    #: alias -> the boolean mask of its evaluated base predicate.
+    masks: Dict[str, np.ndarray]
     physical: PhysicalPlan
-
-
-def _masks(filters: Mapping[str, BaseFilter]) -> Dict[str, np.ndarray]:
-    return {alias: evaluated.mask for alias, evaluated in filters.items()}
 
 
 @dataclass(frozen=True)
@@ -416,76 +405,22 @@ class Database:
     # ------------------------------------------------------------------
     # Planning helpers
     # ------------------------------------------------------------------
-    def filter_masks(self, query: QuerySpec) -> Dict[str, np.ndarray]:
+    def filter_masks(
+        self, query: QuerySpec, catalog: Optional[Any] = None
+    ) -> Dict[str, np.ndarray]:
         """Evaluate every base-table predicate of ``query`` exactly once.
 
         The returned alias -> boolean-mask mapping feeds both the join-graph
         cardinalities and the scan's ``FilterPush`` ops, so a predicate is
-        never evaluated twice per execution.
-        """
-        return _masks(self._evaluate_filters(query))
-
-    def _evaluate_filters(
-        self,
-        query: QuerySpec,
-        stats: Optional[ExecutionStats] = None,
-        encodings: bool = False,
-        catalog: Optional[Any] = None,
-    ) -> Dict[str, BaseFilter]:
-        """:meth:`filter_masks`, optionally in code space.
-
-        With ``encodings`` on, supported predicates are evaluated entirely
-        in code space with zone-map block skipping
-        (:mod:`repro.expr.codespace`; string comparisons become integer
-        threshold tests on dictionary codes).  Every mask stays
-        bit-identical to plain tree evaluation.
-
-        What an evaluation counted — blocks skipped, encoded bytes read —
-        rides along as the :class:`~repro.exec.pipeline.BaseFilter`'s
-        counters, which the alias's ``FilterPush`` op record takes over.
+        never evaluated twice per execution.  ``catalog`` may be a pinned
+        :class:`~repro.storage.catalog.CatalogSnapshot`.
         """
         catalog = catalog if catalog is not None else self.catalog
-        store = catalog.encodings if encodings else None
-        if store is not None:
-            # Imported lazily: the expression package imports the kernel
-            # module, which this engine module's package initializer already
-            # pulls in.
-            from repro.expr import codespace
-
-        def evaluate(ref, table, active_store) -> BaseFilter:
-            if active_store is not None:
-                result = codespace.evaluate(ref.filter, table, active_store)
-                if result is not None:
-                    return BaseFilter(
-                        np.asarray(result.mask, dtype=bool),
-                        {
-                            "blocks_skipped": result.blocks_skipped,
-                            "blocks_total": result.blocks_total,
-                            "encoded_bytes": codespace.encoded_bytes_touched(
-                                ref.filter, table, active_store
-                            ),
-                        },
-                    )
-            return BaseFilter(np.asarray(ref.filter.evaluate(table), dtype=bool))
-
-        filters: Dict[str, BaseFilter] = {}
-        for ref in query.relations:
-            if ref.filter is None:
-                continue
-            table = catalog.table(ref.table)
-            try:
-                filters[ref.alias] = evaluate(ref, table, store)
-            except FaultInjected:
-                if store is None:
-                    raise
-                # The encoded representation failed to read (injected
-                # column.decode fault): degrade this alias to plain raw
-                # evaluation — the mask is bit-identical, only the block
-                # skipping and code-space kernels are lost.
-                filters[ref.alias] = evaluate(ref, table, None)
-                if stats is not None:
-                    stats.record_degradation(f"column.decode:{ref.alias}->raw")
-        return filters
+        return {
+            ref.alias: np.asarray(ref.filter.evaluate(catalog.table(ref.table)), dtype=bool)
+            for ref in query.relations
+            if ref.filter is not None
+        }
 
     def join_graph(
         self,
@@ -524,55 +459,10 @@ class Database:
         options = options or ExecutionOptions()
         catalog = catalog if catalog is not None else self.catalog
         graph = graph or self.join_graph(query, catalog=catalog)
-        return self._join_order(
-            query, options, graph, catalog, bool(options.execution.resolved().encodings)
-        )
-
-    def _join_order(
-        self,
-        query: QuerySpec,
-        options: ExecutionOptions,
-        graph: JoinGraph,
-        catalog: Any,
-        encodings: bool,
-    ) -> JoinPlan:
-        """:meth:`optimizer_plan` for a caller that already resolved the config."""
-        bounds = None
-        if encodings:
-            bounds = self._zone_row_bounds(query, catalog=catalog)
         estimator = CardinalityEstimator(
-            catalog,
-            query,
-            graph,
-            error_model=options.estimation_error,
-            rows_upper_bounds=bounds,
+            catalog, query, graph, error_model=options.estimation_error
         )
         return JoinOrderOptimizer(graph, estimator, options.optimizer).optimize()
-
-    def _zone_row_bounds(
-        self, query: QuerySpec, catalog: Optional[Any] = None
-    ) -> Dict[str, int]:
-        """Hard per-alias row bounds on base predicates, from zone maps alone.
-
-        A bound of 0 means every block's ``[min, max]`` interval provably
-        misses the predicate — the estimator then sees an empty relation
-        *before* execution.  Aliases whose predicate shape is unsupported
-        are simply absent.
-        """
-        from repro.expr import codespace
-
-        catalog = catalog if catalog is not None else self.catalog
-        store = catalog.encodings
-        bounds: Dict[str, int] = {}
-        for ref in query.relations:
-            if ref.filter is None:
-                continue
-            bound = codespace.rows_upper_bound(
-                ref.filter, catalog.table(ref.table), store
-            )
-            if bound is not None:
-                bounds[ref.alias] = bound
-        return bounds
 
     def is_acyclic(self, query: QuerySpec) -> bool:
         """True when the query is α-acyclic."""
@@ -676,11 +566,11 @@ class Database:
         tracer: Optional[Tracer] = None,
     ) -> QueryResult:
         plan_span = tracer.start("plan", "phase") if tracer is not None else None
-        prep = self._prepare(query, mode, plan, options, config, stats, catalog=snapshot)
+        prep = self._prepare(query, mode, plan, options, stats, catalog=snapshot)
         if plan_span is not None:
             tracer.finish(plan_span, ops=len(prep.physical.ops))
         plan, graph, schedule = prep.plan, prep.graph, prep.schedule
-        join_tree, filters, physical = prep.join_tree, prep.filters, prep.physical
+        join_tree, masks, physical = prep.join_tree, prep.masks, prep.physical
         spill = SpillManager()
         governor = MemoryGovernor(config.memory_budget_bytes, spill_handler=spill)
         backend = self._backend_ladder(config, stats)
@@ -702,7 +592,6 @@ class Database:
         table_versions = None
         if config.artifact_cache:
             artifact_cache = self._ensure_artifact_cache()
-            masks = _masks(filters)
             fingerprints = {
                 ref.alias: mask_fingerprint(masks.get(ref.alias)) for ref in query.relations
             }
@@ -722,11 +611,10 @@ class Database:
             fingerprints=fingerprints,
             adaptive_transfer=bool(config.adaptive_transfer),
             arena=arena,
-            encodings=bool(config.encodings),
             tracer=tracer,
         )
         try:
-            run = executor.run(physical, stats, filters=filters)
+            run = executor.run(physical, stats, masks=masks)
         finally:
             backend.close()
         io_seconds = spill.simulated_seconds()
@@ -803,17 +691,13 @@ class Database:
             with self.catalog.snapshot(
                 ref.table for ref in query.relations
             ) as snapshot:
-                prep = self._prepare(query, mode, plan, options, config, stats, catalog=snapshot)
+                prep = self._prepare(query, mode, plan, options, stats, catalog=snapshot)
         finally:
             self._end_execution()
-        for index, op in enumerate(prep.physical.ops):
-            entry = OpStats(index=index, kind=op.kind, detail=op.describe())
-            # The base predicates were already evaluated, so what that
-            # counted is known at plan time: EXPLAIN shows the same
-            # ``[zm skip k/n]`` / ``[enc NB]`` markers an execution would.
-            if op.kind == "filter_push" and op.alias in prep.filters:
-                prep.filters[op.alias].write_counters(entry)
-            stats.op_stats.append(entry)
+        stats.op_stats.extend(
+            OpStats(index=index, kind=op.kind, detail=op.describe())
+            for index, op in enumerate(prep.physical.ops)
+        )
         return ExplainResult(
             query=query,
             mode=mode,
@@ -885,15 +769,13 @@ class Database:
         mode: ExecutionMode,
         plan: Optional[JoinPlan],
         options: ExecutionOptions,
-        config: ExecutionConfig,
         stats: ExecutionStats,
         catalog: Optional[Any] = None,
     ) -> _PreparedExecution:
         """The shared planning front half of :meth:`execute` / :meth:`explain`.
 
-        ``config`` is the resolved runtime configuration; ``catalog`` is the
-        pinned snapshot the run plans against (defaults to the live catalog
-        for direct callers).
+        ``catalog`` is the pinned snapshot the run plans against (defaults
+        to the live catalog for direct callers).
         """
         catalog = catalog if catalog is not None else self.catalog
         if not query.is_connected() and len(query.relations) > 1:
@@ -903,14 +785,9 @@ class Database:
             )
 
         start = time.perf_counter()
-        filters = self._evaluate_filters(
-            query,
-            stats=stats,
-            encodings=bool(config.encodings),
-            catalog=catalog,
-        )
+        masks = self.filter_masks(query, catalog=catalog)
         stats.timings.scan_filter += time.perf_counter() - start
-        graph = self.join_graph(query, masks=_masks(filters), catalog=catalog)
+        graph = self.join_graph(query, masks=masks, catalog=catalog)
 
         join_tree: Optional[JoinTree] = None
         schedule: Optional[TransferSchedule] = None
@@ -918,7 +795,7 @@ class Database:
             join_tree, schedule = self._build_schedule(mode, graph, options)
 
         if plan is None:
-            plan = self._join_order(query, options, graph, catalog, bool(config.encodings))
+            plan = self.optimizer_plan(query, options, graph, catalog)
         validate_plan_for_query(plan, query.aliases)
 
         if options.verify_safe_join_order and plan.is_left_deep() and is_alpha_acyclic(graph):
@@ -944,7 +821,7 @@ class Database:
             graph=graph,
             join_tree=join_tree,
             schedule=schedule,
-            filters=filters,
+            masks=masks,
             physical=physical,
         )
 

@@ -89,7 +89,6 @@ ENV_NUM_WORKERS = "REPRO_NUM_WORKERS"
 ENV_MEMORY_BUDGET = "REPRO_MEMORY_BUDGET"
 ENV_ARTIFACT_CACHE = "REPRO_ARTIFACT_CACHE"
 ENV_ADAPTIVE_TRANSFER = "REPRO_ADAPTIVE_TRANSFER"
-ENV_ENCODINGS = "REPRO_ENCODINGS"
 ENV_TIMEOUT_SECONDS = "REPRO_TIMEOUT_SECONDS"
 ENV_FAULTS = "REPRO_FAULTS"
 ENV_TRACE = "REPRO_TRACE"
@@ -147,7 +146,6 @@ KNOB_TABLE: Tuple[Tuple[str, str, Callable[[str], Any], Callable[[Any], None], A
     ("memory_budget_bytes", ENV_MEMORY_BUDGET, int, _check_budget, None),
     ("artifact_cache", ENV_ARTIFACT_CACHE, _parse_flag, _check_flag, False),
     ("adaptive_transfer", ENV_ADAPTIVE_TRANSFER, _parse_flag, _check_flag, False),
-    ("encodings", ENV_ENCODINGS, _parse_flag, _check_flag, False),
     ("timeout_seconds", ENV_TIMEOUT_SECONDS, float, _check_timeout, None),
     ("tracing", ENV_TRACE, _parse_flag, _check_flag, False),
 )
@@ -189,12 +187,6 @@ class ExecutionConfig:
       results, but it forfeits the paper's full-reduction guarantee (a
       skipped pass leaves dangling tuples for the join phase), so it is
       policy and stays opt-in.
-    * ``encodings`` — block-encoded columnar execution: columns carry
-      dictionary / run-length / bit-packed encodings chosen at registration
-      time, base filters consult per-block min/max zone maps to skip whole
-      blocks, string predicates are rewritten into dictionary code space,
-      and the process backend ships the *encoded* buffers through shared
-      memory (default off; bit-identical either way).
     * ``timeout_seconds`` — query deadline: a
       :class:`~repro.exec.faults.CancelToken` is checked at morsel-gather
       barriers and at chunk granularity inside long kernels; expiry raises
@@ -235,7 +227,6 @@ class ExecutionConfig:
     memory_budget_bytes: Optional[int] = None
     artifact_cache: Optional[bool] = None
     adaptive_transfer: Optional[bool] = None
-    encodings: Optional[bool] = None
     timeout_seconds: Optional[float] = None
     faults: Optional[str] = None
     tracing: Optional[bool] = None

@@ -39,7 +39,7 @@ class PlanCacheKey:
     mode: str
     #: The pinned ``(table, version)`` pairs the query planned against.
     versions: Tuple[Tuple[str, int], ...]
-    #: Planning-relevant option fingerprint (optimizer knobs, encodings).
+    #: Planning-relevant option fingerprint (optimizer knobs, estimation error).
     options_token: str
 
 

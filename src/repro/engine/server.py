@@ -662,7 +662,6 @@ class Server:
         spec: QuerySpec,
         mode: ExecutionMode,
         options: ExecutionOptions,
-        encodings: bool,
         versions: Dict[str, int],
     ) -> Optional[PlanCacheKey]:
         try:
@@ -671,7 +670,7 @@ class Server:
             # The rare spec shapes SQL cannot round-trip are simply not
             # plan-cached.
             return None
-        token = repr((options.optimizer, options.estimation_error, encodings))
+        token = repr((options.optimizer, options.estimation_error))
         return PlanCacheKey(
             text=text,
             mode=mode.value,
@@ -738,9 +737,7 @@ class Server:
             cached_plan = None
             key = None
             if self._plan_cache is not None:
-                key = self._plan_key(
-                    spec, mode, options, bool(config.encodings), snapshot.versions()
-                )
+                key = self._plan_key(spec, mode, options, snapshot.versions())
                 if key is not None:
                     cached_plan = self._plan_cache.get(key)
 

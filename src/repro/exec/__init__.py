@@ -22,7 +22,6 @@ from repro.exec.kernels import (
     semi_join_mask,
 )
 from repro.exec.pipeline import (
-    BaseFilter,
     JoinPhaseOptions,
     PipelineExecutor,
     PipelineResult,
@@ -46,7 +45,6 @@ __all__ = [
     "DEFAULT_MIN_YIELD",
     "DEFAULT_MORSEL_SIZE",
     "AdaptiveTransferController",
-    "BaseFilter",
     "BoundRelation",
     "COUNTERS",
     "Counter",

@@ -24,7 +24,6 @@ site                effect when it fires
 ``spill.read``      reloading a spilled reservation raises
 ``alloc.reserve``   a governor reservation raises ``MemoryExhausted``
 ``op.latency``      the operator sleeps ``latency`` seconds before running
-``column.decode``   decoding an encoded column fails (engine uses raw path)
 ==================  =========================================================
 
 The plan is configured per-process via :func:`configure` (from
@@ -61,7 +60,6 @@ KNOWN_SITES = (
     "spill.read",
     "alloc.reserve",
     "op.latency",
-    "column.decode",
 )
 
 

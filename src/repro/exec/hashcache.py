@@ -30,11 +30,8 @@ addresses a table by ``key - min`` or binary-searches sorted keys — so only
 the Bloom passes are cached here.
 
 Entries are keyed by a *weakref-tracked token* of the underlying NumPy
-buffers plus the column's *encoding token* (``"raw"`` unless block
-encodings are active), which makes self-joins — several aliases over one
-table — share a single pass per column while keeping a pass recorded over
-raw buffers from aliasing one recorded under an encoded representation of
-the same column.  Raw ``id()`` keys would be unsound here: CPython reuses
+buffers, which makes self-joins — several aliases over one table — share a
+single pass per column.  Raw ``id()`` keys would be unsound here: CPython reuses
 addresses, so a selection array allocated after a superseded one is
 collected can receive the dead array's ``id`` and silently alias its
 cached pass.  :class:`_ArrayTokens` hands out monotonically increasing
@@ -116,15 +113,13 @@ class HashCache:
 
     def __init__(self) -> None:
         self._tokens = _ArrayTokens()
-        # (column-data token, encoding token) -> (hashes, patterns)
-        self._full: Dict[Tuple[int, str], Tuple[np.ndarray, np.ndarray]] = {}
-        # (column-data token, encoding token) -> most-recent-first list of
-        # (row_indices token, hashes, patterns).  No strong reference to the
-        # selection array: its *token* is what can never alias, so a
-        # superseded ``row_indices`` is free to be collected.
-        self._selection: Dict[
-            Tuple[int, str], List[Tuple[int, np.ndarray, np.ndarray]]
-        ] = {}
+        # column-data token -> (hashes, patterns)
+        self._full: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # column-data token -> most-recent-first list of (row_indices token,
+        # hashes, patterns).  No strong reference to the selection array:
+        # its *token* is what can never alias, so a superseded
+        # ``row_indices`` is free to be collected.
+        self._selection: Dict[int, List[Tuple[int, np.ndarray, np.ndarray]]] = {}
         self.record = OpStats(index=-1, kind="hash_cache")
 
     @property
@@ -138,32 +133,28 @@ class HashCache:
     # ------------------------------------------------------------------
     # Full-column passes
     # ------------------------------------------------------------------
-    def bloom_pass(self, table: Table, column: str, encoding: str = "raw") -> BloomPass:
+    def bloom_pass(self, table: Table, column: str) -> BloomPass:
         """The (hashes, patterns) pass over one full base column.
 
         Computed on first request, replayed on every later one.
         """
         data = self._key_data(table, column)
-        entry = self._full.get((self._tokens.token(data), encoding))
+        entry = self._full.get(self._tokens.token(data))
         if entry is not None:
             self.record.hash_hits += 1
             return entry
         self.record.hash_misses += 1
         hashes = hash_keys(data)
         patterns = key_patterns(hashes)
-        self._full[(self._tokens.token(data), encoding)] = (hashes, patterns)
+        self._full[self._tokens.token(data)] = (hashes, patterns)
         return hashes, patterns
 
-    def peek_bloom_pass(
-        self, table: Table, column: str, encoding: str = "raw"
-    ) -> Optional[BloomPass]:
+    def peek_bloom_pass(self, table: Table, column: str) -> Optional[BloomPass]:
         """An already-computed full-column pass, or None (never computes)."""
         data = self._key_data(table, column)
-        return self._full.get((self._tokens.token(data), encoding))
+        return self._full.get(self._tokens.token(data))
 
-    def adopt_full_pass(
-        self, table: Table, column: str, bloom_pass: BloomPass, encoding: str = "raw"
-    ) -> None:
+    def adopt_full_pass(self, table: Table, column: str, bloom_pass: BloomPass) -> None:
         """Seed the cache with a full-column pass computed elsewhere.
 
         Used by the executor to replay a cross-query ``bloom_pass`` artifact
@@ -171,13 +162,13 @@ class HashCache:
         artifact cache's own counters record the reuse).
         """
         data = self._key_data(table, column)
-        self._full[(self._tokens.token(data), encoding)] = (bloom_pass[0], bloom_pass[1])
+        self._full[self._tokens.token(data)] = (bloom_pass[0], bloom_pass[1])
 
     # ------------------------------------------------------------------
     # Per-selection passes
     # ------------------------------------------------------------------
     def selection_pass(
-        self, table: Table, column: str, row_indices: np.ndarray, encoding: str = "raw"
+        self, table: Table, column: str, row_indices: np.ndarray
     ) -> Optional[BloomPass]:
         """A cached pass over exactly this selection of the column, or None.
 
@@ -188,7 +179,7 @@ class HashCache:
         """
         data = self._key_data(table, column)
         row_token = self._tokens.token(row_indices)
-        for entry in self._selection.get((self._tokens.token(data), encoding), ()):
+        for entry in self._selection.get(self._tokens.token(data), ()):
             if entry[0] == row_token:
                 self.record.hash_hits += 1
                 return entry[1], entry[2]
@@ -200,7 +191,6 @@ class HashCache:
         column: str,
         row_indices: np.ndarray,
         bloom_pass: BloomPass,
-        encoding: str = "raw",
     ) -> None:
         """Cache a pass over one selection.
 
@@ -212,7 +202,7 @@ class HashCache:
         """
         data = self._key_data(table, column)
         row_token = self._tokens.token(row_indices)
-        entries = self._selection.setdefault((self._tokens.token(data), encoding), [])
+        entries = self._selection.setdefault(self._tokens.token(data), [])
         entries[:] = [e for e in entries if e[0] != row_token]
         entries.insert(0, (row_token, bloom_pass[0], bloom_pass[1]))
         del entries[self.SELECTION_PASSES_PER_COLUMN :]

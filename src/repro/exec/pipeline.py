@@ -35,7 +35,7 @@ charges the reload — surfaced per op in ``ExecutionStats.op_stats``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 import numpy as np
@@ -101,23 +101,6 @@ class JoinPhaseOptions:
 
 
 @dataclass
-class BaseFilter:
-    """One base-table predicate the engine evaluated while planning.
-
-    ``counters`` holds what the evaluation counted, by :class:`OpStats`
-    field (zone-map activity); the alias's ``FilterPush``
-    record — executed or ``EXPLAIN``-ed — takes them over.
-    """
-
-    mask: np.ndarray
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    def write_counters(self, record: OpStats) -> None:
-        for name, value in self.counters.items():
-            setattr(record, name, value)
-
-
-@dataclass
 class PipelineResult:
     """Outcome of one :meth:`PipelineExecutor.run` call."""
 
@@ -148,7 +131,6 @@ class PipelineExecutor:
         fingerprints: Optional[Mapping[str, str]] = None,
         adaptive_transfer: bool = False,
         arena=None,
-        encodings: bool = False,
         tracer=None,
     ) -> None:
         self.query = query
@@ -174,11 +156,6 @@ class PipelineExecutor:
         #: probe-shipping backend so transfer probes can hand workers a
         #: (column ref, selection vector) pair instead of gathered keys.
         self.arena = arena
-        #: Block-encoded execution: transfer probes prefer the arena's
-        #: *encoded* column segments, and every cache key (hash cache,
-        #: artifact cache) carries the column's encoding token so encoded
-        #: and raw artifacts never alias at the same catalog version.
-        self.encodings = encodings
         #: Optional :class:`~repro.obs.trace.Tracer`: when set, the run
         #: loop records one ``op`` span per dispatched op (grouped under
         #: ``phase`` spans) with a ``batch`` child summarizing morsel
@@ -193,17 +170,16 @@ class PipelineExecutor:
         self,
         plan: PhysicalPlan,
         stats: ExecutionStats,
-        filters: Optional[Mapping[str, BaseFilter]] = None,
+        masks: Optional[Mapping[str, np.ndarray]] = None,
     ) -> PipelineResult:
         """Execute every op of ``plan`` in order, one :class:`OpStats` record each.
 
-        ``filters`` supplies the base predicates the engine already evaluated
-        while planning (mask plus what the evaluation counted), so
-        ``FilterPush`` neither evaluates them again nor loses their counters;
-        an alias without an entry is evaluated here.  The record of the op
-        in flight when a query aborts is kept, marked ``aborted``.
+        ``masks`` supplies the base-predicate masks the engine already
+        evaluated while planning, so ``FilterPush`` does not evaluate them
+        again; an alias without an entry is evaluated here.  The record of
+        the op in flight when a query aborts is kept, marked ``aborted``.
         """
-        run = RunState(self, plan, stats, filters)
+        run = RunState(self, plan, stats, masks)
         governor = self.governor
         cancel = self.backend.cancel
         tracer = self.tracer
@@ -327,11 +303,8 @@ def _scan(run: RunState, op: Scan, record: OpStats) -> None:
 def _filter_push(run: RunState, op: FilterPush, record: OpStats) -> None:
     relation = run.relations[op.alias]
     record.rows_in = record.rows_out = relation.num_rows
-    evaluated = run.filters.get(op.alias)
-    if evaluated is not None:
-        mask = evaluated.mask
-        evaluated.write_counters(record)
-    else:
+    mask = run.masks.get(op.alias)
+    if mask is None:
         ref = next((ref for ref in run.ex.query.relations if ref.alias == op.alias), None)
         if ref is None or ref.filter is None:
             record.skipped = True

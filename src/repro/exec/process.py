@@ -85,7 +85,7 @@ from repro.exec.backends import (
 )
 from repro.exec.kernels import HashIndex, JoinMatches
 from repro.storage import shm
-from repro.storage.shm import EncodedColumnRef, ShmArrayRef
+from repro.storage.shm import ShmArrayRef
 
 #: Process morsels are coarser than thread morsels: each task additionally
 #: pays a pipe round-trip and (once per worker) a segment attach, so it must
@@ -121,13 +121,10 @@ class _ArraysInput:
 class _GatherInput:
     """A base-column gather ``column[selection[lo:hi]]`` done worker-side.
 
-    ``column`` is either a raw :class:`ShmArrayRef` or an
-    :class:`~repro.storage.shm.EncodedColumnRef`; encoded refs are decoded
-    after the gather, so workers see the exact physical values either way.
     ``selection`` is ``None`` for an identity relation: morsels are slices.
     """
 
-    column: Union[ShmArrayRef, EncodedColumnRef]
+    column: ShmArrayRef
     selection: Optional[ShmArrayRef]
 
 
@@ -216,8 +213,6 @@ def _materialize_input(task_input: _TaskInput, lo: int, hi: int) -> ProbeInput:
             rows = slice(lo, hi)
         else:
             rows = shm.attach_array(task_input.selection)[lo:hi]
-        if isinstance(task_input.column, EncodedColumnRef):
-            return shm.gather_encoded(task_input.column, rows)
         return shm.attach_array(task_input.column)[rows]
     arrays = tuple(shm.attach_array(ref)[lo:hi] for ref in task_input.refs)
     if task_input.is_tuple:

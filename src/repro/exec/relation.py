@@ -29,6 +29,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.expr.expressions import string_order_mask
 from repro.query import QualifiedComparison
 from repro.storage.datatypes import DataType
 from repro.storage.table import Table
@@ -200,9 +201,7 @@ class IntermediateResult:
         column = relations[term.alias].table.column(term.column)
         values = self.column_values(relations, term.alias, term.column)
         if column.dtype is DataType.STRING and term.op not in ("==", "!="):
-            # Decode the gathered rows' codes, never the whole column.
-            decoded = np.asarray(column.dictionary, dtype=object)[values].astype(str)
-            return _compare(decoded, term.op, str(term.value))
+            return string_order_mask(column, values, ((term.op, term.value),))
         return _compare(values, term.op, column.encode_literal(term.value))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -27,7 +27,7 @@ from repro.query import PostJoinPredicate
 from repro.storage.artifacts import KIND_HASH_INDEX, ArtifactKey
 
 if TYPE_CHECKING:
-    from repro.exec.pipeline import BaseFilter, PipelineExecutor
+    from repro.exec.pipeline import PipelineExecutor
 
 
 @dataclass
@@ -91,11 +91,11 @@ class RunState:
         ex: "PipelineExecutor",
         plan: PhysicalPlan,
         stats: ExecutionStats,
-        filters: Optional[Mapping[str, "BaseFilter"]] = None,
+        masks: Optional[Mapping[str, np.ndarray]] = None,
     ) -> None:
         self.ex = ex
         self.stats = stats
-        self.filters = filters or {}
+        self.masks = masks or {}
         #: The open op's record; the run loop points it at each op in turn.
         self.record = OpStats(index=-1, kind="run")
         self.relations: Dict[str, BoundRelation] = {}
@@ -171,24 +171,7 @@ class RunState:
             fingerprint=fingerprint,
             kind=kind,
             param=param,
-            encoding=self.encoding_token(relation.table, column),
         )
-
-    def encoding_token(self, table, column: str) -> str:
-        """The column's encoding identity for cache keys.
-
-        ``"raw"`` whenever block encodings are off — every key is then
-        byte-identical to the pre-encoding ones, so artifacts persist
-        across the flag being toggled off.  With encodings on, the token
-        (e.g. ``"pack:u16:b0"``) keeps artifacts recorded over an encoded
-        representation from aliasing raw ones at the same catalog version.
-        """
-        if not self.ex.encodings or self.ex.catalog is None:
-            return "raw"
-        store = getattr(self.ex.catalog, "encodings", None)
-        if store is None:
-            return "raw"
-        return store.token(table, column)
 
     def snapshot_version(self, alias: str, table_name: str) -> Optional[int]:
         """The engine's table-version snapshot — only while it is still live.

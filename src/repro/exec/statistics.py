@@ -95,11 +95,6 @@ class OpStats:
     artifact_misses: int = 0
     #: Bytes placed in (or resolved from) shared-memory segments.
     shm_bytes: int = 0
-    #: Zone-map blocks skipped / covering the predicate's column, and the
-    #: encoded bytes behind this op's column accesses.
-    blocks_skipped: int = 0
-    blocks_total: int = 0
-    encoded_bytes: int = 0
     #: Worker deaths while this op's morsels ran, the retry rounds they
     #: triggered, and morsels finished inline once the retries ran out.
     worker_crashes: int = 0
@@ -162,11 +157,6 @@ COUNTERS: Tuple[Counter, ...] = (
             log="adaptive.sorted_index_joins", per_step=True, counts="sorted"),
     Counter("shm_bytes", "shm_bytes_mapped", " [shm {shm_bytes}B]", "runtime",
             "shm mapped {shm_bytes}B"),
-    Counter("blocks_total", "zone_blocks_total", " [zm skip {blocks_skipped}/{blocks_total}]",
-            "runtime", "zone maps skipped {blocks_skipped}/{blocks_total} blocks"),
-    Counter("blocks_skipped", "zone_blocks_skipped"),
-    Counter("encoded_bytes", "encoded_bytes_touched", " [enc {encoded_bytes}B]", "runtime",
-            "encoded bytes {encoded_bytes}B"),
     Counter("worker_crashes", "worker_crashes", " [crashed {worker_crashes}w/{tasks_retried}r]",
             "degraded", "{worker_crashes} worker crash(es), {tasks_retried} retry round(s)",
             event="process:crash-recovery",
@@ -233,8 +223,8 @@ class ExecutionStats:
     peak_memory_bytes: int = 0
     #: Degradation-ladder rungs taken, each once, in first-occurrence order —
     #: ``"backend:process->parallel"`` (pool unavailable),
-    #: ``"column.decode:<alias>->raw"`` (decode fault), ``"governor:spill-retry"``,
-    #: ``"process:inline-fallback"`` — and how often each fired.
+    #: ``"governor:spill-retry"``, ``"process:inline-fallback"`` — and how
+    #: often each fired.
     degradations: List[str] = field(default_factory=list)
     degradation_counts: Dict[str, int] = field(default_factory=dict)
 
@@ -322,7 +312,7 @@ class ExecutionStats:
         return self._summary("adaptive")
 
     def runtime_summary(self) -> str:
-        """One-line shared-memory / encoding summary ('' if none)."""
+        """One-line shared-memory summary ('' if none)."""
         return self._summary("runtime")
 
     def record_degradation(self, rung: str) -> None:

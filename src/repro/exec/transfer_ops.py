@@ -322,17 +322,13 @@ def transfer_probe_input(run: RunState, relation: BoundRelation, column: str):
         and relation.num_rows > getattr(ex.backend, "morsel_size", 0)
     ):
         try:
-            ref = ex.arena.column_ref(relation.table, column, encoded=ex.encodings)
+            ref = ex.arena.column_ref(relation.table, column)
         except ExecutionError:
             # Publishing failed (e.g. an injected shm.share fault): fall
             # back to the eager gather — same mask, no shared memory.
             ref = None
         if ref is not None:
             run.charge_shm(ref)
-            if hasattr(ref, "codes"):
-                # An encoded segment pair: record the (smaller) mapped
-                # footprint in the op trace's ``[enc ..B]`` marker.
-                run.record.encoded_bytes += int(ref.nbytes)
             from repro.exec.process import ShmGather
 
             return ShmGather(ref, relation.row_indices, relation.table.column(column).data)
@@ -358,12 +354,11 @@ def bloom_pass_for_relation(
     """
     cache = run.ex.hash_cache
     table = relation.table
-    token = run.encoding_token(table, column)
     selection = relation.row_indices
     if selection is None or selection.shape[0] == table.num_rows:
         # Identity: no selection vector to key a pass by — the full-column pass.
         return full_bloom_pass(run, relation, column, compute=True)
-    cached = cache.selection_pass(table, column, selection, encoding=token)
+    cached = cache.selection_pass(table, column, selection)
     if cached is not None:
         return cached
     # With the cross-query artifact cache on, a selection covering a
@@ -381,7 +376,7 @@ def bloom_pass_for_relation(
         run.record.hash_misses += 1
         hashes = hash_keys(relation.key_values(column))
         result = (hashes, key_patterns(hashes))
-    cache.store_selection_pass(table, column, selection, result, encoding=token)
+    cache.store_selection_pass(table, column, selection, result)
     return result
 
 
@@ -399,8 +394,7 @@ def full_bloom_pass(
     cache = run.ex.hash_cache
     artifact_cache = run.ex.artifact_cache
     table = relation.table
-    token = run.encoding_token(table, column)
-    existing = cache.peek_bloom_pass(table, column, encoding=token)
+    existing = cache.peek_bloom_pass(table, column)
     if existing is not None:
         run.record.hash_hits += 1
         return existing
@@ -415,17 +409,16 @@ def full_bloom_pass(
             column=column,
             fingerprint=FINGERPRINT_COLUMN,
             kind=KIND_BLOOM_PASS,
-            encoding=token,
         )
         artifact = artifact_cache.get(artifact_key)
         if artifact is not None:
             run.record.artifact_hits += 1
             run.charge_artifact(artifact_key, int(artifact[0].nbytes + artifact[1].nbytes))
-            cache.adopt_full_pass(table, column, artifact, encoding=token)
+            cache.adopt_full_pass(table, column, artifact)
             return artifact
     if not compute:
         return None
-    full = cache.bloom_pass(table, column, encoding=token)
+    full = cache.bloom_pass(table, column)
     if artifact_key is not None:
         run.record.artifact_misses += 1
         nbytes = int(full[0].nbytes + full[1].nbytes)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
+from repro.storage.column import Column
 from repro.storage.datatypes import DataType
 from repro.storage.table import Table
 
@@ -87,6 +88,28 @@ _COMPARATORS = {
 }
 
 
+def string_order_mask(
+    column: Column, codes: np.ndarray, conditions: Iterable[Tuple[str, Any]]
+) -> np.ndarray:
+    """Which of ``codes`` name a string satisfying every ``(op, literal)`` comparison.
+
+    Each comparison runs once over the dictionary of string column
+    ``column``, and the combined booleans are gathered by code — one pass
+    over the distinct strings plus one gather, never a decode of the rows.
+    Codes carry no order, so this is right for any dictionary
+    (:meth:`~repro.storage.column.Column.from_codes` need not be sorted).
+    """
+    assert column.dictionary is not None
+    entries = np.asarray(column.dictionary, dtype=str)
+    lookup = np.ones(entries.shape[0], dtype=bool)
+    for op, value in conditions:
+        compare = _COMPARATORS.get(op)
+        if compare is None:
+            raise ExecutionError(f"unsupported comparison operator: {op!r}")
+        lookup &= compare(entries, str(value))
+    return lookup[codes]
+
+
 @dataclass(frozen=True)
 class Comparison(Expression):
     """``column <op> literal`` comparison.
@@ -105,13 +128,9 @@ class Comparison(Expression):
 
     def evaluate(self, table: Table) -> np.ndarray:
         col = table.column(self.column)
-        rhs = col.encode_literal(self.value)
         if col.dtype is DataType.STRING and self.op not in ("==", "!="):
-            # Ordered comparisons on dictionary codes are not ordered on the
-            # original strings in general; decode for correctness.
-            decoded = col.decode().astype(str)
-            return _COMPARATORS[self.op](decoded, str(self.value))
-        return _COMPARATORS[self.op](col.data, rhs)
+            return string_order_mask(col, col.data, ((self.op, self.value),))
+        return _COMPARATORS[self.op](col.data, col.encode_literal(self.value))
 
     def referenced_columns(self) -> frozenset[str]:
         return frozenset({self.column})
@@ -131,8 +150,7 @@ class Between(Expression):
     def evaluate(self, table: Table) -> np.ndarray:
         col = table.column(self.column)
         if col.dtype is DataType.STRING:
-            decoded = col.decode().astype(str)
-            return (decoded >= str(self.low)) & (decoded <= str(self.high))
+            return string_order_mask(col, col.data, ((">=", self.low), ("<=", self.high)))
         return (col.data >= self.low) & (col.data <= self.high)
 
     def referenced_columns(self) -> frozenset[str]:

@@ -19,119 +19,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from repro.bloom.bloom_filter import hash_keys
 from repro.core.join_graph import JoinGraph
 from repro.errors import OptimizerError
 from repro.expr.selectivity import estimate_selectivity
 from repro.query import QuerySpec
 from repro.storage.catalog import Catalog
-
-
-# ---------------------------------------------------------------------------
-# KMV distinct-count sketch
-# ---------------------------------------------------------------------------
-#: Default number of minimum hash values retained by a :class:`KMVSketch`
-#: (relative error ~ 1/sqrt(k) ≈ 3%).
-KMV_DEFAULT_K = 1024
-
-#: Size of the partitioned candidate pool the sketch builder extracts before
-#: deduplicating (a small multiple of k so duplicate-heavy columns still
-#: yield k distinct minima without sorting the whole array).
-_KMV_POOL_FACTOR = 4
-
-#: Smallest usable KMV sample: below this many distinct pool values the
-#: estimator's variance is useless and the builder takes one exact pass.
-_KMV_MIN_SAMPLE = 16
-
-_HASH_SPACE = 2.0**64
-
-
-@dataclass(frozen=True)
-class KMVSketch:
-    """A k-minimum-values distinct-count sketch over one key column.
-
-    The sketch stores the ``k`` smallest *distinct* splitmix64 hash values of
-    the column.  Because the hashes are (near-)uniform over ``[0, 2^64)``,
-    the k-th smallest value ``m`` estimates the distinct count as
-    ``(k - 1) · 2^64 / m`` (the classic KMV/bottom-k estimator).  Building
-    the sketch is one vectorized hashing pass plus an ``O(n)`` partition;
-    the encoding chooser uses it to estimate a column's cardinality.
-
-    ``exact`` marks sketches whose column had at most ``k`` distinct hash
-    values; their ``estimate`` is the exact distinct count (modulo 64-bit
-    hash collisions, negligible at these scales).
-    """
-
-    k: int
-    minima: np.ndarray
-    exact: bool
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, k: int = KMV_DEFAULT_K) -> "KMVSketch":
-        """Build a sketch from raw (integer-backed) key values."""
-        values = np.asarray(values)
-        if values.size == 0:
-            if k <= 1:
-                raise OptimizerError(f"KMV sketch needs k > 1, got {k}")
-            return cls(k=k, minima=np.zeros(0, dtype=np.uint64), exact=True)
-        return cls.from_hashes(hash_keys(values), k=k)
-
-    @classmethod
-    def from_hashes(cls, hashes: np.ndarray, k: int = KMV_DEFAULT_K) -> "KMVSketch":
-        """Build a sketch from an already-computed splitmix64 hashing pass.
-
-        Lets callers that hold a cached full-column pass (the query-lifetime
-        :class:`~repro.exec.hashcache.HashCache`) sketch without re-hashing.
-        """
-        if k <= 1:
-            raise OptimizerError(f"KMV sketch needs k > 1, got {k}")
-        hashes = np.asarray(hashes)
-        if hashes.size == 0:
-            return cls(k=k, minima=np.zeros(0, dtype=np.uint64), exact=True)
-        pool_size = k * _KMV_POOL_FACTOR
-        if hashes.size <= pool_size:
-            distinct = np.unique(hashes)
-            return cls(k=k, minima=distinct[:k].copy(), exact=distinct.size < k)
-        # O(n) partition: the pool holds every element <= the pool_size-th
-        # smallest hash, so its distinct values are exactly the smallest
-        # distinct hash values of the whole column.
-        pool = np.partition(hashes, pool_size - 1)[:pool_size]
-        distinct = np.unique(pool)
-        if distinct.size >= k:
-            return cls(k=k, minima=distinct[:k].copy(), exact=False)
-        if distinct.size >= _KMV_MIN_SAMPLE:
-            # Duplicate-heavy column flooded the pool below k distinct
-            # values.  The d values present are still the d smallest
-            # distinct hashes, i.e. a valid KMV sample of order d — use it
-            # (higher variance, ~1/sqrt(d)) instead of sorting the column.
-            return cls(k=int(distinct.size), minima=distinct.copy(), exact=False)
-        # Near-constant column: one exact pass is cheap (mostly duplicates)
-        # and the tiny distinct set makes the estimator unusable anyway.
-        distinct = np.unique(hashes)
-        return cls(k=k, minima=distinct[:k].copy(), exact=distinct.size < k)
-
-    @property
-    def estimate(self) -> float:
-        """Estimated number of distinct values in the sketched column."""
-        if self.minima.size == 0:
-            return 0.0
-        if self.exact or self.minima.size < self.k:
-            return float(self.minima.size)
-        return (self.k - 1) * _HASH_SPACE / (float(self.minima[self.k - 1]) + 1.0)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the sketch (what the artifact cache charges)."""
-        return int(self.minima.nbytes)
-
-
-def kmv_distinct_estimate(values: np.ndarray, k: int = KMV_DEFAULT_K) -> float:
-    """One-shot distinct-count estimate of ``values`` via a KMV sketch."""
-    return KMVSketch.from_values(values, k=k).estimate
 
 
 @dataclass(frozen=True)
@@ -188,16 +82,11 @@ class CardinalityEstimator:
         query: QuerySpec,
         graph: JoinGraph,
         error_model: Optional[EstimationErrorModel] = None,
-        rows_upper_bounds: Optional[Mapping[str, int]] = None,
     ) -> None:
         self.catalog = catalog
         self.query = query
         self.graph = graph
         self.error_model = error_model or EstimationErrorModel()
-        #: alias -> hard upper bound on rows surviving the base predicate,
-        #: derived from zone maps before execution (block-encoded runs only;
-        #: absent aliases keep the textbook estimate).
-        self.rows_upper_bounds = dict(rows_upper_bounds or {})
         self._base_estimates: Dict[str, float] = {}
         self._distinct_cache: Dict[tuple[str, str], int] = {}
         self._populate_base_estimates()
@@ -221,15 +110,7 @@ class CardinalityEstimator:
             selectivity = estimate_selectivity(ref.filter, stats)
             estimate = stats.num_rows * selectivity
             estimate *= self.error_model.factor_for(ref.alias)
-            estimate = max(estimate, 1.0)
-            bound = self.rows_upper_bounds.get(ref.alias)
-            if bound is not None:
-                # A zone-map bound is a hard ceiling on matching rows, so it
-                # caps the (error-injected) textbook estimate — including
-                # past the 1-row floor when every block provably misses the
-                # predicate (the floor only guards *unknown* selectivities).
-                estimate = min(estimate, float(bound))
-            self._base_estimates[ref.alias] = estimate
+            self._base_estimates[ref.alias] = max(estimate, 1.0)
 
     def base_cardinality(self, alias: str) -> float:
         """Estimated cardinality of a (filtered) base relation."""

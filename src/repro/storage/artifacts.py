@@ -24,13 +24,6 @@ An artifact is addressed by an :class:`ArtifactKey`:
   column-pure ``bloom_pass`` uses the fingerprint ``"column"`` — it depends
   only on the immutable column data, never on a query's pushed-down
   predicate.
-* ``encoding`` — the encoding identity of the column the artifact was
-  built over (``"raw"``, or an :class:`~repro.storage.encodings.EncodedColumn`
-  token such as ``"pack:u16:b0"``).  Encoded execution decodes to the same
-  physical values, but the token keeps an artifact built while encodings
-  were enabled from aliasing one built over raw buffers at the same
-  catalog version — re-encoding a table is a representation change the key
-  must observe.
 
 Residency is bounded by a byte budget with LRU eviction; the pipeline
 executor additionally charges resident artifacts it touches against the
@@ -76,7 +69,6 @@ class ArtifactKey:
     fingerprint: str
     kind: str
     param: str = ""
-    encoding: str = "raw"
 
 
 @dataclass

@@ -20,10 +20,9 @@ hooks* — this is what turns cache/segment invalidation from immediate
 into release-driven (the database wires :class:`ArtifactCache` and
 :class:`SharedColumnArena` invalidation through these hooks).
 
-Hooks (and :class:`EncodingStore` invalidation) are always fired
-*outside* the catalog lock: the encoding store takes its own lock and
-calls back into ``catalog.version()`` on reads, so firing under the
-catalog lock would create a lock-order cycle.
+Hooks are always fired *outside* the catalog lock: a hook takes its own
+lock (the artifact cache's, the arena's) and may call back into catalog
+reads, so firing under the catalog lock would create a lock-order cycle.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CatalogError
-from repro.storage.encodings import EncodingStore
 from repro.storage.table import Table
 
 
@@ -65,7 +63,7 @@ class CatalogSnapshot:
     """An immutable, pinned view of a subset of the catalog.
 
     Serves the same read API the executor and optimizer use on a live
-    catalog (``table`` / ``version`` / ``statistics`` / ``encodings``), but
+    catalog (``table`` / ``version`` / ``statistics``), but
     every answer is frozen at the moment :meth:`Catalog.snapshot` was
     called.  Must be released exactly once (``release()`` is idempotent;
     the snapshot is also a context manager).
@@ -95,17 +93,6 @@ class CatalogSnapshot:
     def versions(self) -> Dict[str, int]:
         """The pinned ``name -> version`` map (used as a plan-cache key)."""
         return {name: entry.version for name, entry in self._entries.items()}
-
-    @property
-    def encodings(self) -> EncodingStore:
-        """The live encoding store.
-
-        The store keys entries by ``(name, version)`` *and* checks table
-        identity, so reads through a snapshot of a replaced version simply
-        miss and fall back to raw (bit-identical) evaluation — stale
-        encodings are never served.
-        """
-        return self._catalog.encodings
 
     def has_table(self, name: str) -> bool:
         return name in self._entries
@@ -152,7 +139,6 @@ class Catalog:
         self._pins: Dict[Tuple[str, int], int] = {}
         self._retained: Dict[Tuple[str, int], Tuple[Table, TableStatistics]] = {}
         self._release_hooks: List[ReleaseHook] = []
-        self._encodings = EncodingStore(self)
 
     # ------------------------------------------------------------------
     # Registration
@@ -189,9 +175,8 @@ class Catalog:
             self._tables[name] = table
             self._stats[name] = _compute_statistics(table)
             self._versions[name] = self._versions.get(name, 0) + 1
-        # Outside the lock: the encoding store and release hooks take their
-        # own locks and may call back into catalog reads.
-        self._encodings.invalidate_table(table.name)
+        # Outside the lock: release hooks take their own locks and may call
+        # back into catalog reads.
         self._fire_release_hooks(to_fire)
 
     def unregister(self, name: str) -> None:
@@ -207,7 +192,6 @@ class Catalog:
                 to_fire.append(old_key)
             del self._tables[name]
             del self._stats[name]
-        self._encodings.invalidate_table(name)
         self._fire_release_hooks(to_fire)
 
     # ------------------------------------------------------------------
@@ -311,11 +295,6 @@ class Catalog:
                 return self._stats[name]
             except KeyError:
                 raise CatalogError(f"table {name!r} is not registered") from None
-
-    @property
-    def encodings(self) -> EncodingStore:
-        """The per-column encoding / zone-map store (lazy, version-keyed)."""
-        return self._encodings
 
     def has_table(self, name: str) -> bool:
         """True when a table with that name is registered."""

@@ -201,56 +201,6 @@ def share_array(array: np.ndarray) -> Tuple[shared_memory.SharedMemory, ShmArray
     return segment, ShmArrayRef(name=segment.name, dtype=array.dtype.str, shape=array.shape)
 
 
-@dataclass(frozen=True)
-class EncodedColumnRef:
-    """A picklable reference to an *encoded* column in shared memory.
-
-    Ships the narrow code buffer (plus, for dictionary encodings, the
-    ``int64`` value array) instead of the flat ``int64`` column — workers
-    decode gathered codes back to the exact physical values, so probes
-    stay bit-identical while the mapped bytes shrink by the code width.
-    """
-
-    codes: ShmArrayRef
-    values: Optional[ShmArrayRef]
-    base: int
-
-    @property
-    def name(self) -> str:
-        """Primary segment name (used for governor reservation keys)."""
-        return self.codes.name
-
-    @property
-    def nbytes(self) -> int:
-        """Encoded bytes behind this ref (codes plus dictionary values)."""
-        total = self.codes.nbytes
-        if self.values is not None:
-            total += self.values.nbytes
-        return total
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        """Logical row shape (mirrors :class:`ShmArrayRef`)."""
-        return self.codes.shape
-
-
-def gather_encoded(ref: EncodedColumnRef, selection: np.ndarray) -> np.ndarray:
-    """Gather + decode rows of an encoded shared column in this process.
-
-    Returns exactly ``raw_column[selection]`` — the decode is lossless, so
-    worker-side probes over encoded segments match owner-side execution
-    bit for bit.
-    """
-    codes = attach_array(ref.codes)[selection]
-    if ref.values is not None:
-        values = attach_array(ref.values)
-        return values[codes]
-    decoded = codes.astype(np.int64)
-    if ref.base:
-        decoded += ref.base
-    return decoded
-
-
 #: Worker-side cache of attached segments: ref name -> (segment, array).
 #: Bounded so long-running workers do not accumulate mappings of segments
 #: the parent has already unlinked (the mapping itself stays valid on
@@ -259,8 +209,8 @@ _ATTACHED: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 _ATTACH_CACHE_LIMIT = 64
 
 #: Guards ``_ATTACHED``: worker processes are single-threaded, but the
-#: owner process also attaches (inline crash-recovery fallback and encoded
-#: gathers) and may do so from many server threads at once.
+#: owner process also attaches (inline crash-recovery fallback) and may do
+#: so from many server threads at once.
 _ATTACH_LOCK = threading.Lock()
 
 #: Whether :func:`attach_array` must undo the resource-tracker registration
@@ -345,22 +295,16 @@ class SharedColumnArena:
         self.catalog = catalog
         self._lock = threading.Lock()
         self._segments: Dict[
-            Tuple[str, int, str, bool], Tuple[Tuple[shared_memory.SharedMemory, ...], object]
+            Tuple[str, int, str], Tuple[shared_memory.SharedMemory, ShmArrayRef]
         ] = {}
         _ARENAS.add(self)
 
-    def column_ref(self, table, column: str, encoded: bool = False):
+    def column_ref(self, table, column: str) -> Optional[ShmArrayRef]:
         """A shared-memory ref for ``table.column(column)``, publishing on demand.
 
         Returns ``None`` when the column cannot be shared: the table is not
         (or no longer) the catalog's current registration under its name, or
         the column is not integer-backed (join keys always are).
-
-        With ``encoded=True`` and a dictionary / bit-packed encoding
-        available from the catalog's :class:`~repro.storage.encodings.EncodingStore`,
-        the *encoded* buffers are published instead (an
-        :class:`EncodedColumnRef`), shrinking the mapped footprint; RLE
-        columns and unencoded columns fall back to the raw ``int64`` array.
         """
         try:
             version = self.catalog.version(table.name)
@@ -371,49 +315,20 @@ class SharedColumnArena:
         col = table.column(column)
         if not col.dtype.is_integer_backed:
             return None
-        encoded_column = None
-        if encoded:
-            try:
-                candidate = self.catalog.encodings.encoded(table, column)
-            except Exception:
-                candidate = None
-            # Point gathers over RLE would searchsorted per morsel row;
-            # only gather-friendly layouts ship encoded.
-            if candidate is not None and candidate.encoding in ("pack", "dict"):
-                encoded_column = candidate
-        key = (table.name, version, column, encoded_column is not None)
+        key = (table.name, version, column)
         with self._lock:
             entry = self._segments.get(key)
             if entry is not None:
                 return entry[1]
-        if encoded_column is not None:
-            codes_segment, codes_ref = share_array(encoded_column.codes)
-            segments: Tuple[shared_memory.SharedMemory, ...] = (codes_segment,)
-            values_ref = None
-            if encoded_column.values is not None:
-                try:
-                    values_segment, values_ref = share_array(encoded_column.values)
-                except Exception:
-                    # Publishing the dictionary failed after the codes went
-                    # up: unlink the half-published pair before propagating.
-                    unlink_segment(codes_segment)
-                    raise
-                segments = (codes_segment, values_segment)
-            ref: object = EncodedColumnRef(
-                codes=codes_ref, values=values_ref, base=encoded_column.base
-            )
-        else:
-            segment, ref = share_array(col.data)
-            segments = (segment,)
+        segment, ref = share_array(col.data)
         with self._lock:
             existing = self._segments.get(key)
             if existing is None:
-                self._segments[key] = (segments, ref)
+                self._segments[key] = (segment, ref)
                 return ref
         # Lost a publish race: keep the winner (its ref may already be in
-        # worker task messages) and unlink our duplicate segments.
-        for segment in segments:
-            unlink_segment(segment)
+        # worker task messages) and unlink our duplicate segment.
+        unlink_segment(segment)
         return existing[1]
 
     @property
@@ -426,21 +341,17 @@ class SharedColumnArena:
     def num_segments(self) -> int:
         """Number of live published segments."""
         with self._lock:
-            return sum(len(segments) for segments, _ in self._segments.values())
+            return len(self._segments)
 
-    def published_keys(self) -> Tuple[Tuple[str, int, str, bool], ...]:
-        """The (table, version, column, encoded) keys currently published."""
+    def published_keys(self) -> Tuple[Tuple[str, int, str], ...]:
+        """The (table, version, column) keys currently published."""
         with self._lock:
             return tuple(self._segments)
 
     def segment_names(self) -> Tuple[str, ...]:
         """Names of every OS segment this arena currently publishes."""
         with self._lock:
-            return tuple(
-                segment.name
-                for segments, _ in self._segments.values()
-                for segment in segments
-            )
+            return tuple(segment.name for segment, _ in self._segments.values())
 
     def republish_missing(self) -> int:
         """Verify published segments still exist at the OS level.
@@ -456,23 +367,17 @@ class SharedColumnArena:
         repaired = 0
         with self._lock:
             entries = list(self._segments.items())
-        for key, (segments, _) in entries:
-            missing = False
-            for segment in segments:
-                try:
-                    probe = shared_memory.SharedMemory(name=segment.name)
-                    probe.close()
-                except FileNotFoundError:
-                    missing = True
-                    break
-                except Exception:  # pragma: no cover - platform-specific probe failure
-                    continue
-            if missing:
+        for key, (segment, _) in entries:
+            try:
+                probe = shared_memory.SharedMemory(name=segment.name)
+                probe.close()
+            except FileNotFoundError:
                 with self._lock:
                     self._segments.pop(key, None)
-                for segment in segments:
-                    unlink_segment(segment)
+                unlink_segment(segment)
                 repaired += 1
+            except Exception:  # pragma: no cover - platform-specific probe failure
+                pass
         return repaired
 
     def invalidate_table(self, name: str) -> None:
@@ -482,9 +387,8 @@ class SharedColumnArena:
                 self._segments.pop(key)
                 for key in [k for k in self._segments if k[0] == name]
             ]
-        for segments, _ in stale:
-            for segment in segments:
-                unlink_segment(segment)
+        for segment, _ in stale:
+            unlink_segment(segment)
 
     def invalidate_version(self, name: str, version: int) -> None:
         """Unlink the published segments of one ``(table, version)``.
@@ -500,18 +404,16 @@ class SharedColumnArena:
                     k for k in self._segments if k[0] == name and k[1] == version
                 ]
             ]
-        for segments, _ in stale:
-            for segment in segments:
-                unlink_segment(segment)
+        for segment, _ in stale:
+            unlink_segment(segment)
 
     def close(self) -> None:
         """Unlink every published segment; idempotent."""
         with self._lock:
             entries = list(self._segments.values())
             self._segments.clear()
-        for segments, _ in entries:
-            for segment in segments:
-                unlink_segment(segment)
+        for segment, _ in entries:
+            unlink_segment(segment)
 
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         try:

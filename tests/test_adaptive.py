@@ -2,21 +2,20 @@
 
 Covers the :class:`~repro.exec.adaptive.AdaptiveTransferController` (yield
 observation, pending-step cancellation by step id, wholesale backward-pass
-skipping),
-the KMV distinct-count sketch and its accuracy bounds, the exact-bitmap
-downgrade (the executor's own decision, on whether or not skipping is),
-bit-identity of adaptive on/off across all five modes / five
-workloads / three backends, the IN-list kernel routing, edge cases
-(single-relation queries, forward-only schedules, zero-yield first steps,
-PK-FK pruning interaction), and observability markers.
+skipping), the exact-bitmap downgrade (the executor's own decision, on
+whether or not skipping is), bit-identity of adaptive on/off across all
+five modes / five workloads / three backends, the IN-list kernel routing,
+edge cases (single-relation queries, forward-only schedules, zero-yield
+first steps, PK-FK pruning interaction), and observability markers.
 
 Removed with NDV-based Bloom sizing (``ExecutionConfig.ndv_sizing``):
 ``test_ndv_sizing_shrinks_filters``, ``test_bytes_saved_marker``, the
 ``ndv_only`` bit-identity configuration, and ``TestNDVSketchArtifacts``
 (sketch artifacts cached / invalidated on replace — invalidation of the
-remaining artifact kinds is covered by ``test_hash_cache.py``).  The
-env-resolution class moved to the table-driven
-``test_config_resolution.py``.
+remaining artifact kinds is covered by ``test_hash_cache.py``).  The KMV
+distinct-count sketch's tests went with the sketch, whose only non-test
+caller was the block-encoding chooser.  The env-resolution class moved to
+the table-driven ``test_config_resolution.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro import (
 from repro.core.transfer_schedule import TransferPass, TransferSchedule, TransferStep
 from repro.exec.adaptive import AdaptiveTransferController
 from repro.expr import eq, isin, lt
-from repro.optimizer.cardinality import KMV_DEFAULT_K, KMVSketch, kmv_distinct_estimate
 from repro.plan.join_plan import JoinPlan
 from repro.plan.physical import BloomBuild, BloomProbe, Operand, PhysicalPlan
 from repro.storage.table import ForeignKey
@@ -189,52 +187,6 @@ class TestAdaptiveTransferController:
         plan = _transfer_plan([(0, "a", "f", "forward")])
         with pytest.raises(ValueError):
             AdaptiveTransferController(plan, min_yield=1.5)
-
-
-# ---------------------------------------------------------------------------
-# KMV sketch accuracy
-# ---------------------------------------------------------------------------
-class TestKMVSketch:
-    @pytest.mark.parametrize("ndv", [10, 500, 5_000, 50_000])
-    def test_estimate_within_bounds(self, ndv):
-        rng = np.random.default_rng(ndv)
-        values = rng.integers(0, ndv, size=300_000, dtype=np.int64)
-        true_ndv = np.unique(values).size
-        estimate = kmv_distinct_estimate(values)
-        assert true_ndv * 0.85 <= estimate <= true_ndv * 1.15
-
-    def test_small_columns_are_exact(self):
-        values = np.array([1, 2, 2, 3, 3, 3], dtype=np.int64)
-        sketch = KMVSketch.from_values(values)
-        assert sketch.exact
-        assert sketch.estimate == 3.0
-
-    def test_empty_column(self):
-        sketch = KMVSketch.from_values(np.zeros(0, dtype=np.int64))
-        assert sketch.estimate == 0.0 and sketch.exact
-
-    def test_duplicate_heavy_column_avoids_full_sort_yet_estimates(self):
-        # NDV far below the pool size: the flooded pool degrades to a
-        # smaller-k sample rather than mis-estimating.
-        rng = np.random.default_rng(3)
-        values = rng.integers(0, 200, size=1_000_000, dtype=np.int64)
-        estimate = kmv_distinct_estimate(values)
-        assert 150 <= estimate <= 260
-
-    def test_from_hashes_matches_from_values(self):
-        from repro.bloom.bloom_filter import hash_keys
-
-        rng = np.random.default_rng(4)
-        values = rng.integers(0, 10_000, size=50_000, dtype=np.int64)
-        a = KMVSketch.from_values(values)
-        b = KMVSketch.from_hashes(hash_keys(values))
-        np.testing.assert_array_equal(a.minima, b.minima)
-        assert a.estimate == b.estimate
-
-    def test_nbytes_positive(self):
-        sketch = KMVSketch.from_values(np.arange(10_000, dtype=np.int64))
-        assert sketch.nbytes > 0
-        assert sketch.k == KMV_DEFAULT_K
 
 
 # ---------------------------------------------------------------------------

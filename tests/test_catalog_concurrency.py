@@ -1,11 +1,13 @@
-"""Thread-safety hammers for the catalog, snapshots, and encoding store.
+"""Thread-safety hammers for the catalog and its snapshots.
 
 These tests drive the MVCC-lite layer from many threads at once: readers
-must never observe a torn catalog entry, snapshots must keep replaced
-versions alive until the last reader releases them, and the encoding store
-must survive invalidation racing encoded-column lookups. Failures here are
-the classic symptoms — ``KeyError`` escaping a lookup, a decode against a
-freed version, pin/retain counters that do not return to zero.
+must never observe a torn catalog entry, and snapshots must keep replaced
+versions alive until the last reader releases them. Failures here are the
+classic symptoms — ``KeyError`` escaping a lookup, a read against a freed
+version, pin/retain counters that do not return to zero.
+
+Removed with the block-encoding stack: ``test_invalidation_races_encoded_lookup``
+(the encoding store's lookups racing its invalidation).
 """
 
 from __future__ import annotations
@@ -137,43 +139,12 @@ class TestCatalogHammer:
         snap.release()
         assert catalog.retained_version_count() == 0
 
-
-class TestEncodingStoreHammer:
-    def test_invalidation_races_encoded_lookup(self):
-        """encoded()/zone_map() racing invalidate_table never tears or errors."""
-        catalog = Catalog()
-        catalog.register(_table("t", 0, rows=2048))
-        store = catalog.encodings
-        stop = threading.Event()
-
-        def writer():
-            for generation in range(1, 24):
-                catalog.register(_table("t", generation, rows=2048), replace=True)
-            stop.set()
-
-        def reader():
-            while not stop.is_set():
-                table = catalog.table("t")
-                encoded = store.encoded(table, "generation")
-                if encoded is not None:
-                    decoded = np.unique(encoded.decode())
-                    # An encoding built for one version must never be served
-                    # for another: decode matches exactly one generation.
-                    assert len(decoded) == 1
-                zone = store.zone_map(table, "v")
-                if zone is not None:
-                    assert zone.num_rows == table.num_rows
-
-        errors = _run_threads([writer] + [reader] * (N_THREADS - 1))
-        assert not errors, errors
-
     def test_invalidation_races_filter_evaluation(self):
-        """Replacing a table mid-query (encodings on) stays bit-identical.
+        """Replacing a table mid-query stays bit-identical.
 
         The writer re-registers identical data, so whichever version a
         racing query lands on, its result must equal the baseline — any
-        divergence means ``_evaluate_filters`` consumed a torn or stale
-        encoding for the wrong version.
+        divergence means filter evaluation read a torn or stale version.
         """
         db = Database()
         rows = 4096
@@ -183,9 +154,7 @@ class TestEncodingStoreHammer:
             "v": (np.arange(rows, dtype=np.int64) * 31 % 997),
         }
         db.register_dataframe("t", data, primary_key=["id"])
-        options = ExecutionOptions(
-            execution=ExecutionConfig(backend="serial", encodings=True)
-        )
+        options = ExecutionOptions(execution=ExecutionConfig(backend="serial"))
         text = "SELECT COUNT(*) AS n, SUM(v) AS s FROM t WHERE grp < 7 AND v > 100"
         baseline = db.sql(text, options=options)
         stop = threading.Event()

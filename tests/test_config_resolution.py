@@ -46,7 +46,7 @@ def test_table_covers_every_env_variable_but_faults():
     assert {row[1] for row in modes.KNOB_TABLE} == envs - {modes.ENV_FAULTS}
     fields = {f.name for f in dataclasses.fields(ExecutionConfig)}
     assert {row[0] for row in modes.KNOB_TABLE} == fields - {"faults"}
-    assert len(fields) == 10 and len(envs) == 10 and len(modes.KNOB_TABLE) == 9
+    assert len(fields) == 9 and len(envs) == 9 and len(modes.KNOB_TABLE) == 8
 
 
 @pytest.mark.parametrize("name,env,parse,check,default", modes.KNOB_TABLE, ids=lambda v: str(v))

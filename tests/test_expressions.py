@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import operator
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
+from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.expr import (
     and_,
     between,
@@ -26,7 +32,8 @@ from repro.expr import (
     starts_with,
 )
 from repro.expr.expressions import Comparison
-from repro.storage import Table
+from repro.query import QualifiedComparison
+from repro.storage import Column, Table
 from repro.storage.catalog import TableStatistics
 
 
@@ -71,6 +78,146 @@ class TestComparisons:
 
     def test_referenced_columns(self):
         assert eq("x", 1).referenced_columns() == frozenset({"x"})
+
+
+#: The six comparison operators as plain Python string comparisons.
+_PY_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "==": operator.eq,
+    "!=": operator.ne,
+}
+#: Short words over a small alphabet, so prefixes and ties are common.
+_WORDS = st.text(alphabet="abyz", max_size=3)
+
+
+@st.composite
+def _string_filters(draw):
+    """A string column over a sorted, reversed or shuffled dictionary, and one
+    ordered comparison or ``BETWEEN`` whose literals may be absent from it."""
+    words = draw(st.lists(_WORDS, unique=True, max_size=6))
+    order = draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
+    if order == "shuffled":
+        dictionary = draw(st.permutations(words))
+    else:
+        dictionary = sorted(words, reverse=order == "reversed")
+    codes = draw(st.lists(st.integers(0, len(words) - 1), max_size=30)) if words else []
+    literal = st.one_of(st.sampled_from(words), _WORDS) if words else _WORDS
+    op = draw(st.sampled_from([*_PY_COMPARE, "between"]))
+    if op == "between":
+        conditions = ((">=", draw(literal)), ("<=", draw(literal)))
+    else:
+        conditions = ((op, draw(literal)),)
+    return tuple(dictionary), codes, op, conditions
+
+
+def _decode_every_row(dictionary, codes, conditions):
+    """The reference: decode each row and compare the Python strings."""
+    return [
+        all(_PY_COMPARE[op](dictionary[code], value) for op, value in conditions)
+        for code in codes
+    ]
+
+
+def _no_decode(column):
+    raise AssertionError(f"string filter decoded column {column.name!r}")
+
+
+def _string_table(dictionary, codes):
+    return Table("t", (Column.from_codes("s", np.asarray(codes, dtype=np.int64), dictionary),))
+
+
+#: The same strings in sorted order and in an order whose codes disagree with
+#: string order, as ``Column.from_codes`` allows.
+_GRID_DICTIONARIES = {
+    "sorted": ("apple", "kiwi", "mango", "pear"),
+    "unsorted": ("pear", "apple", "mango", "kiwi"),
+}
+_GRID_ROWS = ["mango", "apple", "pear", "kiwi", "mango", "pear", "apple"]
+#: Per case: the rows, the comparison literal and ``BETWEEN``'s bounds.
+_GRID_CASES = {
+    "present": (_GRID_ROWS, "kiwi", ("kiwi", "pear")),
+    "absent": (_GRID_ROWS, "lemon", ("banana", "orange")),
+    "empty": ([], "kiwi", ("apple", "mango")),
+}
+
+
+def _grid_case(op, order, case):
+    """The dictionary, row codes and ``(op, literal)`` conditions of one grid cell."""
+    dictionary = _GRID_DICTIONARIES[order]
+    rows, literal, (low, high) = _GRID_CASES[case]
+    codes = [dictionary.index(row) for row in rows]
+    conditions = ((">=", low), ("<=", high)) if op == "between" else ((op, literal),)
+    return dictionary, codes, conditions
+
+
+class TestStringComparisons:
+    """Ordered string comparisons read the dictionary once and gather by code:
+    they must equal decoding every row on any dictionary order, with absent
+    literals and on empty tables, without ever calling ``Column.decode``."""
+
+    @given(_string_filters())
+    @example(((), [], "<", (("<", "b"),)))
+    @example(((), [], "between", ((">=", "a"), ("<=", "z"))))
+    @example((("z", "b", "a"), [2, 0, 1, 1], "<", (("<", "ab"),)))
+    @example((("z", "b", "a"), [2, 0, 1, 1], "between", ((">=", "aa"), ("<=", "y"))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_decoding_every_row(self, case):
+        dictionary, codes, op, conditions = case
+        table = _string_table(dictionary, codes)
+        expected = _decode_every_row(dictionary, codes, conditions)
+        if op == "between":
+            expr = between("s", conditions[0][1], conditions[1][1])
+        else:
+            expr = Comparison("s", op, conditions[0][1])
+        with mock.patch.object(Column, "decode", _no_decode):
+            masks = [expr.evaluate(table)]
+            if op != "between":
+                # The join phase's post-join predicates take the same path.
+                relation = BoundRelation.from_table("r", table)
+                result = IntermediateResult(positions={"r": np.arange(len(codes))})
+                term = QualifiedComparison("r", "s", op, conditions[0][1])
+                masks.append(result.evaluate_qualified_comparison({"r": relation}, term))
+        for mask in masks:
+            assert mask.dtype == bool
+            assert mask.tolist() == expected
+
+    @pytest.mark.parametrize("case", list(_GRID_CASES))
+    @pytest.mark.parametrize("order", list(_GRID_DICTIONARIES))
+    @pytest.mark.parametrize("op", [*_PY_COMPARE, "between"])
+    def test_filter_grid(self, op, order, case):
+        """Every operator and ``BETWEEN`` as a base-table filter, on each
+        dictionary order and literal case, without a decode."""
+        dictionary, codes, conditions = _grid_case(op, order, case)
+        if op == "between":
+            expr = between("s", conditions[0][1], conditions[1][1])
+        else:
+            expr = Comparison("s", op, conditions[0][1])
+        with mock.patch.object(Column, "decode", _no_decode):
+            mask = expr.evaluate(_string_table(dictionary, codes))
+        assert mask.dtype == bool
+        assert mask.tolist() == _decode_every_row(dictionary, codes, conditions)
+
+    @pytest.mark.parametrize("case", list(_GRID_CASES))
+    @pytest.mark.parametrize("order", list(_GRID_DICTIONARIES))
+    @pytest.mark.parametrize("op", list(_PY_COMPARE))
+    def test_qualified_grid(self, op, order, case):
+        """Every operator as a post-join predicate over gathered rows — out of
+        order and repeated, as a join emits them — without a decode."""
+        dictionary, codes, conditions = _grid_case(op, order, case)
+        positions = np.concatenate(
+            [np.arange(len(codes))[::-1], np.arange(0, len(codes), 2)]
+        ).astype(np.int64)
+        relation = BoundRelation.from_table("r", _string_table(dictionary, codes))
+        result = IntermediateResult(positions={"r": positions})
+        term = QualifiedComparison("r", "s", op, conditions[0][1])
+        with mock.patch.object(Column, "decode", _no_decode):
+            mask = result.evaluate_qualified_comparison({"r": relation}, term)
+        assert mask.dtype == bool
+        gathered = [codes[p] for p in positions]
+        assert mask.tolist() == _decode_every_row(dictionary, gathered, conditions)
 
 
 class TestCompoundPredicates:

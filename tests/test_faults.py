@@ -78,6 +78,9 @@ class TestFaultPlan:
     def test_parse_rejects_unknown_site(self):
         with pytest.raises(FaultInjected, match="unknown fault site"):
             FaultPlan.parse("seed:1,rate:0.5,sites:no.such.site")
+        # Columns are never encoded, so there is no decode to fail.
+        with pytest.raises(FaultInjected, match="unknown fault site 'column.decode'"):
+            FaultPlan.parse("seed:1,rate:1.0,sites:column.decode")
 
     def test_parse_rejects_bad_rate(self):
         with pytest.raises(FaultInjected, match="rate must be in"):
@@ -364,27 +367,6 @@ class TestDegradationLadder:
             "backend:parallel->serial",
         ]
         assert "degraded:" in degraded.stats.degradation_summary()
-
-    def test_decode_fault_degrades_to_raw_filters(self, tpch_db):
-        """An injected encoded-read failure downgrades that alias to the raw
-        filter path — same mask, degradation recorded."""
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        degraded = tpch_db.execute(
-            query,
-            options=_options(
-                backend="serial",
-                encodings=True,
-                faults="seed:1,rate:1.0,sites:column.decode",
-            ),
-        )
-        _assert_identical(degraded, baseline)
-        assert any(
-            rung.startswith("column.decode:") and rung.endswith("->raw")
-            for rung in degraded.stats.degradations
-        )
 
     def test_governor_spill_retry_rung(self, tpch_db):
         """An injected allocation failure spills evictables and retries."""

@@ -408,7 +408,6 @@ class TestGoldenReports:
         options = _options(
             artifact_cache=True,
             adaptive_transfer=True,
-            encodings=True,
             tracing=True,
             **backend,
         )
@@ -438,9 +437,7 @@ class TestGoldenReports:
         finally:
             db.close()
         # The knobs that are on all left their mark somewhere in the matrix.
-        assert {
-            "selvec_rows", "artifact_hits", "downgraded_exact", "blocks_total", "encoded_bytes",
-        } <= seen
+        assert {"selvec_rows", "artifact_hits", "downgraded_exact"} <= seen
         assert ("shm_bytes" in seen) == (backend["backend"] == "process")
 
     def test_latency_drill_names_the_slowed_ops(self, tpch_db):

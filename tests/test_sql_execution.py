@@ -9,7 +9,7 @@ Three layers of coverage:
   execution modes with the answer ``BASELINE`` gives, and compiles to what
   its workload module's ``query(n)`` returns;
 * **harness** — ``sqlfiles.run_all`` over every file on the parallel /
-  process backends, encoded and traced, against the plain serial sweep.
+  process backends and traced, against the plain serial sweep.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def test_sql_file_bit_identical_all_modes(stem, databases, module_queries):
 
 
 #: Every feature the harness sweeps pinned off; a sweep turns one knob on.
-PLAIN = {"backend": "serial", "encodings": False, "tracing": False}
+PLAIN = {"backend": "serial", "tracing": False}
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +117,11 @@ def harness():
     "execution",
     [
         {},  # whatever the environment (a CI leg's REPRO_* variables) selects
-        {**PLAIN, "encodings": True},
         {**PLAIN, "tracing": True},
         {**PLAIN, "backend": "parallel"},
         {**PLAIN, "backend": "process"},
     ],
-    ids=["environment", "encoded", "traced", "parallel", "process"],
+    ids=["environment", "traced", "parallel", "process"],
 )
 def test_run_all_harness_smoke(execution, harness):
     """Every file executes and answers exactly what the plain serial sweep
