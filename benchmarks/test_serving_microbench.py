@@ -1,17 +1,17 @@
 """Concurrent serving benchmark: closed-loop clients over the SQL workloads.
 
 Runs the :mod:`repro.bench.serving` closed-loop driver over all checked-in
-``.sql`` files in four regimes — clean serial, clean process, overload
-(offered load above admission capacity), and chaos (deterministic fault
-injection under concurrency) — and records p50/p95/p99 latency and QPS for
+``.sql`` files in three regimes — clean serial, overload (offered load
+above admission capacity), and chaos (deterministic fault injection under
+concurrency) — and records p50/p95/p99 latency and QPS for
 each into ``BENCH_serving.json`` at the repo root.
 
 Beyond the numbers, every run *enforces* the serving acceptance contract:
 completed queries are bit-identical to a single-threaded serial baseline,
 failures are typed ``ReproError`` subclasses only, overload sheds with
 typed ``AdmissionRejected`` (no hangs, no unbounded queues), and the run
-ends with zero leaked shm segments and zero outstanding governor
-reservations (the driver raises otherwise).
+ends with zero outstanding governor reservations (the driver raises
+otherwise).
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ def test_closed_loop_serving_over_sql_workloads(benchmark, tmp_path):
                 fleet, clients=8, rounds=2, seed=17, backend="serial",
                 kind="clean_serial",
             )
-            clean_process = run_serving_benchmark(
-                fleet, clients=8, rounds=1, seed=18, backend="process",
-                kind="clean_process",
-            )
             chaos = run_serving_benchmark(
                 fleet, clients=8, rounds=1, seed=19, backend="serial",
                 fault_spec="seed:1234,rate:0.05", kind="chaos",
@@ -80,7 +76,7 @@ def test_closed_loop_serving_over_sql_workloads(benchmark, tmp_path):
             )
         finally:
             overload_fleet.close()
-        return [clean_serial, clean_process, chaos, overload]
+        return [clean_serial, chaos, overload]
 
     reports = benchmark.pedantic(run, rounds=1, iterations=1)
     for report in reports:
@@ -101,18 +97,17 @@ def test_closed_loop_serving_over_sql_workloads(benchmark, tmp_path):
         metadata={"scale": SERVING_SCALE, "statements": reports[0].statements},
     )
     recorded = json.loads(written.read_text())["measurements"]
-    assert len(recorded) == 4
+    assert len(recorded) == 3
     for measurement in recorded:
         for fld in REQUIRED_FIELDS:
             assert fld in measurement, f"{measurement['kind']} missing {fld}"
 
-    clean_serial, clean_process, chaos, overload = reports
-    # Clean runs complete everything, bit-identically.
+    clean_serial, chaos, overload = reports
+    # The clean run completes everything, bit-identically.
     assert clean_serial.completed == clean_serial.statements * 2
-    assert clean_process.completed == clean_process.statements
-    assert clean_serial.verified and clean_process.verified
-    assert clean_serial.shed == 0 and clean_process.shed == 0
-    assert not clean_serial.typed_errors and not clean_process.typed_errors
+    assert clean_serial.verified
+    assert clean_serial.shed == 0
+    assert not clean_serial.typed_errors
     # Chaos: every statement either completed bit-identically or raised a
     # typed error (the driver enforces bit-identity and leak-freedom).
     assert chaos.completed + sum(chaos.typed_errors.values()) + chaos.shed == (

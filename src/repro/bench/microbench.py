@@ -28,7 +28,7 @@ The cases, by what the paper or the engine claims:
 * ``join_match`` — hash-join build + probe: sorted vs the rule's index, per key regime;
 * ``artifact_cache`` — transfer phase with the artifact cache off/cold/warm;
 * ``adaptive_low_yield`` / ``adaptive_high_yield`` — adaptive transfer vs static;
-* ``scaling`` — serial vs thread vs process backends over a worker sweep;
+* ``scaling`` — serial vs the thread backend over a worker sweep;
 * ``deadline_overhead`` / ``tracing_overhead`` — the <2% pay-as-you-go gates.
 """
 
@@ -48,7 +48,6 @@ from repro.engine.database import Database, ExecutionOptions
 from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import BenchmarkError
 from repro.exec.kernels import HashIndex, match_keys, semi_join_mask
-from repro.exec.process import shutdown_workers
 from repro.expr import lt
 from repro.query import JoinCondition, QuerySpec, RelationRef
 
@@ -64,8 +63,7 @@ class Gate:
     (``variant`` at least ``1/factor`` times faster than ``base``) — widened
     to ``base + slack`` seconds when that is larger, so a percentage gate on
     a sub-second run cannot trip on timer noise.  A label ending in ``*``
-    stands for the fastest variant with that prefix.  Below ``min_cores``
-    the gate is recorded but not judged.
+    stands for the fastest variant with that prefix.
     """
 
     variant: str
@@ -73,7 +71,6 @@ class Gate:
     factor: float
     slack: float = 0.0
     overhead: bool = False
-    min_cores: int = 1
 
     def describe(self) -> str:
         text = f"{self.variant} <= {self.factor:.3g} x {self.base}"
@@ -186,20 +183,18 @@ def _star(
             yield {label: thunk(label) for label in configs}
         finally:
             db.close()
-            shutdown_workers()
 
     return setup
 
 
 def _scaling(workers: Optional[Tuple[int, ...]] = None, **sizes) -> ContextManager[Variants]:
-    """The star under serial, and threads / processes at each worker count
-    (default: powers of two up to the machine's core count)."""
+    """The star under serial, and threads at each worker count (default:
+    powers of two up to the machine's core count)."""
     if workers is None:
         workers = tuple(1 << i for i in range((os.cpu_count() or 1).bit_length()))
     configs: Dict[str, Mapping[str, Any]] = {"serial": {}}
     for n in workers:
         configs[f"threads_{n}"] = {"backend": "parallel", "num_threads": n}
-        configs[f"process_{n}"] = {"backend": "process", "num_workers": n}
     return _star(**configs)(**sizes)
 
 
@@ -407,27 +402,12 @@ CASES: Dict[str, Case] = {
         ),
         Case(
             name="scaling",
-            title="One star query end to end: serial vs threads vs processes over a worker sweep",
+            title="One star query end to end: serial vs threads over a worker sweep",
             setup=_scaling,
             sizes={**_STAR_1M, "workers": None},
-            # Large enough that probes fan out past one process morsel.
+            # Large enough that probes fan out past one thread morsel.
             small={"fact_rows": 1 << 17, "dim_rows": 1 << 16, "workers": (1, 2)},
             repeats=2,
-            counters={
-                "shm_bytes_mapped": lambda out: max(
-                    r.stats.shm_bytes_mapped for label, r in out.items() if label.startswith("process_")
-                ),
-            },
-            ratios={
-                "process_over_threads": ("threads_*", "process_*"),
-                "process_over_serial": ("serial", "process_*"),
-            },
-            # NumPy kernels release the GIL, so threads do scale here; on
-            # few cores process dispatch costs more than it buys (0.61-0.85x
-            # threads on 2 cores).  The 4x claim is only judged where the
-            # process backend was designed to win.
-            gates=(Gate("process_*", "threads_*", factor=1 / 4.0, min_cores=8),),
-            checks={"morsels crossed the process boundary": lambda c: c["shm_bytes_mapped"] > 0},
             min_record_cores=2,
         ),
         Case(
@@ -550,9 +530,7 @@ def _judge(gate: Gate, summaries: Mapping[str, Mapping[str, Any]]) -> Dict[str, 
         allowed = max(allowed, base["median"] + gate.slack)
     violation = variant["median"] - allowed
     tolerance = allowed - base["median"]
-    if (os.cpu_count() or 1) < gate.min_cores:
-        status = "not judged"
-    elif violation > variant["spread"] + base["spread"]:
+    if violation > variant["spread"] + base["spread"]:
         status = "fail"
     elif violation > 0 or (gate.overhead and base["median"] - variant["median"] > tolerance):
         status = "unresolved"

@@ -24,8 +24,7 @@ Three things are measured and enforced:
   raise a typed :class:`~repro.errors.ReproError`
   (:class:`~repro.errors.AdmissionRejected` rejections are counted and,
   optionally, retried after their hint), and the run must end with zero
-  leaked shared-memory segments and zero outstanding governor
-  reservations.
+  outstanding governor reservations.
 """
 
 from __future__ import annotations
@@ -216,12 +215,11 @@ def run_serving_benchmark(
 
     Every completion is verified bit-identical against the fleet's serial
     baseline; every failure must be a typed :class:`ReproError` (anything
-    else propagates).  With ``check_leaks`` the run asserts zero leaked
-    transient shm segments and zero outstanding governor reservations at
-    the end.
+    else propagates).  With ``check_leaks`` the run asserts zero
+    outstanding governor reservations at the end.
     """
     from repro.exec import faults
-    from repro.storage import buffer, shm
+    from repro.storage import buffer
 
     if clients <= 0:
         raise WorkloadError("serving benchmark needs at least one client")
@@ -349,10 +347,6 @@ def run_serving_benchmark(
         )
 
     if check_leaks:
-        try:
-            shm.assert_no_transient_leaks()
-        except ReproError as error:
-            raise WorkloadError(f"serving run leaked shm segments: {error}") from error
         gc.collect()
         outstanding = buffer.outstanding_reservations()
         if outstanding:

@@ -165,19 +165,6 @@ class BloomFilter:
         self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Pickling
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        # The process backend ships filters to workers; locks do not pickle.
-        state = self.__dict__.copy()
-        del state["_stats_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._stats_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
     # Hashing helpers
     # ------------------------------------------------------------------
     def _block_and_bits(

@@ -226,7 +226,7 @@ class ExecutionOptions:
     skip_backward_if_aligned: bool = False
     #: Have the engine verify that the chosen join order is safe (SafeSubjoin).
     verify_safe_join_order: bool = False
-    #: Runtime configuration (backend, workers, memory budget, policies);
+    #: Runtime configuration (backend, threads, memory budget, policies);
     #: unset knobs resolve from ``REPRO_*`` variables once per execution.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: Pre-created :class:`~repro.exec.faults.CancelToken` for cooperative
@@ -249,21 +249,14 @@ class Database:
         # one (that sharing *is* the repeated-traffic win).
         self._artifact_cache: Optional[ArtifactCache] = None
         self._artifact_cache_init_lock = threading.Lock()
-        # Shared-memory column arena, created lazily the first time a
-        # process-backend execution needs zero-copy base columns and shared
-        # across executions (publishing a segment per query would erase the
-        # win).  Segments are unlinked on table replace, close(), and GC.
-        self._shm_arena = None
-        self._shm_arena_init_lock = threading.Lock()
         self._closed = False
-        # In-flight execution tracking: close() drains active queries
-        # before unlinking shared resources, and new admissions after
-        # close() raise immediately.
+        # In-flight execution tracking: close() drains active queries, and
+        # new admissions after close() raise immediately.
         self._state = threading.Condition()
         self._active = 0
         # Release-driven invalidation: when the last snapshot pinning a
         # replaced table version lets go, reclaim that version's cached
-        # artifacts and shared-memory segments.  (When nothing pins the old
+        # artifacts.  (When nothing pins the old
         # version, the catalog fires this synchronously from register —
         # the old eager-invalidation behaviour.)
         self.catalog.add_release_hook(self._on_version_released)
@@ -272,9 +265,6 @@ class Database:
         cache = self._artifact_cache
         if cache is not None:
             cache.invalidate_version(name, version)
-        arena = self._shm_arena
-        if arena is not None:
-            arena.invalidate_version(name, version)
 
     def _begin_execution(self) -> None:
         with self._state:
@@ -303,55 +293,20 @@ class Database:
                 self._artifact_cache = ArtifactCache()
             return self._artifact_cache
 
-    @property
-    def shm_arena(self):
-        """The shared-memory column arena (None until a process-backend run)."""
-        return self._shm_arena
-
-    def _ensure_shm_arena(self):
-        # Imported lazily: the storage shm layer is only needed by
-        # process-backend executions.
-        from repro.storage.shm import SharedColumnArena
-
-        with self._shm_arena_init_lock:
-            if self._shm_arena is None:
-                self._shm_arena = SharedColumnArena(self.catalog)
-            return self._shm_arena
-
     def close(self) -> None:
-        """Release engine-owned shared resources; idempotent.
+        """Stop admitting queries and drain the ones in flight; idempotent.
 
-        Unlinks this database's shared-memory segments and drains the
-        module-shared worker-process pool (if one was ever started).  Only
-        needed when a database outlives its process-backend executions and
-        the resources should be returned before interpreter exit (``atexit``
-        hooks reclaim anything still live either way).  Executing queries
-        after ``close()`` raises :class:`~repro.errors.ReproError`.
-
-        Safe to call while queries are in flight on other threads: close
-        first stops new admissions, then *drains* — waits for every active
-        execution to finish — before unlinking segments or shutting the
-        worker pool down, so a racing query never loses its columns
-        mid-run.  (To cut queries short instead of waiting, cancel their
-        tokens first — e.g. ``Server.close`` does.)  Every concurrent
-        ``close()`` call drains; only the first releases resources.
+        Executing queries after ``close()`` raises
+        :class:`~repro.errors.ReproError`.  Safe to call while queries are
+        in flight on other threads: close first stops new admissions, then
+        *drains* — waits for every active execution to finish.  (To cut
+        queries short instead of waiting, cancel their tokens first — e.g.
+        ``Server.close`` does.)
         """
         with self._state:
-            first = not self._closed
             self._closed = True
             while self._active:
                 self._state.wait()
-        if not first:
-            return
-        if self._shm_arena is not None:
-            self._shm_arena.close()
-        # Imported lazily, and only if the process backend was ever used —
-        # close() must not be the thing that first imports the worker module.
-        import sys
-
-        process_module = sys.modules.get("repro.exec.process")
-        if process_module is not None:
-            process_module.shutdown_workers()
 
     @property
     def closed(self) -> bool:
@@ -371,10 +326,10 @@ class Database:
         """Register a pre-built :class:`Table`.
 
         Replacing a table never tears an in-flight query: executions pin a
-        catalog snapshot, so a replaced version's cached artifacts and
-        shared-memory segments are reclaimed through the catalog's release
-        hooks — immediately when nothing pins the old version, otherwise
-        when its last reader releases it.
+        catalog snapshot, so a replaced version's cached artifacts are
+        reclaimed through the catalog's release hooks — immediately when
+        nothing pins the old version, otherwise when its last reader
+        releases it.
         """
         self.catalog.register(table, replace=replace)
 
@@ -579,14 +534,6 @@ class Database:
             token = CancelToken(config.timeout_seconds)
         if token is not None:
             backend.cancel = token
-        # Probe-shipping backends read base columns through the database's
-        # shared-memory arena (segments persist across queries; table
-        # replace and close() unlink them).
-        arena = self._ensure_shm_arena() if getattr(backend, "ships_probes", False) else None
-        if arena is not None and hasattr(backend, "arena"):
-            # Crash recovery re-verifies published segments after a pool
-            # respawn (see ProcessBackend._run_morsels).
-            backend.arena = arena
         artifact_cache = None
         fingerprints = None
         table_versions = None
@@ -610,7 +557,6 @@ class Database:
             table_versions=table_versions,
             fingerprints=fingerprints,
             adaptive_transfer=bool(config.adaptive_transfer),
-            arena=arena,
             tracer=tracer,
         )
         try:
@@ -638,23 +584,23 @@ class Database:
             trace=tracer.root if tracer is not None else None,
         )
 
-    #: Graceful-degradation order when a backend cannot start: process
-    #: (worker pool) falls back to parallel (thread pool), which falls back
-    #: to serial.  Results are bit-identical on every rung.
-    _BACKEND_LADDER = {"process": "parallel", "parallel": "serial"}
+    #: Graceful-degradation order when a backend cannot start: parallel
+    #: (thread pool) falls back to serial.  Results are bit-identical on
+    #: every rung.
+    _BACKEND_LADDER = {"parallel": "serial"}
 
     def _backend_ladder(self, config: ExecutionConfig, stats: ExecutionStats):
         """Instantiate the configured backend, degrading down the ladder.
 
         Each :class:`~repro.errors.BackendUnavailable` from
-        ``ensure_ready()`` (pool failed to start, injected ``process.pool``
-        / ``parallel.pool`` fault) steps one rung down and records
+        ``ensure_ready()`` (pool failed to start, injected ``parallel.pool``
+        fault) steps one rung down and records
         ``backend:<from>-><to>`` in ``stats.degradations``; serial has no
         further rung and re-raises.
         """
         name = config.backend
         while True:
-            backend = make_backend(name, config.num_threads, config.num_workers)
+            backend = make_backend(name, config.num_threads)
             try:
                 backend.ensure_ready()
                 return backend

@@ -85,7 +85,6 @@ class ExecutionMode(enum.Enum):
 #: ``REPRO_BACKEND=parallel`` without touching any call site.
 ENV_BACKEND = "REPRO_BACKEND"
 ENV_NUM_THREADS = "REPRO_NUM_THREADS"
-ENV_NUM_WORKERS = "REPRO_NUM_WORKERS"
 ENV_MEMORY_BUDGET = "REPRO_MEMORY_BUDGET"
 ENV_ARTIFACT_CACHE = "REPRO_ARTIFACT_CACHE"
 ENV_ADAPTIVE_TRANSFER = "REPRO_ADAPTIVE_TRANSFER"
@@ -142,7 +141,6 @@ def _check_timeout(value: Any) -> None:
 KNOB_TABLE: Tuple[Tuple[str, str, Callable[[str], Any], Callable[[Any], None], Any], ...] = (
     ("backend", ENV_BACKEND, str, _check_backend, "serial"),
     ("num_threads", ENV_NUM_THREADS, int, _check_worker_count, None),
-    ("num_workers", ENV_NUM_WORKERS, int, _check_worker_count, None),
     ("memory_budget_bytes", ENV_MEMORY_BUDGET, int, _check_budget, None),
     ("artifact_cache", ENV_ARTIFACT_CACHE, _parse_flag, _check_flag, False),
     ("adaptive_transfer", ENV_ADAPTIVE_TRANSFER, _parse_flag, _check_flag, False),
@@ -158,16 +156,11 @@ class ExecutionConfig:
     One object carries every knob the runtime layers consult so the bench
     harness can compare backends uniformly:
 
-    * ``backend`` — ``"serial"`` (whole-column kernels), ``"chunked"``
-      (the same kernels over 2048-row morsels on the calling thread),
-      ``"parallel"`` (morsels dispatched to a thread pool), or ``"process"``
-      (a morsel scheduler over worker *processes* reading base columns from
-      ``multiprocessing.shared_memory`` — GIL-free).  The first three are
-      presets of one in-process morsel backend; all four are bit-identical.
+    * ``backend`` — ``"serial"`` (whole-column kernels) or ``"parallel"``
+      (morsels dispatched to a thread pool): two presets of one in-process
+      morsel backend, bit-identical to each other.
     * ``num_threads`` — worker threads of the parallel backend (``None``:
       one per CPU, capped at 32 like the paper's testbed).
-    * ``num_workers`` — worker processes of the process backend (``None``:
-      one per CPU, capped at 32).
     * ``memory_budget_bytes`` — the :class:`~repro.storage.buffer.MemoryGovernor`
       budget; ``None`` means ungoverned (peak footprint still tracked).
     * ``artifact_cache`` — the cross-query
@@ -212,9 +205,8 @@ class ExecutionConfig:
     other through a sorted index; a relation that is still its whole table
     holds no row-id vector and hands out read-only views of the base
     columns, and every reduction compresses through ``flatnonzero`` +
-    ``take`` (:mod:`repro.exec.relation`); morsel sizes are
-    each backend preset's constant (2048 rows chunked, 32768 parallel, 65536
-    process).
+    ``take`` (:mod:`repro.exec.relation`); the parallel preset's morsel
+    size is a constant (32768 rows).
 
     Unset knobs (``backend=None`` etc.) resolve from the ``REPRO_*``
     environment variables of :data:`KNOB_TABLE`, then defaults — see
@@ -223,7 +215,6 @@ class ExecutionConfig:
 
     backend: Optional[str] = None
     num_threads: Optional[int] = None
-    num_workers: Optional[int] = None
     memory_budget_bytes: Optional[int] = None
     artifact_cache: Optional[bool] = None
     adaptive_transfer: Optional[bool] = None

@@ -8,8 +8,7 @@ guarantees a bare ``Database`` does not give:
   :class:`~repro.storage.catalog.CatalogSnapshot` of exactly the tables it
   reads; a concurrent ``register_table(replace=True)`` retains the pinned
   versions until the last reader releases them, so a running query never
-  sees a torn catalog and never loses its cached artifacts or
-  shared-memory columns mid-flight.
+  sees a torn catalog and never loses its cached artifacts mid-flight.
 * **Admission control** — at most ``max_concurrent`` queries execute at
   once; up to ``max_queue`` more wait (bounded, FIFO-ish) for at most
   ``admission_timeout_seconds``.  Anything beyond that is *shed* with a
@@ -101,7 +100,6 @@ _OP_COUNTER_METRICS = {
         "repro_artifact_cache_misses_total",
         "Artifact-cache misses across served queries.",
     ),
-    "worker_crashes": ("repro_worker_crashes_total", "Process-pool worker crashes recovered."),
 }
 
 
@@ -293,13 +291,6 @@ class Server:
         self._m_artifact_evictions = m.gauge(
             "repro_artifact_cache_evictions", "Artifact-cache evictions (sampled).",
         )
-        self._m_shm_segments = m.gauge(
-            "repro_shm_segments", "Shared-memory segments published (sampled).",
-        )
-        self._m_shm_bytes = m.gauge(
-            "repro_shm_bytes",
-            "Bytes in published shared-memory segments (sampled).",
-        )
         self._m_fault_injections = m.gauge(
             "repro_fault_injections",
             "Faults the active injector has fired, by site (sampled).",
@@ -372,10 +363,6 @@ class Server:
             self._m_artifact_entries.set(len(artifacts))
             self._m_artifact_bytes.set(artifacts.current_bytes)
             self._m_artifact_evictions.set(artifacts.evictions)
-        arena = self.database._shm_arena
-        if arena is not None:
-            self._m_shm_segments.set(arena.num_segments)
-            self._m_shm_bytes.set(arena.total_bytes)
         for site, count in faults.injection_counts().items():
             self._m_fault_injections.set(count, site=site)
 

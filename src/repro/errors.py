@@ -57,7 +57,7 @@ class BackendUnavailable(ExecutionError):
     """An execution backend could not be brought up (e.g. pool start failed).
 
     ``Database.execute`` catches this and walks the degradation ladder
-    (process → parallel → serial) instead of failing the query.
+    (parallel → serial) instead of failing the query.
     """
 
 
@@ -73,8 +73,8 @@ class FaultInjected(ExecutionError):
     """A deterministic fault fired at an injection site (see ``exec/faults.py``).
 
     Raised only when no recovery path exists for the site; recoverable sites
-    (worker crashes, transient shm errors, spill failures) are translated
-    into their real-world failure shapes instead.
+    (pool start, spill failures) are translated into their real-world
+    failure shapes instead.
     """
 
 

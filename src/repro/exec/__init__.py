@@ -4,7 +4,6 @@ from repro.exec.adaptive import DEFAULT_MIN_YIELD, AdaptiveTransferController
 from repro.exec.backends import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_MORSEL_SIZE,
-    ExecutionBackend,
     MorselBackend,
     make_backend,
     num_chunks,
@@ -48,7 +47,6 @@ __all__ = [
     "BoundRelation",
     "COUNTERS",
     "Counter",
-    "ExecutionBackend",
     "ExecutionStats",
     "HashCache",
     "HashIndex",

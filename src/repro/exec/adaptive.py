@@ -31,9 +31,9 @@ compiled :class:`~repro.plan.physical.PhysicalPlan`:
 
 Every decision is made *between* ops — after a probe's morsel results have
 been gathered and the relation reduced — so the controller sees identical
-inputs under the serial, chunked, and morsel-parallel backends and its
-decisions (hence the surviving row sets, hence the final results) are
-bit-identical across all of them.
+inputs under the serial and morsel-parallel backends and its decisions
+(hence the surviving row sets, hence the final results) are bit-identical
+across both.
 
 The controller is deliberately execution-agnostic: it never touches
 relations or filters, it only answers :meth:`should_skip` and consumes

@@ -1,23 +1,17 @@
 """Execution backends: how the probe/match hot loops of the pipeline run.
 
-Two backend classes implement them, selected by four names
-(:func:`make_backend`):
+One class implements them, :class:`MorselBackend`: probe inputs
+are cut into morsels, each morsel runs the same vectorized NumPy kernel, and
+the parts are concatenated in order, so every result is bit-identical to one
+whole-column call.  :func:`make_backend` exposes two presets of it:
+``"serial"`` (one thread, whole column — the default) and ``"parallel"`` (a
+``ThreadPoolExecutor`` over :data:`DEFAULT_MORSEL_SIZE`-row morsels; the
+kernels release the GIL on large inputs).
 
-* :class:`MorselBackend` — the in-process backend: probe inputs are cut
-  into morsels, each morsel runs the same vectorized NumPy kernel, and the
-  parts are concatenated in order, so every result is bit-identical to one
-  whole-column call.  ``"serial"`` (one thread, whole column — the default),
-  ``"chunked"`` (one thread, :data:`DEFAULT_CHUNK_SIZE`-row
-  morsels) and ``"parallel"`` (a ``ThreadPoolExecutor`` over
-  :data:`DEFAULT_MORSEL_SIZE`-row morsels; the kernels release the GIL on
-  large inputs) are presets of it.
-* :class:`~repro.exec.process.ProcessBackend` (``"process"``) — the same
-  scheduling over worker processes reading shared-memory columns.
-
-The presets read their morsel sizes from the module constants when a backend
-is made; nothing configures them per query.  A *probe input* is one key
+The parallel preset reads its morsel size from the module constant when a
+backend is made; nothing configures it per query.  A *probe input* is one key
 array or a tuple of aligned per-row arrays; the helpers here cut and count
-them for every backend.
+them.
 """
 
 from __future__ import annotations
@@ -28,30 +22,27 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.bloom.bloom_filter import BloomFilter
 from repro.errors import BackendUnavailable, ExecutionError
 from repro.exec import faults
 from repro.exec.faults import CancelToken
 from repro.exec.kernels import HashIndex, JoinMatches
-from repro.exec.parallel import gather_in_order
 from repro.exec.statistics import OpStats
 
 #: The names :func:`make_backend` accepts.
-BACKEND_NAMES = ("serial", "chunked", "parallel", "process")
+BACKEND_NAMES = ("serial", "parallel")
 
 #: Threads the parallel backend uses when not configured explicitly: one per
 #: CPU, capped at the paper testbed's 32.
 MAX_DEFAULT_THREADS = 32
 
-#: Morsel granularity of the chunked preset: DuckDB's push-based engine
-#: processes data in fixed-size *data chunks* of 2048 tuples (its vector
-#: size), and the Figure 14 model caps a pipeline's parallelism by the number
-#: of such chunks its probe side provides.
+#: DuckDB's push-based engine processes data in fixed-size *data chunks* of
+#: 2048 tuples (its vector size), and the Figure 14 model caps a pipeline's
+#: parallelism by the number of such chunks its probe side provides.
 DEFAULT_CHUNK_SIZE = 2048
 
-#: Morsel granularity of the parallel preset.  Larger than the chunked
-#: preset's: each morsel must carry enough work to amortize task dispatch in
-#: pure Python.
+#: Morsel granularity of the parallel preset.  Larger than a DuckDB chunk:
+#: each morsel must carry enough work to amortize task dispatch in pure
+#: Python.
 DEFAULT_MORSEL_SIZE = 32_768
 
 
@@ -90,82 +81,18 @@ def slice_probe_input(keys: ProbeInput, lo: int, hi: int) -> ProbeInput:
     return keys[lo:hi]
 
 
-def probe_input_rows(keys) -> int:
-    """Row count of a probe input, including the process backend's lazy
-    :class:`~repro.exec.process.ShmGather` (duck-typed via ``rows``: the
-    process module subclasses this one's backend and imports it)."""
-    rows = getattr(keys, "rows", None)
-    if rows is not None:
-        return int(rows)
-    return probe_rows(as_probe_input(keys))
-
-
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
-class ExecutionBackend:
-    """Strategy object for the probe/match hot loops of the pipeline executor.
-
-    A backend counts what it does — morsels dispatched, and (process
-    backend) shared-memory bytes and crash recovery — into ``record``: its
-    own tally when used stand-alone, the open op's
-    :class:`~repro.exec.statistics.OpStats` while an executor drives it.
-    """
-
-    name = "backend"
-
-    def __init__(self) -> None:
-        self.record = OpStats(index=-1, kind=self.name)
-        #: Cooperative cancellation token installed by the engine for the
-        #: current query (None: no deadline, no cancel).  Checked at morsel
-        #: gather barriers and at chunk granularity inside long kernels.
-        self.cancel: Optional[CancelToken] = None
-
-    def ensure_ready(self) -> None:
-        """Bring up backend resources (worker pools) before the first op.
-
-        Raises :class:`~repro.errors.BackendUnavailable` when the backend
-        cannot start — the engine's degradation ladder catches that and
-        falls back to the next backend down.  The default backend needs no
-        resources.
-        """
-
-    def _check_cancel(self) -> None:
-        if self.cancel is not None:
-            self.cancel.check()
-
-    def probe_mask(self, keys: ProbeInput, probe_fn, prepare=None) -> np.ndarray:
-        """Evaluate ``probe_fn`` (probe input -> boolean mask) over ``keys``.
-
-        ``keys`` is a key array or a tuple of aligned per-row arrays (a
-        precomputed hash/pattern pass); morsel backends slice every component
-        identically.  ``prepare`` (optional thunk) freezes lazily-built probe
-        structures for concurrent read-only access; only fan-out backends
-        invoke it.
-        """
-        raise NotImplementedError
-
-    def match(self, probe_keys: np.ndarray, index: HashIndex) -> JoinMatches:
-        """Match probe keys against a build-side index."""
-        raise NotImplementedError
-
-    @property
-    def tasks_dispatched(self) -> int:
-        """Morsels dispatched into the current ``record``."""
-        return self.record.morsels
-
-    def close(self) -> None:
-        """Release backend resources (worker pools); idempotent."""
-
-
 #: Rows per cancellation check of the whole-column preset when a cancel token
 #: is installed.  Large enough that the cutting cost is noise, small enough
 #: that a deadline is honored promptly on big columns.
 SERIAL_CANCEL_CHUNK = 1 << 18
 
 
-class MorselBackend(ExecutionBackend):
-    """The in-process backend: cut the probe input, run, concatenate.
+class MorselBackend:
+    """The probe/match hot loops of the pipeline executor: cut the probe
+    input, run, concatenate.
 
     Probe inputs longer than ``morsel_size`` rows are cut into morsels; each
     runs through the same vectorized kernel, and the parts are concatenated
@@ -184,10 +111,13 @@ class MorselBackend(ExecutionBackend):
     installed, so a deadline is checked inside long kernels.  Morsels are
     counted as they are dispatched (one by one on a single thread), so an op
     aborted mid-probe records how far it got.
+
+    The backend counts the morsels it dispatches into ``record``: its own
+    tally when used stand-alone, the open op's
+    :class:`~repro.exec.statistics.OpStats` while an executor drives it.
     """
 
     def __init__(self, num_threads: int = 1, morsel_size: Optional[int] = None) -> None:
-        super().__init__()
         if num_threads <= 0:
             raise ExecutionError("morsel backend needs at least one thread")
         if morsel_size is not None and morsel_size <= 0:
@@ -195,6 +125,20 @@ class MorselBackend(ExecutionBackend):
         self.num_threads = num_threads
         self.morsel_size = morsel_size
         self._pool: Optional[ThreadPoolExecutor] = None
+        self.record = OpStats(index=-1, kind="backend")
+        #: Cooperative cancellation token installed by the engine for the
+        #: current query (None: no deadline, no cancel).  Checked at morsel
+        #: gather barriers and at chunk granularity inside long kernels.
+        self.cancel: Optional[CancelToken] = None
+
+    @property
+    def tasks_dispatched(self) -> int:
+        """Morsels dispatched into the current ``record``."""
+        return self.record.morsels
+
+    def _check_cancel(self) -> None:
+        if self.cancel is not None:
+            self.cancel.check()
 
     def _pool_instance(self) -> ThreadPoolExecutor:
         if self._pool is None:
@@ -205,6 +149,12 @@ class MorselBackend(ExecutionBackend):
         return self._pool
 
     def ensure_ready(self) -> None:
+        """Bring up the thread pool before the first op.
+
+        Raises :class:`~repro.errors.BackendUnavailable` when it cannot
+        start — the engine's degradation ladder catches that and falls back
+        to the serial preset, which needs no pool.
+        """
         if self.num_threads == 1:
             return
         try:
@@ -222,7 +172,20 @@ class MorselBackend(ExecutionBackend):
             return results
         self.record.morsels += counted * len(tasks)
         pool = self._pool_instance()
-        return gather_in_order([pool.submit(task) for task in tasks], self.cancel)
+        futures = [pool.submit(task) for task in tasks]
+        # Gathered in submission order — what makes the pool bit-identical
+        # to serial — with the cancel token checked before each result; on
+        # expiry the morsels not yet started are cancelled.
+        try:
+            results = []
+            for future in futures:
+                self._check_cancel()
+                results.append(future.result())
+            return results
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            raise
 
     def _morsels(self, total_rows: int) -> Optional[List[Tuple[int, int]]]:
         """The ``[lo, hi)`` cuts of a probe input; ``None``: run it whole."""
@@ -235,6 +198,14 @@ class MorselBackend(ExecutionBackend):
         return [(lo, min(lo + size, total_rows)) for lo in range(0, total_rows, size)]
 
     def probe_mask(self, keys: ProbeInput, probe_fn, prepare=None) -> np.ndarray:
+        """Evaluate ``probe_fn`` (probe input -> boolean mask) over ``keys``.
+
+        ``keys`` is a key array or a tuple of aligned per-row arrays (a
+        precomputed hash/pattern pass); morsels slice every component
+        identically.  ``prepare`` (optional thunk) freezes lazily-built probe
+        structures for concurrent read-only access; it runs only when the
+        input is cut.
+        """
         if self.morsel_size is None and self.cancel is None:
             return probe_fn(keys)
         keys = as_probe_input(keys)
@@ -254,6 +225,7 @@ class MorselBackend(ExecutionBackend):
         )
 
     def match(self, probe_keys: np.ndarray, index: HashIndex) -> JoinMatches:
+        """Match probe keys against a build-side index."""
         if self.morsel_size is None and self.cancel is None:
             return index.match(probe_keys)
         probe_keys = np.asarray(probe_keys)
@@ -273,48 +245,22 @@ class MorselBackend(ExecutionBackend):
         )
 
     def close(self) -> None:
+        """Release the thread pool; idempotent."""
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
 
 
-class BloomPassProbe:
-    """A picklable probe callable over a precomputed (hashes, patterns) pass.
+def make_backend(name: str, num_threads: Optional[int] = None) -> MorselBackend:
+    """Instantiate a backend by name: ``"serial"`` or ``"parallel"``.
 
-    Replaces the equivalent lambda so the process backend can ship the
-    probe spec to workers (lambdas do not pickle; the filter itself does).
-    """
-
-    __slots__ = ("bloom",)
-
-    def __init__(self, bloom: BloomFilter) -> None:
-        self.bloom = bloom
-
-    def __call__(self, hp: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return self.bloom.probe(hashes=hp[0], patterns=hp[1])
-
-
-def make_backend(
-    name: str,
-    num_threads: Optional[int] = None,
-    num_workers: Optional[int] = None,
-) -> ExecutionBackend:
-    """Instantiate a backend by name (``"serial"``, ``"chunked"``, ``"parallel"``,
-    or ``"process"``).
-
-    The first three are presets of :class:`MorselBackend`: one thread over
-    the whole column, one thread over :data:`DEFAULT_CHUNK_SIZE`-row
-    morsels, and ``num_threads`` (``None``: one per CPU, capped at
+    Both are presets of :class:`MorselBackend`: one thread over the whole
+    column, and ``num_threads`` (``None``: one per CPU, capped at
     :data:`MAX_DEFAULT_THREADS`) over :data:`DEFAULT_MORSEL_SIZE`-row
-    morsels.  ``"process"`` cuts
-    :data:`~repro.exec.process.DEFAULT_PROCESS_MORSEL_SIZE`-row morsels for
-    ``num_workers`` worker processes.  The sizes are read when the backend
-    is made.
+    morsels.  The morsel size is read when the backend is made.
     """
     if name == "serial":
         return MorselBackend()
-    if name == "chunked":
-        return MorselBackend(morsel_size=DEFAULT_CHUNK_SIZE)
     if name == "parallel":
         return MorselBackend(
             num_threads=(
@@ -324,15 +270,6 @@ def make_backend(
             ),
             morsel_size=DEFAULT_MORSEL_SIZE,
         )
-    if name == "process":
-        # Imported lazily: repro.exec.process subclasses ExecutionBackend,
-        # so a top-level import here would be circular.
-        from repro.exec import process
-
-        return process.ProcessBackend(
-            num_workers=num_workers, morsel_size=process.DEFAULT_PROCESS_MORSEL_SIZE
-        )
     raise ExecutionError(
         f"unknown pipeline backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )
-

@@ -1,25 +1,19 @@
 """Deterministic fault injection and cooperative cancellation.
 
-The fault-tolerance layer (process-pool crash recovery, the degradation
-ladder in ``Database.execute``, spill-then-retry under the memory governor)
-is only trustworthy if every recovery path can be exercised on demand.  This
-module provides that: a seeded :class:`FaultPlan` names *sites* in the
-runtime (``process.task``, ``shm.attach``, ``spill.write``, ...) and a rate,
-and the :class:`FaultInjector` decides — purely from ``(seed, site,
-occurrence counter)`` — whether each occurrence fires.  Same plan, same
-execution → same faults, every time.
+The fault-tolerance layer (the degradation ladder in ``Database.execute``,
+spill-then-retry under the memory governor) is only trustworthy if every
+recovery path can be exercised on demand.  This module provides that: a
+seeded :class:`FaultPlan` names *sites* in the runtime (``parallel.pool``,
+``spill.write``, ...) and a rate, and the :class:`FaultInjector` decides —
+purely from ``(seed, site, occurrence counter)`` — whether each occurrence
+fires.  Same plan, same execution → same faults, every time.
 
 Sites currently wired into the runtime:
 
 ==================  =========================================================
 site                effect when it fires
 ==================  =========================================================
-``process.task``    the worker process running a morsel dies (``os._exit``)
-``process.pool``    starting the worker pool fails (``BackendUnavailable``)
 ``parallel.pool``   starting the thread pool fails (``BackendUnavailable``)
-``shm.attach``      attaching a shared-memory segment raises transiently
-``shm.share``       publishing an array into shared memory fails
-``shm.unlink``      unlinking a segment fails transiently (bounded retries)
 ``spill.write``     the spill handler's write raises (victim is restored)
 ``spill.read``      reloading a spilled reservation raises
 ``alloc.reserve``   a governor reservation raises ``MemoryExhausted``
@@ -27,9 +21,7 @@ site                effect when it fires
 ==================  =========================================================
 
 The plan is configured per-process via :func:`configure` (from
-``ExecutionConfig.faults`` or the ``REPRO_FAULTS`` environment variable) and
-shipped to pool workers through the pool initializer so that worker-side
-sites fire deterministically too.
+``ExecutionConfig.faults`` or the ``REPRO_FAULTS`` environment variable).
 
 :class:`CancelToken` lives here as well: the cooperative deadline /
 cancellation primitive checked at morsel-gather barriers and inside long
@@ -50,12 +42,7 @@ ENV_FAULTS = "REPRO_FAULTS"
 
 #: All sites the runtime consults — ``FaultPlan.parse`` validates against this.
 KNOWN_SITES = (
-    "process.task",
-    "process.pool",
     "parallel.pool",
-    "shm.attach",
-    "shm.share",
-    "shm.unlink",
     "spill.write",
     "spill.read",
     "alloc.reserve",
@@ -75,7 +62,7 @@ def _site_key(site: str) -> int:
     """A stable 64-bit key for a site name.
 
     ``hash(str)`` is randomized per interpreter (PYTHONHASHSEED), which would
-    desynchronize parent and pool-worker injectors — fold the bytes instead.
+    make one plan fire differently from run to run — fold the bytes instead.
     """
     key = 0
     for byte in site.encode("utf-8"):
@@ -88,7 +75,7 @@ class FaultPlan:
     """A reproducible fault schedule: which sites may fire, how often.
 
     ``spec()`` round-trips through :meth:`parse`, so the plan can be carried
-    in an environment variable or a pool-initializer argument unchanged.
+    in an environment variable unchanged.
     """
 
     seed: int = 0
@@ -272,9 +259,9 @@ def injection_counts() -> Dict[str, int]:
 class CancelToken:
     """A deadline plus a manual cancel flag, checked cooperatively.
 
-    The executor checks the token between operators; the serial and chunked
-    backends check it at chunk granularity inside long kernels; the parallel
-    and process backends check it before gathering each morsel result.
+    The executor checks the token between operators; the serial backend
+    checks it at chunk granularity inside long kernels; the parallel backend
+    checks it before gathering each morsel result.
     ``check()`` raises :class:`~repro.errors.QueryTimeout` (deadline) or
     :class:`~repro.errors.QueryCancelled` (manual ``cancel()``), whichever
     tripped first.

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.bloom.bloom_filter import BloomFilter, hash_keys, key_patterns
 from repro.errors import ExecutionError
-from repro.exec.backends import BloomPassProbe
 from repro.exec.kernels import (
     HashIndex,
     JoinMatches,
@@ -79,7 +78,10 @@ def bloom_probe(run: RunState, op: BloomProbe, record: OpStats) -> None:
         record.skipped = True
         return
     if build.probe_pass is not None:
-        hits = run.ex.backend.probe_mask(build.probe_pass, BloomPassProbe(build.bloom))
+        bloom = build.bloom
+        hits = run.ex.backend.probe_mask(
+            build.probe_pass, lambda hp: bloom.probe(hashes=hp[0], patterns=hp[1])
+        )
     else:
         hits = run.ex.backend.probe_mask(build.probe_keys, build.bloom.probe)
     keep = np.nonzero(hits)[0]

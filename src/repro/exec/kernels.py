@@ -218,7 +218,6 @@ class HashIndex:
 
     __slots__ = (
         "keys",
-        "_num_keys",
         "_order",
         "_sorted_keys",
         "_run_ends",
@@ -237,7 +236,6 @@ class HashIndex:
 
     def __init__(self, keys: np.ndarray) -> None:
         self.keys = np.asarray(keys)
-        self._num_keys = int(self.keys.shape[0])
         # Sorted strategy: stable argsort, keys in that order, and for every
         # sorted position the end of its run of equal keys.
         self._order: "np.ndarray | None" = None
@@ -254,27 +252,10 @@ class HashIndex:
         self._key_bounds: "tuple[int, int] | None" = None
         self._frozen = False
 
-    def __getstate__(self) -> dict:
-        """Pickle what probes read: the built structures, not the raw keys.
-
-        A worker process only calls :meth:`contains` / :meth:`match` on an
-        index its parent prepared, and neither reads ``keys`` once its
-        structure exists — shipping them would double the shared-memory
-        payload of a large build.  An index with nothing built ships whole.
-        """
-        state = {name: getattr(self, name) for name in self.__slots__}
-        if self._frozen or self.match_kind:
-            state["keys"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-
     @property
     def num_keys(self) -> int:
         """Number of indexed build-side keys."""
-        return self._num_keys
+        return int(self.keys.shape[0])
 
     @property
     def sorted_keys(self) -> np.ndarray:

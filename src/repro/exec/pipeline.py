@@ -44,7 +44,7 @@ from repro.bloom.bloom_filter import DEFAULT_FPR
 from repro.core.join_graph import JoinGraph
 from repro.errors import ExecutionError
 from repro.exec import faults, join_ops, transfer_ops
-from repro.exec.backends import ExecutionBackend, MorselBackend
+from repro.exec.backends import MorselBackend
 from repro.exec.hashcache import HashCache
 from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.exec.run_state import RunState
@@ -124,13 +124,12 @@ class PipelineExecutor:
         catalog=None,
         transfer: Optional[TransferOptions] = None,
         join: Optional[JoinPhaseOptions] = None,
-        backend: Optional[ExecutionBackend] = None,
+        backend: Optional[MorselBackend] = None,
         governor: Optional[MemoryGovernor] = None,
         artifact_cache: Optional[ArtifactCache] = None,
         table_versions: Optional[Mapping[str, int]] = None,
         fingerprints: Optional[Mapping[str, str]] = None,
         adaptive_transfer: bool = False,
-        arena=None,
         tracer=None,
     ) -> None:
         self.query = query
@@ -152,19 +151,11 @@ class PipelineExecutor:
         #: Adaptive transfer execution: yield-driven pass skipping
         #: (controller built per run from the compiled plan).
         self.adaptive_transfer = adaptive_transfer
-        #: Shared-memory column arena (engine-owned); set together with a
-        #: probe-shipping backend so transfer probes can hand workers a
-        #: (column ref, selection vector) pair instead of gathered keys.
-        self.arena = arena
         #: Optional :class:`~repro.obs.trace.Tracer`: when set, the run
         #: loop records one ``op`` span per dispatched op (grouped under
         #: ``phase`` spans) with a ``batch`` child summarizing morsel
         #: fan-out.  Purely observational — results are bit-identical.
         self.tracer = tracer
-        if tracer is not None and hasattr(self.backend, "trace_morsels"):
-            # Process workers time their morsels locally and ship the
-            # seconds back piggybacked on the morsel payload.
-            self.backend.trace_morsels = True
 
     def run(
         self,
@@ -231,9 +222,6 @@ class PipelineExecutor:
                 finally:
                     record.seconds = time.perf_counter() - start
                     setattr(stats.timings, phase, getattr(stats.timings, phase) + record.seconds)
-                    if record.inline_morsels:
-                        record.degraded = record.degraded or "process:inline-fallback"
-                        stats.record_degradation("process:inline-fallback")
                     stats.op_stats.append(record)
                     if span is not None:
                         self._finish_op_span(span, record)
@@ -242,8 +230,8 @@ class PipelineExecutor:
         finally:
             # Any exit path — completion, injected fault, timeout,
             # cancellation — leaves zero outstanding reservations (the leak
-            # guard asserts it): artifact and arena residency was charged
-            # for this run's accounting only, and the hash cache dies with
+            # guard asserts it): artifact residency was charged for this
+            # run's accounting only, and the hash cache dies with
             # the executor.
             if governor is not None:
                 stats.peak_memory_bytes = max(stats.peak_memory_bytes, governor.peak_reserved_bytes)
@@ -253,17 +241,14 @@ class PipelineExecutor:
     def _finish_op_span(self, span: Span, record: OpStats) -> None:
         """Close an op span from its record: ``batch`` child, events, attributes."""
         if record.morsels:
-            # One summary child per fanned-out op: morsel count plus
-            # (process backend only) the worker-side seconds shipped back
-            # with the morsel payloads.
-            seconds = record.worker_seconds if record.worker_batches else record.seconds
+            # One summary child per fanned-out op: its morsel count.
             span.children.append(
                 Span(
                     name="morsels",
                     kind="batch",
                     start=span.start,
-                    end=span.start + seconds,
-                    attrs={"count": record.morsels, "worker_batches": record.worker_batches},
+                    end=span.start + record.seconds,
+                    attrs={"count": record.morsels},
                 )
             )
         fields = vars(record)

@@ -119,8 +119,8 @@ class RunState:
         # *base* state (scan + pushed-down filter, before any transfer
         # reduction), identified by the version Scan / FilterPush record.
         self.base_versions: Dict[str, int] = {}
-        #: Governor reservations charged once per run: touched artifacts and
-        #: published arena columns, by reservation key.
+        #: Governor reservations charged once per run: touched artifacts, by
+        #: reservation key.
         self.charged: set[str] = set()
         #: Yield-driven pass skipping, when the executor was asked for it.
         self.adaptive: Optional[AdaptiveTransferController] = (
@@ -272,11 +272,3 @@ class RunState:
         if reservation not in self.charged:
             self.governed_reserve(reservation, size_bytes, evictable=False)
             self.charged.add(reservation)
-
-    def charge_shm(self, ref) -> None:
-        """Account a published arena column, once per run, to the op that first used it."""
-        reservation = f"shm:{ref.name}"
-        if reservation not in self.charged:
-            self.charged.add(reservation)
-            self.record.shm_bytes += ref.nbytes
-            self.governed_reserve(reservation, ref.nbytes, evictable=False)

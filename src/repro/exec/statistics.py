@@ -65,11 +65,8 @@ class OpStats:
     seconds: float = 0.0
     skipped: bool = False
     #: Morsels the backend dispatched for this op (0 when
-    #: it ran as one whole-column kernel call); while tracing, the batches
-    #: and seconds process workers reported back (the ``batch`` child span).
+    #: it ran as one whole-column kernel call).
     morsels: int = 0
-    worker_batches: int = 0
-    worker_seconds: float = 0.0
     #: The adaptive controller cancelled this op's transfer step / the
     #: executor ran it as an exact bitmap semi-join instead of a Bloom build
     #: + probe (dense build-side key domain).
@@ -93,15 +90,7 @@ class OpStats:
     #: Cross-query artifact cache (prebuilt Bloom filter / hash index).
     artifact_hits: int = 0
     artifact_misses: int = 0
-    #: Bytes placed in (or resolved from) shared-memory segments.
-    shm_bytes: int = 0
-    #: Worker deaths while this op's morsels ran, the retry rounds they
-    #: triggered, and morsels finished inline once the retries ran out.
-    worker_crashes: int = 0
-    tasks_retried: int = 0
-    inline_morsels: int = 0
-    #: The degradation rung this op took (``"governor:spill-retry"``,
-    #: ``"process:inline-fallback"``), if any.
+    #: The degradation rung this op took (``"governor:spill-retry"``), if any.
     degraded: str = ""
     #: The query aborted (timeout, cancel, error) inside this op; the other
     #: fields hold what it had done by then.
@@ -116,7 +105,7 @@ class Counter(NamedTuple):
     total: str = ""
     #: ``op_trace()`` marker, formatted over the op's fields.
     marker: str = ""
-    #: Summary line (``cache`` / ``adaptive`` / ``runtime`` / ``degraded``)
+    #: Summary line (``cache`` / ``adaptive`` / ``degraded``)
     #: and its part of that line, formatted over :meth:`ExecutionStats.sums`.
     group: str = ""
     summary: str = ""
@@ -155,16 +144,6 @@ COUNTERS: Tuple[Counter, ...] = (
             log="adaptive.exact_downgrades", per_step=True),
     Counter("join_index", "sorted_index_joins", " [{join_index}]",
             log="adaptive.sorted_index_joins", per_step=True, counts="sorted"),
-    Counter("shm_bytes", "shm_bytes_mapped", " [shm {shm_bytes}B]", "runtime",
-            "shm mapped {shm_bytes}B"),
-    Counter("worker_crashes", "worker_crashes", " [crashed {worker_crashes}w/{tasks_retried}r]",
-            "degraded", "{worker_crashes} worker crash(es), {tasks_retried} retry round(s)",
-            event="process:crash-recovery",
-            event_attrs=(("crashes", "worker_crashes"), ("retries", "tasks_retried"))),
-    Counter("tasks_retried", "tasks_retried"),
-    Counter("inline_morsels", "inline_fallback_morsels", " [inline {inline_morsels}m]",
-            "degraded", "{inline_morsels} morsel(s) finished inline",
-            event="process:inline-fallback", event_attrs=(("morsels", "inline_morsels"),)),
     Counter("spill_failures", "spill_failures", group="degraded",
             summary="{spill_failures} failed spill write(s)"),
     Counter("degraded", marker=" [degraded {degraded}]", event="degraded",
@@ -222,9 +201,8 @@ class ExecutionStats:
     #: High-water mark of memory reserved with the MemoryGovernor (bytes).
     peak_memory_bytes: int = 0
     #: Degradation-ladder rungs taken, each once, in first-occurrence order —
-    #: ``"backend:process->parallel"`` (pool unavailable),
-    #: ``"governor:spill-retry"``, ``"process:inline-fallback"`` — and how
-    #: often each fired.
+    #: ``"backend:parallel->serial"`` (pool unavailable),
+    #: ``"governor:spill-retry"`` — and how often each fired.
     degradations: List[str] = field(default_factory=list)
     degradation_counts: Dict[str, int] = field(default_factory=dict)
 
@@ -311,10 +289,6 @@ class ExecutionStats:
         """One-line summary of the adaptive controller's decisions ('' if none)."""
         return self._summary("adaptive")
 
-    def runtime_summary(self) -> str:
-        """One-line shared-memory summary ('' if none)."""
-        return self._summary("runtime")
-
     def record_degradation(self, rung: str) -> None:
         """Count one degradation event (they fire per op or per reservation)
         and list its rung once, in first-occurrence order."""
@@ -331,8 +305,8 @@ class ExecutionStats:
         return self._summary("degraded", lead="; ".join(rungs))
 
     def execution_summary(self) -> str:
-        """The four summary lines joined (what ``format_op_traces`` appends)."""
-        lines = [self._summary(group) for group in ("cache", "adaptive", "runtime")]
+        """The three summary lines joined (what ``format_op_traces`` appends)."""
+        lines = [self._summary(group) for group in ("cache", "adaptive")]
         return " | ".join(line for line in lines + [self.degradation_summary()] if line)
 
     def cost(self, metric: str = "tuples") -> float:

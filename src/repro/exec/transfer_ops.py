@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.bloom.bloom_filter import BloomFilter, hash_keys, key_patterns
 from repro.errors import ExecutionError
-from repro.exec.backends import BloomPassProbe, probe_input_rows
 from repro.exec.kernels import (
     HashIndex,
     bloom_probe_cost,
@@ -91,7 +90,7 @@ def bloom_probe(run: RunState, op: BloomProbe, record: OpStats) -> None:
         # probe key, and no false positives downstream.
         record.downgraded_exact = True
         record.selvec_rows += target.num_rows
-        probe_keys = transfer_probe_input(run, target, step.target_column)
+        probe_keys = target.key_values(step.target_column)
         _exact_semi_join(
             run, op, record, target, step.exact_index, probe_keys, step.exact_index.index_bytes()
         )
@@ -102,7 +101,9 @@ def bloom_probe(run: RunState, op: BloomProbe, record: OpStats) -> None:
     else:
         record.selvec_rows += target.num_rows
         probe_pass = bloom_pass_for_relation(run, target, step.target_column)
-        mask = run.ex.backend.probe_mask(probe_pass, BloomPassProbe(bloom))
+        mask = run.ex.backend.probe_mask(
+            probe_pass, lambda hp: bloom.probe(hashes=hp[0], patterns=hp[1])
+        )
     _reduce_target(run, op, record, target, mask, bloom.size_bytes)
 
 
@@ -119,9 +120,9 @@ def semi_join_reduce(run: RunState, op: SemiJoinReduce, record: OpStats) -> None
         # prior query's frozen artifact) skips the source-side gather
         # and sort entirely.
         attr_class = run.ex.graph.attribute_classes[op.attributes[0]]
-        target_keys = transfer_probe_input(run, target, attr_class.column_of(op.target.alias))
+        target_keys = target.key_values(attr_class.column_of(op.target.alias))
         source_column = attr_class.column_of(op.source.alias)
-        index = _source_index(run, op, source, source_column, probe_input_rows(target_keys))
+        index = _source_index(run, op, source, source_column, len(target_keys))
     else:
         source_keys, target_keys = _step_keys(run, op, source, target, combine_key_columns_pair)
         index = HashIndex(source_keys)
@@ -141,7 +142,7 @@ def _exact_semi_join(
     filter_bytes: int,
 ) -> None:
     """Reduce ``target`` to the rows whose key is in ``index`` (no false positives)."""
-    probe_rows = probe_input_rows(target_keys)
+    probe_rows = len(target_keys)
     mask = run.ex.backend.probe_mask(
         target_keys, index.contains, prepare=lambda: index.prepare(probe_rows)
     )
@@ -303,36 +304,6 @@ def _step_keys(run: RunState, op, source: BoundRelation, target: BoundRelation, 
     if not source_columns:
         raise ExecutionError(f"transfer op {op.describe()} has no join attributes")
     return combine(source_columns, target_columns)
-
-
-def transfer_probe_input(run: RunState, relation: BoundRelation, column: str):
-    """The probe input for a transfer semi-join over ``relation[column]``.
-
-    Normally the eager gather ``relation.key_values(column)``.  When the
-    backend ships probes to worker processes and the arena can publish
-    the base column, returns a lazy (column ref, selection vector) pair
-    instead — workers gather their own morsel from shared memory, so the
-    parent never materializes the keys (an identity relation ships no
-    selection vector).  Either way the resulting mask is bit-identical.
-    """
-    ex = run.ex
-    if (
-        ex.arena is not None
-        and getattr(ex.backend, "ships_probes", False)
-        and relation.num_rows > getattr(ex.backend, "morsel_size", 0)
-    ):
-        try:
-            ref = ex.arena.column_ref(relation.table, column)
-        except ExecutionError:
-            # Publishing failed (e.g. an injected shm.share fault): fall
-            # back to the eager gather — same mask, no shared memory.
-            ref = None
-        if ref is not None:
-            run.charge_shm(ref)
-            from repro.exec.process import ShmGather
-
-            return ShmGather(ref, relation.row_indices, relation.table.column(column).data)
-    return relation.key_values(column)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 The serving layer (:class:`~repro.engine.server.Server`) owns one
 :class:`MetricsRegistry` and feeds it from every query: admission waits,
 rejections by reason, per-query execution counters (spills, cache hits,
-fault recoveries), and sampled component state (plan/artifact cache sizes,
-shared-memory arena bytes).  The registry renders to Prometheus-style text
+fault recoveries), and sampled component state (plan/artifact cache
+sizes).  The registry renders to Prometheus-style text
 via :func:`repro.obs.export.render_exposition`.
 
 Design constraints:

@@ -21,9 +21,8 @@ deterministic tree shapes; the default is :func:`time.perf_counter`.
 Tracing is strictly additive: the tracer observes executions, it never
 participates in them, so a traced run is bit-identical to an untraced one.
 Spans of one query are produced by one thread (the executor's op loop);
-morsel-level work inside an op is aggregated by the backend into a single
-``batch`` child (process workers time their morsels locally and ship the
-seconds back with the morsel payload — no extra cross-process messages).
+morsel-level work inside an op is aggregated into a single ``batch``
+child.
 """
 
 from __future__ import annotations

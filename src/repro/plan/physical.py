@@ -35,8 +35,7 @@ relation (by alias) or a numbered intermediate *slot* produced by an earlier
 ``HashProbe``.  Transfer-phase ops reduce bound relations in place; the join
 phase flows through slots.  Because the whole execution is one flat op list,
 ``ExecutionStats.op_stats`` yields a uniform per-op trace for all five modes
-and alternative backends (serial, chunked/morsel) plug in beneath the same
-plan.
+and the backends (serial, morsel-parallel) plug in beneath the same plan.
 
 Compilation is pure: the functions here inspect only the query, the join
 graph, table metadata (for §4.3 PK-FK pruning hints), the schedule, and the

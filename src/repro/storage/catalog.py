@@ -16,12 +16,12 @@ that replaces a pinned version *retains* the old table instead of
 dropping it, so a query running against the snapshot keeps reading a
 consistent pre-replace image.  When the last snapshot holding a version
 releases it, the catalog drops the retained table and fires its *release
-hooks* — this is what turns cache/segment invalidation from immediate
-into release-driven (the database wires :class:`ArtifactCache` and
-:class:`SharedColumnArena` invalidation through these hooks).
+hooks* — this is what turns cache invalidation from immediate into
+release-driven (the database wires :class:`ArtifactCache` invalidation
+through these hooks).
 
 Hooks are always fired *outside* the catalog lock: a hook takes its own
-lock (the artifact cache's, the arena's) and may call back into catalog
+lock (the artifact cache's) and may call back into catalog
 reads, so firing under the catalog lock would create a lock-order cycle.
 """
 

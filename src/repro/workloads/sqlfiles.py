@@ -239,8 +239,8 @@ def run_fault_sweep(
     :class:`~repro.exec.faults.FaultPlan`, every query must either complete
     with aggregates **bit-identical** to a fault-free serial execution or
     raise a typed :class:`~repro.errors.ReproError` subclass — and either
-    way leave no shared-memory segment and no outstanding memory-governor
-    reservation behind.  Any other outcome raises :class:`WorkloadError`.
+    way leave no outstanding memory-governor reservation behind.  Any other
+    outcome raises :class:`WorkloadError`.
 
     Returns one record per file: ``{"stem", "workload", "outcome"}`` where
     ``outcome`` is ``"completed"`` (bit-identical) or the name of the typed
@@ -250,7 +250,7 @@ def run_fault_sweep(
     import gc
 
     from repro.exec import faults
-    from repro.storage import buffer, shm
+    from repro.storage import buffer
 
     selected = {
         stem: path
@@ -287,15 +287,8 @@ def run_fault_sweep(
                     f"{dict(result.aggregates)} != {baselines[stem]}"
                 )
             outcome = "completed"
-        # The no-leak invariant, checked after *every* query: the only live
-        # segments are the arena-published base columns (owned, persistent by
-        # design), and no governor holds a reservation.
-        try:
-            shm.assert_no_transient_leaks()
-        except ReproError as error:
-            raise WorkloadError(
-                f"SQL file {stem!r} leaked under faults {fault_spec!r}: {error}"
-            ) from error
+        # The no-leak invariant, checked after *every* query: no governor
+        # holds a reservation.
         gc.collect()
         outstanding = buffer.outstanding_reservations()
         if outstanding:

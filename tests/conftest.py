@@ -17,27 +17,18 @@ from repro.workloads import dsb, job, tpcds, tpch
 
 
 @pytest.fixture(scope="session", autouse=True)
-def shm_leak_guard():
-    """Assert engine-owned resources drain by end of session.
+def governor_leak_guard():
+    """Fail the session if any memory governor still holds reservations.
 
-    Autouse at session scope, so it is set up before (and torn down after)
-    every other session fixture: databases the fixtures publish arena
-    segments from are closed first, then this guard shuts the process pool
-    down and fails the session if any segment this process created is still
-    live or any memory governor still holds reservations — the no-leak
-    acceptance criterion, covering injected faults, timeouts, and worker
-    crashes too.
+    Autouse at session scope, so it is torn down after every other session
+    fixture — the no-leak acceptance criterion, covering injected faults,
+    timeouts and cancellations too.
     """
     import gc
 
-    from repro.exec import faults
-    from repro.exec.process import shutdown_workers
-    from repro.storage import buffer, shm
+    from repro.storage import buffer
 
     yield
-    shutdown_workers()
-    faults.clear()
-    shm.assert_no_leaks()
     # Collect first: governors whose queries completed are garbage, and only
     # still-referenced ones with live reservations indicate a leak.
     gc.collect()
@@ -46,18 +37,16 @@ def shm_leak_guard():
 
 @pytest.fixture
 def morsel_rows(monkeypatch):
-    """``morsel_rows(n)``: every backend preset cuts ``n``-row morsels for this test.
+    """``morsel_rows(n)``: the parallel preset cuts ``n``-row morsels for this test.
 
-    The chunked / parallel / process presets read their morsel size from a
-    module constant when a backend is made, so this is how a small fixture
-    gets multi-morsel fan-out (there is no configuration field for it).
+    The preset reads its morsel size from a module constant when a backend
+    is made, so this is how a small fixture gets multi-morsel fan-out (there
+    is no configuration field for it).
     """
-    from repro.exec import backends, process
+    from repro.exec import backends
 
     def set_rows(rows: int) -> None:
-        monkeypatch.setattr(backends, "DEFAULT_CHUNK_SIZE", rows)
         monkeypatch.setattr(backends, "DEFAULT_MORSEL_SIZE", rows)
-        monkeypatch.setattr(process, "DEFAULT_PROCESS_MORSEL_SIZE", rows)
 
     return set_rows
 

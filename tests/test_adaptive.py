@@ -217,7 +217,7 @@ class TestBitIdentityMatrix:
     def test_dsb(self, dsb_db):
         self._assert_matrix(dsb_db, dsb.query(7))
 
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_backends(self, imdb_db, chain_query, backend, morsel_rows):
         morsel_rows(256)
         baseline = _signature(
@@ -229,7 +229,7 @@ class TestBitIdentityMatrix:
         result = imdb_db.execute(chain_query, mode=ExecutionMode.RPT, options=options)
         assert _signature(result) == baseline, backend
 
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_backend_decisions_are_identical(self, backend, morsel_rows):
         """Skip decisions are made at morsel-gather barriers, so the set of
         adaptively skipped steps must not depend on the backend."""

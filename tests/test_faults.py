@@ -1,17 +1,15 @@
-"""Fault injection, deadlines/cancellation, crash recovery, degradation ladder.
+"""Fault injection, deadlines/cancellation, the degradation ladder.
 
 Every test here follows the same acceptance contract: under any injected
 fault, a query either completes **bit-identical** to a fault-free serial
 execution or raises a typed :class:`~repro.errors.ReproError` subclass —
-and either way leaves no shared-memory segment and no outstanding memory
-governor reservation behind.
+and either way leaves no outstanding memory governor reservation behind.
 """
 
 from __future__ import annotations
 
 import gc
 
-import numpy as np
 import pytest
 
 from repro import Database, ExecutionMode
@@ -26,7 +24,7 @@ from repro.errors import (
 )
 from repro.exec import faults
 from repro.exec.faults import CancelToken, FaultInjector, FaultPlan
-from repro.storage import buffer, shm
+from repro.storage import buffer
 from stats_checks import assert_totals_are_sums
 
 
@@ -36,9 +34,6 @@ def _clean_faults():
     faults.clear()
     yield
     faults.clear()
-    # Session fixtures legitimately keep arena-published base columns live;
-    # anything else is a leak.
-    shm.assert_no_transient_leaks()
     gc.collect()
     buffer.assert_no_outstanding_reservations()
 
@@ -67,7 +62,7 @@ def _assert_partial_stats_consistent(stats):
 # ---------------------------------------------------------------------------
 class TestFaultPlan:
     def test_spec_round_trips(self):
-        plan = FaultPlan(seed=1234, rate=0.05, sites=("process.task", "shm.attach"), latency=0.25)
+        plan = FaultPlan(seed=1234, rate=0.05, sites=("parallel.pool", "spill.write"), latency=0.25)
         assert FaultPlan.parse(plan.spec()) == plan
 
     def test_parse_defaults_and_whitespace(self):
@@ -81,6 +76,13 @@ class TestFaultPlan:
         # Columns are never encoded, so there is no decode to fail.
         with pytest.raises(FaultInjected, match="unknown fault site 'column.decode'"):
             FaultPlan.parse("seed:1,rate:1.0,sites:column.decode")
+        # Nor worker processes or shared-memory segments to fail.
+        for family, name in (
+            ("process", "task"), ("process", "pool"),
+            ("shm", "attach"), ("shm", "share"), ("shm", "unlink"),
+        ):
+            with pytest.raises(FaultInjected, match=f"unknown fault site '{family}.{name}'"):
+                FaultPlan.parse(f"seed:1,rate:1.0,sites:{family}.{name}")
 
     def test_parse_rejects_bad_rate(self):
         with pytest.raises(FaultInjected, match="rate must be in"):
@@ -107,7 +109,7 @@ class TestFaultPlan:
     def test_sites_restrict_firing(self):
         injector = FaultInjector(plan=FaultPlan(seed=1, rate=1.0, sites=("spill.write",)))
         assert injector.should_fire("spill.write")
-        assert not injector.should_fire("shm.attach")
+        assert not injector.should_fire("spill.read")
 
     def test_configure_and_clear(self):
         assert faults.configure("seed:5,rate:1.0,sites:spill.write") is not None
@@ -138,100 +140,10 @@ class TestCancelToken:
 
 
 # ---------------------------------------------------------------------------
-# Worker-crash recovery (the process backend), across all five modes
-# ---------------------------------------------------------------------------
-class TestCrashRecovery:
-    def test_worker_crash_mid_query_all_modes(self, tpch_db, all_modes, monkeypatch, morsel_rows):
-        """Every worker task dies; the query still completes bit-identically.
-
-        ``rate:1.0`` on ``process.task`` kills each worker at its first
-        morsel, every retry round too — so the bounded-retry ladder runs to
-        its end and the remaining morsels execute inline in the parent.
-        """
-        morsel_rows(512)
-        from repro.workloads import tpch
-
-        monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
-        query = tpch.query(5)
-        for mode in all_modes:
-            baseline = tpch_db.execute(query, mode=mode, options=_options(backend="serial"))
-            crashed = tpch_db.execute(
-                query,
-                mode=mode,
-                options=_options(
-                    backend="process",
-                    num_workers=2,
-                    faults="seed:3,rate:1.0,sites:process.task",
-                ),
-            )
-            _assert_identical(crashed, baseline)
-            assert crashed.stats.worker_crashes > 0
-            assert crashed.stats.inline_fallback_morsels > 0
-            assert any(
-                rung.startswith("process:inline-fallback")
-                for rung in crashed.stats.degradations
-            )
-            assert any(op.degraded for op in crashed.stats.op_stats)
-            assert "[degraded" in crashed.stats.op_trace()
-
-    def test_intermittent_crashes_recover_bit_identically(self, tpch_db, morsel_rows):
-        """A sub-1.0 crash rate exercises the respawn-and-retry path."""
-        morsel_rows(512)
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        crashed = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process",
-                num_workers=2,
-                faults="seed:11,rate:0.2,sites:process.task",
-            ),
-        )
-        _assert_identical(crashed, baseline)
-
-    def test_worker_shm_attach_fault_recovers(self, tpch_db, monkeypatch, morsel_rows):
-        """Worker-side attach failures are transient: retried, then inline."""
-        morsel_rows(512)
-        from repro.workloads import tpch
-
-        monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        faulted = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process",
-                num_workers=2,
-                faults="seed:2,rate:1.0,sites:shm.attach",
-            ),
-        )
-        _assert_identical(faulted, baseline)
-
-    def test_shm_share_fault_falls_back_to_eager_probe(self, tpch_db, morsel_rows):
-        """Publishing probe inputs fails; probes run eagerly, bit-identically."""
-        morsel_rows(512)
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        faulted = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process",
-                num_workers=2,
-                faults="seed:4,rate:1.0,sites:shm.share",
-            ),
-        )
-        _assert_identical(faulted, baseline)
-
-
-# ---------------------------------------------------------------------------
 # Deadlines and cancellation
 # ---------------------------------------------------------------------------
 class TestDeadlines:
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_timeout_during_transfer(self, tpch_db, backend):
         """Injected op latency blows a tiny deadline; the typed error carries
         the partial stats — including the slowed op that was in flight, which
@@ -257,9 +169,9 @@ class TestDeadlines:
         assert stats.op_seconds_by_kind()[stats.op_stats[-1].kind] >= 0.05
 
     def test_cancel_mid_op_keeps_the_probe_in_flight(self, tpch_db):
-        """A token cancelled at the second morsel barrier of a chunked transfer
-        probe: the partial stats end with that probe, marked aborted, holding
-        the one morsel it had dispatched."""
+        """A token cancelled at the second morsel barrier of a transfer probe
+        cut into 256-row morsels: the partial stats end with that probe,
+        marked aborted, holding the one morsel it had dispatched."""
         from repro.exec import MorselBackend, PipelineExecutor
         from repro.exec.statistics import ExecutionStats
         from repro.plan.physical import compile_execution
@@ -326,7 +238,7 @@ class TestDeadlines:
         from repro.workloads import tpch
 
         result = tpch_db.execute(
-            tpch.query(3), options=_options(backend="process", timeout_seconds=600.0)
+            tpch.query(3), options=_options(backend="parallel", timeout_seconds=600.0)
         )
         assert result.aggregates
 
@@ -335,20 +247,6 @@ class TestDeadlines:
 # The graceful-degradation ladder
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_process_pool_unavailable_degrades_to_parallel(self, tpch_db):
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        degraded = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process", faults="seed:1,rate:1.0,sites:process.pool"
-            ),
-        )
-        _assert_identical(degraded, baseline)
-        assert "backend:process->parallel" in degraded.stats.degradations
-
     def test_ladder_reaches_serial(self, tpch_db):
         from repro.workloads import tpch
 
@@ -357,16 +255,36 @@ class TestDegradationLadder:
         degraded = tpch_db.execute(
             query,
             options=_options(
-                backend="process",
-                faults="seed:1,rate:1.0,sites:process.pool|parallel.pool",
+                backend="parallel",
+                faults="seed:1,rate:1.0,sites:parallel.pool",
             ),
         )
         _assert_identical(degraded, baseline)
-        assert degraded.stats.degradations[:2] == [
-            "backend:process->parallel",
-            "backend:parallel->serial",
-        ]
+        assert degraded.stats.degradations[:1] == ["backend:parallel->serial"]
         assert "degraded:" in degraded.stats.degradation_summary()
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda mode: mode.name)
+    def test_pool_failure_degrades_bit_identically_in_every_mode(
+        self, tpch_db, mode, morsel_rows
+    ):
+        """The thread pool never starts; every mode still answers what the
+        serial preset answers, and records the one rung it took."""
+        morsel_rows(512)
+        from repro.workloads import tpch
+
+        query = tpch.query(5)
+        baseline = tpch_db.execute(query, mode=mode, options=_options(backend="serial"))
+        degraded = tpch_db.execute(
+            query,
+            mode=mode,
+            options=_options(
+                backend="parallel",
+                num_threads=2,
+                faults="seed:3,rate:1.0,sites:parallel.pool",
+            ),
+        )
+        _assert_identical(degraded, baseline)
+        assert degraded.stats.degradations == ["backend:parallel->serial"]
 
     def test_governor_spill_retry_rung(self, tpch_db):
         """An injected allocation failure spills evictables and retries."""
@@ -388,7 +306,7 @@ class TestDegradationLadder:
 
 
 # ---------------------------------------------------------------------------
-# Storage-layer faults: spill I/O, transient unlink, leak invariants
+# Storage-layer faults: spill I/O, leak invariants
 # ---------------------------------------------------------------------------
 class TestStorageFaults:
     def test_spill_write_failure_is_tolerated(self):
@@ -410,13 +328,6 @@ class TestStorageFaults:
         faults.configure("seed:1,rate:1.0,sites:spill.read")
         with pytest.raises(ReproError):
             spill.reload("res", 512)
-
-    def test_unlink_fault_is_transient_and_never_leaks(self):
-        before = shm.live_segment_count()
-        faults.configure("seed:1,rate:1.0,sites:shm.unlink")
-        segment, _ = shm.share_array(np.arange(128, dtype=np.int64))
-        shm.unlink_segment(segment)
-        assert shm.live_segment_count() == before
 
     def test_alloc_fault_raises_memory_exhausted_without_spill_handler(self):
         faults.configure("seed:1,rate:1.0,sites:alloc.reserve")
@@ -445,21 +356,8 @@ class TestDatabaseClose:
         with pytest.raises(ReproError, match="closed"):
             db.sql("SELECT COUNT(*) FROM lineitem")
 
-    def test_close_unlinks_arena_segments(self, morsel_rows):
-        morsel_rows(512)
-        from repro.workloads import tpch
-
-        db = Database()
-        tpch.load(db, scale=0.01, seed=1)
-        before = shm.live_segment_count()
-        db.execute(
-            tpch.query(3), options=_options(backend="process", num_workers=2)
-        )
-        db.close()
-        assert shm.live_segment_count() == before
-
     def test_close_drains_in_flight_queries(self):
-        """``close()`` waits for running queries instead of unlinking under them."""
+        """``close()`` waits for running queries instead of racing them."""
         import threading
 
         from repro.workloads import tpch
@@ -491,7 +389,7 @@ class TestDatabaseClose:
             assert "closed" in str(exc)
 
     def test_concurrent_close_is_safe(self):
-        """Many threads calling close() concurrently: one unlink, no errors."""
+        """Many threads calling close() concurrently: no errors."""
         import threading
 
         from repro.workloads import tpch
@@ -522,7 +420,7 @@ class TestDatabaseClose:
 # The sweep harness (every checked-in .sql file)
 # ---------------------------------------------------------------------------
 class TestFaultSweep:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_sweep_under_5pct_faults(self, backend):
         """Bit-identical to the fault-free serial baseline or a typed error,
         leak-free either way (``run_fault_sweep`` raises otherwise)."""

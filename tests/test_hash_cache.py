@@ -44,7 +44,7 @@ from repro.workloads import dsb, job, synthetic, tpcds, tpch
 from reference_transfer import replay_reduced_rows
 
 
-BACKENDS = ("serial", "chunked", "parallel", "process")
+BACKENDS = ("serial", "parallel")
 
 
 @pytest.fixture(autouse=True)
@@ -62,7 +62,6 @@ def _config(artifact_cache: bool, backend=None) -> ExecutionOptions:
         execution=ExecutionConfig(
             backend=backend,
             num_threads=4,
-            num_workers=2,
             artifact_cache=artifact_cache,
             adaptive_transfer=False,
         )

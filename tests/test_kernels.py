@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,10 +156,6 @@ class TestMatchKeys:
         index.prepare_match(declared_rows)
         assert index.match_kind == kind
         _assert_equals_replay(index.match(probe_keys), probe, build.tolist())
-        # What a worker process receives: the structures, not the raw keys.
-        shipped = pickle.loads(pickle.dumps(index))
-        assert shipped.keys is None and shipped.num_keys == build.size
-        _assert_equals_replay(shipped.match(probe_keys), probe, build.tolist())
 
     def test_radix_passes_across_the_digit_boundaries(self):
         rng = np.random.default_rng(3)

@@ -353,20 +353,20 @@ class TestGoldenReports:
         """Regression: per-event rungs merge to one list entry + a count.
 
         The merge across degradation retry paths used to append the same
-        rung once per event, so an inline-fallback run with N morsels
-        reported the rung N times in merged summaries.
+        rung once per event, so a spill-retry run with N retried
+        reservations reported the rung N times in merged summaries.
         """
         stats = ExecutionStats()
         for _ in range(3):
-            stats.record_degradation("process:inline-fallback")
-        stats.record_degradation("governor:spill-retry")
-        assert stats.degradations == ["process:inline-fallback", "governor:spill-retry"]
+            stats.record_degradation("governor:spill-retry")
+        stats.record_degradation("backend:parallel->serial")
+        assert stats.degradations == ["governor:spill-retry", "backend:parallel->serial"]
         assert stats.degradation_counts == {
-            "process:inline-fallback": 3,
-            "governor:spill-retry": 1,
+            "governor:spill-retry": 3,
+            "backend:parallel->serial": 1,
         }
         assert stats.degradation_summary() == (
-            "degraded: process:inline-fallback x3; governor:spill-retry"
+            "degraded: governor:spill-retry x3; backend:parallel->serial"
         )
 
     def test_format_op_traces_golden(self):
@@ -396,7 +396,6 @@ class TestGoldenReports:
         [
             {"backend": "serial"},
             {"backend": "parallel", "num_threads": 2},
-            {"backend": "process", "num_workers": 2},
         ],
         ids=lambda config: config["backend"],
     )
@@ -438,7 +437,6 @@ class TestGoldenReports:
             db.close()
         # The knobs that are on all left their mark somewhere in the matrix.
         assert {"selvec_rows", "artifact_hits", "downgraded_exact"} <= seen
-        assert ("shm_bytes" in seen) == (backend["backend"] == "process")
 
     def test_latency_drill_names_the_slowed_ops(self, tpch_db):
         """The diagnosability drill: slow some ops with the ``op.latency``
@@ -494,7 +492,7 @@ class TestGoldenReports:
 # Traced execution: bit-identity, determinism, env gating
 # ---------------------------------------------------------------------------
 class TestTracedExecution:
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_traced_runs_bit_identical_all_modes(self, imdb_db, star_query, all_modes, backend):
         for mode in all_modes:
             base = imdb_db.execute(
@@ -642,22 +640,16 @@ class TestServerObservability:
         finally:
             server.close(close_database=True)
 
-    def test_degradation_metrics_use_bounded_families(self, monkeypatch, morsel_rows):
-        monkeypatch.setattr("repro.exec.process.MAX_TASK_RETRIES", 1)
-        morsel_rows(512)
+    def test_degradation_metrics_use_bounded_families(self):
         db = _star_db()
         server = Server(db, ServerConfig(max_concurrent=2))
         try:
             session = server.session()
             result = session.sql(
                 STAR_SQL,
-                options=_options(
-                    backend="process",
-                    num_workers=2,
-                    faults="seed:3,rate:1.0,sites:process.task",
-                ),
+                options=_options(backend="parallel", faults="seed:3,rate:1.0,sites:parallel.pool"),
             )
-            assert result.stats.inline_fallback_morsels > 0
+            assert "backend:parallel->serial" in result.stats.degradations
             stats = server.stats()
             degraded = {
                 key: value

@@ -1,7 +1,9 @@
 """Tests for the morsel-parallel runtime.
 
 Covers the :class:`MorselBackend` morsel scheduler (bit-identical results on
-its edge inputs, morsel counters, pool lifecycle), the hash join's run-time
+its edge inputs, morsel counters, pool lifecycle), whole queries on the
+parallel preset against the serial one (one thread and a pool, every TPC-H
+query), the hash join's run-time
 index choice as the op records show it (made from the rows the join sees,
 the same on every backend), and the ``REPRO_BACKEND`` reroute of whole
 queries behind the CI backend matrix (the per-variable resolution cases of
@@ -22,6 +24,7 @@ from repro.exec.kernels import HashIndex
 from repro.exec import backends
 from repro.exec.backends import MorselBackend
 from repro.exec.faults import CancelToken
+from repro.workloads import job, tpch
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +115,70 @@ class TestParallelBackend:
 
 
 # ---------------------------------------------------------------------------
+# Whole queries: the parallel preset against the serial one
+# ---------------------------------------------------------------------------
+def _threads(num_threads: int) -> ExecutionOptions:
+    return ExecutionOptions(
+        execution=ExecutionConfig(backend="parallel", num_threads=num_threads)
+    )
+
+
+SERIAL = ExecutionOptions(execution=ExecutionConfig(backend="serial"))
+
+
+class TestBitIdentity:
+    """With morsels small enough that every probe is cut, the parallel
+    preset answers exactly what the serial one does — on one thread (the
+    morsels run in turn) and on a pool (they gather in submission order)."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_star_and_chain_all_modes(
+        self, imdb_db, star_query, chain_query, all_modes, threads, morsel_rows
+    ):
+        morsel_rows(256)
+        for query in (star_query, chain_query):
+            plan = imdb_db.optimizer_plan(query)
+            for mode in all_modes:
+                serial = imdb_db.execute(query, mode=mode, plan=plan, options=SERIAL)
+                result = imdb_db.execute(query, mode=mode, plan=plan, options=_threads(threads))
+                assert result.aggregates == serial.aggregates, (query.name, mode)
+                assert result.output_rows == serial.output_rows, (query.name, mode)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(tpch.all_queries()))
+    def test_tpch_backend_matrix(self, tpch_db, name, threads, morsel_rows):
+        morsel_rows(128)
+        query = tpch.all_queries()[name]
+        plan = tpch_db.optimizer_plan(query)
+        serial = tpch_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=SERIAL)
+        result = tpch_db.execute(
+            query, mode=ExecutionMode.RPT, plan=plan, options=_threads(threads)
+        )
+        assert result.aggregates == serial.aggregates
+        assert result.output_rows == serial.output_rows
+        # The probes really were cut.
+        assert max(op.morsels for op in result.op_stats) > 1
+
+    def test_job_query_matches_serial(self, job_db, morsel_rows):
+        morsel_rows(128)
+        name, query = next(iter(job.all_queries().items()))
+        plan = job_db.optimizer_plan(query)
+        serial = job_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=SERIAL)
+        result = job_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=_threads(2))
+        assert result.aggregates == serial.aggregates, name
+        assert max(op.morsels for op in result.op_stats) > 1
+
+
+# ---------------------------------------------------------------------------
 # The join index: HashBuild's run-time choice
 # ---------------------------------------------------------------------------
 class TestJoinIndexChoice:
     def _options(self, backend: str) -> ExecutionOptions:
         return ExecutionOptions(
-            execution=ExecutionConfig(backend=backend, num_threads=4, num_workers=2)
+            execution=ExecutionConfig(backend=backend, num_threads=4)
         )
 
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_records_name_the_index_and_every_backend_chooses_alike(
         self, imdb_db, chain_query, sparse_db, sparse_query, all_modes, backend, morsel_rows
     ):

@@ -3,7 +3,7 @@
 Covers the mode property flags, mode ↔ PhysicalPlan compilation (every mode
 compiles to the expected op sequence), cross-mode result agreement through
 the pipeline executor on the synthetic / TPC-H / JOB / TPC-DS / DSB
-fixtures, the serial vs chunked vs parallel backends, the searchsorted
+fixtures, the serial vs parallel backends, the searchsorted
 semi-join kernel, and the evaluate-base-filters-once guarantee.
 """
 
@@ -23,8 +23,7 @@ from repro import (
 )
 from repro.bench.simulation import ParallelismModel, simulate_parallel_cost
 from repro.exec.kernels import HashIndex, match_keys, semi_join_mask
-from repro.exec.backends import DEFAULT_CHUNK_SIZE, DEFAULT_MORSEL_SIZE, MorselBackend, make_backend
-from repro.exec.process import DEFAULT_PROCESS_MORSEL_SIZE, ProcessBackend
+from repro.exec.backends import DEFAULT_MORSEL_SIZE, MorselBackend, make_backend
 from repro.expr.expressions import Expression, eq
 from repro.errors import ExecutionError
 from repro.plan.join_plan import JoinPlan
@@ -225,31 +224,13 @@ class TestBackends:
             return backend.num_threads, backend.morsel_size
 
         assert preset(make_backend("serial")) == (1, None)
-        assert preset(make_backend("chunked")) == (1, DEFAULT_CHUNK_SIZE)
         assert preset(make_backend("parallel", num_threads=3)) == (3, DEFAULT_MORSEL_SIZE)
-        process = make_backend("process", num_workers=1)
-        assert isinstance(process, ProcessBackend)
-        assert process.morsel_size == DEFAULT_PROCESS_MORSEL_SIZE
-        for bad in (("gpu",), ("parallel", 0), ("process", None, 0)):
+        for bad in (("gpu",), ("parallel", 0)):
             with pytest.raises(ExecutionError):
                 make_backend(*bad)
-        # The presets read their morsel size when the backend is made.
+        # The parallel preset reads its morsel size when the backend is made.
         morsel_rows(64)
-        assert preset(make_backend("chunked")) == (1, 64)
         assert preset(make_backend("parallel", 2)) == (2, 64)
-        assert make_backend("process", num_workers=1).morsel_size == 64
-
-    def test_chunked_backend_matches_serial(self, imdb_db, chain_query, all_modes, morsel_rows):
-        morsel_rows(256)
-        for mode in all_modes:
-            serial = imdb_db.execute(chain_query, mode=mode)
-            chunked = imdb_db.execute(
-                chain_query,
-                mode=mode,
-                options=_backend_options("chunked"),
-            )
-            assert serial.aggregates == chunked.aggregates, mode
-            assert serial.output_rows == chunked.output_rows, mode
 
     def test_parallel_backend_matches_serial(self, imdb_db, chain_query, all_modes, morsel_rows):
         morsel_rows(256)
@@ -267,9 +248,8 @@ class TestBackends:
         self, imdb_db, star_query, morsel_rows
     ):
         morsel_rows(128)
-        # Replaces test_chunked_backend_accrues_simulated_cost: the chunked
-        # backend's inline accrual (stats.simulated_parallel_cost) is gone;
-        # the Figure 14 cost is a function of the recorded steps alone.
+        # The Figure 14 cost is a function of the recorded steps alone, so
+        # every backend's trace yields the same one.
         model = ParallelismModel(chunk_size=128)
         costs = {
             backend: simulate_parallel_cost(
@@ -278,9 +258,9 @@ class TestBackends:
                 ).stats,
                 model,
             )
-            for backend in ("serial", "chunked")
+            for backend in ("serial", "parallel")
         }
-        assert costs["serial"] == costs["chunked"] > 0.0
+        assert costs["serial"] == costs["parallel"] > 0.0
 
 
 # ---------------------------------------------------------------------------

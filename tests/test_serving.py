@@ -5,8 +5,7 @@ one shared :class:`Database` get results bit-identical to a single-threaded
 serial run; overload sheds with typed :class:`AdmissionRejected` (never a
 hang or an unbounded queue); a ``register(..., replace=True)`` never tears
 a running query — it keeps reading its pinned snapshot, and the replaced
-version's cached artifacts and shm segments are released when the last
-reader lets go.
+version's cached artifacts are released when the last reader lets go.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from repro.bench import build_serving_fleet, run_serving_benchmark
 from repro.engine.database import ExecutionOptions, ExplainResult
 from repro.engine.modes import ExecutionConfig
 from repro.errors import QueryCancelled, QueryTimeout, ReproError
-from repro.storage import buffer, shm
+from repro.storage import buffer
 from repro.workloads import sqlfiles
 
 QUERY = (
@@ -364,7 +363,7 @@ class TestPlanCache:
 # Snapshot isolation (MVCC-lite) across backends
 # ---------------------------------------------------------------------------
 class TestSnapshotIsolation:
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_pinned_snapshot_survives_replace(self, backend, morsel_rows):
         morsel_rows(4096)
         db = _make_db(value_scale=1)
@@ -372,9 +371,7 @@ class TestSnapshotIsolation:
 
         spec = compile_statement(QUERY, db.catalog).query
         options = ExecutionOptions(
-            execution=ExecutionConfig(
-                backend=backend, num_workers=2, artifact_cache=True
-            )
+            execution=ExecutionConfig(backend=backend, artifact_cache=True)
         )
         old_result = db.execute(spec, options=options)
         snap = db.catalog.snapshot(["f", "d"])
@@ -411,12 +408,6 @@ class TestSnapshotIsolation:
             assert not any(
                 key.table == "f" and key.table_version == old_version
                 for key in cache._entries
-            )
-        arena = db.shm_arena
-        if arena is not None:
-            assert not any(
-                key[0] == "f" and key[1] == old_version
-                for key in arena.published_keys()
             )
         db.close()
 
@@ -471,14 +462,13 @@ class TestSnapshotIsolation:
         assert db.catalog.pinned_version_count() == 0
         assert db.catalog.retained_version_count() == 0
         db.close()
-        shm.assert_no_transient_leaks()
 
 
 # ---------------------------------------------------------------------------
 # Concurrent clients over the checked-in SQL files (driver-based)
 # ---------------------------------------------------------------------------
 class TestConcurrentClients:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
     def test_eight_clients_bit_identical(self, backend):
         """8 closed-loop clients over the synthetic workloads: bit-identity.
 

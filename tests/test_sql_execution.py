@@ -8,8 +8,8 @@ Three layers of coverage:
 * **full sweep** — every file parses, binds, and executes under all five
   execution modes with the answer ``BASELINE`` gives, and compiles to what
   its workload module's ``query(n)`` returns;
-* **harness** — ``sqlfiles.run_all`` over every file on the parallel /
-  process backends and traced, against the plain serial sweep.
+* **harness** — ``sqlfiles.run_all`` over every file on the parallel
+  backend and traced, against the plain serial sweep.
 """
 
 from __future__ import annotations
@@ -119,9 +119,8 @@ def harness():
         {},  # whatever the environment (a CI leg's REPRO_* variables) selects
         {**PLAIN, "tracing": True},
         {**PLAIN, "backend": "parallel"},
-        {**PLAIN, "backend": "process"},
     ],
-    ids=["environment", "traced", "parallel", "process"],
+    ids=["environment", "traced", "parallel"],
 )
 def test_run_all_harness_smoke(execution, harness):
     """Every file executes and answers exactly what the plain serial sweep
@@ -130,7 +129,7 @@ def test_run_all_harness_smoke(execution, harness):
     assert sweep(**execution) == plain
 
 
-@pytest.mark.parametrize("backend", ["serial", "parallel", "process"])
+@pytest.mark.parametrize("backend", ["serial", "parallel"])
 def test_base_columns_are_never_written(backend, harness, morsel_rows):
     """An unreduced relation hands the executor the base column itself (a
     read-only view), so nothing downstream may write through it: every
