@@ -16,14 +16,17 @@ profile describes exactly what ``perf/run.py`` times:
 1. set-up, then two warm rounds (lazy caches filled, as after the
    benchmark's cold round);
 2. one round under ``cProfile``;
-3. the top ``N`` functions by *self* time, and the profiled round's latency
-   summed per execution mode.
+3. the top ``N`` functions by *self* time, the profiled round's latency
+   summed per execution mode, and its op time split per mode and op kind
+   (hash joins by index kind, ``hash_build [direct]`` …) — summed from the
+   engine's own per-op timers (``OpStats.seconds``), which cProfile does
+   not inflate.
 
 cProfile charges every Python call but not the work inside a NumPy kernel,
-so the proportions lean toward call-heavy code: find candidates here,
-measure them with ``perf/run.py``.  It also sees only the calling thread —
-``serve_mixed`` runs its statements on client threads, so that workload
-gets the per-mode sums but an empty-looking profile.
+so the proportions lean toward call-heavy code: find candidates here and in
+the op split, measure them with ``perf/run.py``.  It also sees only the
+calling thread — ``serve_mixed`` runs its statements on client threads, so
+that workload gets the per-mode sums but an empty-looking profile.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[0:1] = [str(ROOT), str(ROOT / "src")]
 
+import perf.workloads  # noqa: E402
 from perf.run import child_environment  # noqa: E402
 from perf.workloads import WORKLOADS, Checker  # noqa: E402
 
@@ -54,6 +58,32 @@ def _location(key) -> str:
     if ROOT in path.parents:
         path = path.relative_to(ROOT)
     return f"{path}:{line}({function})"
+
+
+def record_op_stats(records: list) -> None:
+    """Make every workload op append ``(op, result.stats.op_stats)`` to
+    ``records``: the rounds time each op through ``perf.workloads.timed_op``."""
+    timed_op = perf.workloads.timed_op
+
+    def recording(op, call, *rest):
+        def recorded():
+            result = call()
+            records.append((op, result.stats.op_stats))
+            return result
+
+        timed_op(op, recorded, *rest)
+
+    perf.workloads.timed_op = recording
+
+
+def op_split(records: list) -> dict:
+    """Milliseconds per ``(mode, op kind [join index])`` over ``records``."""
+    split = defaultdict(float)
+    for op, op_stats in records:
+        for record in op_stats:
+            kind = f"{record.kind} [{record.join_index}]" if record.join_index else record.kind
+            split[op.mode.value, kind] += record.seconds * 1e3
+    return split
 
 
 def main() -> int:
@@ -71,10 +101,12 @@ def main() -> int:
     state = workload.setup(args.quick)
     checker = Checker()
     profiler = cProfile.Profile()
+    records: list = []
     try:
         for index in range(WARM_ROUNDS):
             workload.round(state, random.Random(f"profile/{args.workload}/{index}"), checker)
         rng = random.Random(f"profile/{args.workload}/{WARM_ROUNDS}")
+        record_op_stats(records)
         profiler.enable()
         result = workload.round(state, rng, checker)
         profiler.disable()
@@ -98,6 +130,9 @@ def main() -> int:
     print("\nlatency summed per mode")
     for mode, total_ms in sorted(by_mode.items(), key=lambda item: item[1]):
         print(f"{total_ms:10.1f} ms  {mode}")
+    print("\nop time per mode and op kind (engine timers, profiled round)")
+    for (mode, kind), total_ms in sorted(op_split(records).items()):
+        print(f"{total_ms:10.1f} ms  {mode:<11} {kind}")
     for failure in result.failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if result.failures else 0

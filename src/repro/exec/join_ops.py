@@ -10,8 +10,13 @@ join hand their state to each other through the join's
 the index kind — a direct-address table on bounded integer keys, a sorted
 index otherwise; ``[direct-unique]`` / ``[direct]`` / ``[sorted]`` in the op
 trace — is a property of the rows the join actually sees, whatever the join
-order, and never a plan shape.  ``HashProbe`` matches against whatever it
-finds.  The build (rows, keys and index) is one governor reservation.
+order, and never a plan shape.  When the build side dwarfs the probe side
+(:meth:`HashIndex.prefilter_worthwhile
+<repro.exec.kernels.HashIndex.prefilter_worthwhile>` states when),
+``HashBuild`` gathers the probe keys too and indexes only the build rows
+they contain; the trace's ``[indexed n]`` says how many rows an index holds.
+``HashProbe`` matches against whatever it finds.  The build (rows, keys and
+index) is one governor reservation.
 """
 
 from __future__ import annotations
@@ -114,8 +119,10 @@ def hash_build(run: RunState, op: HashBuild, record: OpStats) -> None:
         build.index = _build_index(run, op, build, build_side, probe_rows)
         build.index.prepare_match(probe_rows)
         record.join_index = build.index.match_kind
+        record.indexed_rows = build.index.num_keys
     if run.ex.governor is not None:
-        size = sum(int(arr.nbytes) for arr in build.result.positions.values())
+        positions = build.result.positions.values()
+        size = sum(int(arr.nbytes) for arr in positions if arr is not None)
         if build.index is not None:
             size += build.index.index_bytes()
         run.governed_reserve(f"build:{op.build_id}", size)
@@ -135,11 +142,21 @@ def _build_index(
     (un-reduced-since) relation, the lookup goes through both index caches —
     an index built by the transfer phase, or a prior query's frozen
     artifact, skips the gather and build entirely (the gather thunk only runs
-    on a full miss) — and a fresh index is published for reuse.
+    on a full miss) — and a fresh index is published for reuse.  Otherwise
+    an oversized build side of unstaged keys is prefiltered
+    (:func:`_prefiltered_index`).
     """
-    if len(op.attributes) == 1 and op.input.is_relation:
+    single = len(op.attributes) == 1
+    prefilter = (
+        single
+        and build.keys is None
+        and HashIndex.prefilter_worthwhile(build_side.num_rows, probe_rows)
+    )
+    if single and op.input.is_relation:
         relation = run.relations[op.input.alias]
-        if build_side.num_rows == relation.num_rows:
+        if build_side.num_rows == relation.num_rows and (
+            not prefilter or run.caches_relation_index(op.input.alias, op.attributes, relation)
+        ):
             return run.relation_index(
                 op.input.alias,
                 op.attributes,
@@ -153,7 +170,27 @@ def _build_index(
             )
     if build.keys is None:
         build.keys = _single_attribute_keys(run, op.attributes[0], build_side)
+    if prefilter:
+        return _prefiltered_index(run, op, build)
     return HashIndex(build.keys)
+
+
+def _prefiltered_index(run: RunState, op: HashBuild, build: JoinBuild) -> HashIndex:
+    """The index over only the build rows some probe key can hit.
+
+    The probe keys are gathered once, here (``HashProbe`` matches the staged
+    ``build.probe_keys``); the membership pass over the build keys runs on
+    the backend, so the parallel preset cuts it into morsels.
+    """
+    probe = run.materialize(run.probe_of[op.build_id])
+    build.probe_keys = _single_attribute_keys(run, op.attributes[0], probe)
+    probe_set = HashIndex(build.probe_keys)
+    build_rows = int(build.keys.shape[0])
+    hits = run.ex.backend.probe_mask(
+        build.keys, probe_set.contains, prepare=lambda: probe_set.prepare(build_rows)
+    )
+    kept = np.flatnonzero(hits)
+    return HashIndex(build.keys.take(kept), rows=kept)
 
 
 def hash_probe(run: RunState, op: HashProbe, record: OpStats) -> None:
@@ -279,8 +316,12 @@ def _result_bloom_pass(
     full = full_bloom_pass(run, relation, attr_class.column_of(alias), compute=compute)
     if full is not None:
         row_ids = result.positions[alias]
-        if relation.row_indices is not None:  # identity: positions are row ids
+        if row_ids is None:  # the result is the relation's rows
+            row_ids = relation.row_indices
+        elif relation.row_indices is not None:  # identity: positions are row ids
             row_ids = relation.row_indices.take(row_ids)
+        if row_ids is None:  # ... and the relation is its whole table
+            return full
         return full[0].take(row_ids), full[1].take(row_ids)
     run.record.hash_misses += 1
     hashes = hash_keys(keys)

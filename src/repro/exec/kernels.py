@@ -12,16 +12,21 @@ bitmap behind :meth:`HashIndex.contains`):
 
 * **direct-address** — integer keys over a bounded domain (ids, dictionary
   codes): a table indexed by ``key - min`` built in O(n) with no comparison
-  sort, probed with one subtract-and-gather.  Unique build keys (the PK side
-  of an FK-PK join) store the build row in the slot itself; duplicate keys
-  get CSR run offsets over a grouping permutation made by ``uint16`` radix
-  passes.
+  sort, probed with one subtract-clamp-gather.  Every table has one
+  *sentinel* entry past ``max - min`` that holds "absent", and a probe's
+  offset is clamped onto it as an unsigned integer, so a key outside the
+  domain needs no range mask.  Unique build keys (the PK side of an FK-PK
+  join) store the build row in the slot itself; duplicate keys get CSR run
+  offsets over a grouping permutation made by ``uint16`` radix passes.
 * **sorted** — everything else: a stable ``argsort`` plus one binary search
   per probe key (run ends are precomputed, so the run of equal keys a probe
   hits needs no second search).
 
 Both emit the same pairs in the same order: probe index ascending, then
-build rows in their original (stable) order.
+build rows in their original (stable) order.  An index may cover only some
+build rows — the ones a hash join's probe keys can hit, when the build side
+dwarfs the probe side (:meth:`HashIndex.prefilter_worthwhile`) — and still
+emits the original build row numbers.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ExecutionError
+
+#: A hash build indexes only the build rows some probe key can hit once the
+#: build side has more than this many times the probe side's rows
+#: (:meth:`HashIndex.prefilter_worthwhile`).
+_PREFILTER_RATIO = 4
 
 
 @dataclass(frozen=True)
@@ -214,6 +224,15 @@ class HashIndex:
     whichever is cheaper given what is already cached.  Whether the integer
     key domain is bounded enough for a table is one rule,
     :meth:`table_worthwhile`, for both.
+
+    Every direct-address table (bitmap, unique-key slots, CSR run offsets)
+    has one *sentinel* entry at ``max - min + 1`` that reads as absent;
+    :meth:`_table_offsets` clamps every probe outside the domain onto it.
+
+    ``rows`` (ascending) names the build row of each key when the index
+    covers only some build rows (:meth:`prefilter_worthwhile`); it is
+    composed into the slots / permutation once, so matches name original
+    build rows in their original order at no per-pair cost.
     """
 
     __slots__ = (
@@ -224,18 +243,23 @@ class HashIndex:
         "_table",
         "_slots",
         "_starts",
+        "_rows",
         "_fallback_probes",
         "_probe_rows_seen",
         "_key_bounds",
         "_frozen",
     )
 
-    #: Hard cap on one direct-address table, in bytes: 2^26 one-byte bitmap
-    #: entries for :meth:`contains`, 2^24 ``int32`` slots for :meth:`match`.
+    #: Hard cap on one direct-address table, in bytes (sentinel aside): 2^26
+    #: one-byte bitmap entries for :meth:`contains`, 2^24 ``int32`` slots for
+    #: :meth:`match`.
     TABLE_MAX_BYTES = 1 << 26
 
-    def __init__(self, keys: np.ndarray) -> None:
+    def __init__(self, keys: np.ndarray, rows: "np.ndarray | None" = None) -> None:
         self.keys = np.asarray(keys)
+        # The build row of each key (ascending), until match's structure
+        # has absorbed it; ``None``: key ``i`` is build row ``i``.
+        self._rows = rows
         # Sorted strategy: stable argsort, keys in that order, and for every
         # sorted position the end of its run of equal keys.
         self._order: "np.ndarray | None" = None
@@ -261,8 +285,10 @@ class HashIndex:
     def sorted_keys(self) -> np.ndarray:
         """The keys in stable sorted order (computed lazily, then cached)."""
         if self._sorted_keys is None:
-            self._order = np.argsort(self.keys, kind="stable")
-            self._sorted_keys = self.keys[self._order]
+            order = np.argsort(self.keys, kind="stable")
+            self._sorted_keys = self.keys[order]
+            if self._order is None:  # a direct build's permutation is kept
+                self._order = order
         return self._sorted_keys
 
     def table_worthwhile(self, extra_probe_rows: int = 0, entry_bytes: int = 1) -> bool:
@@ -287,6 +313,19 @@ class HashIndex:
         )
         return key_range <= min(budget, self.TABLE_MAX_BYTES // entry_bytes)
 
+    @staticmethod
+    def prefilter_worthwhile(build_rows: int, probe_rows: int) -> bool:
+        """True when a hash join should index only the build rows a probe can hit.
+
+        Past :data:`_PREFILTER_RATIO` build rows per probe row, keeping the
+        build rows whose key is in the probe keys (``HashIndex(build_keys[kept],
+        rows=kept)``) costs one membership pass, where indexing every row
+        costs a table, a ``bincount`` and a radix sort.  The hash build
+        applies it to single-attribute keys no Bloom pair staged, unless a
+        cache holds or would publish the whole side's index.
+        """
+        return build_rows > _PREFILTER_RATIO * probe_rows
+
     def _ensure_table(self, probe_rows: int) -> bool:
         """Build (or reuse) the bitmap membership table when it pays off.
 
@@ -306,7 +345,7 @@ class HashIndex:
         if not self.table_worthwhile():
             return False
         lo, hi = self.key_bounds()
-        table = np.zeros(hi - lo + 1, dtype=bool)
+        table = np.zeros(hi - lo + 2, dtype=bool)  # + the sentinel
         table[self.keys - lo] = True
         self._table = table
         return True
@@ -344,26 +383,32 @@ class HashIndex:
         if self.match_kind or not self.num_keys:
             return
         # int32 slots / offsets index build rows: 2^31 rows is the format's limit.
-        if self.num_keys < 1 << 31 and self.table_worthwhile(
+        build_rows = self.num_keys if self._rows is None else int(self._rows[-1]) + 1
+        if build_rows < 1 << 31 and self.table_worthwhile(
             int(expected_probe_rows), entry_bytes=4
         ):
             self._build_direct()
         else:
             self._build_sorted()
+        self._rows = None
 
     def _build_direct(self) -> None:
         lo, hi = self.key_bounds()
         key_range = hi - lo + 1
         offsets = self.keys - lo
-        rows = np.arange(self.num_keys, dtype=np.int32)
-        slots = np.full(key_range, -1, dtype=np.int32)
+        if self._rows is None:
+            rows = np.arange(self.num_keys, dtype=np.int32)
+        else:
+            rows = self._rows.astype(np.int32)
+        slots = np.full(key_range + 1, -1, dtype=np.int32)  # + the sentinel
         slots[offsets] = rows
         if (slots[offsets] == rows).all():  # no row was overwritten: keys are unique
             self._slots = slots
             return
-        starts = np.zeros(key_range + 1, dtype=np.int32)
-        np.cumsum(np.bincount(offsets, minlength=key_range), out=starts[1:], dtype=np.int32)
-        self._order = _radix_argsort(offsets, key_range)
+        # One run per offset plus the sentinel's empty one.
+        starts = np.zeros(key_range + 2, dtype=np.int32)
+        np.cumsum(np.bincount(offsets, minlength=key_range + 1), out=starts[1:], dtype=np.int32)
+        self._order = self._build_rows(_radix_argsort(offsets, key_range))
         self._starts = starts
 
     def _build_sorted(self) -> None:
@@ -371,6 +416,11 @@ class HashIndex:
         run_starts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
         bounds = np.concatenate(([0], run_starts, [self.num_keys]))
         self._run_ends = np.repeat(bounds[1:], np.diff(bounds))
+        self._order = self._build_rows(self._order)
+
+    def _build_rows(self, order: np.ndarray) -> np.ndarray:
+        """A permutation of key positions, as the build rows they stand for."""
+        return order if self._rows is None else self._rows.take(order)
 
     @property
     def match_kind(self) -> str:
@@ -409,21 +459,23 @@ class HashIndex:
         """
         arrays = (
             self.keys, self._order, self._sorted_keys, self._run_ends,
-            self._table, self._slots, self._starts,
+            self._table, self._slots, self._starts, self._rows,
         )
         return sum(int(array.nbytes) for array in arrays if array is not None)
 
-    def _table_offsets(self, probe_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``probe_keys - min`` and which of them fall inside the table.
+    def _table_offsets(self, probe_keys: np.ndarray) -> np.ndarray:
+        """``probe_keys - min``, with every key outside the domain on the sentinel.
 
-        int64 offsets can wrap for extreme probe values, but a wrapped
-        difference is always negative (the true difference lies in
-        [2^63, 2^64)), so the in-range test still rejects it; callers gather
-        with ``mode="clip"`` and mask.
+        The int64 difference is read as ``uint64`` and clamped to the
+        sentinel position ``max - min + 1``.  A key below ``min`` gives a
+        negative difference, at least 2^63 unsigned; a difference that wraps
+        int64 is the true one plus or minus 2^64, and reads as at least
+        ``2^63 - min`` unsigned — past ``max - min`` either way.
         """
         lo, hi = self.key_bounds()
-        offsets = probe_keys - lo
-        return offsets, (offsets >= 0) & (offsets <= hi - lo)
+        offsets = np.subtract(probe_keys, lo, dtype=np.int64).view(np.uint64)
+        np.minimum(offsets, np.uint64(hi - lo + 1), out=offsets)
+        return offsets.view(np.int64)
 
     def contains(self, probe_keys: np.ndarray) -> np.ndarray:
         """Boolean membership mask of ``probe_keys`` against the indexed keys."""
@@ -436,8 +488,7 @@ class HashIndex:
             self._table is not None
             or (not self._frozen and self._ensure_table(int(probe_keys.shape[0])))
         ):
-            offsets, in_range = self._table_offsets(probe_keys)
-            return in_range & self._table.take(offsets, mode="clip")
+            return self._table.take(self._table_offsets(probe_keys))
         probe_rows = int(probe_keys.shape[0])
         if self._sorted_keys is None:
             # Unbounded domain.  NumPy's sort-based isin beats a from-scratch
@@ -473,13 +524,13 @@ class HashIndex:
                 self._sorted_keys[first] == probe_keys, self._run_ends[first] - first, 0
             )
             return _expand_runs(self._order, first, counts)
-        offsets, in_range = self._table_offsets(probe_keys)
+        offsets = self._table_offsets(probe_keys)
         if self._slots is not None:
-            rows = self._slots.take(offsets, mode="clip")
-            matched_probe = np.flatnonzero(in_range & (rows >= 0))
+            rows = self._slots.take(offsets)
+            matched_probe = np.flatnonzero(rows >= 0)
             return JoinMatches(matched_probe, rows[matched_probe].astype(np.int64))
-        first = self._starts.take(offsets, mode="clip")
-        counts = np.where(in_range, self._starts.take(offsets + 1, mode="clip") - first, 0)
+        first = self._starts.take(offsets)
+        counts = self._starts.take(offsets + 1) - first
         return _expand_runs(self._order, first, counts)
 
 

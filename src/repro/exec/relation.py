@@ -18,7 +18,11 @@ Two representations are used:
   binary join therefore only produces index vectors; real column values are
   only gathered when a join key or the final aggregate needs them — in one
   hop from an identity relation, otherwise through the shorter of the two
-  index vectors first.
+  index vectors first.  A result that is still one relation's rows in order
+  (:meth:`IntermediateResult.from_relation`) holds no positions either
+  (``positions[alias] is None``): its gathers read the relation's own
+  values, a view or one ``take``, and its first ``take`` / ``merge`` stores
+  the selector itself.
 """
 
 from __future__ import annotations
@@ -134,21 +138,27 @@ class BoundRelation:
 
 @dataclass
 class IntermediateResult:
-    """Late-materialized join result: per-alias row positions of equal length."""
+    """Late-materialized join result: per-alias row positions of equal length.
 
-    positions: Dict[str, np.ndarray] = field(default_factory=dict)
+    ``None`` positions are the identity over ``identity_rows`` rows: tuple
+    ``i`` is the relation's ``i``-th surviving row.  Only a result started
+    by :meth:`from_relation` — one alias — holds them.
+    """
+
+    positions: Dict[str, Optional[np.ndarray]] = field(default_factory=dict)
+    identity_rows: int = 0
 
     @classmethod
     def from_relation(cls, relation: BoundRelation) -> "IntermediateResult":
         """Start an intermediate result from a single (reduced) relation."""
-        return cls(positions={relation.alias: np.arange(relation.num_rows, dtype=np.int64)})
+        return cls(positions={relation.alias: None}, identity_rows=relation.num_rows)
 
     @property
     def num_rows(self) -> int:
         """Number of joined tuples represented."""
-        if not self.positions:
-            return 0
-        return int(next(iter(self.positions.values())).shape[0])
+        for positions in self.positions.values():
+            return self.identity_rows if positions is None else int(positions.shape[0])
+        return 0
 
     @property
     def aliases(self) -> frozenset[str]:
@@ -161,6 +171,8 @@ class IntermediateResult:
             raise ExecutionError(f"intermediate result does not contain relation {alias!r}")
         positions = self.positions[alias]
         relation = relations[alias]
+        if positions is None:
+            return relation.column_values(column)
         data = relation.table.column(column).data
         rows = relation.row_indices
         if rows is None:
@@ -170,9 +182,9 @@ class IntermediateResult:
         return data.take(rows).take(positions)
 
     def take(self, row_selector: np.ndarray) -> "IntermediateResult":
-        """Gather a subset / reordering of the joined tuples."""
+        """Gather a subset / reordering of the joined tuples (integer positions)."""
         return IntermediateResult(
-            positions={alias: pos[row_selector] for alias, pos in self.positions.items()}
+            positions={alias: _select(pos, row_selector) for alias, pos in self.positions.items()}
         )
 
     def merge(
@@ -187,9 +199,9 @@ class IntermediateResult:
             raise ExecutionError(f"cannot merge intermediate results sharing relations {sorted(overlap)}")
         merged: Dict[str, np.ndarray] = {}
         for alias, pos in self.positions.items():
-            merged[alias] = pos[self_selector]
+            merged[alias] = _select(pos, self_selector)
         for alias, pos in other.positions.items():
-            merged[alias] = pos[other_selector]
+            merged[alias] = _select(pos, other_selector)
         return IntermediateResult(positions=merged)
 
     def evaluate_qualified_comparison(
@@ -206,6 +218,11 @@ class IntermediateResult:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IntermediateResult(aliases={sorted(self.positions)}, rows={self.num_rows})"
+
+
+def _select(positions: Optional[np.ndarray], selector: np.ndarray) -> np.ndarray:
+    """``positions[selector]``; over the identity, the selector itself."""
+    return selector if positions is None else positions[selector]
 
 
 def _compare(values: np.ndarray, op: str, rhs) -> np.ndarray:

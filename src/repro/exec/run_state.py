@@ -63,7 +63,8 @@ class JoinBuild:
     SIP filter (``bloom``, with ``probe_pass`` the probe side's cached
     hashing pass); its ``BloomProbe`` reduces ``probe_keys`` and counts
     ``bloom_eliminated``.  ``HashBuild`` sets ``result`` (the materialized
-    build side) and ``index``, built for the probe side's row count;
+    build side) and ``index``, built for the probe side's row count (and
+    stages ``probe_keys`` itself when it prefilters the build side);
     ``index`` stays ``None`` for composite keys without a prefilter (packed
     jointly with the probe side, in ``HashProbe``) and for Cartesian
     products.
@@ -217,10 +218,7 @@ class RunState:
         cached = self.index_cache.get(cache_key)
         if cached is not None and cached[0] == relation.version:
             return cached[1]
-        # Artifacts are keyed by the physical column, not the query-local
-        # attribute-class name, so different queries share them.
-        column = self.ex.graph.attribute_classes[attributes[0]].column_of(alias)
-        artifact_key = self.artifact_key(alias, column, kind=KIND_HASH_INDEX)
+        artifact_key = self._index_artifact_key(alias, attributes)
         index: Optional[HashIndex] = None
         if artifact_key is not None:
             artifact = self.ex.artifact_cache.get(artifact_key)
@@ -240,6 +238,22 @@ class RunState:
                 self.charge_artifact(artifact_key, index.index_bytes())
         self.index_cache[cache_key] = (relation.version, index)
         return index
+
+    def caches_relation_index(
+        self, alias: str, attributes: Tuple[str, ...], relation: BoundRelation
+    ) -> bool:
+        """True when :meth:`relation_index` would reuse an index from either
+        cache, or publish the one it builds to the artifact cache."""
+        cached = self.index_cache.get((alias, attributes))
+        if cached is not None and cached[0] == relation.version:
+            return True
+        return self._index_artifact_key(alias, attributes) is not None
+
+    def _index_artifact_key(self, alias: str, attributes: Tuple[str, ...]) -> Optional[ArtifactKey]:
+        # Artifacts are keyed by the physical column, not the query-local
+        # attribute-class name, so different queries share them.
+        column = self.ex.graph.attribute_classes[attributes[0]].column_of(alias)
+        return self.artifact_key(alias, column, kind=KIND_HASH_INDEX)
 
     # -- governor charging ----------------------------------------------
     def governed_reserve(self, key: str, size_bytes: int, evictable: bool = True) -> None:

@@ -76,6 +76,9 @@ class OpStats:
     #: ``"direct-unique"``, ``"direct"`` (duplicate build keys) or ``"sorted"``
     #: (:attr:`HashIndex.match_kind <repro.exec.kernels.HashIndex.match_kind>`).
     join_index: str = ""
+    #: Build rows the hash build's index holds: every build row, or only
+    #: those a probe key can hit when the build was prefiltered.
+    indexed_rows: int = 0
     #: Memory governor, while this op reserved or touched budget: spills
     #: ordered, bytes re-read after a spill, spill writes that failed.
     spill_events: int = 0
@@ -144,6 +147,7 @@ COUNTERS: Tuple[Counter, ...] = (
             log="adaptive.exact_downgrades", per_step=True),
     Counter("join_index", "sorted_index_joins", " [{join_index}]",
             log="adaptive.sorted_index_joins", per_step=True, counts="sorted"),
+    Counter("indexed_rows", "indexed_build_rows", " [indexed {indexed_rows}]"),
     Counter("spill_failures", "spill_failures", group="degraded",
             summary="{spill_failures} failed spill write(s)"),
     Counter("degraded", marker=" [degraded {degraded}]", event="degraded",

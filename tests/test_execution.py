@@ -6,8 +6,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from reference_match import replay_match
 from repro.engine.database import Database, ExecutionOptions
-from repro.engine.modes import ExecutionMode
+from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import ExecutionError
 from repro.exec import JoinPhaseOptions, TransferOptions
 from repro.exec.relation import BoundRelation, IntermediateResult, bind_relations
@@ -15,6 +16,7 @@ from repro.plan.join_plan import JoinNode, JoinPlan, LeafNode
 from repro.query import JoinCondition, QualifiedComparison, QuerySpec, RelationRef
 from repro.expr import eq, lt
 from repro.storage.column import Column
+from repro.storage.datatypes import DataType
 from repro.storage.table import ForeignKey, Table
 
 
@@ -225,6 +227,88 @@ class TestJoinPhase:
         assert stats.total_intermediate_rows == stats.join_steps[0].output_rows
         assert stats.total_tuples_processed > 0
         assert stats.reduced_rows
+
+
+class TestHashBuildPrefilter:
+    """A build side with more than four times its probe side's rows is
+    indexed over only the rows a probe key can hit; the joined pairs are
+    those of the whole build side, order included."""
+
+    #: Build keys with duplicates and with keys no probe holds (40 and up).
+    BUILD = [5, 40, 3, 5, 41, 7, 3, 3, 42, 9, 5, 43] * 5
+
+    CASES = {
+        "some-rows": [3, 9, 5, 77, 3, 1],
+        "no-probe-rows": [],
+        "every-row": [41, 3, 42, 5, 40, 9, 7, 43, 3],
+        "build-4x-probe": [3] * 15,  # 60 rows = 4 x 15: no prefilter
+    }
+
+    def _join(self, monkeypatch, probe_keys, backend="serial", artifact_cache=False):
+        db = Database()
+        db.register_dataframe(
+            "probe_t", {"k": np.asarray(probe_keys, dtype=np.int64)}, dtypes={"k": DataType.INT64}
+        )
+        db.register_dataframe("build_t", {"k": self.BUILD, "v": np.arange(len(self.BUILD))})
+        query = QuerySpec(
+            name="prefilter",
+            relations=(RelationRef("p", "probe_t"), RelationRef("b", "build_t")),
+            joins=(JoinCondition("p", "k", "b", "k"),),
+        )
+        merges = []
+        merge = IntermediateResult.merge
+
+        def recording_merge(probe, build, probe_rows, build_rows):
+            merges.append((dict(probe.positions), dict(build.positions), probe_rows, build_rows))
+            return merge(probe, build, probe_rows, build_rows)
+
+        monkeypatch.setattr(IntermediateResult, "merge", recording_merge)
+        options = ExecutionOptions(
+            execution=ExecutionConfig(
+                backend=backend, num_threads=2, artifact_cache=artifact_cache
+            )
+        )
+        for _ in range(2):  # a second run may find the first one's artifacts
+            result = db.execute(
+                query, mode=ExecutionMode.BASELINE, plan=JoinPlan.from_left_deep(("p", "b")),
+                options=options,
+            )
+        (build_op,) = [op for op in result.op_stats if op.kind == "hash_build"]
+        return merges[-1], build_op, result
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
+    def test_pairs_equal_the_whole_build_side_replay(self, monkeypatch, morsel_rows, case, backend):
+        morsel_rows(7)  # cuts the 60-row ``contains`` pass into morsels
+        probe_keys = self.CASES[case]
+        (probe_pos, build_pos, probe_rows, build_rows), build_op, result = self._join(
+            monkeypatch, probe_keys, backend
+        )
+        # Untouched relations enter the join holding no positions.
+        assert probe_pos == {"p": None} and build_pos == {"b": None}
+        want_probe, want_build = replay_match(probe_keys, self.BUILD)
+        np.testing.assert_array_equal(probe_rows, want_probe)
+        np.testing.assert_array_equal(build_rows, want_build)
+        assert result.output_rows == want_probe.size
+        hit = int(np.isin(self.BUILD, probe_keys).sum())
+        prefiltered = len(self.BUILD) > 4 * len(probe_keys)
+        assert build_op.indexed_rows == (hit if prefiltered else len(self.BUILD))
+        assert result.stats.indexed_build_rows == build_op.indexed_rows
+        if build_op.indexed_rows:
+            assert f" [indexed {build_op.indexed_rows}]" in result.stats.op_trace()
+        if backend == "parallel" and prefiltered:
+            assert build_op.morsels == -(-len(self.BUILD) // 7)
+
+    def test_an_index_the_artifact_cache_shares_covers_every_row(self, monkeypatch):
+        probe_keys = self.CASES["some-rows"]
+        (_, _, probe_rows, build_rows), build_op, result = self._join(
+            monkeypatch, probe_keys, artifact_cache=True
+        )
+        assert build_op.indexed_rows == len(self.BUILD)
+        assert result.stats.artifact_cache_hits
+        want_probe, want_build = replay_match(probe_keys, self.BUILD)
+        np.testing.assert_array_equal(probe_rows, want_probe)
+        np.testing.assert_array_equal(build_rows, want_build)
 
 
 class TestIntermediateResult:

@@ -54,6 +54,14 @@ def _assert_equals_replay(matches: JoinMatches, probe, build) -> None:
         np.testing.assert_array_equal(got, want)
 
 
+def _pinned_probes(build: np.ndarray) -> list:
+    """Probes at and around a build domain ``[lo, hi]``: both ends, one past
+    each, two past the top, and both int64 extremes."""
+    lo, hi = int(build.min()), int(build.max())
+    probe = [lo, hi, hi, lo + 1, lo - 1, hi + 1, hi + 2, INT64.min, INT64.max, 0]
+    return [min(max(key, INT64.min), INT64.max) for key in probe]
+
+
 def _bases(span: int) -> list:
     """Where a key range of ``span`` can start: both int64 ends, around zero."""
     candidates = (INT64.min, -(span // 2), 0, 7, INT64.max - span)
@@ -147,15 +155,48 @@ class TestMatchKeys:
         ],
     )
     def test_every_index_kind_on_pinned_domains(self, build, declared_rows, kind):
+        """Probes just outside the domain and at the int64 ends land on the
+        sentinel slot: no match, and no membership in the bitmap either."""
         build = np.asarray(build, dtype=np.int64)
-        lo, hi = int(build.min()), int(build.max())
-        probe = [lo, hi, hi, lo + 1, max(lo - 1, INT64.min), min(hi + 1, INT64.max),
-                 INT64.min, INT64.max, 0]
+        probe = _pinned_probes(build)
         probe_keys = np.asarray(probe, dtype=np.int64)
         index = HashIndex(build)
         index.prepare_match(declared_rows)
         assert index.match_kind == kind
         _assert_equals_replay(index.match(probe_keys), probe, build.tolist())
+        index.prepare(declared_rows)
+        np.testing.assert_array_equal(index.contains(probe_keys), np.isin(probe_keys, build))
+
+    @pytest.mark.parametrize(
+        "build",
+        [[5, 3, 9], [5, 3, 5, 9, 3, 3], [INT64.max - 3, INT64.max, INT64.max],
+         [INT64.min, INT64.min + 2], [0, 2**16 - 1]],
+    )
+    def test_bitmap_membership_on_pinned_domains(self, build):
+        build = np.asarray(build, dtype=np.int64)
+        probe_keys = np.asarray(_pinned_probes(build), dtype=np.int64)
+        index = HashIndex(build)
+        index.prepare(probe_keys.size)
+        assert index.has_bitmap
+        np.testing.assert_array_equal(index.contains(probe_keys), np.isin(probe_keys, build))
+        assert index.contains(probe_keys).dtype == bool
+
+    @given(join_sides(), st.sampled_from((0, 5_000, 70_000)), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_an_index_over_some_rows_names_the_original_rows(self, sides, declared_rows, rng):
+        """``HashIndex(build[kept], rows=kept)`` matches like the whole build
+        side restricted to ``kept``: original row numbers, original order."""
+        build, probe = sides
+        kept = np.asarray(
+            sorted(rng.sample(range(build.size), rng.randint(0, build.size))), dtype=np.int64
+        )
+        index = HashIndex(build[kept], rows=kept)
+        index.prepare_match(declared_rows)
+        want_probe, want_build = replay_match(probe.tolist(), build.tolist())
+        hit = np.isin(want_build, kept)
+        matches = index.match(probe)
+        np.testing.assert_array_equal(matches.probe_indices, want_probe[hit])
+        np.testing.assert_array_equal(matches.build_indices, want_build[hit])
 
     def test_radix_passes_across_the_digit_boundaries(self):
         rng = np.random.default_rng(3)
@@ -168,16 +209,17 @@ class TestMatchKeys:
             )
 
     def test_index_bytes_count_every_built_structure(self):
+        """Every direct-address table holds one sentinel entry past the domain."""
         keys = np.arange(1_000, dtype=np.int64)
         unique, dup, sparse = HashIndex(keys), HashIndex(keys // 2), HashIndex(keys << 40)
         for index in (unique, dup, sparse):
             assert index.index_bytes() == keys.nbytes
             index.prepare_match(0)
-        assert unique.index_bytes() == keys.nbytes + 4 * 1_000  # int32 slots
-        assert dup.index_bytes() == keys.nbytes + 4 * 501 + 8 * 1_000  # offsets + permutation
+        assert unique.index_bytes() == keys.nbytes + 4 * 1_001  # int32 slots
+        assert dup.index_bytes() == keys.nbytes + 4 * 502 + 8 * 1_000  # offsets + permutation
         assert sparse.index_bytes() == 4 * keys.nbytes  # order, sorted keys, run ends
         unique.prepare(1_000)
-        assert unique.index_bytes() == keys.nbytes + 4 * 1_000 + 1_000  # + bitmap
+        assert unique.index_bytes() == keys.nbytes + 4 * 1_001 + 1_001  # + bitmap
 
 
 class TestSemiJoinMask:
