@@ -3,10 +3,8 @@
 * **Figure 14** — robustness under (simulated) 32-thread execution: RPT keeps
   its orders-of-magnitude robustness advantage, though per-plan variance
   grows because small probe sides under-utilize the threads.
-* **Figure 15** — on-disk and spilling execution: RPT keeps a speedup over
-  the baseline even when base tables are read from disk and the materialized
-  transfer-phase output is partially spilled (backward-pass re-reads are
-  small because the forward pass is selective).
+* **Figure 15** (on-disk and spilling execution) is not reproduced: the
+  engine has no out-of-core path.
 * **Figure 16** — microbenchmark: blocked Bloom-filter probes vs hash-table
   probes as the build side grows.
 """
@@ -17,13 +15,8 @@ import pytest
 
 from benchmarks.conftest import BENCH_PLANS, MODES_MAIN
 from repro.bench import CASES, print_report, run_case, run_random_plan_experiment
-from repro.bench.simulation import (
-    ParallelismModel,
-    SpillConfig,
-    simulate_parallel_cost,
-    simulate_spill,
-)
-from repro.core import geometric_mean, robustness_factor, speedup
+from repro.bench.simulation import ParallelismModel, simulate_parallel_cost
+from repro.core import robustness_factor
 from repro.engine.modes import ExecutionMode
 from repro.optimizer import generate_left_deep_plans
 from repro.workloads import tpch
@@ -63,39 +56,6 @@ def test_fig14_multithreaded_robustness(benchmark, context):
     avg_rpt = sum(factors[(n, ExecutionMode.RPT)] for n in query_names) / len(query_names)
     assert avg_rpt <= avg_baseline * 1.2
     print_report("\n".join(lines))
-
-
-@pytest.mark.benchmark(group="figure15")
-def test_fig15_on_disk_and_spill(benchmark, context):
-    def run():
-        db = context.database("tpch")
-        results = {}
-        for config_name, config in (
-            ("on-disk", SpillConfig(memory_budget_fraction=None)),
-            ("on-disk+spill", SpillConfig(memory_budget_fraction=0.5)),
-        ):
-            speedups = []
-            for number in (3, 8, 10, 18):
-                query = tpch.query(number)
-                plan = db.optimizer_plan(query)
-                baseline = db.execute(query, mode=ExecutionMode.BASELINE, plan=plan)
-                simulate_spill(baseline.stats, baseline.relations, config)
-                rpt = db.execute(query, mode=ExecutionMode.RPT, plan=plan)
-                simulate_spill(rpt.stats, rpt.relations, config)
-                baseline_cost = baseline.stats.cost("abstract") + baseline.stats.timings.simulated_io * 1e6
-                rpt_cost = rpt.stats.cost("abstract") + rpt.stats.timings.simulated_io * 1e6
-                speedups.append(speedup(baseline_cost, rpt_cost))
-            results[config_name] = geometric_mean(speedups)
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_report(
-        "Figure 15: RPT speedup over baseline with data on disk (geometric mean)\n"
-        + "\n".join(f"  {name:<14}: {value:.2f}x" for name, value in results.items())
-    )
-    # RPT should remain beneficial (paper: 1.3x on-disk, 1.5x with spilling).
-    for value in results.values():
-        assert value > 0.9
 
 
 @pytest.mark.benchmark(group="figure16")

@@ -10,8 +10,8 @@ Beyond the numbers, every run *enforces* the serving acceptance contract:
 completed queries are bit-identical to a single-threaded serial baseline,
 failures are typed ``ReproError`` subclasses only, overload sheds with
 typed ``AdmissionRejected`` (no hangs, no unbounded queues), and the run
-ends with zero outstanding governor reservations (the driver raises
-otherwise).
+ends with no backend pool thread alive and no server memory reserved (the
+driver raises otherwise).
 """
 
 from __future__ import annotations

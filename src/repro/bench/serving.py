@@ -23,13 +23,12 @@ Three things are measured and enforced:
   (overload mode), every query must either complete bit-identically or
   raise a typed :class:`~repro.errors.ReproError`
   (:class:`~repro.errors.AdmissionRejected` rejections are counted and,
-  optionally, retried after their hint), and the run must end with zero
-  outstanding governor reservations.
+  optionally, retried after their hint), and the run must end with no
+  backend pool thread alive and no server memory reserved.
 """
 
 from __future__ import annotations
 
-import gc
 import threading
 import time
 from dataclasses import dataclass, field
@@ -215,11 +214,12 @@ def run_serving_benchmark(
 
     Every completion is verified bit-identical against the fleet's serial
     baseline; every failure must be a typed :class:`ReproError` (anything
-    else propagates).  With ``check_leaks`` the run asserts zero
-    outstanding governor reservations at the end.
+    else propagates).  With ``check_leaks`` the run asserts at the end that
+    no pool thread a query started is still alive and that every server's
+    ``reserved_memory_bytes`` is back to 0.
     """
     from repro.exec import faults
-    from repro.storage import buffer
+    from repro.exec.backends import pool_threads
 
     if clients <= 0:
         raise WorkloadError("serving benchmark needs at least one client")
@@ -321,6 +321,7 @@ def run_serving_benchmark(
         for series, value in server.metrics_snapshot().items():
             metrics_before[series] = metrics_before.get(series, 0.0) + value
 
+    threads_before = pool_threads()
     if fault_spec is not None:
         faults.configure(fault_spec)
     try:
@@ -347,11 +348,15 @@ def run_serving_benchmark(
         )
 
     if check_leaks:
-        gc.collect()
-        outstanding = buffer.outstanding_reservations()
-        if outstanding:
+        leaked = sorted(t.name for t in pool_threads() - threads_before)
+        reserved = {
+            name: server.reserved_memory_bytes
+            for name, server in fleet.servers.items()
+            if server.reserved_memory_bytes
+        }
+        if leaked or reserved:
             raise WorkloadError(
-                f"serving run leaked governor reservations: {outstanding}"
+                f"serving run leaked pool threads {leaked} / server memory {reserved}"
             )
 
     queued = 0

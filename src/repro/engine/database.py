@@ -54,11 +54,9 @@ from repro.exec.backends import make_backend
 from repro.exec.faults import CancelToken
 from repro.exec.pipeline import JoinPhaseOptions, PipelineExecutor, TransferOptions
 from repro.exec.relation import BoundRelation
-from repro.exec.spill import SpillManager
 from repro.exec.statistics import ExecutionStats, OpStats
 from repro.obs.trace import Span, Tracer
 from repro.storage.artifacts import ArtifactCache, mask_fingerprint
-from repro.storage.buffer import MemoryGovernor
 from repro.optimizer.cardinality import CardinalityEstimator, EstimationErrorModel
 from repro.optimizer.join_order import JoinOrderOptimizer, JoinOrderOptions
 from repro.plan.join_plan import JoinPlan, validate_plan_for_query
@@ -526,8 +524,6 @@ class Database:
             tracer.finish(plan_span, ops=len(prep.physical.ops))
         plan, graph, schedule = prep.plan, prep.graph, prep.schedule
         join_tree, masks, physical = prep.join_tree, prep.masks, prep.physical
-        spill = SpillManager()
-        governor = MemoryGovernor(config.memory_budget_bytes, spill_handler=spill)
         backend = self._backend_ladder(config, stats)
         token = options.cancel
         if token is None and config.timeout_seconds is not None:
@@ -552,7 +548,6 @@ class Database:
             transfer=options.transfer,
             join=options.join,
             backend=backend,
-            governor=governor,
             artifact_cache=artifact_cache,
             table_versions=table_versions,
             fingerprints=fingerprints,
@@ -563,9 +558,6 @@ class Database:
             run = executor.run(physical, stats, masks=masks)
         finally:
             backend.close()
-        io_seconds = spill.simulated_seconds()
-        if io_seconds:
-            stats.timings.simulated_io += io_seconds
         if schedule is not None:
             for alias, relation in run.relations.items():
                 stats.reduced_rows[alias] = relation.num_rows

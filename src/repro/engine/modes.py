@@ -85,7 +85,6 @@ class ExecutionMode(enum.Enum):
 #: ``REPRO_BACKEND=parallel`` without touching any call site.
 ENV_BACKEND = "REPRO_BACKEND"
 ENV_NUM_THREADS = "REPRO_NUM_THREADS"
-ENV_MEMORY_BUDGET = "REPRO_MEMORY_BUDGET"
 ENV_ARTIFACT_CACHE = "REPRO_ARTIFACT_CACHE"
 ENV_ADAPTIVE_TRANSFER = "REPRO_ADAPTIVE_TRANSFER"
 ENV_TIMEOUT_SECONDS = "REPRO_TIMEOUT_SECONDS"
@@ -112,17 +111,9 @@ def _check_flag(value: Any) -> None:
         raise ValueError("expected True or False")
 
 
-def _require_integer(value: Any, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
-        raise ValueError(f"expected an integer >= {minimum}")
-
-
 def _check_worker_count(value: Any) -> None:
-    _require_integer(value, 1)
-
-
-def _check_budget(value: Any) -> None:
-    _require_integer(value, 0)
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError("expected an integer >= 1")
 
 
 def _check_timeout(value: Any) -> None:
@@ -141,7 +132,6 @@ def _check_timeout(value: Any) -> None:
 KNOB_TABLE: Tuple[Tuple[str, str, Callable[[str], Any], Callable[[Any], None], Any], ...] = (
     ("backend", ENV_BACKEND, str, _check_backend, "serial"),
     ("num_threads", ENV_NUM_THREADS, int, _check_worker_count, None),
-    ("memory_budget_bytes", ENV_MEMORY_BUDGET, int, _check_budget, None),
     ("artifact_cache", ENV_ARTIFACT_CACHE, _parse_flag, _check_flag, False),
     ("adaptive_transfer", ENV_ADAPTIVE_TRANSFER, _parse_flag, _check_flag, False),
     ("timeout_seconds", ENV_TIMEOUT_SECONDS, float, _check_timeout, None),
@@ -161,8 +151,6 @@ class ExecutionConfig:
       morsel backend, bit-identical to each other.
     * ``num_threads`` — worker threads of the parallel backend (``None``:
       one per CPU, capped at 32 like the paper's testbed).
-    * ``memory_budget_bytes`` — the :class:`~repro.storage.buffer.MemoryGovernor`
-      budget; ``None`` means ungoverned (peak footprint still tracked).
     * ``artifact_cache`` — the cross-query
       :class:`~repro.storage.artifacts.ArtifactCache` memoizing built Bloom
       filters and frozen hash indexes across ``Database.execute`` calls
@@ -215,7 +203,6 @@ class ExecutionConfig:
 
     backend: Optional[str] = None
     num_threads: Optional[int] = None
-    memory_budget_bytes: Optional[int] = None
     artifact_cache: Optional[bool] = None
     adaptive_transfer: Optional[bool] = None
     timeout_seconds: Optional[float] = None

@@ -16,8 +16,7 @@ guarantees a bare ``Database`` does not give:
   ``retry_after_seconds`` hint derived from observed service latency and
   queue depth — overload degrades into fast typed rejections, never into
   unbounded queues or hangs.  Optional per-query memory reservations
-  (``session_memory_bytes`` against ``memory_budget_bytes``, accounted
-  through a :class:`~repro.storage.buffer.MemoryGovernor`) extend the same
+  (``session_memory_bytes`` against ``memory_budget_bytes``) extend the same
   backpressure to memory.
 * **Deadlines and shed-load degradation** — every admitted query gets a
   :class:`~repro.exec.faults.CancelToken` (defaulting from
@@ -77,19 +76,10 @@ from repro.obs.querylog import (
 from repro.query import QuerySpec
 from repro.sql import compile_statement
 from repro.sql.format import to_sql
-from repro.storage.buffer import MemoryGovernor
 
 #: ``OpStats`` fields whose per-query totals are exported as serving
 #: counters: field -> (metric name, help).
 _OP_COUNTER_METRICS = {
-    "spill_events": (
-        "repro_governor_spill_events_total",
-        "Memory-governor spills across served queries.",
-    ),
-    "spilled_bytes": (
-        "repro_governor_spilled_bytes_total",
-        "Bytes the memory governor spilled across served queries.",
-    ),
     "hash_hits": ("repro_hash_cache_hits_total", "Hash-cache column passes reused."),
     "hash_misses": ("repro_hash_cache_misses_total", "Hash-cache column passes computed."),
     "artifact_hits": (
@@ -195,19 +185,12 @@ class Server:
         self._waiting = 0
         self._closed = False
         self._session_counter = 0
-        self._query_counter = 0
         self._reserved_bytes = 0
         #: Exponential moving average of completed-query latency; seeds the
         #: retry-after hints (50ms until the first completion).
         self._latency_ewma: Optional[float] = None
         self._sessions: List[Session] = []
         self._active_tokens: Dict[int, CancelToken] = {}
-        # Accounting-only governor for admission reservations: budget
-        # checks happen under the server's own lock (the governor is not
-        # internally synchronized), but reservations flow through it so the
-        # suite-wide leak guard (buffer.assert_no_outstanding_reservations)
-        # sees serving-layer leaks too.
-        self._governor = MemoryGovernor(self.config.memory_budget_bytes)
         self._plan_cache = (
             PlanCache(self.config.plan_cache_entries)
             if self.config.plan_cache
@@ -502,11 +485,11 @@ class Server:
             self._running -= 1
             self._cond.notify_all()
 
-    def _reserve_memory(self) -> Optional[str]:
-        """Reserve this query's admission memory; None when disabled."""
+    def _reserve_memory(self) -> bool:
+        """Reserve this query's admission memory; False when disabled."""
         size = self.config.session_memory_bytes
         if not size:
-            return None
+            return False
         with self._cond:
             budget = self.config.memory_budget_bytes
             if budget is not None and self._reserved_bytes + size > budget:
@@ -517,20 +500,13 @@ class Server:
                     retry_after_seconds=self._retry_after_locked(),
                     reason="memory",
                 )
-            self._query_counter += 1
-            key = f"serving:q{self._query_counter}"
-            # Non-evictable: admission reservations model a query's pinned
-            # working set; inject=False keeps chaos alloc faults scoped to
-            # execution, where the spill-retry rung handles them.
-            self._governor.reserve(key, size, evictable=False, inject=False)
             self._reserved_bytes += size
-            return key
+            return True
 
-    def _release_memory(self, key: Optional[str]) -> None:
-        if key is None:
+    def _release_memory(self, reserved: bool) -> None:
+        if not reserved:
             return
         with self._cond:
-            self._governor.release(key)
             self._reserved_bytes -= self.config.session_memory_bytes
 
     def _record_latency(self, seconds: float) -> None:
@@ -690,11 +666,11 @@ class Server:
                 error=error,
             )
             raise
-        memory_key: Optional[str] = None
+        memory_reserved = False
         token_id: Optional[int] = None
         snapshot = None
         try:
-            memory_key = self._reserve_memory()
+            memory_reserved = self._reserve_memory()
             explain = False
             if isinstance(source, str):
                 compiled = compile_statement(
@@ -819,5 +795,5 @@ class Server:
             if token_id is not None:
                 with self._cond:
                     self._active_tokens.pop(token_id, None)
-            self._release_memory(memory_key)
+            self._release_memory(memory_reserved)
             self._release_slot()

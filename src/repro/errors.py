@@ -61,20 +61,11 @@ class BackendUnavailable(ExecutionError):
     """
 
 
-class MemoryExhausted(ExecutionError):
-    """The memory governor could not reserve working memory within budget.
-
-    The executor catches this once per reservation, synchronously spills
-    every evictable reservation, and retries before giving up.
-    """
-
-
 class FaultInjected(ExecutionError):
     """A deterministic fault fired at an injection site (see ``exec/faults.py``).
 
-    Raised only when no recovery path exists for the site; recoverable sites
-    (pool start, spill failures) are translated into their real-world
-    failure shapes instead.
+    Raised only when no recovery path exists for the site; a recoverable site
+    (pool start) is translated into its real-world failure shape instead.
     """
 
 

@@ -28,7 +28,6 @@ from repro.exec.pipeline import (
     compute_aggregates,
 )
 from repro.exec.relation import BoundRelation, IntermediateResult, bind_relations
-from repro.exec.spill import SpillManager
 from repro.exec.statistics import (
     COUNTERS,
     Counter,
@@ -59,7 +58,6 @@ __all__ = [
     "PhaseTimings",
     "PipelineExecutor",
     "PipelineResult",
-    "SpillManager",
     "TransferOptions",
     "TransferStepStats",
     "as_hash_index",

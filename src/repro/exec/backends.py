@@ -17,8 +17,9 @@ them.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -44,6 +45,9 @@ DEFAULT_CHUNK_SIZE = 2048
 #: each morsel must carry enough work to amortize task dispatch in pure
 #: Python.
 DEFAULT_MORSEL_SIZE = 32_768
+
+#: Name prefix of every pool thread a backend starts.
+POOL_THREAD_PREFIX = "repro-morsel"
 
 
 def num_chunks(total_rows: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:
@@ -144,7 +148,7 @@ class MorselBackend:
         if self._pool is None:
             faults.fire("parallel.pool", "injected thread-pool start failure")
             self._pool = ThreadPoolExecutor(
-                max_workers=self.num_threads, thread_name_prefix="repro-morsel"
+                max_workers=self.num_threads, thread_name_prefix=POOL_THREAD_PREFIX
             )
         return self._pool
 
@@ -158,7 +162,9 @@ class MorselBackend:
         if self.num_threads == 1:
             return
         try:
-            self._pool_instance()
+            # One no-op task starts a worker thread now, so a pool that
+            # cannot start one fails here, on the ladder, not mid-query.
+            self._pool_instance().submit(lambda: None).result()
         except Exception as error:
             raise BackendUnavailable(f"thread pool unavailable: {error}") from error
 
@@ -249,6 +255,15 @@ class MorselBackend:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+
+
+def pool_threads() -> Set[threading.Thread]:
+    """The backend pool threads alive in this process right now.
+
+    :meth:`MorselBackend.close` joins its pool's threads, so a thread still
+    alive after the query that started it has ended is a leaked backend.
+    """
+    return {t for t in threading.enumerate() if t.name.startswith(POOL_THREAD_PREFIX)}
 
 
 def make_backend(name: str, num_threads: Optional[int] = None) -> MorselBackend:

@@ -1,10 +1,10 @@
 """Deterministic fault injection and cooperative cancellation.
 
 The fault-tolerance layer (the degradation ladder in ``Database.execute``,
-spill-then-retry under the memory governor) is only trustworthy if every
-recovery path can be exercised on demand.  This module provides that: a
-seeded :class:`FaultPlan` names *sites* in the runtime (``parallel.pool``,
-``spill.write``, ...) and a rate, and the :class:`FaultInjector` decides —
+deadlines and cancellation) is only trustworthy if every recovery path can
+be exercised on demand.  This module provides that: a seeded
+:class:`FaultPlan` names *sites* in the runtime (``parallel.pool``,
+``op.latency``) and a rate, and the :class:`FaultInjector` decides —
 purely from ``(seed, site, occurrence counter)`` — whether each occurrence
 fires.  Same plan, same execution → same faults, every time.
 
@@ -14,9 +14,6 @@ Sites currently wired into the runtime:
 site                effect when it fires
 ==================  =========================================================
 ``parallel.pool``   starting the thread pool fails (``BackendUnavailable``)
-``spill.write``     the spill handler's write raises (victim is restored)
-``spill.read``      reloading a spilled reservation raises
-``alloc.reserve``   a governor reservation raises ``MemoryExhausted``
 ``op.latency``      the operator sleeps ``latency`` seconds before running
 ==================  =========================================================
 
@@ -43,9 +40,6 @@ ENV_FAULTS = "REPRO_FAULTS"
 #: All sites the runtime consults — ``FaultPlan.parse`` validates against this.
 KNOWN_SITES = (
     "parallel.pool",
-    "spill.write",
-    "spill.read",
-    "alloc.reserve",
     "op.latency",
 )
 

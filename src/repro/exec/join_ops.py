@@ -15,8 +15,7 @@ order, and never a plan shape.  When the build side dwarfs the probe side
 <repro.exec.kernels.HashIndex.prefilter_worthwhile>` states when),
 ``HashBuild`` gathers the probe keys too and indexes only the build rows
 they contain; the trace's ``[indexed n]`` says how many rows an index holds.
-``HashProbe`` matches against whatever it finds.  The build (rows, keys and
-index) is one governor reservation.
+``HashProbe`` matches against whatever it finds.
 """
 
 from __future__ import annotations
@@ -120,12 +119,6 @@ def hash_build(run: RunState, op: HashBuild, record: OpStats) -> None:
         build.index.prepare_match(probe_rows)
         record.join_index = build.index.match_kind
         record.indexed_rows = build.index.num_keys
-    if run.ex.governor is not None:
-        positions = build.result.positions.values()
-        size = sum(int(arr.nbytes) for arr in positions if arr is not None)
-        if build.index is not None:
-            size += build.index.index_bytes()
-        run.governed_reserve(f"build:{op.build_id}", size)
 
 
 def _build_index(
@@ -198,10 +191,6 @@ def hash_probe(run: RunState, op: HashProbe, record: OpStats) -> None:
     build_side = build.result
     probe = run.materialize(op.probe)
     record.rows_in = probe.num_rows
-    governor = run.ex.governor
-    if governor is not None:
-        governor.touch(f"build:{op.build_id}")
-
     index = build.index
     if not op.attributes:
         if not run.ex.join.allow_cartesian_products:
@@ -243,8 +232,6 @@ def hash_probe(run: RunState, op: HashProbe, record: OpStats) -> None:
     )
     run.stats.abstract_cost += match_cost + float(joined.num_rows)
     run.results[Operand.intermediate(op.output_slot)] = apply_ready_predicates(run, joined)
-    if governor is not None:
-        governor.release(f"build:{op.build_id}")
     record.rows_out = joined.num_rows
 
 

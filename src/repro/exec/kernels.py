@@ -455,7 +455,7 @@ class HashIndex:
         """Approximate bytes held by the index (keys + built structures).
 
         What the cross-query artifact cache charges a frozen index against
-        its byte budget, and what a hash build reserves with the governor.
+        its byte budget.
         """
         arrays = (
             self.keys, self._order, self._sorted_keys, self._run_ends,

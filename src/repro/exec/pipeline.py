@@ -13,8 +13,8 @@ late-materialized intermediate *slots*; ``Scan`` / ``FilterPush`` /
 :meth:`PipelineExecutor.run` applies the cross-cutting concerns once around
 a type-keyed handler table (:data:`_OPS`): it opens one
 :class:`~repro.exec.statistics.OpStats` record per op, points the counter
-sources at it (``backend.record``, ``hash_cache.record``,
-``governor.record``, the run state's), runs the handler —
+sources at it (``backend.record``, ``hash_cache.record``, the run
+state's), runs the handler —
 ``(run, op, record) -> None``, ``run`` being the call's
 :class:`~repro.exec.run_state.RunState` — inside the timed window, and closes
 and appends the record in a ``finally``.  Handlers and sources write each
@@ -24,12 +24,8 @@ events are derived from it through
 uniform per-op trace shared by all five modes.
 
 How the probe/match hot loops run is the backend's business
-(:mod:`repro.exec.backends`).  A
-:class:`~repro.storage.buffer.MemoryGovernor`, when configured, is consulted
-*during* execution: build sides reserve their rows, keys and index,
-over-budget reservations spill through the
-:class:`~repro.exec.spill.SpillManager` callback, and probing spilled state
-charges the reload — surfaced per op in ``ExecutionStats.op_stats``.
+(:mod:`repro.exec.backends`).  Every input, intermediate and index stays in
+memory for the life of the run; there is no budget and no spilling.
 """
 
 from __future__ import annotations
@@ -65,7 +61,6 @@ from repro.plan.physical import (
 )
 from repro.query import QuerySpec
 from repro.storage.artifacts import ArtifactCache
-from repro.storage.buffer import MemoryGovernor
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +107,7 @@ class PipelineExecutor:
     """Runs a compiled :class:`~repro.plan.physical.PhysicalPlan` op list.
 
     One executor instance is one query's configuration — graph, options,
-    backend, governor, caches — and serves one execution; what a run
+    backend, caches — and serves one execution; what a run
     accumulates lives in its :class:`~repro.exec.run_state.RunState`.  The
     backend decides how the probe hot loops run.
     """
@@ -125,7 +120,6 @@ class PipelineExecutor:
         transfer: Optional[TransferOptions] = None,
         join: Optional[JoinPhaseOptions] = None,
         backend: Optional[MorselBackend] = None,
-        governor: Optional[MemoryGovernor] = None,
         artifact_cache: Optional[ArtifactCache] = None,
         table_versions: Optional[Mapping[str, int]] = None,
         fingerprints: Optional[Mapping[str, str]] = None,
@@ -138,7 +132,6 @@ class PipelineExecutor:
         self.transfer = transfer or TransferOptions()
         self.join = join or JoinPhaseOptions()
         self.backend = backend or MorselBackend()
-        self.governor = governor
         #: Query-lifetime hash cache: each key column is hashed once and the
         #: pass replayed across every Bloom insert/probe.
         self.hash_cache = HashCache()
@@ -171,71 +164,50 @@ class PipelineExecutor:
         the op in flight when a query aborts is kept, marked ``aborted``.
         """
         run = RunState(self, plan, stats, masks)
-        governor = self.governor
         cancel = self.backend.cancel
         tracer = self.tracer
         phase_span = None
-        try:
-            for index, op in enumerate(plan):
-                if cancel is not None:
-                    cancel.check()
-                try:
-                    phase, handler = _OPS[type(op), getattr(op, "scope", None)]
-                except KeyError:
-                    raise ExecutionError(f"pipeline executor cannot run op {op!r}") from None
-                record = OpStats(index=index, kind=op.kind, detail=op.describe())
-                run.record = self.backend.record = self.hash_cache.record = record
-                if governor is not None:
-                    governor.record = record
-                span = None
-                if tracer is not None:
-                    if phase_span is None or phase_span.name != phase:
-                        if phase_span is not None:
-                            tracer.finish(phase_span)
-                        phase_span = tracer.start(phase, "phase")
-                    span = tracer.start(op.kind, "op", index=index)
-                start = time.perf_counter()
-                try:
-                    delay = faults.injected_latency()
-                    if delay:
-                        # Injected operator latency sleeps inside the timed
-                        # window, so the slowed op owns the time in its
-                        # record and its span; a deadline it blows aborts
-                        # this op, not the next one.
-                        time.sleep(delay)
-                        if tracer is not None:
-                            tracer.event("fault:op.latency", seconds=delay)
-                        if cancel is not None:
-                            cancel.check()
-                    handler(run, op, record)
-                    if governor is not None:
-                        # The cached hash/pattern arrays are real memory;
-                        # keep their reservation current inside the op that
-                        # grew the cache, so spills it forces land on this
-                        # record.  Non-evictable: the cache dies with the run.
-                        run.governed_reserve(
-                            "hash_cache", self.hash_cache.nbytes, evictable=False
-                        )
-                except BaseException:
-                    record.aborted = True
-                    raise
-                finally:
-                    record.seconds = time.perf_counter() - start
-                    setattr(stats.timings, phase, getattr(stats.timings, phase) + record.seconds)
-                    stats.op_stats.append(record)
-                    if span is not None:
-                        self._finish_op_span(span, record)
-            if phase_span is not None:
-                tracer.finish(phase_span)
-        finally:
-            # Any exit path — completion, injected fault, timeout,
-            # cancellation — leaves zero outstanding reservations (the leak
-            # guard asserts it): artifact residency was charged for this
-            # run's accounting only, and the hash cache dies with
-            # the executor.
-            if governor is not None:
-                stats.peak_memory_bytes = max(stats.peak_memory_bytes, governor.peak_reserved_bytes)
-                governor.release_all()
+        for index, op in enumerate(plan):
+            if cancel is not None:
+                cancel.check()
+            try:
+                phase, handler = _OPS[type(op), getattr(op, "scope", None)]
+            except KeyError:
+                raise ExecutionError(f"pipeline executor cannot run op {op!r}") from None
+            record = OpStats(index=index, kind=op.kind, detail=op.describe())
+            run.record = self.backend.record = self.hash_cache.record = record
+            span = None
+            if tracer is not None:
+                if phase_span is None or phase_span.name != phase:
+                    if phase_span is not None:
+                        tracer.finish(phase_span)
+                    phase_span = tracer.start(phase, "phase")
+                span = tracer.start(op.kind, "op", index=index)
+            start = time.perf_counter()
+            try:
+                delay = faults.injected_latency()
+                if delay:
+                    # Injected operator latency sleeps inside the timed
+                    # window, so the slowed op owns the time in its
+                    # record and its span; a deadline it blows aborts
+                    # this op, not the next one.
+                    time.sleep(delay)
+                    if tracer is not None:
+                        tracer.event("fault:op.latency", seconds=delay)
+                    if cancel is not None:
+                        cancel.check()
+                handler(run, op, record)
+            except BaseException:
+                record.aborted = True
+                raise
+            finally:
+                record.seconds = time.perf_counter() - start
+                setattr(stats.timings, phase, getattr(stats.timings, phase) + record.seconds)
+                stats.op_stats.append(record)
+                if span is not None:
+                    self._finish_op_span(span, record)
+        if phase_span is not None:
+            tracer.finish(phase_span)
         return PipelineResult(relations=run.relations, aggregates=run.aggregates)
 
     def _finish_op_span(self, span: Span, record: OpStats) -> None:

@@ -125,13 +125,6 @@ class BoundRelation:
         """An independent copy (used to rerun the join phase with multiple orders)."""
         return BoundRelation(self.alias, self.table, self.row_indices, self.version)
 
-    def estimated_bytes(self) -> int:
-        """Approximate size of the surviving rows in bytes (for spill accounting)."""
-        if self.table.num_rows == 0:
-            return 0
-        bytes_per_row = self.table.memory_bytes() / self.table.num_rows
-        return int(bytes_per_row * self.num_rows)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundRelation({self.alias!r}, rows={self.num_rows})"
 

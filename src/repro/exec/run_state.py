@@ -4,9 +4,8 @@ The *step* is the unit of the executor's state as it is of the plan's: one
 :class:`TransferStepState` per transfer step id, one :class:`JoinBuild` per
 build id.  The run loop creates a :class:`RunState`, passes it to every
 handler and drops it; nothing per-run lives on the executor.  The run's
-shared resources sit behind the same object: cross-query artifact keys, the
-index lookup through both caches, and what the run charges to the memory
-governor.
+shared resources sit behind the same object: cross-query artifact keys and
+the index lookup through both caches.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.bloom.bloom_filter import BloomFilter
-from repro.errors import CatalogError, ExecutionError, MemoryExhausted
+from repro.errors import CatalogError, ExecutionError
 from repro.exec.adaptive import AdaptiveTransferController
 from repro.exec.kernels import HashIndex
 from repro.exec.relation import BoundRelation, IntermediateResult
@@ -80,10 +79,10 @@ class JoinBuild:
 
 
 class RunState:
-    """Everything one plan execution owns, and the resources it charges.
+    """Everything one plan execution owns.
 
     ``ex`` is the :class:`~repro.exec.pipeline.PipelineExecutor` — the
-    query's configuration (graph, options, backend, governor, caches), read
+    query's configuration (graph, options, backend, caches), read
     and never written here.
     """
 
@@ -120,9 +119,6 @@ class RunState:
         # *base* state (scan + pushed-down filter, before any transfer
         # reduction), identified by the version Scan / FilterPush record.
         self.base_versions: Dict[str, int] = {}
-        #: Governor reservations charged once per run: touched artifacts, by
-        #: reservation key.
-        self.charged: set[str] = set()
         #: Yield-driven pass skipping, when the executor was asked for it.
         self.adaptive: Optional[AdaptiveTransferController] = (
             AdaptiveTransferController(plan) if ex.adaptive_transfer else None
@@ -224,7 +220,6 @@ class RunState:
             artifact = self.ex.artifact_cache.get(artifact_key)
             if artifact is not None:
                 self.record.artifact_hits += 1
-                self.charge_artifact(artifact_key, artifact.index_bytes())
                 index = artifact
             else:
                 self.record.artifact_misses += 1
@@ -235,7 +230,6 @@ class RunState:
                 index.prepare(probe_rows)
                 index.prepare_match(probe_rows)
                 self.ex.artifact_cache.put(artifact_key, index, index.index_bytes())
-                self.charge_artifact(artifact_key, index.index_bytes())
         self.index_cache[cache_key] = (relation.version, index)
         return index
 
@@ -254,35 +248,3 @@ class RunState:
         # attribute-class name, so different queries share them.
         column = self.ex.graph.attribute_classes[attributes[0]].column_of(alias)
         return self.artifact_key(alias, column, kind=KIND_HASH_INDEX)
-
-    # -- governor charging ----------------------------------------------
-    def governed_reserve(self, key: str, size_bytes: int, evictable: bool = True) -> None:
-        """Reserve through the governor with the spill-then-retry rung.
-
-        A failed reservation (:class:`~repro.errors.MemoryExhausted`, genuine
-        or injected) no longer aborts the op: every evictable reservation is
-        synchronously spilled and the reservation retried once — recorded as
-        the ``governor:spill-retry`` degradation.  Only a retry failure
-        propagates.
-        """
-        governor = self.ex.governor
-        if governor is None:
-            return
-        try:
-            governor.reserve(key, size_bytes, evictable=evictable)
-        except MemoryExhausted:
-            governor.spill_evictables()
-            governor.reserve(key, size_bytes, evictable=evictable, inject=False)
-            self.record.degraded = self.record.degraded or "governor:spill-retry"
-            self.stats.record_degradation("governor:spill-retry")
-            if self.ex.tracer is not None:
-                self.ex.tracer.event("governor:spill-retry", key=key)
-
-    def charge_artifact(self, key: ArtifactKey, size_bytes: int) -> None:
-        """Account a touched artifact's residency against the run's governor."""
-        if self.ex.governor is None:
-            return
-        reservation = f"artifact:{key.kind}:{key.table}:{key.column}:{key.fingerprint[:12]}"
-        if reservation not in self.charged:
-            self.governed_reserve(reservation, size_bytes, evictable=False)
-            self.charged.add(reservation)

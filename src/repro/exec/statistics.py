@@ -8,7 +8,7 @@ deterministic cost model, or raw intermediate tuple counts.
 
 Everything an op *counts* has one owner: its :class:`OpStats` record.  The
 executor opens the record, handlers and counter sources (hash cache,
-backend, memory governor, plan-time filter evaluation) write into it, and
+backend, plan-time filter evaluation) write into it, and
 it is closed and appended in one place.  :data:`COUNTERS` — one row per
 field — derives the rest: the per-query totals on :class:`ExecutionStats`
 (read-only sums over ``op_stats``), the ``op_trace()`` markers, the
@@ -79,12 +79,6 @@ class OpStats:
     #: Build rows the hash build's index holds: every build row, or only
     #: those a probe key can hit when the build was prefiltered.
     indexed_rows: int = 0
-    #: Memory governor, while this op reserved or touched budget: spills
-    #: ordered, bytes re-read after a spill, spill writes that failed.
-    spill_events: int = 0
-    spilled_bytes: int = 0
-    reloaded_bytes: int = 0
-    spill_failures: int = 0
     #: Hash-cache column passes reused / computed; rows carried through
     #: selection vectors instead of materialized key arrays.
     hash_hits: int = 0
@@ -93,8 +87,6 @@ class OpStats:
     #: Cross-query artifact cache (prebuilt Bloom filter / hash index).
     artifact_hits: int = 0
     artifact_misses: int = 0
-    #: The degradation rung this op took (``"governor:spill-retry"``), if any.
-    degraded: str = ""
     #: The query aborted (timeout, cancel, error) inside this op; the other
     #: fields hold what it had done by then.
     aborted: bool = False
@@ -108,7 +100,7 @@ class Counter(NamedTuple):
     total: str = ""
     #: ``op_trace()`` marker, formatted over the op's fields.
     marker: str = ""
-    #: Summary line (``cache`` / ``adaptive`` / ``degraded``)
+    #: Summary line (``cache`` / ``adaptive``)
     #: and its part of that line, formatted over :meth:`ExecutionStats.sums`.
     group: str = ""
     summary: str = ""
@@ -131,8 +123,6 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("adaptive_skipped", "adaptive_steps_skipped", " [adaptive skip]", "adaptive",
             "skipped {adaptive_skipped} step(s)", event="adaptive:skip",
             log="adaptive.steps_skipped", per_step=True),
-    Counter("spilled_bytes", "spilled_bytes", " [spilled {spilled_bytes}B]",
-            event="governor:spill", event_attrs=(("bytes", "spilled_bytes"),)),
     Counter("hash_hits", "hash_reuse_hits", " [hash {hash_hits}h/{hash_misses}m]", "cache",
             "hash passes {hash_hits}h/{hash_misses}m", pair="hash_misses", log="cache.hash_hits"),
     Counter("hash_misses", "hash_reuse_misses", log="cache.hash_misses"),
@@ -148,13 +138,7 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("join_index", "sorted_index_joins", " [{join_index}]",
             log="adaptive.sorted_index_joins", per_step=True, counts="sorted"),
     Counter("indexed_rows", "indexed_build_rows", " [indexed {indexed_rows}]"),
-    Counter("spill_failures", "spill_failures", group="degraded",
-            summary="{spill_failures} failed spill write(s)"),
-    Counter("degraded", marker=" [degraded {degraded}]", event="degraded",
-            event_attrs=(("rung", "degraded"),)),
     Counter("aborted", marker=" [aborted]"),
-    Counter("spill_events", "spill_events"),
-    Counter("reloaded_bytes", "reloaded_bytes"),
 )
 
 
@@ -178,12 +162,11 @@ class PhaseTimings:
     transfer: float = 0.0
     join: float = 0.0
     aggregate: float = 0.0
-    simulated_io: float = 0.0
 
     @property
     def total(self) -> float:
-        """Total wall-clock + simulated I/O time."""
-        return self.scan_filter + self.transfer + self.join + self.aggregate + self.simulated_io
+        """Total wall-clock time over the four phases."""
+        return self.scan_filter + self.transfer + self.join + self.aggregate
 
 
 @dataclass
@@ -202,11 +185,9 @@ class ExecutionStats:
     output_rows: int = 0
     bloom_bytes: int = 0
     abstract_cost: float = 0.0
-    #: High-water mark of memory reserved with the MemoryGovernor (bytes).
-    peak_memory_bytes: int = 0
     #: Degradation-ladder rungs taken, each once, in first-occurrence order —
-    #: ``"backend:parallel->serial"`` (pool unavailable),
-    #: ``"governor:spill-retry"`` — and how often each fired.
+    #: ``"backend:parallel->serial"`` (pool unavailable) and the server's
+    #: admission rungs — and how often each fired.
     degradations: List[str] = field(default_factory=list)
     degradation_counts: Dict[str, int] = field(default_factory=dict)
 
@@ -238,7 +219,7 @@ class ExecutionStats:
 
     @property
     def elapsed_seconds(self) -> float:
-        """Total measured wall time (plus simulated I/O, if any)."""
+        """Total measured wall time."""
         return self.timings.total
 
     def op_seconds_by_kind(self) -> Dict[str, float]:
@@ -276,10 +257,10 @@ class ExecutionStats:
             )
         return "\n".join(lines)
 
-    def _summary(self, group: str, lead: str = "") -> str:
+    def _summary(self, group: str) -> str:
         """One summary line: every non-zero :data:`COUNTERS` part of ``group``."""
         sums = self.sums()
-        parts = [lead] if lead else []
+        parts = []
         for c in COUNTERS:
             if c.group == group and (sums[c.field] or (c.pair and sums[c.pair])):
                 parts.append(c.summary.format_map(sums))
@@ -294,8 +275,8 @@ class ExecutionStats:
         return self._summary("adaptive")
 
     def record_degradation(self, rung: str) -> None:
-        """Count one degradation event (they fire per op or per reservation)
-        and list its rung once, in first-occurrence order."""
+        """Count one degradation event and list its rung once, in
+        first-occurrence order."""
         self.degradation_counts[rung] = self.degradation_counts.get(rung, 0) + 1
         if rung not in self.degradations:
             self.degradations.append(rung)
@@ -306,7 +287,7 @@ class ExecutionStats:
         for rung in self.degradations:
             count = self.degradation_counts.get(rung, 1)
             rungs.append(f"{rung} x{count}" if count > 1 else rung)
-        return self._summary("degraded", lead="; ".join(rungs))
+        return "degraded: " + "; ".join(rungs) if rungs else ""
 
     def execution_summary(self) -> str:
         """The three summary lines joined (what ``format_op_traces`` appends)."""
@@ -318,7 +299,7 @@ class ExecutionStats:
 
         ``"tuples"``  -> total tuples processed by joins + transfer work,
         ``"intermediate"`` -> total intermediate join output rows,
-        ``"time"``    -> wall-clock (+ simulated I/O) seconds,
+        ``"time"``    -> wall-clock seconds,
         ``"abstract"`` -> the abstract cost-model units accumulated.
         """
         if metric == "tuples":

@@ -238,7 +238,6 @@ def _transfer_bloom(
         cached = run.ex.artifact_cache.get(artifact_key)
         if cached is not None:
             run.record.artifact_hits += 1
-            run.charge_artifact(artifact_key, cached.size_bytes)
             return cached
         run.record.artifact_misses += 1
     bloom = BloomFilter(expected_keys=source.num_rows, fpr=fpr)
@@ -246,7 +245,6 @@ def _transfer_bloom(
     bloom.insert(hashes=hashes, patterns=patterns)
     if artifact_key is not None:
         run.ex.artifact_cache.put(artifact_key, bloom, bloom.size_bytes)
-        run.charge_artifact(artifact_key, bloom.size_bytes)
     return bloom
 
 
@@ -384,7 +382,6 @@ def full_bloom_pass(
         artifact = artifact_cache.get(artifact_key)
         if artifact is not None:
             run.record.artifact_hits += 1
-            run.charge_artifact(artifact_key, int(artifact[0].nbytes + artifact[1].nbytes))
             cache.adopt_full_pass(table, column, artifact)
             return artifact
     if not compute:
@@ -392,7 +389,5 @@ def full_bloom_pass(
     full = cache.bloom_pass(table, column)
     if artifact_key is not None:
         run.record.artifact_misses += 1
-        nbytes = int(full[0].nbytes + full[1].nbytes)
-        artifact_cache.put(artifact_key, full, nbytes)
-        run.charge_artifact(artifact_key, nbytes)
+        artifact_cache.put(artifact_key, full, int(full[0].nbytes + full[1].nbytes))
     return full

@@ -2,8 +2,8 @@
 
 The serving layer (:class:`~repro.engine.server.Server`) owns one
 :class:`MetricsRegistry` and feeds it from every query: admission waits,
-rejections by reason, per-query execution counters (spills, cache hits,
-fault recoveries), and sampled component state (plan/artifact cache
+rejections by reason, per-query execution counters (cache hits, fault
+recoveries), and sampled component state (plan/artifact cache
 sizes).  The registry renders to Prometheus-style text
 via :func:`repro.obs.export.render_exposition`.
 

@@ -1,7 +1,6 @@
-"""Columnar storage substrate: datatypes, columns, tables, catalog, memory governor."""
+"""Columnar storage substrate: datatypes, columns, tables, catalog, artifact cache."""
 
 from repro.storage.artifacts import ArtifactCache, ArtifactKey, mask_fingerprint
-from repro.storage.buffer import IoStatistics, MemoryGovernor
 from repro.storage.catalog import Catalog, TableStatistics
 from repro.storage.column import Column, concat_columns
 from repro.storage.datatypes import DataType, infer_datatype
@@ -14,8 +13,6 @@ __all__ = [
     "Column",
     "DataType",
     "ForeignKey",
-    "IoStatistics",
-    "MemoryGovernor",
     "Table",
     "TableStatistics",
     "concat_columns",

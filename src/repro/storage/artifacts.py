@@ -25,11 +25,9 @@ An artifact is addressed by an :class:`ArtifactKey`:
   only on the immutable column data, never on a query's pushed-down
   predicate.
 
-Residency is bounded by a byte budget with LRU eviction; the pipeline
-executor additionally charges resident artifacts it touches against the
-per-query :class:`~repro.storage.buffer.MemoryGovernor` so governed runs
-account for them.  The cache is guarded by a lock so a ``Database`` shared
-between threads stays consistent.
+Residency is bounded by a byte budget with LRU eviction.  The cache is
+guarded by a lock so a ``Database`` shared between threads stays
+consistent.
 
 The cache lives here, beside the :class:`~repro.storage.catalog.Catalog`
 whose table versions key it, so the execution layer can consume it without

@@ -239,18 +239,16 @@ def run_fault_sweep(
     :class:`~repro.exec.faults.FaultPlan`, every query must either complete
     with aggregates **bit-identical** to a fault-free serial execution or
     raise a typed :class:`~repro.errors.ReproError` subclass — and either
-    way leave no outstanding memory-governor reservation behind.  Any other
-    outcome raises :class:`WorkloadError`.
+    way leave no backend pool thread alive behind it.  Any other outcome
+    raises :class:`WorkloadError`.
 
     Returns one record per file: ``{"stem", "workload", "outcome"}`` where
     ``outcome`` is ``"completed"`` (bit-identical) or the name of the typed
     error class that was raised.  ``stems`` restricts the sweep to a subset
     of files (the full set when ``None``).
     """
-    import gc
-
     from repro.exec import faults
-    from repro.storage import buffer
+    from repro.exec.backends import pool_threads
 
     selected = {
         stem: path
@@ -275,6 +273,7 @@ def run_fault_sweep(
     records: List[Dict[str, object]] = []
     for stem, path in selected.items():
         db = database_of(stem, databases, scale=scale, seed=seed)
+        threads_before = pool_threads()
         try:
             result = db.sql(path.read_text(), mode=mode, options=options)
         except ReproError as error:
@@ -287,14 +286,13 @@ def run_fault_sweep(
                     f"{dict(result.aggregates)} != {baselines[stem]}"
                 )
             outcome = "completed"
-        # The no-leak invariant, checked after *every* query: no governor
-        # holds a reservation.
-        gc.collect()
-        outstanding = buffer.outstanding_reservations()
-        if outstanding:
+        # The no-leak invariant, checked after *every* query: no pool
+        # thread the query started outlives it.
+        leaked = pool_threads() - threads_before
+        if leaked:
             raise WorkloadError(
-                f"SQL file {stem!r} leaked governor reservations under faults "
-                f"{fault_spec!r}: {outstanding}"
+                f"SQL file {stem!r} leaked backend pool threads under faults "
+                f"{fault_spec!r}: {sorted(t.name for t in leaked)}"
             )
         records.append({"stem": stem, "workload": workload_of(stem), "outcome": outcome})
     faults.clear()

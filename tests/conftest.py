@@ -17,8 +17,9 @@ from repro.workloads import dsb, job, tpcds, tpch
 
 
 @pytest.fixture(scope="session", autouse=True)
-def governor_leak_guard():
-    """Fail the session if any memory governor still holds reservations.
+def leak_guard():
+    """Fail the session if a backend pool thread is still alive, or a
+    server still holds admission memory, once every test has run.
 
     Autouse at session scope, so it is torn down after every other session
     fixture — the no-leak acceptance criterion, covering injected faults,
@@ -26,13 +27,14 @@ def governor_leak_guard():
     """
     import gc
 
-    from repro.storage import buffer
+    from repro import Server
+    from repro.exec.backends import pool_threads
 
     yield
-    # Collect first: governors whose queries completed are garbage, and only
-    # still-referenced ones with live reservations indicate a leak.
     gc.collect()
-    buffer.assert_no_outstanding_reservations()
+    assert not pool_threads(), f"leaked pool threads: {sorted(t.name for t in pool_threads())}"
+    held = [s.reserved_memory_bytes for s in gc.get_objects() if isinstance(s, Server)]
+    assert not any(held), f"servers still hold admission memory: {held}"
 
 
 @pytest.fixture

@@ -1,5 +1,5 @@
 """Tests for the benchmark harness, report printers, microbenchmarks, and the
-simulated parallel / spill models."""
+simulated parallel model."""
 
 from __future__ import annotations
 
@@ -27,13 +27,7 @@ from repro.bench import (
     write_bench_json,
 )
 from repro.bench.microbench import Case, Gate, _judge
-from repro.bench.simulation import (
-    ParallelismModel,
-    SpillConfig,
-    peak_materialized_bytes,
-    simulate_parallel_cost,
-    simulate_spill,
-)
+from repro.bench.simulation import ParallelismModel, simulate_parallel_cost
 from repro.core import robustness_factor
 from repro.errors import BenchmarkError
 from repro.workloads import synthetic, tpch
@@ -249,25 +243,6 @@ class TestParallelSimulation:
             for p in plans
         ]
         assert max(costs) > min(costs)
-
-
-class TestSpillSimulation:
-    def test_spill_adds_io_time(self, tpch_small):
-        result = tpch_small.execute(tpch.query(3), mode=ExecutionMode.RPT)
-        added = simulate_spill(result.stats, result.relations, SpillConfig())
-        assert added >= 0.0
-        assert result.stats.timings.simulated_io == pytest.approx(added)
-
-    def test_tighter_budget_more_io(self, tpch_small):
-        r1 = tpch_small.execute(tpch.query(3), mode=ExecutionMode.RPT)
-        r2 = tpch_small.execute(tpch.query(3), mode=ExecutionMode.RPT)
-        loose = simulate_spill(r1.stats, r1.relations, SpillConfig(memory_budget_fraction=None))
-        tight = simulate_spill(r2.stats, r2.relations, SpillConfig(memory_budget_fraction=0.2))
-        assert tight >= loose
-
-    def test_peak_bytes_positive(self, tpch_small):
-        result = tpch_small.execute(tpch.query(3), mode=ExecutionMode.RPT)
-        assert peak_materialized_bytes(result.stats, result.relations) > 0
 
 
 class TestSyntheticInstances:

@@ -3,12 +3,10 @@
 Every test here follows the same acceptance contract: under any injected
 fault, a query either completes **bit-identical** to a fault-free serial
 execution or raises a typed :class:`~repro.errors.ReproError` subclass —
-and either way leaves no outstanding memory governor reservation behind.
+and either way leaves no backend pool thread alive behind it.
 """
 
 from __future__ import annotations
-
-import gc
 
 import pytest
 
@@ -17,25 +15,26 @@ from repro.engine.database import ExecutionOptions
 from repro.engine.modes import ExecutionConfig
 from repro.errors import (
     FaultInjected,
-    MemoryExhausted,
     QueryCancelled,
     QueryTimeout,
     ReproError,
 )
 from repro.exec import faults
+from repro.exec.backends import pool_threads
 from repro.exec.faults import CancelToken, FaultInjector, FaultPlan
-from repro.storage import buffer
 from stats_checks import assert_totals_are_sums
 
 
 @pytest.fixture(autouse=True)
 def _clean_faults():
-    """Every test starts and ends without an active fault plan."""
+    """Every test starts and ends without an active fault plan, and no pool
+    thread it started is still alive at its end."""
     faults.clear()
+    threads_before = pool_threads()
     yield
     faults.clear()
-    gc.collect()
-    buffer.assert_no_outstanding_reservations()
+    leaked = pool_threads() - threads_before
+    assert not leaked, f"leaked pool threads: {sorted(t.name for t in leaked)}"
 
 
 def _options(**execution) -> ExecutionOptions:
@@ -62,7 +61,7 @@ def _assert_partial_stats_consistent(stats):
 # ---------------------------------------------------------------------------
 class TestFaultPlan:
     def test_spec_round_trips(self):
-        plan = FaultPlan(seed=1234, rate=0.05, sites=("parallel.pool", "spill.write"), latency=0.25)
+        plan = FaultPlan(seed=1234, rate=0.05, sites=("parallel.pool", "op.latency"), latency=0.25)
         assert FaultPlan.parse(plan.spec()) == plan
 
     def test_parse_defaults_and_whitespace(self):
@@ -76,10 +75,12 @@ class TestFaultPlan:
         # Columns are never encoded, so there is no decode to fail.
         with pytest.raises(FaultInjected, match="unknown fault site 'column.decode'"):
             FaultPlan.parse("seed:1,rate:1.0,sites:column.decode")
-        # Nor worker processes or shared-memory segments to fail.
+        # Nor worker processes or shared-memory segments to fail, nor spills
+        # or budgeted reservations: a stale REPRO_FAULTS fails loudly.
         for family, name in (
             ("process", "task"), ("process", "pool"),
             ("shm", "attach"), ("shm", "share"), ("shm", "unlink"),
+            ("spill", "write"), ("spill", "read"), ("alloc", "reserve"),
         ):
             with pytest.raises(FaultInjected, match=f"unknown fault site '{family}.{name}'"):
                 FaultPlan.parse(f"seed:1,rate:1.0,sites:{family}.{name}")
@@ -94,28 +95,28 @@ class TestFaultPlan:
 
     def test_injector_is_deterministic_per_seed(self):
         plan = FaultPlan(seed=99, rate=0.3)
-        first = [FaultInjector(plan=plan).should_fire("spill.write") for _ in range(1)]
+        first = [FaultInjector(plan=plan).should_fire("parallel.pool") for _ in range(1)]
         runs = []
         for _ in range(3):
             injector = FaultInjector(plan=plan)
-            runs.append([injector.should_fire("spill.write") for _ in range(200)])
+            runs.append([injector.should_fire("parallel.pool") for _ in range(200)])
         assert runs[0] == runs[1] == runs[2]
         assert any(runs[0]) and not all(runs[0])
         # A different seed produces a different firing sequence.
         other = FaultInjector(plan=FaultPlan(seed=100, rate=0.3))
-        assert [other.should_fire("spill.write") for _ in range(200)] != runs[0]
+        assert [other.should_fire("parallel.pool") for _ in range(200)] != runs[0]
         assert first[0] == runs[0][0]
 
     def test_sites_restrict_firing(self):
-        injector = FaultInjector(plan=FaultPlan(seed=1, rate=1.0, sites=("spill.write",)))
-        assert injector.should_fire("spill.write")
-        assert not injector.should_fire("spill.read")
+        injector = FaultInjector(plan=FaultPlan(seed=1, rate=1.0, sites=("parallel.pool",)))
+        assert injector.should_fire("parallel.pool")
+        assert not injector.should_fire("op.latency")
 
     def test_configure_and_clear(self):
-        assert faults.configure("seed:5,rate:1.0,sites:spill.write") is not None
-        assert faults.should_fire("spill.write")
+        assert faults.configure("seed:5,rate:1.0,sites:parallel.pool") is not None
+        assert faults.should_fire("parallel.pool")
         faults.clear()
-        assert not faults.should_fire("spill.write")
+        assert not faults.should_fire("parallel.pool")
 
 
 class TestCancelToken:
@@ -286,56 +287,6 @@ class TestDegradationLadder:
         _assert_identical(degraded, baseline)
         assert degraded.stats.degradations == ["backend:parallel->serial"]
 
-    def test_governor_spill_retry_rung(self, tpch_db):
-        """An injected allocation failure spills evictables and retries."""
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        degraded = tpch_db.execute(
-            query,
-            options=_options(
-                backend="serial",
-                memory_budget_bytes=1 << 30,
-                faults="seed:1,rate:1.0,sites:alloc.reserve",
-            ),
-        )
-        _assert_identical(degraded, baseline)
-        assert "governor:spill-retry" in degraded.stats.degradations
-        assert "[degraded governor:spill-retry]" in degraded.stats.op_trace()
-
-
-# ---------------------------------------------------------------------------
-# Storage-layer faults: spill I/O, leak invariants
-# ---------------------------------------------------------------------------
-class TestStorageFaults:
-    def test_spill_write_failure_is_tolerated(self):
-        """A failing spill restores the victim and counts the failure."""
-        from repro.exec.spill import SpillManager
-
-        faults.configure("seed:1,rate:1.0,sites:spill.write")
-        governor = buffer.MemoryGovernor(1 << 20, spill_handler=SpillManager())
-        governor.reserve("victim", 1000, evictable=True, inject=False)
-        assert governor.spill_evictables() == 0
-        assert governor.spill_failures > 0
-        governor.release_all()
-
-    def test_spill_read_failure_raises_typed_error(self):
-        from repro.exec.spill import SpillManager
-
-        spill = SpillManager()
-        spill.spill("res", 512)
-        faults.configure("seed:1,rate:1.0,sites:spill.read")
-        with pytest.raises(ReproError):
-            spill.reload("res", 512)
-
-    def test_alloc_fault_raises_memory_exhausted_without_spill_handler(self):
-        faults.configure("seed:1,rate:1.0,sites:alloc.reserve")
-        governor = buffer.MemoryGovernor(1 << 20)
-        with pytest.raises(MemoryExhausted):
-            governor.reserve("r", 64)
-        assert governor.outstanding == 0
-
 
 # ---------------------------------------------------------------------------
 # Database lifecycle
@@ -435,6 +386,5 @@ class TestFaultSweep:
                 "QueryTimeout",
                 "QueryCancelled",
                 "FaultInjected",
-                "MemoryExhausted",
                 "BackendUnavailable",
             )

@@ -339,34 +339,34 @@ class TestGoldenReports:
         stats = self._stats()
         probe = stats.op_stats[1]
         probe.hash_hits, probe.hash_misses, probe.adaptive_skipped = 2, 1, True
-        stats.record_degradation("governor:spill-retry")
-        stats.record_degradation("governor:spill-retry")
+        stats.record_degradation("backend:parallel->serial")
+        stats.record_degradation("backend:parallel->serial")
         assert stats.cache_summary() == "cache: hash passes 2h/1m"
         assert stats.adaptive_summary() == "adaptive: skipped 1 step(s)"
-        assert stats.degradation_summary() == "degraded: governor:spill-retry x2"
+        assert stats.degradation_summary() == "degraded: backend:parallel->serial x2"
         assert stats.execution_summary() == (
             "cache: hash passes 2h/1m | adaptive: skipped 1 step(s) | "
-            "degraded: governor:spill-retry x2"
+            "degraded: backend:parallel->serial x2"
         )
 
     def test_degradation_rungs_never_double_count(self):
         """Regression: per-event rungs merge to one list entry + a count.
 
         The merge across degradation retry paths used to append the same
-        rung once per event, so a spill-retry run with N retried
-        reservations reported the rung N times in merged summaries.
+        rung once per event, so a run where one rung fired N times reported
+        it N times in merged summaries.
         """
         stats = ExecutionStats()
         for _ in range(3):
-            stats.record_degradation("governor:spill-retry")
-        stats.record_degradation("backend:parallel->serial")
-        assert stats.degradations == ["governor:spill-retry", "backend:parallel->serial"]
+            stats.record_degradation("backend:parallel->serial")
+        stats.record_degradation("synthetic:second-rung")
+        assert stats.degradations == ["backend:parallel->serial", "synthetic:second-rung"]
         assert stats.degradation_counts == {
-            "governor:spill-retry": 3,
-            "backend:parallel->serial": 1,
+            "backend:parallel->serial": 3,
+            "synthetic:second-rung": 1,
         }
         assert stats.degradation_summary() == (
-            "degraded: governor:spill-retry x3; backend:parallel->serial"
+            "degraded: backend:parallel->serial x3; synthetic:second-rung"
         )
 
     def test_format_op_traces_golden(self):
@@ -577,6 +577,17 @@ class TestExplainAnalyze:
             assert analyzed.op_stats, stem
             assert any(op.rows_in > 0 for op in analyzed.op_stats), stem
             assert sum(op.seconds for op in analyzed.op_stats) > 0.0, stem
+            # Time is only measured time: the scan/filter phase (plan-time
+            # masks + its ops) plus every later op's own timer.
+            timings = analyzed.stats.timings
+            assert timings.total == pytest.approx(
+                timings.scan_filter
+                + sum(
+                    op.seconds
+                    for op in analyzed.op_stats
+                    if op.kind not in ("scan", "filter_push")
+                )
+            ), stem
             rendered = analyzed.render()
             assert "rows in" in rendered, stem
 

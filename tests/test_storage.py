@@ -1,4 +1,4 @@
-"""Unit tests for the storage layer: datatypes, columns, tables, catalog, buffer."""
+"""Unit tests for the storage layer: datatypes, columns, tables, catalog."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError, SchemaError
-from repro.bench.simulation import BufferManager
 from repro.storage import Catalog, Column, DataType, Table
 from repro.storage.column import concat_columns
 from repro.storage.datatypes import coerce_to_numpy, infer_datatype
@@ -212,44 +211,3 @@ class TestCatalog:
         assert catalog.largest_table() == "big"
         assert catalog.total_rows() == 11
         assert len(catalog) == 2
-
-
-class TestBufferManager:
-    def test_unlimited_memory_never_spills(self):
-        buffer = BufferManager(memory_budget_bytes=None)
-        buffer.write("a", 1000)
-        buffer.write("b", 1000)
-        buffer.read("a", 1000)
-        assert buffer.stats.evictions == 0
-        assert buffer.stats.bytes_written_to_disk == 0
-        assert buffer.stats.bytes_served_from_memory == 1000
-
-    def test_eviction_and_reread(self):
-        buffer = BufferManager(memory_budget_bytes=1500)
-        buffer.write("a", 1000)
-        buffer.write("b", 1000)  # evicts a (dirty -> spilled)
-        assert buffer.stats.evictions == 1
-        assert buffer.stats.bytes_written_to_disk == 1000
-        buffer.read("a", 1000)  # must come back from disk
-        assert buffer.stats.bytes_read_from_disk == 1000
-
-    def test_registered_disk_read_charged_once_then_cached(self):
-        buffer = BufferManager(memory_budget_bytes=None)
-        buffer.register_on_disk("base", 5000)
-        buffer.read("base", 5000)
-        buffer.read("base", 5000)
-        assert buffer.stats.bytes_read_from_disk == 5000
-        assert buffer.stats.bytes_served_from_memory == 5000
-
-    def test_simulated_seconds_monotone_in_bytes(self):
-        a = BufferManager()
-        a.read("x", 10_000_000)
-        b = BufferManager()
-        b.read("x", 20_000_000)
-        assert b.stats.simulated_seconds() > a.stats.simulated_seconds()
-
-    def test_release(self):
-        buffer = BufferManager(memory_budget_bytes=100)
-        buffer.write("a", 80)
-        buffer.release("a")
-        assert buffer.resident_bytes == 0
