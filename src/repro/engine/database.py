@@ -224,7 +224,7 @@ class ExecutionOptions:
     skip_backward_if_aligned: bool = False
     #: Have the engine verify that the chosen join order is safe (SafeSubjoin).
     verify_safe_join_order: bool = False
-    #: Runtime configuration (backend, threads, memory budget, policies);
+    #: Runtime configuration (backend, threads, deadline, policies);
     #: unset knobs resolve from ``REPRO_*`` variables once per execution.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     #: Pre-created :class:`~repro.exec.faults.CancelToken` for cooperative
@@ -524,12 +524,9 @@ class Database:
             tracer.finish(plan_span, ops=len(prep.physical.ops))
         plan, graph, schedule = prep.plan, prep.graph, prep.schedule
         join_tree, masks, physical = prep.join_tree, prep.masks, prep.physical
-        backend = self._backend_ladder(config, stats)
         token = options.cancel
         if token is None and config.timeout_seconds is not None:
             token = CancelToken(config.timeout_seconds)
-        if token is not None:
-            backend.cancel = token
         artifact_cache = None
         fingerprints = None
         table_versions = None
@@ -541,20 +538,24 @@ class Database:
             table_versions = {
                 ref.alias: snapshot.version(ref.table) for ref in query.relations
             }
-        executor = PipelineExecutor(
-            query,
-            graph,
-            catalog=snapshot,
-            transfer=options.transfer,
-            join=options.join,
-            backend=backend,
-            artifact_cache=artifact_cache,
-            table_versions=table_versions,
-            fingerprints=fingerprints,
-            adaptive_transfer=bool(config.adaptive_transfer),
-            tracer=tracer,
-        )
+        # The backend's pool threads live from the ladder to this close(),
+        # on every path out.
+        backend = self._backend_ladder(config, stats)
         try:
+            backend.cancel = token
+            executor = PipelineExecutor(
+                query,
+                graph,
+                catalog=snapshot,
+                transfer=options.transfer,
+                join=options.join,
+                backend=backend,
+                artifact_cache=artifact_cache,
+                table_versions=table_versions,
+                fingerprints=fingerprints,
+                adaptive_transfer=bool(config.adaptive_transfer),
+                tracer=tracer,
+            )
             run = executor.run(physical, stats, masks=masks)
         finally:
             backend.close()

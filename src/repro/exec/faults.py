@@ -188,14 +188,13 @@ def configure(spec: Optional[str]) -> Optional[FaultInjector]:
     ``None`` / empty spec clears injection.  Reconfiguring with the same
     spec restarts the occurrence counters, which is what reproducibility
     wants: one configure call per sweep, counters advancing across queries.
+    A spec that does not parse raises before anything changes, so a bad
+    ``REPRO_FAULTS`` fails every query, not only the first.
     """
     global _INJECTOR, _CONFIGURED
+    plan = FaultPlan.parse(spec) if spec else None
     _CONFIGURED = True
-    if not spec:
-        _INJECTOR = None
-        return None
-    plan = FaultPlan.parse(spec)
-    if plan.rate <= 0.0:
+    if plan is None or plan.rate <= 0.0:
         _INJECTOR = None
         return None
     _INJECTOR = FaultInjector(plan=plan)

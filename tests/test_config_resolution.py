@@ -101,6 +101,16 @@ def test_out_of_range_surfaces_from_execute_before_anything_runs(
     assert imdb_db.active_queries == 0
 
 
+def test_removed_memory_knob_changes_nothing(clean_env, imdb_db, star_query):
+    """``memory_budget_bytes`` is no configuration field, and its old variable
+    — even holding a value its range check used to refuse — is not read."""
+    with pytest.raises(TypeError, match="memory_budget_bytes"):
+        ExecutionConfig(memory_budget_bytes=1 << 20)
+    baseline = imdb_db.execute(star_query)
+    clean_env.setenv("REPRO_MEMORY_BUDGET", "-5")
+    assert imdb_db.execute(star_query).aggregates == baseline.aggregates
+
+
 @pytest.mark.parametrize(
     "path", [".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"]
 )

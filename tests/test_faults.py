@@ -8,12 +8,14 @@ and either way leaves no backend pool thread alive behind it.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import Database, ExecutionMode
 from repro.engine.database import ExecutionOptions
 from repro.engine.modes import ExecutionConfig
 from repro.errors import (
+    BackendUnavailable,
     FaultInjected,
     QueryCancelled,
     QueryTimeout,
@@ -22,6 +24,7 @@ from repro.errors import (
 from repro.exec import faults
 from repro.exec.backends import pool_threads
 from repro.exec.faults import CancelToken, FaultInjector, FaultPlan
+from repro.exec.kernels import HashIndex
 from stats_checks import assert_totals_are_sums
 
 
@@ -84,6 +87,16 @@ class TestFaultPlan:
         ):
             with pytest.raises(FaultInjected, match=f"unknown fault site '{family}.{name}'"):
                 FaultPlan.parse(f"seed:1,rate:1.0,sites:{family}.{name}")
+
+    @pytest.mark.parametrize("site", ["spill.write", "spill.read", "alloc.reserve"])
+    def test_stale_env_spec_fails_every_query(self, imdb_db, star_query, monkeypatch, site):
+        """A ``REPRO_FAULTS`` naming a removed site raises on each execution,
+        not only the first one that reads the variable."""
+        monkeypatch.setenv(faults.ENV_FAULTS, f"seed:1,rate:1.0,sites:{site}")
+        for _ in range(2):
+            with pytest.raises(FaultInjected, match=f"unknown fault site '{site}'"):
+                imdb_db.execute(star_query, options=_options(backend="serial"))
+        assert imdb_db.active_queries == 0
 
     def test_parse_rejects_bad_rate(self):
         with pytest.raises(FaultInjected, match="rate must be in"):
@@ -286,6 +299,110 @@ class TestDegradationLadder:
         )
         _assert_identical(degraded, baseline)
         assert degraded.stats.degradations == ["backend:parallel->serial"]
+
+
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
+    @pytest.mark.parametrize("site", faults.KNOWN_SITES)
+    def test_every_site_at_full_rate_is_bit_identical(self, tpch_db, site, backend):
+        """Neither surviving site can fail a query on its own: a pool that
+        never starts takes the serial rung, and injected latency only slows
+        the ops, each of which owns the delay it slept."""
+        from repro.workloads import tpch
+
+        query = tpch.query(3)
+        baseline = tpch_db.execute(query, options=_options(backend="serial"))
+        faulted = tpch_db.execute(
+            query,
+            options=_options(
+                backend=backend,
+                num_threads=2,
+                faults=f"seed:5,rate:1.0,sites:{site},latency:0.001",
+            ),
+        )
+        _assert_identical(faulted, baseline)
+        degrades = (site, backend) == ("parallel.pool", "parallel")
+        assert faulted.stats.degradations == (["backend:parallel->serial"] if degrades else [])
+        if site == "op.latency":
+            assert all(op.seconds >= 0.001 for op in faulted.stats.op_stats)
+
+
+# ---------------------------------------------------------------------------
+# Pool-thread lifetime: the engine's leak invariant
+# ---------------------------------------------------------------------------
+class TestPoolThreads:
+    def test_ensure_ready_starts_a_worker_and_close_joins_it(self):
+        from repro.exec import MorselBackend
+
+        backend = MorselBackend(num_threads=2, morsel_size=64)
+        assert not pool_threads()
+        backend.ensure_ready()
+        assert pool_threads(), "a parallel backend holds a live worker once ready"
+        backend.close()
+        assert not pool_threads()
+        backend.close()  # idempotent
+
+    def test_serial_preset_never_starts_a_thread(self):
+        """Even cut into cancel chunks, the serial preset runs on the caller."""
+        from repro.exec.backends import SERIAL_CANCEL_CHUNK, make_backend
+
+        backend = make_backend("serial")
+        backend.cancel = CancelToken()
+        backend.ensure_ready()
+        probe = np.arange(2 * SERIAL_CANCEL_CHUNK + 1) % 7
+        matches = backend.match(probe, HashIndex(np.arange(5)))
+        assert matches.probe_indices.size == int(np.count_nonzero(probe < 5))
+        assert not pool_threads()
+        backend.close()
+
+    def test_failed_pool_start_leaves_no_thread(self):
+        from repro.exec import MorselBackend
+
+        faults.configure("seed:1,rate:1.0,sites:parallel.pool")
+        backend = MorselBackend(num_threads=2, morsel_size=64)
+        with pytest.raises(BackendUnavailable, match="thread pool unavailable"):
+            backend.ensure_ready()
+        assert not pool_threads()
+        backend.close()
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda mode: mode.name)
+    def test_completed_query_joins_its_pool(self, tpch_db, mode, morsel_rows):
+        from repro.workloads import tpch
+
+        morsel_rows(512)
+        result = tpch_db.execute(
+            tpch.query(5), mode=mode, options=_options(backend="parallel", num_threads=2)
+        )
+        assert result.execution_config.backend == "parallel"
+        assert not result.stats.degradations
+        assert any(op.morsels > 1 for op in result.stats.op_stats), "the pool ran morsels"
+        assert not pool_threads()
+
+    @pytest.mark.parametrize("abort", ["cancel", "timeout"])
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda mode: mode.name)
+    def test_aborted_query_joins_its_pool(self, tpch_db, mode, abort):
+        """The error path out of a running query closes its backend too."""
+        from repro.workloads import tpch
+
+        if abort == "cancel":
+            token = CancelToken()
+            token.cancel()
+            options = ExecutionOptions(
+                execution=ExecutionConfig(backend="parallel", num_threads=2), cancel=token
+            )
+            expected = QueryCancelled
+        else:
+            options = _options(
+                backend="parallel",
+                num_threads=2,
+                timeout_seconds=0.01,
+                faults="seed:1,rate:1.0,sites:op.latency,latency:0.02",
+            )
+            expected = QueryTimeout
+        with pytest.raises(expected) as excinfo:
+            tpch_db.execute(tpch.query(5), mode=mode, options=options)
+        assert excinfo.value.stats is not None
+        assert not pool_threads()
+        assert tpch_db.active_queries == 0
 
 
 # ---------------------------------------------------------------------------

@@ -591,6 +591,23 @@ class TestExplainAnalyze:
             rendered = analyzed.render()
             assert "rows in" in rendered, stem
 
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda mode: mode.name)
+    def test_total_is_measured_time_only(self, tpch_db, mode):
+        """In every mode the phase times add up to the total, and every
+        phase after scan/filter is exactly the time its ops measured."""
+        from repro.workloads import tpch
+
+        stats = tpch_db.execute(tpch.query(5), mode=mode).stats
+        timings = stats.timings
+        assert timings.total == pytest.approx(
+            timings.scan_filter + timings.transfer + timings.join + timings.aggregate
+        )
+        later = [op for op in stats.op_stats if op.kind not in ("scan", "filter_push")]
+        assert timings.transfer + timings.join + timings.aggregate == pytest.approx(
+            sum(op.seconds for op in later)
+        )
+        assert timings.join > 0.0
+
 
 # ---------------------------------------------------------------------------
 # Server metrics + query log

@@ -28,6 +28,7 @@ from repro.bench import build_serving_fleet, run_serving_benchmark
 from repro.engine.database import ExecutionOptions, ExplainResult
 from repro.engine.modes import ExecutionConfig
 from repro.errors import QueryCancelled, QueryTimeout, ReproError
+from repro.exec.faults import CancelToken
 from repro.workloads import sqlfiles
 
 QUERY = (
@@ -214,6 +215,86 @@ class TestAdmission:
         session = server.session()
         session.sql(QUERY)
         assert server.reserved_memory_bytes == 0  # released after completion
+        server.close()
+        db.close()
+
+    @pytest.mark.parametrize("budget", [None, 3], ids=["unbounded", "three_queries"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_memory_accounting_over_any_sequence(self, seed, budget):
+        """White-box: any interleaving of admissions and releases keeps the
+        reserved total at the sum of the admitted reservations, never past
+        the budget, and rejects exactly the admissions that would pass it."""
+        size = 1 << 12
+        db = _make_db(rows=50)
+        server = Server(
+            db,
+            config=ServerConfig(
+                session_memory_bytes=size,
+                memory_budget_bytes=None if budget is None else budget * size,
+            ),
+            options=_serial(),
+        )
+        rng = np.random.default_rng(seed)
+        held = rejected = 0
+        for _ in range(200):
+            if held and rng.random() < 0.45:
+                server._release_memory(True)
+                held -= 1
+            elif budget is not None and held == budget:
+                with pytest.raises(AdmissionRejected) as info:
+                    server._reserve_memory()
+                assert info.value.reason == "memory"
+                rejected += 1
+            else:
+                assert server._reserve_memory() is True
+                held += 1
+            assert server.reserved_memory_bytes == held * size
+        assert server.stats().rejected_memory == rejected
+        assert (rejected > 0) == (budget is not None)
+        for _ in range(held):
+            server._release_memory(True)
+        assert server.reserved_memory_bytes == 0
+        server.close()
+        db.close()
+
+    @pytest.mark.parametrize("outcome", ["ok", "explain", "failed", "timeout", "cancelled"])
+    def test_memory_is_released_on_every_outcome(self, outcome):
+        db = _make_db(rows=500)
+        server = Server(
+            db,
+            config=ServerConfig(session_memory_bytes=1 << 16, memory_budget_bytes=1 << 16),
+            options=_serial(),
+        )
+        session = server.session()
+        text, options, expected = QUERY, _serial(), None
+        if outcome == "explain":
+            text = "EXPLAIN " + QUERY
+        elif outcome == "failed":
+            text, expected = "SELECT COUNT(*) FROM no_such_table", ReproError
+        elif outcome == "timeout":
+            options = ExecutionOptions(
+                execution=ExecutionConfig(
+                    backend="serial",
+                    timeout_seconds=0.01,
+                    faults="seed:1,rate:1.0,sites:op.latency,latency:0.02",
+                )
+            )
+            expected = QueryTimeout
+        elif outcome == "cancelled":
+            token = CancelToken()
+            token.cancel()
+            options = ExecutionOptions(execution=ExecutionConfig(backend="serial"), cancel=token)
+            expected = QueryCancelled
+        if expected is None:
+            session.sql(text, options=options)
+        else:
+            with pytest.raises(expected):
+                session.sql(text, options=options)
+        assert server.reserved_memory_bytes == 0
+        # The budget holds exactly one query, so a held reservation would
+        # reject this one.
+        session.sql(QUERY)
+        assert server.stats().rejected_memory == 0
         server.close()
         db.close()
 
