@@ -27,7 +27,6 @@ The cases, by what the paper or the engine claims:
 * ``semijoin_kernel`` — one-shot ``semi_join_mask`` vs a reused ``HashIndex``;
 * ``join_match`` — hash-join build + probe: sorted vs the rule's index, per key regime;
 * ``artifact_cache`` — transfer phase with the artifact cache off/cold/warm;
-* ``adaptive_low_yield`` / ``adaptive_high_yield`` — adaptive transfer vs static;
 * ``scaling`` — serial vs the thread backend over a worker sweep;
 * ``deadline_overhead`` / ``tracing_overhead`` — the <2% pay-as-you-go gates.
 """
@@ -116,8 +115,7 @@ def star_database(
     the join keys, so a filter keeping ``keep_fraction`` of each dimension
     leaves every forward pass eliminating ``1 - keep_fraction`` of the fact
     side: 0.5 is the genuinely-reducing shape where per-pass hashing
-    dominates; 0.999 prunes ~0.1% per pass, below the adaptive controller's
-    1% yield floor.
+    dominates.
 
     Join keys are ``key_stride`` apart.  At the default of 1 the key domain
     is dense and the executor runs every transfer step as an exact bitmap
@@ -148,7 +146,7 @@ def star_database(
 
 #: What every star variant pins unless it says otherwise, so a case isolates
 #: its own knob whatever ``REPRO_*`` leg the suite runs under.
-_PINNED = {"backend": "serial", "artifact_cache": False, "adaptive_transfer": False}
+_PINNED = {"backend": "serial", "artifact_cache": False}
 
 
 def _star(
@@ -287,18 +285,6 @@ def _join_match(build_rows, probe_rows, tiny_rows, seed) -> Iterator[Variants]:
 # ---------------------------------------------------------------------------
 _STAR_1M = {"fact_rows": 1 << 20, "dim_rows": 1 << 19, "num_dims": 2, "keep_fraction": 0.5, "seed": 31}
 _STAR_SMALL = {"fact_rows": 1 << 13, "dim_rows": 1 << 12}
-_ADAPTIVE = {
-    "setup": _star(static={}, adaptive={"adaptive_transfer": True}),
-    "small": {"fact_rows": 1 << 12, "dim_rows": 1 << 9, "num_dims": 2},
-    "timed": "transfer",
-    "repeats": 2,
-    "counters": {
-        "steps_skipped": lambda out: out["adaptive"].stats.adaptive_steps_skipped,
-        "exact_downgrades": lambda out: min(r.stats.adaptive_exact_downgrades for r in out.values()),
-    },
-    "ratios": {"skip_speedup": ("static", "adaptive")},
-}
-_ADAPTIVE_SIZES = {"fact_rows": 1 << 20, "dim_rows": 1 << 16, "num_dims": 3, "seed": 29}
 
 
 CASES: Dict[str, Case] = {
@@ -377,28 +363,6 @@ CASES: Dict[str, Case] = {
             ratios={"warm_speedup": ("no_artifact", "warm")},
             gates=(Gate("warm", "no_artifact", factor=1 / 1.2),),
             checks={"warm runs hit the cache": lambda c: c["warm_artifact_hits"] > 0},
-        ),
-        Case(
-            name="adaptive_low_yield",
-            title="Adaptive transfer where filters prune ~0.1% per pass: yield-driven skipping vs static",
-            sizes={**_ADAPTIVE_SIZES, "keep_fraction": 0.999},
-            gates=(Gate("adaptive", "static", factor=1 / 1.5),),
-            checks={
-                "passes were skipped": lambda c: c["steps_skipped"] > 0,
-                "dense domains downgraded on both arms": lambda c: c["exact_downgrades"] > 0,
-            },
-            **_ADAPTIVE,
-        ),
-        Case(
-            name="adaptive_high_yield",
-            title="Adaptive transfer where filters genuinely reduce (50%): must stay out of the way",
-            sizes={**_ADAPTIVE_SIZES, "keep_fraction": 0.5},
-            gates=(Gate("adaptive", "static", factor=1.15),),
-            checks={
-                "no pass was skipped": lambda c: c["steps_skipped"] == 0,
-                "dense domains downgraded on both arms": lambda c: c["exact_downgrades"] > 0,
-            },
-            **_ADAPTIVE,
         ),
         Case(
             name="scaling",

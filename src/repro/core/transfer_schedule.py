@@ -89,17 +89,6 @@ class TransferSchedule:
         """True when the schedule contains at least one backward-pass step."""
         return any(s.pass_ is TransferPass.BACKWARD for s in self.steps)
 
-    def sources_of_pass(self, pass_: TransferPass) -> frozenset[str]:
-        """Relations serving as the build side of at least one step of ``pass_``.
-
-        Schedule-level introspection mirroring the rule the adaptive
-        transfer controller applies over the *compiled* ops (it derives the
-        backward build sides from the plan itself): the backward pass is
-        skippable wholesale exactly when the forward pass left every
-        backward-pass source (effectively) unreduced.
-        """
-        return frozenset(s.source for s in self.steps if s.pass_ is pass_)
-
     def without_backward_pass(self) -> "TransferSchedule":
         """Drop the backward pass (the §4.3 optimization when the join order
         aligns with the transfer order)."""

@@ -553,7 +553,6 @@ class Database:
                 artifact_cache=artifact_cache,
                 table_versions=table_versions,
                 fingerprints=fingerprints,
-                adaptive_transfer=bool(config.adaptive_transfer),
                 tracer=tracer,
             )
             run = executor.run(physical, stats, masks=masks)

@@ -86,7 +86,6 @@ class ExecutionMode(enum.Enum):
 ENV_BACKEND = "REPRO_BACKEND"
 ENV_NUM_THREADS = "REPRO_NUM_THREADS"
 ENV_ARTIFACT_CACHE = "REPRO_ARTIFACT_CACHE"
-ENV_ADAPTIVE_TRANSFER = "REPRO_ADAPTIVE_TRANSFER"
 ENV_TIMEOUT_SECONDS = "REPRO_TIMEOUT_SECONDS"
 ENV_FAULTS = "REPRO_FAULTS"
 ENV_TRACE = "REPRO_TRACE"
@@ -133,7 +132,6 @@ KNOB_TABLE: Tuple[Tuple[str, str, Callable[[str], Any], Callable[[Any], None], A
     ("backend", ENV_BACKEND, str, _check_backend, "serial"),
     ("num_threads", ENV_NUM_THREADS, int, _check_worker_count, None),
     ("artifact_cache", ENV_ARTIFACT_CACHE, _parse_flag, _check_flag, False),
-    ("adaptive_transfer", ENV_ADAPTIVE_TRANSFER, _parse_flag, _check_flag, False),
     ("timeout_seconds", ENV_TIMEOUT_SECONDS, float, _check_timeout, None),
     ("tracing", ENV_TRACE, _parse_flag, _check_flag, False),
 )
@@ -158,16 +156,6 @@ class ExecutionConfig:
       64 MiB budget).  Default off: it buys time with resident memory
       (+12–21 % process RSS on the benchmark's workloads), which is the
       caller's trade.
-    * ``adaptive_transfer`` — the
-      :class:`~repro.exec.adaptive.AdaptiveTransferController`: observe each
-      transfer step's pruning yield at runtime and cancel a relation's
-      remaining passes (plus the builds that only feed them, plus the whole
-      backward pass when the forward pass reduced nothing) once the yield
-      falls below :data:`~repro.exec.adaptive.DEFAULT_MIN_YIELD` (default
-      off).  Purely reductive passes mean skipping never changes final
-      results, but it forfeits the paper's full-reduction guarantee (a
-      skipped pass leaves dangling tuples for the join phase), so it is
-      policy and stays opt-in.
     * ``timeout_seconds`` — query deadline: a
       :class:`~repro.exec.faults.CancelToken` is checked at morsel-gather
       barriers and at chunk granularity inside long kernels; expiry raises
@@ -184,6 +172,7 @@ class ExecutionConfig:
       ``tracing_overhead`` microbenchmark case).
 
     What the executor decides from its input is not configurable: every
+    compiled transfer step runs (only §4.3 pruning removes one); every
     transfer Bloom insert/probe replays one query-lifetime hashing pass per
     key column and gathers probe keys by row id at the probe itself
     (:class:`~repro.exec.hashcache.HashCache`); a Bloom step whose build
@@ -204,7 +193,6 @@ class ExecutionConfig:
     backend: Optional[str] = None
     num_threads: Optional[int] = None
     artifact_cache: Optional[bool] = None
-    adaptive_transfer: Optional[bool] = None
     timeout_seconds: Optional[float] = None
     faults: Optional[str] = None
     tracing: Optional[bool] = None

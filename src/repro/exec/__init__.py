@@ -1,6 +1,5 @@
 """Vectorized execution layer: kernels, backends, executors, statistics."""
 
-from repro.exec.adaptive import DEFAULT_MIN_YIELD, AdaptiveTransferController
 from repro.exec.backends import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_MORSEL_SIZE,
@@ -40,9 +39,7 @@ from repro.exec.statistics import (
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_MIN_YIELD",
     "DEFAULT_MORSEL_SIZE",
-    "AdaptiveTransferController",
     "BoundRelation",
     "COUNTERS",
     "Counter",

@@ -123,7 +123,6 @@ class PipelineExecutor:
         artifact_cache: Optional[ArtifactCache] = None,
         table_versions: Optional[Mapping[str, int]] = None,
         fingerprints: Optional[Mapping[str, str]] = None,
-        adaptive_transfer: bool = False,
         tracer=None,
     ) -> None:
         self.query = query
@@ -141,9 +140,6 @@ class PipelineExecutor:
         self.artifact_cache = artifact_cache
         self.table_versions = dict(table_versions or {})
         self.fingerprints = dict(fingerprints or {})
-        #: Adaptive transfer execution: yield-driven pass skipping
-        #: (controller built per run from the compiled plan).
-        self.adaptive_transfer = adaptive_transfer
         #: Optional :class:`~repro.obs.trace.Tracer`: when set, the run
         #: loop records one ``op`` span per dispatched op (grouped under
         #: ``phase`` spans) with a ``batch`` child summarizing morsel

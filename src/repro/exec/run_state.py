@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.bloom.bloom_filter import BloomFilter
 from repro.errors import CatalogError, ExecutionError
-from repro.exec.adaptive import AdaptiveTransferController
 from repro.exec.kernels import HashIndex
 from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.exec.statistics import ExecutionStats, OpStats
@@ -33,9 +32,9 @@ if TYPE_CHECKING:
 class TransferStepState:
     """What a transfer ``BloomBuild`` leaves for the ``BloomProbe`` of its step.
 
-    Either the step was skipped (§4.3 pruning, or — ``adaptive_skipped`` —
-    the controller), or the build side is staged: a Bloom filter (``bloom``)
-    or, when the exact-bitmap downgrade fired, a prepared
+    Either the step was skipped (§4.3 pruning), or the build side is
+    staged: a Bloom filter (``bloom``) or, when the exact-bitmap downgrade
+    fired, a prepared
     :class:`~repro.exec.kernels.HashIndex` whose bitmap membership table
     replaces the filter entirely (``exact_index``; no false positives).
 
@@ -47,7 +46,6 @@ class TransferStepState:
     """
 
     skipped: bool = False
-    adaptive_skipped: bool = False
     bloom: Optional[BloomFilter] = None
     exact_index: Optional[HashIndex] = None
     target_keys: Optional[np.ndarray] = None
@@ -119,10 +117,6 @@ class RunState:
         # *base* state (scan + pushed-down filter, before any transfer
         # reduction), identified by the version Scan / FilterPush record.
         self.base_versions: Dict[str, int] = {}
-        #: Yield-driven pass skipping, when the executor was asked for it.
-        self.adaptive: Optional[AdaptiveTransferController] = (
-            AdaptiveTransferController(plan) if ex.adaptive_transfer else None
-        )
 
     # -- operands -------------------------------------------------------
     def materialize(self, operand: Operand) -> IntermediateResult:

@@ -37,9 +37,7 @@ class TransferStepStats:
     filter_bytes: int = 0
     build_rows: int = 0
     skipped: bool = False
-    #: The skip was the adaptive controller's decision (not the static §4.3
-    #: PK-FK pruning) / the step ran as an exact bitmap semi-join, not Bloom.
-    adaptive_skipped: bool = False
+    #: The step ran as an exact bitmap semi-join, not Bloom.
     downgraded_exact: bool = False
 
     @property
@@ -67,10 +65,8 @@ class OpStats:
     #: Morsels the backend dispatched for this op (0 when
     #: it ran as one whole-column kernel call).
     morsels: int = 0
-    #: The adaptive controller cancelled this op's transfer step / the
-    #: executor ran it as an exact bitmap semi-join instead of a Bloom build
-    #: + probe (dense build-side key domain).
-    adaptive_skipped: bool = False
+    #: The executor ran this op's transfer step as an exact bitmap semi-join
+    #: instead of a Bloom build + probe (dense build-side key domain).
     downgraded_exact: bool = False
     #: The index this hash build built / this hash probe matched against:
     #: ``"direct-unique"``, ``"direct"`` (duplicate build keys) or ``"sorted"``
@@ -120,9 +116,6 @@ class Counter(NamedTuple):
 #: Row order is the order of markers, summary parts and span events.
 COUNTERS: Tuple[Counter, ...] = (
     Counter("morsels"),
-    Counter("adaptive_skipped", "adaptive_steps_skipped", " [adaptive skip]", "adaptive",
-            "skipped {adaptive_skipped} step(s)", event="adaptive:skip",
-            log="adaptive.steps_skipped", per_step=True),
     Counter("hash_hits", "hash_reuse_hits", " [hash {hash_hits}h/{hash_misses}m]", "cache",
             "hash passes {hash_hits}h/{hash_misses}m", pair="hash_misses", log="cache.hash_hits"),
     Counter("hash_misses", "hash_reuse_misses", log="cache.hash_misses"),
@@ -247,7 +240,7 @@ class ExecutionStats:
         ]
         for op in self.op_stats:
             fields = vars(op)
-            marker = " [skipped]" if op.skipped and not op.adaptive_skipped else ""
+            marker = " [skipped]" if op.skipped else ""
             for c in COUNTERS:
                 if c.marker and (fields[c.field] or (c.pair and fields[c.pair])):
                     marker += c.marker.format_map(fields)
@@ -271,7 +264,8 @@ class ExecutionStats:
         return self._summary("cache")
 
     def adaptive_summary(self) -> str:
-        """One-line summary of the adaptive controller's decisions ('' if none)."""
+        """One-line summary of the executor's run-time choices: exact-bitmap
+        downgrades ('' if none)."""
         return self._summary("adaptive")
 
     def record_degradation(self, rung: str) -> None:

@@ -2,7 +2,7 @@
 
 A transfer step reduces ``op.target`` (a bound relation, in place) by the
 join keys of ``op.source``.  In the Bloom modes the step's first op decides
-whether it runs at all (§4.3 pruning, the adaptive controller) and stages
+whether it runs at all (§4.3 pruning) and stages
 either a Bloom filter or — on a dense integer key domain — an exact bitmap
 index in the step's :class:`~repro.exec.run_state.TransferStepState`; the
 probe that follows consumes it.  Exact (Yannakakis) steps are one op.
@@ -48,9 +48,7 @@ def bloom_build(run: RunState, op: BloomBuild, record: OpStats) -> None:
     target = run.relations[op.target.alias]
     record.rows_in = record.rows_out = source.num_rows
     if _skip_step(run, op, record, target):
-        run.steps[op.step_id] = TransferStepState(
-            skipped=True, adaptive_skipped=record.adaptive_skipped
-        )
+        run.steps[op.step_id] = TransferStepState(skipped=True)
         return
     step = TransferStepState()
     if len(op.attributes) == 1:
@@ -83,7 +81,6 @@ def bloom_probe(run: RunState, op: BloomProbe, record: OpStats) -> None:
     step = run.steps.pop(op.step_id)
     if step.skipped:
         record.skipped = True
-        record.adaptive_skipped = step.adaptive_skipped
         return
     if step.exact_index is not None:
         # Exact-bitmap downgrade: one in-range test + table gather per
@@ -157,7 +154,7 @@ def _reduce_target(
     mask: np.ndarray,
     filter_bytes: int,
 ) -> None:
-    """Apply a step's probe mask: keep, record the step, tell the controller."""
+    """Apply a step's probe mask: keep the surviving rows, record the step."""
     rows_before = target.num_rows
     target.keep(mask)
     rows_after = record.rows_out = target.num_rows
@@ -179,24 +176,20 @@ def _reduce_target(
     stats.abstract_cost += bloom_probe_cost(rows_before, max(filter_bytes, 1))
     if rows_after < rows_before:
         _filtered(run).add(op.target.alias)
-    if run.adaptive is not None:
-        run.adaptive.observe(op, rows_before, rows_after)
 
 
 # ---------------------------------------------------------------------------
 # Skipping
 # ---------------------------------------------------------------------------
 def _skip_step(run: RunState, op, record: OpStats, target: BoundRelation) -> bool:
-    """Skip a step at its first op: §4.3 pruning, or the adaptive controller."""
+    """Skip a step at its first op when §4.3 pruning removes it."""
     pruned = (
         run.ex.transfer.prune_trivial_semijoins
         and op.prunable
         and op.source.alias not in _filtered(run)
     )
     if not pruned:
-        if run.adaptive is None or not run.adaptive.should_skip(op):
-            return False
-        record.adaptive_skipped = True
+        return False
     record.skipped = True
     run.stats.transfer_steps.append(
         TransferStepStats(
@@ -206,7 +199,6 @@ def _skip_step(run: RunState, op, record: OpStats, target: BoundRelation) -> boo
             rows_before=target.num_rows,
             rows_after=target.num_rows,
             skipped=True,
-            adaptive_skipped=record.adaptive_skipped,
         )
     )
     return True

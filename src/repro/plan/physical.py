@@ -26,7 +26,7 @@ The unit of the plan is the *step*: one transfer step is a
 ``step_id`` (or a single ``SemiJoinReduce``), one join is an optional
 join-scoped Bloom pair and a ``HashBuild`` / ``HashProbe`` pair sharing a
 ``build_id``.  The executor keeps one record per step id and per build id,
-and the adaptive controller cancels whole steps.  How an op runs is not in
+and §4.3 pruning skips whole steps.  How an op runs is not in
 the plan: which index a ``HashBuild`` builds over its build side is decided
 by the executor from the rows it has just materialized.
 

@@ -48,7 +48,7 @@ def test_table_covers_every_env_variable_but_faults():
     assert {row[1] for row in modes.KNOB_TABLE} == envs - {modes.ENV_FAULTS}
     fields = {f.name for f in dataclasses.fields(ExecutionConfig)}
     assert {row[0] for row in modes.KNOB_TABLE} == fields - {"faults"}
-    assert len(fields) == 7 and len(envs) == 7 and len(modes.KNOB_TABLE) == 6
+    assert len(fields) == 6 and len(envs) == 6 and len(modes.KNOB_TABLE) == 5
 
 
 @pytest.mark.parametrize("name,env,parse,check,default", modes.KNOB_TABLE, ids=lambda v: str(v))
@@ -101,13 +101,20 @@ def test_out_of_range_surfaces_from_execute_before_anything_runs(
     assert imdb_db.active_queries == 0
 
 
-def test_removed_memory_knob_changes_nothing(clean_env, imdb_db, star_query):
-    """``memory_budget_bytes`` is no configuration field, and its old variable
-    — even holding a value its range check used to refuse — is not read."""
-    with pytest.raises(TypeError, match="memory_budget_bytes"):
-        ExecutionConfig(memory_budget_bytes=1 << 20)
+@pytest.mark.parametrize(
+    "name,env,text",
+    [
+        ("memory_budget_bytes", "REPRO_MEMORY_BUDGET", "-5"),
+        ("adaptive_transfer", "REPRO_ADAPTIVE_TRANSFER", "1"),
+    ],
+)
+def test_removed_knobs_change_nothing(clean_env, imdb_db, star_query, name, env, text):
+    """A removed knob is no configuration field, and its old variable — even
+    holding a value that used to change or refuse the run — is not read."""
+    with pytest.raises(TypeError, match=name):
+        ExecutionConfig(**{name: 1})
     baseline = imdb_db.execute(star_query)
-    clean_env.setenv("REPRO_MEMORY_BUDGET", "-5")
+    clean_env.setenv(env, text)
     assert imdb_db.execute(star_query).aggregates == baseline.aggregates
 
 

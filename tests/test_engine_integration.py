@@ -15,9 +15,11 @@ from repro import Database, ExecutionMode, ExecutionOptions
 from repro.engine.database import QueryResult
 from repro.errors import PlanError
 from repro.exec import TransferOptions
+from repro.expr import lt
 from repro.optimizer import generate_bushy_plans, generate_left_deep_plans
 from repro.plan.join_plan import JoinPlan
 from repro.query import JoinCondition, QuerySpec, RelationRef
+from repro.storage.table import ForeignKey
 
 
 class TestModeAgreement:
@@ -102,6 +104,114 @@ class TestRptGuarantees:
         assert sum(result.stats.reduced_rows.values()) < sum(result.stats.filtered_rows.values())
 
 
+def _signature(result):
+    """Result identity: aggregates + final output rows."""
+    return (tuple(sorted(result.aggregates.items())), result.output_rows)
+
+
+def _star_db(attr_domain: int, n_dim=2_000, n_fact=40_000, num_dims=3, seed=7) -> Database:
+    """A star over dense integer ids, each dimension with a uniform filter attribute."""
+    rng = np.random.default_rng(seed)
+    db = Database()
+    fact = {"v": np.arange(n_fact, dtype=np.int64)}
+    for d in range(num_dims):
+        db.register_dataframe(
+            f"dim{d}",
+            {
+                "id": np.arange(n_dim, dtype=np.int64),
+                "attr": rng.integers(0, attr_domain, n_dim),
+            },
+            primary_key=["id"],
+        )
+        fact[f"d{d}_id"] = rng.integers(0, n_dim, n_fact)
+    db.register_dataframe("fact", fact)
+    return db
+
+
+def _star_query(bound: int, num_dims=3) -> QuerySpec:
+    relations = [RelationRef("f", "fact")]
+    joins = []
+    for d in range(num_dims):
+        relations.append(RelationRef(f"d{d}", f"dim{d}", lt("attr", bound)))
+        joins.append(JoinCondition("f", f"d{d}_id", f"d{d}", "id"))
+    return QuerySpec(name="dense_star", relations=tuple(relations), joins=tuple(joins))
+
+
+class TestTransferSteps:
+    """What the executor decides per transfer step: exact bitmap or Bloom, and §4.3 pruning."""
+
+    def test_bitmap_downgrade_fires_on_dense_domains(self):
+        db = _star_db(attr_domain=10)
+        query = _star_query(bound=5)
+        result = db.execute(query, mode=ExecutionMode.RPT)
+        assert result.stats.adaptive_exact_downgrades > 0
+        downgraded = [s for s in result.stats.transfer_steps if s.downgraded_exact]
+        assert downgraded
+        # Exact semi-joins admit no false positives: every downgraded step
+        # leaves exactly what the Yannakakis semi-join of the same step does.
+        exact = db.execute(query, mode=ExecutionMode.YANNAKAKIS)
+        assert _signature(result) == _signature(exact)
+        by_step = {(s.source, s.target, s.pass_): s for s in exact.stats.transfer_steps}
+        for s in downgraded:
+            assert s.rows_after == by_step[(s.source, s.target, s.pass_)].rows_after
+
+    def test_bitmap_downgrade_skips_sparse_domains(self, sparse_db, sparse_query):
+        result = sparse_db.execute(sparse_query, mode=ExecutionMode.RPT)
+        assert result.stats.adaptive_exact_downgrades == 0
+        assert all(s.filter_bytes > 0 for s in result.stats.transfer_steps if not s.skipped)
+        baseline = sparse_db.execute(sparse_query, mode=ExecutionMode.BASELINE)
+        assert _signature(result) == _signature(baseline)
+
+    def test_unfiltered_pk_side_is_pruned(self):
+        """§4.3: a step from an unfiltered PK side cannot reduce its FK
+        target, so it is skipped statically; with pruning off no step is
+        skipped, and the answer is the same."""
+        rng = np.random.default_rng(11)
+        db = Database()
+        n_dim, n_fact = 500, 8_000
+        db.register_dataframe(
+            "dim", {"id": np.arange(n_dim, dtype=np.int64)}, primary_key=["id"]
+        )
+        db.register_dataframe(
+            "other",
+            {"id": np.arange(n_dim, dtype=np.int64), "attr": rng.integers(0, 10, n_dim)},
+            primary_key=["id"],
+        )
+        db.register_dataframe(
+            "fact",
+            {
+                "dim_id": rng.integers(0, n_dim, n_fact),
+                "other_id": rng.integers(0, n_dim, n_fact),
+            },
+            foreign_keys=[
+                ForeignKey("dim_id", "dim", "id"),
+                ForeignKey("other_id", "other", "id"),
+            ],
+        )
+        query = QuerySpec(
+            name="prune_mix",
+            relations=(
+                RelationRef("f", "fact"),
+                RelationRef("d", "dim"),  # unfiltered PK side -> §4.3 prune
+                RelationRef("o", "other", lt("attr", 5)),
+            ),
+            joins=(
+                JoinCondition("f", "dim_id", "d", "id"),
+                JoinCondition("f", "other_id", "o", "id"),
+            ),
+        )
+        result = db.execute(query, mode=ExecutionMode.RPT)
+        pruned = [s for s in result.stats.transfer_steps if s.skipped]
+        assert pruned, "the unfiltered PK side should be statically pruned"
+        unpruned = db.execute(
+            query,
+            mode=ExecutionMode.RPT,
+            options=ExecutionOptions(transfer=TransferOptions(prune_trivial_semijoins=False)),
+        )
+        assert not any(s.skipped for s in unpruned.stats.transfer_steps)
+        assert _signature(result) == _signature(unpruned)
+
+
 class TestExecutionOptions:
     def test_skip_backward_when_aligned(self, imdb_db, star_query):
         result = imdb_db.execute(star_query, mode=ExecutionMode.RPT)
@@ -150,8 +260,6 @@ class TestValidation:
             imdb_db.execute(star_query, plan=JoinPlan.from_left_deep(("mk", "t")))
 
     def test_single_table_query(self, imdb_db):
-        from repro.expr import lt
-
         query = QuerySpec(
             name="single",
             relations=(RelationRef("t", "title", lt("production_year", 1980)),),

@@ -54,16 +54,11 @@ def _small_morsels(morsel_rows):
 
 
 def _config(artifact_cache: bool, backend=None) -> ExecutionOptions:
-    # Adaptive transfer is pinned off: under the REPRO_ADAPTIVE_TRANSFER CI
-    # leg, skipped passes and exact-bitmap downgrades would remove the very
-    # Bloom hashing work whose caching this module tests (adaptive on/off
-    # identity has its own matrix in tests/test_adaptive.py).
     return ExecutionOptions(
         execution=ExecutionConfig(
             backend=backend,
             num_threads=4,
             artifact_cache=artifact_cache,
-            adaptive_transfer=False,
         )
     )
 

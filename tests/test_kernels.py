@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_match import composite_keys, replay_match
+from repro import Database
 from repro.errors import ExecutionError
 from repro.exec.kernels import (
     HashIndex,
@@ -22,6 +23,7 @@ from repro.exec.kernels import (
     match_keys,
     semi_join_mask,
 )
+from repro.expr import isin
 
 small_ints = st.integers(min_value=-50, max_value=50)
 
@@ -416,3 +418,43 @@ class TestCostHelpers:
     def test_bloom_probe_cheaper_than_hash_probe(self):
         for build in (1_000, 100_000, 10_000_000):
             assert bloom_probe_cost(10_000, build) < hash_probe_cost(10_000, build)
+
+
+class TestInListKernel:
+    def test_matches_np_isin_on_integers(self):
+        rng = np.random.default_rng(5)
+        data = rng.integers(0, 1_000, size=50_000, dtype=np.int64)
+        db = Database()
+        db.register_dataframe("t", {"x": data})
+        values = rng.integers(0, 1_000, size=40, dtype=np.int64).tolist()
+        mask = isin("x", values).evaluate(db.table("t"))
+        np.testing.assert_array_equal(mask, np.isin(data, np.asarray(values)))
+
+    def test_string_in_list_with_missing_values(self):
+        db = Database()
+        db.register_dataframe("t", {"s": ["a", "b", "c", "a", "d"]})
+        mask = isin("s", ["a", "zzz"]).evaluate(db.table("t"))
+        np.testing.assert_array_equal(mask, np.array([True, False, False, True, False]))
+
+    def test_empty_in_list(self):
+        db = Database()
+        db.register_dataframe("t", {"x": np.arange(10, dtype=np.int64)})
+        mask = isin("x", []).evaluate(db.table("t"))
+        assert mask.dtype == bool and not mask.any() and mask.shape == (10,)
+
+    def test_float_in_list(self):
+        db = Database()
+        db.register_dataframe("t", {"x": np.array([1.5, 2.5, 3.5])})
+        mask = isin("x", [2.5, 9.0]).evaluate(db.table("t"))
+        np.testing.assert_array_equal(mask, np.array([False, True, False]))
+
+    def test_large_in_list_over_dictionary_codes(self):
+        rng = np.random.default_rng(6)
+        words = [f"w{i}" for i in range(2_000)]
+        data = rng.choice(words, size=30_000).tolist()
+        db = Database()
+        db.register_dataframe("t", {"s": data})
+        chosen = [f"w{i}" for i in range(0, 2_000, 3)]
+        mask = isin("s", chosen).evaluate(db.table("t"))
+        expected = np.asarray([v in set(chosen) for v in data])
+        np.testing.assert_array_equal(mask, expected)

@@ -9,6 +9,8 @@ import pytest
 from repro.core import (
     JoinGraph,
     TransferPass,
+    TransferSchedule,
+    TransferStep,
     is_join_tree,
     is_maximum_spanning_tree,
     largest_root,
@@ -168,6 +170,13 @@ class TestSchedules:
         non_leaves = {n for n in tree.nodes if tree.children_of(n)}
         assert forward_targets == non_leaves
         assert backward_targets == set(tree.nodes) - {tree.root}
+
+    def test_schedule_helpers(self):
+        forward = TransferStep("a", "b", ("x",), TransferPass.FORWARD)
+        backward = TransferStep("b", "a", ("x",), TransferPass.BACKWARD)
+        schedule = TransferSchedule(steps=(forward, backward))
+        assert schedule.has_backward_pass
+        assert not schedule.without_backward_pass().has_backward_pass
 
     def test_without_backward_pass(self, job3a_graph):
         schedule = schedule_from_tree(largest_root(job3a_graph)).without_backward_pass()

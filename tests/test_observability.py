@@ -338,14 +338,14 @@ class TestGoldenReports:
     def test_execution_summary_golden(self):
         stats = self._stats()
         probe = stats.op_stats[1]
-        probe.hash_hits, probe.hash_misses, probe.adaptive_skipped = 2, 1, True
+        probe.hash_hits, probe.hash_misses, probe.downgraded_exact = 2, 1, True
         stats.record_degradation("backend:parallel->serial")
         stats.record_degradation("backend:parallel->serial")
         assert stats.cache_summary() == "cache: hash passes 2h/1m"
-        assert stats.adaptive_summary() == "adaptive: skipped 1 step(s)"
+        assert stats.adaptive_summary() == "adaptive: 1 exact-bitmap downgrade(s)"
         assert stats.degradation_summary() == "degraded: backend:parallel->serial x2"
         assert stats.execution_summary() == (
-            "cache: hash passes 2h/1m | adaptive: skipped 1 step(s) | "
+            "cache: hash passes 2h/1m | adaptive: 1 exact-bitmap downgrade(s) | "
             "degraded: backend:parallel->serial x2"
         )
 
@@ -375,6 +375,18 @@ class TestGoldenReports:
         assert report[0] == "== RPT =="
         assert report[1].startswith("  # op")
         assert any("bloom_probe" in line for line in report)
+
+    def test_format_op_traces_appends_combined_summary(self):
+        """The exact-bitmap steps on the dense star fill the ``adaptive:`` line."""
+        from repro.bench import run_sql_trace
+
+        db = _star_db()
+        try:
+            rendered = format_op_traces(run_sql_trace(db, STAR_SQL, modes=(ExecutionMode.RPT,)))
+        finally:
+            db.close()
+        assert "adaptive: " in rendered
+        assert "cache: " in rendered  # hash cache is on by default
 
     def test_render_timeline_golden(self):
         tracer = Tracer(clock=_fake_clock())
@@ -406,7 +418,6 @@ class TestGoldenReports:
         morsel_rows(512)
         options = _options(
             artifact_cache=True,
-            adaptive_transfer=True,
             tracing=True,
             **backend,
         )

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro import (
     Database,
-    ExecutionConfig,
     ExecutionMode,
     ExecutionOptions,
     JoinCondition,
@@ -32,10 +31,7 @@ from repro.optimizer import generate_left_deep_plans
 from repro.plan.join_plan import JoinPlan
 
 
-#: The full-reduction theorems assume every transfer pass runs: adaptive
-#: skipping (the REPRO_ADAPTIVE_TRANSFER CI leg) keeps answers but leaves
-#: relations under-reduced, so those tests pin it off.
-EVERY_PASS = ExecutionOptions(execution=ExecutionConfig(adaptive_transfer=False))
+EVERY_PASS = ExecutionOptions()
 
 
 @st.composite

@@ -168,8 +168,8 @@ def test_every_bloom_build_is_followed_by_its_probe(stem, databases):
     """A Bloom step is one adjacent build/probe pair with one ``step_id``.
 
     The executor's per-step record (written by the build, popped by the
-    probe) and the adaptive controller's cancellation by step id both rest
-    on this; it is checked on the compiled plans, not at run time.
+    probe) rests on this; it is checked on the compiled plans, not at run
+    time.
     """
     from repro.plan.physical import BloomBuild, BloomProbe
 
@@ -184,3 +184,40 @@ def test_every_bloom_build_is_followed_by_its_probe(stem, databases):
         assert len(builds) == sum(isinstance(op, BloomProbe) for op in ops), mode
         step_ids = [(ops[index].scope, ops[index].step_id) for index in builds]
         assert len(set(step_ids)) == len(step_ids), mode
+
+
+@pytest.mark.parametrize("stem", ALL_STEMS)
+def test_every_transfer_step_runs_unless_pruned(stem, databases):
+    """The transfer phase has one behaviour: every compiled step runs, except
+    one that §4.3 pruning removes — a ``prunable`` step (the PK side of a
+    declared PK-FK join) whose source no predicate and no earlier step has
+    reduced.  The rule is replayed here from the step records alone."""
+    from repro.plan.physical import SCOPE_TRANSFER, BloomBuild, SemiJoinReduce
+
+    db = databases(stem)
+    text = sqlfiles.sql_text(stem)
+    for mode in (ExecutionMode.PT, ExecutionMode.RPT, ExecutionMode.YANNAKAKIS):
+        result = db.sql(text, mode=mode)
+        firsts = [
+            op
+            for op in result.physical_plan.ops
+            if isinstance(op, SemiJoinReduce)
+            or (isinstance(op, BloomBuild) and op.scope == SCOPE_TRANSFER)
+        ]
+        steps = result.stats.transfer_steps
+        assert [(op.source.alias, op.target.alias, op.pass_) for op in firsts] == [
+            (s.source, s.target, s.pass_) for s in steps
+        ], mode
+        reduced = {
+            ref.alias
+            for ref in result.query.relations
+            if ref.filter is not None
+            and result.stats.filtered_rows[ref.alias] < result.relations[ref.alias].table.num_rows
+        }
+        for op, step in zip(firsts, steps):
+            assert step.skipped == (op.prunable and op.source.alias not in reduced), (
+                mode,
+                op.describe(),
+            )
+            if step.rows_after < step.rows_before:
+                reduced.add(step.target)
