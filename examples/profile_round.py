@@ -20,7 +20,10 @@ profile describes exactly what ``perf/run.py`` times:
    summed per execution mode, and its op time split per mode and op kind
    (hash joins by index kind, ``hash_build [direct]`` …) — summed from the
    engine's own per-op timers (``OpStats.seconds``), which cProfile does
-   not inflate.
+   not inflate;
+4. per mode, the latency spent outside engine ops: the summed latency
+   minus the summed ``OpStats.seconds``, i.e. SQL front end, join-order
+   planning, transfer scheduling and plan compilation.
 
 cProfile charges every Python call but not the work inside a NumPy kernel,
 so the proportions lean toward call-heavy code: find candidates here and in
@@ -130,9 +133,17 @@ def main() -> int:
     print("\nlatency summed per mode")
     for mode, total_ms in sorted(by_mode.items(), key=lambda item: item[1]):
         print(f"{total_ms:10.1f} ms  {mode}")
+    split = op_split(records)
     print("\nop time per mode and op kind (engine timers, profiled round)")
-    for (mode, kind), total_ms in sorted(op_split(records).items()):
+    for (mode, kind), total_ms in sorted(split.items()):
         print(f"{total_ms:10.1f} ms  {mode:<11} {kind}")
+    op_ms = defaultdict(float)
+    for (mode, _), total_ms in split.items():
+        op_ms[mode] += total_ms
+    print("\nlatency outside engine ops per mode (front end, planning, compile)")
+    for mode, total_ms in sorted(by_mode.items()):
+        outside_ms = total_ms - op_ms[mode]
+        print(f"{outside_ms:10.1f} ms  {mode:<11} {outside_ms / total_ms:6.1%} of its latency")
     for failure in result.failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if result.failures else 0

@@ -3,8 +3,9 @@
 A :class:`Database` owns a catalog of tables and executes
 :class:`~repro.query.QuerySpec` queries under any of the
 :class:`~repro.engine.modes.ExecutionMode` strategies, optionally with an
-explicit join plan (the robustness experiments supply random plans) or with
-the built-in optimizer's plan.
+explicit join plan (the robustness experiments supply random plans).
+Without one, RPT and Yannakakis join an α-acyclic query root-first along
+their LargestRoot tree; every other case takes the built-in optimizer's plan.
 
 Execution is *compile-then-run*: every mode compiles
 ``(QuerySpec, JoinPlan, TransferSchedule)`` into one
@@ -218,9 +219,13 @@ class ExecutionOptions:
     transfer: TransferOptions = field(default_factory=TransferOptions)
     join: JoinPhaseOptions = field(default_factory=JoinPhaseOptions)
     largest_root: LargestRootOptions = field(default_factory=LargestRootOptions)
+    #: Steers the optimizer's plan; queries RPT / Yannakakis plan from their
+    #: join tree (no ``plan=``, α-acyclic) never consult it.
     optimizer: JoinOrderOptions = field(default_factory=JoinOrderOptions)
+    #: Perturbs the optimizer's estimates; as ``optimizer``, unused by tree plans.
     estimation_error: EstimationErrorModel = field(default_factory=EstimationErrorModel)
-    #: §4.3: skip the backward pass when the join order aligns with the transfer order.
+    #: §4.3: skip the backward pass when the join order aligns with the transfer
+    #: order — which every tree-planned RPT / Yannakakis query does.
     skip_backward_if_aligned: bool = False
     #: Have the engine verify that the chosen join order is safe (SafeSubjoin).
     verify_safe_join_order: bool = False
@@ -445,9 +450,12 @@ class Database:
         mode:
             Execution strategy (baseline, Bloom join, PT, RPT, Yannakakis).
         plan:
-            Explicit join-phase plan.  When omitted the built-in optimizer's
-            plan is used — this is the paper's "optimizer's plan"
-            configuration.
+            Explicit join-phase plan, always run as given.  When omitted,
+            RPT and Yannakakis plan an α-acyclic query of two or more
+            relations as the root-first walk of their LargestRoot tree (a
+            safe-subjoin order once transfer has fully reduced the input);
+            every other query and mode uses the built-in optimizer's plan —
+            the paper's "optimizer's plan" configuration.
         options:
             Tuning knobs; defaults follow the paper (2% FPR, pruning on).
         snapshot:
@@ -733,7 +741,12 @@ class Database:
             join_tree, schedule = self._build_schedule(mode, graph, options)
 
         if plan is None:
-            plan = self.optimizer_plan(query, options, graph, catalog)
+            # On a fully reduced α-acyclic instance every root-first walk of
+            # the join tree is a safe-subjoin order: no estimate, no search.
+            if join_tree is not None and len(graph.aliases) > 1 and is_alpha_acyclic(graph):
+                plan = JoinPlan.from_left_deep(join_tree.aligned_join_order())
+            else:
+                plan = self.optimizer_plan(query, options, graph, catalog)
         validate_plan_for_query(plan, query.aliases)
 
         if options.verify_safe_join_order and plan.is_left_deep() and is_alpha_acyclic(graph):

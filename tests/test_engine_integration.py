@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Database, ExecutionMode, ExecutionOptions
+from repro import Database, ExecutionMode, ExecutionOptions, Server
 from repro.engine.database import QueryResult
 from repro.errors import PlanError
 from repro.exec import TransferOptions
@@ -243,6 +243,30 @@ class TestExecutionOptions:
         instance.database.execute(instance.query, mode=ExecutionMode.RPT, plan=safe_plan, options=options)
         with pytest.raises(PlanError):
             instance.database.execute(instance.query, mode=ExecutionMode.RPT, plan=unsafe_plan, options=options)
+
+
+class TestPlanSource:
+    def test_explicit_plans_win_over_the_tree_order(self, imdb_db, star_query):
+        """RPT plans an α-acyclic query from its tree only when no plan is
+        given: an explicit ``plan=`` runs as given, and a server's plan cache
+        stores and replays the tree plan."""
+        tree = imdb_db.execute(star_query, mode=ExecutionMode.RPT)
+        tree_plan = JoinPlan.from_left_deep(tree.join_tree.aligned_join_order())
+        assert tree.plan == tree_plan
+        dp = imdb_db.optimizer_plan(star_query)
+        assert dp != tree_plan
+        explicit = imdb_db.execute(star_query, mode=ExecutionMode.RPT, plan=dp)
+        assert explicit.plan == dp
+        assert explicit.aggregates == tree.aggregates
+
+        with Server(imdb_db) as server:
+            session = server.session()
+            miss = session.execute(star_query, mode=ExecutionMode.RPT)
+            hit = session.execute(star_query, mode=ExecutionMode.RPT)
+            stats = server.stats()
+        assert (stats.plan_cache_misses, stats.plan_cache_hits) == (1, 1)
+        assert miss.plan == hit.plan == tree_plan
+        assert hit.aggregates == tree.aggregates
 
 
 class TestValidation:

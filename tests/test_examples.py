@@ -9,6 +9,7 @@ CI instead of silently rotting the documentation.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,9 +61,12 @@ def test_example_runs_cleanly(script: Path):
 
 def test_profile_round_smoke():
     """One profiled ``tpch_exec`` round at ``--quick`` scale: 100 ops, none
-    failed, the self-time table, and a latency sum for each of the five modes."""
+    failed, the self-time table, and for each of the five modes a latency sum
+    and the share of it spent outside engine ops."""
     stdout = _run_example(PROFILE_ROUND, "tpch_exec", "--quick", "--top", "5")
     assert "100 ops, 0 failed" in stdout
     assert "top 5 by self time" in stdout
+    outside = stdout.split("latency outside engine ops per mode")[1]
     for mode in ("baseline", "bloom_join", "pt", "rpt", "yannakakis"):
         assert f" ms  {mode}\n" in stdout
+        assert re.search(rf"\d ms  {mode} +\d+\.\d% of its latency\n", outside), mode

@@ -191,13 +191,33 @@ def test_every_transfer_step_runs_unless_pruned(stem, databases):
     """The transfer phase has one behaviour: every compiled step runs, except
     one that §4.3 pruning removes — a ``prunable`` step (the PK side of a
     declared PK-FK join) whose source no predicate and no earlier step has
-    reduced.  The rule is replayed here from the step records alone."""
+    reduced.  The rule is replayed here from the step records alone.
+
+    The same runs check where each join plan comes from: RPT and Yannakakis
+    walk their LargestRoot tree root-first exactly when the query is
+    α-acyclic, and take the optimizer's plan otherwise, as PT always does.
+    Under Yannakakis (exact semi-joins, so full reduction) that walk is a
+    safe-subjoin order: no join step outgrows the last one, unless a
+    predicate still runs after the joins."""
+    from repro.plan.join_plan import JoinPlan
     from repro.plan.physical import SCOPE_TRANSFER, BloomBuild, SemiJoinReduce
 
     db = databases(stem)
     text = sqlfiles.sql_text(stem)
     for mode in (ExecutionMode.PT, ExecutionMode.RPT, ExecutionMode.YANNAKAKIS):
         result = db.sql(text, mode=mode)
+        tree_planned = (
+            result.join_tree is not None
+            and len(result.query.relations) > 1
+            and db.is_acyclic(result.query)
+        )
+        if tree_planned:
+            assert result.plan == JoinPlan.from_left_deep(result.join_tree.aligned_join_order()), mode
+        else:
+            assert result.plan == db.optimizer_plan(result.query), mode
+        if tree_planned and mode is ExecutionMode.YANNAKAKIS and not result.query.post_join_predicates:
+            outputs = [step.output_rows for step in result.stats.join_steps]
+            assert max(outputs) <= outputs[-1], outputs
         firsts = [
             op
             for op in result.physical_plan.ops
