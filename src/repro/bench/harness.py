@@ -194,7 +194,7 @@ def run_speedup_experiment(
     """
     results: Dict[str, Dict[ExecutionMode, PlanCost]] = {}
     for name, query in queries.items():
-        plan = db.optimizer_plan(query, options)
+        plan = db.optimizer_plan(query)
         per_mode: Dict[ExecutionMode, PlanCost] = {}
         for mode in modes:
             result = db.execute(query, mode=mode, plan=plan, options=options)
@@ -251,7 +251,7 @@ def run_uniform_trace(
     Render them with :func:`repro.bench.reporting.format_op_traces`.
     """
     if plan is None:
-        plan = db.optimizer_plan(query, options)
+        plan = db.optimizer_plan(query)
     return {mode: db.execute(query, mode=mode, plan=plan, options=options) for mode in modes}
 
 

@@ -16,7 +16,7 @@ from repro.core.join_tree import (
     join_tree_from_parent_map,
     maximum_spanning_tree_weight,
 )
-from repro.core.largest_root import LargestRootOptions, largest_root, largest_root_random
+from repro.core.largest_root import largest_root, largest_root_random
 from repro.core.robustness import (
     BenchmarkRobustnessSummary,
     RobustnessFactor,
@@ -41,7 +41,6 @@ __all__ = [
     "JoinGraph",
     "JoinGraphEdge",
     "JoinTree",
-    "LargestRootOptions",
     "RobustnessFactor",
     "TransferGraph",
     "TransferGraphEdge",

@@ -180,10 +180,9 @@ class JoinGraph:
         for edge in self.edges:
             incident[edge.left].append(edge)
             incident[edge.right].append(edge)
-        self._edges_of = {alias: tuple(found) for alias, found in incident.items()}
         self._neighbors = {
             alias: frozenset(e.other(alias) for e in found)
-            for alias, found in self._edges_of.items()
+            for alias, found in incident.items()
         }
         self.adjacency_masks = tuple(
             self.mask_of(self._neighbors[alias]) for alias in self.sorted_aliases
@@ -261,10 +260,6 @@ class JoinGraph:
     def edge_between(self, left: str, right: str) -> Optional[JoinGraphEdge]:
         """The edge connecting two relations, or None when they do not join."""
         return self._edge_between.get(frozenset({left, right}))
-
-    def edges_of(self, alias: str) -> Tuple[JoinGraphEdge, ...]:
-        """All edges incident to ``alias``."""
-        return self._edges_of.get(alias, ())
 
     def neighbors(self, alias: str) -> frozenset[str]:
         """Relations directly connected to ``alias``."""

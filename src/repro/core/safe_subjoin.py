@@ -20,16 +20,11 @@ orders are safe" (Theorem 3.6).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.core.join_graph import JoinGraph
-from repro.core.join_tree import (
-    JoinTree,
-    TreeEdge,
-    is_gamma_acyclic,
-    maximum_spanning_tree_weight,
-)
-from repro.core.largest_root import LargestRootOptions, _frontier_edges, _pick_edge_paper_policy
+from repro.core.join_tree import is_gamma_acyclic, maximum_spanning_tree_weight
+from repro.core.largest_root import grow_tree, paper_pick
 from repro.errors import PlanError
 
 
@@ -69,11 +64,11 @@ def safe_subjoin(graph: JoinGraph, subjoin_aliases: Iterable[str]) -> bool:
         return False
 
     # Step 1: T' <- LargestRoot(G_q')
-    sub_tree = _largest_root_on(subgraph)
+    root = subgraph.largest_relation()
+    sub_tree = grow_tree(subgraph, root, paper_pick)
 
     # Step 2: continue LargestRoot on the full graph with T' pre-seeded.
-    full_tree = _extend_tree(graph, seeded_nodes=set(aliases), seed_edges=sub_tree.edges,
-                             root=subgraph.largest_relation())
+    full_tree = grow_tree(graph, root, paper_pick, seed=sub_tree.edges)
 
     # Step 3: T is a join tree of q iff it is a maximum spanning tree of G_q.
     return full_tree.total_weight == maximum_spanning_tree_weight(graph)
@@ -137,54 +132,3 @@ def unsafe_prefixes(graph: JoinGraph, join_order: Sequence[str]) -> list[frozens
         if 2 <= len(joined) < len(graph.aliases) and not safe_subjoin(graph, joined):
             offenders.append(frozenset(joined))
     return offenders
-
-
-# ---------------------------------------------------------------------------
-# Internals: LargestRoot restarted from a seeded tree (Algorithm 2, line 2)
-# ---------------------------------------------------------------------------
-def _largest_root_on(graph: JoinGraph) -> JoinTree:
-    """Plain LargestRoot on a (sub)graph, using the paper's tie-breaking."""
-    options = LargestRootOptions()
-    start = graph.largest_relation()
-    in_tree = {start}
-    parents: Dict[str, str] = {}
-    while len(in_tree) < len(graph.aliases):
-        edge, outside = _pick_edge_paper_policy(graph, in_tree, options)
-        parents[outside] = edge.other(outside)
-        in_tree.add(outside)
-    edges = tuple(
-        TreeEdge(child=c, parent=p, attributes=graph.shared_attributes(c, p))
-        for c, p in parents.items()
-    )
-    return JoinTree(root=start, edges=edges, graph=graph)
-
-
-def _extend_tree(
-    graph: JoinGraph,
-    seeded_nodes: set[str],
-    seed_edges: Sequence[TreeEdge],
-    root: str,
-) -> JoinTree:
-    """Continue LargestRoot on the full graph starting from a seeded subtree.
-
-    This is Algorithm 2's modified initialization: ``T <- T'``,
-    ``R' <- relations of q'``.
-    """
-    options = LargestRootOptions()
-    in_tree = set(seeded_nodes)
-    parents: Dict[str, str] = {e.child: e.parent for e in seed_edges}
-    while len(in_tree) < len(graph.aliases):
-        frontier = _frontier_edges(graph, in_tree)
-        if not frontier:
-            raise PlanError("join graph became disconnected while extending the seeded tree")
-        edge, outside = _pick_edge_paper_policy(graph, in_tree, options)
-        parents[outside] = edge.other(outside)
-        in_tree.add(outside)
-    # Re-root the combined parent map at `root` (edges in the seed already
-    # point toward the subjoin's internal root; nodes added later point
-    # toward the seeded component, so `root` keeps no parent).
-    edges = tuple(
-        TreeEdge(child=c, parent=p, attributes=graph.shared_attributes(c, p))
-        for c, p in parents.items()
-    )
-    return JoinTree(root=root, edges=edges, graph=graph)

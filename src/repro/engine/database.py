@@ -34,8 +34,7 @@ import numpy as np
 
 from repro.core.join_graph import JoinGraph
 from repro.core.join_tree import JoinTree, is_alpha_acyclic, is_gamma_acyclic
-from repro.core.largest_root import LargestRootOptions, largest_root
-from repro.core.safe_subjoin import is_safe_join_order
+from repro.core.largest_root import largest_root
 from repro.core.small2large import small2large
 from repro.core.transfer_schedule import (
     TransferSchedule,
@@ -53,13 +52,13 @@ from repro.errors import (
 from repro.exec import faults
 from repro.exec.backends import make_backend
 from repro.exec.faults import CancelToken
-from repro.exec.pipeline import JoinPhaseOptions, PipelineExecutor, TransferOptions
+from repro.exec.pipeline import PipelineExecutor, TransferOptions
 from repro.exec.relation import BoundRelation
 from repro.exec.statistics import ExecutionStats, OpStats
 from repro.obs.trace import Span, Tracer
 from repro.storage.artifacts import ArtifactCache, mask_fingerprint
-from repro.optimizer.cardinality import CardinalityEstimator, EstimationErrorModel
-from repro.optimizer.join_order import JoinOrderOptimizer, JoinOrderOptions
+from repro.optimizer.cardinality import CardinalityEstimator
+from repro.optimizer.join_order import JoinOrderOptimizer
 from repro.plan.join_plan import JoinPlan, validate_plan_for_query
 from repro.plan.physical import PhysicalPlan, compile_execution
 from repro.query import QuerySpec
@@ -214,21 +213,12 @@ class _PreparedExecution:
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """Per-execution tuning knobs."""
+    """Per-execution settings.  None of them changes the chosen join plan."""
 
     transfer: TransferOptions = field(default_factory=TransferOptions)
-    join: JoinPhaseOptions = field(default_factory=JoinPhaseOptions)
-    largest_root: LargestRootOptions = field(default_factory=LargestRootOptions)
-    #: Steers the optimizer's plan; queries RPT / Yannakakis plan from their
-    #: join tree (no ``plan=``, α-acyclic) never consult it.
-    optimizer: JoinOrderOptions = field(default_factory=JoinOrderOptions)
-    #: Perturbs the optimizer's estimates; as ``optimizer``, unused by tree plans.
-    estimation_error: EstimationErrorModel = field(default_factory=EstimationErrorModel)
     #: §4.3: skip the backward pass when the join order aligns with the transfer
     #: order — which every tree-planned RPT / Yannakakis query does.
     skip_backward_if_aligned: bool = False
-    #: Have the engine verify that the chosen join order is safe (SafeSubjoin).
-    verify_safe_join_order: bool = False
     #: Runtime configuration (backend, threads, deadline, policies);
     #: unset knobs resolve from ``REPRO_*`` variables once per execution.
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
@@ -409,18 +399,14 @@ class Database:
     def optimizer_plan(
         self,
         query: QuerySpec,
-        options: Optional[ExecutionOptions] = None,
+        *,
         graph: Optional[JoinGraph] = None,
         catalog: Optional[Any] = None,
     ) -> JoinPlan:
         """The join plan chosen by the built-in cost-based optimizer."""
-        options = options or ExecutionOptions()
         catalog = catalog if catalog is not None else self.catalog
         graph = graph or self.join_graph(query, catalog=catalog)
-        estimator = CardinalityEstimator(
-            catalog, query, graph, error_model=options.estimation_error
-        )
-        return JoinOrderOptimizer(graph, estimator, options.optimizer).optimize()
+        return JoinOrderOptimizer(graph, CardinalityEstimator(catalog, query, graph)).optimize()
 
     def is_acyclic(self, query: QuerySpec) -> bool:
         """True when the query is α-acyclic."""
@@ -556,7 +542,6 @@ class Database:
                 graph,
                 catalog=snapshot,
                 transfer=options.transfer,
-                join=options.join,
                 backend=backend,
                 artifact_cache=artifact_cache,
                 table_versions=table_versions,
@@ -738,7 +723,7 @@ class Database:
         join_tree: Optional[JoinTree] = None
         schedule: Optional[TransferSchedule] = None
         if mode.uses_transfer_phase:
-            join_tree, schedule = self._build_schedule(mode, graph, options)
+            join_tree, schedule = self._build_schedule(mode, graph)
 
         if plan is None:
             # On a fully reduced α-acyclic instance every root-first walk of
@@ -746,15 +731,8 @@ class Database:
             if join_tree is not None and len(graph.aliases) > 1 and is_alpha_acyclic(graph):
                 plan = JoinPlan.from_left_deep(join_tree.aligned_join_order())
             else:
-                plan = self.optimizer_plan(query, options, graph, catalog)
+                plan = self.optimizer_plan(query, graph=graph, catalog=catalog)
         validate_plan_for_query(plan, query.aliases)
-
-        if options.verify_safe_join_order and plan.is_left_deep() and is_alpha_acyclic(graph):
-            if not is_safe_join_order(graph, plan.left_deep_order()):
-                raise PlanError(
-                    f"join order {plan.left_deep_order()} contains an unsafe subjoin "
-                    f"for query {query.name!r}"
-                )
 
         if schedule is not None and options.skip_backward_if_aligned and self._order_aligned(plan, join_tree):
             schedule = schedule.without_backward_pass()
@@ -777,13 +755,10 @@ class Database:
         )
 
     def _build_schedule(
-        self,
-        mode: ExecutionMode,
-        graph: JoinGraph,
-        options: ExecutionOptions,
+        self, mode: ExecutionMode, graph: JoinGraph
     ) -> tuple[Optional[JoinTree], TransferSchedule]:
         if mode in (ExecutionMode.RPT, ExecutionMode.YANNAKAKIS):
-            tree = largest_root(graph, options.largest_root)
+            tree = largest_root(graph)
             return tree, schedule_from_tree(tree)
         if mode is ExecutionMode.PT:
             transfer_graph = small2large(graph)

@@ -4,11 +4,11 @@ The :mod:`repro.sql.format` round-trip formatter gives a free normal form:
 two statements that differ only in whitespace, case, or clause ordering
 lower to equal :class:`~repro.query.QuerySpec` objects and therefore
 render to the *same* canonical text.  The cache keys on that text plus the
-execution mode, the per-table catalog versions the query was admitted
-against, and the planning-relevant options — so a ``register(...,
-replace=True)`` bumps a version and every cached plan over the old data
-simply misses (no invalidation race to get wrong), while the stale entry
-ages out of the LRU.
+execution mode and the per-table catalog versions the query was admitted
+against — no execution option changes the chosen plan — so a
+``register(..., replace=True)`` bumps a version and every cached plan over
+the old data simply misses (no invalidation race to get wrong), while the
+stale entry ages out of the LRU.
 
 Only the :class:`~repro.plan.join_plan.JoinPlan` is cached — masks and the
 physical plan depend on live column data, and the join plan is the one
@@ -39,8 +39,6 @@ class PlanCacheKey:
     mode: str
     #: The pinned ``(table, version)`` pairs the query planned against.
     versions: Tuple[Tuple[str, int], ...]
-    #: Planning-relevant option fingerprint (optimizer knobs, estimation error).
-    options_token: str
 
 
 class PlanCache:

@@ -624,7 +624,6 @@ class Server:
         self,
         spec: QuerySpec,
         mode: ExecutionMode,
-        options: ExecutionOptions,
         versions: Dict[str, int],
     ) -> Optional[PlanCacheKey]:
         try:
@@ -633,12 +632,10 @@ class Server:
             # The rare spec shapes SQL cannot round-trip are simply not
             # plan-cached.
             return None
-        token = repr((options.optimizer, options.estimation_error))
         return PlanCacheKey(
             text=text,
             mode=mode.value,
             versions=tuple(sorted(versions.items())),
-            options_token=token,
         )
 
     def _execute(
@@ -700,7 +697,7 @@ class Server:
             cached_plan = None
             key = None
             if self._plan_cache is not None:
-                key = self._plan_key(spec, mode, options, snapshot.versions())
+                key = self._plan_key(spec, mode, snapshot.versions())
                 if key is not None:
                     cached_plan = self._plan_cache.get(key)
 

@@ -20,7 +20,6 @@ from repro.exec.kernels import (
     semi_join_mask,
 )
 from repro.exec.pipeline import (
-    JoinPhaseOptions,
     PipelineExecutor,
     PipelineResult,
     TransferOptions,
@@ -48,7 +47,6 @@ __all__ = [
     "HashIndex",
     "IntermediateResult",
     "JoinMatches",
-    "JoinPhaseOptions",
     "JoinStepStats",
     "MorselBackend",
     "OpStats",

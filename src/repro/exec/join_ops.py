@@ -24,11 +24,10 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.bloom.bloom_filter import BloomFilter, hash_keys, key_patterns
+from repro.bloom.bloom_filter import DEFAULT_FPR, BloomFilter, hash_keys, key_patterns
 from repro.errors import ExecutionError
 from repro.exec.kernels import (
     HashIndex,
-    JoinMatches,
     bloom_probe_cost,
     combine_key_columns_pair,
     densify_key_columns_pair,
@@ -61,7 +60,7 @@ def bloom_build(run: RunState, op: BloomBuild, record: OpStats) -> None:
     build = JoinBuild(
         keys=build_keys,
         probe_keys=probe_keys,
-        bloom=BloomFilter(expected_keys=build_side.num_rows, fpr=run.ex.join.fpr),
+        bloom=BloomFilter(expected_keys=build_side.num_rows, fpr=DEFAULT_FPR),
     )
     if len(op.attributes) == 1:
         build_hashes, build_patterns = _result_bloom_pass(
@@ -193,32 +192,23 @@ def hash_probe(run: RunState, op: HashProbe, record: OpStats) -> None:
     record.rows_in = probe.num_rows
     index = build.index
     if not op.attributes:
-        if not run.ex.join.allow_cartesian_products:
-            raise ExecutionError(
-                "join plan contains a Cartesian product between "
-                f"{sorted(probe.aliases)} and {sorted(build_side.aliases)}"
-            )
-        matches = JoinMatches(
-            np.repeat(np.arange(probe.num_rows, dtype=np.int64), build_side.num_rows),
-            np.tile(np.arange(build_side.num_rows, dtype=np.int64), probe.num_rows),
+        raise ExecutionError(
+            "join plan contains a Cartesian product between "
+            f"{sorted(probe.aliases)} and {sorted(build_side.aliases)}"
         )
-        match_cost = 0.0
+    if index is None:
+        # Composite keys are packed jointly with the probe side.
+        probe_keys, build_keys = _pair_keys(
+            run, op.attributes, probe, build_side, combine_key_columns_pair
+        )
+        index = HashIndex(build_keys)
+    elif build.probe_keys is not None:
+        probe_keys = build.probe_keys
     else:
-        if index is None:
-            # Composite keys are packed jointly with the probe side.
-            probe_keys, build_keys = _pair_keys(
-                run, op.attributes, probe, build_side, combine_key_columns_pair
-            )
-            index = HashIndex(build_keys)
-        elif build.probe_keys is not None:
-            probe_keys = build.probe_keys
-        else:
-            probe_keys = _single_attribute_keys(run, op.attributes[0], probe)
-        matches = run.ex.backend.match(probe_keys, index)
-        record.join_index = index.match_kind
-        match_cost = hash_probe_cost(probe.num_rows, build_side.num_rows) + float(
-            build_side.num_rows
-        )
+        probe_keys = _single_attribute_keys(run, op.attributes[0], probe)
+    matches = run.ex.backend.match(probe_keys, index)
+    record.join_index = index.match_kind
+    match_cost = hash_probe_cost(probe.num_rows, build_side.num_rows) + float(build_side.num_rows)
     joined = probe.merge(build_side, matches.probe_indices, matches.build_indices)
     run.stats.join_steps.append(
         JoinStepStats(

@@ -81,20 +81,6 @@ class TransferOptions:
     prune_trivial_semijoins: bool = True
 
 
-@dataclass(frozen=True)
-class JoinPhaseOptions:
-    """Runtime knobs of the join phase (``ExecutionOptions.join``).
-
-    ``fpr`` is the false-positive rate of the Bloom Join baseline's per-join
-    filters; ``allow_cartesian_products`` permits join nodes whose two sides
-    share no attribute class (the random plan generators never produce such
-    plans; it exists so tests can exercise the error path).
-    """
-
-    fpr: float = DEFAULT_FPR
-    allow_cartesian_products: bool = False
-
-
 @dataclass
 class PipelineResult:
     """Outcome of one :meth:`PipelineExecutor.run` call."""
@@ -118,7 +104,6 @@ class PipelineExecutor:
         graph: JoinGraph,
         catalog=None,
         transfer: Optional[TransferOptions] = None,
-        join: Optional[JoinPhaseOptions] = None,
         backend: Optional[MorselBackend] = None,
         artifact_cache: Optional[ArtifactCache] = None,
         table_versions: Optional[Mapping[str, int]] = None,
@@ -129,7 +114,6 @@ class PipelineExecutor:
         self.graph = graph
         self.catalog = catalog
         self.transfer = transfer or TransferOptions()
-        self.join = join or JoinPhaseOptions()
         self.backend = backend or MorselBackend()
         #: Query-lifetime hash cache: each key column is hashed once and the
         #: pass replayed across every Bloom insert/probe.

@@ -1,6 +1,6 @@
 """Join-order optimization: cardinality estimation, cost model, DP/greedy search, random plans."""
 
-from repro.optimizer.cardinality import CardinalityEstimator, EstimationErrorModel
+from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.optimizer.join_order import (
     DP_RELATION_LIMIT,
@@ -22,7 +22,6 @@ __all__ = [
     "DP_RELATION_LIMIT",
     "CardinalityEstimator",
     "CostModel",
-    "EstimationErrorModel",
     "JoinOrderOptimizer",
     "JoinOrderOptions",
     "generate_bushy_plans",

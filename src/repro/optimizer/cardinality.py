@@ -1,55 +1,20 @@
-"""Cardinality estimation with injectable estimation error.
+"""Cardinality estimation for the join-order optimizer.
 
 The estimator implements the three textbook assumptions the paper recounts
 in §2.1 — uniformity, independence, and inclusion — on top of the per-column
 distinct counts maintained by the catalog.  Join cardinalities therefore
 follow ``|R ⋈ S| = |R| · |S| / max(ndv_R(k), ndv_S(k))``.
-
-Because the central argument of the paper is that these estimates are often
-wrong by orders of magnitude (and that Robust Predicate Transfer makes
-execution insensitive to that), the estimator supports *error injection*: a
-deterministic, per-relation multiplicative error sampled log-uniformly from
-``[1/error_factor, error_factor]``.  Experiments can thus dial in "the
-optimizer is wrong by up to 100x" and observe how the baseline's plan quality
-collapses while RPT's does not.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Tuple
 
 from repro.core.join_graph import JoinGraph
 from repro.errors import OptimizerError
 from repro.expr.selectivity import estimate_selectivity
 from repro.query import QuerySpec
 from repro.storage.catalog import Catalog
-
-
-@dataclass(frozen=True)
-class EstimationErrorModel:
-    """Deterministic multiplicative error applied to base-table estimates.
-
-    Attributes
-    ----------
-    error_factor:
-        Maximum multiplicative error; 1.0 means exact estimates.
-    seed:
-        Seed for the per-relation error draw (deterministic per relation).
-    """
-
-    error_factor: float = 1.0
-    seed: int = 0
-
-    def factor_for(self, alias: str) -> float:
-        """The error multiplier applied to the estimate of ``alias``."""
-        if self.error_factor <= 1.0:
-            return 1.0
-        rng = random.Random(f"{self.seed}:{alias}")
-        log_max = math.log(self.error_factor)
-        return math.exp(rng.uniform(-log_max, log_max))
 
 
 class ClassProfile(NamedTuple):
@@ -76,17 +41,10 @@ class ClassProfile(NamedTuple):
 class CardinalityEstimator:
     """Estimates base-relation and join cardinalities for the optimizer."""
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        query: QuerySpec,
-        graph: JoinGraph,
-        error_model: Optional[EstimationErrorModel] = None,
-    ) -> None:
+    def __init__(self, catalog: Catalog, query: QuerySpec, graph: JoinGraph) -> None:
         self.catalog = catalog
         self.query = query
         self.graph = graph
-        self.error_model = error_model or EstimationErrorModel()
         self._base_estimates: Dict[str, float] = {}
         self._distinct_cache: Dict[tuple[str, str], int] = {}
         self._populate_base_estimates()
@@ -108,9 +66,7 @@ class CardinalityEstimator:
         for ref in self.query.relations:
             stats = self.catalog.statistics(ref.table)
             selectivity = estimate_selectivity(ref.filter, stats)
-            estimate = stats.num_rows * selectivity
-            estimate *= self.error_model.factor_for(ref.alias)
-            self._base_estimates[ref.alias] = max(estimate, 1.0)
+            self._base_estimates[ref.alias] = max(stats.num_rows * selectivity, 1.0)
 
     def base_cardinality(self, alias: str) -> float:
         """Estimated cardinality of a (filtered) base relation."""

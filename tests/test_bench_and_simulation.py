@@ -268,9 +268,12 @@ class TestSyntheticInstances:
         assert rpt.stats.total_intermediate_rows == 0
 
     def test_unsafe_subjoin_instance_classification(self):
-        from repro.core import is_alpha_acyclic, is_gamma_acyclic
+        from repro.core import is_alpha_acyclic, is_gamma_acyclic, is_safe_join_order, unsafe_prefixes
 
         instance = synthetic.unsafe_subjoin_instance(n=100)
         graph = instance.database.join_graph(instance.query)
         assert is_alpha_acyclic(graph)
         assert not is_gamma_acyclic(graph)
+        assert is_safe_join_order(graph, ("s", "r", "t"))
+        assert not is_safe_join_order(graph, ("s", "t", "r"))
+        assert unsafe_prefixes(graph, ("s", "t", "r")) == [frozenset({"s", "t"})]

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from repro import ExecutionConfig
+from repro import ExecutionConfig, ExecutionOptions
 from repro.engine import modes
 from repro.errors import ExecutionError
+from repro.exec import TransferOptions
 
 #: Per range check: env text, its parsed value, a different explicit field
 #: value, a text the parser must reject, and (text, field value) pairs the
@@ -49,6 +50,13 @@ def test_table_covers_every_env_variable_but_faults():
     fields = {f.name for f in dataclasses.fields(ExecutionConfig)}
     assert {row[0] for row in modes.KNOB_TABLE} == fields - {"faults"}
     assert len(fields) == 6 and len(envs) == 6 and len(modes.KNOB_TABLE) == 5
+    # The per-execution options: a new one has to be set by some caller.
+    assert {f.name for f in dataclasses.fields(ExecutionOptions)} == {
+        "transfer", "skip_backward_if_aligned", "execution", "cancel", "tracer",
+    }
+    assert {f.name for f in dataclasses.fields(TransferOptions)} == {
+        "fpr", "prune_trivial_semijoins",
+    }
 
 
 @pytest.mark.parametrize("name,env,parse,check,default", modes.KNOB_TABLE, ids=lambda v: str(v))
@@ -118,6 +126,17 @@ def test_removed_knobs_change_nothing(clean_env, imdb_db, star_query, name, env,
     assert imdb_db.execute(star_query).aggregates == baseline.aggregates
 
 
+#: Execution options that were removed rather than defaulted off.
+DELETED_OPTIONS = (
+    "JoinPhaseOptions",
+    "LargestRootOptions",
+    "EstimationErrorModel",
+    "estimation_error",
+    "verify_safe_join_order",
+    "allow_cartesian_products",
+)
+
+
 @pytest.mark.parametrize(
     "path", [".github/workflows/ci.yml", "README.md", ".claude/skills/verify/SKILL.md"]
 )
@@ -126,6 +145,7 @@ def test_ci_and_docs_name_only_variables_that_exist(path):
     known = {row[1] for row in modes.KNOB_TABLE} | {modes.ENV_FAULTS, "REPRO_BENCH_RECORD"}
     text = (Path(__file__).resolve().parent.parent / path).read_text()
     assert set(re.findall(r"REPRO_[A-Z_]+", text)) <= known
+    assert [name for name in DELETED_OPTIONS if name in text] == []
 
 
 #: Source files still over the limit (ROADMAP item 4).  The list can only

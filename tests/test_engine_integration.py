@@ -233,17 +233,6 @@ class TestExecutionOptions:
         assert not any(s.downgraded_exact for s in r_tight.stats.transfer_steps)
         assert r_tight.stats.bloom_bytes > r_loose.stats.bloom_bytes
 
-    def test_verify_safe_join_order_flags_unsafe(self):
-        from repro.workloads.synthetic import unsafe_subjoin_instance
-
-        instance = unsafe_subjoin_instance(n=50)
-        options = ExecutionOptions(verify_safe_join_order=True)
-        safe_plan = JoinPlan.from_left_deep(("s", "r", "t"))
-        unsafe_plan = JoinPlan.from_left_deep(("s", "t", "r"))
-        instance.database.execute(instance.query, mode=ExecutionMode.RPT, plan=safe_plan, options=options)
-        with pytest.raises(PlanError):
-            instance.database.execute(instance.query, mode=ExecutionMode.RPT, plan=unsafe_plan, options=options)
-
 
 class TestPlanSource:
     def test_explicit_plans_win_over_the_tree_order(self, imdb_db, star_query):

@@ -10,7 +10,7 @@ from reference_match import replay_match
 from repro.engine.database import Database, ExecutionOptions
 from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import ExecutionError
-from repro.exec import JoinPhaseOptions, TransferOptions
+from repro.exec import TransferOptions
 from repro.exec.relation import BoundRelation, IntermediateResult, bind_relations
 from repro.plan.join_plan import JoinNode, JoinPlan, LeafNode
 from repro.query import JoinCondition, QualifiedComparison, QuerySpec, RelationRef
@@ -154,9 +154,8 @@ class TestJoinPhase:
     """The join phase over exactly reduced relations (Yannakakis mode), with
     the join plan supplied explicitly."""
 
-    def _join(self, db, query, plan, mode=ExecutionMode.YANNAKAKIS, **join_options):
-        options = ExecutionOptions(join=JoinPhaseOptions(**join_options))
-        return db.execute(query, mode=mode, plan=plan, options=options)
+    def _join(self, db, query, plan, mode=ExecutionMode.YANNAKAKIS):
+        return db.execute(query, mode=mode, plan=plan)
 
     def test_all_left_deep_orders_same_output(self, small_db, small_query):
         outputs = set()
@@ -169,16 +168,6 @@ class TestJoinPhase:
     def test_cartesian_product_rejected_by_default(self, small_db, small_query):
         with pytest.raises(ExecutionError):
             self._join(small_db, small_query, JoinPlan.from_left_deep(("d", "o", "f")))
-
-    def test_cartesian_product_allowed_when_enabled(self, small_db, small_query):
-        result = self._join(
-            small_db,
-            small_query,
-            JoinPlan.from_left_deep(("d", "o", "f")),
-            allow_cartesian_products=True,
-        )
-        reference = self._join(small_db, small_query, JoinPlan.from_left_deep(("d", "f", "o")))
-        assert result.output_rows == reference.output_rows
 
     def test_bushy_plan_matches_left_deep(self, small_db, small_query):
         bushy = JoinPlan(root=JoinNode(

@@ -19,7 +19,7 @@ from repro.core import (
     schedule_from_tree,
     small2large,
 )
-from repro.core.largest_root import LargestRootOptions
+from repro.core.largest_root import grow_tree, paper_pick
 from repro.errors import PlanError
 from repro.query import JoinCondition, QuerySpec, RelationRef
 
@@ -77,8 +77,10 @@ class TestLargestRoot:
         assert is_join_tree(tree)
 
     def test_unknown_root_rejected(self, job3a_graph):
-        with pytest.raises(PlanError):
+        with pytest.raises(PlanError, match="not a relation of the join graph"):
             largest_root(job3a_graph, root="zz")
+        with pytest.raises(PlanError, match="not a relation of the join graph"):
+            largest_root_random(job3a_graph, random.Random(0), root="zz")
 
     def test_disconnected_graph_rejected(self):
         graph = _graph(["a", "b", "c"], [("a", "x", "b", "x")], {"a": 1, "b": 2, "c": 3})
@@ -90,10 +92,6 @@ class TestLargestRoot:
         tree = largest_root(graph)
         assert tree.root == "a"
         assert tree.edges == ()
-
-    def test_tie_breaking_toggle_still_valid(self, job3a_graph):
-        tree = largest_root(job3a_graph, LargestRootOptions(prefer_large_outside=False))
-        assert is_join_tree(tree)
 
     def test_cyclic_graph_still_spanning_tree(self):
         graph = _graph(
@@ -114,6 +112,54 @@ class TestLargestRoot:
             assert tree.nodes == frozenset(job3a_graph.aliases)
             # All edges have weight 1 here, so every spanning tree is a join tree.
             assert is_join_tree(tree)
+
+    def test_randomized_variant_repeats_per_seed(self, job3a_graph):
+        for seed in range(5):
+            first = largest_root_random(job3a_graph, random.Random(seed))
+            second = largest_root_random(job3a_graph, random.Random(seed))
+            assert (first.root, first.edges) == (second.root, second.edges)
+
+
+class TestGrowTree:
+    """The one growth loop behind LargestRoot, its random variant and
+    SafeSubjoin's seeded restart."""
+
+    def test_paper_pick_reproduces_largest_root_from_every_root(self, job3a_graph, figure2_graph):
+        for graph in (job3a_graph, figure2_graph):
+            for root in graph.aliases:
+                grown = grow_tree(graph, root, paper_pick)
+                expected = largest_root(graph, root=root)
+                assert (grown.root, grown.edges) == (expected.root, expected.edges)
+
+    def test_pick_sees_only_frontier_entries(self, job3a_graph):
+        in_tree = {"mi"}
+        calls = []
+
+        def recording_pick(graph, frontier):
+            for edge, outside in frontier:
+                assert outside not in in_tree
+                assert edge.other(outside) in in_tree
+            calls.append(len(frontier))
+            chosen = paper_pick(graph, frontier)
+            in_tree.add(chosen[1])
+            return chosen
+
+        tree = grow_tree(job3a_graph, "mi", recording_pick)
+        assert len(calls) == len(job3a_graph.aliases) - 1
+        assert tree.nodes == frozenset(job3a_graph.aliases)
+
+    def test_seed_edges_are_kept(self, job3a_graph):
+        sub_tree = largest_root(job3a_graph.subgraph(["mk", "t"]))
+        assert sub_tree.root == "mk"
+        tree = grow_tree(job3a_graph, "mk", paper_pick, seed=sub_tree.edges)
+        assert tree.root == "mk"
+        assert tree.parent_of("t") == "mk"
+        assert tree.nodes == frozenset(job3a_graph.aliases)
+
+    def test_disconnected_graph_stops_the_loop(self):
+        graph = _graph(["a", "b", "c"], [("a", "x", "b", "x")], {"a": 1, "b": 2, "c": 3})
+        with pytest.raises(PlanError, match="became disconnected"):
+            grow_tree(graph, "b", paper_pick)
 
 
 class TestSmall2Large:

@@ -70,12 +70,11 @@ class TestModeFlags:
 # Mode -> PhysicalPlan compilation
 # ---------------------------------------------------------------------------
 def _compile(db: Database, query: QuerySpec, mode: ExecutionMode) -> PhysicalPlan:
-    options = ExecutionOptions()
     graph = db.join_graph(query)
     schedule = None
     if mode.uses_transfer_phase:
-        _, schedule = db._build_schedule(mode, graph, options)
-    plan = db.optimizer_plan(query, options, graph)
+        _, schedule = db._build_schedule(mode, graph)
+    plan = db.optimizer_plan(query, graph=graph)
     return compile_execution(
         query,
         mode,
@@ -125,18 +124,16 @@ class TestCompilation:
     def test_rpt_and_pt_compile_transfer_bloom_pairs(self, compiled, imdb_db, star_query):
         for mode in (ExecutionMode.RPT, ExecutionMode.PT):
             plan = compiled[mode]
-            options = ExecutionOptions()
             graph = imdb_db.join_graph(star_query)
-            _, schedule = imdb_db._build_schedule(mode, graph, options)
+            _, schedule = imdb_db._build_schedule(mode, graph)
             assert plan.count("bloom_build") == len(schedule)
             assert plan.count("bloom_probe") == len(schedule)
             assert plan.count("semi_join_reduce") == 0
 
     def test_yannakakis_compiles_exact_semijoins(self, compiled, imdb_db, star_query):
         plan = compiled[ExecutionMode.YANNAKAKIS]
-        options = ExecutionOptions()
         graph = imdb_db.join_graph(star_query)
-        _, schedule = imdb_db._build_schedule(ExecutionMode.YANNAKAKIS, graph, options)
+        _, schedule = imdb_db._build_schedule(ExecutionMode.YANNAKAKIS, graph)
         assert plan.count("semi_join_reduce") == len(schedule)
         assert plan.count("bloom_build") == 0
 

@@ -10,7 +10,6 @@ from repro.core import JoinGraph
 from repro.errors import OptimizerError, PlanError
 from repro.optimizer import (
     CardinalityEstimator,
-    EstimationErrorModel,
     JoinOrderOptimizer,
     JoinOrderOptions,
     generate_bushy_plans,
@@ -142,7 +141,7 @@ class TestRandomPlans:
 
 
 class TestCardinalityEstimator:
-    def _setup(self, error_factor=1.0):
+    def _setup(self):
         from repro.engine.database import Database
         from repro.workloads import tpch
 
@@ -150,9 +149,7 @@ class TestCardinalityEstimator:
         tpch.load(db, scale=0.05, seed=0)
         query = tpch.query(3)
         graph = db.join_graph(query)
-        estimator = CardinalityEstimator(
-            db.catalog, query, graph, EstimationErrorModel(error_factor=error_factor, seed=1)
-        )
+        estimator = CardinalityEstimator(db.catalog, query, graph)
         return db, query, graph, estimator
 
     def test_base_cardinalities_positive_and_filtered(self):
@@ -174,15 +171,6 @@ class TestCardinalityEstimator:
             estimator.base_cardinality("o"), estimator.base_cardinality("l"),
         )
         assert joined >= 1.0
-
-    def test_error_injection_changes_estimates(self):
-        _, _, _, exact = self._setup(error_factor=1.0)
-        _, _, _, erroneous = self._setup(error_factor=100.0)
-        diffs = [
-            abs(exact.base_cardinality(a) - erroneous.base_cardinality(a))
-            for a in ("c", "o", "l")
-        ]
-        assert any(d > 0 for d in diffs)
 
     def test_prefix_cardinalities(self):
         _, query, _, estimator = self._setup()

@@ -27,6 +27,7 @@ from repro import (
 from repro.bench import build_serving_fleet, run_serving_benchmark
 from repro.engine.database import ExecutionOptions, ExplainResult
 from repro.engine.modes import ExecutionConfig
+from repro.exec import TransferOptions
 from repro.errors import QueryCancelled, QueryTimeout, ReproError
 from repro.exec.faults import CancelToken
 from repro.workloads import sqlfiles
@@ -422,6 +423,23 @@ class TestPlanCache:
             session.sql(QUERY, mode=ExecutionMode.RPT)
             session.sql(QUERY, mode=ExecutionMode.BASELINE)
             assert server.stats().plan_cache_misses == 2
+        db.close()
+
+    def test_execution_options_share_the_cache(self):
+        # No ExecutionOptions field changes the chosen plan, so sessions
+        # with different options reuse one cached plan.
+        db = _make_db()
+        with Server(db, options=_serial()) as server:
+            first = server.session(options=_serial()).sql(QUERY)
+            other = ExecutionOptions(
+                transfer=TransferOptions(fpr=0.05),
+                skip_backward_if_aligned=True,
+                execution=ExecutionConfig(backend="serial"),
+            )
+            second = server.session(options=other).sql(QUERY)
+            assert second.aggregates == first.aggregates
+            stats = server.stats()
+            assert (stats.plan_cache_misses, stats.plan_cache_hits) == (1, 1)
         db.close()
 
     def test_plan_cache_disabled(self):
