@@ -17,6 +17,24 @@ Quickstart::
     print(result.aggregates, result.stats.summary())
 """
 
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap / trim thresholds at 32 / 64 MiB (its own after one 32 MiB free).
+
+    Left dynamic, they follow the largest block freed so far (say, by a table load), and
+    with them whether queries reuse heap for multi-MB temporaries or mmap and fault them anew.
+    No-op without glibc."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
+
 from repro.engine.database import (
     Database,
     ExecutionOptions,

@@ -7,7 +7,7 @@ can assert on their structure.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.robustness import BenchmarkRobustnessSummary, RobustnessFactor
 from repro.engine.database import render_op_trace

@@ -22,7 +22,7 @@ two characterizations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import AcyclicityError, PlanError
 from repro.core.join_graph import JoinGraph

@@ -329,13 +329,13 @@ class Database:
     def register_dataframe(
         self,
         name: str,
-        data: Mapping[str, Sequence[Any]],
+        data: Mapping[str, Any],
         dtypes: Optional[Mapping[str, DataType]] = None,
         primary_key: Sequence[str] = (),
         foreign_keys: Sequence[ForeignKey] = (),
         replace: bool = False,
     ) -> Table:
-        """Create a table from a mapping of column name to values and register it."""
+        """Create a table from a mapping of column name to values or ``Column`` and register it."""
         table = Table.from_dict(
             name,
             data,

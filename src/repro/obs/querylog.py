@@ -19,7 +19,7 @@ import json
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 #: Default ring capacity; ~256 records is hours of traffic at bench scale.
 DEFAULT_QUERY_LOG_ENTRIES = 256

@@ -16,7 +16,7 @@ generators avoid Cartesian products:
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.core.join_graph import JoinGraph
 from repro.errors import OptimizerError

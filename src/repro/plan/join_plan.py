@@ -20,7 +20,7 @@ sides; the executor can flip sides per node for the Figure 10 experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from repro.errors import PlanError
 

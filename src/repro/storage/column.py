@@ -80,13 +80,15 @@ class Column:
 
     @classmethod
     def from_codes(cls, name: str, codes: np.ndarray, dictionary: Sequence[str]) -> "Column":
-        """Build a string column directly from dictionary codes."""
-        return cls(
-            name=name,
-            dtype=DataType.STRING,
-            data=np.asarray(codes, dtype=np.int64),
-            dictionary=tuple(dictionary),
-        )
+        """Build a string column from codes into a (not necessarily sorted) dictionary.
+        Entries must be distinct (:meth:`encode_literal` finds the first); codes index them."""
+        data = np.asarray(codes, dtype=np.int64)
+        dictionary = tuple(dictionary)
+        if len(set(dictionary)) != len(dictionary):
+            raise SchemaError(f"string column {name!r} has duplicate dictionary entries")
+        if len(data) and (data.min() < 0 or data.max() >= len(dictionary)):
+            raise SchemaError(f"string column {name!r} has codes outside its dictionary")
+        return cls(name=name, dtype=DataType.STRING, data=data, dictionary=dictionary)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -100,9 +102,19 @@ class Column:
         return len(self)
 
     def distinct_count(self) -> int:
-        """Number of distinct values (exact)."""
+        """Number of distinct values (exact).  Integers spanning at most 8 values a row
+        (``HashIndex.table_worthwhile``'s economics, capped at 64 Mi) fill a presence table."""
         if len(self) == 0:
             return 0
+        if np.issubdtype(self.data.dtype, np.integer):
+            # Same-width signed view: a bijection, so the count is unchanged.
+            values = self.data.astype(np.int64, copy=False)
+            lo = int(values.min())
+            span = int(values.max()) - lo + 1
+            if span <= min(max(1 << 16, 8 * len(values)), 1 << 26):
+                present = np.zeros(span, dtype=bool)
+                present[values - lo] = True
+                return int(np.count_nonzero(present))
         return int(np.unique(self.data).shape[0])
 
     def min_max(self) -> tuple[Any, Any]:

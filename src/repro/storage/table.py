@@ -78,15 +78,16 @@ class Table:
     def from_dict(
         cls,
         name: str,
-        data: Mapping[str, Sequence[Any] | np.ndarray],
+        data: Mapping[str, Sequence[Any] | np.ndarray | Column],
         dtypes: Optional[Mapping[str, DataType]] = None,
         primary_key: Sequence[str] = (),
         foreign_keys: Sequence[ForeignKey] = (),
     ) -> "Table":
-        """Build a table from a mapping of column name to values."""
+        """Build a table from a mapping of column name to values or a prebuilt :class:`Column`."""
         dtypes = dict(dtypes or {})
         columns = tuple(
-            Column.from_values(col_name, values, dtype=dtypes.get(col_name))
+            values.rename(col_name) if isinstance(values, Column)
+            else Column.from_values(col_name, values, dtype=dtypes.get(col_name))
             for col_name, values in data.items()
         )
         return cls(

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.storage.column import Column
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,9 @@ def categorical_column(
     n: int,
     categories: Sequence[str],
     weights: Optional[Sequence[float]] = None,
-) -> list[str]:
-    """A string column drawn from a fixed set of categories."""
+) -> Column:
+    """A string column drawn from a fixed set of categories, encoded as
+    :meth:`Column.from_values` encodes the drawn strings (sorted drawn categories)."""
     if not categories:
         raise WorkloadError("categorical_column requires at least one category")
     if weights is not None:
@@ -138,12 +140,19 @@ def categorical_column(
     else:
         probabilities = None
     choices = rng.choice(len(categories), size=n, p=probabilities)
-    return [categories[int(i)] for i in choices]
+    drawn = np.flatnonzero(np.bincount(choices, minlength=len(categories)))
+    dictionary = sorted({str(categories[i]) for i in drawn})
+    code_of = {value: code for code, value in enumerate(dictionary)}
+    recode = np.asarray([code_of.get(str(c), 0) for c in categories], dtype=np.int64)
+    return Column.from_codes("category", recode[choices], dictionary)
 
 
-def names_column(prefix: str, n: int) -> list[str]:
-    """Deterministic synthetic names (``prefix#000001`` ...)."""
-    return [f"{prefix}#{i:06d}" for i in range(1, n + 1)]
+def names_column(prefix: str, n: int) -> Column:
+    """Deterministic synthetic names (``prefix#000001`` ...), dictionary encoded in string order."""
+    names = [f"{prefix}#{i:06d}" for i in range(1, n + 1)]
+    # Past #999999 the zero padding no longer sorts; a permutation's argsort is its inverse.
+    order = sorted(range(n), key=names.__getitem__)
+    return Column.from_codes("name", np.argsort(order), [names[i] for i in order])
 
 
 def zipf_weights(n: int, skew: float) -> np.ndarray:

@@ -9,12 +9,16 @@ value is a typed error whether it came from the field or the variable.
 
 from __future__ import annotations
 
+import ast
+import ctypes
 import dataclasses
 import re
+import types
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro import ExecutionConfig, ExecutionOptions
 from repro.engine import modes
 from repro.errors import ExecutionError
@@ -126,6 +130,25 @@ def test_removed_knobs_change_nothing(clean_env, imdb_db, star_query, name, env,
     assert imdb_db.execute(star_query).aggregates == baseline.aggregates
 
 
+def test_malloc_thresholds_are_pinned_constants_and_optional(monkeypatch):
+    """The import-time pin sets glibc's mmap / trim thresholds to fixed values,
+    and is a silent no-op where the C library cannot be opened."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    repro._pin_malloc_thresholds()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def unavailable(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", unavailable)
+    repro._pin_malloc_thresholds()  # must not raise
+
+
 #: Execution options that were removed rather than defaulted off.
 DELETED_OPTIONS = (
     "JoinPhaseOptions",
@@ -154,12 +177,35 @@ OVERSIZED_SOURCE_FILES = set()
 MAX_SOURCE_LINES = 800
 
 
-def test_source_files_stay_small():
-    root = Path(__file__).resolve().parent.parent / "src" / "repro"
-    over = {
-        path.relative_to(root).as_posix()
-        for path in root.rglob("*.py")
-        if len(path.read_text().splitlines()) > MAX_SOURCE_LINES
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never uses (a name inside a string counts as
+    used: quoted annotations, ``__all__``)."""
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
     }
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except (SyntaxError, ValueError):
+                continue
+            used |= {name.id for name in ast.walk(quoted) if isinstance(name, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_source_files_stay_small():
+    """Every ``src/repro`` module stays under the line limit and imports only what it uses."""
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    sources = {path.relative_to(root).as_posix(): path.read_text() for path in root.rglob("*.py")}
+    over = {name for name, text in sources.items() if len(text.splitlines()) > MAX_SOURCE_LINES}
     assert over - OVERSIZED_SOURCE_FILES == set(), f"over {MAX_SOURCE_LINES} lines"
     assert OVERSIZED_SOURCE_FILES - over == set(), "no longer over: drop from the allowlist"
+    unused = {name: names for name, text in sources.items() if (names := _unused_imports(text))}
+    assert unused == {}, "unused imports"

@@ -101,6 +101,39 @@ class TestColumn:
         with pytest.raises(SchemaError):
             Column(name="s", dtype=DataType.STRING, data=np.array([0]), dictionary=None)
 
+    @pytest.mark.parametrize("codes, dictionary", [
+        ([0, 2], ("a", "b")),        # past the dictionary
+        ([0, -1], ("a", "b")),       # negative
+        ([0, 1], ("a", "b", "a")),   # duplicate entry: encode_literal would find only the first
+    ])
+    def test_from_codes_rejects_codes_outside_or_duplicate_entries(self, codes, dictionary):
+        with pytest.raises(SchemaError):
+            Column.from_codes("s", np.array(codes), dictionary)
+
+    def test_from_codes_accepts_unsorted_and_empty(self):
+        assert Column.from_codes("s", np.array([1, 0]), ("b", "a")).to_list() == ["a", "b"]
+        assert len(Column.from_codes("s", np.zeros(0, dtype=np.int64), ())) == 0
+
+    @pytest.mark.parametrize("data", [
+        np.array([-5, -1, -5, 3, -(2**40) // 2**30], dtype=np.int64),   # negative values
+        np.array([-(2**63), 2**63 - 1, 0, 0], dtype=np.int64),          # int64-extreme span: np.unique
+        np.array([0, 2**64 - 1, 2**64 - 1, 7], dtype=np.uint64),        # uint64 past int64's range
+        np.array([-100, 100, 30, -25], dtype=np.int8),                  # value - min overflows int8
+        np.array([True, False, True]),
+        np.zeros(0, dtype=np.int64),
+        np.random.default_rng(1).integers(0, 10**12, 1_000),            # sparse span: np.unique
+        np.random.default_rng(2).integers(-300, 300, 5_000),            # dense span: presence table
+    ], ids=["negative", "int64-extreme", "uint64", "int8", "bool", "empty", "sparse", "dense"])
+    def test_distinct_count_equals_unique(self, data):
+        dtype = DataType.BOOL if data.dtype == bool else DataType.INT64
+        assert Column("x", dtype, data).distinct_count() == len(np.unique(data))
+
+    def test_distinct_count_of_dense_integers_does_not_sort(self, monkeypatch):
+        data = np.random.default_rng(3).integers(0, 1_000, 10_000)
+        expected = len(np.unique(data))
+        monkeypatch.setattr(np, "unique", lambda *args, **kwargs: pytest.fail("sorted"))
+        assert Column("x", DataType.INT64, data).distinct_count() == expected
+
     @given(st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_roundtrip_integers_property(self, values):
@@ -129,6 +162,13 @@ class TestTable:
         assert t.column_names == ("id", "name", "score")
         assert t.is_primary_key("id")
         assert not t.is_primary_key("name")
+
+    def test_from_dict_takes_a_prebuilt_column_under_its_key(self):
+        prebuilt = Column.from_codes("category", np.array([1, 0, 1]), ("x", "y"))
+        t = Table.from_dict("t", {"id": [1, 2, 3], "kind": prebuilt})
+        assert t.column("kind").name == "kind"
+        assert t.column("kind").data is prebuilt.data
+        assert t.to_dict()["kind"] == ["y", "x", "y"]
 
     def test_column_lookup_and_missing(self):
         t = self._table()

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import Database, ExecutionMode
 from repro.core import is_alpha_acyclic
 from repro.errors import WorkloadError
+from repro.storage import Column
 from repro.workloads import dsb, job, tpcds, tpch
-from repro.workloads.generator import WorkloadScale, foreign_keys, zipf_weights
+from repro.workloads.generator import (
+    WorkloadScale,
+    categorical_column,
+    foreign_keys,
+    names_column,
+    zipf_weights,
+)
 
 
 class TestGeneratorUtilities:
@@ -31,8 +39,6 @@ class TestGeneratorUtilities:
         assert keys.min() >= 1 and keys.max() <= 50
 
     def test_foreign_keys_skew_concentrates(self):
-        import numpy as np
-
         ws = WorkloadScale(seed=1)
         uniform = foreign_keys(ws.rng("a"), 5000, 100, skew=0.0)
         skewed = foreign_keys(ws.rng("b"), 5000, 100, skew=1.2)
@@ -50,6 +56,34 @@ class TestGeneratorUtilities:
         ws = WorkloadScale(seed=1)
         with pytest.raises(WorkloadError):
             foreign_keys(ws.rng("x"), 10, 0)
+
+    @pytest.mark.parametrize("categories, weights", [
+        (["b", "a", "c"], [0.5, 0.3, 0.2]),
+        (["b", "a", "c", "d"], [1.0, 0.0, 1.0, 0.0]),   # "a" and "d" never drawn
+        (["x", "", "x", "y"], None),                    # duplicate category strings
+    ], ids=["weights", "undrawn", "duplicates"])
+    def test_categorical_column_encodes_as_from_values(self, categories, weights):
+        col = categorical_column(WorkloadScale(seed=5).rng("c"), 400, categories, weights)
+        p = None if weights is None else np.asarray(weights) / np.sum(weights)
+        drawn = WorkloadScale(seed=5).rng("c").choice(len(categories), size=400, p=p)
+        expected = Column.from_values("category", [categories[i] for i in drawn])
+        assert col.dictionary == expected.dictionary
+        assert np.array_equal(col.data, expected.data)
+
+    def test_names_column_encodes_as_from_values(self):
+        col = names_column("Person", 1_234)
+        expected = Column.from_values("name", col.to_list())
+        assert col.dictionary == expected.dictionary and np.array_equal(col.data, expected.data)
+        assert col.to_list()[:2] == ["Person#000001", "Person#000002"]
+
+    def test_names_column_sorts_past_six_digits(self):
+        # From #1000000 on, zero-padded names no longer sort by number, so the
+        # codes are not row positions; the dictionary is still in string order.
+        col = names_column("p", 1_000_001)
+        assert all(map(str.__lt__, col.dictionary, col.dictionary[1:]))
+        assert col.dictionary[col.data[-1]] == "p#1000001"
+        assert col.dictionary[col.data[999_999]] == "p#1000000"
+        assert col.data[-1] == 100_001 and col.data[100_000] == 100_002
 
     def test_zipf_weights_normalized(self):
         weights = zipf_weights(100, 1.0)
