@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -209,6 +209,9 @@ class _PreparedExecution:
     #: alias -> the boolean mask of its evaluated base predicate.
     masks: Dict[str, np.ndarray]
     physical: PhysicalPlan
+
+
+_Prepare = Callable[[ExecutionStats, CatalogSnapshot], _PreparedExecution]
 
 
 @dataclass(frozen=True)
@@ -453,6 +456,14 @@ class Database:
             release.
         """
         options = options or ExecutionOptions()
+        return self._execute(
+            query, mode, options, snapshot,
+            lambda stats, catalog: self._prepare(query, mode, plan, options, stats, catalog),
+        )
+
+    def _execute(self, query, mode, options, snapshot, prepare: _Prepare) -> QueryResult:
+        """:meth:`execute` with its planning front half supplied as
+        ``prepare(stats, snapshot)`` (a server passes its cache's)."""
         self._begin_execution()
         owned: Optional[CatalogSnapshot] = None
         try:
@@ -482,7 +493,7 @@ class Database:
                 )
             try:
                 return self._execute_configured(
-                    query, mode, plan, options, config, stats, snapshot, tracer=tracer
+                    query, mode, prepare, options, config, stats, snapshot, tracer=tracer
                 )
             except (QueryTimeout, QueryCancelled) as error:
                 # The typed deadline/cancel errors carry the partial statistics
@@ -505,7 +516,7 @@ class Database:
         self,
         query: QuerySpec,
         mode: ExecutionMode,
-        plan: Optional[JoinPlan],
+        prepare: _Prepare,
         options: ExecutionOptions,
         config: ExecutionConfig,
         stats: ExecutionStats,
@@ -513,7 +524,7 @@ class Database:
         tracer: Optional[Tracer] = None,
     ) -> QueryResult:
         plan_span = tracer.start("plan", "phase") if tracer is not None else None
-        prep = self._prepare(query, mode, plan, options, stats, catalog=snapshot)
+        prep = prepare(stats, snapshot)
         if plan_span is not None:
             tracer.finish(plan_span, ops=len(prep.physical.ops))
         plan, graph, schedule = prep.plan, prep.graph, prep.schedule

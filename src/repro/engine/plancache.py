@@ -1,48 +1,85 @@
-"""Plan cache for the serving layer: normalized SQL text -> join plan.
+"""Prepared-statement cache for the serving layer: a statement repeated over
+unchanged tables pays only for its base-filter masks and its execution.
 
-The :mod:`repro.sql.format` round-trip formatter gives a free normal form:
-two statements that differ only in whitespace, case, or clause ordering
-lower to equal :class:`~repro.query.QuerySpec` objects and therefore
-render to the *same* canonical text.  The cache keys on that text plus the
-execution mode and the per-table catalog versions the query was admitted
-against — no execution option changes the chosen plan — so a
-``register(..., replace=True)`` bumps a version and every cached plan over
-the old data simply misses (no invalidation race to get wrong), while the
-stale entry ages out of the LRU.
+Two LRUs of at most ``max_entries`` entries each:
 
-Only the :class:`~repro.plan.join_plan.JoinPlan` is cached — masks and the
-physical plan depend on live column data, and the join plan is the one
-planning product whose recomputation costs real optimizer time.  Any join
-plan is *correct* for its query (execution validates it), so even a
-hypothetical stale hit could change performance, never results.
+* **Statements**, keyed by the client's ``(text, name)``: the compiled
+  :class:`~repro.query.QuerySpec` with its ``EXPLAIN`` / ``ANALYZE`` flags,
+  its canonical text and the version of every table it was bound against.
+  A hit skips lex / parse / bind / lower while each of those tables keeps
+  that version in the request's snapshot (a replace may change a schema).
+* **Prepared executions**, keyed by :class:`PlanCacheKey`.  The canonical
+  text ``to_sql(spec, include_name=False)`` is a free normal form: texts
+  that differ in whitespace, case or clause order, and a ``QuerySpec`` and
+  its SQL twin, share it.  An entry holds what planning derives from the
+  spec and the versions — join graph (filtered sizes are fixed per
+  version), join tree, schedule, join plan, physical plan — once per
+  ``skip_backward_if_aligned`` value, so no other option splits it.
+
+A replace bumps a version, lookups over the old one miss, and stale entries
+age out of the LRU.  Per request the server pins a snapshot, evaluates the
+masks (no entry holds per-row arrays) and runs the pipeline.  Published
+entries never change, so concurrent requests share them.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
-from repro.plan.join_plan import JoinPlan
+from repro.errors import PlanError
+from repro.query import QuerySpec
+from repro.sql import bind_select, lower_select, parse_statement
+from repro.sql.format import to_sql
+from repro.storage.catalog import Catalog, CatalogSnapshot
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.database import Database, ExecutionOptions, _PreparedExecution
+    from repro.engine.modes import ExecutionMode
+    from repro.exec.statistics import ExecutionStats
 
 DEFAULT_PLAN_CACHE_ENTRIES = 256
+
+Versions = Tuple[Tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
 class PlanCacheKey:
-    """Identity of one cached plan."""
+    """Identity of one prepared execution."""
 
     #: Canonical SQL text (``to_sql(spec, include_name=False)``).
     text: str
     #: Execution mode value (plans differ across transfer strategies).
     mode: str
     #: The pinned ``(table, version)`` pairs the query planned against.
-    versions: Tuple[Tuple[str, int], ...]
+    versions: Versions
+
+
+@dataclass(frozen=True)
+class Statement:
+    """One compiled statement and the table versions it was bound against."""
+
+    query: QuerySpec
+    #: Canonical text; ``None`` for the rare spec SQL cannot round-trip,
+    #: which is never prepared from the cache.
+    text: Optional[str]
+    versions: Versions
+    explain: bool = False
+    analyze: bool = False
+
+
+def _versions(snapshot: CatalogSnapshot) -> Versions:
+    return tuple(sorted(snapshot.versions().items()))
 
 
 class PlanCache:
-    """A thread-safe LRU of :class:`JoinPlan` keyed by :class:`PlanCacheKey`."""
+    """A thread-safe two-level LRU: statements, then prepared executions.
+
+    ``hits`` / ``misses`` count prepared-execution lookups.
+    """
 
     def __init__(self, max_entries: int = DEFAULT_PLAN_CACHE_ENTRIES) -> None:
         if max_entries <= 0:
@@ -51,53 +88,94 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[PlanCacheKey, JoinPlan]" = OrderedDict()
+        self._statements: "OrderedDict[Tuple[str, Optional[str]], Statement]" = OrderedDict()
+        self._prepared: "OrderedDict[PlanCacheKey, Dict[bool, _PreparedExecution]]" = OrderedDict()
 
-    def get(self, key: PlanCacheKey) -> Optional[JoinPlan]:
+    def _get(self, entries: OrderedDict, key: Any, count: bool = False) -> Any:
         with self._lock:
-            plan = self._entries.get(key)
-            if plan is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return plan
+            value = entries.get(key)
+            if value is not None:
+                entries.move_to_end(key)
+            if count:
+                self.hits += value is not None
+                self.misses += value is None
+            return value
 
-    def put(self, key: PlanCacheKey, plan: JoinPlan) -> None:
+    def _put(self, entries: OrderedDict, key: Any, value: Any) -> None:
         with self._lock:
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def invalidate_table(self, name: str) -> int:
-        """Eagerly drop entries planned over any version of ``name``.
-
-        Version-keyed lookups already miss after a replace; this just
-        reclaims the slots.  Returns how many entries were dropped.
-        """
-        with self._lock:
-            stale = [
-                key
-                for key in self._entries
-                if any(table == name for table, _ in key.versions)
-            ]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
+            entries[key] = value
+            entries.move_to_end(key)
+            while len(entries) > self.max_entries:
+                entries.popitem(last=False)
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
+            self._statements.clear()
+            self._prepared.clear()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._prepared)
 
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+
+def pin_statement(
+    source: Union[str, QuerySpec], name: Optional[str], catalog: Catalog, cache: Optional[PlanCache]
+) -> Tuple[Statement, CatalogSnapshot]:
+    """The compiled statement of ``source`` and a snapshot pinning its
+    tables, which the caller releases.  SQL text is compiled only when
+    ``cache`` holds no statement still valid in that snapshot."""
+    key = (source, name)
+    cached = isinstance(source, str) and cache is not None
+    if cached:
+        statement = cache._get(cache._statements, key)
+        if statement is not None and all(catalog.has_table(t) for t, _ in statement.versions):
+            snapshot = catalog.snapshot(t for t, _ in statement.versions)
+            if _versions(snapshot) == statement.versions:
+                return statement, snapshot
+            snapshot.release()
+    explain = analyze = False
+    query, bound_versions = source, {}
+    if isinstance(source, str):
+        parsed = parse_statement(source)
+        tables = {ref.table for ref in parsed.tables if catalog.has_table(ref.table)}
+        bound_versions = {table: catalog.version(table) for table in tables}
+        bound = bind_select(parsed, catalog, source, name=name)
+        query, explain, analyze = lower_select(bound, source), bound.explain, bound.analyze
+    try:
+        text: Optional[str] = to_sql(query, include_name=False)
+    except PlanError:
+        text = None
+    snapshot = catalog.snapshot(ref.table for ref in query.relations)
+    statement = Statement(query, text, _versions(snapshot), explain, analyze)
+    # Versions never repeat, so the same ones before the bind and in the
+    # snapshot mean no replace raced the bind.
+    if cached and statement.versions == tuple(sorted(bound_versions.items())):
+        cache._put(cache._statements, key, statement)
+    return statement, snapshot
+
+
+def prepare(
+    cache: Optional[PlanCache], database: "Database", statement: Statement, mode: "ExecutionMode",
+    options: "ExecutionOptions", stats: "ExecutionStats", snapshot: CatalogSnapshot,
+) -> "_PreparedExecution":
+    """``Database._prepare`` of ``statement`` over ``snapshot``, with only
+    the base-filter masks evaluated anew when ``cache`` holds its entry."""
+    query = statement.query
+    if cache is None or statement.text is None:
+        return database._prepare(query, mode, None, options, stats, catalog=snapshot)
+    key = PlanCacheKey(statement.text, mode.value, statement.versions)
+    variants = cache._get(cache._prepared, key, count=True) or {}
+    skip = options.skip_backward_if_aligned
+    prepared = variants.get(skip)
+    if prepared is None:
+        prepared = database._prepare(query, mode, None, options, stats, catalog=snapshot)
+        # Copy on write: a published variant map never changes.
+        cache._put(cache._prepared, key, {**variants, skip: replace(prepared, masks={})})
+        return prepared
+    start = time.perf_counter()
+    masks = database.filter_masks(query, catalog=snapshot)
+    stats.timings.scan_filter += time.perf_counter() - start
+    physical = prepared.physical
+    if physical.query_name != query.name:
+        physical = replace(physical, query_name=query.name)
+    return replace(prepared, masks=masks, physical=physical)

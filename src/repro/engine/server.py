@@ -24,10 +24,10 @@ guarantees a bare ``Database`` does not give:
   can be tightened to ``shed_timeout_seconds``, recorded in
   ``ExecutionStats.degradations`` alongside the queue wait itself.
 
-A plan cache (:mod:`repro.engine.plancache`) keyed by the round-trip SQL
-normal form, the execution mode, and the pinned table versions skips the
-join-order optimizer for repeated statement shapes; a table replace bumps
-the version and the stale entry simply misses.
+A prepared-statement cache (:mod:`repro.engine.plancache`) lets a statement
+repeated over unchanged tables skip the SQL front end and planning: it pays
+only for its base-filter masks and its execution.  A table replace bumps
+the version and every stale entry simply misses.
 
 Per-query fault plans (``ExecutionOptions.execution.faults``) configure
 the *process-global* injector and are not safe under concurrency; chaos
@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Union
 from repro.engine.database import (
     Database,
     ExecutionOptions,
+    ExplainAnalyzeResult,
     ExplainResult,
     QueryResult,
 )
@@ -52,12 +53,13 @@ from repro.engine.modes import ExecutionMode
 from repro.engine.plancache import (
     DEFAULT_PLAN_CACHE_ENTRIES,
     PlanCache,
-    PlanCacheKey,
+    Statement,
+    pin_statement,
+    prepare,
 )
 from repro.engine.session import Session
 from repro.errors import (
     AdmissionRejected,
-    PlanError,
     QueryCancelled,
     QueryTimeout,
     ReproError,
@@ -74,8 +76,6 @@ from repro.obs.querylog import (
     sql_hash,
 )
 from repro.query import QuerySpec
-from repro.sql import compile_statement
-from repro.sql.format import to_sql
 
 #: ``OpStats`` fields whose per-query totals are exported as serving
 #: counters: field -> (metric name, help).
@@ -114,7 +114,7 @@ class ServerConfig:
     session_memory_bytes: int = 0
     #: Total memory budget across concurrent queries (None: unlimited).
     memory_budget_bytes: Optional[int] = None
-    #: Whether to cache join plans for repeated normalized SQL texts.
+    #: Whether to cache compiled statements and their prepared executions.
     plan_cache: bool = True
     plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES
     #: Ring-buffer capacity of the structured query log (0 disables it).
@@ -532,7 +532,7 @@ class Server:
     def _observe_query(
         self,
         session: Session,
-        spec: Optional[QuerySpec],
+        statement: Optional[Statement],
         mode: ExecutionMode,
         outcome: str,
         queued_seconds: float,
@@ -589,18 +589,13 @@ class Server:
 
         if self.query_log is None:
             return
-        text = ""
-        if spec is not None:
-            try:
-                # Same normal form the plan cache keys on, so one statement
-                # shape shares a hash across syntactic variants.
-                text = to_sql(spec, include_name=False)
-            except PlanError:
-                text = spec.name
+        name = statement.query.name if statement is not None else ""
         self.query_log.append(
             QueryLogRecord(
-                query_name=spec.name if spec is not None else "",
-                sql_hash=sql_hash(text),
+                query_name=name,
+                # The normal form the plan cache keys on: one statement shape
+                # shares a hash across syntactic variants.
+                sql_hash=sql_hash((statement.text or name) if statement else ""),
                 mode=mode.value,
                 backend=backend,
                 plan_fingerprint=plan_fingerprint,
@@ -620,24 +615,6 @@ class Server:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _plan_key(
-        self,
-        spec: QuerySpec,
-        mode: ExecutionMode,
-        versions: Dict[str, int],
-    ) -> Optional[PlanCacheKey]:
-        try:
-            text = to_sql(spec, include_name=False)
-        except PlanError:
-            # The rare spec shapes SQL cannot round-trip are simply not
-            # plan-cached.
-            return None
-        return PlanCacheKey(
-            text=text,
-            mode=mode.value,
-            versions=tuple(sorted(versions.items())),
-        )
-
     def _execute(
         self,
         session: Session,
@@ -645,9 +622,9 @@ class Server:
         mode: ExecutionMode,
         options: Optional[ExecutionOptions],
         name: Optional[str],
-    ) -> Union[QueryResult, ExplainResult]:
+    ) -> Union[QueryResult, ExplainResult, ExplainAnalyzeResult]:
         options = options or ExecutionOptions()
-        spec: Optional[QuerySpec] = None
+        statement: Optional[Statement] = None
         queued_seconds = 0.0
         started = time.monotonic()
         try:
@@ -655,7 +632,7 @@ class Server:
         except AdmissionRejected as error:
             self._observe_query(
                 session,
-                source if isinstance(source, QuerySpec) else None,
+                Statement(source, None, ()) if isinstance(source, QuerySpec) else None,
                 mode,
                 "rejected",
                 queued_seconds=time.monotonic() - started,
@@ -668,20 +645,15 @@ class Server:
         snapshot = None
         try:
             memory_reserved = self._reserve_memory()
-            explain = False
-            if isinstance(source, str):
-                compiled = compile_statement(
-                    source, self.database.catalog, name=name
-                )
-                spec = compiled.query
-                explain = compiled.explain
-            else:
-                spec = source
-            if explain:
+            statement, snapshot = pin_statement(
+                source, name, self.database.catalog, self._plan_cache
+            )
+            spec = statement.query
+            if statement.explain and not statement.analyze:
                 explained = self.database.explain(spec, mode=mode, options=options)
                 self._observe_query(
                     session,
-                    spec,
+                    statement,
                     mode,
                     "ok",
                     queued_seconds=queued_seconds,
@@ -690,17 +662,12 @@ class Server:
                 )
                 return explained
 
-            snapshot = self.database.catalog.snapshot(
-                ref.table for ref in spec.relations
-            )
+            if statement.analyze:
+                # EXPLAIN ANALYZE always runs traced, as through Database.sql.
+                options = dc_replace(
+                    options, execution=dc_replace(options.execution, tracing=True)
+                )
             config = options.execution.resolved()
-            cached_plan = None
-            key = None
-            if self._plan_cache is not None:
-                key = self._plan_key(spec, mode, snapshot.versions())
-                if key is not None:
-                    cached_plan = self._plan_cache.get(key)
-
             # Deadline: explicit per-query timeout wins; otherwise the
             # server default, tightened to the shed timeout for queries
             # that had to queue.
@@ -727,16 +694,13 @@ class Server:
                     )
                 self._active_tokens[token_id] = token
 
-            result = self.database.execute(
-                spec,
-                mode=mode,
-                plan=cached_plan,
-                options=options,
-                snapshot=snapshot,
+            cache, database = self._plan_cache, self.database
+            result = database._execute(
+                spec, mode, options, snapshot,
+                lambda stats, pinned: prepare(
+                    cache, database, statement, mode, options, stats, pinned
+                ),
             )
-
-            if key is not None and cached_plan is None:
-                self._plan_cache.put(key, result.plan)
             if queued_seconds > 0:
                 result.stats.record_degradation(
                     f"admission:queued:{queued_seconds * 1e3:.0f}ms"
@@ -751,18 +715,18 @@ class Server:
                 self._stats.completed += 1
             self._observe_query(
                 session,
-                spec,
+                statement,
                 mode,
                 "ok",
                 queued_seconds=queued_seconds,
                 duration_seconds=elapsed,
                 result=result,
             )
-            return result
+            return ExplainAnalyzeResult(result) if statement.analyze else result
         except AdmissionRejected as error:
             self._observe_query(
                 session,
-                spec,
+                statement,
                 mode,
                 "rejected",
                 queued_seconds=queued_seconds,
@@ -775,7 +739,7 @@ class Server:
                 self._stats.failed += 1
             self._observe_query(
                 session,
-                spec,
+                statement,
                 mode,
                 self._outcome_of(error),
                 queued_seconds=queued_seconds,

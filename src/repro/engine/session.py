@@ -19,7 +19,7 @@ from repro.errors import ReproError
 from repro.query import QuerySpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.database import ExecutionOptions, ExplainResult, QueryResult
+    from repro.engine.database import ExecutionOptions, ExplainAnalyzeResult, ExplainResult, QueryResult
     from repro.engine.server import Server
 
 
@@ -54,7 +54,7 @@ class Session:
         mode: Optional[ExecutionMode] = None,
         options: Optional["ExecutionOptions"] = None,
         name: Optional[str] = None,
-    ) -> Union["QueryResult", "ExplainResult"]:
+    ) -> Union["QueryResult", "ExplainResult", "ExplainAnalyzeResult"]:
         """Compile and run one SQL statement through server admission."""
         return self._submit(text, mode, options, name)
 

@@ -45,7 +45,7 @@ EOF = "eof"
 _SYMBOLS = ("<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", ".", ";", "*")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"\d+(\.\d+)?([eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 #: ``-- name: <query_name>`` comment directive (sets the default query name).
 NAME_DIRECTIVE_RE = re.compile(r"--\s*name:\s*([A-Za-z_][A-Za-z0-9_.-]*)")
@@ -122,8 +122,9 @@ def tokenize(source: str) -> List[Token]:
             value, i = _lex_string(source, i)
             tokens.append(Token(STRING, source[start:i], value, start))
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and source[i + 1].isdigit()):
-            # A leading '-' lexes as part of the literal: the grammar has no
+        if "0" <= ch <= "9" or (ch == "-" and "0" <= source[i + 1 : i + 2] <= "9"):
+            # ASCII digits only (``str.isdigit`` accepts '²' and '٣').  A
+            # leading '-' lexes as part of the literal: the grammar has no
             # arithmetic, so minus only ever introduces a negative number.
             digits_at = i + 1 if ch == "-" else i
             match = _NUMBER_RE.match(source, digits_at)

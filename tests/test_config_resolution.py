@@ -171,9 +171,6 @@ def test_ci_and_docs_name_only_variables_that_exist(path):
     assert [name for name in DELETED_OPTIONS if name in text] == []
 
 
-#: Source files still over the limit (ROADMAP item 4).  The list can only
-#: shrink: an entry whose file is no longer over must be removed.
-OVERSIZED_SOURCE_FILES = set()
 MAX_SOURCE_LINES = 800
 
 
@@ -205,7 +202,6 @@ def test_source_files_stay_small():
     root = Path(__file__).resolve().parent.parent / "src" / "repro"
     sources = {path.relative_to(root).as_posix(): path.read_text() for path in root.rglob("*.py")}
     over = {name for name, text in sources.items() if len(text.splitlines()) > MAX_SOURCE_LINES}
-    assert over - OVERSIZED_SOURCE_FILES == set(), f"over {MAX_SOURCE_LINES} lines"
-    assert OVERSIZED_SOURCE_FILES - over == set(), "no longer over: drop from the allowlist"
+    assert over == set(), f"over {MAX_SOURCE_LINES} lines"
     unused = {name: names for name, text in sources.items() if (names := _unused_imports(text))}
     assert unused == {}, "unused imports"

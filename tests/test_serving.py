@@ -25,10 +25,11 @@ from repro import (
     Session,
 )
 from repro.bench import build_serving_fleet, run_serving_benchmark
-from repro.engine.database import ExecutionOptions, ExplainResult
+from repro.engine import plancache
+from repro.engine.database import ExecutionOptions, ExplainAnalyzeResult, ExplainResult
 from repro.engine.modes import ExecutionConfig
 from repro.exec import TransferOptions
-from repro.errors import QueryCancelled, QueryTimeout, ReproError
+from repro.errors import QueryCancelled, QueryTimeout, ReproError, SqlError
 from repro.exec.faults import CancelToken
 from repro.workloads import sqlfiles
 
@@ -91,6 +92,20 @@ class TestServerBasics:
             assert result.aggregates == db.sql(QUERY, options=_serial()).aggregates
             explained = session.sql(f"EXPLAIN {QUERY}")
             assert isinstance(explained, ExplainResult)
+        db.close()
+
+    def test_session_explain_analyze_executes_traced(self):
+        db = _make_db()
+        direct = db.sql(f"EXPLAIN ANALYZE {QUERY}", options=_serial())
+        with Server(db, options=_serial()) as server:
+            analyzed = server.session().sql(f"EXPLAIN ANALYZE {QUERY}")
+            assert isinstance(analyzed, ExplainAnalyzeResult)
+            assert analyzed.aggregates == direct.aggregates
+            assert analyzed.aggregates == db.sql(QUERY, options=_serial()).aggregates
+            assert analyzed.trace is not None
+            assert sum(op.rows_out for op in analyzed.op_stats) > 0
+            assert "query" in analyzed.render()
+            assert server.stats().completed == 1
         db.close()
 
     def test_closed_session_raises_and_close_is_idempotent(self):
@@ -438,6 +453,82 @@ class TestPlanCache:
             )
             second = server.session(options=other).sql(QUERY)
             assert second.aggregates == first.aggregates
+            stats = server.stats()
+            assert (stats.plan_cache_misses, stats.plan_cache_hits) == (1, 1)
+        db.close()
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.RPT, ExecutionMode.PT])
+    def test_hit_matches_miss_and_database_sql(self, tpch_db, job_db, mode):
+        """Every serve_mixed statement: the cached (second) run is bit-identical
+        to the first and to the uncached ``Database.sql`` on the same text."""
+
+        def observed(result):
+            stats = result.stats
+            return (
+                result.aggregates,
+                result.physical_plan.describe(),
+                len(stats.op_stats),
+                stats.total_tuples_processed,
+                stats.total_intermediate_rows,
+                dict(stats.reduced_rows),
+            )
+
+        for workload, db in (("tpch", tpch_db), ("job", job_db)):
+            with Server(db, mode=mode, options=_serial()) as server:
+                session = server.session()
+                stems = sqlfiles.stems_for(workload)
+                for stem in stems:
+                    text = sqlfiles.sql_text(stem)
+                    miss, hit = session.sql(text), session.sql(text)
+                    direct = db.sql(text, mode=mode, options=_serial())
+                    assert observed(miss) == observed(hit) == observed(direct), stem
+                stats = server.stats()
+                assert (stats.plan_cache_misses, stats.plan_cache_hits) == (len(stems),) * 2
+
+    def test_replace_misses_at_both_levels(self, monkeypatch):
+        parses = []
+        parse = plancache.parse_statement
+        monkeypatch.setattr(
+            plancache, "parse_statement", lambda text: parses.append(text) or parse(text)
+        )
+        db = _make_db()
+        with Server(db, options=_serial()) as server:
+            session = server.session()
+            first = session.sql(QUERY)
+            session.sql(QUERY)
+            assert len(parses) == 1
+            db.register_table(db.table("d").take(np.arange(50)), replace=True)
+            assert session.sql(QUERY).aggregates == first.aggregates
+            assert len(parses) == 2
+            stats = server.stats()
+            assert (stats.plan_cache_misses, stats.plan_cache_hits) == (2, 1)
+        db.close()
+
+    def test_replace_dropping_a_named_column_raises_sql_error(self):
+        db = _make_db()
+        with Server(db, options=_serial()) as server:
+            session = server.session()
+            session.sql(QUERY)
+            db.register_dataframe(
+                "f",
+                {"id": np.arange(10, dtype=np.int64), "d_id": np.zeros(10, dtype=np.int64)},
+                primary_key=["id"],
+                replace=True,
+            )
+            with pytest.raises(SqlError, match="unknown column 'v'"):
+                session.sql(QUERY)
+        db.close()
+
+    def test_queryspec_shares_the_prepared_entry_of_its_sql_twin(self):
+        db = _make_db()
+        with Server(db, options=_serial()) as server:
+            session = server.session()
+            first = session.sql(QUERY)
+            from repro.sql import compile_statement
+
+            twin = session.execute(compile_statement(QUERY, db.catalog).query)
+            assert twin.aggregates == first.aggregates
+            assert twin.physical_plan.describe() == first.physical_plan.describe()
             stats = server.stats()
             assert (stats.plan_cache_misses, stats.plan_cache_hits) == (1, 1)
         db.close()

@@ -98,12 +98,15 @@ class TestLexer:
         number = next(t for t in tokens if t.kind == "number")
         assert number.value == -999.0
 
-    def test_unexpected_character_position(self):
+    # Only ASCII 0-9 start a number: '²' and '٣' satisfy ``str.isdigit``.
+    @pytest.mark.parametrize("source", ["SELECT @", "SELECT \u00b2", "SELECT \u0663"])
+    def test_unexpected_character_position(self, source):
         with pytest.raises(SqlError) as info:
-            tokenize("SELECT @")
+            tokenize(source)
         assert info.value.pos == 7
         assert info.value.line == 1
         assert info.value.column == 8
+        assert "^" in str(info.value)
 
     def test_unterminated_string(self):
         with pytest.raises(SqlError, match="unterminated string"):
