@@ -24,7 +24,7 @@ Three things are measured and enforced:
   raise a typed :class:`~repro.errors.ReproError`
   (:class:`~repro.errors.AdmissionRejected` rejections are counted and,
   optionally, retried after their hint), and the run must end with no
-  backend pool thread alive and no server memory reserved.
+  backend pool thread alive and no server still holding an execution slot.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ def run_serving_benchmark(
     Every completion is verified bit-identical against the fleet's serial
     baseline; every failure must be a typed :class:`ReproError` (anything
     else propagates).  With ``check_leaks`` the run asserts at the end that
-    no pool thread a query started is still alive and that every server's
-    ``reserved_memory_bytes`` is back to 0.
+    no pool thread a query started is still alive and that no server still
+    holds an execution slot (``active_queries`` is back to 0).
     """
     from repro.exec import faults
     from repro.exec.backends import pool_threads
@@ -349,14 +349,14 @@ def run_serving_benchmark(
 
     if check_leaks:
         leaked = sorted(t.name for t in pool_threads() - threads_before)
-        reserved = {
-            name: server.reserved_memory_bytes
+        active = {
+            name: server.active_queries
             for name, server in fleet.servers.items()
-            if server.reserved_memory_bytes
+            if server.active_queries
         }
-        if leaked or reserved:
+        if leaked or active:
             raise WorkloadError(
-                f"serving run leaked pool threads {leaked} / server memory {reserved}"
+                f"serving run leaked pool threads {leaked} / execution slots {active}"
             )
 
     queued = 0

@@ -66,7 +66,8 @@ def hash_keys(keys: np.ndarray) -> np.ndarray:
 
     This is the (only) hashing pass every Bloom insert and probe performs;
     exposing it lets callers hash a key column once and replay the result
-    across many filters (:class:`~repro.exec.hashcache.HashCache`).  The
+    across many filters (the passes a run keeps,
+    :mod:`repro.exec.run_state`).  The
     hashes depend solely on the key values, never on a filter's geometry.
     """
     return _splitmix64(np.asarray(keys, dtype=np.int64).view(np.uint64))

@@ -173,9 +173,9 @@ class ExecutionConfig:
 
     What the executor decides from its input is not configurable: every
     compiled transfer step runs (only §4.3 pruning removes one); every
-    transfer Bloom insert/probe replays one query-lifetime hashing pass per
-    key column and gathers probe keys by row id at the probe itself
-    (:class:`~repro.exec.hashcache.HashCache`); a Bloom step whose build
+    transfer Bloom insert/probe replays one hashing pass per key column and
+    run, and gathers probe keys by row id at the probe itself
+    (:mod:`repro.exec.run_state`); a Bloom step whose build
     side has a dense integer key domain runs as an exact bitmap semi-join
     (strictly tighter than the filter it replaces); a hash join over a
     bounded integer key domain matches through a direct-address table, any

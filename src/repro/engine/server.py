@@ -15,9 +15,7 @@ guarantees a bare ``Database`` does not give:
   typed :class:`~repro.errors.AdmissionRejected` carrying a
   ``retry_after_seconds`` hint derived from observed service latency and
   queue depth — overload degrades into fast typed rejections, never into
-  unbounded queues or hangs.  Optional per-query memory reservations
-  (``session_memory_bytes`` against ``memory_budget_bytes``) extend the same
-  backpressure to memory.
+  unbounded queues or hangs.
 * **Deadlines and shed-load degradation** — every admitted query gets a
   :class:`~repro.exec.faults.CancelToken` (defaulting from
   ``default_timeout_seconds``); a query that waited in the admission queue
@@ -80,8 +78,8 @@ from repro.query import QuerySpec
 #: ``OpStats`` fields whose per-query totals are exported as serving
 #: counters: field -> (metric name, help).
 _OP_COUNTER_METRICS = {
-    "hash_hits": ("repro_hash_cache_hits_total", "Hash-cache column passes reused."),
-    "hash_misses": ("repro_hash_cache_misses_total", "Hash-cache column passes computed."),
+    "hash_hits": ("repro_hash_cache_hits_total", "Bloom hashing passes reused."),
+    "hash_misses": ("repro_hash_cache_misses_total", "Bloom hashing passes computed."),
     "artifact_hits": (
         "repro_artifact_cache_hits_total",
         "Artifact-cache hits across served queries.",
@@ -110,10 +108,6 @@ class ServerConfig:
     #: Tighter deadline applied to queries that had to wait in the queue
     #: (shed-load degradation; None disables the tightening).
     shed_timeout_seconds: Optional[float] = None
-    #: Memory reserved per admitted query (0 disables memory admission).
-    session_memory_bytes: int = 0
-    #: Total memory budget across concurrent queries (None: unlimited).
-    memory_budget_bytes: Optional[int] = None
     #: Whether to cache compiled statements and their prepared executions.
     plan_cache: bool = True
     plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES
@@ -127,8 +121,6 @@ class ServerConfig:
             raise ValueError("max_queue must be non-negative")
         if self.admission_timeout_seconds < 0:
             raise ValueError("admission_timeout_seconds must be non-negative")
-        if self.session_memory_bytes < 0:
-            raise ValueError("session_memory_bytes must be non-negative")
         if self.query_log_entries < 0:
             raise ValueError("query_log_entries must be non-negative")
 
@@ -143,7 +135,6 @@ class ServerStats:
     queued: int = 0
     rejected_queue_full: int = 0
     rejected_timeout: int = 0
-    rejected_memory: int = 0
     rejected_closed: int = 0
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
@@ -156,12 +147,7 @@ class ServerStats:
 
     @property
     def rejected(self) -> int:
-        return (
-            self.rejected_queue_full
-            + self.rejected_timeout
-            + self.rejected_memory
-            + self.rejected_closed
-        )
+        return self.rejected_queue_full + self.rejected_timeout + self.rejected_closed
 
 
 class Server:
@@ -185,7 +171,6 @@ class Server:
         self._waiting = 0
         self._closed = False
         self._session_counter = 0
-        self._reserved_bytes = 0
         #: Exponential moving average of completed-query latency; seeds the
         #: retry-after hints (50ms until the first completion).
         self._latency_ewma: Optional[float] = None
@@ -233,10 +218,6 @@ class Server:
         self._m_queued = m.gauge(
             "repro_server_queued_queries",
             "Queries waiting in the admission queue (sampled).",
-        )
-        self._m_reserved = m.gauge(
-            "repro_server_reserved_memory_bytes",
-            "Bytes reserved by memory admission (sampled).",
         )
         self._m_retry_after = m.gauge(
             "repro_server_retry_after_seconds",
@@ -332,7 +313,6 @@ class Server:
         with self._cond:
             self._m_active.set(self._running)
             self._m_queued.set(self._waiting)
-            self._m_reserved.set(self._reserved_bytes)
             self._m_retry_after.set(self._retry_after_locked())
         cache = self._plan_cache
         if cache is not None:
@@ -372,11 +352,6 @@ class Server:
     def queued_queries(self) -> int:
         with self._cond:
             return self._waiting
-
-    @property
-    def reserved_memory_bytes(self) -> int:
-        with self._cond:
-            return self._reserved_bytes
 
     @property
     def closed(self) -> bool:
@@ -484,30 +459,6 @@ class Server:
         with self._cond:
             self._running -= 1
             self._cond.notify_all()
-
-    def _reserve_memory(self) -> bool:
-        """Reserve this query's admission memory; False when disabled."""
-        size = self.config.session_memory_bytes
-        if not size:
-            return False
-        with self._cond:
-            budget = self.config.memory_budget_bytes
-            if budget is not None and self._reserved_bytes + size > budget:
-                self._stats.rejected_memory += 1
-                raise AdmissionRejected(
-                    f"memory budget exhausted "
-                    f"({self._reserved_bytes}/{budget} bytes reserved)",
-                    retry_after_seconds=self._retry_after_locked(),
-                    reason="memory",
-                )
-            self._reserved_bytes += size
-            return True
-
-    def _release_memory(self, reserved: bool) -> None:
-        if not reserved:
-            return
-        with self._cond:
-            self._reserved_bytes -= self.config.session_memory_bytes
 
     def _record_latency(self, seconds: float) -> None:
         with self._cond:
@@ -640,11 +591,9 @@ class Server:
                 error=error,
             )
             raise
-        memory_reserved = False
         token_id: Optional[int] = None
         snapshot = None
         try:
-            memory_reserved = self._reserve_memory()
             statement, snapshot = pin_statement(
                 source, name, self.database.catalog, self._plan_cache
             )
@@ -756,5 +705,4 @@ class Server:
             if token_id is not None:
                 with self._cond:
                     self._active_tokens.pop(token_id, None)
-            self._release_memory(memory_reserved)
             self._release_slot()

@@ -131,12 +131,12 @@ class AdmissionRejected(ReproError):
     """The serving layer declined to admit a query (typed backpressure).
 
     Raised by :class:`~repro.engine.server.Server` when the bounded
-    admission queue is full, an admission wait times out, or the server's
-    memory budget cannot cover another concurrent query.  Carries a
+    admission queue is full, an admission wait times out, or the server is
+    closed.  Carries a
     ``retry_after_seconds`` hint (derived from observed service latency
     and queue depth) so closed-loop clients can back off instead of
     hammering an overloaded server, plus a machine-readable ``reason``
-    (``"queue_full"`` / ``"timeout"`` / ``"memory"`` / ``"closed"``).
+    (``"queue_full"`` / ``"timeout"`` / ``"closed"``).
     """
 
     def __init__(

@@ -7,7 +7,6 @@ from repro.exec.backends import (
     make_backend,
     num_chunks,
 )
-from repro.exec.hashcache import HashCache
 from repro.exec.kernels import (
     HashIndex,
     JoinMatches,
@@ -43,7 +42,6 @@ __all__ = [
     "COUNTERS",
     "Counter",
     "ExecutionStats",
-    "HashCache",
     "HashIndex",
     "IntermediateResult",
     "JoinMatches",

@@ -575,19 +575,6 @@ def semi_join_mask(keys: np.ndarray, filter_keys: BuildSide) -> np.ndarray:
     return index.contains(keys)
 
 
-def estimate_join_cardinality(
-    probe_rows: int,
-    build_rows: int,
-    probe_distinct: int,
-    build_distinct: int,
-) -> float:
-    """Textbook join cardinality estimate ``|R||S| / max(ndv_R, ndv_S)``."""
-    if probe_rows == 0 or build_rows == 0:
-        return 0.0
-    denominator = max(probe_distinct, build_distinct, 1)
-    return probe_rows * build_rows / denominator
-
-
 def hash_probe_cost(num_probes: int, build_rows: int) -> float:
     """Abstract cost of probing a hash table ``num_probes`` times.
 

@@ -13,8 +13,7 @@ late-materialized intermediate *slots*; ``Scan`` / ``FilterPush`` /
 :meth:`PipelineExecutor.run` applies the cross-cutting concerns once around
 a type-keyed handler table (:data:`_OPS`): it opens one
 :class:`~repro.exec.statistics.OpStats` record per op, points the counter
-sources at it (``backend.record``, ``hash_cache.record``, the run
-state's), runs the handler —
+sources at it (``backend.record`` and the run state's), runs the handler —
 ``(run, op, record) -> None``, ``run`` being the call's
 :class:`~repro.exec.run_state.RunState` — inside the timed window, and closes
 and appends the record in a ``finally``.  Handlers and sources write each
@@ -41,7 +40,6 @@ from repro.core.join_graph import JoinGraph
 from repro.errors import ExecutionError
 from repro.exec import faults, join_ops, transfer_ops
 from repro.exec.backends import MorselBackend
-from repro.exec.hashcache import HashCache
 from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.exec.run_state import RunState
 from repro.exec.statistics import COUNTERS, ExecutionStats, OpStats
@@ -115,9 +113,6 @@ class PipelineExecutor:
         self.catalog = catalog
         self.transfer = transfer or TransferOptions()
         self.backend = backend or MorselBackend()
-        #: Query-lifetime hash cache: each key column is hashed once and the
-        #: pass replayed across every Bloom insert/probe.
-        self.hash_cache = HashCache()
         #: Cross-query artifact cache + the identity context needed to key
         #: it (catalog table versions and base-filter fingerprints, both
         #: supplied by the engine; direct callers run without them).
@@ -155,7 +150,7 @@ class PipelineExecutor:
             except KeyError:
                 raise ExecutionError(f"pipeline executor cannot run op {op!r}") from None
             record = OpStats(index=index, kind=op.kind, detail=op.describe())
-            run.record = self.backend.record = self.hash_cache.record = record
+            run.record = self.backend.record = record
             span = None
             if tracer is not None:
                 if phase_span is None or phase_span.name != phase:

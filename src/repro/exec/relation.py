@@ -85,13 +85,19 @@ class BoundRelation:
             return np.arange(self.table.num_rows, dtype=np.int64)
         return self.row_indices
 
-    def key_values(self, column: str) -> np.ndarray:
-        """Physical (integer-encoded) values of ``column`` for the surviving rows."""
-        if not self.table.column(column).dtype.is_integer_backed:
+    def key_data(self, column: str) -> np.ndarray:
+        """The whole base buffer of join-key ``column`` (integer-backed only)."""
+        col = self.table.column(column)
+        if not col.dtype.is_integer_backed:
             raise ExecutionError(
                 f"column {column!r} of {self.table.name!r} is not integer-backed; "
                 "only integer-backed columns can be join keys"
             )
+        return col.data
+
+    def key_values(self, column: str) -> np.ndarray:
+        """Physical (integer-encoded) values of ``column`` for the surviving rows."""
+        self.key_data(column)
         return self.column_values(column)
 
     def column_values(self, column: str) -> np.ndarray:

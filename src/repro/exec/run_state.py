@@ -4,14 +4,17 @@ The *step* is the unit of the executor's state as it is of the plan's: one
 :class:`TransferStepState` per transfer step id, one :class:`JoinBuild` per
 build id.  The run loop creates a :class:`RunState`, passes it to every
 handler and drops it; nothing per-run lives on the executor.  The run's
-shared resources sit behind the same object: cross-query artifact keys and
-the index lookup through both caches.
+shared resources sit behind the same object: cross-query artifact keys, the
+one round trip through the artifact cache, and the per-run caches of hash
+indexes and Bloom hashing passes.  A per-run entry over a relation's
+selection is served only while ``relation.version`` still matches the
+version it was built at (:meth:`RunState.current`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -26,6 +29,11 @@ from repro.storage.artifacts import KIND_HASH_INDEX, ArtifactKey
 
 if TYPE_CHECKING:
     from repro.exec.pipeline import PipelineExecutor
+
+#: A Bloom hashing pass over some keys: (splitmix64 hashes, block bit-patterns).
+BloomPass = Tuple[np.ndarray, np.ndarray]
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -72,7 +80,7 @@ class JoinBuild:
     keys: Optional[np.ndarray] = None
     probe_keys: Optional[np.ndarray] = None
     bloom: Optional[BloomFilter] = None
-    probe_pass: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    probe_pass: Optional[BloomPass] = None
     bloom_eliminated: int = 0
 
 
@@ -107,7 +115,16 @@ class RunState:
         self.probe_of: Dict[int, Operand] = {
             op.build_id: op.probe for op in plan if isinstance(op, HashProbe)
         }
+        #: Per-run structures over a relation's current rows, each with the
+        #: relation version it was built at: hash indexes by
+        #: ``(alias, attributes)``, Bloom hashing passes by ``(alias, column)``.
         self.index_cache: Dict[Tuple[str, Tuple[str, ...]], Tuple[int, HashIndex]] = {}
+        self.selection_passes: Dict[Tuple[str, str], Tuple[int, BloomPass]] = {}
+        #: Bloom hashing passes over whole base columns, by ``id`` of the
+        #: column buffer.  An entry holds its buffer, so the id cannot be
+        #: reused while the run lasts; self-join aliases, and tables that
+        #: share one buffer, share one pass.
+        self.full_passes: Dict[int, Tuple[np.ndarray, BloomPass]] = {}
         #: Relations some predicate or transfer step has reduced (§4.3
         #: pruning asks); computed on first use.
         self.filtered: Optional[set[str]] = None
@@ -184,6 +201,40 @@ class RunState:
                 return None
         return version
 
+    @staticmethod
+    def current(cache: Dict[Any, Tuple[int, T]], key: Any, relation: BoundRelation) -> Optional[T]:
+        """``cache[key]`` if it was built at ``relation``'s current version."""
+        entry = cache.get(key)
+        if entry is not None and entry[0] == relation.version:
+            return entry[1]
+        return None
+
+    def through_artifacts(
+        self,
+        key: Optional[ArtifactKey],
+        build: Callable[[], Optional[T]],
+        size: Callable[[T], int],
+    ) -> Optional[T]:
+        """``build()``, served from and published to the artifact cache.
+
+        Without a ``key`` this is ``build()``.  With one, a cached artifact
+        counts a hit and is returned; otherwise ``build()`` runs, and what it
+        builds counts a miss and is put under ``key`` at ``size(value)``
+        bytes.  ``build`` may return None (nothing built): no miss, no put.
+        """
+        if key is None:
+            return build()
+        cache = self.ex.artifact_cache
+        artifact = cache.get(key)
+        if artifact is not None:
+            self.record.artifact_hits += 1
+            return artifact
+        value = build()
+        if value is not None:
+            self.record.artifact_misses += 1
+            cache.put(key, value, size(value))
+        return value
+
     def relation_index(
         self,
         alias: str,
@@ -196,7 +247,7 @@ class RunState:
 
         Single-attribute keys are side-independent, so their index is
         cached per ``(alias, attributes)`` and reused until the relation is
-        reduced again.  Lookup order: the query-lifetime index cache (keyed
+        reduced again.  Lookup order: the per-run index cache (keyed
         by relation version — the forward/backward pass and join-phase
         reuse), then the cross-query artifact cache (keyed by table version
         + filter fingerprint; only consulted while the relation is in its
@@ -205,25 +256,20 @@ class RunState:
         queries — possibly on morsel worker threads — only ever read it.
         """
         cache_key = (alias, attributes)
-        cached = self.index_cache.get(cache_key)
-        if cached is not None and cached[0] == relation.version:
-            return cached[1]
+        index = self.current(self.index_cache, cache_key, relation)
+        if index is not None:
+            return index
         artifact_key = self._index_artifact_key(alias, attributes)
-        index: Optional[HashIndex] = None
-        if artifact_key is not None:
-            artifact = self.ex.artifact_cache.get(artifact_key)
-            if artifact is not None:
-                self.record.artifact_hits += 1
-                index = artifact
-            else:
-                self.record.artifact_misses += 1
-        if index is None:
-            index = HashIndex(gather_keys())
+
+        def build() -> HashIndex:
+            built = HashIndex(gather_keys())
             if artifact_key is not None:
-                probe_rows = expected_probe_rows or index.num_keys
-                index.prepare(probe_rows)
-                index.prepare_match(probe_rows)
-                self.ex.artifact_cache.put(artifact_key, index, index.index_bytes())
+                probe_rows = expected_probe_rows or built.num_keys
+                built.prepare(probe_rows)
+                built.prepare_match(probe_rows)
+            return built
+
+        index = self.through_artifacts(artifact_key, build, HashIndex.index_bytes)
         self.index_cache[cache_key] = (relation.version, index)
         return index
 
@@ -232,8 +278,7 @@ class RunState:
     ) -> bool:
         """True when :meth:`relation_index` would reuse an index from either
         cache, or publish the one it builds to the artifact cache."""
-        cached = self.index_cache.get((alias, attributes))
-        if cached is not None and cached[0] == relation.version:
+        if self.current(self.index_cache, (alias, attributes), relation) is not None:
             return True
         return self._index_artifact_key(alias, attributes) is not None
 

@@ -7,7 +7,7 @@ and per binary join (Figure 11, the theory in §3), so the robustness metrics
 deterministic cost model, or raw intermediate tuple counts.
 
 Everything an op *counts* has one owner: its :class:`OpStats` record.  The
-executor opens the record, handlers and counter sources (hash cache,
+executor opens the record, handlers and counter sources (the run state,
 backend, plan-time filter evaluation) write into it, and
 it is closed and appended in one place.  :data:`COUNTERS` — one row per
 field — derives the rest: the per-query totals on :class:`ExecutionStats`
@@ -75,7 +75,7 @@ class OpStats:
     #: Build rows the hash build's index holds: every build row, or only
     #: those a probe key can hit when the build was prefiltered.
     indexed_rows: int = 0
-    #: Hash-cache column passes reused / computed; rows carried through
+    #: Bloom hashing passes reused / computed; rows carried through
     #: selection vectors instead of materialized key arrays.
     hash_hits: int = 0
     hash_misses: int = 0

@@ -9,14 +9,14 @@ probe that follows consumes it.  Exact (Yannakakis) steps are one op.
 
 Every Bloom insert and probe replays a cached hashing pass over the key
 column instead of hashing gathered keys (:func:`bloom_pass_for_relation`,
-:func:`full_bloom_pass`): once per query through the
-:class:`~repro.exec.hashcache.HashCache`, once per table version through the
-artifact cache.
+:func:`full_bloom_pass`): once per run through the passes the
+:class:`~repro.exec.run_state.RunState` keeps, once per table version
+through the artifact cache.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.exec.kernels import (
     densify_key_columns_pair,
 )
 from repro.exec.relation import BoundRelation
-from repro.exec.run_state import RunState, TransferStepState
+from repro.exec.run_state import BloomPass, RunState, TransferStepState
 from repro.exec.statistics import OpStats, TransferStepStats
 from repro.plan.physical import BloomBuild, BloomProbe, SemiJoinReduce
 from repro.storage.artifacts import (
@@ -225,19 +225,18 @@ def _transfer_bloom(
 ) -> BloomFilter:
     """Build (or fetch from the artifact cache) one transfer-phase filter."""
     fpr = run.ex.transfer.fpr
-    artifact_key = run.artifact_key(op.source.alias, column, kind=KIND_BLOOM, param=f"fpr={fpr}")
-    if artifact_key is not None:
-        cached = run.ex.artifact_cache.get(artifact_key)
-        if cached is not None:
-            run.record.artifact_hits += 1
-            return cached
-        run.record.artifact_misses += 1
-    bloom = BloomFilter(expected_keys=source.num_rows, fpr=fpr)
-    hashes, patterns = bloom_pass_for_relation(run, source, column)
-    bloom.insert(hashes=hashes, patterns=patterns)
-    if artifact_key is not None:
-        run.ex.artifact_cache.put(artifact_key, bloom, bloom.size_bytes)
-    return bloom
+
+    def build() -> BloomFilter:
+        bloom = BloomFilter(expected_keys=source.num_rows, fpr=fpr)
+        hashes, patterns = bloom_pass_for_relation(run, source, column)
+        bloom.insert(hashes=hashes, patterns=patterns)
+        return bloom
+
+    return run.through_artifacts(
+        run.artifact_key(op.source.alias, column, kind=KIND_BLOOM, param=f"fpr={fpr}"),
+        build,
+        lambda bloom: bloom.size_bytes,
+    )
 
 
 def _exact_bitmap_index(
@@ -299,28 +298,27 @@ def _step_keys(run: RunState, op, source: BoundRelation, target: BoundRelation, 
 # ---------------------------------------------------------------------------
 # Bloom-pass reuse
 # ---------------------------------------------------------------------------
-def bloom_pass_for_relation(
-    run: RunState, relation: BoundRelation, column: str
-) -> Tuple[np.ndarray, np.ndarray]:
+def bloom_pass_for_relation(run: RunState, relation: BoundRelation, column: str) -> BloomPass:
     """The relation's surviving rows of a (cached) column hashing pass.
 
     Strategy, cheapest first: an unreduced relation computes/reuses the
     zero-gather full-column pass; a reduced one reuses the pass cached
-    for exactly its current selection (a build and probe over the same
-    relation state share one pass); failing that it gathers from an
+    for its current version (a build and probe over the same relation
+    state share one pass); failing that it gathers from an
     already-paid full-column pass; and only as a last resort hashes its
     gathered keys — caching the result for the next step over the same
     state.  Every branch is bit-identical to hashing the gathered keys
     directly.
     """
-    cache = run.ex.hash_cache
     table = relation.table
     selection = relation.row_indices
     if selection is None or selection.shape[0] == table.num_rows:
-        # Identity: no selection vector to key a pass by — the full-column pass.
+        # Identity: the relation's keys are the whole column.
         return full_bloom_pass(run, relation, column, compute=True)
-    cached = cache.selection_pass(table, column, selection)
+    cache_key = (relation.alias, column)
+    cached = run.current(run.selection_passes, cache_key, relation)
     if cached is not None:
+        run.record.hash_hits += 1
         return cached
     # With the cross-query artifact cache on, a selection covering a
     # sizable fraction of the column promotes to the full-column pass:
@@ -337,49 +335,49 @@ def bloom_pass_for_relation(
         run.record.hash_misses += 1
         hashes = hash_keys(relation.key_values(column))
         result = (hashes, key_patterns(hashes))
-    cache.store_selection_pass(table, column, selection, result)
+    run.selection_passes[cache_key] = (relation.version, result)
     return result
 
 
 def full_bloom_pass(
     run: RunState, relation: BoundRelation, column: str, compute: bool
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """A full-column hashing pass, through both the query and artifact caches.
+) -> Optional[BloomPass]:
+    """A full-column hashing pass, through the run's passes and the artifact cache.
 
     The pass depends only on the immutable column data, so — unlike
     Bloom filters and hash indexes — its artifact is keyed purely by
     table version, never by a filter fingerprint.  With ``compute=False``
-    only already-paid passes (this query's or a prior query's artifact)
+    only already-paid passes (this run's or a prior query's artifact)
     are returned.
     """
-    cache = run.ex.hash_cache
-    artifact_cache = run.ex.artifact_cache
-    table = relation.table
-    existing = cache.peek_bloom_pass(table, column)
-    if existing is not None:
+    data = relation.key_data(column)
+    entry = run.full_passes.get(id(data))
+    if entry is not None:
         run.record.hash_hits += 1
-        return existing
+        return entry[1]
+    table = relation.table
     artifact_key = None
-    table_version = (
-        run.snapshot_version(relation.alias, table.name) if artifact_cache is not None else None
+    if run.ex.artifact_cache is not None:
+        table_version = run.snapshot_version(relation.alias, table.name)
+        if table_version is not None:
+            artifact_key = ArtifactKey(
+                table=table.name,
+                table_version=table_version,
+                column=column,
+                fingerprint=FINGERPRINT_COLUMN,
+                kind=KIND_BLOOM_PASS,
+            )
+
+    def build() -> Optional[BloomPass]:
+        if not compute:
+            return None
+        run.record.hash_misses += 1
+        hashes = hash_keys(data)
+        return hashes, key_patterns(hashes)
+
+    full = run.through_artifacts(
+        artifact_key, build, lambda bloom_pass: int(bloom_pass[0].nbytes + bloom_pass[1].nbytes)
     )
-    if table_version is not None:
-        artifact_key = ArtifactKey(
-            table=table.name,
-            table_version=table_version,
-            column=column,
-            fingerprint=FINGERPRINT_COLUMN,
-            kind=KIND_BLOOM_PASS,
-        )
-        artifact = artifact_cache.get(artifact_key)
-        if artifact is not None:
-            run.record.artifact_hits += 1
-            cache.adopt_full_pass(table, column, artifact)
-            return artifact
-    if not compute:
-        return None
-    full = cache.bloom_pass(table, column)
-    if artifact_key is not None:
-        run.record.artifact_misses += 1
-        artifact_cache.put(artifact_key, full, int(full[0].nbytes + full[1].nbytes))
+    if full is not None:
+        run.full_passes[id(data)] = (data, full)
     return full

@@ -148,19 +148,6 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    def invalidate_table(self, table: str) -> int:
-        """Drop every artifact built over ``table``; returns how many were dropped.
-
-        Version-keyed lookups already make stale artifacts unreachable; this
-        reclaims their bytes eagerly (the engine calls it when a table is
-        re-registered).
-        """
-        with self._lock:
-            stale = [key for key in self._entries if key.table == table]
-            for key in stale:
-                self._bytes -= self._entries.pop(key).size_bytes
-            return len(stale)
-
     def invalidate_version(self, table: str, version: int) -> int:
         """Drop every artifact built over one version of ``table``.
 

@@ -19,7 +19,7 @@ from repro.workloads import dsb, job, tpcds, tpch
 @pytest.fixture(scope="session", autouse=True)
 def leak_guard():
     """Fail the session if a backend pool thread is still alive, or a
-    server still holds admission memory, once every test has run.
+    server still holds an execution slot, once every test has run.
 
     Autouse at session scope, so it is torn down after every other session
     fixture — the no-leak acceptance criterion, covering injected faults,
@@ -33,8 +33,8 @@ def leak_guard():
     yield
     gc.collect()
     assert not pool_threads(), f"leaked pool threads: {sorted(t.name for t in pool_threads())}"
-    held = [s.reserved_memory_bytes for s in gc.get_objects() if isinstance(s, Server)]
-    assert not any(held), f"servers still hold admission memory: {held}"
+    held = [s.active_queries for s in gc.get_objects() if isinstance(s, Server)]
+    assert not any(held), f"servers still hold execution slots: {held}"
 
 
 @pytest.fixture

@@ -5,34 +5,48 @@ the bitset DPccp rewrite.
 DP over every 2-partition of every connected subset with a connectivity
 test, and the greedy fallback — and ``reference_join_cardinality`` is the old
 ``CardinalityEstimator.join_cardinality``.  So that the reference stays
-independent of the tables the rewrite added, its helpers read only the raw
-data: ``JoinGraph.edges``, ``AttributeClass.members``, and the estimator's
-``base_cardinality`` / ``distinct_count``.  ``tests/test_join_order_identity.py``
+independent of the tables the rewrite added, it reads only the raw data:
+``JoinGraph.edges``, ``AttributeClass.members`` (each read once per search,
+into a ``_RawGraph``), and the estimator's ``base_cardinality`` /
+``distinct_count``.  ``tests/test_join_order_identity.py``
 asserts that the production search returns exactly the plans this one does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.join_graph import AttributeClass, JoinGraph
+from repro.core.join_graph import JoinGraph
 from repro.errors import OptimizerError
 from repro.optimizer.cardinality import CardinalityEstimator
 from repro.optimizer.join_order import JoinOrderOptions
 from repro.plan.join_plan import JoinNode, JoinPlan, LeafNode, PlanNode
 
 
-def _touches(attr_class: AttributeClass, alias: str) -> bool:
-    return any(a == alias for a, _ in attr_class.members)
+class _RawGraph:
+    """What the reference reads of a join graph, derived once from the raw data.
 
+    ``neighbors``: every alias's neighbours, from ``JoinGraph.edges``.
+    ``columns``: per attribute class, in ``attribute_classes`` order, each
+    alias it touches and that alias's smallest column, from
+    ``AttributeClass.members``.  Built per optimizer (or per call of the
+    module functions), so the search does not rescan edges and members for
+    every pair it costs.
+    """
 
-def _column_of(attr_class: AttributeClass, alias: str) -> str:
-    return sorted(column for a, column in attr_class.members if a == alias)[0]
-
-
-def _neighbors(graph: JoinGraph, alias: str) -> frozenset[str]:
-    return frozenset(e.other(alias) for e in graph.edges if alias in e.aliases())
+    def __init__(self, graph: JoinGraph) -> None:
+        self.neighbors: Dict[str, frozenset[str]] = {
+            alias: frozenset(e.other(alias) for e in graph.edges if alias in e.aliases())
+            for alias in graph.aliases
+        }
+        self.columns: List[Dict[str, str]] = [
+            {
+                alias: min(column for a, column in attr_class.members if a == alias)
+                for alias, _ in attr_class.members
+            }
+            for attr_class in graph.attribute_classes.values()
+        ]
 
 
 def reference_join_cardinality(
@@ -41,24 +55,26 @@ def reference_join_cardinality(
     right_aliases: FrozenSet[str],
     left_cardinality: float,
     right_cardinality: float,
+    raw: Optional[_RawGraph] = None,
 ) -> float:
     """The old ``CardinalityEstimator.join_cardinality``."""
+    raw = raw or _RawGraph(estimator.graph)
     shared = [
-        ac
-        for ac in estimator.graph.attribute_classes.values()
-        if any(_touches(ac, a) for a in left_aliases) and any(_touches(ac, a) for a in right_aliases)
+        columns
+        for columns in raw.columns
+        if any(a in columns for a in left_aliases) and any(a in columns for a in right_aliases)
     ]
     if not shared:
         # Cartesian product.
         return left_cardinality * right_cardinality
     result = left_cardinality * right_cardinality
-    for attr_class in shared:
+    for columns in shared:
         left_ndv = max(
-            (estimator.distinct_count(a, _column_of(attr_class, a)) for a in left_aliases if _touches(attr_class, a)),
+            (estimator.distinct_count(a, columns[a]) for a in left_aliases if a in columns),
             default=1,
         )
         right_ndv = max(
-            (estimator.distinct_count(a, _column_of(attr_class, a)) for a in right_aliases if _touches(attr_class, a)),
+            (estimator.distinct_count(a, columns[a]) for a in right_aliases if a in columns),
             default=1,
         )
         result /= max(left_ndv, right_ndv, 1)
@@ -69,12 +85,18 @@ def reference_plan_cardinalities(estimator: CardinalityEstimator, order: list[st
     """The old ``CardinalityEstimator.estimate_plan_cardinalities``."""
     if not order:
         return []
+    raw = _RawGraph(estimator.graph)
     cardinalities = [estimator.base_cardinality(order[0])]
     joined: set[str] = {order[0]}
     current = cardinalities[0]
     for alias in order[1:]:
         current = reference_join_cardinality(
-            estimator, frozenset(joined), frozenset({alias}), current, estimator.base_cardinality(alias)
+            estimator,
+            frozenset(joined),
+            frozenset({alias}),
+            current,
+            estimator.base_cardinality(alias),
+            raw,
         )
         joined.add(alias)
         cardinalities.append(current)
@@ -102,6 +124,7 @@ class ReferenceJoinOrderOptimizer:
         self.graph = graph
         self.estimator = estimator
         self.options = options or JoinOrderOptions()
+        self._raw = _RawGraph(graph)
 
     def optimize(self) -> JoinPlan:
         aliases = list(self.graph.aliases)
@@ -115,7 +138,7 @@ class ReferenceJoinOrderOptimizer:
 
     def _join_cardinality(self, left, right, left_cardinality, right_cardinality) -> float:
         return reference_join_cardinality(
-            self.estimator, left, right, left_cardinality, right_cardinality
+            self.estimator, left, right, left_cardinality, right_cardinality, self._raw
         )
 
     # ------------------------------------------------------------------
@@ -182,7 +205,7 @@ class ReferenceJoinOrderOptimizer:
             subset = frontier.pop()
             neighbors: set[str] = set()
             for alias in subset:
-                neighbors |= _neighbors(self.graph, alias)
+                neighbors |= self._raw.neighbors[alias]
             for neighbor in neighbors - set(subset):
                 extended = frozenset(subset | {neighbor})
                 if extended not in found:
@@ -200,7 +223,7 @@ class ReferenceJoinOrderOptimizer:
             yield left, right
 
     def _sides_connected(self, left: FrozenSet[str], right: FrozenSet[str]) -> bool:
-        return any(_neighbors(self.graph, a) & right for a in left)
+        return any(self._raw.neighbors[a] & right for a in left)
 
     # ------------------------------------------------------------------
     # Greedy fallback

@@ -157,6 +157,11 @@ DELETED_OPTIONS = (
     "estimation_error",
     "verify_safe_join_order",
     "allow_cartesian_products",
+    "HashCache",
+    "hashcache",
+    "session_memory_bytes",
+    "reserved_memory_bytes",
+    "rejected_memory",
 )
 
 

@@ -1,7 +1,7 @@
 """Tests for the hash-once execution layer.
 
-Covers the query-lifetime :class:`~repro.exec.hashcache.HashCache`, the
-precomputed-hash kernel APIs (Bloom insert/probe), the cross-query
+Covers the Bloom hashing passes a run keeps
+(:class:`~repro.exec.run_state.RunState`), the precomputed-hash kernel APIs (Bloom insert/probe), the cross-query
 :class:`~repro.storage.artifacts.ArtifactCache` (including table-change and
 filter-change invalidation), the bit-identity matrix — PT/RPT
 ``reduced_rows`` against the straight-line replay of
@@ -35,9 +35,13 @@ from repro import (
     RelationRef,
 )
 from repro.bloom.bloom_filter import BloomFilter, hash_keys, key_patterns
-from repro.errors import CatalogError
-from repro.exec.hashcache import HashCache
+from repro.errors import CatalogError, ExecutionError
+from repro.exec import BoundRelation, ExecutionStats, PipelineExecutor
+from repro.exec.run_state import RunState
+from repro.exec.statistics import OpStats
+from repro.exec.transfer_ops import bloom_pass_for_relation, full_bloom_pass
 from repro.expr import eq, lt
+from repro.plan.physical import PhysicalPlan
 from repro.storage.artifacts import ArtifactCache, ArtifactKey, mask_fingerprint
 from repro.workloads import dsb, job, synthetic, tpcds, tpch
 
@@ -76,165 +80,206 @@ def _signature(result):
 
 
 # ---------------------------------------------------------------------------
-# HashCache unit behavior
+# Per-run Bloom hashing passes (RunState)
 # ---------------------------------------------------------------------------
-class TestHashCache:
-    def _table(self):
-        from repro.storage.table import Table
+class TestRunBloomPasses:
+    """The passes a :class:`~repro.exec.run_state.RunState` keeps: full-column
+    passes by column buffer, selection passes by relation version."""
 
-        return Table.from_dict(
-            "t", {"id": np.arange(100, dtype=np.int64), "other": np.arange(100) * 3}
+    def _executor(self, columns, b_columns=None, artifact_cache=None):
+        """An executor over ``a JOIN b ON a.id = b.id``: a self-join of table
+        ``t``, or, given ``b_columns``, a join of ``t`` with table ``u``."""
+        db = Database()
+        db.register_dataframe("t", columns)
+        tables = {"a": "t", "b": "t"}
+        if b_columns is not None:
+            db.register_dataframe("u", b_columns)
+            tables["b"] = "u"
+        query = QuerySpec(
+            name="self_join",
+            relations=tuple(RelationRef(alias, name) for alias, name in tables.items()),
+            joins=(JoinCondition("a", "id", "b", "id"),),
+        )
+        versions = {alias: db.catalog.version(name) for alias, name in tables.items()}
+        return PipelineExecutor(
+            query,
+            db.join_graph(query),
+            catalog=db.catalog,
+            artifact_cache=artifact_cache,
+            table_versions=versions if artifact_cache is not None else None,
         )
 
-    def test_bloom_pass_matches_direct_hashing(self):
-        table = self._table()
-        cache = HashCache()
-        hashes, patterns = cache.bloom_pass(table, "id")
-        expected = hash_keys(table.column("id").data)
-        np.testing.assert_array_equal(hashes, expected)
-        np.testing.assert_array_equal(patterns, key_patterns(expected))
+    def _start(self, executor):
+        """A fresh run of ``executor`` with both relations bound and unreduced."""
+        run = RunState(executor, PhysicalPlan("self_join", "rpt", ()), ExecutionStats())
+        run.relations = {
+            ref.alias: BoundRelation.from_table(ref.alias, executor.catalog.table(ref.table))
+            for ref in executor.query.relations
+        }
+        return run
 
-    def test_hit_and_miss_counters(self):
-        table = self._table()
-        cache = HashCache()
-        assert cache.misses == 0 and cache.hits == 0
-        cache.bloom_pass(table, "id")
-        assert (cache.hits, cache.misses) == (0, 1)
-        cache.bloom_pass(table, "id")
-        assert (cache.hits, cache.misses) == (1, 1)
-        cache.bloom_pass(table, "other")
-        assert (cache.hits, cache.misses) == (1, 2)
+    def _run(self, columns, b_columns=None):
+        return self._start(self._executor(columns, b_columns))
 
-    def test_selection_pass_is_keyed_by_row_index_identity(self):
-        table = self._table()
-        cache = HashCache()
-        selection = np.array([1, 5, 9], dtype=np.int64)
-        keys = table.column("id").data[selection]
-        hashes = hash_keys(keys)
-        cache.store_selection_pass(table, "id", selection, (hashes, key_patterns(hashes)))
-        hit = cache.selection_pass(table, "id", selection)
-        assert hit is not None
-        np.testing.assert_array_equal(hit[0], hashes)
-        # A different (even equal-valued) row-index array is a different state.
-        assert cache.selection_pass(table, "id", selection.copy()) is None
+    def _ids(self):
+        return {"id": np.arange(100, dtype=np.int64) * 7 % 31, "x": np.linspace(0, 1, 100)}
 
-    def test_size_accounting(self):
-        table = self._table()
-        cache = HashCache()
-        assert cache.nbytes == 0 and len(cache) == 0
-        cache.bloom_pass(table, "id")
-        assert cache.nbytes > 0 and len(cache) == 1
+    def test_pass_is_bit_identical_to_hashing_the_gathered_keys(self):
+        run = self._run(self._ids())
+        relation = run.relations["a"]
+        for mask in (None, np.arange(100) % 3 == 0):
+            if mask is not None:
+                relation.keep(mask)
+            hashes, patterns = bloom_pass_for_relation(run, relation, "id")
+            expected = hash_keys(relation.key_values("id"))
+            np.testing.assert_array_equal(hashes, expected)
+            np.testing.assert_array_equal(patterns, key_patterns(expected))
 
-    def test_selection_passes_bounded_per_column(self):
-        table = self._table()
-        cache = HashCache()
-        selections = [np.array([i], dtype=np.int64) for i in range(5)]
-        for selection in selections:
-            keys = table.column("id").data[selection]
-            hashes = hash_keys(keys)
-            cache.store_selection_pass(table, "id", selection, (hashes, key_patterns(hashes)))
-        assert len(cache) == HashCache.SELECTION_PASSES_PER_COLUMN
-        # Only the most recent states are retained.
-        assert cache.selection_pass(table, "id", selections[-1]) is not None
-        assert cache.selection_pass(table, "id", selections[0]) is None
+    def test_build_and_probe_at_one_version_share_a_pass(self):
+        run = self._run(self._ids())
+        relation = run.relations["a"]
+        relation.keep(np.arange(100) % 2 == 0)
+        build = bloom_pass_for_relation(run, relation, "id")
+        assert (run.record.hash_hits, run.record.hash_misses) == (0, 1)
+        probe = bloom_pass_for_relation(run, relation, "id")
+        assert (run.record.hash_hits, run.record.hash_misses) == (1, 1)
+        assert probe is build
+        relation.keep(np.arange(relation.num_rows) % 5 != 0)  # a new version
+        reduced = bloom_pass_for_relation(run, relation, "id")
+        assert (run.record.hash_hits, run.record.hash_misses) == (1, 2)
+        np.testing.assert_array_equal(reduced[0], hash_keys(relation.key_values("id")))
+
+    def test_self_join_aliases_share_the_full_column_pass(self):
+        run = self._run(self._ids())
+        first = bloom_pass_for_relation(run, run.relations["a"], "id")
+        second = bloom_pass_for_relation(run, run.relations["b"], "id")
+        assert second is first
+        assert (run.record.hash_hits, run.record.hash_misses) == (1, 1)
 
     def test_rejects_non_integer_columns(self):
-        from repro.errors import ExecutionError
-        from repro.storage.table import Table
-
-        table = Table.from_dict("t", {"x": np.array([1.5, 2.5])})
+        run = self._run(self._ids())
         with pytest.raises(ExecutionError):
-            HashCache().bloom_pass(table, "x")
+            bloom_pass_for_relation(run, run.relations["a"], "x")
 
-    def test_selection_cache_does_not_pin_superseded_selections(self):
-        """A relation's superseded row-id vector must be collectable.
+    def test_tables_sharing_a_buffer_share_the_full_column_pass(self):
+        ids = self._ids()
+        run = self._run(ids, b_columns={"id": ids["id"]})
+        first = bloom_pass_for_relation(run, run.relations["a"], "id")
+        second = bloom_pass_for_relation(run, run.relations["b"], "id")
+        assert second is first
+        assert (run.record.hash_hits, run.record.hash_misses) == (1, 1)
 
-        The old ``id()``-keyed cache held strong references to every stored
-        selection array (the only way to keep raw ids from aliasing), which
-        both pinned dead arrays in memory and was the precondition for the
-        id-reuse hazard this regression guards.  (An unreduced relation has
-        no vector and never reaches the selection cache at all.)
-        """
-        import gc
-        import weakref
+    def test_equal_values_in_distinct_buffers_are_hashed_apart(self):
+        ids = self._ids()
+        run = self._run(ids, b_columns={"id": ids["id"].copy()})
+        first = bloom_pass_for_relation(run, run.relations["a"], "id")
+        second = bloom_pass_for_relation(run, run.relations["b"], "id")
+        assert second is not first
+        np.testing.assert_array_equal(second[0], first[0])
+        assert (run.record.hash_hits, run.record.hash_misses) == (0, 2)
+        assert len(run.full_passes) == 2
 
-        from repro.exec.relation import BoundRelation
+    def test_full_pass_entry_holds_its_buffer(self):
+        run = self._run(self._ids())
+        relation = run.relations["a"]
+        bloom_pass_for_relation(run, relation, "id")
+        data = relation.key_data("id")
+        (key, (held, _)), = run.full_passes.items()
+        assert key == id(data) and held is data
 
-        table = self._table()
-        cache = HashCache()
-        relation = BoundRelation.from_table("r", table)
-        assert relation.row_indices is None
-        relation.keep(np.isin(np.arange(100), (1, 5, 9)))
-        selection = relation.row_indices
-        watcher = weakref.ref(selection)
-        hashes = hash_keys(relation.key_values("id"))
-        cache.store_selection_pass(table, "id", selection, (hashes, key_patterns(hashes)))
-        assert cache.selection_pass(table, "id", selection) is not None
-        relation.keep(np.array([True, False, True]))  # a new vector replaces it
-        assert cache.selection_pass(table, "id", relation.row_indices) is None
-        del selection
-        gc.collect()
-        assert watcher() is None
+    def test_uncomputed_full_pass_counts_no_miss(self):
+        run = self._run(self._ids())
+        relation = run.relations["a"]
+        assert full_bloom_pass(run, relation, "id", compute=False) is None
+        assert (run.record.hash_hits, run.record.hash_misses) == (0, 0)
+        assert not run.full_passes
+        paid = full_bloom_pass(run, relation, "id", compute=True)
+        assert (run.record.hash_hits, run.record.hash_misses) == (0, 1)
+        assert full_bloom_pass(run, relation, "id", compute=False) is paid
+        assert (run.record.hash_hits, run.record.hash_misses) == (1, 1)
 
-    def test_id_reuse_cannot_alias_selection_passes(self):
-        """Force the ``id()``-reuse aliasing scenario deterministically.
+    def test_reduced_relation_gathers_from_a_paid_full_pass(self):
+        run = self._run(self._ids())
+        relation = run.relations["a"]
+        full = bloom_pass_for_relation(run, relation, "id")
+        relation.keep(np.arange(100) % 4 == 1)
+        hashes, patterns = bloom_pass_for_relation(run, relation, "id")
+        # The full pass is reused (a hit), nothing is hashed again.
+        assert (run.record.hash_hits, run.record.hash_misses) == (1, 1)
+        np.testing.assert_array_equal(hashes, full[0].take(relation.row_indices))
+        np.testing.assert_array_equal(hashes, hash_keys(relation.key_values("id")))
+        np.testing.assert_array_equal(patterns, key_patterns(hashes))
 
-        A dead selection array's address can be recycled by a brand-new
-        array; the old ``id()``-keyed cache would then serve the dead
-        array's pass for the new one.  CPython's allocator makes the reuse
-        hard to force reliably from the outside, so this test constructs
-        the exact collision state in the token registry — a stale mapping
-        under the new array's ``id`` — and asserts the weakref validation
-        rejects it: the new array gets a fresh token and a cache miss, not
-        the stale pass.
-        """
-        import gc
-        import weakref
+    def test_a_new_version_replaces_the_selection_pass(self):
+        run = self._run(self._ids())
+        relation = run.relations["a"]
+        for modulus in (2, 3, 5):
+            relation.keep(np.arange(relation.num_rows) % modulus != 0)
+            latest = bloom_pass_for_relation(run, relation, "id")
+        # One entry per (alias, column): superseded selections are not pinned.
+        assert list(run.selection_passes) == [("a", "id")]
+        version, cached = run.selection_passes[("a", "id")]
+        assert version == relation.version and cached is latest
 
-        table = self._table()
-        cache = HashCache()
-        selection = np.array([1, 5, 9], dtype=np.int64)
-        keys = table.column("id").data[selection]
-        hashes = hash_keys(keys)
-        cache.store_selection_pass(table, "id", selection, (hashes, key_patterns(hashes)))
-        stale_token = cache._tokens.token(selection)
+    def test_aliases_keep_their_own_selection_passes(self):
+        run = self._run(self._ids())
+        a, b = run.relations["a"], run.relations["b"]
+        a.keep(np.arange(100) % 2 == 0)
+        b.keep(np.arange(100) % 3 == 0)
+        for relation in (a, b):
+            hashes, _ = bloom_pass_for_relation(run, relation, "id")
+            np.testing.assert_array_equal(hashes, hash_keys(relation.key_values("id")))
+        assert (run.record.hash_hits, run.record.hash_misses) == (0, 2)
+        assert set(run.selection_passes) == {("a", "id"), ("b", "id")}
 
-        imposter = np.array([0, 2, 4], dtype=np.int64)  # different selection
-        # The collision: the registry holds an entry under the imposter's id
-        # that still describes the (conceptually dead) original array.
-        cache._tokens._by_id[id(imposter)] = (weakref.ref(selection), stale_token)
-        assert cache._tokens.token(imposter) != stale_token
-        assert cache.selection_pass(table, "id", imposter) is None
-        # The genuine array is unaffected.
-        assert cache.selection_pass(table, "id", selection) is not None
+    def test_counters_go_to_the_open_record(self):
+        run = self._run(self._ids())
+        first, second = OpStats(index=0, kind="BloomBuild"), OpStats(index=1, kind="BloomProbe")
+        run.record = first
+        bloom_pass_for_relation(run, run.relations["a"], "id")
+        run.record = second
+        bloom_pass_for_relation(run, run.relations["b"], "id")
+        assert (first.hash_hits, first.hash_misses) == (0, 1)
+        assert (second.hash_hits, second.hash_misses) == (1, 0)
 
-        # And once an array truly dies, its registry entry is retired so the
-        # token can never be reissued to an address-recycled successor.
-        dead_key = id(selection)
-        del selection, keys
-        gc.collect()
-        assert dead_key not in cache._tokens._by_id
+    def test_artifact_cache_serves_the_full_pass_to_a_later_run(self):
+        cache = ArtifactCache()
+        executor = self._executor(self._ids(), artifact_cache=cache)
+        cold = self._start(executor)
+        paid = full_bloom_pass(cold, cold.relations["a"], "id", compute=True)
+        assert (cold.record.artifact_hits, cold.record.artifact_misses) == (0, 1)
+        assert cold.record.hash_misses == 1
+        warm = self._start(executor)
+        # Already paid by the earlier run: served even when not computing.
+        served = full_bloom_pass(warm, warm.relations["a"], "id", compute=False)
+        assert served is paid
+        assert (warm.record.artifact_hits, warm.record.artifact_misses) == (1, 0)
+        assert (warm.record.hash_hits, warm.record.hash_misses) == (0, 0)
 
-    def test_full_pass_keys_survive_id_reuse_of_column_data(self):
-        """Same collision forcing for the full-column pass keys."""
-        import weakref
-
-        from repro.storage.table import Table
-
-        cache = HashCache()
-        first = Table.from_dict("t", {"id": np.arange(64, dtype=np.int64)})
-        cache.bloom_pass(first, "id")
-        assert cache.misses == 1
-        stale_token = cache._tokens.token(first.column("id").data)
-
-        replacement = Table.from_dict("t", {"id": np.arange(64, 128, dtype=np.int64)})
-        cache._tokens._by_id[id(replacement.column("id").data)] = (
-            weakref.ref(first.column("id").data),
-            stale_token,
+    def test_through_artifacts_round_trip(self):
+        cache = ArtifactCache()
+        run = self._start(self._executor(self._ids(), artifact_cache=cache))
+        key = ArtifactKey(
+            table="t", table_version=1, column="id", fingerprint="full", kind="bloom"
         )
-        hashes, _ = cache.bloom_pass(replacement, "id")
-        np.testing.assert_array_equal(hashes, hash_keys(replacement.column("id").data))
-        assert cache.misses == 2  # fresh pass, not the stale entry
+        built = []
+
+        def build():
+            built.append(np.arange(3))
+            return built[-1]
+
+        # No key: a plain build, no cache traffic.
+        assert run.through_artifacts(None, build, lambda value: value.nbytes) is built[0]
+        assert len(cache) == 0
+        # Nothing built: no miss, no put.
+        assert run.through_artifacts(key, lambda: None, lambda value: 0) is None
+        assert (run.record.artifact_hits, run.record.artifact_misses) == (0, 0)
+        assert len(cache) == 0
+        first = run.through_artifacts(key, build, lambda value: value.nbytes)
+        assert (run.record.artifact_hits, run.record.artifact_misses) == (0, 1)
+        assert run.through_artifacts(key, build, lambda value: value.nbytes) is first
+        assert (run.record.artifact_hits, run.record.artifact_misses) == (1, 1)
+        assert len(built) == 2 and cache.current_bytes == first.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +306,6 @@ class TestPrecomputedHashKernels:
         )
 
     def test_bloom_requires_keys_or_hashes(self):
-        from repro.errors import ExecutionError
-
         bloom = BloomFilter(expected_keys=10)
         with pytest.raises(ExecutionError):
             bloom.insert()
@@ -296,12 +339,15 @@ class TestArtifactCache:
         cache.put(self._key(), "big", 11)
         assert len(cache) == 0
 
-    def test_invalidate_table(self):
+    def test_invalidate_version(self):
         cache = ArtifactCache(budget_bytes=1000)
         cache.put(self._key(column="a"), "A", 10)
         cache.put(self._key(column="b"), "B", 10)
-        assert cache.invalidate_table("t") == 2
-        assert len(cache) == 0 and cache.current_bytes == 0
+        cache.put(self._key(version=2, column="a"), "A2", 10)
+        assert cache.invalidate_version("t", 1) == 2
+        assert len(cache) == 1 and cache.current_bytes == 10
+        assert cache.get(self._key(version=2, column="a")) == "A2"
+        assert cache.invalidate_version("t", 1) == 0
 
     def test_mask_fingerprint(self):
         assert mask_fingerprint(None) == "full"

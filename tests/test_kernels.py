@@ -18,7 +18,6 @@ from repro.exec.kernels import (
     bloom_probe_cost,
     combine_key_columns_pair,
     densify_key_columns_pair,
-    estimate_join_cardinality,
     hash_probe_cost,
     match_keys,
     semi_join_mask,
@@ -405,10 +404,6 @@ class TestDensifyRanksThroughATable:
 
 
 class TestCostHelpers:
-    def test_join_cardinality_estimate(self):
-        assert estimate_join_cardinality(0, 10, 1, 1) == 0.0
-        assert estimate_join_cardinality(100, 200, 50, 100) == pytest.approx(200.0)
-
     def test_probe_costs_monotone(self):
         assert hash_probe_cost(1000, 10_000_000) > hash_probe_cost(1000, 100)
         assert bloom_probe_cost(1000, 10_000_000) > bloom_probe_cost(1000, 100)

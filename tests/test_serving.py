@@ -148,9 +148,8 @@ class TestServerBasics:
             with pytest.raises(ReproError):
                 session.sql("SELECT COUNT(*) FROM no_such_table")
             assert session.queries_failed == 1
-            # The slot and any reservation were released on failure.
+            # The slot was released on failure.
             assert server.active_queries == 0
-            assert server.reserved_memory_bytes == 0
             session.sql(QUERY)  # server still serves
         db.close()
 
@@ -201,85 +200,51 @@ class TestAdmission:
         server.close()
         db.close()
 
-    def test_memory_admission_rejects_over_budget(self):
-        db = _make_db(rows=500)
-        server = Server(
-            db,
-            config=ServerConfig(
-                session_memory_bytes=1 << 20, memory_budget_bytes=1 << 10
-            ),
-            options=_serial(),
-        )
-        session = server.session()
-        with pytest.raises(AdmissionRejected) as info:
-            session.sql(QUERY)
-        assert info.value.reason == "memory"
-        assert server.stats().rejected_memory == 1
-        assert server.reserved_memory_bytes == 0
-        server.close()
-        db.close()
-
-    def test_memory_reservations_are_released(self):
-        db = _make_db(rows=500)
-        server = Server(
-            db,
-            config=ServerConfig(
-                session_memory_bytes=1 << 16, memory_budget_bytes=1 << 20
-            ),
-            options=_serial(),
-        )
-        session = server.session()
-        session.sql(QUERY)
-        assert server.reserved_memory_bytes == 0  # released after completion
-        server.close()
-        db.close()
-
-    @pytest.mark.parametrize("budget", [None, 3], ids=["unbounded", "three_queries"])
+    @pytest.mark.parametrize("slots", [3, 200], ids=["three_slots", "ample_slots"])
     @pytest.mark.parametrize("seed", range(8))
-    def test_memory_accounting_over_any_sequence(self, seed, budget):
+    def test_slot_accounting_over_any_sequence(self, seed, slots):
         """White-box: any interleaving of admissions and releases keeps the
-        reserved total at the sum of the admitted reservations, never past
-        the budget, and rejects exactly the admissions that would pass it."""
-        size = 1 << 12
+        active count at the number of slots held, never past
+        ``max_concurrent``, and (with no queue) rejects exactly the
+        admissions that would pass it."""
         db = _make_db(rows=50)
         server = Server(
-            db,
-            config=ServerConfig(
-                session_memory_bytes=size,
-                memory_budget_bytes=None if budget is None else budget * size,
-            ),
-            options=_serial(),
+            db, config=ServerConfig(max_concurrent=slots, max_queue=0), options=_serial()
         )
         rng = np.random.default_rng(seed)
-        held = rejected = 0
+        held = admitted = rejected = 0
         for _ in range(200):
             if held and rng.random() < 0.45:
-                server._release_memory(True)
+                server._release_slot()
                 held -= 1
-            elif budget is not None and held == budget:
+            elif held == slots:
                 with pytest.raises(AdmissionRejected) as info:
-                    server._reserve_memory()
-                assert info.value.reason == "memory"
+                    server._admit()
+                assert info.value.reason == "queue_full"
+                assert info.value.retry_after_seconds > 0
                 rejected += 1
             else:
-                assert server._reserve_memory() is True
+                assert server._admit() == 0.0  # admitted without queueing
                 held += 1
-            assert server.reserved_memory_bytes == held * size
-        assert server.stats().rejected_memory == rejected
-        assert (rejected > 0) == (budget is not None)
+                admitted += 1
+            assert server.active_queries == held
+            assert server.queued_queries == 0
+        stats = server.stats()
+        assert (stats.admitted, stats.queued) == (admitted, 0)
+        assert stats.rejected == stats.rejected_queue_full == rejected
+        assert (rejected > 0) == (slots == 3)
         for _ in range(held):
-            server._release_memory(True)
-        assert server.reserved_memory_bytes == 0
+            server._release_slot()
+        assert server.active_queries == 0
         server.close()
         db.close()
 
     @pytest.mark.parametrize("outcome", ["ok", "explain", "failed", "timeout", "cancelled"])
-    def test_memory_is_released_on_every_outcome(self, outcome):
+    def test_slot_is_released_on_every_outcome(self, outcome):
+        """Every outcome gives its execution slot back."""
         db = _make_db(rows=500)
         server = Server(
-            db,
-            config=ServerConfig(session_memory_bytes=1 << 16, memory_budget_bytes=1 << 16),
-            options=_serial(),
+            db, config=ServerConfig(max_concurrent=1, max_queue=0), options=_serial()
         )
         session = server.session()
         text, options, expected = QUERY, _serial(), None
@@ -306,11 +271,10 @@ class TestAdmission:
         else:
             with pytest.raises(expected):
                 session.sql(text, options=options)
-        assert server.reserved_memory_bytes == 0
-        # The budget holds exactly one query, so a held reservation would
-        # reject this one.
+        assert server.active_queries == 0
+        # One slot and no queue, so a slot still held would reject this one.
         session.sql(QUERY)
-        assert server.stats().rejected_memory == 0
+        assert server.stats().rejected == 0
         server.close()
         db.close()
 
@@ -380,7 +344,6 @@ class TestAdmission:
         assert stats.completed == outcomes.count("completed")
         assert stats.rejected == outcomes.count("rejected")
         assert server.active_queries == 0 and server.queued_queries == 0
-        assert server.reserved_memory_bytes == 0
         server.close()
         db.close()
 
@@ -731,7 +694,6 @@ class TestServerClose:
         assert not any(t.is_alive() for t in threads)
         assert len(outcomes) == 4  # every client got a definite outcome
         assert server.active_queries == 0
-        assert server.reserved_memory_bytes == 0
         # The database survives its server.
         assert not db.closed
         db.sql("SELECT COUNT(*) AS n FROM d", options=_serial())
