@@ -371,8 +371,7 @@ def run_serving_benchmark(
         plan_misses += stats.plan_cache_misses
         for series, value in stats.metrics.items():
             metrics_after[series] = metrics_after.get(series, 0.0) + value
-        if server.query_log is not None:
-            log_records.extend(server.query_log.slowest(3))
+        log_records.extend(server.query_log.slowest(3))
     metrics_delta = {
         series: round(value - metrics_before.get(series, 0.0), 9)
         for series, value in sorted(metrics_after.items())

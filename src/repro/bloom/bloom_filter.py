@@ -256,24 +256,6 @@ class BloomFilter:
         """Size of the filter's bit array in bytes."""
         return int(self._blocks.nbytes)
 
-    @property
-    def fill_ratio(self) -> float:
-        """Fraction of bits set, an indicator of saturation."""
-        set_bits = int(np.unpackbits(self._blocks.view(np.uint8)).sum())
-        return set_bits / (self.num_blocks * 64)
-
-    def union_inplace(self, other: "BloomFilter") -> None:
-        """Bitwise-OR another filter of identical geometry into this one.
-
-        Used to combine per-thread partial filters in the simulated parallel
-        build, mirroring the Combine step of the paper's CreateBF operator.
-        """
-        if other.num_blocks != self.num_blocks:
-            raise ExecutionError("cannot union Bloom filters of different sizes")
-        self._blocks |= other._blocks
-        with self._stats_lock:
-            self.statistics.keys_inserted += other.statistics.keys_inserted
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"BloomFilter(blocks={self.num_blocks}, bytes={self.size_bytes}, "

@@ -617,6 +617,7 @@ class Database:
         mode: ExecutionMode = ExecutionMode.RPT,
         plan: Optional[JoinPlan] = None,
         options: Optional[ExecutionOptions] = None,
+        snapshot: Optional[CatalogSnapshot] = None,
     ) -> ExplainResult:
         """Plan and compile ``query`` without executing it.
 
@@ -624,17 +625,22 @@ class Database:
         join graph, transfer schedule, join plan, physical-plan compilation —
         and returns an :class:`ExplainResult` whose stats carry one zero-cost
         entry per compiled op, so the usual trace renderers work on it.
+        ``snapshot`` is pinned and released as in :meth:`execute`.
         """
         options = options or ExecutionOptions()
         self._begin_execution()
+        owned: Optional[CatalogSnapshot] = None
         try:
+            if snapshot is None:
+                owned = snapshot = self.catalog.snapshot(
+                    ref.table for ref in query.relations
+                )
             config = options.execution.resolved()
             stats = ExecutionStats(query_name=query.name, mode=mode.value)
-            with self.catalog.snapshot(
-                ref.table for ref in query.relations
-            ) as snapshot:
-                prep = self._prepare(query, mode, plan, options, stats, catalog=snapshot)
+            prep = self._prepare(query, mode, plan, options, stats, catalog=snapshot)
         finally:
+            if owned is not None:
+                owned.release()
             self._end_execution()
         stats.op_stats.extend(
             OpStats(index=index, kind=op.kind, detail=op.describe())

@@ -1,7 +1,9 @@
 """Prepared-statement cache for the serving layer: a statement repeated over
 unchanged tables pays only for its base-filter masks and its execution.
 
-Two LRUs of at most ``max_entries`` entries each:
+A :class:`~repro.engine.server.Server` always keeps one, bounded by the
+fixed :data:`DEFAULT_PLAN_CACHE_ENTRIES`; ``Database.sql`` is the uncached
+path.  Two LRUs of at most ``max_entries`` entries each:
 
 * **Statements**, keyed by the client's ``(text, name)``: the compiled
   :class:`~repro.query.QuerySpec` with its ``EXPLAIN`` / ``ANALYZE`` flags,
@@ -119,13 +121,13 @@ class PlanCache:
 
 
 def pin_statement(
-    source: Union[str, QuerySpec], name: Optional[str], catalog: Catalog, cache: Optional[PlanCache]
+    source: Union[str, QuerySpec], name: Optional[str], catalog: Catalog, cache: PlanCache
 ) -> Tuple[Statement, CatalogSnapshot]:
     """The compiled statement of ``source`` and a snapshot pinning its
     tables, which the caller releases.  SQL text is compiled only when
     ``cache`` holds no statement still valid in that snapshot."""
     key = (source, name)
-    cached = isinstance(source, str) and cache is not None
+    cached = isinstance(source, str)
     if cached:
         statement = cache._get(cache._statements, key)
         if statement is not None and all(catalog.has_table(t) for t, _ in statement.versions):
@@ -155,13 +157,13 @@ def pin_statement(
 
 
 def prepare(
-    cache: Optional[PlanCache], database: "Database", statement: Statement, mode: "ExecutionMode",
+    cache: PlanCache, database: "Database", statement: Statement, mode: "ExecutionMode",
     options: "ExecutionOptions", stats: "ExecutionStats", snapshot: CatalogSnapshot,
 ) -> "_PreparedExecution":
     """``Database._prepare`` of ``statement`` over ``snapshot``, with only
     the base-filter masks evaluated anew when ``cache`` holds its entry."""
     query = statement.query
-    if cache is None or statement.text is None:
+    if statement.text is None:
         return database._prepare(query, mode, None, options, stats, catalog=snapshot)
     key = PlanCacheKey(statement.text, mode.value, statement.versions)
     variants = cache._get(cache._prepared, key, count=True) or {}

@@ -16,16 +16,23 @@ guarantees a bare ``Database`` does not give:
   ``retry_after_seconds`` hint derived from observed service latency and
   queue depth — overload degrades into fast typed rejections, never into
   unbounded queues or hangs.
-* **Deadlines and shed-load degradation** — every admitted query gets a
-  :class:`~repro.exec.faults.CancelToken` (defaulting from
-  ``default_timeout_seconds``); a query that waited in the admission queue
-  can be tightened to ``shed_timeout_seconds``, recorded in
-  ``ExecutionStats.degradations`` alongside the queue wait itself.
+* **Deadlines** — every admitted query gets a
+  :class:`~repro.exec.faults.CancelToken` carrying its
+  ``ExecutionConfig.timeout_seconds`` (``REPRO_TIMEOUT_SECONDS``), which
+  :meth:`Server.close` also uses to cancel it; a query that waited in the
+  admission queue records the wait in ``ExecutionStats.degradations``.
 
-A prepared-statement cache (:mod:`repro.engine.plancache`) lets a statement
-repeated over unchanged tables skip the SQL front end and planning: it pays
-only for its base-filter masks and its execution.  A table replace bumps
-the version and every stale entry simply misses.
+A prepared-statement cache (:mod:`repro.engine.plancache`), always on, lets
+a statement repeated over unchanged tables skip the SQL front end and
+planning: it pays only for its base-filter masks and its execution.  A table
+replace bumps the version and every stale entry simply misses.
+
+Every query the server sees — executed, explained, failed or shed at
+admission — is observed exactly once, when it ends: that one observation
+feeds the outcome and rejection counters of the :class:`MetricsRegistry`,
+appends the :class:`~repro.obs.querylog.QueryLogRecord` and counts the
+query on its session, and :meth:`Server.stats` reads its outcome counts
+back from those counters.
 
 Per-query fault plans (``ExecutionOptions.execution.faults``) configure
 the *process-global* injector and are not safe under concurrency; chaos
@@ -48,13 +55,7 @@ from repro.engine.database import (
     QueryResult,
 )
 from repro.engine.modes import ExecutionMode
-from repro.engine.plancache import (
-    DEFAULT_PLAN_CACHE_ENTRIES,
-    PlanCache,
-    Statement,
-    pin_statement,
-    prepare,
-)
+from repro.engine.plancache import PlanCache, Statement, pin_statement, prepare
 from repro.engine.session import Session
 from repro.errors import (
     AdmissionRejected,
@@ -67,12 +68,7 @@ from repro.exec.faults import CancelToken
 from repro.exec.statistics import COUNTERS
 from repro.obs.export import render_exposition
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.querylog import (
-    DEFAULT_QUERY_LOG_ENTRIES,
-    QueryLog,
-    QueryLogRecord,
-    sql_hash,
-)
+from repro.obs.querylog import QueryLog, QueryLogRecord, sql_hash
 from repro.query import QuerySpec
 
 #: ``OpStats`` fields whose per-query totals are exported as serving
@@ -90,10 +86,13 @@ _OP_COUNTER_METRICS = {
     ),
 }
 
+#: Query outcomes that :attr:`ServerStats.failed` sums.
+_FAILED_OUTCOMES = ("failed", "timeout", "cancelled")
+
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """Serving knobs (all admission decisions derive from these)."""
+    """The three admission knobs; every admission decision derives from them."""
 
     #: Queries allowed to execute concurrently.
     max_concurrent: int = 4
@@ -102,17 +101,6 @@ class ServerConfig:
     max_queue: int = 16
     #: Longest a query may wait in the admission queue before being shed.
     admission_timeout_seconds: float = 10.0
-    #: Default per-query deadline (None: no deadline unless the client's
-    #: options carry one).
-    default_timeout_seconds: Optional[float] = None
-    #: Tighter deadline applied to queries that had to wait in the queue
-    #: (shed-load degradation; None disables the tightening).
-    shed_timeout_seconds: Optional[float] = None
-    #: Whether to cache compiled statements and their prepared executions.
-    plan_cache: bool = True
-    plan_cache_entries: int = DEFAULT_PLAN_CACHE_ENTRIES
-    #: Ring-buffer capacity of the structured query log (0 disables it).
-    query_log_entries: int = DEFAULT_QUERY_LOG_ENTRIES
 
     def __post_init__(self) -> None:
         if self.max_concurrent <= 0:
@@ -121,13 +109,17 @@ class ServerConfig:
             raise ValueError("max_queue must be non-negative")
         if self.admission_timeout_seconds < 0:
             raise ValueError("admission_timeout_seconds must be non-negative")
-        if self.query_log_entries < 0:
-            raise ValueError("query_log_entries must be non-negative")
 
 
 @dataclass
 class ServerStats:
-    """Monotonic serving counters (snapshot via :meth:`Server.stats`)."""
+    """Monotonic serving counters (snapshot via :meth:`Server.stats`).
+
+    ``completed`` / ``failed`` / ``rejected_*`` are read back from the
+    ``repro_server_queries_total`` / ``repro_server_rejections_total``
+    counters; ``failed`` sums the ``failed``, ``timeout`` and ``cancelled``
+    outcomes.  ``admitted`` / ``queued`` count admission-state transitions.
+    """
 
     admitted: int = 0
     completed: int = 0
@@ -164,11 +156,12 @@ class Server:
         self.config = config or ServerConfig()
         self.default_mode = mode
         self.default_options = options
-        self._stats = ServerStats()
         # One condition guards every piece of admission state below.
         self._cond = threading.Condition()
         self._running = 0
         self._waiting = 0
+        self._admitted = 0
+        self._queued = 0
         self._closed = False
         self._session_counter = 0
         #: Exponential moving average of completed-query latency; seeds the
@@ -176,16 +169,8 @@ class Server:
         self._latency_ewma: Optional[float] = None
         self._sessions: List[Session] = []
         self._active_tokens: Dict[int, CancelToken] = {}
-        self._plan_cache = (
-            PlanCache(self.config.plan_cache_entries)
-            if self.config.plan_cache
-            else None
-        )
-        self.query_log: Optional[QueryLog] = (
-            QueryLog(self.config.query_log_entries)
-            if self.config.query_log_entries
-            else None
-        )
+        self._plan_cache = PlanCache()
+        self.query_log = QueryLog()
         self.metrics = MetricsRegistry()
         self._register_instruments()
 
@@ -296,17 +281,23 @@ class Server:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> ServerStats:
-        """A consistent copy of the serving counters, metrics, and query log."""
+        """The serving counters, metrics, and query log."""
         with self._cond:
-            stats = dc_replace(self._stats)
-            if self._plan_cache is not None:
-                stats.plan_cache_hits = self._plan_cache.hits
-                stats.plan_cache_misses = self._plan_cache.misses
-        stats.metrics = self.metrics_snapshot()
-        stats.query_log = (
-            self.query_log.records() if self.query_log is not None else []
+            admitted, queued = self._admitted, self._queued
+        outcomes, reasons = self._m_queries, self._m_rejections
+        return ServerStats(
+            admitted=admitted,
+            completed=int(outcomes.value(outcome="ok")),
+            failed=int(sum(outcomes.value(outcome=o) for o in _FAILED_OUTCOMES)),
+            queued=queued,
+            rejected_queue_full=int(reasons.value(reason="queue_full")),
+            rejected_timeout=int(reasons.value(reason="timeout")),
+            rejected_closed=int(reasons.value(reason="closed")),
+            plan_cache_hits=self._plan_cache.hits,
+            plan_cache_misses=self._plan_cache.misses,
+            metrics=self.metrics_snapshot(),
+            query_log=self.query_log.records(),
         )
-        return stats
 
     def sample_metrics(self) -> None:
         """Refresh the ``(sampled)`` gauges from live component state."""
@@ -315,10 +306,9 @@ class Server:
             self._m_queued.set(self._waiting)
             self._m_retry_after.set(self._retry_after_locked())
         cache = self._plan_cache
-        if cache is not None:
-            self._m_plan_cache_hits.set(cache.hits)
-            self._m_plan_cache_misses.set(cache.misses)
-            self._m_plan_cache_entries.set(len(cache))
+        self._m_plan_cache_hits.set(cache.hits)
+        self._m_plan_cache_misses.set(cache.misses)
+        self._m_plan_cache_entries.set(len(cache))
         # Component state lives on the shared database (same package;
         # sampling must not force either cache into existence).
         artifacts = self.database._artifact_cache
@@ -340,7 +330,7 @@ class Server:
         return render_exposition(self.metrics)
 
     @property
-    def plan_cache(self) -> Optional[PlanCache]:
+    def plan_cache(self) -> PlanCache:
         return self._plan_cache
 
     @property
@@ -379,8 +369,7 @@ class Server:
         with self._cond:
             while self._running:
                 self._cond.wait()
-        if self._plan_cache is not None:
-            self._plan_cache.clear()
+        self._plan_cache.clear()
         if close_database:
             self.database.close()
 
@@ -409,17 +398,15 @@ class Server:
         deadline = time.monotonic() + self.config.admission_timeout_seconds
         with self._cond:
             if self._closed:
-                self._stats.rejected_closed += 1
                 raise AdmissionRejected(
                     "server is closed", retry_after_seconds=0.0, reason="closed"
                 )
             # Fast path only when nobody is already waiting (no barging).
             if self._running < self.config.max_concurrent and not self._waiting:
                 self._running += 1
-                self._stats.admitted += 1
+                self._admitted += 1
                 return 0.0
             if self._waiting >= self.config.max_queue:
-                self._stats.rejected_queue_full += 1
                 raise AdmissionRejected(
                     f"admission queue full ({self._waiting} waiting, "
                     f"{self._running} running)",
@@ -431,7 +418,6 @@ class Server:
             try:
                 while True:
                     if self._closed:
-                        self._stats.rejected_closed += 1
                         raise AdmissionRejected(
                             "server closed while queued",
                             retry_after_seconds=0.0,
@@ -439,12 +425,11 @@ class Server:
                         )
                     if self._running < self.config.max_concurrent:
                         self._running += 1
-                        self._stats.admitted += 1
-                        self._stats.queued += 1
+                        self._admitted += 1
+                        self._queued += 1
                         return time.monotonic() - started
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        self._stats.rejected_timeout += 1
                         raise AdmissionRejected(
                             f"admission wait exceeded "
                             f"{self.config.admission_timeout_seconds:.3f}s",
@@ -471,7 +456,9 @@ class Server:
     # Observability
     # ------------------------------------------------------------------
     @staticmethod
-    def _outcome_of(error: BaseException) -> str:
+    def _outcome_of(error: Optional[BaseException]) -> str:
+        if error is None:
+            return "ok"
         if isinstance(error, AdmissionRejected):
             return "rejected"
         if isinstance(error, QueryTimeout):
@@ -485,31 +472,39 @@ class Server:
         session: Session,
         statement: Optional[Statement],
         mode: ExecutionMode,
-        outcome: str,
         queued_seconds: float,
         duration_seconds: float,
-        result: Optional[QueryResult] = None,
-        stats=None,
-        error: Optional[BaseException] = None,
+        answer: Union[QueryResult, ExplainResult, ExplainAnalyzeResult, None],
+        error: Optional[BaseException],
     ) -> None:
-        """Fold one finished/failed/rejected query into metrics + query log."""
+        """Fold one ended query — answered, failed or shed — into the
+        metrics, the query log and its session's counters: the only writer
+        of outcome counts."""
+        outcome = self._outcome_of(error)
+        session._count(outcome)
         self._m_queries.inc(outcome=outcome)
-        if isinstance(error, AdmissionRejected):
-            self._m_rejections.inc(reason=getattr(error, "reason", "unknown"))
+        if outcome == "rejected":
+            self._m_rejections.inc(reason=error.reason)
         else:
             self._m_admission_wait.observe(queued_seconds)
             self._m_latency.observe(duration_seconds)
+        if outcome == "ok":
+            self._record_latency(duration_seconds)
 
+        if isinstance(answer, ExplainAnalyzeResult):
+            answer = answer.result
         backend = ""
         plan_fingerprint = ""
-        if result is not None:
-            stats = result.stats
-            if result.execution_config is not None:
-                backend = result.execution_config.backend
-            if result.physical_plan is not None:
+        if answer is not None:
+            if answer.execution_config is not None:
+                backend = answer.execution_config.backend
+            if answer.physical_plan is not None:
                 plan_fingerprint = sql_hash(
-                    " ".join(op.kind for op in result.physical_plan.ops)
+                    " ".join(op.kind for op in answer.physical_plan.ops)
                 )
+        # Typed deadline/cancel errors carry the aborted run's partial
+        # statistics.
+        stats = answer.stats if answer is not None else getattr(error, "stats", None)
 
         output_rows = 0
         op_seconds: Dict[str, float] = {}
@@ -538,8 +533,6 @@ class Server:
             if outcome == "ok":
                 self._m_output_rows.inc(output_rows)
 
-        if self.query_log is None:
-            return
         name = statement.query.name if statement is not None else ""
         self.query_log.append(
             QueryLogRecord(
@@ -575,69 +568,40 @@ class Server:
         name: Optional[str],
     ) -> Union[QueryResult, ExplainResult, ExplainAnalyzeResult]:
         options = options or ExecutionOptions()
-        statement: Optional[Statement] = None
-        queued_seconds = 0.0
         started = time.monotonic()
+        statement = Statement(source, None, ()) if isinstance(source, QuerySpec) else None
+        queued_seconds: Optional[float] = None  # None until admitted
+        snapshot = None
+        token_id: Optional[int] = None
+        answer = error = None
         try:
             queued_seconds = self._admit()
-        except AdmissionRejected as error:
-            self._observe_query(
-                session,
-                Statement(source, None, ()) if isinstance(source, QuerySpec) else None,
-                mode,
-                "rejected",
-                queued_seconds=time.monotonic() - started,
-                duration_seconds=0.0,
-                error=error,
-            )
-            raise
-        token_id: Optional[int] = None
-        snapshot = None
-        try:
             statement, snapshot = pin_statement(
                 source, name, self.database.catalog, self._plan_cache
             )
             spec = statement.query
             if statement.explain and not statement.analyze:
-                explained = self.database.explain(spec, mode=mode, options=options)
-                self._observe_query(
-                    session,
-                    statement,
-                    mode,
-                    "ok",
-                    queued_seconds=queued_seconds,
-                    duration_seconds=time.monotonic() - started,
-                    stats=explained.stats,
+                answer = self.database.explain(
+                    spec, mode=mode, options=options, snapshot=snapshot
                 )
-                return explained
+                return answer
 
             if statement.analyze:
                 # EXPLAIN ANALYZE always runs traced, as through Database.sql.
                 options = dc_replace(
                     options, execution=dc_replace(options.execution, tracing=True)
                 )
-            config = options.execution.resolved()
-            # Deadline: explicit per-query timeout wins; otherwise the
-            # server default, tightened to the shed timeout for queries
-            # that had to queue.
-            timeout = config.timeout_seconds
-            if timeout is None:
-                timeout = self.config.default_timeout_seconds
-            shed = False
-            if queued_seconds > 0 and self.config.shed_timeout_seconds is not None:
-                if timeout is None or self.config.shed_timeout_seconds < timeout:
-                    timeout = self.config.shed_timeout_seconds
-                    shed = True
+            # The query's deadline (ExecutionConfig.timeout_seconds) rides
+            # on a token close() can also cancel.
             token = options.cancel
             if token is None:
-                token = CancelToken(timeout)
+                token = CancelToken(options.execution.resolved().timeout_seconds)
                 options = dc_replace(options, cancel=token)
             token_id = id(token)
             with self._cond:
                 if self._closed:
                     # Raced a close: surface the typed rejection rather
                     # than starting work close() will not wait for.
-                    self._stats.rejected_closed += 1
                     raise AdmissionRejected(
                         "server is closed", retry_after_seconds=0.0, reason="closed"
                     )
@@ -654,50 +618,10 @@ class Server:
                 result.stats.record_degradation(
                     f"admission:queued:{queued_seconds * 1e3:.0f}ms"
                 )
-            if shed:
-                result.stats.record_degradation(
-                    f"admission:shed-timeout:{timeout:.3f}s"
-                )
-            elapsed = time.monotonic() - started
-            self._record_latency(elapsed)
-            with self._cond:
-                self._stats.completed += 1
-            self._observe_query(
-                session,
-                statement,
-                mode,
-                "ok",
-                queued_seconds=queued_seconds,
-                duration_seconds=elapsed,
-                result=result,
-            )
-            return ExplainAnalyzeResult(result) if statement.analyze else result
-        except AdmissionRejected as error:
-            self._observe_query(
-                session,
-                statement,
-                mode,
-                "rejected",
-                queued_seconds=queued_seconds,
-                duration_seconds=time.monotonic() - started,
-                error=error,
-            )
-            raise
-        except BaseException as error:
-            with self._cond:
-                self._stats.failed += 1
-            self._observe_query(
-                session,
-                statement,
-                mode,
-                self._outcome_of(error),
-                queued_seconds=queued_seconds,
-                duration_seconds=time.monotonic() - started,
-                # Typed deadline/cancel errors carry the aborted run's
-                # partial statistics.
-                stats=getattr(error, "stats", None),
-                error=error,
-            )
+            answer = ExplainAnalyzeResult(result) if statement.analyze else result
+            return answer
+        except BaseException as exc:
+            error = exc
             raise
         finally:
             if snapshot is not None:
@@ -705,4 +629,19 @@ class Server:
             if token_id is not None:
                 with self._cond:
                     self._active_tokens.pop(token_id, None)
-            self._release_slot()
+            admitted = queued_seconds is not None
+            elapsed = time.monotonic() - started
+            try:
+                # A query shed at admission spent all of its time waiting.
+                self._observe_query(
+                    session,
+                    statement,
+                    mode,
+                    queued_seconds if admitted else elapsed,
+                    elapsed if admitted else 0.0,
+                    answer,
+                    error,
+                )
+            finally:
+                if admitted:
+                    self._release_slot()

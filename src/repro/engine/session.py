@@ -2,8 +2,9 @@
 
 A :class:`Session` is a thin, cheap handle a client holds onto a
 :class:`~repro.engine.server.Server`: it carries the client's default
-execution mode/options and per-session counters, and funnels every query
-through the server's admission control.  Sessions are *not* transactional
+execution mode/options and per-session counters (which the server's one
+observation of each query bumps), and funnels every query through the
+server's admission control.  Sessions are *not* transactional
 — isolation is per query (each admitted query pins its own catalog
 snapshot) — and a single session may be used from multiple threads; the
 server serializes nothing per session, only global admission.
@@ -72,22 +73,17 @@ class Session:
             raise ReproError(f"session {self.name!r} is closed")
         resolved_mode = mode or self.default_mode or ExecutionMode.RPT
         resolved_options = options or self.default_options
-        try:
-            result = self.server._execute(
-                self, source, resolved_mode, resolved_options, name
-            )
-        except ReproError as error:
-            from repro.errors import AdmissionRejected
+        return self.server._execute(self, source, resolved_mode, resolved_options, name)
 
-            with self._lock:
-                if isinstance(error, AdmissionRejected):
-                    self.queries_rejected += 1
-                else:
-                    self.queries_failed += 1
-            raise
+    def _count(self, outcome: str) -> None:
+        """Count one ended query (the server's observation of it calls this)."""
         with self._lock:
-            self.queries_completed += 1
-        return result
+            if outcome == "ok":
+                self.queries_completed += 1
+            elif outcome == "rejected":
+                self.queries_rejected += 1
+            else:
+                self.queries_failed += 1
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -78,26 +78,6 @@ class TestBloomFilter:
         assert bloom.statistics.probes_passed == 50
         assert bloom.statistics.observed_pass_rate == 1.0
 
-    def test_union_requires_same_geometry(self):
-        a = BloomFilter(expected_keys=100, num_blocks=16)
-        b = BloomFilter(expected_keys=100, num_blocks=32)
-        with pytest.raises(ExecutionError):
-            a.union_inplace(b)
-
-    def test_union_combines_membership(self):
-        a = BloomFilter(expected_keys=100, num_blocks=64)
-        b = BloomFilter(expected_keys=100, num_blocks=64)
-        a.insert(np.array([1, 2, 3], dtype=np.int64))
-        b.insert(np.array([100, 200], dtype=np.int64))
-        a.union_inplace(b)
-        assert a.probe(np.array([1, 2, 3, 100, 200], dtype=np.int64)).all()
-
-    def test_fill_ratio_increases(self):
-        bloom = BloomFilter(expected_keys=1000)
-        before = bloom.fill_ratio
-        bloom.insert(np.arange(1000, dtype=np.int64))
-        assert bloom.fill_ratio > before
-
     def test_size_bytes(self):
         bloom = BloomFilter(expected_keys=1000)
         assert bloom.size_bytes == bloom.num_blocks * 8

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import ExecutionConfig, ExecutionOptions
+from repro import ExecutionConfig, ExecutionOptions, ServerConfig
 from repro.engine import modes
 from repro.errors import ExecutionError
 from repro.exec import TransferOptions
@@ -60,6 +60,10 @@ def test_table_covers_every_env_variable_but_faults():
     }
     assert {f.name for f in dataclasses.fields(TransferOptions)} == {
         "fpr", "prune_trivial_semijoins",
+    }
+    # The serving knobs: admission only (deadlines come from ExecutionConfig).
+    assert {f.name for f in dataclasses.fields(ServerConfig)} == {
+        "max_concurrent", "max_queue", "admission_timeout_seconds",
     }
 
 
@@ -162,6 +166,12 @@ DELETED_OPTIONS = (
     "session_memory_bytes",
     "reserved_memory_bytes",
     "rejected_memory",
+    "default_timeout_seconds",
+    "shed_timeout_seconds",
+    "plan_cache_entries",
+    "query_log_entries",
+    # Not a bare "plan_cache": names such as plan_cache_hits stay.
+    "plan_cache=False",
 )
 
 

@@ -36,6 +36,7 @@ from repro.errors import AdmissionRejected, ReproError
 from repro.exec.faults import FaultInjector, FaultPlan
 from repro.exec.statistics import COUNTERS, ExecutionStats, OpStats
 from repro.obs import (
+    DEFAULT_QUERY_LOG_ENTRIES,
     MetricsRegistry,
     QueryLog,
     QueryLogRecord,
@@ -667,14 +668,17 @@ class TestServerObservability:
         assert stats.query_log[-1].outcome == "rejected"
         assert stats.query_log[-1].error
 
-    def test_query_log_can_be_disabled(self):
+    def test_query_log_is_always_kept(self):
+        """Every Server keeps a query log of the fixed default capacity, and
+        its records agree with the outcome counters."""
         db = _star_db()
-        server = Server(db, ServerConfig(query_log_entries=0))
+        server = Server(db)
         try:
+            assert server.query_log.capacity == DEFAULT_QUERY_LOG_ENTRIES
             session = server.session()
             session.sql(STAR_SQL)
             stats = server.stats()
-            assert stats.query_log == []
+            assert [record.outcome for record in stats.query_log] == ["ok"]
             assert stats.metrics['repro_server_queries_total{outcome="ok"}'] == 1.0
         finally:
             server.close(close_database=True)

@@ -31,6 +31,7 @@ from repro.engine.modes import ExecutionConfig
 from repro.exec import TransferOptions
 from repro.errors import QueryCancelled, QueryTimeout, ReproError, SqlError
 from repro.exec.faults import CancelToken
+from repro.exec.statistics import ExecutionStats
 from repro.workloads import sqlfiles
 
 QUERY = (
@@ -106,6 +107,48 @@ class TestServerBasics:
             assert sum(op.rows_out for op in analyzed.op_stats) > 0
             assert "query" in analyzed.render()
             assert server.stats().completed == 1
+        db.close()
+
+    def test_explain_plans_against_the_pinned_snapshot(self, monkeypatch):
+        """A replace between pinning a statement and planning its EXPLAIN
+        must not change the plan: EXPLAIN reads the pinned versions."""
+        db = _make_db()
+        from repro.engine import server as server_module
+        from repro.sql import compile_statement
+
+        pinned = db.explain(compile_statement(QUERY, db.catalog).query)
+        assert pinned.join_tree.root == "f"
+        pin = server_module.pin_statement
+
+        def pin_then_replace(*args):
+            statement, snapshot = pin(*args)
+            # f shrinks below d, which flips the LargestRoot root to d.
+            db.register_table(db.table("f").take(np.arange(10)), replace=True)
+            return statement, snapshot
+
+        monkeypatch.setattr(server_module, "pin_statement", pin_then_replace)
+        with Server(db, options=_serial()) as server:
+            explained = server.session().sql(f"EXPLAIN {QUERY}")
+        assert explained.join_tree == pinned.join_tree
+        live = db.explain(compile_statement(QUERY, db.catalog).query)
+        assert live.join_tree.root == "d"
+        db.close()
+
+    def test_deadline_comes_from_the_environment(self, monkeypatch):
+        """A served query's deadline is ExecutionConfig.timeout_seconds,
+        which REPRO_TIMEOUT_SECONDS fills when the config leaves it unset."""
+        monkeypatch.setenv("REPRO_TIMEOUT_SECONDS", "0.01")
+        db = _make_db(rows=500)
+        slow = ExecutionConfig(
+            backend="serial", faults="seed:1,rate:1.0,sites:op.latency,latency:0.02"
+        )
+        with Server(db, options=ExecutionOptions(execution=slow)) as server:
+            session = server.session()
+            with pytest.raises(QueryTimeout):
+                session.sql(QUERY)
+            stats = server.stats()
+            assert [record.outcome for record in stats.query_log] == ["timeout"]
+            assert stats.failed == session.queries_failed == 1
         db.close()
 
     def test_closed_session_raises_and_close_is_idempotent(self):
@@ -229,9 +272,10 @@ class TestAdmission:
                 admitted += 1
             assert server.active_queries == held
             assert server.queued_queries == 0
+        # Rejections are counted when a query is observed, which this
+        # white-box drive of _admit bypasses (TestOneObservation counts them).
         stats = server.stats()
         assert (stats.admitted, stats.queued) == (admitted, 0)
-        assert stats.rejected == stats.rejected_queue_full == rejected
         assert (rejected > 0) == (slots == 3)
         for _ in range(held):
             server._release_slot()
@@ -344,6 +388,59 @@ class TestAdmission:
         assert stats.completed == outcomes.count("completed")
         assert stats.rejected == outcomes.count("rejected")
         assert server.active_queries == 0 and server.queued_queries == 0
+        server.close()
+        db.close()
+
+
+# ---------------------------------------------------------------------------
+# One observation per query
+# ---------------------------------------------------------------------------
+class TestOneObservation:
+    def test_stats_metrics_sessions_and_log_agree(self):
+        """Every outcome is counted once, and every view of it agrees:
+        ServerStats, the labelled counters, the session and the query log."""
+        db = _make_db(rows=500)
+        server = Server(db, config=ServerConfig(max_concurrent=1, max_queue=0), options=_serial())
+        session = server.session()
+        session.sql(QUERY)
+        session.sql(f"EXPLAIN {QUERY}")
+        session.sql(f"EXPLAIN ANALYZE {QUERY}")
+        with pytest.raises(ReproError):
+            session.sql("SELECT COUNT(*) FROM no_such_table")
+        slow = ExecutionConfig(
+            backend="serial",
+            timeout_seconds=0.01,
+            faults="seed:1,rate:1.0,sites:op.latency,latency:0.02",
+        )
+        with pytest.raises(QueryTimeout):
+            session.sql(QUERY, options=ExecutionOptions(execution=slow))
+        token = CancelToken()
+        token.cancel()
+        with pytest.raises(QueryCancelled):
+            session.sql(QUERY, options=ExecutionOptions(execution=_serial().execution, cancel=token))
+        with server._cond:  # white-box: a stuck query holds the one slot
+            server._running = 1
+        with pytest.raises(AdmissionRejected, match="queue full"):
+            session.sql(QUERY)
+        with server._cond:
+            server._running = 0
+
+        stats = server.stats()
+        metrics = stats.metrics
+        outcomes = [record.outcome for record in stats.query_log]
+        assert outcomes == ["ok", "ok", "ok", "failed", "timeout", "cancelled", "rejected"]
+
+        def counted(outcome):
+            return metrics.get(f'repro_server_queries_total{{outcome="{outcome}"}}', 0.0)
+
+        assert stats.completed == counted("ok") == session.queries_completed == 3
+        failed = [counted(outcome) for outcome in ("failed", "timeout", "cancelled")]
+        assert failed == [1.0, 1.0, 1.0]
+        assert stats.failed == sum(failed) == session.queries_failed == 3
+        assert stats.rejected == stats.rejected_queue_full == counted("rejected") == 1
+        assert metrics['repro_server_rejections_total{reason="queue_full"}'] == 1.0
+        assert session.queries_rejected == 1
+        assert (stats.admitted, stats.queued) == (6, 0)
         server.close()
         db.close()
 
@@ -496,17 +593,53 @@ class TestPlanCache:
             assert (stats.plan_cache_misses, stats.plan_cache_hits) == (1, 1)
         db.close()
 
-    def test_plan_cache_disabled(self):
+    def test_database_sql_bypasses_the_plan_cache(self):
+        """The cache is always on in a Server; Database.sql stays the
+        uncached path and neither reads nor fills it."""
         db = _make_db(rows=500)
-        with Server(
-            db, config=ServerConfig(plan_cache=False), options=_serial()
-        ) as server:
-            assert server.plan_cache is None
+        with Server(db, options=_serial()) as server:
             session = server.session()
-            session.sql(QUERY)
-            session.sql(QUERY)
+            served = session.sql(QUERY)
+            direct = db.sql(QUERY, options=_serial())
+            assert direct.aggregates == served.aggregates
             stats = server.stats()
-            assert stats.plan_cache_hits == 0 and stats.plan_cache_misses == 0
+            assert (stats.plan_cache_misses, stats.plan_cache_hits) == (1, 0)
+            assert len(server.plan_cache) == 1
+            session.sql(QUERY)
+            assert server.stats().plan_cache_hits == 1
+        db.close()
+
+    def test_lru_bound_holds_at_both_levels(self, monkeypatch):
+        """With room for two entries, a third statement evicts the least
+        recently used one from both levels; a hit refreshes recency."""
+        parses = []
+        parse = plancache.parse_statement
+        monkeypatch.setattr(
+            plancache, "parse_statement", lambda text: parses.append(text) or parse(text)
+        )
+        db = _make_db(rows=500)
+        cache = plancache.PlanCache(max_entries=2)
+        a, b, c = (QUERY.replace("f.v > 50", f"f.v > {v}") for v in (50, 60, 70))
+
+        def run(text):
+            statement, snapshot = plancache.pin_statement(text, None, db.catalog, cache)
+            try:
+                stats = ExecutionStats(query_name="", mode=ExecutionMode.RPT.value)
+                plancache.prepare(
+                    cache, db, statement, ExecutionMode.RPT, _serial(), stats, snapshot
+                )
+            finally:
+                snapshot.release()
+            assert len(cache) <= 2 and len(cache._statements) <= 2
+            return (len(parses), cache.hits, cache.misses)
+
+        assert run(a) == (1, 0, 1)
+        assert run(b) == (2, 0, 2)
+        assert run(a) == (2, 1, 2)  # a hit at both levels: a is now the newest
+        assert run(c) == (3, 1, 3)  # evicts b, the least recently used
+        assert run(a) == (3, 2, 3)  # a survived at both levels
+        assert run(b) == (4, 2, 4)  # b was evicted at both levels
+        assert len(cache) == 2
         db.close()
 
 
