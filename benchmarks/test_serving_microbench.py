@@ -10,7 +10,7 @@ Beyond the numbers, every run *enforces* the serving acceptance contract:
 completed queries are bit-identical to a single-threaded serial baseline,
 failures are typed ``ReproError`` subclasses only, overload sheds with
 typed ``AdmissionRejected`` (no hangs, no unbounded queues), and the run
-ends with no backend pool thread alive and no server memory reserved (the
+ends with no backend pool thread alive and no query still active (the
 driver raises otherwise).
 """
 

@@ -7,9 +7,11 @@ Run with::
 The example loads the scaled-down TPC-H database and shows the SQL front
 end end to end:
 
-1. ``Database.sql`` — execute a SQL string under any execution mode,
+1. ``Database.sql`` — execute a SQL string under any execution mode (the
+   statement is bound against a pinned snapshot of its tables and runs on
+   that snapshot, the same path a ``Server`` session takes),
 2. ``EXPLAIN SELECT ...`` / ``Database.explain_sql`` — inspect the compiled
-   physical plan without executing,
+   physical plan without executing, through the same statement path,
 3. the checked-in ``.sql`` workload files (``repro.workloads.sqlfiles``),
 4. the ``QuerySpec → SQL`` formatter and its round-trip guarantee, and
 5. the caret diagnostics every malformed input produces.

@@ -10,7 +10,6 @@ from repro.bench.harness import (
     robustness_table,
     run_random_plan_experiment,
     run_speedup_experiment,
-    run_sql_trace,
     run_uniform_trace,
     write_bench_json,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "run_random_plan_experiment",
     "run_serving_benchmark",
     "run_speedup_experiment",
-    "run_sql_trace",
     "run_uniform_trace",
     "write_bench_json",
 ]

@@ -255,31 +255,6 @@ def run_uniform_trace(
     return {mode: db.execute(query, mode=mode, plan=plan, options=options) for mode in modes}
 
 
-def run_sql_trace(
-    db: Database,
-    text: str,
-    modes: Sequence[ExecutionMode] = tuple(ExecutionMode),
-    plan: Optional[JoinPlan] = None,
-    options: Optional[ExecutionOptions] = None,
-    name: Optional[str] = None,
-) -> Dict[ExecutionMode, QueryResult]:
-    """SQL-text twin of :func:`run_uniform_trace`.
-
-    Compiles ``text`` once through the SQL front end (so every mode runs the
-    same lowered :class:`~repro.query.QuerySpec` and, by default, the same
-    optimizer plan) and executes it under every mode.
-    """
-    from repro.sql import compile_statement
-
-    compiled = compile_statement(text, db.catalog, name=name)
-    if compiled.explain:
-        raise BenchmarkError(
-            "run_sql_trace executes its statement under every mode; strip the "
-            "EXPLAIN prefix, or use Database.explain_sql for planning only"
-        )
-    return run_uniform_trace(db, compiled.query, modes=modes, plan=plan, options=options)
-
-
 def write_bench_json(
     path: Union[str, Path],
     name: str,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
@@ -42,6 +43,7 @@ from repro.core.transfer_schedule import (
     schedule_from_tree,
 )
 from repro.engine.modes import ExecutionConfig, ExecutionMode
+from repro.engine.plancache import pin_statement
 from repro.errors import (
     BackendUnavailable,
     PlanError,
@@ -62,7 +64,7 @@ from repro.optimizer.join_order import JoinOrderOptimizer
 from repro.plan.join_plan import JoinPlan, validate_plan_for_query
 from repro.plan.physical import PhysicalPlan, compile_execution
 from repro.query import QuerySpec
-from repro.sql import compile_statement
+from repro.sql import Statement
 from repro.storage.catalog import Catalog, CatalogSnapshot
 from repro.storage.datatypes import DataType
 from repro.storage.table import ForeignKey, Table
@@ -144,56 +146,22 @@ class ExplainResult:
 
 
 @dataclass
-class ExplainAnalyzeResult:
-    """The outcome of ``EXPLAIN ANALYZE SELECT ...`` through :meth:`Database.sql`.
-
-    Unlike plain ``EXPLAIN``, the query *is* executed: ``result`` is the full
-    :class:`QueryResult`, and :meth:`render` prints the compiled plan
+class ExplainAnalyzeResult(QueryResult):
+    """The outcome of ``EXPLAIN ANALYZE SELECT ...``: the executed query's
+    :class:`QueryResult`, whose :meth:`render` prints the compiled plan
     annotated with the execution's actual per-op rows, seconds, morsel
     counts and skip/degradation markers, followed by the hierarchical span
     timeline (``EXPLAIN ANALYZE`` always runs traced).
     """
 
-    result: QueryResult
-
-    @property
-    def query(self) -> QuerySpec:
-        return self.result.query
-
-    @property
-    def mode(self) -> ExecutionMode:
-        return self.result.mode
-
-    @property
-    def plan(self) -> JoinPlan:
-        return self.result.plan
-
-    @property
-    def aggregates(self) -> Dict[str, float]:
-        return self.result.aggregates
-
-    @property
-    def stats(self) -> ExecutionStats:
-        return self.result.stats
-
-    @property
-    def op_stats(self):
-        """Executed per-op statistics (actual rows, seconds, markers)."""
-        return self.result.stats.op_stats
-
-    @property
-    def trace(self):
-        """Root span of the execution's trace tree."""
-        return self.result.trace
-
     def render(self) -> str:
         """The annotated plan (what ``EXPLAIN ANALYZE`` prints)."""
         from repro.obs.export import render_timeline
 
-        parts = [render_op_trace(self.result.mode, self.result.stats)]
-        if self.result.trace is not None:
+        parts = [render_op_trace(self.mode, self.stats)]
+        if self.trace is not None:
             parts.append("")
-            parts.append(render_timeline(self.result.trace))
+            parts.append(render_timeline(self.trace))
         return "\n".join(parts)
 
 
@@ -461,9 +429,11 @@ class Database:
             lambda stats, catalog: self._prepare(query, mode, plan, options, stats, catalog),
         )
 
-    def _execute(self, query, mode, options, snapshot, prepare: _Prepare) -> QueryResult:
-        """:meth:`execute` with its planning front half supplied as
-        ``prepare(stats, snapshot)`` (a server passes its cache's)."""
+    @contextmanager
+    def _running(self, query: QuerySpec, snapshot: Optional[CatalogSnapshot]):
+        """The bracket of every execution and EXPLAIN: admit the query and
+        yield ``snapshot`` — or one pinning ``query``'s tables, released on
+        the way out when the caller supplied none."""
         self._begin_execution()
         owned: Optional[CatalogSnapshot] = None
         try:
@@ -471,6 +441,16 @@ class Database:
                 owned = snapshot = self.catalog.snapshot(
                     ref.table for ref in query.relations
                 )
+            yield snapshot
+        finally:
+            if owned is not None:
+                owned.release()
+            self._end_execution()
+
+    def _execute(self, query, mode, options, snapshot, prepare: _Prepare) -> QueryResult:
+        """:meth:`execute` with its planning front half supplied as
+        ``prepare(stats, snapshot)`` (a server passes its cache's)."""
+        with self._running(query, snapshot) as snapshot:
             stats = ExecutionStats(query_name=query.name, mode=mode.value)
             # An explicit per-execution fault plan overrides the process-global
             # injector for the duration of this call (the env-driven plan, when
@@ -507,10 +487,6 @@ class Database:
                     tracer.finish(query_span)
                 if scoped_faults:
                     faults.clear()
-        finally:
-            if owned is not None:
-                owned.release()
-            self._end_execution()
 
     def _execute_configured(
         self,
@@ -628,20 +604,17 @@ class Database:
         ``snapshot`` is pinned and released as in :meth:`execute`.
         """
         options = options or ExecutionOptions()
-        self._begin_execution()
-        owned: Optional[CatalogSnapshot] = None
-        try:
-            if snapshot is None:
-                owned = snapshot = self.catalog.snapshot(
-                    ref.table for ref in query.relations
-                )
+        return self._explain(
+            query, mode, options, snapshot,
+            lambda stats, catalog: self._prepare(query, mode, plan, options, stats, catalog),
+        )
+
+    def _explain(self, query, mode, options, snapshot, prepare: _Prepare) -> ExplainResult:
+        """:meth:`explain` with its planning supplied as in :meth:`_execute`."""
+        with self._running(query, snapshot) as snapshot:
             config = options.execution.resolved()
             stats = ExecutionStats(query_name=query.name, mode=mode.value)
-            prep = self._prepare(query, mode, plan, options, stats, catalog=snapshot)
-        finally:
-            if owned is not None:
-                owned.release()
-            self._end_execution()
+            prep = prepare(stats, snapshot)
         stats.op_stats.extend(
             OpStats(index=index, kind=op.kind, detail=op.describe())
             for index, op in enumerate(prep.physical.ops)
@@ -667,34 +640,21 @@ class Database:
     ):
         """Compile and run one SQL statement.
 
-        The statement is parsed, bound against this database's catalog, and
-        lowered to a :class:`~repro.query.QuerySpec` (front-end failures
-        raise :class:`~repro.errors.SqlError` with caret diagnostics), then
-        executed exactly like :meth:`execute` — returning a
-        :class:`QueryResult`.  An ``EXPLAIN SELECT ...`` statement is
-        planned but not executed, returning an :class:`ExplainResult`; an
-        ``EXPLAIN ANALYZE SELECT ...`` statement is executed with tracing
-        forced on and returns an :class:`ExplainAnalyzeResult` whose
-        ``render()`` annotates the plan with actual rows and timings.
+        The statement is parsed, its tables pinned, and it is bound against
+        that snapshot and lowered to a :class:`~repro.query.QuerySpec`
+        (front-end failures raise :class:`~repro.errors.SqlError` with caret
+        diagnostics), then executed on the same snapshot exactly like
+        :meth:`execute` — returning a :class:`QueryResult`.  An ``EXPLAIN
+        SELECT ...`` statement is planned but not executed, returning an
+        :class:`ExplainResult`; an ``EXPLAIN ANALYZE SELECT ...`` statement
+        is executed with tracing forced on and returns an
+        :class:`ExplainAnalyzeResult` whose ``render()`` annotates the plan
+        with actual rows and timings.
 
         ``name`` overrides the query name; otherwise a ``-- name:`` comment
         directive in the text is used.
         """
-        self._ensure_open()
-        compiled = compile_statement(text, self.catalog, name=name)
-        if compiled.analyze:
-            analyze_options = options or ExecutionOptions()
-            analyze_options = replace(
-                analyze_options,
-                execution=replace(analyze_options.execution, tracing=True),
-            )
-            result = self.execute(
-                compiled.query, mode=mode, plan=plan, options=analyze_options
-            )
-            return ExplainAnalyzeResult(result=result)
-        if compiled.explain:
-            return self.explain(compiled.query, mode=mode, plan=plan, options=options)
-        return self.execute(compiled.query, mode=mode, plan=plan, options=options)
+        return self._sql(text, mode, plan, options, name, explain_only=False)
 
     def explain_sql(
         self,
@@ -705,8 +665,42 @@ class Database:
         name: Optional[str] = None,
     ) -> ExplainResult:
         """EXPLAIN one SQL statement (with or without a leading ``EXPLAIN``)."""
-        compiled = compile_statement(text, self.catalog, name=name)
-        return self.explain(compiled.query, mode=mode, plan=plan, options=options)
+        return self._sql(text, mode, plan, options, name, explain_only=True)
+
+    def _sql(self, text, mode, plan, options, name, explain_only: bool):
+        self._ensure_open()
+        options = options or ExecutionOptions()
+        statement, snapshot = pin_statement(text, name, self.catalog)
+        if explain_only:
+            statement = replace(statement, explain=True, analyze=False)
+        try:
+            return self._answer(
+                statement, mode, options, snapshot,
+                lambda stats, pinned: self._prepare(
+                    statement.query, mode, plan, options, stats, pinned
+                ),
+            )
+        finally:
+            snapshot.release()
+
+    def _answer(
+        self,
+        statement: Statement,
+        mode: ExecutionMode,
+        options: ExecutionOptions,
+        snapshot: CatalogSnapshot,
+        prepare: _Prepare,
+    ):
+        """Answer a pinned statement — the one dispatcher of ``Database.sql``
+        and the server: ``EXPLAIN`` plans it through ``prepare``, ``EXPLAIN
+        ANALYZE`` executes it traced, anything else executes it."""
+        query = statement.query
+        if statement.analyze:
+            options = replace(options, execution=replace(options.execution, tracing=True))
+            return ExplainAnalyzeResult(**vars(self._execute(query, mode, options, snapshot, prepare)))
+        if statement.explain:
+            return self._explain(query, mode, options, snapshot, prepare)
+        return self._execute(query, mode, options, snapshot, prepare)
 
     # ------------------------------------------------------------------
     # Internals

@@ -1,13 +1,15 @@
 """Prepared-statement cache for the serving layer: a statement repeated over
 unchanged tables pays only for its base-filter masks and its execution.
 
-A :class:`~repro.engine.server.Server` always keeps one, bounded by the
-fixed :data:`DEFAULT_PLAN_CACHE_ENTRIES`; ``Database.sql`` is the uncached
-path.  Two LRUs of at most ``max_entries`` entries each:
+Every statement enters the engine through :func:`pin_statement`, which
+pins its tables before binding.  A :class:`~repro.engine.server.Server`
+passes it the cache it always keeps, bounded by the fixed
+:data:`DEFAULT_PLAN_CACHE_ENTRIES`; ``Database.sql`` passes none.  Two LRUs
+of at most ``max_entries`` entries each:
 
 * **Statements**, keyed by the client's ``(text, name)``: the compiled
-  :class:`~repro.query.QuerySpec` with its ``EXPLAIN`` / ``ANALYZE`` flags,
-  its canonical text and the version of every table it was bound against.
+  :class:`~repro.sql.Statement` — query, ``EXPLAIN`` / ``ANALYZE`` flags,
+  canonical text and the version of every table it was bound against.
   A hit skips lex / parse / bind / lower while each of those tables keeps
   that version in the request's snapshot (a replace may change a schema).
 * **Prepared executions**, keyed by :class:`PlanCacheKey`.  The canonical
@@ -32,9 +34,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
-from repro.errors import PlanError
+from repro.errors import CatalogError, PlanError
 from repro.query import QuerySpec
-from repro.sql import bind_select, lower_select, parse_statement
+from repro.sql import Statement, Versions, bind_select, bind_statement, parse_statement
 from repro.sql.format import to_sql
 from repro.storage.catalog import Catalog, CatalogSnapshot
 
@@ -44,8 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.statistics import ExecutionStats
 
 DEFAULT_PLAN_CACHE_ENTRIES = 256
-
-Versions = Tuple[Tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,6 @@ class PlanCacheKey:
     mode: str
     #: The pinned ``(table, version)`` pairs the query planned against.
     versions: Versions
-
-
-@dataclass(frozen=True)
-class Statement:
-    """One compiled statement and the table versions it was bound against."""
-
-    query: QuerySpec
-    #: Canonical text; ``None`` for the rare spec SQL cannot round-trip,
-    #: which is never prepared from the cache.
-    text: Optional[str]
-    versions: Versions
-    explain: bool = False
-    analyze: bool = False
 
 
 def _versions(snapshot: CatalogSnapshot) -> Versions:
@@ -121,39 +108,55 @@ class PlanCache:
 
 
 def pin_statement(
-    source: Union[str, QuerySpec], name: Optional[str], catalog: Catalog, cache: PlanCache
+    source: Union[str, QuerySpec],
+    name: Optional[str],
+    catalog: Catalog,
+    cache: Optional[PlanCache] = None,
 ) -> Tuple[Statement, CatalogSnapshot]:
-    """The compiled statement of ``source`` and a snapshot pinning its
-    tables, which the caller releases.  SQL text is compiled only when
-    ``cache`` holds no statement still valid in that snapshot."""
+    """The statement of ``source`` and a snapshot pinning its tables, which
+    the caller releases.
+
+    SQL text is parsed, its tables pinned, then bound and lowered against
+    that snapshot, so a statement always runs on the versions it was bound
+    against.  With a ``cache``, the statement carries its canonical text,
+    and SQL text is compiled only when ``cache`` holds no statement still
+    valid in the pinned versions.
+    """
+    if isinstance(source, QuerySpec):
+        snapshot = catalog.snapshot(ref.table for ref in source.relations)
+        text = _canonical(source) if cache is not None else None
+        return Statement(source, versions=_versions(snapshot), text=text), snapshot
     key = (source, name)
-    cached = isinstance(source, str)
-    if cached:
+    if cache is not None:
         statement = cache._get(cache._statements, key)
         if statement is not None and all(catalog.has_table(t) for t, _ in statement.versions):
             snapshot = catalog.snapshot(t for t, _ in statement.versions)
             if _versions(snapshot) == statement.versions:
                 return statement, snapshot
             snapshot.release()
-    explain = analyze = False
-    query, bound_versions = source, {}
-    if isinstance(source, str):
-        parsed = parse_statement(source)
-        tables = {ref.table for ref in parsed.tables if catalog.has_table(ref.table)}
-        bound_versions = {table: catalog.version(table) for table in tables}
-        bound = bind_select(parsed, catalog, source, name=name)
-        query, explain, analyze = lower_select(bound, source), bound.explain, bound.analyze
+    parsed = parse_statement(source)
     try:
-        text: Optional[str] = to_sql(query, include_name=False)
-    except PlanError:
-        text = None
-    snapshot = catalog.snapshot(ref.table for ref in query.relations)
-    statement = Statement(query, text, _versions(snapshot), explain, analyze)
-    # Versions never repeat, so the same ones before the bind and in the
-    # snapshot mean no replace raced the bind.
-    if cached and statement.versions == tuple(sorted(bound_versions.items())):
+        snapshot = catalog.snapshot(ref.table for ref in parsed.tables)
+    except CatalogError:
+        # An unknown table: binding against the live catalog names it.
+        bind_select(parsed, catalog, source, name=name)
+        raise
+    try:
+        statement = bind_statement(parsed, source, snapshot, name, _versions(snapshot))
+    except BaseException:
+        snapshot.release()
+        raise
+    if cache is not None:
+        statement = replace(statement, text=_canonical(statement.query))
         cache._put(cache._statements, key, statement)
     return statement, snapshot
+
+
+def _canonical(query: QuerySpec) -> Optional[str]:
+    try:
+        return to_sql(query, include_name=False)
+    except PlanError:
+        return None
 
 
 def prepare(

@@ -47,15 +47,9 @@ import time
 from dataclasses import dataclass, field, replace as dc_replace
 from typing import Dict, List, Optional, Union
 
-from repro.engine.database import (
-    Database,
-    ExecutionOptions,
-    ExplainAnalyzeResult,
-    ExplainResult,
-    QueryResult,
-)
+from repro.engine.database import Database, ExecutionOptions, ExplainResult, QueryResult
 from repro.engine.modes import ExecutionMode
-from repro.engine.plancache import PlanCache, Statement, pin_statement, prepare
+from repro.engine.plancache import PlanCache, pin_statement, prepare
 from repro.engine.session import Session
 from repro.errors import (
     AdmissionRejected,
@@ -70,6 +64,7 @@ from repro.obs.export import render_exposition
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.querylog import QueryLog, QueryLogRecord, sql_hash
 from repro.query import QuerySpec
+from repro.sql import Statement
 
 #: ``OpStats`` fields whose per-query totals are exported as serving
 #: counters: field -> (metric name, help).
@@ -474,7 +469,7 @@ class Server:
         mode: ExecutionMode,
         queued_seconds: float,
         duration_seconds: float,
-        answer: Union[QueryResult, ExplainResult, ExplainAnalyzeResult, None],
+        answer: Union[QueryResult, ExplainResult, None],
         error: Optional[BaseException],
     ) -> None:
         """Fold one ended query — answered, failed or shed — into the
@@ -491,8 +486,6 @@ class Server:
         if outcome == "ok":
             self._record_latency(duration_seconds)
 
-        if isinstance(answer, ExplainAnalyzeResult):
-            answer = answer.result
         backend = ""
         plan_fingerprint = ""
         if answer is not None:
@@ -566,31 +559,18 @@ class Server:
         mode: ExecutionMode,
         options: Optional[ExecutionOptions],
         name: Optional[str],
-    ) -> Union[QueryResult, ExplainResult, ExplainAnalyzeResult]:
+    ) -> Union[QueryResult, ExplainResult]:
         options = options or ExecutionOptions()
         started = time.monotonic()
-        statement = Statement(source, None, ()) if isinstance(source, QuerySpec) else None
+        statement = Statement(source) if isinstance(source, QuerySpec) else None
         queued_seconds: Optional[float] = None  # None until admitted
         snapshot = None
         token_id: Optional[int] = None
         answer = error = None
         try:
             queued_seconds = self._admit()
-            statement, snapshot = pin_statement(
-                source, name, self.database.catalog, self._plan_cache
-            )
-            spec = statement.query
-            if statement.explain and not statement.analyze:
-                answer = self.database.explain(
-                    spec, mode=mode, options=options, snapshot=snapshot
-                )
-                return answer
-
-            if statement.analyze:
-                # EXPLAIN ANALYZE always runs traced, as through Database.sql.
-                options = dc_replace(
-                    options, execution=dc_replace(options.execution, tracing=True)
-                )
+            cache, database = self._plan_cache, self.database
+            statement, snapshot = pin_statement(source, name, database.catalog, cache)
             # The query's deadline (ExecutionConfig.timeout_seconds) rides
             # on a token close() can also cancel.
             token = options.cancel
@@ -607,18 +587,16 @@ class Server:
                     )
                 self._active_tokens[token_id] = token
 
-            cache, database = self._plan_cache, self.database
-            result = database._execute(
-                spec, mode, options, snapshot,
+            answer = database._answer(
+                statement, mode, options, snapshot,
                 lambda stats, pinned: prepare(
                     cache, database, statement, mode, options, stats, pinned
                 ),
             )
-            if queued_seconds > 0:
-                result.stats.record_degradation(
+            if queued_seconds > 0 and isinstance(answer, QueryResult):
+                answer.stats.record_degradation(
                     f"admission:queued:{queued_seconds * 1e3:.0f}ms"
                 )
-            answer = ExplainAnalyzeResult(result) if statement.analyze else result
             return answer
         except BaseException as exc:
             error = exc

@@ -24,7 +24,7 @@ from repro.exec.pipeline import (
     TransferOptions,
     compute_aggregates,
 )
-from repro.exec.relation import BoundRelation, IntermediateResult, bind_relations
+from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.exec.statistics import (
     COUNTERS,
     Counter,
@@ -54,7 +54,6 @@ __all__ = [
     "TransferOptions",
     "TransferStepStats",
     "as_hash_index",
-    "bind_relations",
     "bloom_probe_cost",
     "combine_key_columns_pair",
     "densify_key_columns_pair",

@@ -28,7 +28,7 @@ Two representations are used:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -238,30 +238,3 @@ def _compare(values: np.ndarray, op: str, rhs) -> np.ndarray:
     if op == ">=":
         return values >= rhs
     raise ExecutionError(f"unsupported comparison operator {op!r}")
-
-
-def bind_relations(
-    query_relations: Iterable,
-    catalog,
-    masks: Optional[Dict[str, Optional[np.ndarray]]] = None,
-) -> Dict[str, BoundRelation]:
-    """Bind every relation occurrence of a query against the catalog.
-
-    Base-table filter predicates are evaluated here (this is the
-    "scan + filter pushdown" part of execution) unless the caller supplies
-    ``masks`` — precomputed boolean filter masks keyed by alias — in which
-    case each predicate is *not* re-evaluated.  The engine uses this to
-    evaluate every base filter exactly once per query (the same masks feed
-    the join-graph cardinalities and the scan).
-    """
-    bound: Dict[str, BoundRelation] = {}
-    for ref in query_relations:
-        table = catalog.table(ref.table)
-        if masks is not None and ref.alias in masks:
-            mask = masks[ref.alias]
-        elif ref.filter is not None:
-            mask = ref.filter.evaluate(table)
-        else:
-            mask = None
-        bound[ref.alias] = BoundRelation.from_table(ref.alias, table, mask)
-    return bound

@@ -29,7 +29,7 @@ offending position.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 from repro.query import QuerySpec
 from repro.sql.ast import SelectStatement
@@ -38,52 +38,66 @@ from repro.sql.format import format_expression, format_value, to_sql
 from repro.sql.lexer import Token, default_name, tokenize
 from repro.sql.lower import lower_select
 from repro.sql.parser import parse_statement, split_statements
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, CatalogSnapshot
+
+
+Versions = Tuple[Tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
-class CompiledStatement:
-    """The result of compiling one SQL statement against a catalog."""
+class Statement:
+    """One compiled SQL statement (or a pre-built spec)."""
 
     #: The lowered query, ready for ``Database.execute``.
     query: QuerySpec
     #: True when the statement was ``EXPLAIN SELECT ...``.
-    explain: bool
-    #: The parsed (pre-binding) AST, for tooling and tests.
-    statement: SelectStatement
+    explain: bool = False
     #: True when the statement was ``EXPLAIN ANALYZE SELECT ...`` (execute
     #: and annotate the plan with actual rows/timings).
     analyze: bool = False
+    #: The sorted ``(table, version)`` pairs of the snapshot it was bound
+    #: against; empty when compiled against a live catalog.
+    versions: Versions = ()
+    #: Canonical text ``to_sql(query, include_name=False)``, the plan
+    #: cache's key; computed only for a cache, and ``None`` otherwise or
+    #: for the rare spec SQL cannot round-trip.
+    text: Optional[str] = None
 
 
 def compile_statement(
     source: str,
     catalog: Catalog,
     name: Optional[str] = None,
-) -> CompiledStatement:
-    """Compile SQL text into a :class:`CompiledStatement`.
+) -> Statement:
+    """Compile SQL text into a :class:`Statement`.
 
     ``name`` overrides the query name; otherwise a ``-- name:`` directive in
     the source is used, falling back to ``"sql_query"``.  Raises
     :class:`~repro.errors.SqlError` on any lex/parse/bind/lowering failure.
     """
-    statement = parse_statement(source)
-    bound = bind_select(statement, catalog, source, name=name)
-    query = lower_select(bound, source)
-    return CompiledStatement(
-        query=query,
-        explain=bound.explain,
-        statement=statement,
-        analyze=bound.analyze,
-    )
+    return bind_statement(parse_statement(source), source, catalog, name)
+
+
+def bind_statement(
+    parsed: SelectStatement,
+    source: str,
+    catalog: Union[Catalog, CatalogSnapshot],
+    name: Optional[str] = None,
+    versions: Versions = (),
+) -> Statement:
+    """Bind a parsed statement against ``catalog`` — a live catalog or a
+    snapshot pinning every table it names — and lower it."""
+    bound = bind_select(parsed, catalog, source, name=name)
+    return Statement(lower_select(bound, source), bound.explain, bound.analyze, versions)
 
 
 __all__ = [
     "BoundSelect",
-    "CompiledStatement",
     "SelectStatement",
+    "Statement",
     "Token",
     "bind_select",
+    "bind_statement",
     "compile_statement",
     "default_name",
     "format_expression",

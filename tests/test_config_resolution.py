@@ -172,6 +172,9 @@ DELETED_OPTIONS = (
     "query_log_entries",
     # Not a bare "plan_cache": names such as plan_cache_hits stay.
     "plan_cache=False",
+    "CompiledStatement",
+    "run_sql_trace",
+    "bind_relations",
 )
 
 

@@ -11,7 +11,7 @@ from repro.engine.database import Database, ExecutionOptions
 from repro.engine.modes import ExecutionConfig, ExecutionMode
 from repro.errors import ExecutionError
 from repro.exec import TransferOptions
-from repro.exec.relation import BoundRelation, IntermediateResult, bind_relations
+from repro.exec.relation import BoundRelation, IntermediateResult
 from repro.plan.join_plan import JoinNode, JoinPlan, LeafNode
 from repro.query import JoinCondition, QualifiedComparison, QuerySpec, RelationRef
 from repro.expr import eq, lt
@@ -59,34 +59,33 @@ def small_query() -> QuerySpec:
 
 class TestBoundRelation:
     def test_bind_applies_base_filters(self, small_db, small_query):
-        relations = bind_relations(small_query.relations, small_db.catalog)
-        assert relations["d"].num_rows == 2   # red rows
-        assert relations["f"].num_rows == 8
-        assert relations["o"].num_rows == 1
+        filtered = small_db.execute(small_query).stats.filtered_rows
+        assert filtered["d"] == 2   # red rows
+        assert filtered["f"] == 8
+        assert filtered["o"] == 1
 
-    def test_key_values_and_keep(self, small_db, small_query):
-        relations = bind_relations(small_query.relations, small_db.catalog)
-        fact = relations["f"]
+    def test_key_values_and_keep(self, small_db):
+        fact = BoundRelation.from_table("f", small_db.table("fact"))
         keys = fact.key_values("dim_id")
         assert keys.tolist() == [1, 1, 2, 3, 3, 3, 5, 9]
         fact.keep(keys <= 2)
         assert fact.num_rows == 3
 
-    def test_keep_wrong_length_raises(self, small_db, small_query):
-        relations = bind_relations(small_query.relations, small_db.catalog)
+    def test_keep_wrong_length_raises(self, small_db):
+        fact = BoundRelation.from_table("f", small_db.table("fact"))
         with pytest.raises(ExecutionError):
-            relations["f"].keep(np.array([True]))
+            fact.keep(np.array([True]))
 
-    def test_float_column_rejected_as_key(self, small_db, small_query):
-        relations = bind_relations(small_query.relations, small_db.catalog)
+    def test_float_column_rejected_as_key(self, small_db):
+        fact = BoundRelation.from_table("f", small_db.table("fact"))
         with pytest.raises(ExecutionError):
-            relations["f"].key_values("value")
+            fact.key_values("value")
 
-    def test_snapshot_is_independent(self, small_db, small_query):
-        relations = bind_relations(small_query.relations, small_db.catalog)
-        snap = relations["f"].snapshot()
-        relations["f"].keep(np.zeros(8, dtype=bool))
-        assert relations["f"].num_rows == 0
+    def test_snapshot_is_independent(self, small_db):
+        fact = BoundRelation.from_table("f", small_db.table("fact"))
+        snap = fact.snapshot()
+        fact.keep(np.zeros(8, dtype=bool))
+        assert fact.num_rows == 0
         assert snap.num_rows == 8
 
 

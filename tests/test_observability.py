@@ -379,11 +379,13 @@ class TestGoldenReports:
 
     def test_format_op_traces_appends_combined_summary(self):
         """The exact-bitmap steps on the dense star fill the ``adaptive:`` line."""
-        from repro.bench import run_sql_trace
+        from repro.bench import run_uniform_trace
+        from repro.sql import compile_statement
 
         db = _star_db()
         try:
-            rendered = format_op_traces(run_sql_trace(db, STAR_SQL, modes=(ExecutionMode.RPT,)))
+            query = compile_statement(STAR_SQL, db.catalog).query
+            rendered = format_op_traces(run_uniform_trace(db, query, modes=(ExecutionMode.RPT,)))
         finally:
             db.close()
         assert "adaptive: " in rendered

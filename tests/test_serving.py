@@ -134,6 +134,50 @@ class TestServerBasics:
         assert live.join_tree.root == "d"
         db.close()
 
+    def test_database_sql_runs_on_the_versions_it_bound_against(self, monkeypatch):
+        """A replace landing right after binding must not change the answer:
+        ``Database.sql`` pins its tables before binding and executes on that
+        snapshot."""
+        import repro.sql as sql_module
+
+        db = _make_db()
+        before = db.sql(QUERY, options=_serial())
+        lower = sql_module.lower_select
+
+        def lower_then_replace(*args):
+            lowered = lower(*args)
+            db.register_table(db.table("f").take(np.arange(10)), replace=True)
+            return lowered
+
+        monkeypatch.setattr(sql_module, "lower_select", lower_then_replace)
+        bound = db.sql(QUERY, options=_serial())
+        monkeypatch.undo()
+        assert bound.aggregates == before.aggregates
+        assert db.sql(QUERY, options=_serial()).aggregates != before.aggregates
+        assert db.catalog.pinned_version_count() == 0
+        assert db.catalog.retained_version_count() == 0
+        db.close()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("SELECT COUNT(*) FROM f, nope WHERE f.id = nope.id", "unknown table 'nope'"),
+            # Fails in the binder, after the statement's tables are pinned.
+            ("SELECT COUNT(*) FROM f, d WHERE f.d_id = d.id AND d.nope = 1", "unknown column"),
+        ],
+    )
+    def test_unknown_name_raises_sql_error_and_pins_nothing(self, text, message):
+        db = _make_db(rows=500)
+        with pytest.raises(SqlError, match=message):
+            db.sql(text)
+        assert db.catalog.pinned_version_count() == 0
+        with Server(db, options=_serial()) as server:
+            with pytest.raises(SqlError, match=message):
+                server.session().sql(text)
+            assert db.catalog.pinned_version_count() == 0
+            assert server.stats().failed == 1
+        db.close()
+
     def test_deadline_comes_from_the_environment(self, monkeypatch):
         """A served query's deadline is ExecutionConfig.timeout_seconds,
         which REPRO_TIMEOUT_SECONDS fills when the config leaves it unset."""
@@ -520,7 +564,9 @@ class TestPlanCache:
     @pytest.mark.parametrize("mode", [ExecutionMode.RPT, ExecutionMode.PT])
     def test_hit_matches_miss_and_database_sql(self, tpch_db, job_db, mode):
         """Every serve_mixed statement: the cached (second) run is bit-identical
-        to the first and to the uncached ``Database.sql`` on the same text."""
+        to the first and to the uncached ``Database.sql`` on the same text.
+        Its ``EXPLAIN`` and ``EXPLAIN ANALYZE`` forms answer alike served and
+        direct, and plan through the SELECT's cache entry."""
 
         def observed(result):
             stats = result.stats
@@ -542,8 +588,19 @@ class TestPlanCache:
                     miss, hit = session.sql(text), session.sql(text)
                     direct = db.sql(text, mode=mode, options=_serial())
                     assert observed(miss) == observed(hit) == observed(direct), stem
+                    for prefix in ("EXPLAIN ", "EXPLAIN ANALYZE "):
+                        served = session.sql(prefix + text)
+                        direct = db.sql(prefix + text, mode=mode, options=_serial())
+                        assert type(served) is type(direct), (prefix, stem)
+                        assert (
+                            served.physical_plan.describe() == direct.physical_plan.describe()
+                        ), (prefix, stem)
+                    assert isinstance(served, ExplainAnalyzeResult)
+                    assert served.aggregates == direct.aggregates == miss.aggregates, stem
                 stats = server.stats()
-                assert (stats.plan_cache_misses, stats.plan_cache_hits) == (len(stems),) * 2
+                assert (stats.plan_cache_misses, stats.plan_cache_hits) == (
+                    len(stems), 3 * len(stems)
+                )
 
     def test_replace_misses_at_both_levels(self, monkeypatch):
         parses = []

@@ -530,15 +530,13 @@ class TestDatabaseSql:
         result = small_db.sql("SELECT COUNT(*) FROM t", name="renamed")
         assert result.query.name == "renamed"
 
-    def test_run_sql_trace_executes_and_rejects_explain(self, small_db):
-        from repro.bench import run_sql_trace
-        from repro.errors import BenchmarkError
+    def test_run_uniform_trace_runs_a_compiled_statement(self, small_db):
+        from repro.bench import run_uniform_trace
 
         text = "SELECT COUNT(*) AS n FROM t, s WHERE t.a = s.a"
-        traces = run_sql_trace(small_db, text, modes=(ExecutionMode.RPT,))
+        query = compile_statement(text, small_db.catalog).query
+        traces = run_uniform_trace(small_db, query, modes=(ExecutionMode.RPT,))
         assert traces[ExecutionMode.RPT].aggregates["n"] == 10.0
-        with pytest.raises(BenchmarkError, match="EXPLAIN"):
-            run_sql_trace(small_db, "EXPLAIN " + text)
 
 
 # ---------------------------------------------------------------------------
