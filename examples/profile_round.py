@@ -23,7 +23,10 @@ profile describes exactly what ``perf/run.py`` times:
    not inflate;
 4. per mode, the latency spent outside engine ops: the summed latency
    minus the summed ``OpStats.seconds``, i.e. SQL front end, join-order
-   planning, transfer scheduling and plan compilation.
+   planning, transfer scheduling and plan compilation;
+5. per mode, a census of the profiled round's transfer steps by the filter
+   the executor's one rule picked for each: §4.3-pruned, empty source (no
+   filter, the target empties), exact, or Bloom.
 
 cProfile charges every Python call but not the work inside a NumPy kernel,
 so the proportions lean toward call-heavy code: find candidates here and in
@@ -63,15 +66,15 @@ def _location(key) -> str:
     return f"{path}:{line}({function})"
 
 
-def record_op_stats(records: list) -> None:
-    """Make every workload op append ``(op, result.stats.op_stats)`` to
-    ``records``: the rounds time each op through ``perf.workloads.timed_op``."""
+def record_stats(records: list) -> None:
+    """Make every workload op append ``(op, result.stats)`` to ``records``:
+    the rounds time each op through ``perf.workloads.timed_op``."""
     timed_op = perf.workloads.timed_op
 
     def recording(op, call, *rest):
         def recorded():
             result = call()
-            records.append((op, result.stats.op_stats))
+            records.append((op, result.stats))
             return result
 
         timed_op(op, recorded, *rest)
@@ -82,11 +85,32 @@ def record_op_stats(records: list) -> None:
 def op_split(records: list) -> dict:
     """Milliseconds per ``(mode, op kind [join index])`` over ``records``."""
     split = defaultdict(float)
-    for op, op_stats in records:
-        for record in op_stats:
+    for op, stats in records:
+        for record in stats.op_stats:
             kind = f"{record.kind} [{record.join_index}]" if record.join_index else record.kind
             split[op.mode.value, kind] += record.seconds * 1e3
     return split
+
+
+STEP_KINDS = ("pruned", "empty source", "exact", "Bloom")
+
+
+def step_census(records: list) -> dict:
+    """Transfer steps per ``(mode, kind)`` over ``records``, ``kind`` one of
+    :data:`STEP_KINDS`, read from each step's ``TransferStepStats``."""
+    census = defaultdict(int)
+    for op, stats in records:
+        for step in stats.transfer_steps:
+            if step.skipped:
+                kind = "pruned"
+            elif not step.build_rows:
+                kind = "empty source"
+            elif step.downgraded_exact or op.mode.uses_exact_semijoins:
+                kind = "exact"
+            else:
+                kind = "Bloom"
+            census[op.mode.value, kind] += 1
+    return census
 
 
 def main() -> int:
@@ -109,7 +133,7 @@ def main() -> int:
         for index in range(WARM_ROUNDS):
             workload.round(state, random.Random(f"profile/{args.workload}/{index}"), checker)
         rng = random.Random(f"profile/{args.workload}/{WARM_ROUNDS}")
-        record_op_stats(records)
+        record_stats(records)
         profiler.enable()
         result = workload.round(state, rng, checker)
         profiler.disable()
@@ -144,6 +168,11 @@ def main() -> int:
     for mode, total_ms in sorted(by_mode.items()):
         outside_ms = total_ms - op_ms[mode]
         print(f"{outside_ms:10.1f} ms  {mode:<11} {outside_ms / total_ms:6.1%} of its latency")
+    census = step_census(records)
+    print(f"\ntransfer steps per mode ({' / '.join(STEP_KINDS)})")
+    for mode in sorted({mode for mode, _ in census}):
+        counts = " / ".join(f"{census[mode, kind]:5d}" for kind in STEP_KINDS)
+        print(f"  {mode:<11} {counts}")
     for failure in result.failures:
         print(f"FAILED {failure}", file=sys.stderr)
     return 1 if result.failures else 0

@@ -118,8 +118,7 @@ def star_database(
     dominates.
 
     Join keys are ``key_stride`` apart.  At the default of 1 the key domain
-    is dense and the executor runs every transfer step as an exact bitmap
-    semi-join; a stride that spreads ``dim_rows`` keys over more than
+    is dense and the executor runs every transfer step exact; a stride that spreads ``dim_rows`` keys over more than
     8 x (dim + fact rows) values keeps them Bloom filters.
     """
     rng = np.random.default_rng(seed)
@@ -344,7 +343,7 @@ CASES: Dict[str, Case] = {
             # Dimensions half the fact side and keys too sparse for a bitmap:
             # the Bloom builds the cache elides are a substantial share of
             # the transfer work.  (On dense keys there is nothing to elide —
-            # the uncached arm runs exact bitmap steps and is as fast as the
+            # the uncached arm runs exact steps and is as fast as the
             # warm one.)
             setup=_star(
                 no_artifact={},

@@ -175,9 +175,11 @@ class ExecutionConfig:
     compiled transfer step runs (only §4.3 pruning removes one); every
     transfer Bloom insert/probe replays one hashing pass per key column and
     run, and gathers probe keys by row id at the probe itself
-    (:mod:`repro.exec.run_state`); a Bloom step whose build
-    side has a dense integer key domain runs as an exact bitmap semi-join
-    (strictly tighter than the filter it replaces); a hash join over a
+    (:mod:`repro.exec.run_state`); one rule picks each transfer step's
+    filter — an empty source empties its target, composite keys and dense
+    integer key domains run exact, and only a PT/RPT step over a sparse
+    single-attribute domain keeps a Bloom filter
+    (:func:`~repro.exec.transfer_ops.step_filter`); a hash join over a
     bounded integer key domain matches through a direct-address table, any
     other through a sorted index; a relation that is still its whole table
     holds no row-id vector and hands out read-only views of the base

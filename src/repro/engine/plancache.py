@@ -164,7 +164,8 @@ def prepare(
     options: "ExecutionOptions", stats: "ExecutionStats", snapshot: CatalogSnapshot,
 ) -> "_PreparedExecution":
     """``Database._prepare`` of ``statement`` over ``snapshot``, with only
-    the base-filter masks evaluated anew when ``cache`` holds its entry."""
+    the base-filter masks evaluated anew when ``cache`` holds its entry —
+    and not even those for a plain ``EXPLAIN``, which executes nothing."""
     query = statement.query
     if statement.text is None:
         return database._prepare(query, mode, None, options, stats, catalog=snapshot)
@@ -177,10 +178,12 @@ def prepare(
         # Copy on write: a published variant map never changes.
         cache._put(cache._prepared, key, {**variants, skip: replace(prepared, masks={})})
         return prepared
-    start = time.perf_counter()
-    masks = database.filter_masks(query, catalog=snapshot)
-    stats.timings.scan_filter += time.perf_counter() - start
     physical = prepared.physical
     if physical.query_name != query.name:
         physical = replace(physical, query_name=query.name)
+    if statement.explain and not statement.analyze:
+        return replace(prepared, physical=physical)
+    start = time.perf_counter()
+    masks = database.filter_masks(query, catalog=snapshot)
+    stats.timings.scan_filter += time.perf_counter() - start
     return replace(prepared, masks=masks, physical=physical)

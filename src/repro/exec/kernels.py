@@ -105,10 +105,11 @@ def densify_key_columns_pair(
     Every column is replaced by the dense ranks of its values over both
     sides (:func:`_dense_ranks`) and the ranks are combined mixed-radix, so
     the combined values depend only on the ranks of the column values.  A
-    Bloom filter's false positives depend on the values it hashes, so the
-    Bloom steps keep these keys — and with them every tuple count
-    downstream — whatever :func:`combine_key_columns_pair` packs for the
-    exact ones.
+    Bloom filter's false positives depend on the values it hashes, so Bloom
+    join's per-join SIP filters — the only Bloom filters over composite
+    keys; composite transfer steps run exact — keep these keys, and with
+    them every tuple count downstream, whatever
+    :func:`combine_key_columns_pair` packs for the exact consumers.
     """
     left_columns, right_columns = _key_columns(left_columns, right_columns)
     if len(left_columns) == 1:
@@ -300,9 +301,9 @@ class HashIndex:
         stays under :data:`TABLE_MAX_BYTES` at ``entry_bytes`` per entry.
         This is the single authority on the decision: :meth:`_ensure_table`
         consults it for the membership bitmap, :meth:`prepare_match` for the
-        join table, and the transfer executor (with the step's expected
-        probe volume) before downgrading a Bloom step to an exact bitmap
-        semi-join.
+        join table, and a PT/RPT single-attribute transfer step (with its
+        expected probe volume) to run exact rather than through a Bloom
+        filter.
         """
         if self.num_keys == 0 or not np.issubdtype(self.keys.dtype, np.integer):
             return False
@@ -436,9 +437,9 @@ class HashIndex:
     def has_bitmap(self) -> bool:
         """True when the O(1)-per-probe bitmap membership table is built.
 
-        The transfer executor checks this after :meth:`prepare` to
-        decide whether a Bloom step can be downgraded to an exact bitmap
-        semi-join (dense key domain) or must keep its Bloom filter.
+        A PT/RPT single-attribute transfer step checks this after
+        :meth:`prepare`: with the table it runs exact, without it (a sparse
+        key domain) it keeps its Bloom filter.
         """
         return self._table is not None
 

@@ -71,8 +71,12 @@ class TransferOptions:
     ``fpr`` is the target false-positive rate of each Bloom filter;
     ``prune_trivial_semijoins`` skips steps whose source is an unfiltered PK
     side of a PK-FK join (§4.3 of the paper — the semi-join cannot eliminate
-    anything).  Bloom vs exact semi-joins is the execution mode's choice,
-    compiled into the plan.
+    anything).  Which filter a step runs is not an option: one rule decides
+    it per step at run time from the source it sees
+    (:func:`~repro.exec.transfer_ops.step_filter`) — an empty source empties
+    its target, composite keys and dense key domains run exact, and only a
+    PT/RPT single-attribute step over a sparse domain uses a Bloom filter
+    at ``fpr``.
     """
 
     fpr: float = DEFAULT_FPR

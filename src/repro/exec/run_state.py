@@ -38,24 +38,23 @@ T = TypeVar("T")
 
 @dataclass
 class TransferStepState:
-    """What a transfer ``BloomBuild`` leaves for the ``BloomProbe`` of its step.
+    """A transfer step's filter, as :func:`~repro.exec.transfer_ops.step_filter` picked it.
 
-    Either the step was skipped (§4.3 pruning), or the build side is
-    staged: a Bloom filter (``bloom``) or, when the exact-bitmap downgrade
-    fired, a prepared
-    :class:`~repro.exec.kernels.HashIndex` whose bitmap membership table
-    replaces the filter entirely (``exact_index``; no false positives).
+    Exactly one of: ``skipped`` (§4.3 pruning); an exact ``index`` over the
+    source keys (no false positives); a Bloom ``bloom`` (a PT/RPT
+    single-attribute step over a sparse key domain); or neither, when the
+    source is empty and the target keeps no row.
 
-    The probe side is ``target_column`` — the probe op gathers that column
-    of ``op.target`` over the immutable base table by the relation's current
-    row ids, materializing nothing in between — except for composite keys,
-    which are packed jointly with the build side and so staged eagerly
-    as ``target_keys``.
+    The probe side is ``target_column`` for a single-attribute step — the
+    probe gathers that column of ``op.target`` over the immutable base table
+    by the relation's current row ids, materializing nothing in between —
+    and ``target_keys`` for a composite one, packed jointly with the source
+    keys when the step is staged.
     """
 
     skipped: bool = False
     bloom: Optional[BloomFilter] = None
-    exact_index: Optional[HashIndex] = None
+    index: Optional[HashIndex] = None
     target_keys: Optional[np.ndarray] = None
     target_column: Optional[str] = None
 

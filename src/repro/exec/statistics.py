@@ -37,7 +37,7 @@ class TransferStepStats:
     filter_bytes: int = 0
     build_rows: int = 0
     skipped: bool = False
-    #: The step ran as an exact bitmap semi-join, not Bloom.
+    #: A PT/RPT step ran exact (composite keys, or a dense key domain), not Bloom.
     downgraded_exact: bool = False
 
     @property
@@ -65,8 +65,8 @@ class OpStats:
     #: Morsels the backend dispatched for this op (0 when
     #: it ran as one whole-column kernel call).
     morsels: int = 0
-    #: The executor ran this op's transfer step as an exact bitmap semi-join
-    #: instead of a Bloom build + probe (dense build-side key domain).
+    #: This op's PT/RPT transfer step ran exact rather than through a Bloom
+    #: filter: composite keys, or a dense build-side key domain.
     downgraded_exact: bool = False
     #: The index this hash build built / this hash probe matched against:
     #: ``"direct-unique"``, ``"direct"`` (duplicate build keys) or ``"sorted"``
@@ -125,8 +125,8 @@ COUNTERS: Tuple[Counter, ...] = (
     Counter("artifact_misses", "artifact_cache_misses", group="cache",
             summary="artifact cache {artifact_hits}h/{artifact_misses}m", pair="artifact_hits",
             log="cache.artifact_misses"),
-    Counter("downgraded_exact", "adaptive_exact_downgrades", " [exact bitmap]", "adaptive",
-            "{downgraded_exact} exact-bitmap downgrade(s)", event="adaptive:exact-bitmap",
+    Counter("downgraded_exact", "adaptive_exact_downgrades", " [exact]", "adaptive",
+            "{downgraded_exact} exact step(s)", event="adaptive:exact",
             log="adaptive.exact_downgrades", per_step=True),
     Counter("join_index", "sorted_index_joins", " [{join_index}]",
             log="adaptive.sorted_index_joins", per_step=True, counts="sorted"),
@@ -264,8 +264,8 @@ class ExecutionStats:
         return self._summary("cache")
 
     def adaptive_summary(self) -> str:
-        """One-line summary of the executor's run-time choices: exact-bitmap
-        downgrades ('' if none)."""
+        """One-line summary of the executor's run-time choices: PT/RPT
+        transfer steps run exact ('' if none)."""
         return self._summary("adaptive")
 
     def record_degradation(self, rung: str) -> None:

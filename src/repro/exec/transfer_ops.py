@@ -1,11 +1,23 @@
 """Transfer-phase handlers: ``BloomBuild`` / ``BloomProbe`` / ``SemiJoinReduce``.
 
 A transfer step reduces ``op.target`` (a bound relation, in place) by the
-join keys of ``op.source``.  In the Bloom modes the step's first op decides
-whether it runs at all (§4.3 pruning) and stages
-either a Bloom filter or — on a dense integer key domain — an exact bitmap
-index in the step's :class:`~repro.exec.run_state.TransferStepState`; the
-probe that follows consumes it.  Exact (Yannakakis) steps are one op.
+join keys of ``op.source``.  One rule, :func:`step_filter`, picks every
+step's filter, in every mode:
+
+1. §4.3 pruning first: a pruned step does nothing;
+2. an empty source keeps no target row: no index, no filter, nothing
+   gathered or hashed;
+3. a composite-key step runs exact, over ``combine_key_columns_pair`` codes;
+4. a single-attribute step runs exact when
+   :meth:`~repro.exec.kernels.HashIndex.table_worthwhile` accepts its
+   source key domain, or when the mode is Yannakakis;
+5. only a PT/RPT single-attribute step over a sparse domain keeps a Bloom
+   filter.
+
+In the Bloom modes the step's ``BloomBuild`` applies the rule and stages
+its :class:`~repro.exec.run_state.TransferStepState`, and the
+``BloomProbe`` that follows applies it; a Yannakakis step does both in one
+``SemiJoinReduce``.  Both go through :func:`_apply_step`.
 
 Every Bloom insert and probe replays a cached hashing pass over the key
 column instead of hashing gathered keys (:func:`bloom_pass_for_relation`,
@@ -16,18 +28,12 @@ through the artifact cache.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.bloom.bloom_filter import BloomFilter, hash_keys, key_patterns
-from repro.errors import ExecutionError
-from repro.exec.kernels import (
-    HashIndex,
-    bloom_probe_cost,
-    combine_key_columns_pair,
-    densify_key_columns_pair,
-)
+from repro.exec.kernels import HashIndex, bloom_probe_cost, combine_key_columns_pair
 from repro.exec.relation import BoundRelation
 from repro.exec.run_state import BloomPass, RunState, TransferStepState
 from repro.exec.statistics import OpStats, TransferStepStats
@@ -39,39 +45,17 @@ from repro.storage.artifacts import (
     ArtifactKey,
 )
 
+TransferOp = Union[BloomBuild, SemiJoinReduce]
+
 
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
 def bloom_build(run: RunState, op: BloomBuild, record: OpStats) -> None:
     source = run.relations[op.source.alias]
-    target = run.relations[op.target.alias]
     record.rows_in = record.rows_out = source.num_rows
-    if _skip_step(run, op, record, target):
-        run.steps[op.step_id] = TransferStepState(skipped=True)
-        return
-    step = TransferStepState()
-    if len(op.attributes) == 1:
-        attr_class = run.ex.graph.attribute_classes[op.attributes[0]]
-        source_column = attr_class.column_of(op.source.alias)
-        # Late materialization: the probe op gathers over the immutable
-        # base column by the target's row ids; nothing is staged for the
-        # probe side here.
-        step.target_column = attr_class.column_of(op.target.alias)
-        step.exact_index = _exact_bitmap_index(run, op, source, source_column, target)
-        if step.exact_index is None:
-            step.bloom = _transfer_bloom(run, op, source, source_column)
-        else:
-            record.downgraded_exact = True
-    else:
-        # Composite keys are densified jointly with the probe side, so
-        # neither hashing pass nor gather can be cached or deferred.
-        source_keys, step.target_keys = _step_keys(
-            run, op, source, target, densify_key_columns_pair
-        )
-        step.bloom = BloomFilter(expected_keys=source.num_rows, fpr=run.ex.transfer.fpr)
-        step.bloom.insert(source_keys)
-    run.steps[op.step_id] = step
+    step = run.steps[op.step_id] = step_filter(run, op, record)
+    record.downgraded_exact = step.index is not None
 
 
 def bloom_probe(run: RunState, op: BloomProbe, record: OpStats) -> None:
@@ -79,82 +63,75 @@ def bloom_probe(run: RunState, op: BloomProbe, record: OpStats) -> None:
     record.rows_in = record.rows_out = target.num_rows
     # The step's build ran (or skipped) immediately before this op.
     step = run.steps.pop(op.step_id)
-    if step.skipped:
-        record.skipped = True
-        return
-    if step.exact_index is not None:
-        # Exact-bitmap downgrade: one in-range test + table gather per
-        # probe key, and no false positives downstream.
-        record.downgraded_exact = True
+    record.downgraded_exact = step.index is not None
+    if step.target_column is not None:
         record.selvec_rows += target.num_rows
-        probe_keys = target.key_values(step.target_column)
-        _exact_semi_join(
-            run, op, record, target, step.exact_index, probe_keys, step.exact_index.index_bytes()
-        )
-        return
-    bloom = step.bloom
-    if step.target_keys is not None:
-        mask = run.ex.backend.probe_mask(step.target_keys, bloom.probe)
-    else:
-        record.selvec_rows += target.num_rows
-        probe_pass = bloom_pass_for_relation(run, target, step.target_column)
-        mask = run.ex.backend.probe_mask(
-            probe_pass, lambda hp: bloom.probe(hashes=hp[0], patterns=hp[1])
-        )
-    _reduce_target(run, op, record, target, mask, bloom.size_bytes)
+    _apply_step(run, op, record, step)
 
 
 def semi_join_reduce(run: RunState, op: SemiJoinReduce, record: OpStats) -> None:
-    source = run.relations[op.source.alias]
     target = run.relations[op.target.alias]
     record.rows_in = record.rows_out = target.num_rows
+    _apply_step(run, op, record, step_filter(run, op, record))
+
+
+# ---------------------------------------------------------------------------
+# The rule, and the one applier
+# ---------------------------------------------------------------------------
+def step_filter(run: RunState, op: TransferOp, record: OpStats) -> TransferStepState:
+    """Pick a transfer step's filter by the module's one rule.
+
+    Exact steps stage a prepared :class:`~repro.exec.kernels.HashIndex`
+    over the source keys; a Bloom step stages its filter; a pruned step is
+    ``skipped``; an empty source stages neither index nor filter.
+    """
+    source = run.relations[op.source.alias]
+    target = run.relations[op.target.alias]
     if _skip_step(run, op, record, target):
+        return TransferStepState(skipped=True)
+    if source.num_rows == 0:
+        return TransferStepState()
+    if len(op.attributes) > 1:
+        source_keys, target_keys = _composite_keys(run, op, source, target)
+        return TransferStepState(index=HashIndex(source_keys), target_keys=target_keys)
+    attr_class = run.ex.graph.attribute_classes[op.attributes[0]]
+    source_column = attr_class.column_of(op.source.alias)
+    # Late materialization: the probe gathers the target column over the
+    # immutable base table by the relation's row ids when the step applies.
+    target_column = attr_class.column_of(op.target.alias)
+    probe_rows = target.num_rows
+    index = _source_index(run, op, source, source_column, probe_rows)
+    if isinstance(op, SemiJoinReduce) or _bitmap_ready(index, probe_rows):
+        return TransferStepState(index=index, target_column=target_column)
+    bloom = _transfer_bloom(run, op, source, source_column)
+    return TransferStepState(bloom=bloom, target_column=target_column)
+
+
+def _apply_step(run: RunState, op, record: OpStats, step: TransferStepState) -> None:
+    """Reduce ``op.target`` by a staged step — exact, Bloom, or (empty
+    source) to nothing — and record the step."""
+    if step.skipped:
+        record.skipped = True
         return
-    if len(op.attributes) == 1:
-        # Single-attribute keys are side-independent: resolve the target
-        # side and check the index caches before gathering source keys —
-        # a hit (forward + backward pass probing the same source, or a
-        # prior query's frozen artifact) skips the source-side gather
-        # and sort entirely.
-        attr_class = run.ex.graph.attribute_classes[op.attributes[0]]
-        target_keys = target.key_values(attr_class.column_of(op.target.alias))
-        source_column = attr_class.column_of(op.source.alias)
-        index = _source_index(run, op, source, source_column, len(target_keys))
+    target = run.relations[op.target.alias]
+    backend = run.ex.backend
+    if step.index is not None:
+        index = step.index
+        keys = step.target_keys
+        if keys is None:
+            keys = target.key_values(step.target_column)
+        probe_rows = len(keys)
+        mask = backend.probe_mask(keys, index.contains, prepare=lambda: index.prepare(probe_rows))
+        # The source keys, whatever structures a cached index has built since.
+        filter_bytes = int(index.keys.nbytes)
+    elif step.bloom is not None:
+        bloom = step.bloom
+        probe_pass = bloom_pass_for_relation(run, target, step.target_column)
+        mask = backend.probe_mask(probe_pass, lambda hp: bloom.probe(hashes=hp[0], patterns=hp[1]))
+        filter_bytes = bloom.size_bytes
     else:
-        source_keys, target_keys = _step_keys(run, op, source, target, combine_key_columns_pair)
-        index = HashIndex(source_keys)
-    _exact_semi_join(run, op, record, target, index, target_keys, int(index.keys.nbytes))
-
-
-# ---------------------------------------------------------------------------
-# The two halves every executed step shares
-# ---------------------------------------------------------------------------
-def _exact_semi_join(
-    run: RunState,
-    op,
-    record: OpStats,
-    target: BoundRelation,
-    index: HashIndex,
-    target_keys,
-    filter_bytes: int,
-) -> None:
-    """Reduce ``target`` to the rows whose key is in ``index`` (no false positives)."""
-    probe_rows = len(target_keys)
-    mask = run.ex.backend.probe_mask(
-        target_keys, index.contains, prepare=lambda: index.prepare(probe_rows)
-    )
-    _reduce_target(run, op, record, target, mask, filter_bytes)
-
-
-def _reduce_target(
-    run: RunState,
-    op,
-    record: OpStats,
-    target: BoundRelation,
-    mask: np.ndarray,
-    filter_bytes: int,
-) -> None:
-    """Apply a step's probe mask: keep the surviving rows, record the step."""
+        mask = np.zeros(target.num_rows, dtype=bool)
+        filter_bytes = 0
     rows_before = target.num_rows
     target.keep(mask)
     rows_after = record.rows_out = target.num_rows
@@ -239,30 +216,14 @@ def _transfer_bloom(
     )
 
 
-def _exact_bitmap_index(
-    run: RunState,
-    op: BloomBuild,
-    source: BoundRelation,
-    column: str,
-    target: BoundRelation,
-) -> Optional[HashIndex]:
-    """Exact-bitmap downgrade: a prepared bitmap index, or None to keep Bloom.
-
-    When the build side's observed key domain is dense enough that a
-    boolean membership table costs no more than the probe work it saves
-    (the same economics as :meth:`HashIndex.table_worthwhile`), the step is
-    executed as an exact bitmap semi-join: probes become one in-range
-    test plus one table gather, and — unlike a Bloom filter — zero false
-    positives survive into the downstream passes and the join phase.
-    """
-    if source.num_rows == 0:
-        return None
-    probe_rows = target.num_rows
-    index = _source_index(run, op, source, column, probe_rows)
+def _bitmap_ready(index: HashIndex, probe_rows: int) -> bool:
+    """True when ``index`` holds a bitmap membership table for ``probe_rows``
+    probes: :meth:`HashIndex.table_worthwhile` accepts the key domain, so a
+    probe is one in-range test plus one table gather."""
     if not index.table_worthwhile(probe_rows):
-        return None
+        return False
     index.prepare(probe_rows)
-    return index if index.has_bitmap else None
+    return index.has_bitmap
 
 
 def _source_index(
@@ -278,21 +239,16 @@ def _source_index(
     )
 
 
-def _step_keys(run: RunState, op, source: BoundRelation, target: BoundRelation, combine):
-    """Resolve a transfer step's attribute classes to concrete key arrays.
-
-    ``combine`` joins composite keys: densified for a Bloom filter (what it
-    hashes decides its false positives), packed for an exact index.
-    """
+def _composite_keys(run: RunState, op, source: BoundRelation, target: BoundRelation):
+    """A composite-key step's source and target keys, packed consistently
+    across both sides by :func:`~repro.exec.kernels.combine_key_columns_pair`."""
     source_columns = []
     target_columns = []
     for attribute in op.attributes:
         attr_class = run.ex.graph.attribute_classes[attribute]
         source_columns.append(source.key_values(attr_class.column_of(op.source.alias)))
         target_columns.append(target.key_values(attr_class.column_of(op.target.alias)))
-    if not source_columns:
-        raise ExecutionError(f"transfer op {op.describe()} has no join attributes")
-    return combine(source_columns, target_columns)
+    return combine_key_columns_pair(source_columns, target_columns)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,18 @@ still-unreduced primary-key side of a declared single-attribute PK-FK join).
 The engine's ``reduced_rows`` must equal its result exactly — Bloom false
 positives included.
 
-A step is *exact* (``np.isin``, no false positives) when the executor's
-downgrade rule says a membership table over the source keys is cheap: a
-single-attribute step over integer keys whose source key range is at most
-``max(2**16, 8 * (build rows + probe rows))``, capped at ``2**26`` — or
-whose source already served an exact step and has not been reduced since
-(the table is there, so it is used).  Every other step builds a fresh
-``BloomFilter(expected_keys=source rows, fpr)`` with ``insert(keys)`` and
-filters the target with ``probe(keys)``.
+One rule picks each step's filter, stated here on its own:
+
+- a step whose source is empty keeps no target row;
+- a composite-key step is exact: ``np.isin`` over the
+  ``combine_key_columns_pair`` codes of both sides;
+- a single-attribute step is exact (``np.isin``) when a membership table
+  over the source keys is cheap: integer keys whose source key range is at
+  most ``max(2**16, 8 * (build rows + probe rows))``, capped at ``2**26`` —
+  or whose source already served an exact step and has not been reduced
+  since (the table is there, so it is used);
+- every other step builds a fresh ``BloomFilter(expected_keys=source rows,
+  fpr)`` with ``insert(keys)`` and filters the target with ``probe(keys)``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Dict
 import numpy as np
 
 from repro.bloom.bloom_filter import DEFAULT_FPR, BloomFilter
-from repro.exec.kernels import densify_key_columns_pair
+from repro.exec.kernels import combine_key_columns_pair
 
 
 def replay_reduced_rows(db, query, schedule, fpr: float = DEFAULT_FPR) -> Dict[str, int]:
@@ -52,17 +56,18 @@ def replay_reduced_rows(db, query, schedule, fpr: float = DEFAULT_FPR) -> Dict[s
                 continue
         source_keys = [source.column(c.column_of(step.source)).data[rows[step.source]] for c in classes]
         target_keys = [target.column(c.column_of(step.target)).data[rows[step.target]] for c in classes]
-        if len(classes) == 1:
-            build, probe = source_keys[0], target_keys[0]
-        else:
-            build, probe = densify_key_columns_pair(source_keys, target_keys)
-        if len(classes) == 1 and (step.source in has_table or _dense(build, probe.size)):
-            has_table.add(step.source)
+        if not rows[step.source].size:
+            keep = np.zeros(rows[step.target].size, dtype=bool)
+        elif len(classes) > 1:
+            build, probe = combine_key_columns_pair(source_keys, target_keys)
             keep = np.isin(probe, build)
+        elif step.source in has_table or _dense(source_keys[0], target_keys[0].size):
+            has_table.add(step.source)
+            keep = np.isin(target_keys[0], source_keys[0])
         else:
             bloom = BloomFilter(expected_keys=rows[step.source].size, fpr=fpr)
-            bloom.insert(build)
-            keep = bloom.probe(probe)
+            bloom.insert(source_keys[0])
+            keep = bloom.probe(target_keys[0])
         if not keep.all():
             reduced.add(step.target)
         rows[step.target] = rows[step.target][keep]
@@ -71,7 +76,7 @@ def replay_reduced_rows(db, query, schedule, fpr: float = DEFAULT_FPR) -> Dict[s
 
 
 def _dense(build: np.ndarray, probe_rows: int) -> bool:
-    if build.size == 0 or not np.issubdtype(build.dtype, np.integer):
+    if not np.issubdtype(build.dtype, np.integer):
         return False
     key_range = int(build.max()) - int(build.min()) + 1
     return key_range <= min(max(1 << 16, 8 * (build.size + probe_rows)), 1 << 26)

@@ -8,6 +8,8 @@ the paper proves (full reduction, bounded intermediates).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,12 @@ from repro import Database, ExecutionMode, ExecutionOptions, Server
 from repro.engine.database import QueryResult
 from repro.errors import PlanError
 from repro.exec import TransferOptions
-from repro.expr import lt
+from repro.expr import and_, lt
 from repro.optimizer import generate_bushy_plans, generate_left_deep_plans
 from repro.plan.join_plan import JoinPlan
 from repro.query import JoinCondition, QuerySpec, RelationRef
 from repro.storage.table import ForeignKey
+from repro.workloads import tpch
 
 
 class TestModeAgreement:
@@ -154,6 +157,38 @@ class TestTransferSteps:
         by_step = {(s.source, s.target, s.pass_): s for s in exact.stats.transfer_steps}
         for s in downgraded:
             assert s.rows_after == by_step[(s.source, s.target, s.pass_)].rows_after
+
+    @pytest.mark.parametrize("mode", [ExecutionMode.PT, ExecutionMode.RPT, ExecutionMode.YANNAKAKIS])
+    def test_an_empty_source_empties_its_target_and_hashes_nothing(self, tpch_db, mode):
+        """q17 with a part filter that keeps no row (q17's own keeps none
+        under ``PYTHONHASHSEED=0``): the forward step ``l ⋉ p`` builds no
+        filter, hashes no key and keeps no lineitem row."""
+        query = tpch.query(17)
+        part = next(ref for ref in query.relations if ref.alias == "p")
+        no_part = dataclasses.replace(part, filter=and_(part.filter, lt("p_size", 1)))
+        query = dataclasses.replace(
+            query, relations=tuple(no_part if ref is part else ref for ref in query.relations)
+        )
+        result = tpch_db.execute(query, mode=mode)
+        stats = result.stats
+        assert stats.reduced_rows == {"l": 0, "p": 0}
+        (step,) = [s for s in stats.transfer_steps if (s.source, s.target) == ("p", "l")]
+        assert (step.pass_, step.skipped, step.build_rows) == ("forward", False, 0)
+        assert step.filter_bytes == 0 and step.rows_before > 0 and step.rows_after == 0
+        step_ops = [op for op in stats.op_stats if "l ⋉ p" in op.detail or "bloom_build p " in op.detail]
+        assert len(step_ops) == (1 if mode is ExecutionMode.YANNAKAKIS else 2)
+        assert all(op.hash_hits == op.hash_misses == 0 for op in step_ops)
+
+    def test_composite_key_steps_run_exact(self, tpch_db):
+        """``tpch_q9``'s ``l ⋉ ps`` and its backward twin join on two
+        attributes: RPT runs them exact, as Yannakakis does, so no false
+        positive survives and both modes reduce every relation alike."""
+        query = tpch.query(9)
+        rpt = tpch_db.execute(query, mode=ExecutionMode.RPT)
+        exact = tpch_db.execute(query, mode=ExecutionMode.YANNAKAKIS)
+        composite = [op for op in rpt.stats.op_stats if op.kind == "bloom_probe" and "," in op.detail]
+        assert composite and all(op.downgraded_exact for op in composite)
+        assert rpt.stats.reduced_rows == exact.stats.reduced_rows
 
     def test_bitmap_downgrade_skips_sparse_domains(self, sparse_db, sparse_query):
         result = sparse_db.execute(sparse_query, mode=ExecutionMode.RPT)

@@ -61,8 +61,9 @@ def test_example_runs_cleanly(script: Path):
 
 def test_profile_round_smoke():
     """One profiled ``tpch_exec`` round at ``--quick`` scale: 100 ops, none
-    failed, the self-time table, and for each of the five modes a latency sum
-    and the share of it spent outside engine ops."""
+    failed, the self-time table, for each of the five modes a latency sum
+    and the share of it spent outside engine ops, and for each transfer mode
+    its census of steps by filter."""
     stdout = _run_example(PROFILE_ROUND, "tpch_exec", "--quick", "--top", "5")
     assert "100 ops, 0 failed" in stdout
     assert "top 5 by self time" in stdout
@@ -70,3 +71,6 @@ def test_profile_round_smoke():
     for mode in ("baseline", "bloom_join", "pt", "rpt", "yannakakis"):
         assert f" ms  {mode}\n" in stdout
         assert re.search(rf"\d ms  {mode} +\d+\.\d% of its latency\n", outside), mode
+    census = stdout.split("transfer steps per mode (pruned / empty source / exact / Bloom)\n")[1]
+    for mode in ("pt", "rpt", "yannakakis"):
+        assert re.search(rf"^  {mode} +\d+ / +\d+ / +\d+ / +\d+$", census, re.M), mode

@@ -410,6 +410,10 @@ class TestBitIdentityMatrix:
     def test_tpch(self, tpch_db):
         self._assert_matrix(tpch_db, tpch.query(3))
 
+    def test_tpch_composite_keys(self, tpch_db):
+        # ``l ⋉ ps`` joins on (partkey, suppkey): the replay's composite rule.
+        self._assert_matrix(tpch_db, tpch.query(9))
+
     def test_job(self, job_db):
         self._assert_matrix(job_db, job.query(3))
 

@@ -343,10 +343,10 @@ class TestGoldenReports:
         stats.record_degradation("backend:parallel->serial")
         stats.record_degradation("backend:parallel->serial")
         assert stats.cache_summary() == "cache: hash passes 2h/1m"
-        assert stats.adaptive_summary() == "adaptive: 1 exact-bitmap downgrade(s)"
+        assert stats.adaptive_summary() == "adaptive: 1 exact step(s)"
         assert stats.degradation_summary() == "degraded: backend:parallel->serial x2"
         assert stats.execution_summary() == (
-            "cache: hash passes 2h/1m | adaptive: 1 exact-bitmap downgrade(s) | "
+            "cache: hash passes 2h/1m | adaptive: 1 exact step(s) | "
             "degraded: backend:parallel->serial x2"
         )
 

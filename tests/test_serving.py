@@ -602,6 +602,26 @@ class TestPlanCache:
                     len(stems), 3 * len(stems)
                 )
 
+    def test_a_hit_evaluates_base_filters_only_to_execute(self, tpch_db, monkeypatch):
+        """A prepared-entry hit evaluates the base-filter masks once for a
+        SELECT, and not at all for a plain EXPLAIN, which executes nothing."""
+        text = sqlfiles.sql_text("tpch_q3")
+        calls = []
+        filter_masks = Database.filter_masks
+        monkeypatch.setattr(
+            Database,
+            "filter_masks",
+            lambda db, *args, **kwargs: calls.append(1) or filter_masks(db, *args, **kwargs),
+        )
+        with Server(tpch_db, options=_serial()) as server:
+            session = server.session()
+            session.sql(text)  # the miss prepares and caches the entry
+            for statement, evaluated in (("EXPLAIN " + text, 0), (text, 1)):
+                calls.clear()
+                session.sql(statement)
+                assert len(calls) == evaluated, statement
+            assert server.stats().plan_cache_hits == 2
+
     def test_replace_misses_at_both_levels(self, monkeypatch):
         parses = []
         parse = plancache.parse_statement
